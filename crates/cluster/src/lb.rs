@@ -33,6 +33,7 @@
 use faas_workload::sebs::FuncId;
 use faas_workload::trace::Call;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// The controller's call-assignment policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -102,18 +103,10 @@ impl LoadBalancer {
                 .map(|i| (i % nodes as usize) as u16)
                 .collect(),
             LoadBalancer::FunctionHash => {
-                // Per-function rotation seeded at the function's home node.
-                let mut counters: std::collections::BTreeMap<FuncId, u64> =
-                    std::collections::BTreeMap::new();
+                let mut counters = BTreeMap::new();
                 calls
                     .iter()
-                    .map(|call| {
-                        let counter = counters.entry(call.func).or_insert(0);
-                        let home = home_node(call.func, nodes);
-                        let node = (home as u64 + *counter) % nodes as u64;
-                        *counter += 1;
-                        node as u16
-                    })
+                    .map(|call| hash_rotation(&mut counters, call.func, nodes))
                     .collect()
             }
             LoadBalancer::JoinShortestQueue { .. }
@@ -180,68 +173,36 @@ impl FeedbackRouter {
         self.decisions += 1;
         let any_alive = views.iter().any(|v| v.alive);
         let candidate = |n: usize| !any_alive || views[n].alive;
+        // The dominant policies key on (dominant share, backlog): the share
+        // routes around saturated resource axes, the backlog discriminates
+        // when shares agree (all idle, or the memory axis unmodeled — then
+        // they degenerate to their backlog-only twins, tie-broken the same
+        // way).
+        let dominant = matches!(
+            self.lb,
+            LoadBalancer::JoinShortestDominant { .. } | LoadBalancer::PowerOfTwoDominant { .. }
+        );
+        let key = |n: u16| {
+            let v = &views[n as usize];
+            (if dominant { v.dominant_milli } else { 0 }, v.backlog)
+        };
+        let candidates = (0..views.len()).filter(|&n| candidate(n)).map(|n| n as u16);
         match self.lb {
-            LoadBalancer::JoinShortestQueue { seed } => {
-                let best = (0..views.len())
-                    .filter(|&n| candidate(n))
-                    .map(|n| views[n].backlog)
-                    .min()
-                    .expect("at least one candidate");
-                let ties: Vec<u16> = (0..views.len())
-                    .filter(|&n| candidate(n) && views[n].backlog == best)
-                    .map(|n| n as u16)
-                    .collect();
+            LoadBalancer::JoinShortestQueue { seed }
+            | LoadBalancer::JoinShortestDominant { seed } => {
+                let best = candidates.clone().map(key).min().expect("a candidate");
+                let ties: Vec<u16> = candidates.filter(|&n| key(n) == best).collect();
                 ties[(splitmix64(seed ^ d) % ties.len() as u64) as usize]
             }
-            LoadBalancer::PowerOfTwoChoices { seed } => {
-                let alive: Vec<u16> = (0..views.len())
-                    .filter(|&n| candidate(n))
-                    .map(|n| n as u16)
-                    .collect();
+            LoadBalancer::PowerOfTwoChoices { seed }
+            | LoadBalancer::PowerOfTwoDominant { seed } => {
+                let alive: Vec<u16> = candidates.collect();
                 let r = splitmix64(seed ^ d);
                 // Two probes from one draw (independent halves).
                 let a = alive[(r as u32 as u64 % alive.len() as u64) as usize];
                 let b = alive[((r >> 32) % alive.len() as u64) as usize];
-                let (la, lb) = (views[a as usize].backlog, views[b as usize].backlog);
                 // First probe wins ties: each probe is uniform, so tie
                 // decisions stay unbiased (min-index would favour node 0).
-                if la <= lb {
-                    a
-                } else {
-                    b
-                }
-            }
-            LoadBalancer::JoinShortestDominant { seed } => {
-                // Key (dominant share, backlog): the share routes around
-                // saturated resource axes, the backlog discriminates when
-                // shares agree (all idle, or the memory axis unmodeled —
-                // then this degenerates to plain JSQ tie-broken the same
-                // way).
-                let key = |n: usize| (views[n].dominant_milli, views[n].backlog);
-                let best = (0..views.len())
-                    .filter(|&n| candidate(n))
-                    .map(key)
-                    .min()
-                    .expect("at least one candidate");
-                let ties: Vec<u16> = (0..views.len())
-                    .filter(|&n| candidate(n) && key(n) == best)
-                    .map(|n| n as u16)
-                    .collect();
-                ties[(splitmix64(seed ^ d) % ties.len() as u64) as usize]
-            }
-            LoadBalancer::PowerOfTwoDominant { seed } => {
-                let alive: Vec<u16> = (0..views.len())
-                    .filter(|&n| candidate(n))
-                    .map(|n| n as u16)
-                    .collect();
-                let r = splitmix64(seed ^ d);
-                let a = alive[(r as u32 as u64 % alive.len() as u64) as usize];
-                let b = alive[((r >> 32) % alive.len() as u64) as usize];
-                let key = |n: u16| {
-                    let v = &views[n as usize];
-                    (v.dominant_milli, v.backlog)
-                };
-                // First probe wins ties, as in backlog power-of-two.
                 if key(a) <= key(b) {
                     a
                 } else {
@@ -251,6 +212,16 @@ impl FeedbackRouter {
             _ => unreachable!("checked in new()"),
         }
     }
+}
+
+/// Route one call under [`LoadBalancer::FunctionHash`]: per-function
+/// rotation seeded at the function's home node, `counters` holding the
+/// calls of each function routed so far.
+pub(crate) fn hash_rotation(counters: &mut BTreeMap<FuncId, u64>, func: FuncId, nodes: u16) -> u16 {
+    let counter = counters.entry(func).or_insert(0);
+    let node = (home_node(func, nodes) as u64 + *counter) % nodes as u64;
+    *counter += 1;
+    node as u16
 }
 
 /// The home worker of a function under [`LoadBalancer::FunctionHash`].

@@ -34,15 +34,15 @@
 //! node replay the per-function rotation counters over a sequential scan
 //! (an `O(len)` scan per node, the price of a routing that needs global
 //! arrival order without materializing it). [`run_cluster_trace_coupled`]
-//! is the conservative-window engine for feedback policies, finite
-//! lookahead and cross-node failover — the window protocol of
-//! [`crate::coupled`] verbatim, fed by a chunked read-ahead cursor
-//! instead of a slice. [`run_cluster_source`] dispatches: any
+//! serves feedback policies, finite lookahead and cross-node failover: it
+//! feeds the one window loop of [`crate::coupled`] from a chunked
+//! read-ahead cursor instead of a slice. [`run_cluster_source`] dispatches: any
 //! [`WorkloadSource`] × any [`ClusterConfig`] lands on the right engine.
 
-use crate::lb::{home_node, FeedbackRouter, LoadBalancer, NodeView};
+use crate::coupled::{coupled_engine, new_nodes, Routing};
+use crate::lb::{hash_rotation, LoadBalancer};
 use crate::sim::{node_seeds, ClusterConfig};
-use faas_invoker::{Handoff, NodeMode, NodeProgress, NodeResult, NodeSim};
+use faas_invoker::{NodeMode, NodeResult, NodeSim};
 use faas_simcore::time::{SimDuration, SimTime};
 use faas_workload::faults::FaultSpec;
 use faas_workload::sebs::{Catalogue, FuncId};
@@ -50,7 +50,7 @@ use faas_workload::trace::Call;
 use faas_workload::trace_source::{TraceSource, WorkloadSource};
 use faas_workload::weight::WeightTable;
 use rayon::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// One nanosecond before `t` (clamped at zero): the drain horizon between
 /// ingestion windows. Draining to *just before* the next injected release
@@ -128,11 +128,7 @@ pub fn run_cluster_trace_streamed(
                     let mut buf: Vec<Call> = Vec::with_capacity(chunk.min(n as usize));
                     let mut peak = 0u64;
                     for call in trace.iter_chunk(0, n) {
-                        let counter = counters.entry(call.func).or_insert(0);
-                        let home = home_node(call.func, cfg.nodes) as u64;
-                        let target = ((home + *counter) % cfg.nodes as u64) as u16;
-                        *counter += 1;
-                        if target != node {
+                        if hash_rotation(&mut counters, call.func, cfg.nodes) != node {
                             continue;
                         }
                         buf.push(call);
@@ -170,64 +166,31 @@ pub fn run_cluster_trace_streamed(
 struct TraceCursor<'a> {
     trace: &'a dyn TraceSource,
     next_index: u64,
-    buf: std::collections::VecDeque<Call>,
+    buf: VecDeque<Call>,
     chunk: usize,
     peak_resident: u64,
 }
 
-impl<'a> TraceCursor<'a> {
-    fn new(trace: &'a dyn TraceSource, chunk: usize) -> TraceCursor<'a> {
-        assert!(chunk > 0, "ingestion window must hold at least one call");
-        TraceCursor {
-            trace,
-            next_index: 0,
-            buf: std::collections::VecDeque::with_capacity(chunk.min(trace.len() as usize)),
-            chunk,
-            peak_resident: 0,
+impl Iterator for TraceCursor<'_> {
+    type Item = Call;
+
+    /// The next call, refilling the buffer with the next `chunk` calls
+    /// once it runs dry.
+    fn next(&mut self) -> Option<Call> {
+        if self.buf.is_empty() {
+            let hi = (self.next_index + self.chunk as u64).min(self.trace.len());
+            self.buf.extend(self.trace.iter_chunk(self.next_index, hi));
+            self.next_index = hi;
+            self.peak_resident = self.peak_resident.max(self.buf.len() as u64);
         }
-    }
-
-    fn refill(&mut self) {
-        if !self.buf.is_empty() {
-            return;
-        }
-        let hi = (self.next_index + self.chunk as u64).min(self.trace.len());
-        self.buf.extend(self.trace.iter_chunk(self.next_index, hi));
-        self.next_index = hi;
-        self.peak_resident = self.peak_resident.max(self.buf.len() as u64);
-    }
-
-    /// Release time of the next undelivered call, if any.
-    fn peek_release(&mut self) -> Option<SimTime> {
-        self.refill();
-        self.buf.front().map(|c| c.release)
-    }
-
-    fn pop(&mut self) -> Option<Call> {
-        self.refill();
         self.buf.pop_front()
     }
 }
 
-/// How the coupled trace engine routes one call, in index order.
-enum TraceRouting {
-    /// Round-robin: the call's id *is* its index, so `stride_node`.
-    Stride,
-    /// Function-hash rotation counters, advanced in routing order —
-    /// identical to [`LoadBalancer::assign`] over the materialized log.
-    Hash(BTreeMap<FuncId, u64>),
-    /// Feedback policy routing on barrier snapshots.
-    Feedback(FeedbackRouter),
-}
-
-/// Replay a trace on the conservative-window protocol of
-/// [`crate::coupled`]: feedback load balancing, finite lookahead and
-/// cross-node failover all compose with trace ingestion here. Arrivals
-/// are paged through a single `chunk`-call read-ahead cursor (reported as
-/// the merged result's [`NodeResult::peak_resident_calls`]); everything
-/// else — routing staleness, handoff delivery, barrier order — matches
-/// the materialized engine's window loop, so runs are bit-identical
-/// across reruns and thread counts.
+/// Replay a trace on the conservative-window engine of [`crate::coupled`],
+/// where feedback routing, finite lookahead and failover compose with
+/// trace ingestion. Arrivals page through one `chunk`-call read-ahead
+/// cursor, whose peak is the result's [`NodeResult::peak_resident_calls`].
 pub fn run_cluster_trace_coupled(
     catalogue: &Catalogue,
     trace: &dyn TraceSource,
@@ -237,143 +200,39 @@ pub fn run_cluster_trace_coupled(
     sim_seed: u64,
     chunk: usize,
 ) -> NodeResult {
-    assert!(cfg.nodes > 0, "cluster needs at least one node");
-    assert!(
-        !cfg.failover || cfg.lookahead < SimDuration::MAX,
-        "failover handoffs are delivered at window barriers: a finite \
-         lookahead is required"
-    );
-    let weights = WeightTable::uniform(catalogue.len());
-    let seeds = node_seeds(sim_seed, cfg.nodes);
-    let mut nodes: Vec<NodeSim> = seeds
-        .iter()
-        .map(|&(node, node_seed)| {
-            NodeSim::new(
-                catalogue,
-                mode,
-                &cfg.node,
-                &weights,
-                faults,
-                node_seed,
-                node,
-                cfg.failover,
-            )
-        })
-        .collect();
-
-    let mut routing = match cfg.lb {
-        LoadBalancer::RoundRobin => TraceRouting::Stride,
-        LoadBalancer::FunctionHash => TraceRouting::Hash(BTreeMap::new()),
-        LoadBalancer::JoinShortestQueue { .. }
-        | LoadBalancer::PowerOfTwoChoices { .. }
-        | LoadBalancer::JoinShortestDominant { .. }
-        | LoadBalancer::PowerOfTwoDominant { .. } => {
-            TraceRouting::Feedback(FeedbackRouter::new(cfg.lb))
-        }
-    };
-    let mut views = vec![
-        NodeView {
-            backlog: 0,
-            alive: true,
-            dominant_milli: 0,
-        };
-        cfg.nodes as usize
-    ];
-    let mut batches: Vec<Vec<Call>> = vec![Vec::new(); cfg.nodes as usize];
-    let mut cursor = TraceCursor::new(trace, chunk);
-    let mut pending: Vec<Handoff> = Vec::new();
-    let mut barrier = SimTime::ZERO;
-
-    loop {
-        // The earliest pending work anywhere bounds the next window.
-        let mut t = nodes.iter().filter_map(|n| n.next_event_time()).min();
-        if let Some(release) = cursor.peek_release() {
-            t = Some(t.map_or(release, |t| t.min(release)));
-        }
-        if let Some(h) = pending.first() {
-            t = Some(t.map_or(h.due, |t| t.min(h.due)));
-        }
-        let Some(t) = t else { break };
-        let horizon = t + cfg.lookahead; // saturates at SimTime::MAX
-
-        // 1. Route this window's arrivals in index (= release) order.
-        while cursor.peek_release().is_some_and(|r| r <= horizon) {
-            let call = cursor.pop().expect("peeked");
-            let node = match &mut routing {
-                TraceRouting::Stride => call.stride_node(cfg.nodes),
-                TraceRouting::Hash(counters) => {
-                    let counter = counters.entry(call.func).or_insert(0);
-                    let home = home_node(call.func, cfg.nodes) as u64;
-                    let node = ((home + *counter) % cfg.nodes as u64) as u16;
-                    *counter += 1;
-                    node
-                }
-                TraceRouting::Feedback(router) => router.route(&views),
-            };
-            views[node as usize].backlog += 1;
-            batches[node as usize].push(call);
-        }
-        for (node, batch) in batches.iter_mut().enumerate() {
-            if !batch.is_empty() {
-                nodes[node].inject(batch);
-                batch.clear();
-            }
-        }
-
-        // 2. Deliver due handoffs, never earlier than the barrier they
-        // were collected at.
-        while pending.first().is_some_and(|h| h.due <= horizon) {
-            let h = pending.remove(0);
-            let target = failover_target(&views, h.from);
-            views[target as usize].backlog += 1;
-            nodes[target as usize].inject_handoff(&h, h.due.max(barrier));
-        }
-
-        // 3. Advance every node through the window in parallel.
-        let progress: Vec<NodeProgress> = nodes
-            .par_iter_mut()
-            .map(|n| n.advance_to(horizon))
-            .collect();
-        for (v, p) in views.iter_mut().zip(&progress) {
-            *v = NodeView {
-                backlog: p.backlog(),
-                alive: p.alive,
-                dominant_milli: p.dominant_milli,
-            };
-        }
-
-        // 4. Collect failover outboxes in node order.
-        for n in nodes.iter_mut() {
-            pending.extend(n.take_handoffs());
-        }
-        pending.sort_by_key(|h| (h.due, h.call.id));
-        barrier = horizon;
-    }
-
-    assert!(
-        cursor.peek_release().is_none(),
-        "every trace call was routed"
-    );
-    assert!(pending.is_empty(), "every handoff was delivered");
-    let mut merged = NodeResult::merge(nodes.into_iter().map(|n| n.finish()).collect());
-    merged.peak_resident_calls = cursor.peak_resident;
-    merged
+    let threads = rayon::current_num_threads();
+    trace_coupled(
+        catalogue, trace, mode, cfg, faults, sim_seed, chunk, threads,
+    )
 }
 
-/// Pick the failover target: least-loaded healthy node, lowest index on
-/// ties, preferring nodes other than the one the attempt failed on (the
-/// policy of [`crate::coupled`]).
-fn failover_target(views: &[NodeView], from: u16) -> u16 {
-    let pick = |pred: &dyn Fn(usize) -> bool| {
-        (0..views.len())
-            .filter(|&n| pred(n))
-            .min_by_key(|&n| (views[n].backlog, n))
-            .map(|n| n as u16)
+/// [`run_cluster_trace_coupled`] on an explicit worker count.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn trace_coupled(
+    catalogue: &Catalogue,
+    trace: &dyn TraceSource,
+    mode: &NodeMode,
+    cfg: &ClusterConfig,
+    faults: &FaultSpec,
+    sim_seed: u64,
+    chunk: usize,
+    threads: usize,
+) -> NodeResult {
+    let weights = WeightTable::uniform(catalogue.len());
+    let nodes = new_nodes(catalogue, mode, cfg, &weights, faults, sim_seed, &[]);
+    assert!(chunk > 0, "ingestion window must hold at least one call");
+    let mut cursor = TraceCursor {
+        trace,
+        next_index: 0,
+        buf: VecDeque::with_capacity(chunk.min(trace.len() as usize)),
+        chunk,
+        peak_resident: 0,
     };
-    pick(&|n| views[n].alive && n as u16 != from)
-        .or_else(|| pick(&|n| views[n].alive))
-        .or_else(|| pick(&|_| true))
-        .expect("cluster needs at least one node")
+    let routing = Routing::of(cfg.lb);
+    let results = coupled_engine(nodes, cfg, &mut cursor, routing, threads);
+    let mut merged = NodeResult::merge(results);
+    merged.peak_resident_calls = cursor.peak_resident;
+    merged
 }
 
 /// Run any [`WorkloadSource`] under any [`ClusterConfig`]: the one entry
@@ -553,6 +412,39 @@ mod tests {
         assert_ne!(node_map(&jsq), node_map(&rr), "JSQ must route differently");
         let again = run(LoadBalancer::JoinShortestQueue { seed: 1 });
         assert_eq!(jsq.outcomes, again.outcomes);
+    }
+
+    #[test]
+    fn coupled_replay_is_thread_invariant() {
+        let cat = catalogue();
+        let trace = synth(8.0, 0x7A12);
+        let cfg = ClusterConfig::independent(
+            3,
+            NodeConfig::paper(10),
+            LoadBalancer::JoinShortestQueue { seed: 7 },
+        )
+        .coupled(SimDuration::from_millis(500), false);
+        let mode = NodeMode::Scheduled(SchedulerConfig::paper(Policy::FairChoice));
+        let run = |threads| {
+            trace_coupled(
+                &cat,
+                &trace,
+                &mode,
+                &cfg,
+                &FaultSpec::none(),
+                5,
+                64,
+                threads,
+            )
+        };
+        let serial = run(1);
+        let parallel = run(3);
+        assert_eq!(parallel.outcomes, serial.outcomes);
+        assert_eq!(parallel.drops, serial.drops);
+        assert_eq!(parallel.fault_stats, serial.fault_stats);
+        assert_eq!(parallel.peak_events, serial.peak_events);
+        assert_eq!(parallel.peak_resident_calls, serial.peak_resident_calls);
+        assert_eq!(parallel.outcomes.len() as u64, trace.len());
     }
 
     #[test]

@@ -8,15 +8,19 @@
 //!   [`faas_cluster::run_cluster_streamed`] (every node simulated to
 //!   completion independently) and through
 //!   [`faas_cluster::run_cluster_streamed_coupled`] with a finite
-//!   lookahead (lock-step windows, barrier per window). Both produce
-//!   bit-identical results — the ratio is the pure price of windowing.
+//!   lookahead (lock-step windows on node workers spawned once per run,
+//!   one spinning handshake per window). Both produce bit-identical
+//!   results — the ratio is the pure price of windowing, and
+//!   `experiments check-bench` fails it below
+//!   [`crate::bench_schema::COUPLED_SPEEDUP_FLOOR`].
 //! * **Feedback**: the same cluster under the strict crash preset routed
 //!   by join-shortest-queue with cross-node failover — the workload the
 //!   coupled engine exists for, so its wall-clock rides the trajectory
 //!   too.
 //!
-//! The thread/core count is recorded alongside so trajectory points from
-//! different machines stay comparable.
+//! The worker-thread count the runs used is recorded alongside so
+//! trajectory points from different machines and pool sizes stay
+//! comparable.
 
 use faas_cluster::{
     run_cluster_streamed, run_cluster_streamed_coupled, ClusterConfig, LoadBalancer,
@@ -115,10 +119,10 @@ pub fn run_level(intensity: u32) -> Vec<BenchEntry> {
             unit: "ms/run".into(),
         },
     ];
-    // The windowed advancement fans out on rayon; record the host shape.
+    // The windowed engine splits the nodes over this many workers.
     entries.push(BenchEntry {
         name: "coupled_threads".into(),
-        value: crate::bench_gps::host_threads(),
+        value: crate::bench_gps::used_threads(),
         unit: "count".into(),
     });
     entries

@@ -65,7 +65,7 @@ pub fn run_levels(task_levels: &[usize], completions: usize) -> Vec<BenchEntry> 
     // recorded so trajectory points are attributable to their host shape.
     entries.push(BenchEntry {
         name: "drf_gps_threads".into(),
-        value: crate::bench_gps::host_threads(),
+        value: crate::bench_gps::used_threads(),
         unit: "count".into(),
     });
     entries

@@ -272,7 +272,7 @@ pub fn run() -> Vec<BenchEntry> {
     });
     entries.push(BenchEntry {
         name: "event_queue_threads".into(),
-        value: crate::bench_gps::host_threads(),
+        value: crate::bench_gps::used_threads(),
         unit: "count".into(),
     });
     entries

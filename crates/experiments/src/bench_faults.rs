@@ -111,7 +111,7 @@ pub fn run_levels(
     // recorded so trajectory points are attributable to their host shape.
     entries.push(BenchEntry {
         name: "faults_threads".into(),
-        value: crate::bench_gps::host_threads(),
+        value: crate::bench_gps::used_threads(),
         unit: "count".into(),
     });
     entries

@@ -80,18 +80,17 @@ pub fn run() -> Vec<BenchEntry> {
     // check-bench schema requires it of every artifact).
     entries.push(BenchEntry {
         name: "gps_threads".into(),
-        value: host_threads(),
+        value: used_threads(),
         unit: "count".into(),
     });
     entries
 }
 
-/// The host's available parallelism, shared by the bench modules' thread
-/// stamp entries.
-pub(crate) fn host_threads() -> f64 {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1) as f64
+/// The worker-thread count the parallel sections actually use (the pool
+/// size, which honours `RAYON_NUM_THREADS`), shared by the bench modules'
+/// thread stamp entries.
+pub(crate) fn used_threads() -> f64 {
+    rayon::current_num_threads() as f64
 }
 
 /// Human-readable rendering of the entries.

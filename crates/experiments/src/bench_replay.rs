@@ -138,7 +138,7 @@ pub fn run_level(calls: u64, samples: usize) -> Vec<BenchEntry> {
         },
         BenchEntry {
             name: "replay_threads".into(),
-            value: crate::bench_gps::host_threads(),
+            value: crate::bench_gps::used_threads(),
             unit: "count".into(),
         },
     ]

@@ -27,7 +27,11 @@
 //!   `BENCH_replay.json`) are all present;
 //! * the replay artifact additionally carries at least one throughput
 //!   entry in unit `calls/s` — the trajectory number the 10^6/10^7/10^8
-//!   scaling claim is plotted from.
+//!   scaling claim is plotted from;
+//! * ratio (`x`) entries are exempt from the history gate, so the ratios
+//!   that guard a known cost carry absolute floors instead: the coupled
+//!   engine's windowed/independent `coupled_*_speedup` must reach
+//!   [`COUPLED_SPEEDUP_FLOOR`].
 
 use crate::bench_gps::BenchEntry;
 use std::path::Path;
@@ -53,6 +57,13 @@ pub const TIMING_UNITS: [&str; 4] = ["ns/iter", "ns/op", "ms/run", "ms"];
 /// through JSON), so anything beyond rounding slack means the speedup is
 /// stale or miscomputed.
 const SPEEDUP_RATIO_TOL: f64 = 1e-3;
+
+/// Floor of `BENCH_coupled.json`'s `coupled_*_speedup` (independent over
+/// windowed wall time). Below it the per-window handshake, not the nodes,
+/// dominates a coupled run: spawning threads every window held the ratio
+/// at 0.016x on two threads; workers spawned once per run lift it to
+/// ~0.5x.
+pub const COUPLED_SPEEDUP_FLOOR: f64 = 0.25;
 
 /// Units whose entries must be strictly positive: a zero timing, speedup
 /// or throughput is always a measurement bug. Count-style units (`count`,
@@ -123,6 +134,26 @@ pub fn validate_entries(name: &str, entries: &[BenchEntry]) -> Result<(), String
         return Err(format!(
             "{name}: no `*_calls_per_sec` throughput entry in unit `calls/s`"
         ));
+    }
+    Ok(())
+}
+
+/// Check the absolute ratio floors of one artifact (see the module docs).
+pub fn check_floors(name: &str, entries: &[BenchEntry]) -> Result<(), String> {
+    if name != "BENCH_coupled.json" {
+        return Ok(());
+    }
+    let coupled = entries
+        .iter()
+        .filter(|e| e.name.starts_with("coupled_") && e.name.ends_with("_speedup"));
+    for e in coupled {
+        if e.value < COUPLED_SPEEDUP_FLOOR {
+            return Err(format!(
+                "{name}: `{}` = {:.3}x is below the {COUPLED_SPEEDUP_FLOOR}x floor: \
+                 the coupled engine's window handshake dominates its run",
+                e.name, e.value
+            ));
+        }
     }
     Ok(())
 }
@@ -208,6 +239,7 @@ pub fn validate_dir(dir: &Path) -> Result<Vec<String>, String> {
         let entries: Vec<BenchEntry> = serde_json::from_str(&text)
             .map_err(|e| format!("{}: does not parse as a bench entry list: {e}", file_name))?;
         validate_entries(&file_name, &entries)?;
+        check_floors(&file_name, &entries)?;
         seen.push(file_name);
     }
     for expected in EXPECTED_ARTIFACTS {
@@ -390,6 +422,25 @@ mod tests {
         // timing pair and its speedup must satisfy the schema.
         let drf = crate::bench_drf::run_levels(&[40], 40);
         validate_entries("BENCH_drf.json", &drf).unwrap();
+    }
+
+    #[test]
+    fn coupled_speedup_has_an_absolute_floor() {
+        let coupled = |speedup: f64| {
+            vec![
+                entry("coupled_n4_v60_independent", 1.0, "ms/run"),
+                entry("coupled_n4_v60_windowed", 1.0 / speedup, "ms/run"),
+                entry("coupled_n4_v60_speedup", speedup, "x"),
+                entry("coupled_threads", 2.0, "count"),
+            ]
+        };
+        let slow = coupled(0.02);
+        validate_entries("BENCH_coupled.json", &slow).unwrap();
+        let err = check_floors("BENCH_coupled.json", &slow).unwrap_err();
+        assert!(err.contains("coupled_n4_v60_speedup"), "{err}");
+        check_floors("BENCH_coupled.json", &coupled(0.4)).unwrap();
+        // The floor is specific to the coupled artifact.
+        check_floors("BENCH_gps.json", &slow).unwrap();
     }
 
     #[test]

@@ -44,7 +44,9 @@
 //!              trajectory
 //!   replay     Trace-replay benchmark alone at an explicit call count:
 //!              replay [--calls N] [--out DIR]; writes BENCH_replay.json
-//!   check-bench  Validate the BENCH_*.json artifacts under --out and,
+//!   check-bench  Validate the BENCH_*.json artifacts under --out (schema
+//!              plus absolute ratio floors, e.g. the coupled engine's
+//!              windowed/independent speedup >= 0.25x) and,
 //!              with --baseline HISTORY, gate each timing/throughput
 //!              entry against the rolling median of the history
 //!              (--gate-window K, --gate-timing-pct P,
