@@ -1,29 +1,30 @@
-//! The coupled cluster engine: conservative time windows, feedback load
-//! balancing, cross-node failover.
+//! The cluster engine: one conservative-window loop behind every entry
+//! point, with feedback load balancing and cross-node failover.
 //!
 //! # The conservative-window protocol
 //!
-//! The independent engine ([`crate::sim::run_cluster`]) shards the whole
-//! burst up front and runs every node to completion in isolation — sound
-//! only because nothing a node does can influence another node or the
-//! controller. Feedback load balancing and cross-node failover break that
-//! independence: the controller's routing decision for a call depends on
-//! node state *at the call's release time*, and a failed attempt may
-//! resume on a different node.
+//! Nodes interact only through the controller. Under a *static* policy
+//! nothing a node does can influence another node or the routing, so any
+//! window width yields the same per-node schedules. Feedback load
+//! balancing and cross-node failover break that independence: the
+//! controller's routing decision for a call depends on node state *at the
+//! call's release time*, and a failed attempt may resume on a different
+//! node.
 //!
-//! The coupled engine recovers parallelism with the classic conservative
-//! lookahead argument of parallel discrete-event simulation. Nodes only
-//! interact through the controller, and every controller→node delivery
-//! charges at least one network hop, so events on one node cannot affect
-//! another within less than the hop latency. The engine therefore advances
-//! all nodes in lock-step windows:
+//! The engine keeps parallelism with the classic conservative lookahead
+//! argument of parallel discrete-event simulation. Every controller→node
+//! delivery charges at least one network hop, so events on one node cannot
+//! affect another within less than the hop latency. The engine therefore
+//! advances all nodes in lock-step windows:
 //!
 //! ```text
 //! loop {
 //!     t       = earliest pending work anywhere
 //!               (node event, unrouted arrival, undelivered handoff)
 //!     horizon = t + lookahead
-//!     1. route every arrival with release <= horizon      (sequential)
+//!     1. route the arrivals with release <= horizon,       (sequential)
+//!        at most `chunk` of them; a full window ends
+//!        1 ns before the next unrouted release
 //!     2. deliver every handoff with due <= horizon        (sequential)
 //!     3. every node worker injects its nodes' deliveries  (parallel)
 //!        and advances them to `horizon`
@@ -35,11 +36,29 @@
 //! barrier plus the calls it has routed since — a stale-by-at-most-one-
 //! window view, exactly the staleness a real controller's health polling
 //! has. Step 3 is the only parallel section and each node's simulator is
-//! self-contained, so the run is a pure function of `(seed, lookahead)`:
-//! bit-identical across reruns *and thread counts*. Narrower windows give
-//! the controller fresher queue signals; wider windows amortize barrier
-//! overhead. `lookahead = `[`SimDuration::MAX`] degenerates to one window
-//! — with a static policy that is the independent engine bit-for-bit.
+//! self-contained, so the run is a pure function of `(seed, lookahead,
+//! chunk)`: bit-identical across reruns *and thread counts*. Narrower
+//! windows give the controller fresher queue signals; wider windows
+//! amortize barrier overhead. With `lookahead = `[`SimDuration::MAX`] only
+//! the ingestion cap cuts windows — the paper's §VIII setting of static
+//! round-robin over independent workers.
+//!
+//! [`NodeProgress`]: faas_invoker::NodeProgress
+//!
+//! # The ingestion cap
+//!
+//! A window routes at most `chunk` arrivals, so the controller never holds
+//! more than one chunk of routed calls whatever the stream's length: a
+//! trace at infinite lookahead is paged, never materialized. A window the
+//! cap cuts short ends one nanosecond before the next unrouted release, so
+//! the nodes stop before any work at that release, even with a zero
+//! dispatch hop. A late call's arrival event then queues behind events
+//! already scheduled for its instant, where injecting every call up front
+//! would put it first; only an exact nanosecond tie between an arrival and
+//! another event can tell the two apart. Service and cold-start times are
+//! continuous draws, so for a static policy the outcomes are the same for
+//! every `chunk` — the pinned digests and the chunk-invariance tests hold
+//! it — and only `peak_events` sees the shorter event queues.
 //!
 //! # Node workers
 //!
@@ -73,12 +92,10 @@
 //! `n` attempts cluster-wide.
 
 use crate::lb::{hash_rotation, FeedbackRouter, LoadBalancer, NodeView};
-use crate::sim::{node_seeds, ClusterConfig, ClusterScenario};
+use crate::sim::{node_seeds, ClusterConfig};
 use faas_invoker::{Handoff, NodeMode, NodeResult, NodeSim};
 use faas_simcore::time::{SimDuration, SimTime};
 use faas_workload::faults::FaultSpec;
-use faas_workload::generate::{ShardedGenerator, WorkloadSpec};
-use faas_workload::scenario::{warmup_calls_for_waves, warmup_waves as warmup_waves_for};
 use faas_workload::sebs::{Catalogue, FuncId};
 use faas_workload::trace::Call;
 use faas_workload::weight::WeightTable;
@@ -86,96 +103,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// Run a materialized [`ClusterScenario`] on the coupled engine. With a
-/// static policy and infinite lookahead this reproduces
-/// [`crate::sim::run_cluster_faulted`] bit-for-bit; feedback policies and
-/// failover require this entry point.
-pub fn run_cluster_coupled(
-    catalogue: &Catalogue,
-    scenario: &ClusterScenario,
-    mode: &NodeMode,
-    cfg: &ClusterConfig,
-    weights: &WeightTable,
-    faults: &FaultSpec,
-    seed: u64,
-) -> NodeResult {
-    let routing = if cfg.lb.is_feedback() {
-        Routing::of(cfg.lb)
-    } else {
-        Routing::Fixed(cfg.lb.assign(&scenario.burst, cfg.nodes).into_iter())
-    };
-    let warmup = scenario.node_warmup(cfg.node.cores, scenario.burst.len() as u64);
-    let nodes = new_nodes(catalogue, mode, cfg, weights, faults, seed, &warmup);
-    let arrivals = scenario.burst.iter().copied();
-    let threads = rayon::current_num_threads();
-    NodeResult::merge(coupled_engine(nodes, cfg, arrivals, routing, threads))
-}
-
-/// Run a [`WorkloadSpec`] on the coupled engine (the streamed-generation
-/// counterpart of [`run_cluster_coupled`]; the burst is generated in
-/// parallel chunks, then routed through the windows). Under
-/// [`crate::lb::LoadBalancer::RoundRobin`] the static assignment strides
-/// the generation-index space — the same shard
-/// [`crate::sim::run_cluster_streamed`] gives node `k` — so infinite
-/// lookahead reproduces the streamed engine bit-for-bit.
-pub fn run_cluster_streamed_coupled(
-    catalogue: &Catalogue,
-    spec: &WorkloadSpec,
-    mode: &NodeMode,
-    cfg: &ClusterConfig,
-    faults: &FaultSpec,
-    scenario_seed: u64,
-    sim_seed: u64,
-) -> NodeResult {
-    let seeds = (scenario_seed, sim_seed);
-    let threads = rayon::current_num_threads();
-    NodeResult::merge(streamed_coupled(
-        catalogue, spec, mode, cfg, faults, seeds, threads,
-    ))
-}
-
-/// Per-node variant of [`run_cluster_streamed_coupled`]: the same engine
-/// and bit-identical routing, but each node's [`NodeResult`] is returned
-/// separately (index = node id) instead of merged. The resource-
-/// utilization experiments need the per-node `served_cpu_secs` /
-/// `served_mem_units` split to compute cross-node dominant-share fairness,
-/// which a merged result erases.
-pub fn run_cluster_streamed_coupled_per_node(
-    catalogue: &Catalogue,
-    spec: &WorkloadSpec,
-    mode: &NodeMode,
-    cfg: &ClusterConfig,
-    faults: &FaultSpec,
-    scenario_seed: u64,
-    sim_seed: u64,
-) -> Vec<NodeResult> {
-    let seeds = (scenario_seed, sim_seed);
-    let threads = rayon::current_num_threads();
-    streamed_coupled(catalogue, spec, mode, cfg, faults, seeds, threads)
-}
-
-/// The streamed entry points on an explicit worker count.
-fn streamed_coupled(
-    catalogue: &Catalogue,
-    spec: &WorkloadSpec,
-    mode: &NodeMode,
-    cfg: &ClusterConfig,
-    faults: &FaultSpec,
-    (scenario_seed, sim_seed): (u64, u64),
-    threads: usize,
-) -> Vec<NodeResult> {
-    let (warmup_waves, burst_start) = warmup_waves_for(catalogue);
-    let generator = ShardedGenerator::new(spec, catalogue, burst_start, scenario_seed);
-    let weights = spec.weights.table(catalogue);
-    let id_base = generator.len();
-    let mut burst = generator.generate_parallel();
-    burst.sort_by_key(|c| (c.release, c.id));
-    let warmup = warmup_calls_for_waves(&warmup_waves, cfg.node.cores, id_base);
-    let nodes = new_nodes(catalogue, mode, cfg, &weights, faults, sim_seed, &warmup);
-    let routing = Routing::of(cfg.lb);
-    coupled_engine(nodes, cfg, burst.into_iter(), routing, threads)
-}
 
 /// Build the cluster's nodes, each warmed with `warmup`.
 pub(crate) fn new_nodes<'a>(
@@ -369,16 +296,25 @@ fn worker(nodes: &mut [NodeSim], slot: &Slot, done: &AtomicU64, stop: &AtomicBoo
     }
 }
 
-/// The one window loop behind every coupled entry point. Arrivals must
-/// come in `(release, id)` order; `threads` is clamped to `[1, nodes]`.
+/// One nanosecond before `t` (clamped at zero): where a window the
+/// ingestion cap cut short ends (see the module docs).
+fn just_before(t: SimTime) -> SimTime {
+    SimTime::from_nanos(t.as_nanos().saturating_sub(1))
+}
+
+/// The one window loop behind every entry point. Arrivals must come in
+/// `(release, id)` order; a window routes at most `chunk` of them;
+/// `threads` is clamped to `[1, nodes]`.
 pub(crate) fn coupled_engine(
     mut nodes: Vec<NodeSim>,
     cfg: &ClusterConfig,
     arrivals: impl Iterator<Item = Call>,
     mut routing: Routing,
+    chunk: usize,
     threads: usize,
 ) -> Vec<NodeResult> {
     assert!(cfg.nodes > 0, "cluster needs at least one node");
+    assert!(chunk > 0, "ingestion window must hold at least one call");
     assert!(
         !cfg.failover || cfg.lookahead < SimDuration::MAX,
         "failover handoffs are delivered at window barriers: a finite \
@@ -423,14 +359,21 @@ pub(crate) fn coupled_engine(
                 let Some(t) = t.chain(pending.front().map(|h| h.due)).min() else {
                     break;
                 };
-                let horizon = t + cfg.lookahead; // saturates at SimTime::MAX
+                let mut horizon = t + cfg.lookahead; // saturates at SimTime::MAX
 
-                // 1. Route this window's arrivals. Batches stay (release,
-                // id)-sorted because arrivals come in that order.
-                while let Some(call) = arrivals.next_if(|c| c.release <= horizon) {
+                // 1. Route this window's arrivals, at most `chunk`. Batches
+                // stay (release, id)-sorted because arrivals come in that
+                // order. A full window ends just before the next release.
+                for _ in 0..chunk {
+                    let Some(call) = arrivals.next_if(|c| c.release <= horizon) else {
+                        break;
+                    };
                     let node = routing.route(&call, &views);
                     views[node].backlog += 1;
                     work[node].batch.push(call);
+                }
+                if let Some(next) = arrivals.peek().filter(|c| c.release <= horizon) {
+                    horizon = just_before(next.release);
                 }
                 // 2. Deliver due handoffs, never earlier than the barrier
                 // they were collected at (the engine cannot deliver into a
@@ -499,13 +442,14 @@ pub(crate) fn coupled_engine(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lb::LoadBalancer;
-    use crate::sim::{run_cluster_faulted, run_cluster_streamed, run_cluster_streamed_faulted};
+    use crate::trace_run::{spec_nodes, trace_nodes};
     use faas_core::{Policy, SchedulerConfig};
     use faas_invoker::NodeConfig;
     use faas_workload::arrival::ArrivalSpec;
     use faas_workload::faults::CapacityRamp;
+    use faas_workload::generate::WorkloadSpec;
     use faas_workload::mix::MixSpec;
+    use faas_workload::scenario::warmup_waves as warmup_waves_for;
     use faas_workload::weight::WeightSpec;
 
     fn catalogue() -> Catalogue {
@@ -521,65 +465,23 @@ mod tests {
         }
     }
 
+    /// A spec run on two workers, every burst in one ingestion chunk.
+    fn run(
+        cat: &Catalogue,
+        spec: &WorkloadSpec,
+        mode: &NodeMode,
+        cfg: &ClusterConfig,
+        faults: &FaultSpec,
+        seeds: (u64, u64),
+    ) -> NodeResult {
+        NodeResult::merge(spec_nodes(cat, spec, mode, cfg, faults, seeds, 8192, 2))
+    }
+
     fn crash_faults(seed: u64) -> FaultSpec {
         let (_, burst_start) = warmup_waves_for(&catalogue());
         let mut faults = FaultSpec::crash_restart(seed, burst_start, SimDuration::from_secs(60));
         faults.transient_failure = 0.05;
         faults
-    }
-
-    #[test]
-    fn infinite_lookahead_static_lb_reproduces_the_streamed_engine() {
-        // The tentpole regression: one window + static sharding IS the
-        // independent engine — outcomes, drops, fault stats, pool stats,
-        // every peak, bit for bit. Both LB policies, both node modes,
-        // with and without faults.
-        let cat = catalogue();
-        let spec = streamed_spec(132);
-        let faults = crash_faults(21);
-        for lb in [LoadBalancer::RoundRobin, LoadBalancer::FunctionHash] {
-            for mode in [
-                NodeMode::Baseline,
-                NodeMode::Scheduled(SchedulerConfig::paper(Policy::FairChoice)),
-            ] {
-                let cfg = ClusterConfig::independent(3, NodeConfig::paper(10), lb);
-                let plain = run_cluster_streamed(&cat, &spec, &mode, &cfg, 1, 2);
-                let coupled = run_cluster_streamed_coupled(
-                    &cat,
-                    &spec,
-                    &mode,
-                    &cfg,
-                    &FaultSpec::none(),
-                    1,
-                    2,
-                );
-                assert_eq!(plain.outcomes, coupled.outcomes, "{lb:?}");
-                assert_eq!(plain.peak_events, coupled.peak_events, "{lb:?}");
-                assert_eq!(plain.measured_pool_stats, coupled.measured_pool_stats);
-                let plainf = run_cluster_streamed_faulted(&cat, &spec, &mode, &cfg, &faults, 1, 2);
-                let coupledf =
-                    run_cluster_streamed_coupled(&cat, &spec, &mode, &cfg, &faults, 1, 2);
-                assert_eq!(plainf.outcomes, coupledf.outcomes, "{lb:?} faulted");
-                assert_eq!(plainf.drops, coupledf.drops, "{lb:?} faulted");
-                assert_eq!(plainf.fault_stats, coupledf.fault_stats, "{lb:?} faulted");
-            }
-        }
-    }
-
-    #[test]
-    fn infinite_lookahead_materialized_matches_run_cluster_faulted() {
-        let cat = catalogue();
-        let scenario = ClusterScenario::generate(&cat, 12, 10, SimDuration::from_secs(60), 2);
-        let weights = WeightTable::uniform(cat.len());
-        let faults = crash_faults(33);
-        let cfg = ClusterConfig::independent(2, NodeConfig::paper(10), LoadBalancer::FunctionHash);
-        let mode = NodeMode::Baseline;
-        let plain = run_cluster_faulted(&cat, &scenario, &mode, &cfg, &weights, &faults, 3);
-        let coupled = run_cluster_coupled(&cat, &scenario, &mode, &cfg, &weights, &faults, 3);
-        assert_eq!(plain.outcomes, coupled.outcomes);
-        assert_eq!(plain.drops, coupled.drops);
-        assert_eq!(plain.fault_stats, coupled.fault_stats);
-        assert_eq!(plain.peak_events, coupled.peak_events);
     }
 
     #[test]
@@ -589,55 +491,15 @@ mod tests {
         let cfg = ClusterConfig::independent(3, NodeConfig::paper(10), LoadBalancer::RoundRobin)
             .coupled(SimDuration::from_millis(250), false);
         let mode = NodeMode::Scheduled(SchedulerConfig::paper(Policy::FairChoice));
-        let r = run_cluster_streamed_coupled(&cat, &spec, &mode, &cfg, &FaultSpec::none(), 5, 6);
+        let r = run(&cat, &spec, &mode, &cfg, &FaultSpec::none(), (5, 6));
         assert_eq!(
             r.outcomes.iter().filter(|o| o.is_measured()).count(),
             264,
             "windowing must not lose calls"
         );
-        let again =
-            run_cluster_streamed_coupled(&cat, &spec, &mode, &cfg, &FaultSpec::none(), 5, 6);
+        let again = run(&cat, &spec, &mode, &cfg, &FaultSpec::none(), (5, 6));
         assert_eq!(r.outcomes, again.outcomes);
         assert_eq!(r.peak_events, again.peak_events);
-    }
-
-    #[test]
-    fn per_node_results_sum_to_the_merged_entry_point() {
-        // The per-node variant is the same engine: node count of results,
-        // and outcome counts / served work that merge to exactly what the
-        // merged entry point reports, dominant routing included.
-        let cat = catalogue();
-        let mut spec = streamed_spec(132);
-        spec.weights = WeightSpec::paper_tiers_mem();
-        let cfg = ClusterConfig::independent(
-            3,
-            NodeConfig::paper(10).with_mem_bandwidth(8.0),
-            LoadBalancer::JoinShortestDominant { seed: 11 },
-        )
-        .coupled(SimDuration::from_millis(250), false);
-        let mode = NodeMode::Baseline;
-        let per_node = run_cluster_streamed_coupled_per_node(
-            &cat,
-            &spec,
-            &mode,
-            &cfg,
-            &FaultSpec::none(),
-            5,
-            6,
-        );
-        assert_eq!(per_node.len(), 3, "one result per node");
-        let merged =
-            run_cluster_streamed_coupled(&cat, &spec, &mode, &cfg, &FaultSpec::none(), 5, 6);
-        assert_eq!(
-            per_node.iter().map(|r| r.outcomes.len()).sum::<usize>(),
-            merged.outcomes.len(),
-            "outcomes partition across nodes"
-        );
-        let cpu: f64 = per_node.iter().map(|r| r.served_cpu_secs).sum();
-        let mem: f64 = per_node.iter().map(|r| r.served_mem_units).sum();
-        assert!((cpu - merged.served_cpu_secs).abs() < 1e-9);
-        assert!((mem - merged.served_mem_units).abs() < 1e-9);
-        assert!(mem > 0.0, "the memory-tiered spec exercises the mem axis");
     }
 
     #[test]
@@ -655,7 +517,7 @@ mod tests {
         .coupled(SimDuration::from_millis(500), true);
         let faults = crash_faults(41);
         let mode = NodeMode::Scheduled(SchedulerConfig::paper(Policy::FairChoice));
-        let run = |threads| streamed_coupled(&cat, &spec, &mode, &cfg, &faults, (7, 8), threads);
+        let run = |threads| spec_nodes(&cat, &spec, &mode, &cfg, &faults, (7, 8), 8192, threads);
         let serial = NodeResult::merge(run(1));
         let parallel = NodeResult::merge(run(4));
         assert_eq!(parallel.outcomes, serial.outcomes);
@@ -687,7 +549,6 @@ mod tests {
         // Every split of nodes over workers — more workers than nodes,
         // chunks of unequal size — reproduces the one-thread run exactly,
         // on both the spec and the trace arrival cursors.
-        use crate::trace_run::trace_coupled;
         use faas_workload::synth::{SynthSpec, SyntheticTrace};
         let cat = catalogue();
         let mut spec = streamed_spec(198);
@@ -715,8 +576,8 @@ mod tests {
             )
             .coupled(SimDuration::from_millis(250), true);
             let faults = ramp_and_crash_faults(nodes);
-            let spec_run = |t| streamed_coupled(&cat, &spec, &mode, &cfg, &faults, (5, 6), t);
-            let trace_run = |t| trace_coupled(&cat, &trace, &mode, &cfg, &faults, 6, 32, t);
+            let spec_run = |t| spec_nodes(&cat, &spec, &mode, &cfg, &faults, (5, 6), 8192, t);
+            let trace_run = |t| trace_nodes(&cat, &trace, &mode, &cfg, &faults, 6, 32, t);
             let (spec_serial, trace_serial) = (spec_run(1), trace_run(1));
             assert_eq!(spec_serial.len(), nodes as usize);
             for threads in [2, 3, 4, 8] {
@@ -724,7 +585,9 @@ mod tests {
                     same(a, b, &format!("spec, {nodes} nodes, {threads} threads"));
                 }
                 let what = format!("trace, {nodes} nodes, {threads} threads");
-                same(&trace_run(threads), &trace_serial, &what);
+                for (a, b) in trace_run(threads).iter().zip(&trace_serial) {
+                    same(a, b, &what);
+                }
             }
         }
     }
@@ -751,7 +614,7 @@ mod tests {
         let arrivals = vec![call(0, 10), call(1, 20), call(2, 1)];
         let nodes = new_nodes(&cat, &NodeMode::Baseline, &cfg, &weights, &faults, 1, &[]);
         let routing = Routing::Fixed(vec![1, 0, 1].into_iter());
-        coupled_engine(nodes, &cfg, arrivals.into_iter(), routing, 2);
+        coupled_engine(nodes, &cfg, arrivals.into_iter(), routing, usize::MAX, 2);
     }
 
     #[test]
@@ -762,7 +625,7 @@ mod tests {
         let run = |lb: LoadBalancer| {
             let cfg = ClusterConfig::independent(3, NodeConfig::paper(10), lb)
                 .coupled(SimDuration::from_millis(500), false);
-            run_cluster_streamed_coupled(&cat, &spec, &mode, &cfg, &FaultSpec::none(), 9, 10)
+            run(&cat, &spec, &mode, &cfg, &FaultSpec::none(), (9, 10))
         };
         let rr = run(LoadBalancer::RoundRobin);
         let jsq = run(LoadBalancer::JoinShortestQueue { seed: 1 });
@@ -799,7 +662,7 @@ mod tests {
         let run = |lb: LoadBalancer| {
             let cfg = ClusterConfig::independent(3, node, lb)
                 .coupled(SimDuration::from_millis(500), false);
-            run_cluster_streamed_coupled(&cat, &spec, &mode, &cfg, &FaultSpec::none(), 9, 10)
+            run(&cat, &spec, &mode, &cfg, &FaultSpec::none(), (9, 10))
         };
         for lb in [
             LoadBalancer::JoinShortestDominant { seed: 1 },
@@ -830,7 +693,7 @@ mod tests {
         let cfg = ClusterConfig::independent(3, NodeConfig::paper(10), LoadBalancer::RoundRobin)
             .coupled(SimDuration::from_millis(500), true);
         let mode = NodeMode::Scheduled(SchedulerConfig::paper(Policy::FairChoice));
-        let r = run_cluster_streamed_coupled(&cat, &spec, &mode, &cfg, &faults, 21, 22);
+        let r = run(&cat, &spec, &mode, &cfg, &faults, (21, 22));
         let measured = r.outcomes.iter().filter(|o| o.is_measured()).count();
         let measured_drops = r.drops.iter().filter(|d| d.id.0 < 660).count();
         assert_eq!(measured + measured_drops, 660, "cluster call conservation");
@@ -844,7 +707,7 @@ mod tests {
             .filter(|o| o.is_measured() && o.id.0 % 3 == 0 && o.node != 0)
             .count();
         assert!(moved > 0, "some node-0 calls must finish on other nodes");
-        let again = run_cluster_streamed_coupled(&cat, &spec, &mode, &cfg, &faults, 21, 22);
+        let again = run(&cat, &spec, &mode, &cfg, &faults, (21, 22));
         assert_eq!(r.outcomes, again.outcomes);
         assert_eq!(r.fault_stats, again.fault_stats);
     }
@@ -856,14 +719,13 @@ mod tests {
         let faults = crash_faults(5);
         let cfg = ClusterConfig::independent(2, NodeConfig::paper(10), LoadBalancer::RoundRobin)
             .coupled(SimDuration::MAX, true);
-        run_cluster_streamed_coupled(
+        run(
             &cat,
             &streamed_spec(22),
             &NodeMode::Baseline,
             &cfg,
             &faults,
-            1,
-            2,
+            (1, 2),
         );
     }
 
@@ -880,8 +742,7 @@ mod tests {
             let cfg =
                 ClusterConfig::independent(3, NodeConfig::paper(10), LoadBalancer::RoundRobin)
                     .coupled(lookahead, false);
-            let r =
-                run_cluster_streamed_coupled(&cat, &spec, &mode, &cfg, &FaultSpec::none(), 3, 4);
+            let r = run(&cat, &spec, &mode, &cfg, &FaultSpec::none(), (3, 4));
             let mut v: Vec<(u64, u16)> = r
                 .outcomes
                 .iter()

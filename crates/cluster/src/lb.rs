@@ -10,17 +10,17 @@
 //! # Static vs feedback policies
 //!
 //! [`LoadBalancer::RoundRobin`] and [`LoadBalancer::FunctionHash`] are
-//! *static*: the assignment is a pure function of the call sequence, so the
-//! whole burst can be sharded up front and every node simulated
-//! independently. [`LoadBalancer::JoinShortestQueue`],
+//! *static*: the assignment is a pure function of the call sequence, so it
+//! is the same however the engine windows the arrivals.
+//! [`LoadBalancer::JoinShortestQueue`],
 //! [`LoadBalancer::PowerOfTwoChoices`] and their dominant-share twins
 //! [`LoadBalancer::JoinShortestDominant`] /
 //! [`LoadBalancer::PowerOfTwoDominant`] are *feedback* policies: they
-//! route on the per-node state the coupled engine observes at each
+//! route on the per-node state the engine observes at each
 //! conservative-window barrier (see `crate::coupled`) — queue depths for
 //! the former pair, `(dominant resource share, backlog)` keys for the
-//! latter — so they only exist there; [`LoadBalancer::assign`] panics for
-//! them.
+//! latter — so they have no static assignment; [`LoadBalancer::assign`]
+//! panics for them.
 //!
 //! Feedback routing is deterministic by construction: every random draw
 //! (tie-breaks, the two probes of power-of-two) is a counter-based
@@ -46,7 +46,7 @@ pub enum LoadBalancer {
     FunctionHash,
     /// Join-the-shortest-queue: each call goes to the healthy node with the
     /// smallest observed backlog (queued + in-flight), ties broken by a
-    /// seeded deterministic draw. Feedback policy — coupled engine only.
+    /// seeded deterministic draw. Feedback policy.
     JoinShortestQueue {
         /// Seed of the counter-based tie-break draws.
         seed: u64,
@@ -54,7 +54,7 @@ pub enum LoadBalancer {
     /// Power-of-two-choices: probe two seeded-random healthy nodes, route
     /// to the less loaded (first probe on a tie). The classic
     /// load-balancing result: two probes capture most of JSQ's benefit
-    /// without global state. Feedback policy — coupled engine only.
+    /// without global state. Feedback policy.
     PowerOfTwoChoices {
         /// Seed of the counter-based probe draws.
         seed: u64,
@@ -64,8 +64,7 @@ pub enum LoadBalancer {
     /// [`NodeView::dominant_milli`], backlog as the secondary key (so
     /// nodes with an unmodeled or idle memory axis still spread by queue
     /// depth). Routes multi-resource load around memory-bandwidth
-    /// hotspots that plain backlog counting cannot see. Feedback policy —
-    /// coupled engine only.
+    /// hotspots that plain backlog counting cannot see. Feedback policy.
     JoinShortestDominant {
         /// Seed of the counter-based tie-break draws.
         seed: u64,
@@ -73,7 +72,7 @@ pub enum LoadBalancer {
     /// Power-of-two-choices on the dominant resource share: probe two
     /// seeded-random healthy nodes, route to the one with the smaller
     /// `(dominant_milli, backlog)` key (first probe on a tie). Feedback
-    /// policy — coupled engine only.
+    /// policy.
     PowerOfTwoDominant {
         /// Seed of the counter-based probe draws.
         seed: u64,
@@ -81,8 +80,8 @@ pub enum LoadBalancer {
 }
 
 impl LoadBalancer {
-    /// Whether this policy routes on observed node state and therefore
-    /// requires the coupled cluster engine.
+    /// Whether this policy routes on the node state observed at window
+    /// barriers.
     pub fn is_feedback(&self) -> bool {
         matches!(
             self,
@@ -95,7 +94,7 @@ impl LoadBalancer {
 
     /// Assign every call to a node in `0..nodes`. Assignment is by arrival
     /// order and deterministic. Panics for feedback policies — they have
-    /// no static assignment; route them through the coupled engine.
+    /// no static assignment.
     pub fn assign(&self, calls: &[Call], nodes: u16) -> Vec<u16> {
         assert!(nodes > 0, "cluster needs at least one node");
         match self {
@@ -113,7 +112,7 @@ impl LoadBalancer {
             | LoadBalancer::PowerOfTwoChoices { .. }
             | LoadBalancer::JoinShortestDominant { .. }
             | LoadBalancer::PowerOfTwoDominant { .. } => {
-                panic!("feedback policies have no static assignment: use the coupled engine")
+                panic!("feedback policies have no static assignment")
             }
         }
     }

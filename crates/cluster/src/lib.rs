@@ -6,44 +6,34 @@
 //! multi-node experiment engine of §VIII.
 //!
 //! Worker nodes do not interact with each other in OpenWhisk — each invoker
-//! manages its own container pool and queue — so with a *static* routing
-//! policy a cluster simulation is exactly: (1) assign every measured call to
-//! a node with the load-balancer policy; (2) run one single-node simulation
-//! per worker (with its own warm-up, as the paper warms all workers);
-//! (3) merge the outcomes.
+//! manages its own container pool and queue — so under a *static* routing
+//! policy every node runs as if alone; feedback policies
+//! ([`lb::LoadBalancer::JoinShortestQueue`] and its kin) and cross-node
+//! failover couple the nodes through the controller. One engine runs both:
+//! the [`coupled`] window loop advances every node's resumable simulator in
+//! conservative lock-step windows of width [`sim::ClusterConfig::lookahead`]
+//! and routes at most one ingestion chunk per window (see the [`coupled`]
+//! module docs for the protocol and its determinism argument).
 //!
-//! Two scenario paths feed that independent engine: [`sim::run_cluster`]
-//! replays a materialized [`sim::ClusterScenario`] (the paper's fixed shared
-//! burst), and [`sim::run_cluster_streamed`] lets every node stream its own
-//! slice of a [`faas_workload::WorkloadSpec`] straight from the sharded
-//! generator — no shared call vector, no serialized assignment.
+//! Four entry points feed it:
 //!
-//! Feedback policies ([`lb::LoadBalancer::JoinShortestQueue`],
-//! [`lb::LoadBalancer::PowerOfTwoChoices`]) and cross-node failover couple
-//! the nodes through the controller; those run on the [`coupled`] engine,
-//! which advances every node's resumable simulator in conservative
-//! lock-step windows of width [`sim::ClusterConfig::lookahead`] (see the
-//! [`coupled`] module docs for the protocol and its determinism argument).
-//!
-//! A third ingestion path replays fixed call logs: the [`trace_run`]
-//! engines pull a [`faas_workload::TraceSource`] (a recorded file or a
-//! lazily-synthesized trace) through bounded `chunk`-call ingestion
-//! windows, so a 10^8-call day streams through the cluster without ever
-//! being materialized. [`trace_run::run_cluster_source`] dispatches any
-//! [`faas_workload::WorkloadSource`] — analytic spec or trace — onto the
-//! right engine for the cluster configuration.
+//! * [`sim::run_cluster`] replays a materialized [`sim::ClusterScenario`]
+//!   (the paper's fixed shared burst);
+//! * [`trace_run::run_cluster_source`] runs any
+//!   [`faas_workload::WorkloadSource`] — an analytic spec generated in
+//!   parallel chunks, or a trace paged through a bounded read-ahead cursor,
+//!   so a 10^8-call day streams through the cluster without ever being
+//!   materialized;
+//! * [`trace_run::run_cluster_source_per_node`] is the same run with one
+//!   result per node;
+//! * [`trace_run::run_cluster_trace`] replays a [`faas_workload::TraceSource`]
+//!   the caller already holds.
 
 pub mod coupled;
 pub mod lb;
 pub mod sim;
 pub mod trace_run;
 
-pub use coupled::{
-    run_cluster_coupled, run_cluster_streamed_coupled, run_cluster_streamed_coupled_per_node,
-};
 pub use lb::{FeedbackRouter, LoadBalancer, NodeView};
-pub use sim::{
-    run_cluster, run_cluster_faulted, run_cluster_streamed, run_cluster_streamed_faulted,
-    run_cluster_weighted, ClusterConfig, ClusterScenario,
-};
-pub use trace_run::{run_cluster_source, run_cluster_trace_coupled, run_cluster_trace_streamed};
+pub use sim::{run_cluster, ClusterConfig, ClusterScenario};
+pub use trace_run::{run_cluster_source, run_cluster_source_per_node, run_cluster_trace};

@@ -5,19 +5,19 @@
 //! the number of workers from 4 down to 1, so that `k` workers see per-core
 //! intensity `120/k`. Every worker is warmed up before the burst.
 
+use crate::coupled::{coupled_engine, new_nodes, Routing};
 use crate::lb::LoadBalancer;
-use faas_invoker::{simulate_calls_faulted, NodeConfig, NodeMode, NodeResult};
+use faas_invoker::{NodeConfig, NodeMode, NodeResult};
 use faas_simcore::rng::Xoshiro256;
 use faas_simcore::time::{SimDuration, SimTime};
 use faas_workload::arrival::ArrivalSpec;
 use faas_workload::faults::FaultSpec;
-use faas_workload::generate::{ShardedGenerator, WorkloadSpec};
+use faas_workload::generate::WorkloadSpec;
 use faas_workload::mix::MixSpec;
 use faas_workload::scenario::{warmup_calls_for_waves, warmup_waves as warmup_waves_for};
 use faas_workload::sebs::{Catalogue, FuncId};
 use faas_workload::trace::Call;
 use faas_workload::weight::{WeightSpec, WeightTable};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of one cluster run.
@@ -29,18 +29,16 @@ pub struct ClusterConfig {
     pub node: NodeConfig,
     /// Controller load-balancing policy.
     pub lb: LoadBalancer,
-    /// Conservative-window width of the coupled engine (see
+    /// Conservative-window width of the cluster engine (see
     /// `crate::coupled`): between windows the controller observes node
     /// state and routes the next slice of arrivals.
-    /// [`SimDuration::MAX`] couples nothing — one window runs every node
-    /// to completion, which is exactly the independent-node engines.
-    /// Ignored by [`run_cluster`]/[`run_cluster_streamed`] (they are
-    /// always independent).
+    /// [`SimDuration::MAX`] couples nothing: only the ingestion cap cuts
+    /// windows, and with a static policy every node runs as if alone.
     pub lookahead: SimDuration,
-    /// Cross-node failover (coupled engine only): a failed attempt with
-    /// retries left is re-routed to the least-loaded healthy node at the
-    /// next window barrier instead of retrying locally. Requires a finite
-    /// `lookahead` and a fault plan.
+    /// Cross-node failover: a failed attempt with retries left is
+    /// re-routed to the least-loaded healthy node at the next window
+    /// barrier instead of retrying locally. Requires a finite `lookahead`
+    /// and a fault plan.
     pub failover: bool,
 }
 
@@ -57,8 +55,8 @@ impl ClusterConfig {
         }
     }
 
-    /// The same cluster under the coupled engine: windows of `lookahead`,
-    /// cross-node failover on.
+    /// The same cluster coupled through windows of `lookahead`, with
+    /// cross-node failover on or off.
     pub fn coupled(self, lookahead: SimDuration, failover: bool) -> ClusterConfig {
         ClusterConfig {
             lookahead,
@@ -139,13 +137,14 @@ impl ClusterScenario {
     }
 }
 
-/// Run a cluster experiment: assign the burst, simulate every worker in
-/// parallel, merge.
-///
-/// Each worker is an independent seeded discrete-event simulation, so the
-/// node loop fans out on a rayon pool. Determinism is preserved: the
-/// per-node call lists and seeds are derived sequentially up front (fixing
-/// the RNG stream order), and the results are merged in node order.
+/// Run a cluster experiment on a materialized scenario: every node
+/// replays the warm-up waves, then the burst is routed through the window
+/// loop of [`crate::coupled`] — static policies by [`LoadBalancer::assign`]
+/// in arrival order, feedback policies on the barrier views. The burst is
+/// already resident, so no ingestion cap applies. Fault-free, with
+/// uniform container weights; see [`crate::run_cluster_source`] for
+/// weighted specs, traces and fault plans. Bit-identical across reruns and
+/// thread counts.
 pub fn run_cluster(
     catalogue: &Catalogue,
     scenario: &ClusterScenario,
@@ -153,169 +152,25 @@ pub fn run_cluster(
     cfg: &ClusterConfig,
     seed: u64,
 ) -> NodeResult {
-    let weights = WeightTable::uniform(catalogue.len());
-    run_cluster_weighted(catalogue, scenario, mode, cfg, &weights, seed)
-}
-
-/// [`run_cluster`] with per-function container weights/caps on every
-/// worker (the weighted-container axis; see
-/// [`faas_invoker::simulate_calls_weighted`]).
-pub fn run_cluster_weighted(
-    catalogue: &Catalogue,
-    scenario: &ClusterScenario,
-    mode: &NodeMode,
-    cfg: &ClusterConfig,
-    weights: &WeightTable,
-    seed: u64,
-) -> NodeResult {
-    run_cluster_faulted(
-        catalogue,
-        scenario,
-        mode,
+    let routing = if cfg.lb.is_feedback() {
+        Routing::of(cfg.lb)
+    } else {
+        Routing::Fixed(cfg.lb.assign(&scenario.burst, cfg.nodes).into_iter())
+    };
+    let (weights, faults) = (WeightTable::uniform(catalogue.len()), FaultSpec::none());
+    // Warm-up ids start above the burst ids so each node's ids are unique.
+    let warmup = scenario.node_warmup(cfg.node.cores, scenario.burst.len() as u64);
+    let nodes = new_nodes(catalogue, mode, cfg, &weights, &faults, seed, &warmup);
+    let arrivals = scenario.burst.iter().copied();
+    let threads = rayon::current_num_threads();
+    NodeResult::merge(coupled_engine(
+        nodes,
         cfg,
-        weights,
-        &FaultSpec::none(),
-        seed,
-    )
-}
-
-/// [`run_cluster_weighted`] under a fault plan: every worker derives its
-/// own fault timeline from `(faults, node)` inside the invoker, so
-/// per-node degradation, crashes and the retry policy compose with any
-/// load balancer. With [`FaultSpec::none`] this *is*
-/// [`run_cluster_weighted`] — bit-for-bit.
-pub fn run_cluster_faulted(
-    catalogue: &Catalogue,
-    scenario: &ClusterScenario,
-    mode: &NodeMode,
-    cfg: &ClusterConfig,
-    weights: &WeightTable,
-    faults: &FaultSpec,
-    seed: u64,
-) -> NodeResult {
-    let assignment = cfg.lb.assign(&scenario.burst, cfg.nodes);
-    // Warm-up ids start above the burst ids so each node's call list has
-    // unique ids.
-    let id_base = scenario.burst.len() as u64;
-
-    // Only the seed derivation must run sequentially (it consumes the root
-    // RNG stream in node order); the per-node call lists are deterministic
-    // functions of the scenario, so they are built inside the parallel
-    // closure — one node's list is alive per worker, not all at once.
-    let seeds = node_seeds(seed, cfg.nodes);
-
-    let results: Vec<NodeResult> = seeds
-        .par_iter()
-        .map(|&(node, node_seed)| {
-            let mut calls = scenario.node_warmup(cfg.node.cores, id_base);
-            calls.extend(
-                scenario
-                    .burst
-                    .iter()
-                    .zip(&assignment)
-                    .filter(|(_, &n)| n == node)
-                    .map(|(c, _)| *c),
-            );
-            calls.sort_by_key(|c| (c.release, c.id));
-            simulate_calls_faulted(
-                catalogue, &calls, mode, &cfg.node, weights, faults, node_seed, node,
-            )
-        })
-        .collect();
-    NodeResult::merge(results)
-}
-
-/// Run a cluster experiment with *streamed* scenario generation: each node
-/// generates its own slice of the burst directly from the sharded
-/// generator, so no shared `Vec<Call>` is materialized and scenario
-/// assignment never serializes — the path that keeps clusters with
-/// hundreds of nodes busy.
-///
-/// Under [`LoadBalancer::RoundRobin`] node `k` takes every `nodes`-th call
-/// by generation index (a stride of the counter-based index space — the
-/// streamed equivalent of rotation in arrival order). Per-function
-/// rotation ([`LoadBalancer::FunctionHash`]) needs the global arrival
-/// order, so that policy falls back to materializing the burst (still
-/// generated in parallel chunks) and running the assignment path of
-/// [`run_cluster`].
-///
-/// `scenario_seed` fixes the generated workload, `sim_seed` the per-node
-/// service/cold-start draws — mirroring the `(scenario, seed)` split of
-/// [`run_cluster`]. Fully deterministic in both. The spec's weight axis
-/// ([`WorkloadSpec::weights`]) is realized once against the catalogue and
-/// applied on every worker.
-pub fn run_cluster_streamed(
-    catalogue: &Catalogue,
-    spec: &WorkloadSpec,
-    mode: &NodeMode,
-    cfg: &ClusterConfig,
-    scenario_seed: u64,
-    sim_seed: u64,
-) -> NodeResult {
-    run_cluster_streamed_faulted(
-        catalogue,
-        spec,
-        mode,
-        cfg,
-        &FaultSpec::none(),
-        scenario_seed,
-        sim_seed,
-    )
-}
-
-/// [`run_cluster_streamed`] under a fault plan. Fault timelines are pure
-/// functions of `(faults, node)` — independent of how the burst is
-/// sharded — so the streamed stride path and the materialized fallback
-/// inject the identical fault schedule. With [`FaultSpec::none`] this *is*
-/// [`run_cluster_streamed`] — bit-for-bit.
-pub fn run_cluster_streamed_faulted(
-    catalogue: &Catalogue,
-    spec: &WorkloadSpec,
-    mode: &NodeMode,
-    cfg: &ClusterConfig,
-    faults: &FaultSpec,
-    scenario_seed: u64,
-    sim_seed: u64,
-) -> NodeResult {
-    let (warmup_waves, burst_start) = warmup_waves_for(catalogue);
-    let generator = ShardedGenerator::new(spec, catalogue, burst_start, scenario_seed);
-    let weights = spec.weights.table(catalogue);
-
-    match cfg.lb {
-        LoadBalancer::RoundRobin => {
-            let id_base = generator.len();
-            let seeds = node_seeds(sim_seed, cfg.nodes);
-            let results: Vec<NodeResult> = seeds
-                .par_iter()
-                .map(|&(node, node_seed)| {
-                    let mut calls = warmup_calls_for_waves(&warmup_waves, cfg.node.cores, id_base);
-                    calls.extend(generator.iter_stride(node as u64, cfg.nodes as u64));
-                    calls.sort_by_key(|c| (c.release, c.id));
-                    simulate_calls_faulted(
-                        catalogue, &calls, mode, &cfg.node, &weights, faults, node_seed, node,
-                    )
-                })
-                .collect();
-            NodeResult::merge(results)
-        }
-        LoadBalancer::FunctionHash => {
-            let mut burst = generator.generate_parallel();
-            burst.sort_by_key(|c| (c.release, c.id));
-            let scenario = ClusterScenario {
-                burst,
-                burst_start,
-                burst_window: spec.window,
-                warmup_waves,
-            };
-            run_cluster_faulted(catalogue, &scenario, mode, cfg, &weights, faults, sim_seed)
-        }
-        LoadBalancer::JoinShortestQueue { .. }
-        | LoadBalancer::PowerOfTwoChoices { .. }
-        | LoadBalancer::JoinShortestDominant { .. }
-        | LoadBalancer::PowerOfTwoDominant { .. } => {
-            panic!("feedback policies need the coupled engine: run_cluster_streamed_coupled")
-        }
-    }
+        arrivals,
+        routing,
+        usize::MAX,
+        threads,
+    ))
 }
 
 #[cfg(test)]
@@ -466,193 +321,6 @@ mod tests {
             5828814471167295050,
         ];
         assert_eq!(digests, pinned, "pinned cluster digests");
-    }
-
-    fn streamed_spec(count: usize) -> WorkloadSpec {
-        WorkloadSpec {
-            arrival: ArrivalSpec::Uniform { count },
-            mix: MixSpec::Equal,
-            weights: WeightSpec::Uniform,
-            window: SimDuration::from_secs(60),
-        }
-    }
-
-    #[test]
-    fn streamed_round_robin_serves_every_call_once() {
-        let cat = catalogue();
-        let cfg = ClusterConfig::independent(3, NodeConfig::paper(10), LoadBalancer::RoundRobin);
-        let r = run_cluster_streamed(&cat, &streamed_spec(132), &NodeMode::Baseline, &cfg, 1, 2);
-        let measured: Vec<_> = r.outcomes.iter().filter(|o| o.is_measured()).collect();
-        assert_eq!(measured.len(), 132);
-        let mut ids: Vec<u64> = measured.iter().map(|o| o.id.0).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), 132, "no duplicates");
-        // Stride assignment balances nodes exactly (132 = 3 x 44).
-        for node in 0..3u16 {
-            let n = measured.iter().filter(|o| o.node == node).count();
-            assert_eq!(n, 44, "node {node}");
-        }
-    }
-
-    #[test]
-    fn streamed_is_deterministic() {
-        let cat = catalogue();
-        let cfg = ClusterConfig::independent(2, NodeConfig::paper(10), LoadBalancer::RoundRobin);
-        let mode = NodeMode::Scheduled(SchedulerConfig::paper(Policy::FairChoice));
-        let a = run_cluster_streamed(&cat, &streamed_spec(66), &mode, &cfg, 3, 4);
-        let b = run_cluster_streamed(&cat, &streamed_spec(66), &mode, &cfg, 3, 4);
-        assert_eq!(a.outcomes, b.outcomes);
-    }
-
-    #[test]
-    fn streamed_function_hash_falls_back_to_materialized_assignment() {
-        let cat = catalogue();
-        let cfg = ClusterConfig::independent(2, NodeConfig::paper(10), LoadBalancer::FunctionHash);
-        let r = run_cluster_streamed(&cat, &streamed_spec(66), &NodeMode::Baseline, &cfg, 5, 6);
-        let measured = r.outcomes.iter().filter(|o| o.is_measured()).count();
-        assert_eq!(measured, 66);
-        let nodes: std::collections::BTreeSet<u16> = r
-            .outcomes
-            .iter()
-            .filter(|o| o.is_measured())
-            .map(|o| o.node)
-            .collect();
-        assert_eq!(nodes.len(), 2, "both nodes serve traffic");
-    }
-
-    #[test]
-    fn streamed_scenario_seed_changes_workload_sim_seed_does_not() {
-        let cat = catalogue();
-        let cfg = ClusterConfig::independent(2, NodeConfig::paper(10), LoadBalancer::RoundRobin);
-        let releases = |scen: u64, sim: u64| -> Vec<u64> {
-            let r = run_cluster_streamed(
-                &cat,
-                &streamed_spec(66),
-                &NodeMode::Baseline,
-                &cfg,
-                scen,
-                sim,
-            );
-            let mut v: Vec<u64> = r
-                .outcomes
-                .iter()
-                .filter(|o| o.is_measured())
-                .map(|o| o.release.as_nanos())
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(releases(1, 2), releases(1, 3), "sim seed leaves workload");
-        assert_ne!(releases(1, 2), releases(9, 2), "scenario seed changes it");
-    }
-
-    #[test]
-    fn streamed_weighted_spec_reaches_every_node() {
-        // The weight axis plumbs through the streamed path: a tiered spec
-        // still serves every call exactly once on every node, and changes
-        // the baseline outcomes relative to uniform weights.
-        let cat = catalogue();
-        let cfg = ClusterConfig::independent(2, NodeConfig::paper(10), LoadBalancer::RoundRobin);
-        let mut spec = streamed_spec(132);
-        spec.weights = WeightSpec::paper_tiers();
-        let weighted = run_cluster_streamed(&cat, &spec, &NodeMode::Baseline, &cfg, 7, 8);
-        let uniform =
-            run_cluster_streamed(&cat, &streamed_spec(132), &NodeMode::Baseline, &cfg, 7, 8);
-        let measured = weighted.outcomes.iter().filter(|o| o.is_measured()).count();
-        assert_eq!(measured, 132);
-        assert_ne!(
-            weighted.outcomes, uniform.outcomes,
-            "tiered weights must shift baseline completions"
-        );
-        // Same calls, same releases: only the service schedule moved.
-        let ids = |r: &NodeResult| {
-            let mut v: Vec<u64> = r
-                .outcomes
-                .iter()
-                .filter(|o| o.is_measured())
-                .map(|o| o.id.0)
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(ids(&weighted), ids(&uniform));
-    }
-
-    #[test]
-    fn streamed_weighted_function_hash_fallback_applies_weights() {
-        let cat = catalogue();
-        let cfg = ClusterConfig::independent(2, NodeConfig::paper(10), LoadBalancer::FunctionHash);
-        // The tiered model includes a 0.5-core cap, which binds even on an
-        // uncontended node (Zipf weights with unit caps only matter once
-        // the run-queue oversubscribes the cores).
-        let mut spec = streamed_spec(66);
-        spec.weights = WeightSpec::paper_tiers();
-        let weighted = run_cluster_streamed(&cat, &spec, &NodeMode::Baseline, &cfg, 9, 10);
-        let uniform =
-            run_cluster_streamed(&cat, &streamed_spec(66), &NodeMode::Baseline, &cfg, 9, 10);
-        assert_eq!(
-            weighted.outcomes.iter().filter(|o| o.is_measured()).count(),
-            66
-        );
-        assert_ne!(
-            weighted.outcomes, uniform.outcomes,
-            "weights must reach the materialized fallback path"
-        );
-    }
-
-    #[test]
-    fn faulted_cluster_conserves_calls_and_reproduces_bit_for_bit() {
-        // Crash worker 0 mid-burst on a 3-node streamed cluster: every
-        // measured call either completes or is reported dropped, only node
-        // 0 crashes, and a fixed seed reproduces the run exactly.
-        let cat = catalogue();
-        let cfg = ClusterConfig::independent(3, NodeConfig::paper(10), LoadBalancer::RoundRobin);
-        let spec = streamed_spec(660);
-        let (_, burst_start) = warmup_waves_for(&cat);
-        let mut faults = FaultSpec::crash_restart(21, burst_start, SimDuration::from_secs(60));
-        faults.transient_failure = 0.05;
-        let mode = NodeMode::Scheduled(SchedulerConfig::paper(Policy::FairChoice));
-        let r = run_cluster_streamed_faulted(&cat, &spec, &mode, &cfg, &faults, 21, 22);
-        let measured = r.outcomes.iter().filter(|o| o.is_measured()).count();
-        let measured_drops = r.drops.iter().filter(|d| d.id.0 < 660).count();
-        assert_eq!(
-            measured + measured_drops,
-            660,
-            "cluster call conservation: completed XOR dropped"
-        );
-        assert_eq!(r.fault_stats.crashes, 1, "only node 0 crashes");
-        assert!(r.fault_stats.crash_kills > 0);
-        assert!(r.fault_stats.retries > 0);
-        let again = run_cluster_streamed_faulted(&cat, &spec, &mode, &cfg, &faults, 21, 22);
-        assert_eq!(r.outcomes, again.outcomes);
-        assert_eq!(r.drops, again.drops);
-        assert_eq!(r.fault_stats, again.fault_stats);
-    }
-
-    #[test]
-    fn fault_timelines_are_shard_invariant() {
-        // The identical per-node fault schedule reaches both streamed
-        // paths: the stride path and the materialize-and-assign fallback
-        // derive each worker's timeline from `(faults, node)` alone, so
-        // degrading node 1 shows up in both (different LB policies route
-        // different calls, so only the fault accounting is comparable).
-        let cat = catalogue();
-        let spec = streamed_spec(132);
-        let (_, burst_start) = warmup_waves_for(&cat);
-        let faults = FaultSpec::degradation(31, burst_start, SimDuration::from_secs(60));
-        let run_with = |lb: LoadBalancer| {
-            let cfg = ClusterConfig::independent(2, NodeConfig::paper(10), lb);
-            run_cluster_streamed_faulted(&cat, &spec, &NodeMode::Baseline, &cfg, &faults, 31, 32)
-        };
-        let stride = run_with(LoadBalancer::RoundRobin);
-        let fallback = run_with(LoadBalancer::FunctionHash);
-        assert_eq!(
-            stride.fault_stats.capacity_events, fallback.fault_stats.capacity_events,
-            "both sharding paths replay the same capacity schedule"
-        );
-        assert!(stride.fault_stats.capacity_events > 0);
-        assert!(stride.drops.is_empty() && fallback.drops.is_empty());
     }
 
     #[test]

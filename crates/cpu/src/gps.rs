@@ -857,7 +857,10 @@ impl GpsCpu {
     }
 
     /// Change the bank's core capacity at `now` (dynamic capacity: cgroup
-    /// throttling, noisy neighbors, autoscale lag). O(log n) amortized.
+    /// throttling, noisy neighbors, autoscale lag). O((1 + k) log n) for
+    /// the `k` tasks whose pin ratio the water level crosses: O(log n)
+    /// when the level barely moves, but a large resize can cross most
+    /// tasks.
     ///
     /// The capacity-rebase invariant that makes this cheap: **every stored
     /// completion coordinate is capacity-invariant.** Uniform-mode tasks

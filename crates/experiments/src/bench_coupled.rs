@@ -1,16 +1,14 @@
 //! Coupled-engine trajectory: `experiments bench` → `BENCH_coupled.json`.
 //!
-//! Times the conservative-window cluster engine against the independent
-//! path on the identical workload:
+//! Times the cluster engine's conservative windows on the identical
+//! workload, all through [`faas_cluster::run_cluster_source`]:
 //!
 //! * **Overhead**: the §VIII fixed total load on a 4-node cluster under a
-//!   static round-robin policy, run through
-//!   [`faas_cluster::run_cluster_streamed`] (every node simulated to
-//!   completion independently) and through
-//!   [`faas_cluster::run_cluster_streamed_coupled`] with a finite
-//!   lookahead (lock-step windows on node workers spawned once per run,
-//!   one spinning handshake per window). Both produce bit-identical
-//!   results — the ratio is the pure price of windowing, and
+//!   static round-robin policy, at unbounded lookahead (the whole burst in
+//!   one window; the `independent` entry) and at 250 ms lookahead
+//!   (lock-step windows on node workers spawned once per run, one
+//!   spinning handshake per window; the `windowed` entry). Both produce
+//!   the same outcomes — the ratio is the pure price of windowing, and
 //!   `experiments check-bench` fails it below
 //!   [`crate::bench_schema::COUPLED_SPEEDUP_FLOOR`].
 //! * **Feedback**: the same cluster under the strict crash preset routed
@@ -22,23 +20,22 @@
 //! trajectory points from different machines and pool sizes stay
 //! comparable.
 
-use faas_cluster::{
-    run_cluster_streamed, run_cluster_streamed_coupled, ClusterConfig, LoadBalancer,
-};
-use faas_invoker::{NodeConfig, NodeMode};
+use faas_cluster::{run_cluster_source, ClusterConfig, LoadBalancer};
+use faas_invoker::{NodeConfig, NodeMode, NodeResult};
 use faas_simcore::time::SimDuration;
 use faas_workload::arrival::ArrivalSpec;
 use faas_workload::faults::FaultSpec;
 use faas_workload::mix::MixSpec;
 use faas_workload::scenario::warmup_waves;
 use faas_workload::sebs::Catalogue;
+use faas_workload::trace_source::WorkloadSource;
 use faas_workload::weight::WeightSpec;
 use faas_workload::WorkloadSpec;
 
 pub use crate::bench_gps::BenchEntry;
 
 /// Worker count of the benchmark cluster (the acceptance bar asks for the
-/// coupled-vs-independent overhead at 4+ nodes).
+/// windowed-vs-unbounded overhead at 4+ nodes).
 const NODES: u16 = 4;
 /// Cores per node (the paper's node).
 const CORES: u32 = 10;
@@ -46,6 +43,8 @@ const CORES: u32 = 10;
 const INTENSITY: u32 = 60;
 /// Conservative-window width of the windowed runs.
 const LOOKAHEAD: SimDuration = SimDuration::from_millis(250);
+/// Ingestion cap: above the burst, so unbounded lookahead is one window.
+const CHUNK: usize = 8192;
 const SAMPLES: usize = 5;
 
 /// Run the coupled-engine benchmarks at the standard level.
@@ -59,25 +58,23 @@ pub fn run_level(intensity: u32) -> Vec<BenchEntry> {
     let catalogue = Catalogue::sebs();
     let count = catalogue.len() * CORES as usize * intensity as usize / 10;
     let window = SimDuration::from_secs(60);
-    let spec = WorkloadSpec {
+    let source = WorkloadSource::Spec(WorkloadSpec {
         arrival: ArrivalSpec::Uniform { count },
         mix: MixSpec::Equal,
         weights: WeightSpec::Uniform,
         window,
+    });
+    let run = |cfg: &ClusterConfig, faults: &FaultSpec| -> NodeResult {
+        let mode = NodeMode::Baseline;
+        run_cluster_source(&catalogue, &source, &mode, cfg, faults, 7, 8, CHUNK)
+            .expect("spec sources cannot fail")
     };
-    let mode = NodeMode::Baseline;
     let rr = ClusterConfig::independent(NODES, NodeConfig::paper(CORES), LoadBalancer::RoundRobin);
     let rr_windowed = rr.coupled(LOOKAHEAD, false);
     let none = FaultSpec::none();
 
-    let independent = crate::median_ns(SAMPLES, || {
-        let r = run_cluster_streamed(&catalogue, &spec, &mode, &rr, 7, 8);
-        r.outcomes.len() as f64
-    });
-    let windowed = crate::median_ns(SAMPLES, || {
-        let r = run_cluster_streamed_coupled(&catalogue, &spec, &mode, &rr_windowed, &none, 7, 8);
-        r.outcomes.len() as f64
-    });
+    let independent = crate::median_ns(SAMPLES, || run(&rr, &none).outcomes.len() as f64);
+    let windowed = crate::median_ns(SAMPLES, || run(&rr_windowed, &none).outcomes.len() as f64);
 
     // The engine's raison d'être: feedback routing + failover under the
     // strict crash preset.
@@ -89,10 +86,7 @@ pub fn run_level(intensity: u32) -> Vec<BenchEntry> {
         LoadBalancer::JoinShortestQueue { seed: 7 },
     )
     .coupled(LOOKAHEAD, true);
-    let feedback = crate::median_ns(SAMPLES, || {
-        let r = run_cluster_streamed_coupled(&catalogue, &spec, &mode, &jsq, &faults, 7, 8);
-        r.outcomes.len() as f64
-    });
+    let feedback = crate::median_ns(SAMPLES, || run(&jsq, &faults).outcomes.len() as f64);
 
     let mut entries = vec![
         BenchEntry {
@@ -105,8 +99,8 @@ pub fn run_level(intensity: u32) -> Vec<BenchEntry> {
             value: windowed / 1e6,
             unit: "ms/run".into(),
         },
-        // Above 1 the windowed engine is faster than the independent
-        // path; below 1 its barriers cost that factor. Either way the
+        // Above 1 the 250 ms windows are faster than the one unbounded
+        // window; below 1 their barriers cost that factor. Either way the
         // trajectory shows window overhead drifting.
         BenchEntry {
             name: format!("coupled_n{NODES}_v{intensity}_speedup"),
@@ -131,7 +125,7 @@ pub fn run_level(intensity: u32) -> Vec<BenchEntry> {
 /// Human-readable rendering of the entries.
 pub fn render(entries: &[BenchEntry]) -> String {
     let mut out =
-        String::from("Coupled-engine benchmarks (conservative windows vs independent node runs)\n");
+        String::from("Coupled-engine benchmarks (250 ms windows vs unbounded lookahead)\n");
     for e in entries {
         out.push_str(&format!("  {:<44} {:>14.1} {}\n", e.name, e.value, e.unit));
     }

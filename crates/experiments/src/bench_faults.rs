@@ -19,8 +19,7 @@
 
 use faas_cpu::bench_support::run_capacity_churn;
 use faas_cpu::{GpsCpu, ReferenceGpsCpu};
-use faas_invoker::baseline;
-use faas_invoker::NodeConfig;
+use faas_invoker::{simulate_calls, simulate_calls_faulted, NodeConfig, NodeMode};
 use faas_simcore::time::SimDuration;
 use faas_workload::faults::FaultSpec;
 use faas_workload::scenario::BurstScenario;
@@ -89,11 +88,12 @@ pub fn run_levels(
     let weights = WeightTable::uniform(catalogue.len());
     let faults = FaultSpec::degradation(42, scenario.burst_start, SimDuration::from_secs(60));
     let clean = crate::median_ns(SAMPLES, || {
-        let r = baseline::simulate(&catalogue, &calls, &cfg, 42, 0);
+        let r = simulate_calls(&catalogue, &calls, &NodeMode::Baseline, &cfg, 42, 0);
         r.outcomes.len() as f64
     });
     let degraded = crate::median_ns(SAMPLES, || {
-        let r = baseline::simulate_faulted(&catalogue, &calls, &cfg, &weights, &faults, 42, 0);
+        let mode = NodeMode::Baseline;
+        let r = simulate_calls_faulted(&catalogue, &calls, &mode, &cfg, &weights, &faults, 42, 0);
         r.outcomes.len() as f64
     });
     entries.push(BenchEntry {

@@ -30,7 +30,7 @@
 //!   scaling claim is plotted from;
 //! * ratio (`x`) entries are exempt from the history gate, so the ratios
 //!   that guard a known cost carry absolute floors instead: the coupled
-//!   engine's windowed/independent `coupled_*_speedup` must reach
+//!   engine's unbounded-over-windowed `coupled_*_speedup` must reach
 //!   [`COUPLED_SPEEDUP_FLOOR`].
 
 use crate::bench_gps::BenchEntry;
@@ -58,8 +58,8 @@ pub const TIMING_UNITS: [&str; 4] = ["ns/iter", "ns/op", "ms/run", "ms"];
 /// stale or miscomputed.
 const SPEEDUP_RATIO_TOL: f64 = 1e-3;
 
-/// Floor of `BENCH_coupled.json`'s `coupled_*_speedup` (independent over
-/// windowed wall time). Below it the per-window handshake, not the nodes,
+/// Floor of `BENCH_coupled.json`'s `coupled_*_speedup` (unbounded-lookahead
+/// over 250 ms-window wall time). Below it the per-window handshake, not the nodes,
 /// dominates a coupled run: spawning threads every window held the ratio
 /// at 0.016x on two threads; workers spawned once per run lift it to
 /// ~0.5x.

@@ -46,7 +46,7 @@
 //!              replay [--calls N] [--out DIR]; writes BENCH_replay.json
 //!   check-bench  Validate the BENCH_*.json artifacts under --out (schema
 //!              plus absolute ratio floors, e.g. the coupled engine's
-//!              windowed/independent speedup >= 0.25x) and,
+//!              unbounded/windowed speedup >= 0.25x) and,
 //!              with --baseline HISTORY, gate each timing/throughput
 //!              entry against the rolling median of the history
 //!              (--gate-window K, --gate-timing-pct P,

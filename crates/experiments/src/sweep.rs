@@ -13,14 +13,14 @@
 //! pending queue, peak live event-heap size).
 //!
 //! The second table fixes the paper's §VIII total load and sweeps the
-//! worker count through [`faas_cluster::run_cluster_streamed`] (each node
-//! generating its own stride of the burst — the PR 3 follow-on), crossed
-//! with the weighted-container axis.
+//! worker count through [`faas_cluster::run_cluster_source`] (static
+//! round-robin over the burst's generation indices), crossed with the
+//! weighted-container axis.
 //!
 //! The trace table replays Azure-style synthetic traces — Zipf mean
 //! rates, diurnal phase, MMPP bursts, correlated chains — through the
-//! bounded-memory streamed trace engine
-//! ([`faas_cluster::run_cluster_trace_streamed`]), putting a
+//! bounded-memory trace cursor
+//! ([`faas_cluster::run_cluster_trace`]), putting a
 //! recorded-workload-shaped scenario column next to the parametric axes
 //! and reporting the ingestion working set per combination.
 //!
@@ -34,10 +34,9 @@
 use crate::grid::mode_for;
 use crate::Effort;
 use faas_cluster::{
-    run_cluster_streamed, run_cluster_streamed_coupled, run_cluster_streamed_coupled_per_node,
-    run_cluster_trace_streamed, ClusterConfig, LoadBalancer,
+    run_cluster_source, run_cluster_source_per_node, run_cluster_trace, ClusterConfig, LoadBalancer,
 };
-use faas_invoker::{simulate_calls_faulted, simulate_calls_weighted, NodeConfig};
+use faas_invoker::{simulate_calls_faulted, NodeConfig};
 use faas_metrics::compare::Strategy;
 use faas_metrics::summary::{
     response_times_into, stretches_into, FaultCounts, MetricSummary, ResourceSummary,
@@ -54,6 +53,7 @@ use faas_workload::scenario::{warmup_for_spec, warmup_waves};
 use faas_workload::sebs::Catalogue;
 use faas_workload::synth::{SynthSpec, SyntheticTrace};
 use faas_workload::trace::CallOutcome;
+use faas_workload::trace_source::WorkloadSource;
 use faas_workload::weight::{WeightSpec, WeightTable};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -365,6 +365,9 @@ const TRACE_NODES: u16 = 2;
 /// peak-resident column demonstrates the bounded working set, large
 /// enough to amortize the windowed drain.
 const TRACE_CHUNK: usize = 512;
+/// Ingestion cap of the spec-sourced cluster runs: above every sweep
+/// burst, so a burst at infinite lookahead is one window.
+const SPEC_CHUNK: usize = 8192;
 
 /// Run the sweep.
 pub fn run(effort: Effort) -> SweepResult {
@@ -430,12 +433,13 @@ pub fn run(effort: Effort) -> SweepResult {
                 &mut rng_assign,
                 calls.len() as u64,
             ));
-            let result = simulate_calls_weighted(
+            let result = simulate_calls_faulted(
                 &catalogue,
                 &calls,
                 &mode_for(strategy),
                 &NodeConfig::paper(cores),
                 &weight_table,
+                &FaultSpec::none(),
                 seed,
                 0,
             );
@@ -665,8 +669,7 @@ fn run_fault_sweep(
 }
 
 /// The cluster-size sweep: the paper's fixed-total-load design (§VIII)
-/// through the streamed engine — every node generates its own stride of
-/// the burst, no shared call vector — crossed with the weighted axis.
+/// under static round-robin, crossed with the weighted axis.
 fn run_cluster_sweep(
     catalogue: &Catalogue,
     cores: u32,
@@ -706,7 +709,7 @@ fn run_cluster_sweep(
         peak_events: usize,
     }
 
-    // The node loop inside run_cluster_streamed already fans out on rayon;
+    // The cluster engine already fans the nodes out over worker threads;
     // run the configurations serially to keep peak memory flat.
     let outputs: Vec<ClusterOut> = tasks
         .iter()
@@ -722,17 +725,21 @@ fn run_cluster_sweep(
                 NodeConfig::paper(cores),
                 LoadBalancer::RoundRobin,
             );
-            let result = run_cluster_streamed(
+            let weights = spec.weights.label();
+            let result = run_cluster_source(
                 catalogue,
-                &spec,
+                &WorkloadSource::Spec(spec),
                 &mode_for(strategy),
                 &cfg,
+                &FaultSpec::none(),
                 seed,
                 seed ^ 0xC1u64,
-            );
+                SPEC_CHUNK,
+            )
+            .expect("spec sources cannot fail");
             ClusterOut {
                 nodes,
-                weights: spec.weights.label(),
+                weights,
                 strategy,
                 cold_starts: result.measured_cold_starts(),
                 peak_events: result.peak_events,
@@ -775,8 +782,8 @@ fn run_cluster_sweep(
 }
 
 /// The LB-policy axis of the coupled robustness table: the static
-/// round-robin control (no feedback, no failover — the independent
-/// engine's semantics) against the two feedback policies with cross-node
+/// round-robin control (no feedback, no failover — every node as if
+/// alone) against the two feedback policies with cross-node
 /// failover. LB seeds are derived per run seed so pooling over seeds
 /// samples tie-break realizations too.
 fn coupled_lb_axis(seed: u64) -> Vec<(String, LoadBalancer, bool)> {
@@ -836,8 +843,8 @@ fn run_coupled_sweep(
         counts: FaultCounts,
     }
 
-    // The window loop inside the coupled engine already fans the nodes out
-    // on rayon; run the configurations serially.
+    // The cluster engine already fans the nodes out over worker threads;
+    // run the configurations serially.
     let mut outputs: Vec<CoupledOut> = Vec::new();
     for &seed in seeds {
         for (label, lb, failover) in coupled_lb_axis(seed) {
@@ -851,15 +858,17 @@ fn run_coupled_sweep(
                 let faults = FaultSpec::crash_strict(seed ^ 0xFA17, burst_start, window);
                 let cfg = ClusterConfig::independent(COUPLED_NODES, NodeConfig::paper(cores), lb)
                     .coupled(COUPLED_LOOKAHEAD, failover);
-                let result = run_cluster_streamed_coupled(
+                let result = run_cluster_source(
                     catalogue,
-                    &spec,
+                    &WorkloadSource::Spec(spec),
                     &mode_for(strategy),
                     &cfg,
                     &faults,
                     seed,
                     seed ^ 0xC1u64,
-                );
+                    SPEC_CHUNK,
+                )
+                .expect("spec sources cannot fail");
                 let fs = result.fault_stats;
                 outputs.push(CoupledOut {
                     lb: label.clone(),
@@ -918,7 +927,7 @@ fn run_coupled_sweep(
 }
 
 /// The trace-replay sweep: each synthetic trace of [`trace_axis`]
-/// streamed through [`run_cluster_trace_streamed`] on [`TRACE_NODES`]
+/// replayed through [`run_cluster_trace`] on [`TRACE_NODES`]
 /// workers with a [`TRACE_CHUNK`]-call ingestion window, per strategy.
 /// The trace seed is derived per run seed, so pooling over seeds pools
 /// over trace realizations of the same synthesizer spec; a trace is the
@@ -954,8 +963,8 @@ fn run_trace_sweep(
         peak_events: usize,
     }
 
-    // The node loop inside run_cluster_trace_streamed already fans out on
-    // rayon; run the configurations serially to keep peak memory flat.
+    // The cluster engine already fans the nodes out over worker threads;
+    // run the configurations serially to keep peak memory flat.
     let outputs: Vec<TraceOut> = tasks
         .iter()
         .map(|&(spec, strategy, seed)| {
@@ -965,7 +974,7 @@ fn run_trace_sweep(
                 NodeConfig::paper(cores),
                 LoadBalancer::RoundRobin,
             );
-            let result = run_cluster_trace_streamed(
+            let result = run_cluster_trace(
                 catalogue,
                 &trace,
                 &mode_for(strategy),
@@ -1086,8 +1095,8 @@ fn run_resource_sweep(
         horizon_secs: f64,
     }
 
-    // The window loop inside the coupled engine already fans the nodes out
-    // on rayon; run the configurations serially.
+    // The cluster engine already fans the nodes out over worker threads;
+    // run the configurations serially.
     let mut outputs: Vec<ResourceOut> = Vec::new();
     for &seed in seeds {
         for (label, lb, mem_modeled) in resource_lb_axis(seed) {
@@ -1105,15 +1114,17 @@ fn run_resource_sweep(
                 };
                 let cfg = ClusterConfig::independent(RESOURCE_NODES, node, lb)
                     .coupled(COUPLED_LOOKAHEAD, false);
-                let per_node = run_cluster_streamed_coupled_per_node(
+                let per_node = run_cluster_source_per_node(
                     catalogue,
-                    &spec,
+                    &WorkloadSource::Spec(spec),
                     &mode_for(strategy),
                     &cfg,
                     &FaultSpec::none(),
                     seed,
                     seed ^ 0xC1u64,
-                );
+                    SPEC_CHUNK,
+                )
+                .expect("spec sources cannot fail");
                 let horizon_secs = per_node
                     .iter()
                     .map(|r| r.last_completion)

@@ -21,7 +21,7 @@
 //!     ─▶ container idle → drain FIFO queue
 //! ```
 //!
-//! # Fault semantics ([`simulate_faulted`])
+//! # Fault semantics ([`crate::simulate_calls_faulted`])
 //!
 //! A non-trivial [`FaultSpec`] merges the node's compiled fault timeline
 //! into the event queue (before the arrivals, so a same-instant fault
@@ -47,8 +47,18 @@
 //! A call whose attempts are exhausted is dropped — excluded from
 //! `outcomes`, reported in [`NodeResult::drops`] — so every call resolves
 //! exactly once: completed XOR dropped. On [`FaultSpec::none`] every one
-//! of these paths is gated off and the simulation is bit-identical to
-//! [`simulate_weighted`] before fault injection existed.
+//! of these paths is gated off and the simulation is bit-identical to the
+//! weighted node before fault injection existed.
+//!
+//! # Container weights
+//!
+//! Each CPU phase (cold-start init and execution) enters the GPS bank with
+//! the share [`WeightTable::phase_share`] assigns it: the function's
+//! [`faas_workload::weight::TaskShare`] for measured calls, with optional
+//! per-phase overrides for warm-up calls (cgroup update latency: a fresh
+//! container initialises under the default share until its cgroup update
+//! lands). The uniform `(1, 1)` table is the paper's regime and keeps
+//! every task on the GPS fast path.
 
 use crate::config::NodeConfig;
 use crate::fault_rt::{FaultCall, FaultPhase};
@@ -128,12 +138,11 @@ impl CallRuntime {
 }
 
 /// The baseline node as a resumable simulator (see [`crate::step`] for the
-/// lifecycle contract). The legacy `simulate_*` entry points are thin
-/// wrappers: `new` + `inject` + `advance_to(SimTime::MAX)` + `finish`,
+/// lifecycle contract). [`crate::simulate_calls_faulted`] runs it to
+/// completion: `new` + `inject` + `advance_to(SimTime::MAX)` + `finish`,
 /// pinned bit-identical to the pre-refactor run-to-completion loop.
 pub struct NodeSim<'a> {
     catalogue: &'a Catalogue,
-    calls: Vec<Call>,
     cfg: &'a NodeConfig,
     /// Per-function GPS weights/caps (weighted containers). The uniform
     /// table keeps every task on the GPS fast path.
@@ -156,6 +165,9 @@ pub struct NodeSim<'a> {
     /// end of every `advance_to` window (see [`NodeProgress::dominant_milli`]).
     dominant_milli: u32,
     runtime: Vec<CallRuntime>,
+    /// One slot per injected call, indexed like `runtime`: pending until
+    /// the call completes, and the call's identity (id, function, release,
+    /// kind) throughout.
     outcomes: Vec<CallOutcome>,
     /// Slots of `outcomes` already overwritten with a real completion.
     outcomes_filled: usize,
@@ -202,66 +214,6 @@ pub struct NodeSim<'a> {
     migrated: usize,
 }
 
-/// Run the baseline node over `calls` (sorted by release time) with the
-/// uniform `(1, 1)` container shares — the paper's regime and the GPS
-/// fast path.
-pub fn simulate(
-    catalogue: &Catalogue,
-    calls: &[Call],
-    cfg: &NodeConfig,
-    seed: u64,
-    node_index: u16,
-) -> NodeResult {
-    let weights = WeightTable::uniform(catalogue.len());
-    simulate_weighted(catalogue, calls, cfg, &weights, seed, node_index)
-}
-
-/// Run the baseline node with per-function container weights and rate
-/// caps: each CPU phase (cold-start init and execution) enters the GPS
-/// bank with the share [`WeightTable::phase_share`] assigns it —
-/// the function's [`faas_workload::weight::TaskShare`] for measured
-/// calls, with optional per-phase overrides for warm-up calls (cgroup
-/// update latency: a fresh container initialises under the default share
-/// until its cgroup update lands). A uniform table reduces exactly to
-/// [`simulate`].
-pub fn simulate_weighted(
-    catalogue: &Catalogue,
-    calls: &[Call],
-    cfg: &NodeConfig,
-    weights: &WeightTable,
-    seed: u64,
-    node_index: u16,
-) -> NodeResult {
-    simulate_faulted(
-        catalogue,
-        calls,
-        cfg,
-        weights,
-        &FaultSpec::none(),
-        seed,
-        node_index,
-    )
-}
-
-/// Run the baseline node under a fault plan: dynamic capacity, crash and
-/// restart, transient failures and the retry/timeout/backoff policy (see
-/// the module docs for the semantics). With [`FaultSpec::none`] this *is*
-/// [`simulate_weighted`] — bit-for-bit.
-pub fn simulate_faulted(
-    catalogue: &Catalogue,
-    calls: &[Call],
-    cfg: &NodeConfig,
-    weights: &WeightTable,
-    faults: &FaultSpec,
-    seed: u64,
-    node_index: u16,
-) -> NodeResult {
-    let mut sim = NodeSim::new(catalogue, cfg, weights, faults, seed, node_index, false);
-    sim.inject(calls);
-    sim.advance_to(SimTime::MAX);
-    sim.finish()
-}
-
 impl<'a> NodeSim<'a> {
     /// Build an empty baseline node: no calls yet, only the node's fault
     /// timeline scheduled (before any arrival, so a same-instant fault
@@ -294,7 +246,6 @@ impl<'a> NodeSim<'a> {
 
         let mut sim = NodeSim {
             catalogue,
-            calls: Vec::new(),
             cfg,
             weights,
             node_index,
@@ -367,7 +318,6 @@ impl<'a> NodeSim<'a> {
     /// Every release must be at or after the node's clock (events cannot be
     /// scheduled into the past).
     pub fn inject(&mut self, calls: &[Call]) {
-        self.calls.reserve(calls.len());
         self.runtime.reserve(calls.len());
         self.outcomes.reserve(calls.len());
         if self.fault_on {
@@ -378,8 +328,7 @@ impl<'a> NodeSim<'a> {
                 k == 0 || calls[k - 1].release <= call.release,
                 "calls must be sorted by release"
             );
-            let idx = self.calls.len() as u32;
-            self.calls.push(*call);
+            let idx = self.outcomes.len() as u32;
             self.runtime.push(CallRuntime::empty());
             self.outcomes
                 .push(CallOutcome::pending(call, self.node_index));
@@ -399,8 +348,7 @@ impl<'a> NodeSim<'a> {
     /// expiry, barrier-aligned by the cluster engine).
     pub fn inject_handoff(&mut self, h: &Handoff, deliver_at: SimTime) {
         assert!(self.fault_on, "handoffs only exist under a fault plan");
-        let idx = self.calls.len() as u32;
-        self.calls.push(h.call);
+        let idx = self.outcomes.len() as u32;
         self.runtime.push(CallRuntime::empty());
         self.outcomes
             .push(CallOutcome::pending(&h.call, self.node_index));
@@ -504,7 +452,7 @@ impl<'a> NodeSim<'a> {
         debug_assert!(self.cpu.is_empty(), "GPS bank must drain");
         assert_eq!(
             self.outcomes_filled + self.drops.len() + self.migrated,
-            self.calls.len(),
+            self.outcomes.len(),
             "every call must resolve exactly once: completed XOR dropped XOR handed off"
         );
         if !self.drops.is_empty() || self.migrated > 0 {
@@ -544,7 +492,7 @@ impl<'a> NodeSim<'a> {
 
     fn on_arrive(&mut self, now: SimTime, i: u32) {
         let idx = i as usize;
-        if self.measured_snapshot.is_none() && self.calls[idx].kind == CallKind::Measured {
+        if self.measured_snapshot.is_none() && self.outcomes[idx].kind == CallKind::Measured {
             self.measured_snapshot = Some(self.pool.stats());
         }
         self.runtime[idx].invoker_receive = now;
@@ -581,7 +529,7 @@ impl<'a> NodeSim<'a> {
     /// Attempt immediate placement; returns false if the call must queue.
     fn try_place(&mut self, now: SimTime, i: u32) -> bool {
         let idx = i as usize;
-        let func = self.calls[idx].func;
+        let func = self.outcomes[idx].func;
         let spec = self.catalogue.spec(func);
         let Some(placement) = self.pool.place(func, spec.memory_mb as u64, now) else {
             return false;
@@ -619,7 +567,7 @@ impl<'a> NodeSim<'a> {
             // different share than the function's (cgroup update latency).
             let share = self
                 .weights
-                .phase_share(func, self.calls[idx].kind, CallPhase::Init);
+                .phase_share(func, self.outcomes[idx].kind, CallPhase::Init);
             let (tid, profile) = self.add_share_task(now, init_work, &share);
             self.owners.insert(tid, (Owner::Init(i), profile));
         } else {
@@ -632,7 +580,7 @@ impl<'a> NodeSim<'a> {
     /// Begin the execution phases: CPU work under GPS, then I/O.
     fn start_exec(&mut self, now: SimTime, i: u32) {
         let idx = i as usize;
-        let func = self.calls[idx].func;
+        let func = self.outcomes[idx].func;
         let spec = self.catalogue.spec(func);
         let p = spec.service_dist().sample(&mut self.rng_service);
         let cpu_work = spec.cpu_fraction * p;
@@ -641,7 +589,7 @@ impl<'a> NodeSim<'a> {
         self.runtime[idx].p_intrinsic = p;
         let share = self
             .weights
-            .phase_share(func, self.calls[idx].kind, CallPhase::Exec);
+            .phase_share(func, self.outcomes[idx].kind, CallPhase::Exec);
         let (tid, profile) = self.add_share_task(now, cpu_work, &share);
         self.owners.insert(tid, (Owner::Exec(i), profile));
     }
@@ -724,7 +672,7 @@ impl<'a> NodeSim<'a> {
             return; // the attempt was killed by a crash; timer is stale
         }
         let idx = i as usize;
-        let call = &self.calls[idx];
+        let call = self.outcomes[idx].call();
         let rt = self.runtime[idx];
         // Post-response cleanup holds the container (docker pause, log
         // collection) but burns no CPU: with containers oversubscribing the
@@ -800,7 +748,7 @@ impl<'a> NodeSim<'a> {
             let wait = self
                 .faults
                 .retry
-                .backoff(self.faults.seed, self.calls[idx].id, attempt);
+                .backoff(self.faults.seed, self.outcomes[idx].id, attempt);
             if self.failover {
                 // The retry leaves the node: the cluster engine re-routes
                 // it to the least-loaded healthy node at the next barrier.
@@ -808,7 +756,7 @@ impl<'a> NodeSim<'a> {
                 self.migrated += 1;
                 self.fault_stats.failovers += 1;
                 self.handoffs.push(Handoff {
-                    call: self.calls[idx],
+                    call: self.outcomes[idx].call(),
                     attempts: attempt,
                     due: now + wait,
                     from: self.node_index,
@@ -826,9 +774,9 @@ impl<'a> NodeSim<'a> {
             self.fstate[idx].phase = FaultPhase::Dropped;
             self.fault_stats.dropped += 1;
             self.drops.push(DroppedCall {
-                id: self.calls[idx].id,
-                func: self.calls[idx].func,
-                release: self.calls[idx].release,
+                id: self.outcomes[idx].id,
+                func: self.outcomes[idx].func,
+                release: self.outcomes[idx].release,
                 node: self.node_index,
                 reason: exhausted_reason,
                 attempts: attempt,
@@ -901,7 +849,7 @@ impl<'a> NodeSim<'a> {
         // Kill every in-flight attempt (init, CPU or I/O phase). Their
         // pending IoDone/CleanupDone timers are stale under the bumped
         // incarnation. Queued calls stay in the FIFO.
-        for i in 0..self.calls.len() as u32 {
+        for i in 0..self.outcomes.len() as u32 {
             if self.fstate[i as usize].phase == FaultPhase::Running {
                 self.fault_stats.crash_kills += 1;
                 self.fail_attempt(now, i, DropReason::ExhaustedRetries);
@@ -961,6 +909,44 @@ mod tests {
 
     fn catalogue() -> Catalogue {
         Catalogue::sebs()
+    }
+
+    fn simulate_faulted(
+        catalogue: &Catalogue,
+        calls: &[Call],
+        cfg: &NodeConfig,
+        weights: &WeightTable,
+        faults: &FaultSpec,
+        seed: u64,
+        node_index: u16,
+    ) -> NodeResult {
+        let mode = crate::NodeMode::Baseline;
+        crate::simulate_calls_faulted(
+            catalogue, calls, &mode, cfg, weights, faults, seed, node_index,
+        )
+    }
+
+    fn simulate_weighted(
+        catalogue: &Catalogue,
+        calls: &[Call],
+        cfg: &NodeConfig,
+        weights: &WeightTable,
+        seed: u64,
+        node_index: u16,
+    ) -> NodeResult {
+        let none = FaultSpec::none();
+        simulate_faulted(catalogue, calls, cfg, weights, &none, seed, node_index)
+    }
+
+    fn simulate(
+        catalogue: &Catalogue,
+        calls: &[Call],
+        cfg: &NodeConfig,
+        seed: u64,
+        node_index: u16,
+    ) -> NodeResult {
+        let weights = WeightTable::uniform(catalogue.len());
+        simulate_weighted(catalogue, calls, cfg, &weights, seed, node_index)
     }
 
     fn run(cores: u32, intensity: u32, seed: u64) -> NodeResult {

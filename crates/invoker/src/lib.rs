@@ -45,7 +45,8 @@ use faas_workload::trace::Call;
 use faas_workload::weight::WeightTable;
 use faas_workload::Scenario;
 
-/// Simulate one node serving `calls` (release-ordered) under the given mode.
+/// Simulate one node serving `calls` (release-ordered) under the given
+/// mode, with uniform container weights and no faults.
 ///
 /// `node_index` tags the resulting outcomes (multi-node experiments run one
 /// simulation per worker).
@@ -57,48 +58,30 @@ pub fn simulate_calls(
     seed: u64,
     node_index: u16,
 ) -> NodeResult {
-    match mode {
-        NodeMode::Baseline => baseline::simulate(catalogue, calls, cfg, seed, node_index),
-        NodeMode::Scheduled(sched) => {
-            ours::simulate(catalogue, calls, cfg, *sched, seed, node_index)
-        }
-    }
+    let weights = WeightTable::uniform(catalogue.len());
+    let none = FaultSpec::none();
+    simulate_calls_faulted(
+        catalogue, calls, mode, cfg, &weights, &none, seed, node_index,
+    )
 }
 
-/// Simulate one node with per-function container weights and rate caps
-/// (the weighted-container axis of [`faas_workload::WorkloadSpec`]).
+/// Run one [`NodeSim`] to completion: build it, inject every call, advance
+/// to [`SimTime::MAX`] and finish. The one run-to-completion helper.
 ///
-/// Weights shape the *baseline* node only: its soft CPU shares are
-/// memory-proportional, which is exactly what the GPS weight models. The
-/// paper's regime pins every busy container to one full core, so
-/// [`NodeMode::Scheduled`] is weight-invariant and runs unchanged.
-pub fn simulate_calls_weighted(
-    catalogue: &Catalogue,
-    calls: &[Call],
-    mode: &NodeMode,
-    cfg: &NodeConfig,
-    weights: &WeightTable,
-    seed: u64,
-    node_index: u16,
-) -> NodeResult {
-    match mode {
-        NodeMode::Baseline => {
-            baseline::simulate_weighted(catalogue, calls, cfg, weights, seed, node_index)
-        }
-        NodeMode::Scheduled(sched) => {
-            ours::simulate(catalogue, calls, cfg, *sched, seed, node_index)
-        }
-    }
-}
-
-/// Simulate one node under a fault plan: dynamic capacity, node
-/// crash/restart, transient failures and the retry/timeout/backoff policy
-/// (see [`faas_workload::faults`] for the model, and the `baseline` /
-/// `ours` module docs for the per-regime semantics).
+/// `weights` are per-function container weights and rate caps (the
+/// weighted-container axis of [`faas_workload::WorkloadSpec`]). They shape
+/// the *baseline* node only: its soft CPU shares are memory-proportional,
+/// which is exactly what the GPS weight models. The paper's regime pins
+/// every busy container to one full core, so [`NodeMode::Scheduled`] is
+/// weight-invariant.
 ///
-/// The node's fault timeline is derived from `(faults, node_index)` inside
-/// the invoker, so multi-node runs stay shard-invariant. With
-/// [`FaultSpec::none`] this is [`simulate_calls_weighted`] bit-for-bit.
+/// `faults` is the fault plan: dynamic capacity, node crash/restart,
+/// transient failures and the retry/timeout/backoff policy (see
+/// [`faas_workload::faults`] for the model, and the `baseline` / `ours`
+/// module docs for the per-regime semantics). The node's fault timeline is
+/// derived from `(faults, node_index)` inside the invoker, so multi-node
+/// runs stay shard-invariant. [`FaultSpec::none`] gates every fault path
+/// off, bit-for-bit.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_calls_faulted(
     catalogue: &Catalogue,
@@ -110,14 +93,12 @@ pub fn simulate_calls_faulted(
     seed: u64,
     node_index: u16,
 ) -> NodeResult {
-    match mode {
-        NodeMode::Baseline => {
-            baseline::simulate_faulted(catalogue, calls, cfg, weights, faults, seed, node_index)
-        }
-        NodeMode::Scheduled(sched) => {
-            ours::simulate_faulted(catalogue, calls, cfg, *sched, faults, seed, node_index)
-        }
-    }
+    let mut sim = NodeSim::new(
+        catalogue, mode, cfg, weights, faults, seed, node_index, false,
+    );
+    sim.inject(calls);
+    sim.advance_to(SimTime::MAX);
+    sim.finish()
 }
 
 /// Simulate a full scenario (warm-up plus burst) on a single node.

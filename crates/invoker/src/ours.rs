@@ -15,7 +15,7 @@
 //! the per-call management cost (docker pause/unpause, log collection) that
 //! the paper identifies as comparable to the execution time itself (§V-B).
 //!
-//! # Fault semantics ([`simulate_faulted`])
+//! # Fault semantics ([`crate::simulate_calls_faulted`])
 //!
 //! Same model as the baseline (see `baseline` module docs), adapted to the
 //! dedicated-core regime:
@@ -102,13 +102,12 @@ impl CallRuntime {
 
 /// The paper's node as a resumable simulator (see [`crate::step`] for the
 /// lifecycle contract), mirroring [`crate::baseline::NodeSim`] so both
-/// invoker paths share one structure. The legacy `simulate_*` entry points
-/// are thin wrappers: `new` + `inject` + `advance_to(SimTime::MAX)` +
+/// invoker paths share one structure. [`crate::simulate_calls_faulted`]
+/// runs it to completion: `new` + `inject` + `advance_to(SimTime::MAX)` +
 /// `finish`, pinned bit-identical to the pre-refactor run-to-completion
 /// loop.
 pub struct NodeSim<'a> {
     catalogue: &'a Catalogue,
-    calls: Vec<Call>,
     cfg: &'a NodeConfig,
     node_index: u16,
     events: EventQueue<Ev>,
@@ -132,6 +131,9 @@ pub struct NodeSim<'a> {
     /// bandwidth-unit-seconds (zero while the axis is unmodeled).
     served_mem_units: f64,
     runtime: Vec<CallRuntime>,
+    /// One slot per injected call, indexed like `runtime`: pending until
+    /// the call completes, and the call's identity (id, function, release,
+    /// kind) throughout.
     outcomes: Vec<CallOutcome>,
     /// Slots of `outcomes` already overwritten with a real completion.
     outcomes_filled: usize,
@@ -171,45 +173,6 @@ pub struct NodeSim<'a> {
     migrated: usize,
 }
 
-/// Run the paper's node over `calls` (must be sorted by release time).
-pub fn simulate(
-    catalogue: &Catalogue,
-    calls: &[Call],
-    cfg: &NodeConfig,
-    sched_cfg: SchedulerConfig,
-    seed: u64,
-    node_index: u16,
-) -> NodeResult {
-    simulate_faulted(
-        catalogue,
-        calls,
-        cfg,
-        sched_cfg,
-        &FaultSpec::none(),
-        seed,
-        node_index,
-    )
-}
-
-/// Run the paper's node under a fault plan: dynamic capacity, crash and
-/// restart, transient failures and the retry/timeout/backoff policy (see
-/// the module docs for the semantics). With [`FaultSpec::none`] this *is*
-/// [`simulate`] — bit-for-bit.
-pub fn simulate_faulted(
-    catalogue: &Catalogue,
-    calls: &[Call],
-    cfg: &NodeConfig,
-    sched_cfg: SchedulerConfig,
-    faults: &FaultSpec,
-    seed: u64,
-    node_index: u16,
-) -> NodeResult {
-    let mut sim = NodeSim::new(catalogue, cfg, sched_cfg, faults, seed, node_index, false);
-    sim.inject(calls);
-    sim.advance_to(SimTime::MAX);
-    sim.finish()
-}
-
 impl<'a> NodeSim<'a> {
     /// Build an empty scheduled node: no calls yet, only the node's fault
     /// timeline scheduled (before any arrival, so a same-instant fault
@@ -237,7 +200,6 @@ impl<'a> NodeSim<'a> {
 
         let mut sim = NodeSim {
             catalogue,
-            calls: Vec::new(),
             cfg,
             node_index,
             events: EventQueue::new(),
@@ -290,7 +252,6 @@ impl<'a> NodeSim<'a> {
     /// Every release must be at or after the node's clock (events cannot be
     /// scheduled into the past).
     pub fn inject(&mut self, calls: &[Call]) {
-        self.calls.reserve(calls.len());
         self.runtime.reserve(calls.len());
         self.outcomes.reserve(calls.len());
         if self.fault_on {
@@ -301,8 +262,7 @@ impl<'a> NodeSim<'a> {
                 k == 0 || calls[k - 1].release <= call.release,
                 "calls must be sorted by release"
             );
-            let idx = self.calls.len() as u32;
-            self.calls.push(*call);
+            let idx = self.outcomes.len() as u32;
             self.runtime.push(CallRuntime::empty());
             self.outcomes
                 .push(CallOutcome::pending(call, self.node_index));
@@ -322,8 +282,7 @@ impl<'a> NodeSim<'a> {
     /// expiry, barrier-aligned by the cluster engine).
     pub fn inject_handoff(&mut self, h: &Handoff, deliver_at: SimTime) {
         assert!(self.fault_on, "handoffs only exist under a fault plan");
-        let idx = self.calls.len() as u32;
-        self.calls.push(h.call);
+        let idx = self.outcomes.len() as u32;
         self.runtime.push(CallRuntime::empty());
         self.outcomes
             .push(CallOutcome::pending(&h.call, self.node_index));
@@ -418,7 +377,7 @@ impl<'a> NodeSim<'a> {
         );
         assert_eq!(
             self.outcomes_filled + self.drops.len() + self.migrated,
-            self.calls.len(),
+            self.outcomes.len(),
             "every call must resolve exactly once: completed XOR dropped XOR handed off"
         );
         if !self.drops.is_empty() || self.migrated > 0 {
@@ -460,12 +419,12 @@ impl<'a> NodeSim<'a> {
 
     fn on_arrive(&mut self, now: SimTime, i: u32) {
         let idx = i as usize;
-        if self.measured_snapshot.is_none() && self.calls[idx].kind == CallKind::Measured {
+        if self.measured_snapshot.is_none() && self.outcomes[idx].kind == CallKind::Measured {
             // Arrivals preserve release order (constant hop), so this is
             // the first measured arrival.
             self.measured_snapshot = Some(self.pool.stats());
         }
-        let func = self.calls[idx].func;
+        let func = self.outcomes[idx].func;
         let prio = self.sched.on_receive(func, now);
         self.runtime[idx].priority = prio;
         self.runtime[idx].invoker_receive = now;
@@ -498,7 +457,7 @@ impl<'a> NodeSim<'a> {
             return; // the attempt was killed by a crash; timer is stale
         }
         let idx = i as usize;
-        let call = &self.calls[idx];
+        let call = self.outcomes[idx].call();
         let rt = self.runtime[idx];
         let spec = self.catalogue.spec(call.func);
         self.cpu_load -= spec.cpu_fraction;
@@ -571,7 +530,7 @@ impl<'a> NodeSim<'a> {
             let wait = self
                 .faults
                 .retry
-                .backoff(self.faults.seed, self.calls[idx].id, attempt);
+                .backoff(self.faults.seed, self.outcomes[idx].id, attempt);
             if self.failover {
                 // The retry leaves the node: the cluster engine re-routes
                 // it to the least-loaded healthy node at the next barrier.
@@ -579,7 +538,7 @@ impl<'a> NodeSim<'a> {
                 self.migrated += 1;
                 self.fault_stats.failovers += 1;
                 self.handoffs.push(Handoff {
-                    call: self.calls[idx],
+                    call: self.outcomes[idx].call(),
                     attempts: attempt,
                     due: now + wait,
                     from: self.node_index,
@@ -597,9 +556,9 @@ impl<'a> NodeSim<'a> {
             self.fstate[idx].phase = FaultPhase::Dropped;
             self.fault_stats.dropped += 1;
             self.drops.push(DroppedCall {
-                id: self.calls[idx].id,
-                func: self.calls[idx].func,
-                release: self.calls[idx].release,
+                id: self.outcomes[idx].id,
+                func: self.outcomes[idx].func,
+                release: self.outcomes[idx].release,
                 node: self.node_index,
                 reason: exhausted_reason,
                 attempts: attempt,
@@ -613,7 +572,7 @@ impl<'a> NodeSim<'a> {
     fn on_retry(&mut self, now: SimTime, i: u32) {
         let idx = i as usize;
         debug_assert_eq!(self.fstate[idx].phase, FaultPhase::Backoff);
-        let func = self.calls[idx].func;
+        let func = self.outcomes[idx].func;
         let prio = self.sched.on_receive(func, now);
         self.runtime[idx].priority = prio;
         self.runtime[idx].invoker_receive = now;
@@ -660,7 +619,7 @@ impl<'a> NodeSim<'a> {
         // ExecDone/CleanupDone timers are stale under the bumped
         // incarnation. Queued calls stay in the pending queue. Index order
         // keeps the retry schedule deterministic.
-        for i in 0..self.calls.len() as u32 {
+        for i in 0..self.outcomes.len() as u32 {
             if self.fstate[i as usize].phase == FaultPhase::Running {
                 self.fault_stats.crash_kills += 1;
                 self.fail_attempt(now, i, DropReason::ExhaustedRetries);
@@ -708,7 +667,7 @@ impl<'a> NodeSim<'a> {
                 // duplicate entry already dispatched this call).
                 continue;
             }
-            let func = self.calls[idx].func;
+            let func = self.outcomes[idx].func;
             let spec = self.catalogue.spec(func);
             match self.pool.place(func, spec.memory_mb as u64, now) {
                 Some(placement) => {
@@ -800,6 +759,34 @@ mod tests {
 
     fn catalogue() -> Catalogue {
         Catalogue::sebs()
+    }
+
+    fn simulate_faulted(
+        catalogue: &Catalogue,
+        calls: &[Call],
+        cfg: &NodeConfig,
+        sched_cfg: SchedulerConfig,
+        faults: &FaultSpec,
+        seed: u64,
+        node_index: u16,
+    ) -> NodeResult {
+        let weights = faas_workload::weight::WeightTable::uniform(catalogue.len());
+        let mode = crate::NodeMode::Scheduled(sched_cfg);
+        crate::simulate_calls_faulted(
+            catalogue, calls, &mode, cfg, &weights, faults, seed, node_index,
+        )
+    }
+
+    fn simulate(
+        catalogue: &Catalogue,
+        calls: &[Call],
+        cfg: &NodeConfig,
+        sched_cfg: SchedulerConfig,
+        seed: u64,
+        node_index: u16,
+    ) -> NodeResult {
+        let none = FaultSpec::none();
+        simulate_faulted(catalogue, calls, cfg, sched_cfg, &none, seed, node_index)
     }
 
     fn run(policy: Policy, cores: u32, intensity: u32, seed: u64) -> NodeResult {

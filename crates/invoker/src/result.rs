@@ -85,12 +85,11 @@ pub struct NodeResult {
     /// is a simulator-health metric, not a modelled quantity: it bounds the
     /// event heap's memory and guards against stale-event buildup.
     pub peak_events: usize,
-    /// Largest number of calls resident in the ingestion window buffers of
-    /// a trace-streamed run — the bounded-memory RSS proxy. Zero for runs
-    /// that materialize their call list up front. Unlike the other peaks,
-    /// cluster merges *sum* this field: the cluster's resident set is the
-    /// sum of its nodes' windows, which is what the `chunk × nodes` bound
-    /// is stated against.
+    /// Largest number of calls resident in the ingestion buffer of a trace
+    /// replay — the bounded-memory RSS proxy, at most one `chunk`. Zero
+    /// for runs that materialize their call list up front. Unlike the
+    /// other peaks, merges *sum* this field; a cluster run charges its one
+    /// controller-side buffer to node 0, so the merge reports it once.
     pub peak_resident_calls: u64,
     /// Completion time of the last measured call.
     pub last_completion: SimTime,

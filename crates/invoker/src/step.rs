@@ -28,8 +28,8 @@
 //!   completed XOR dropped XOR was handed off) and assembles the
 //!   [`crate::result::NodeResult`].
 //!
-//! Calling the legacy `simulate_*` entry points is *defined* as `new`,
-//! then one `inject` of the whole call list, then
+//! The run-to-completion helper [`crate::simulate_calls_faulted`] is
+//! *defined* as `new`, then one `inject` of the whole call list, then
 //! `advance_to(SimTime::MAX)`, then `finish`; the step extraction is
 //! pinned bit-identical to the old run-to-completion loops (same event
 //! order, same RNG consumption, same `peak_events` accounting — see the

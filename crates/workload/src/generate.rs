@@ -18,9 +18,8 @@
 //!   gets its function from the mix via a seeded bijective
 //!   [`IndexPermutation`] (so exact-count mixes stay exact). Any partition
 //!   of the index space — contiguous chunks, per-node strides — yields the
-//!   same calls, which is what lets `run_cluster_streamed` generate and
-//!   assign work for hundreds of nodes in parallel without materializing
-//!   one shared call vector.
+//!   same calls, which is what lets the cluster engine generate a burst
+//!   in parallel chunks and route it by generation index.
 
 use crate::arrival::{ArrivalSpec, IntensityProfile};
 use crate::mix::{FunctionMix, MixSpec};

@@ -40,10 +40,9 @@ impl Call {
     ///
     /// A burst call's id is its generation index, so this is exactly the
     /// shard that `ShardedGenerator::iter_stride` hands node `k` — the
-    /// routing metadata that lets the coupled cluster engine reproduce the
-    /// streamed independent engine bit-for-bit under a static round-robin
-    /// policy, and lets tests ask "which node was this call released to?"
-    /// when checking cross-node failover.
+    /// routing metadata that makes the cluster engine's static round-robin
+    /// independent of how arrivals are windowed, and lets tests ask "which
+    /// node was this call released to?" when checking cross-node failover.
     pub fn stride_node(&self, nodes: u16) -> u16 {
         assert!(nodes > 0, "cluster needs at least one node");
         (self.id.0 % nodes as u64) as u16
@@ -118,6 +117,16 @@ impl CallOutcome {
             processing: SimDuration::ZERO,
             start_kind: ColdStartKind::Warm,
             node,
+        }
+    }
+
+    /// The call this slot belongs to.
+    pub fn call(&self) -> Call {
+        Call {
+            id: self.id,
+            func: self.func,
+            release: self.release,
+            kind: self.kind,
         }
     }
 

@@ -169,3 +169,133 @@ fn coupled_feedback_failover_runs_are_pinned() {
     assert!(a.fault_stats.failovers > 0, "the crash must hand calls off");
     assert_eq!(outcome_digest(&a), 0xd1c3_2c89_d1f9_788d, "digest drifted");
 }
+
+/// FNV-1a over every field the cluster engine produces: outcomes, drops,
+/// fault stats, peaks and pool stats. Field order matters — it must match
+/// the run that captured [`PINNED`].
+fn cluster_digest(r: &NodeResult) -> u64 {
+    use faas_scheduling::workload::faults::DropReason;
+    use faas_scheduling::workload::trace::ColdStartKind;
+    let mut acc = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |x: u64| {
+        for b in x.to_le_bytes() {
+            acc = (acc ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    for o in &r.outcomes {
+        let start_kind = match o.start_kind {
+            ColdStartKind::Warm => 0u64,
+            ColdStartKind::Prewarm => 1,
+            ColdStartKind::Cold => 2,
+        };
+        for x in [
+            o.id.0,
+            o.func.0 as u64,
+            matches!(o.kind, CallKind::Measured) as u64,
+            o.release.as_nanos(),
+            o.invoker_receive.as_nanos(),
+            o.exec_start.as_nanos(),
+            o.exec_end.as_nanos(),
+            o.completion.as_nanos(),
+            o.processing.as_nanos(),
+            start_kind,
+            o.node as u64,
+        ] {
+            mix(x);
+        }
+    }
+    for d in &r.drops {
+        for x in [
+            d.id.0,
+            d.func.0 as u64,
+            d.release.as_nanos(),
+            d.node as u64,
+            matches!(d.reason, DropReason::TimedOut) as u64,
+            d.attempts as u64,
+        ] {
+            mix(x);
+        }
+    }
+    let fs = &r.fault_stats;
+    for x in [
+        fs.crashes,
+        fs.capacity_events,
+        fs.transient_failures,
+        fs.crash_kills,
+        fs.timeouts,
+        fs.retries,
+        fs.dropped,
+    ] {
+        mix(x);
+    }
+    for x in [
+        r.peak_queue as u64,
+        r.peak_concurrency as u64,
+        r.peak_events as u64,
+        r.last_completion.as_nanos(),
+        r.measured_pool_stats.warm_hits,
+        r.measured_pool_stats.prewarm_hits,
+        r.measured_pool_stats.cold_creates,
+        r.measured_pool_stats.evictions,
+        r.total_pool_stats.warm_hits,
+        r.total_pool_stats.cold_creates,
+    ] {
+        mix(x);
+    }
+    acc
+}
+
+/// Cluster digests captured from the engines that predate the resumable
+/// node simulators (commit f565ac7), when static policies ran every node
+/// to completion on its own; see the runs below for each configuration.
+const PINNED: [u64; 6] = [
+    14642674751337349946,
+    15214209751175753215,
+    16958703615627671419,
+    2236528332478866575,
+    12442433899240915259,
+    7411778174491961696,
+];
+
+#[test]
+fn static_cluster_runs_match_their_pinned_digests() {
+    // The window loop at infinite lookahead, one ingestion chunk per
+    // burst: round-robin in both node modes, the materialized
+    // function-hash run, two crash-and-retry runs and a one-node cluster.
+    use faas_scheduling::cluster::run_cluster_source;
+    use faas_scheduling::workload::{
+        ArrivalSpec, FaultSpec, MixSpec, WeightSpec, WorkloadSource, WorkloadSpec,
+    };
+    let cat = Catalogue::sebs();
+    let spec = |count| {
+        WorkloadSource::Spec(WorkloadSpec {
+            arrival: ArrivalSpec::Uniform { count },
+            mix: MixSpec::Equal,
+            weights: WeightSpec::Uniform,
+            window: SimDuration::from_secs(60),
+        })
+    };
+    let fc = NodeMode::Scheduled(SchedulerConfig::paper(Policy::FairChoice));
+    let base = NodeMode::Baseline;
+    let rr3 = ClusterConfig::independent(3, NodeConfig::paper(10), LoadBalancer::RoundRobin);
+    let rr1 = ClusterConfig { nodes: 1, ..rr3 };
+    let fh2 = ClusterConfig::independent(2, NodeConfig::paper(10), LoadBalancer::FunctionHash);
+    let (_, burst_start) = faas_scheduling::workload::scenario::warmup_waves(&cat);
+    let mut crash = FaultSpec::crash_restart(21, burst_start, SimDuration::from_secs(60));
+    crash.transient_failure = 0.05;
+    let none = FaultSpec::none();
+    let run = |source: &WorkloadSource, mode, cfg, faults, seeds: (u64, u64)| {
+        let r = run_cluster_source(&cat, source, mode, cfg, faults, seeds.0, seeds.1, 8192);
+        cluster_digest(&r.expect("spec sources cannot fail"))
+    };
+    let scenario = ClusterScenario::generate(&cat, 12, 10, SimDuration::from_secs(60), 2);
+    let digests = [
+        run(&spec(132), &base, &rr3, &none, (1, 2)),
+        run(&spec(132), &fc, &rr3, &none, (1, 2)),
+        cluster_digest(&run_cluster(&cat, &scenario, &base, &fh2, 3)),
+        run(&spec(660), &fc, &rr3, &crash, (21, 22)),
+        run(&spec(660), &base, &rr3, &crash, (21, 22)),
+        run(&spec(66), &fc, &rr1, &none, (5, 6)),
+    ];
+    assert_eq!(digests, PINNED);
+}
