@@ -123,7 +123,7 @@
 //! *freeze coordinate* `finish − ε/axis` (`axis` = `weight` for the
 //! uncapped family, `max_rate` for the capped one), which is exactly the
 //! clock value at which the task's remaining work drops to the
-//! [`WORK_EPSILON`] "numerically finished" threshold — so draining each
+//! `WORK_EPSILON` "numerically finished" threshold — so draining each
 //! heap while `key <= clock` collects precisely the finished set without
 //! scanning slots, and an exhausted task surfaces even when its rate is
 //! zero-ish (the uniform path's `finished_pending` rule; the freeze

@@ -2,7 +2,7 @@
 //!
 //! Times the indexed event heap (`faas_simcore::events::EventQueue`)
 //! against the previous lazy-cancellation design (kept here as
-//! [`LazyEventQueue`], an executable fossil of the `BinaryHeap + HashMap`
+//! `LazyEventQueue`, an executable fossil of the `BinaryHeap + HashMap`
 //! queue) on the two access patterns that matter:
 //!
 //! * **tick storm** — the baseline invoker's cancellation-heavy pattern:

@@ -1,7 +1,7 @@
 //! Static perf-trajectory dashboard: `experiments dashboard` →
 //! `results/dashboard.html`.
 //!
-//! Renders a [`BenchHistory`](crate::bench_history::BenchHistory) as one
+//! Renders a [`BenchHistory`] as one
 //! **self-contained** HTML page: every `*_speedup` (unit `x`) and
 //! `*_calls_per_sec` (unit `calls/s`) series becomes a hand-rolled inline
 //! SVG sparkline over commits, grouped per suite, with first/last/min/max

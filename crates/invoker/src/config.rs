@@ -179,8 +179,8 @@ pub struct NodeConfig {
     /// of available CPU cores") but explicitly flags the trade-off for
     /// I/O-intensive actions, whose dedicated cores sit idle (§IV-A). A
     /// factor above 1.0 admits more concurrent containers; CPU-bound work
-    /// then slows proportionally to the oversubscription (see
-    /// `faas_invoker::ours` for the approximation used).
+    /// then slows proportionally to the oversubscription, frozen at
+    /// dispatch from the summed CPU fraction of the running calls.
     pub busy_limit_factor: f64,
     /// Memory bandwidth available to action containers, in bandwidth
     /// units (one unit saturates the working set of one fully CPU-bound

@@ -1,9 +1,9 @@
-//! The resumable step API shared by both node simulators.
+//! The resumable step API of the node simulator.
 //!
 //! # Contract
 //!
-//! Both [`crate::baseline::NodeSim`] and [`crate::ours::NodeSim`] expose the
-//! same lifecycle:
+//! [`crate::NodeSim`] exposes one lifecycle, whichever CPU regime its
+//! [`crate::NodeMode`] selects:
 //!
 //! ```text
 //! new(..) ──▶ inject(calls)* ──▶ [ advance_to(horizon) ]* ──▶ finish()
@@ -33,7 +33,7 @@
 //! `advance_to(SimTime::MAX)`, then `finish`; the step extraction is
 //! pinned bit-identical to the old run-to-completion loops (same event
 //! order, same RNG consumption, same `peak_events` accounting — see the
-//! cluster crate's digest regression tests).
+//! digest pins in the workspace's `tests/determinism.rs`).
 //!
 //! # Cross-node failover
 //!

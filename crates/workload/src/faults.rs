@@ -11,7 +11,7 @@
 //!   steps. One step down models a cgroup throttle landing at once; many
 //!   steps model growing noisy-neighbor pressure; a slow restoration
 //!   models autoscale lag. Compiled to `SetCapacity` timeline events that
-//!   the invokers feed into [`faas_cpu::GpsCpu::set_capacity`].
+//!   the invokers feed into `faas_cpu::GpsCpu::set_capacity`.
 //! * **Crashes** ([`CrashSpec`]) — a node dies at an instant and restarts
 //!   after a delay. In-flight attempts on the dead node are killed (and
 //!   retried per policy); queued calls survive — OpenWhisk's load balancer

@@ -299,3 +299,78 @@ fn static_cluster_runs_match_their_pinned_digests() {
     ];
     assert_eq!(digests, PINNED);
 }
+
+#[test]
+fn fault_path_cluster_runs_are_pinned() {
+    // The fault paths the pins above miss: a capacity ramp in both node
+    // modes, strict pending timeouts (the baseline removes a timed-out
+    // FIFO entry eagerly, the scheduled node skips it lazily) in both
+    // modes, and scheduled-node failover under dominant-share routing.
+    use faas_scheduling::cluster::run_cluster_source;
+    use faas_scheduling::workload::{
+        ArrivalSpec, FaultSpec, MixSpec, WeightSpec, WorkloadSource, WorkloadSpec,
+    };
+    let cat = Catalogue::sebs();
+    let spec = |count, weights| {
+        WorkloadSource::Spec(WorkloadSpec {
+            arrival: ArrivalSpec::Uniform { count },
+            mix: MixSpec::Equal,
+            weights,
+            window: SimDuration::from_secs(60),
+        })
+    };
+    let fc = NodeMode::Scheduled(SchedulerConfig::paper(Policy::FairChoice));
+    let base = NodeMode::Baseline;
+    let rr3 = ClusterConfig::independent(3, NodeConfig::paper(10), LoadBalancer::RoundRobin);
+    let jsd = ClusterConfig::independent(
+        3,
+        NodeConfig::paper(10).with_mem_bandwidth(8.0),
+        LoadBalancer::JoinShortestDominant { seed: 31 },
+    )
+    .coupled(SimDuration::from_millis(250), true);
+    let (_, burst_start) = faas_scheduling::workload::scenario::warmup_waves(&cat);
+    let window = SimDuration::from_secs(60);
+    let degradation = FaultSpec::degradation(31, burst_start, window);
+    let strict = FaultSpec::crash_strict(32, burst_start, window);
+    let mut crash = FaultSpec::crash_restart(33, burst_start, window);
+    crash.transient_failure = 0.05;
+    let run = |source: &WorkloadSource, mode, cfg, faults, seeds: (u64, u64)| {
+        run_cluster_source(&cat, source, mode, cfg, faults, seeds.0, seeds.1, 8192)
+            .expect("spec sources cannot fail")
+    };
+    let uniform = spec(660, WeightSpec::Uniform);
+    let runs = [
+        run(&uniform, &base, &rr3, &degradation, (31, 32)),
+        run(&uniform, &fc, &rr3, &degradation, (31, 32)),
+        run(&uniform, &base, &rr3, &strict, (32, 33)),
+        run(&uniform, &fc, &rr3, &strict, (32, 33)),
+        run(
+            &spec(330, WeightSpec::paper_tiers_mem()),
+            &fc,
+            &jsd,
+            &crash,
+            (33, 34),
+        ),
+    ];
+    for r in &runs[..2] {
+        assert!(r.fault_stats.capacity_events > 0, "the ramp must fire");
+    }
+    for r in &runs[2..4] {
+        assert!(r.fault_stats.timeouts > 0, "strict clients must time out");
+    }
+    assert!(
+        runs[4].fault_stats.failovers > 0,
+        "the crash must hand calls off"
+    );
+    let digests = runs.each_ref().map(cluster_digest);
+    // Captured on the commit before the two node regimes shared one
+    // lifecycle shell.
+    let pinned: [u64; 5] = [
+        1287695416034016200,
+        11137308331021407710,
+        5347788904162661987,
+        8143861856343295661,
+        17527474531317832562,
+    ];
+    assert_eq!(digests, pinned);
+}
