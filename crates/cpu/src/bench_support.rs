@@ -1,11 +1,13 @@
-//! Shared driver for the GPS kernel benchmarks and differential harnesses.
+//! Shared churn drivers for the GPS kernel probe and differential tests.
 //!
 //! The interesting regime is the paper's baseline node under load: hundreds
 //! of concurrent tasks on a handful of cores, with completion-driven churn
 //! (every event queries the next completion, collects finishers, removes
 //! them, and admits replacements). [`run_churn`] reproduces that access
-//! pattern against any [`GpsKernel`], so the virtual-time kernel and the
-//! reference integrator can be timed on identical work.
+//! pattern against any [`GpsKernel`]. The drivers feed the repository
+//! benchmark's `cpu.gps_events_per_s` probe (`perfbench/`), and the
+//! differential tests below run each of them on both the virtual-time
+//! kernel and the [`ReferenceGpsCpu`] integrator and compare the results.
 
 use crate::gps::{GpsCpu, GpsParams, Resource, ResourceVector, TaskId};
 use crate::gps_reference::ReferenceGpsCpu;
@@ -137,10 +139,10 @@ pub fn run_churn<K: GpsKernel>(kernel: &mut K, tasks: usize, completions: usize)
     run_churn_with(kernel, tasks, completions, |_| (1.0, 1.0))
 }
 
-/// The churn loop shared by the uniform and weighted benchmarks: identical
+/// The churn loop shared by the uniform and weighted drivers: identical
 /// access pattern, with the `k`-th spawned task's `(weight, max_rate)`
-/// supplied by `sig`. Keeping one loop is what makes the two BENCH
-/// trajectories comparable.
+/// supplied by `sig`. Keeping one loop keeps the uniform and weighted
+/// workloads comparable.
 pub fn run_churn_with<K: GpsKernel>(
     kernel: &mut K,
     tasks: usize,
@@ -183,7 +185,7 @@ pub const WEIGHTED_CHURN_SIGNATURES: [(f64, f64); 6] = [
     (8.0, 2.0),
 ];
 
-/// The shape the weighted churn benchmarks run at: enough cores relative
+/// The shape the weighted churn drivers run at: enough cores relative
 /// to the task count that a sizeable fraction of the tiers is rate-capped
 /// (the regime where water-filling actually iterates), with the same
 /// context-switch penalty as [`churn_params`].
@@ -198,8 +200,8 @@ pub fn weighted_churn_params(tasks: usize) -> GpsParams {
 /// Completion-driven churn over the weighted tiers: identical access
 /// pattern to [`run_churn`], but every task cycles through
 /// [`WEIGHTED_CHURN_SIGNATURES`], keeping the bank permanently in general
-/// (heterogeneous) mode. This is the workload `BENCH_weighted_gps.json`
-/// times the incremental partition against the O(n) reference refresh on.
+/// (heterogeneous) mode, so the differential test checks the incremental
+/// partition against the O(n) reference refresh.
 pub fn run_weighted_churn<K: GpsKernel>(kernel: &mut K, tasks: usize, completions: usize) -> f64 {
     run_churn_with(kernel, tasks, completions, |k| {
         WEIGHTED_CHURN_SIGNATURES[k % WEIGHTED_CHURN_SIGNATURES.len()]
@@ -290,9 +292,9 @@ pub fn drf_mem_capacity(tasks: usize) -> f64 {
 /// Completion-driven churn over the multi-resource tiers: the
 /// [`run_churn`] access pattern with every task carrying a
 /// [`DRF_CHURN_SIGNATURES`] demand vector and a finite memory-bandwidth
-/// capacity installed up front. This is the workload `BENCH_drf.json`
-/// times the incremental dominant-share partition against the O(n)
-/// reference re-derivation on.
+/// capacity installed up front. It drives the DRF half of
+/// `cpu.gps_events_per_s` and checks the incremental dominant-share
+/// partition against the O(n) reference re-derivation.
 pub fn run_drf_churn<K: GpsKernel>(kernel: &mut K, tasks: usize, completions: usize) -> f64 {
     let mut now = SimTime::ZERO;
     kernel.set_resource_capacity(now, Resource::Mem, drf_mem_capacity(tasks));

@@ -8,11 +8,10 @@
 //! the optimized kernel must reproduce its completion order, completion
 //! times, and `work_done` accounting — and is exercised against the
 //! production kernel by the differential property tests in
-//! `tests/prop_gps_diff.rs` and by the `gps` micro-benchmarks, which report
-//! the before/after speedup.
+//! `tests/prop_gps_diff.rs` and by the churn differential tests in
+//! [`crate::bench_support`].
 //!
-//! Do not use this type in simulations; it exists only as a test and
-//! benchmark oracle.
+//! Do not use this type in simulations; it exists only as a test oracle.
 
 use crate::gps::{GpsParams, Resource, ResourceVector, TaskId, AXES, WORK_EPSILON};
 use faas_simcore::time::{SimDuration, SimTime};

@@ -35,43 +35,21 @@
 //!              cross-node failover under the strict crash preset) and a
 //!              trace-replay table (Azure-style synthetic traces through
 //!              the bounded-memory streamed trace engine)
-//!   bench      GPS-kernel (uniform, weighted and multi-resource DRF),
-//!              event-queue, workload-generation, dynamic-capacity,
-//!              coupled-engine and trace-replay micro-benchmarks; writes
-//!              BENCH_gps.json, BENCH_weighted_gps.json, BENCH_drf.json,
-//!              BENCH_events.json, BENCH_workload.json, BENCH_faults.json,
-//!              BENCH_coupled.json and BENCH_replay.json for the perf
-//!              trajectory
-//!   replay     Trace-replay benchmark alone at an explicit call count:
-//!              replay [--calls N] [--out DIR]; writes BENCH_replay.json
-//!   check-bench  Validate the BENCH_*.json artifacts under --out (schema
-//!              plus absolute ratio floors, e.g. the coupled engine's
-//!              unbounded/windowed speedup >= 0.25x) and,
-//!              with --baseline HISTORY, gate each timing/throughput
-//!              entry against the rolling median of the history
-//!              (--gate-window K, --gate-timing-pct P,
-//!              --gate-throughput-pct P); exits non-zero on schema drift
-//!              or a named perf regression
-//!   history-append  Fold the current artifacts under --out into the
-//!              append-only BENCH_HISTORY.json, stamped with
-//!              --commit/--message/--timestamp (GITHUB_SHA is the
-//!              commit fallback)
-//!   dashboard  Render BENCH_HISTORY.json as a self-contained static
-//!              HTML page of SVG sparklines (--history IN, --out HTML)
 //!   run        Custom single configuration with per-call CSV trace:
 //!              run --cores C --intensity V --policy P [--seed S]
-//!   all      Everything above
+//!   all      Everything above except `run`
 //! ```
 //!
 //! Results are also written as JSON under `--out` (default `results/`).
+//! Bad arguments, including out-of-range values such as `--cores 0`,
+//! print the usage line and exit with status 2. Performance is measured
+//! by the repository benchmark (`perfbench/`), not by this CLI.
 
-use faas_experiments::bench_history::{BenchHistory, CommitMeta, GateConfig, HISTORY_FILE};
 use faas_experiments::{
-    ablations, bench_coupled, bench_drf, bench_events, bench_faults, bench_gps, bench_history,
-    bench_replay, bench_schema, bench_weighted_gps, bench_workload, custom, dashboard, fig2, fig5,
-    fig6, functions, grid, sweep, table1, Effort,
+    ablations, custom, fig2, fig5, fig6, functions, grid, sweep, table1, Effort,
 };
 use faas_simcore::time::SimDuration;
+use faas_workload::scenario::BurstScenario;
 use faas_workload::synth::SynthSpec;
 use faas_workload::trace_source::{TraceSpec, WorkloadSource};
 use std::path::PathBuf;
@@ -89,17 +67,13 @@ struct Opts {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments <table1|fig2|table2|table3|fig3|fig4|fig5|fig6|ablations|functions|sweep|bench|check-bench|history-append|dashboard|replay|run|all> \
+        "usage: experiments <table1|fig2|table2|table3|fig3|fig4|fig5|fig6|ablations|functions|sweep|run|all> \
          [--quick] [--seeds N] [--out DIR] [--per-seed] \
          [--source synth:RATE|trace:PATH]\n\
          (--source runs table1/fig5/fig6 trace-backed: an Azure-style \
          synthetic trace at RATE calls/s, or a recorded JSONL trace)\n\
-         (replay: [--calls N] [--out DIR])\n\
-         (check-bench: [--out DIR] [--baseline HISTORY] [--gate-window K] \
-         [--gate-timing-pct P] [--gate-throughput-pct P])\n\
-         (history-append: [--out DIR] [--history PATH] [--commit ID] [--message MSG] \
-         [--timestamp TS])\n\
-         (dashboard: [--history PATH] [--out HTML])"
+         (run: [--cores C] [--intensity V] [--policy P|baseline] [--seed S] [--out DIR], \
+         with C*V >= 10 so the burst has calls)"
     );
     std::process::exit(2);
 }
@@ -109,22 +83,6 @@ fn main() {
     let Some(cmd) = args.next() else { usage() };
     if cmd == "run" {
         run_custom(args.collect());
-        return;
-    }
-    if cmd == "replay" {
-        run_replay(args.collect());
-        return;
-    }
-    if cmd == "check-bench" {
-        run_check_bench(args.collect());
-        return;
-    }
-    if cmd == "history-append" {
-        run_history_append(args.collect());
-        return;
-    }
-    if cmd == "dashboard" {
-        run_dashboard(args.collect());
         return;
     }
     let mut opts = Opts {
@@ -175,7 +133,6 @@ fn main() {
         "ablations" => run_ablations(&opts),
         "functions" => run_functions(&opts),
         "sweep" => run_sweep(&opts),
-        "bench" => run_bench(&opts),
         "all" => {
             run_table1(&opts);
             run_fig2(&opts);
@@ -185,7 +142,6 @@ fn main() {
             run_ablations(&opts);
             run_functions(&opts);
             run_sweep(&opts);
-            run_bench(&opts);
         }
         _ => usage(),
     }
@@ -197,7 +153,11 @@ fn main() {
 /// `--source trace:PATH` (a recorded JSONL trace).
 fn parse_source(spec: &str) -> WorkloadSource {
     if let Some(rate) = spec.strip_prefix("synth:") {
-        let rate: f64 = rate.parse().unwrap_or_else(|_| usage());
+        let rate = rate
+            .parse::<f64>()
+            .ok()
+            .filter(|r| r.is_finite() && *r >= 0.0)
+            .unwrap_or_else(|| usage());
         WorkloadSource::Trace(TraceSpec::Synthetic(SynthSpec::azure(
             rate,
             SimDuration::from_secs(60),
@@ -209,11 +169,11 @@ fn parse_source(spec: &str) -> WorkloadSource {
     }
 }
 
-/// Unwrap a trace-backed experiment result (the only error is a recorded
-/// trace file that could not be opened).
+/// Unwrap a trace-backed experiment result: a recorded trace file that
+/// could not be opened, or a source with no measured call, exits 1.
 fn open_source<T>(result: std::io::Result<T>) -> T {
     result.unwrap_or_else(|e| {
-        eprintln!("failed to open trace: {e}");
+        eprintln!("trace-backed run failed: {e}");
         std::process::exit(1);
     })
 }
@@ -258,245 +218,10 @@ fn run_grid(which: &str, opts: &Opts) {
     save(opts, "grid.json", &result);
 }
 
-fn run_bench(opts: &Opts) {
-    let entries = bench_gps::run();
-    println!("{}", bench_gps::render(&entries));
-    save(opts, "BENCH_gps.json", &entries);
-    let weighted = bench_weighted_gps::run();
-    println!("{}", bench_weighted_gps::render(&weighted));
-    save(opts, "BENCH_weighted_gps.json", &weighted);
-    let drf = bench_drf::run();
-    println!("{}", bench_drf::render(&drf));
-    save(opts, "BENCH_drf.json", &drf);
-    let events = bench_events::run();
-    println!("{}", bench_events::render(&events));
-    save(opts, "BENCH_events.json", &events);
-    let workload = bench_workload::run();
-    println!("{}", bench_workload::render(&workload));
-    save(opts, "BENCH_workload.json", &workload);
-    let faults = bench_faults::run();
-    println!("{}", bench_faults::render(&faults));
-    save(opts, "BENCH_faults.json", &faults);
-    let coupled = bench_coupled::run();
-    println!("{}", bench_coupled::render(&coupled));
-    save(opts, "BENCH_coupled.json", &coupled);
-    let replay = bench_replay::run();
-    println!("{}", bench_replay::render(&replay));
-    save(opts, "BENCH_replay.json", &replay);
-}
-
-/// Replay benchmark at an explicit call count: `experiments replay
-/// [--calls N] [--out DIR]`. Writes the same `BENCH_replay.json` shape as
-/// `experiments bench` (which runs the full 10^6/10^7 trajectory); the CI
-/// smoke run uses a reduced count.
-fn run_replay(args: Vec<String>) {
-    let mut calls: u64 = 1_000_000;
-    let mut out = PathBuf::from("results");
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: &mut usize| -> String {
-            *i += 1;
-            args.get(*i).cloned().unwrap_or_else(|| usage())
-        };
-        match args[i].as_str() {
-            "--calls" => calls = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--out" => out = PathBuf::from(value(&mut i)),
-            _ => usage(),
-        }
-        i += 1;
-    }
-    let entries = bench_replay::run_level(calls, 3);
-    println!("{}", bench_replay::render(&entries));
-    let path = out.join("BENCH_replay.json");
-    if let Err(e) = faas_metrics::export::write_json(&path, &entries) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
-}
-
 fn run_sweep(opts: &Opts) {
     let result = sweep::run(opts.effort);
     println!("{}", sweep::render(&result));
     save(opts, "sweep.json", &result);
-}
-
-/// Validate the `BENCH_*.json` artifacts under `--out`: every file must
-/// parse, record the host thread count and carry baseline/candidate
-/// timings plus a speedup ratio that matches its own timing pair. With
-/// `--baseline HISTORY`, additionally gate every timing and `calls/s`
-/// entry against the rolling median of the history and exit non-zero
-/// with a named, per-entry report on regression. A missing baseline file
-/// (the first run of a fresh history chain) skips the gate instead of
-/// failing.
-fn run_check_bench(args: Vec<String>) {
-    let mut out = PathBuf::from("results");
-    let mut baseline: Option<PathBuf> = None;
-    let mut cfg = GateConfig::default();
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: &mut usize| -> String {
-            *i += 1;
-            args.get(*i).cloned().unwrap_or_else(|| usage())
-        };
-        match args[i].as_str() {
-            "--out" => out = PathBuf::from(value(&mut i)),
-            "--baseline" => baseline = Some(PathBuf::from(value(&mut i))),
-            "--gate-window" => {
-                cfg.window = value(&mut i).parse().unwrap_or_else(|_| usage());
-                if cfg.window == 0 {
-                    usage();
-                }
-            }
-            "--gate-timing-pct" => {
-                cfg.timing_regress_pct = value(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--gate-throughput-pct" => {
-                cfg.throughput_drop_pct = value(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            _ => usage(),
-        }
-        i += 1;
-    }
-    match bench_schema::validate_dir(&out) {
-        Ok(seen) => println!("bench artifacts ok: {}", seen.join(", ")),
-        Err(e) => {
-            eprintln!("bench artifact schema check failed: {e}");
-            std::process::exit(1);
-        }
-    }
-    let Some(baseline) = baseline else { return };
-    if !baseline.exists() {
-        println!(
-            "no baseline history at {} (first run): regression gate skipped",
-            baseline.display()
-        );
-        return;
-    }
-    let history = match BenchHistory::load_or_empty(&baseline) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("could not load baseline history: {e}");
-            std::process::exit(1);
-        }
-    };
-    match bench_history::gate_dir(&cfg, &history, &out) {
-        Ok((violations, compared)) if violations.is_empty() => println!(
-            "perf regression gate ok: {compared} entr{} within {}%/{}% of the \
-             rolling median over up to {} point(s)",
-            if compared == 1 { "y" } else { "ies" },
-            cfg.timing_regress_pct,
-            cfg.throughput_drop_pct,
-            cfg.window
-        ),
-        Ok((violations, _)) => {
-            eprint!("{}", bench_history::render_violations(&violations));
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("perf regression gate failed to run: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Fold the current artifacts under `--out` into the append-only
-/// `BENCH_HISTORY.json`. Commit identity comes from `--commit`,
-/// `--message` and `--timestamp` (CI passes `git log -1` values); the
-/// commit id falls back to `GITHUB_SHA`, and the timestamp to the wall
-/// clock — ambient state stays here in the binary, never in the library,
-/// so append/gate/render remain deterministic under test.
-fn run_history_append(args: Vec<String>) {
-    let mut out = PathBuf::from("results");
-    let mut history_path: Option<PathBuf> = None;
-    let mut commit: Option<String> = None;
-    let mut message: Option<String> = None;
-    let mut timestamp: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: &mut usize| -> String {
-            *i += 1;
-            args.get(*i).cloned().unwrap_or_else(|| usage())
-        };
-        match args[i].as_str() {
-            "--out" => out = PathBuf::from(value(&mut i)),
-            "--history" => history_path = Some(PathBuf::from(value(&mut i))),
-            "--commit" => commit = Some(value(&mut i)),
-            "--message" => message = Some(value(&mut i)),
-            "--timestamp" => timestamp = Some(value(&mut i)),
-            _ => usage(),
-        }
-        i += 1;
-    }
-    let history_path = history_path.unwrap_or_else(|| out.join(HISTORY_FILE));
-    let meta = CommitMeta {
-        id: commit
-            .or_else(|| std::env::var("GITHUB_SHA").ok())
-            .unwrap_or_else(|| "unknown".into()),
-        message: message.unwrap_or_default(),
-        timestamp: timestamp.unwrap_or_else(|| {
-            let secs = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_secs())
-                .unwrap_or(0);
-            format!("unix:{secs}")
-        }),
-    };
-    let result = BenchHistory::load_or_empty(&history_path).and_then(|mut history| {
-        let keys = history.append(&out, &meta)?;
-        history.save(&history_path)?;
-        Ok((keys, history.depth()))
-    });
-    match result {
-        Ok((keys, depth)) => println!(
-            "history {} now {depth} point(s) deep at commit {} ({} suite(s): {})",
-            history_path.display(),
-            meta.id,
-            keys.len(),
-            keys.join(", ")
-        ),
-        Err(e) => {
-            eprintln!("history append failed: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Render `BENCH_HISTORY.json` as the self-contained static dashboard.
-fn run_dashboard(args: Vec<String>) {
-    let mut history_path = PathBuf::from("results").join(HISTORY_FILE);
-    let mut out = PathBuf::from("results/dashboard.html");
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: &mut usize| -> String {
-            *i += 1;
-            args.get(*i).cloned().unwrap_or_else(|| usage())
-        };
-        match args[i].as_str() {
-            "--history" => history_path = PathBuf::from(value(&mut i)),
-            "--out" => out = PathBuf::from(value(&mut i)),
-            _ => usage(),
-        }
-        i += 1;
-    }
-    let history = match BenchHistory::load_or_empty(&history_path) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("could not load history: {e}");
-            std::process::exit(1);
-        }
-    };
-    let html = dashboard::render(&history);
-    match faas_metrics::export::write_text(&out, &html) {
-        Ok(()) => println!(
-            "dashboard written to {} ({} suite(s), {} point(s))",
-            out.display(),
-            history.series.len(),
-            history.depth()
-        ),
-        Err(e) => {
-            eprintln!("could not write {}: {e}", out.display());
-            std::process::exit(1);
-        }
-    }
 }
 
 fn run_fig5(opts: &Opts) {
@@ -547,6 +272,11 @@ fn run_custom(args: Vec<String>) {
             _ => usage(),
         }
         i += 1;
+    }
+    // `c·v/10` measured calls per function: zero cores, or a burst too
+    // small to hold a call, has nothing to run or summarise.
+    if BurstScenario::standard(spec.cores, spec.intensity).per_function_requests() == 0 {
+        usage();
     }
     let catalogue = faas_workload::sebs::Catalogue::sebs();
     let (scenario, result) = spec.execute(&catalogue);

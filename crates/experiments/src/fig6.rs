@@ -157,8 +157,10 @@ const SOURCE_CHUNK: usize = 512;
 /// so pooling over seeds pools over trace realizations. The `intensity`
 /// column keeps the paper's `120 / nodes` mapping, which is meaningful
 /// for paper-shaped loads only; `max_completion` is anchored to the first
-/// measured release of each run (a trace carries no warm-up phase). The
-/// only fallible path is opening a recorded trace file.
+/// measured release of each run (a trace carries no warm-up phase). It
+/// fails if a recorded trace file cannot be opened, and with
+/// `InvalidInput` if a seed's source yields no measured call (e.g. an
+/// empty trace or a near-zero synthetic rate).
 pub fn run_source(
     source: &WorkloadSource,
     cores: u32,
@@ -201,7 +203,12 @@ pub fn run_source(
                     .measured()
                     .map(|o| o.response_time().as_secs_f64())
                     .collect();
-                assert!(!resp.is_empty(), "source produced no measured calls");
+                if resp.is_empty() {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::InvalidInput,
+                        "source produced no measured calls",
+                    ));
+                }
                 per_seed_avg.push(resp.iter().sum::<f64>() / resp.len() as f64);
                 let start = result
                     .measured()

@@ -23,28 +23,15 @@
 //! engine, and replays Azure-style synthetic traces through the
 //! bounded-memory trace engine.
 //!
-//! The `bench_*` modules write the `BENCH_*.json` perf artifacts;
-//! [`bench_history`] folds them into the durable, append-only
-//! `BENCH_HISTORY.json` trajectory and gates regressions against its
-//! rolling median, and [`dashboard`] renders that trajectory as a
-//! self-contained static HTML page of SVG sparklines.
+//! This crate holds no timing harness: performance is measured by the
+//! repository benchmark in `perfbench/` (declared by `BENCHMARK.json`),
+//! whose paper-grid workload runs [`grid`]'s strategy set.
 //!
 //! All experiments run the 5-seed repetitions in parallel (rayon) and are
 //! bit-for-bit reproducible from the seed set.
 
 pub mod ablations;
-pub mod bench_coupled;
-pub mod bench_drf;
-pub mod bench_events;
-pub mod bench_faults;
-pub mod bench_gps;
-pub mod bench_history;
-pub mod bench_replay;
-pub mod bench_schema;
-pub mod bench_weighted_gps;
-pub mod bench_workload;
 pub mod custom;
-pub mod dashboard;
 pub mod fig2;
 pub mod fig5;
 pub mod fig6;
@@ -53,25 +40,10 @@ pub mod grid;
 pub mod sweep;
 pub mod table1;
 
-/// Median wall-clock nanoseconds of `f` over `samples` runs. One shared
-/// timing method for every `bench_*` module, so the `BENCH_*.json`
-/// trajectory points stay methodologically comparable across benchmarks.
-pub(crate) fn median_ns<R>(samples: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = std::time::Instant::now();
-            std::hint::black_box(f());
-            start.elapsed().as_nanos() as f64
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("elapsed times are finite"));
-    times[times.len() / 2]
-}
-
 /// The seeds of the paper's "5 different random sequences of calls".
 pub const SEEDS: [u64; 5] = [101, 202, 303, 404, 505];
 
-/// Reduced configuration for smoke tests and benches: fewer seeds and the
+/// Reduced configuration for smoke tests: fewer seeds and the
 /// cheaper corner of the grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Effort {
@@ -90,7 +62,7 @@ impl Effort {
         }
     }
 
-    /// Quick effort for tests/benches.
+    /// Quick effort for smoke tests.
     pub fn quick() -> Self {
         Effort {
             seeds: 2,

@@ -1,0 +1,83 @@
+//! The `experiments` binary's argument contract: input the simulator
+//! cannot run is rejected while parsing (usage, exit 2) instead of
+//! panicking inside a library (exit 101).
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+fn experiments(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(args)
+        .output()
+        .expect("experiments binary runs")
+}
+
+/// A fresh scratch directory for one test's `--out`.
+fn out_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("faas_cli_{name}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn assert_usage(args: &[&str]) {
+    let out = experiments(args);
+    assert_eq!(out.status.code(), Some(2), "{args:?} must exit with usage");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("usage:"), "{args:?} printed {stderr:?}");
+}
+
+#[test]
+fn out_of_range_arguments_exit_with_usage() {
+    assert_usage(&["run", "--cores", "0"]);
+    assert_usage(&["run", "--intensity", "0"]);
+    // c·v/10 = 0 measured calls per function: nothing to summarise.
+    assert_usage(&["run", "--cores", "1", "--intensity", "9"]);
+    assert_usage(&["table1", "--source", "synth:-1"]);
+    assert_usage(&["table1", "--source", "synth:nan"]);
+}
+
+#[test]
+fn unknown_and_removed_subcommands_exit_with_usage() {
+    assert_usage(&[]);
+    assert_usage(&["bench"]);
+    assert_usage(&["check-bench"]);
+}
+
+#[test]
+fn empty_trace_source_fails_without_panicking() {
+    let dir = out_dir("empty_source");
+    let out = experiments(&[
+        "fig6",
+        "--quick",
+        "--source",
+        "synth:0",
+        "--out",
+        dir.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("no measured calls"));
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn small_custom_run_writes_its_trace() {
+    let dir = out_dir("run");
+    let out = experiments(&[
+        "run",
+        "--cores",
+        "2",
+        "--intensity",
+        "5",
+        "--out",
+        dir.to_str().unwrap(),
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let traces = std::fs::read_dir(&dir).unwrap().count();
+    assert_eq!(traces, 1, "one per-call trace CSV under --out");
+    let _ = std::fs::remove_dir_all(dir);
+}

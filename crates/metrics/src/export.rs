@@ -1,8 +1,6 @@
-//! Result export: JSON (via serde) and CSV for offline plotting, plus the
-//! read-back half used by the perf-trajectory tooling (`BENCH_HISTORY.json`
-//! append/gate) and plain-text emission for the static dashboard.
+//! Result export: JSON (via serde) and CSV for offline plotting.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fs;
 use std::io::Write as _;
 use std::path::Path;
@@ -16,23 +14,6 @@ pub fn write_json<T: Serialize>(path: &Path, value: &T) -> std::io::Result<()> {
     let json = serde_json::to_string_pretty(value)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
     fs::write(path, json)
-}
-
-/// Read the JSON document at `path` and deserialize it — the inverse of
-/// [`write_json`]. Parse failures surface as `InvalidData` so callers can
-/// distinguish a malformed file from a missing one (`NotFound`).
-pub fn read_json<T: Deserialize>(path: &Path) -> std::io::Result<T> {
-    let text = fs::read_to_string(path)?;
-    serde_json::from_str(&text).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-}
-
-/// Write a plain-text document (HTML, CSV fragments, …) at `path`, creating
-/// parent directories as needed.
-pub fn write_text(path: &Path, text: &str) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent)?;
-    }
-    fs::write(path, text)
 }
 
 /// A CSV writer with minimal quoting (fields containing commas, quotes or
@@ -143,30 +124,6 @@ mod tests {
         let back: Vec<i32> = serde_json::from_str(&body).unwrap();
         assert_eq!(back, vec![1, 2, 3]);
         let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn json_read_back_and_error_kinds() {
-        let dir = std::env::temp_dir().join("faas_metrics_test_read");
-        let path = dir.join("r.json");
-        write_json(&path, &vec![4u32, 5, 6]).unwrap();
-        let back: Vec<u32> = read_json(&path).unwrap();
-        assert_eq!(back, vec![4, 5, 6]);
-        let missing = read_json::<Vec<u32>>(&dir.join("absent.json")).unwrap_err();
-        assert_eq!(missing.kind(), std::io::ErrorKind::NotFound);
-        std::fs::write(dir.join("bad.json"), "{oops").unwrap();
-        let bad = read_json::<Vec<u32>>(&dir.join("bad.json")).unwrap_err();
-        assert_eq!(bad.kind(), std::io::ErrorKind::InvalidData);
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn write_text_creates_dirs_and_round_trips() {
-        let dir = std::env::temp_dir().join("faas_metrics_test_text/deep");
-        let path = dir.join("page.html");
-        write_text(&path, "<html>ok</html>").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "<html>ok</html>");
-        let _ = std::fs::remove_dir_all(std::env::temp_dir().join("faas_metrics_test_text"));
     }
 
     #[test]
