@@ -26,8 +26,8 @@
 //!        at most `chunk` of them; a full window ends
 //!        1 ns before the next unrouted release
 //!     2. deliver every handoff with due <= horizon        (sequential)
-//!     3. every node worker injects its nodes' deliveries  (parallel)
-//!        and advances them to `horizon`
+//!     3. every node injects its deliveries and advances   (inline, or
+//!        to `horizon`                                      fanned out)
 //!     4. collect the nodes' failover outboxes             (sequential)
 //! }
 //! ```
@@ -35,13 +35,14 @@
 //! Routing (steps 1–2) sees the [`NodeProgress`] snapshots of the previous
 //! barrier plus the calls it has routed since — a stale-by-at-most-one-
 //! window view, exactly the staleness a real controller's health polling
-//! has. Step 3 is the only parallel section and each node's simulator is
-//! self-contained, so the run is a pure function of `(seed, lookahead,
-//! chunk)`: bit-identical across reruns *and thread counts*. Narrower
-//! windows give the controller fresher queue signals; wider windows
-//! amortize barrier overhead. With `lookahead = `[`SimDuration::MAX`] only
-//! the ingestion cap cuts windows — the paper's §VIII setting of static
-//! round-robin over independent workers.
+//! has. Step 3 is the only section that may run in parallel, and each
+//! node's simulator is self-contained, so the run is a pure function of
+//! `(seed, lookahead, chunk)`: bit-identical across reruns *and thread
+//! counts*. Narrower windows give the controller fresher queue signals;
+//! wider windows amortize barrier overhead. With
+//! `lookahead = `[`SimDuration::MAX`] only the ingestion cap cuts windows —
+//! the paper's §VIII setting of static round-robin over independent
+//! workers.
 //!
 //! [`NodeProgress`]: faas_invoker::NodeProgress
 //!
@@ -62,22 +63,39 @@
 //!
 //! # Node workers
 //!
-//! The workers are spawned once per run, not once per window: the engine
-//! reads the pool size once, splits the nodes into that many contiguous
-//! chunks (at most one per node) and opens one thread scope for the whole
-//! run. The controller thread advances chunk 0 itself; every other chunk
-//! belongs to one worker for the run. A window hands each worker its
-//! nodes' deliveries through a per-worker slot, bumps that slot's window
-//! counter, and waits for a completion count; a worker whose nodes have
-//! nothing due is not woken. A window holds little work — about 1 µs of
-//! routing and node simulation on a 4-node faulted cluster at 250 ms
-//! windows — so the waits spin before they yield. Measured per window on
-//! a 2-core VM, the synchronisation costs ~70 µs when threads are spawned
-//! per window, ~18 µs when the threads park on a `std::sync::Barrier`,
-//! and ~1 µs with the spinning handshake. Spinning assumes a core per
-//! worker, which the default pool size (the core count) gives. With one
-//! thread no worker is spawned and the controller runs every node inline.
-//! A panic on a worker ends the run and resumes on the caller's thread.
+//! The engine reads the pool size once and splits the nodes into that many
+//! contiguous chunks (at most one per node). The controller thread owns
+//! chunk 0; every other chunk sits in a worker slot behind a lock that is
+//! never contended. Each window the controller decides where the window
+//! runs, from counts alone: a window that delivers at least `FAN_OUT`
+//! (64) routed calls and handoffs to worker-owned nodes fans out, and any
+//! other window runs inline. Fanning out hands each worker whose nodes
+//! have work due its chunk's deliveries through its slot; the controller
+//! advances chunk 0 and waits for a completion count. Inline, the
+//! controller locks each slot and steps every node itself. The choice
+//! depends only on the routed work, never on wall time, and each node's
+//! simulator is self-contained, so it cannot change a result.
+//!
+//! The workers are spawned at the first window that fans out and live for
+//! the rest of the run; a run that never fans out spawns none, and with
+//! one thread there are no workers at all. A waiting worker spins, then
+//! yields, through inline windows too. Parking it instead measured no
+//! faster on azure-replay (medians 607k vs 621k calls/s over 6 pairs on a
+//! 2-vCPU host), so the spin stays. A panic on a worker ends the run and
+//! resumes on the caller's thread.
+//!
+//! A sparse window holds about 1 µs of node work, which one cross-core
+//! handoff costs as well, so fanning it out can only lose (Nicol, JACM
+//! 1993); a dense one splits its node work over the cores. Measured with
+//! perfbench on a 2-vCPU host, 10 alternating pairs of 5 s runs per
+//! comparison (absolute rates drift with the host's load between sets):
+//! cluster-faults fans out none of its 8,575 windows and runs at its
+//! 1-thread rate (medians 518k calls/s at 2 threads, 495k at 1); fanning
+//! out every window with work for a worker instead ran it at 178k against
+//! 294k. At 2 threads azure-replay fans out all 162 of its windows and
+//! runs at 641k calls/s, against 461k with every window inline (faster in
+//! 10 of 10 pairs; peak RSS is 358 against 332 MiB, the worker's own
+//! allocator arena). `FAN_OUT` records how the threshold was chosen.
 //!
 //! # Cross-node failover
 //!
@@ -102,7 +120,7 @@ use faas_workload::weight::WeightTable;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Build the cluster's nodes, each warmed with `warmup`.
 pub(crate) fn new_nodes<'a>(
@@ -240,23 +258,78 @@ impl NodeWork {
     }
 }
 
-/// One worker's mailbox: the last window handed to it, that window's
-/// horizon in nanoseconds, and its chunk's [`NodeWork`]. The controller
-/// swaps the work in and stores the horizon, then publishes the window
-/// with a `Release` store that the worker's `Acquire` load pairs with; the
-/// worker's `Release` increment of the shared done count pairs with the
-/// controller's `Acquire` wait the same way. The lock is never contended.
-struct Slot {
-    window: AtomicU64,
-    horizon: AtomicU64,
-    work: Mutex<Vec<NodeWork>>,
+/// A window fans out to the node workers only when it delivers at least
+/// this many routed calls and handoffs to worker-owned nodes; a smaller
+/// window runs inline on the controller (see the module docs).
+///
+/// Measured on a 2-vCPU host at 2 threads. cluster-faults delivers at
+/// most 3 calls to the worker's nodes in any window; fanning out every
+/// window with at least 1, 2 or 3 of them ran at 170k, 227k and 256k
+/// calls/s against 281k with none fanned out (perfbench medians of 6 runs
+/// each). On azure-replay's trace with the ingestion cap shrunk so that
+/// every window delivers `d` calls to the worker, fanning out every
+/// window beat running every window inline from `d` = 4 up: 1.06 vs 1.20
+/// µs per call at 4, 0.74 vs 1.07 at 32 and 0.85 vs 1.40 at 4,096
+/// (medians of 7 runs). So on these two workloads the crossover lies
+/// between 3 and 4 deliveries; how far it moves with the node work per
+/// call was not measured. 64 keeps well clear of the losing counts; it
+/// gives up the 12–31% gain of steady windows with 4 to 63 deliveries,
+/// which no benchmark workload has. Every value from 4 to 4,096 splits the benchmark's runs the same
+/// way: cluster-faults fans out none of its windows, azure-replay all.
+const FAN_OUT: usize = 64;
+
+/// How many windows a run stepped inline and how many it fanned out.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[cfg_attr(not(test), allow(dead_code))] // only the tests read the tally
+pub(crate) struct Windows {
+    pub(crate) inline: u64,
+    pub(crate) fanned_out: u64,
 }
 
-impl Slot {
-    /// Trade the controller's copy of the chunk for the slot's.
-    fn swap(&self, chunk: &mut [NodeWork]) {
-        let mut held = self.work.lock().expect("no worker panicked holding it");
-        held.swap_with_slice(chunk);
+/// Advance each node through its own work to `horizon`.
+fn step_all(nodes: &mut [NodeSim], work: &mut [NodeWork], horizon: SimTime) {
+    for (node, w) in nodes.iter_mut().zip(work) {
+        w.step(node, horizon);
+    }
+}
+
+/// One chunk of nodes and their [`NodeWork`], as a worker holds them.
+struct Chunk<'n, 'a> {
+    nodes: &'n mut [NodeSim<'a>],
+    work: Vec<NodeWork>,
+}
+
+/// One worker's mailbox and nodes: the last window handed to it, that
+/// window's horizon in nanoseconds, and its [`Chunk`]. The controller
+/// swaps the window's work in and stores the horizon, then publishes the
+/// window with a `Release` store that the worker's `Acquire` load pairs
+/// with; the worker's `Release` increment of the shared done count pairs
+/// with the controller's `Acquire` wait the same way. The worker drops
+/// the lock before it counts itself done, and a window that runs inline
+/// locks the chunk on the controller while its worker (if spawned)
+/// waits, so the lock is never contended.
+struct Slot<'n, 'a> {
+    window: AtomicU64,
+    horizon: AtomicU64,
+    chunk: Mutex<Chunk<'n, 'a>>,
+}
+
+impl<'n, 'a> Slot<'n, 'a> {
+    fn lock(&self) -> MutexGuard<'_, Chunk<'n, 'a>> {
+        self.chunk.lock().expect("no thread panicked holding it")
+    }
+
+    /// Trade the controller's copy of the chunk's work for the slot's.
+    fn swap(&self, work: &mut [NodeWork]) {
+        self.lock().work.swap_with_slice(work);
+    }
+
+    /// Advance the slot's nodes through `work` on the calling thread.
+    fn step_inline(&self, work: &mut [NodeWork], horizon: SimTime) {
+        if work.iter().all(|w| w.idle(horizon)) {
+            return;
+        }
+        step_all(self.lock().nodes, work, horizon);
     }
 }
 
@@ -273,9 +346,9 @@ fn wait_until(ready: impl Fn() -> bool) {
     }
 }
 
-/// A worker's run: advance its chunk of nodes through every window handed
+/// A worker's run: advance its slot's nodes through every window handed
 /// to it, counting each into `done`, until `stop`.
-fn worker(nodes: &mut [NodeSim], slot: &Slot, done: &AtomicU64, stop: &AtomicBool) {
+fn worker(slot: &Slot, done: &AtomicU64, stop: &AtomicBool) {
     let mut seen = 0;
     loop {
         wait_until(|| stop.load(Ordering::Acquire) || slot.window.load(Ordering::Acquire) != seen);
@@ -284,14 +357,10 @@ fn worker(nodes: &mut [NodeSim], slot: &Slot, done: &AtomicU64, stop: &AtomicBoo
         }
         seen = slot.window.load(Ordering::Acquire);
         let horizon = SimTime::from_nanos(slot.horizon.load(Ordering::Relaxed));
-        let mut work = slot
-            .work
-            .lock()
-            .expect("the controller never panics holding it");
-        for (node, w) in nodes.iter_mut().zip(work.iter_mut()) {
-            w.step(node, horizon);
+        {
+            let held = &mut *slot.lock();
+            step_all(held.nodes, &mut held.work, horizon);
         }
-        drop(work);
         done.fetch_add(1, Ordering::Release);
     }
 }
@@ -304,7 +373,8 @@ fn just_before(t: SimTime) -> SimTime {
 
 /// The one window loop behind every entry point. Arrivals must come in
 /// `(release, id)` order; a window routes at most `chunk` of them;
-/// `threads` is clamped to `[1, nodes]`.
+/// `threads` is clamped to `[1, nodes]`. Returns each node's result and
+/// the run's window tally.
 pub(crate) fn coupled_engine(
     mut nodes: Vec<NodeSim>,
     cfg: &ClusterConfig,
@@ -312,7 +382,7 @@ pub(crate) fn coupled_engine(
     mut routing: Routing,
     chunk: usize,
     threads: usize,
-) -> Vec<NodeResult> {
+) -> (Vec<NodeResult>, Windows) {
     assert!(cfg.nodes > 0, "cluster needs at least one node");
     assert!(chunk > 0, "ingestion window must hold at least one call");
     assert!(
@@ -322,27 +392,31 @@ pub(crate) fn coupled_engine(
     );
     let mut arrivals = arrivals.peekable();
     let threads = threads.clamp(1, nodes.len());
-    // Chunk k is nodes[bounds[k]..bounds[k + 1]]; the controller owns 0.
+    // Slot k holds nodes[bounds[k]..bounds[k + 1]]; slot 0 is the
+    // controller's own and is never handed to a worker.
     let bounds: Vec<usize> = (0..=threads).map(|k| k * nodes.len() / threads).collect();
+    let owned = |k: usize| bounds[k]..bounds[k + 1];
     let mut work: Vec<NodeWork> = nodes.iter().map(NodeWork::new).collect();
-    let slots: Vec<Slot> = (1..threads)
-        .map(|k| Slot {
-            window: AtomicU64::new(0),
-            horizon: AtomicU64::new(0),
-            work: Mutex::new(work[bounds[k]..bounds[k + 1]].to_vec()),
+    let mut rest = nodes.as_mut_slice();
+    let slots: Vec<Slot> = (0..threads)
+        .map(|k| {
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(owned(k).len());
+            rest = tail;
+            Slot {
+                window: AtomicU64::new(0),
+                horizon: AtomicU64::new(0),
+                chunk: Mutex::new(Chunk {
+                    nodes: chunk,
+                    work: work[owned(k)].to_vec(),
+                }),
+            }
         })
         .collect();
     let (done, stop) = (AtomicU64::new(0), AtomicBool::new(false));
+    let mut tally = Windows::default();
 
     std::thread::scope(|scope| {
-        let (own, mut rest) = nodes.split_at_mut(bounds[1]);
-        let mut workers = Vec::with_capacity(slots.len());
-        for (k, slot) in slots.iter().enumerate() {
-            let (chunk, tail) = rest.split_at_mut(bounds[k + 2] - bounds[k + 1]);
-            rest = tail;
-            let (done, stop) = (&done, &stop);
-            workers.push(scope.spawn(move || worker(chunk, slot, done, stop)));
-        }
+        let mut workers = Vec::new();
         let run = catch_unwind(AssertUnwindSafe(|| {
             // The controller's view: each node's backlog at the last
             // barrier plus the calls routed there since (self-feedback
@@ -385,30 +459,48 @@ pub(crate) fn coupled_engine(
                     work[target].handoffs.push((h, h.due.max(barrier)));
                 }
 
-                // 3. Hand each worker with a busy node its chunk, advance
-                // the controller's own chunk, then wait for the others.
-                // Each simulator is self-contained, so the snapshots are
-                // thread-invariant.
-                for (k, slot) in slots.iter().enumerate() {
-                    let chunk = &mut work[bounds[k + 1]..bounds[k + 2]];
-                    if chunk.iter().all(|w| w.idle(horizon)) {
-                        continue;
+                // 3. Advance every node to the horizon: inline on the
+                // controller unless the workers' nodes receive enough to
+                // pay for the handoff. Each simulator is self-contained,
+                // so the snapshots are the same wherever a node runs.
+                let deliveries: usize = work[bounds[1]..]
+                    .iter()
+                    .map(|w| w.batch.len() + w.handoffs.len())
+                    .sum();
+                if deliveries < FAN_OUT {
+                    tally.inline += 1;
+                    for (k, slot) in slots.iter().enumerate() {
+                        slot.step_inline(&mut work[owned(k)], horizon);
                     }
-                    slot.swap(chunk);
-                    slot.horizon.store(horizon.as_nanos(), Ordering::Relaxed);
-                    slot.window.store(window, Ordering::Release);
-                    sent += 1;
-                }
-                for (node, w) in own.iter_mut().zip(&mut work) {
-                    w.step(node, horizon);
-                }
-                // A worker only returns early by panicking.
-                let dead = || workers.iter().any(|w| w.is_finished());
-                wait_until(|| done.load(Ordering::Acquire) == sent || dead());
-                assert!(!dead(), "a node worker panicked");
-                for (k, slot) in slots.iter().enumerate() {
-                    if slot.window.load(Ordering::Relaxed) == window {
-                        slot.swap(&mut work[bounds[k + 1]..bounds[k + 2]]);
+                } else {
+                    tally.fanned_out += 1;
+                    if workers.is_empty() {
+                        for slot in &slots[1..] {
+                            let (done, stop) = (&done, &stop);
+                            workers.push(scope.spawn(move || worker(slot, done, stop)));
+                        }
+                    }
+                    // Hand each worker with a busy node its chunk, advance
+                    // the controller's own, then wait for the others.
+                    for (k, slot) in slots.iter().enumerate().skip(1) {
+                        let chunk = &mut work[owned(k)];
+                        if chunk.iter().all(|w| w.idle(horizon)) {
+                            continue;
+                        }
+                        slot.swap(chunk);
+                        slot.horizon.store(horizon.as_nanos(), Ordering::Relaxed);
+                        slot.window.store(window, Ordering::Release);
+                        sent += 1;
+                    }
+                    slots[0].step_inline(&mut work[owned(0)], horizon);
+                    // A worker only returns early by panicking.
+                    let dead = || workers.iter().any(|w| w.is_finished());
+                    wait_until(|| done.load(Ordering::Acquire) == sent || dead());
+                    assert!(!dead(), "a node worker panicked");
+                    for (k, slot) in slots.iter().enumerate().skip(1) {
+                        if slot.window.load(Ordering::Relaxed) == window {
+                            slot.swap(&mut work[owned(k)]);
+                        }
                     }
                 }
 
@@ -436,7 +528,8 @@ pub(crate) fn coupled_engine(
             resume_unwind(p);
         }
     });
-    nodes.into_iter().map(|n| n.finish()).collect()
+    drop(slots);
+    (nodes.into_iter().map(|n| n.finish()).collect(), tally)
 }
 
 #[cfg(test)]
@@ -447,7 +540,7 @@ mod tests {
     use faas_invoker::NodeConfig;
     use faas_workload::arrival::ArrivalSpec;
     use faas_workload::faults::CapacityRamp;
-    use faas_workload::generate::WorkloadSpec;
+    use faas_workload::generate::{ShardedGenerator, WorkloadSpec};
     use faas_workload::mix::MixSpec;
     use faas_workload::scenario::warmup_waves as warmup_waves_for;
     use faas_workload::weight::WeightSpec;
@@ -544,6 +637,16 @@ mod tests {
         faults
     }
 
+    /// Two runs of one node produced the same result.
+    fn same(a: &NodeResult, b: &NodeResult, what: &str) {
+        assert_eq!(a.outcomes, b.outcomes, "{what}");
+        assert_eq!(a.drops, b.drops, "{what}");
+        assert_eq!(a.fault_stats, b.fault_stats, "{what}");
+        assert_eq!(a.peak_events, b.peak_events, "{what}");
+        assert_eq!(a.served_cpu_secs, b.served_cpu_secs, "{what}");
+        assert_eq!(a.served_mem_units, b.served_mem_units, "{what}");
+    }
+
     #[test]
     fn uneven_partitions_are_thread_count_invariant() {
         // Every split of nodes over workers — more workers than nodes,
@@ -560,14 +663,6 @@ mod tests {
             3,
         );
         let mode = NodeMode::Baseline;
-        let same = |a: &NodeResult, b: &NodeResult, what: &str| {
-            assert_eq!(a.outcomes, b.outcomes, "{what}");
-            assert_eq!(a.drops, b.drops, "{what}");
-            assert_eq!(a.fault_stats, b.fault_stats, "{what}");
-            assert_eq!(a.peak_events, b.peak_events, "{what}");
-            assert_eq!(a.served_cpu_secs, b.served_cpu_secs, "{what}");
-            assert_eq!(a.served_mem_units, b.served_mem_units, "{what}");
-        };
         for nodes in [1u16, 2, 3, 5] {
             let cfg = ClusterConfig::independent(
                 nodes,
@@ -595,15 +690,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot schedule into the past")]
     fn a_worker_panic_resumes_on_the_caller() {
-        // An out-of-order arrival reaches the worker-owned node 1 after its
-        // clock has passed the release (the call in between goes to node
-        // 0), so the node panics on the worker thread; the run must end
-        // with that panic instead of spinning.
+        // An out-of-order arrival reaches node 1 after its clock has
+        // passed the release. Its window also delivers `FAN_OUT - 1` calls
+        // to node 2, so it fans out and node 1 panics on the worker that
+        // owns nodes 1 and 2; the run must end with that panic instead of
+        // spinning.
         use faas_workload::sebs::FuncId;
         use faas_workload::trace::{CallId, CallKind};
         let cat = catalogue();
         let (weights, faults) = (WeightTable::uniform(cat.len()), FaultSpec::none());
-        let cfg = ClusterConfig::independent(2, NodeConfig::paper(10), LoadBalancer::RoundRobin)
+        let cfg = ClusterConfig::independent(3, NodeConfig::paper(10), LoadBalancer::RoundRobin)
             .coupled(SimDuration::from_millis(250), false);
         let call = |id, secs| Call {
             id: CallId(id),
@@ -611,10 +707,66 @@ mod tests {
             release: SimTime::from_secs(secs),
             kind: CallKind::Measured,
         };
-        let arrivals = vec![call(0, 10), call(1, 20), call(2, 1)];
+        let late = FAN_OUT as u64;
+        let mut arrivals = vec![call(0, 10)];
+        arrivals.extend((1..late).map(|id| call(id, 20)));
+        arrivals.push(call(late, 1));
         let nodes = new_nodes(&cat, &NodeMode::Baseline, &cfg, &weights, &faults, 1, &[]);
-        let routing = Routing::Fixed(vec![1, 0, 1].into_iter());
+        let mut assignment = vec![2; arrivals.len()];
+        (assignment[0], assignment[late as usize]) = (1, 1);
+        let routing = Routing::Fixed(assignment.into_iter());
         coupled_engine(nodes, &cfg, arrivals.into_iter(), routing, usize::MAX, 2);
+    }
+
+    /// Each node's result and the run's window tally for on-off bursts
+    /// on `threads` threads: bursts dense enough to fan out between
+    /// sparse stretches that run inline, on four dominant-share-routed
+    /// nodes with failover through a crash.
+    fn bursty_run(threads: usize) -> (Vec<NodeResult>, Windows) {
+        let cat = catalogue();
+        let spec = WorkloadSpec {
+            arrival: ArrivalSpec::Mmpp {
+                rate_on: 800.0,
+                rate_off: 2.0,
+                mean_on_secs: 0.5,
+                mean_off_secs: 10.0,
+            },
+            mix: MixSpec::Zipf { s: 1.1 },
+            weights: WeightSpec::paper_tiers_mem(),
+            window: SimDuration::from_secs(30),
+        };
+        let mut burst = ShardedGenerator::new(&spec, &cat, SimTime::ZERO, 17).generate_serial();
+        burst.sort_by_key(|c| (c.release, c.id));
+        let mut faults = FaultSpec::crash_restart(3, SimTime::ZERO, spec.window);
+        faults.transient_failure = 0.05;
+        let node = NodeConfig::paper(10).with_mem_bandwidth(8.0);
+        let cfg =
+            ClusterConfig::independent(4, node, LoadBalancer::JoinShortestDominant { seed: 5 })
+                .coupled(SimDuration::from_millis(250), true);
+        let weights = spec.weights.table(&cat);
+        let mode = NodeMode::Baseline;
+        let nodes = new_nodes(&cat, &mode, &cfg, &weights, &faults, 9, &[]);
+        let routing = Routing::of(cfg.lb);
+        coupled_engine(nodes, &cfg, burst.into_iter(), routing, 8192, threads)
+    }
+
+    #[test]
+    fn mixed_inline_and_fanned_out_windows_are_thread_count_invariant() {
+        // One run steps some windows inline and fans others out; where a
+        // window ran must not show in any node's result.
+        let (serial, one) = bursty_run(1);
+        assert_eq!(one.fanned_out, 0, "one thread never fans out");
+        assert!(serial.iter().map(|r| r.fault_stats.failovers).sum::<u64>() > 0);
+        for threads in [2, 3, 4, 8] {
+            let (parallel, tally) = bursty_run(threads);
+            let what = format!("{threads} threads, {tally:?}");
+            assert!(tally.inline > 0 && tally.fanned_out > 0, "{what}");
+            assert_eq!(tally.inline + tally.fanned_out, one.inline, "{what}");
+            assert_eq!(parallel.len(), serial.len());
+            for (a, b) in parallel.iter().zip(&serial) {
+                same(a, b, &what);
+            }
+        }
     }
 
     #[test]

@@ -163,14 +163,8 @@ pub fn run_cluster(
     let nodes = new_nodes(catalogue, mode, cfg, &weights, &faults, seed, &warmup);
     let arrivals = scenario.burst.iter().copied();
     let threads = rayon::current_num_threads();
-    NodeResult::merge(coupled_engine(
-        nodes,
-        cfg,
-        arrivals,
-        routing,
-        usize::MAX,
-        threads,
-    ))
+    let (results, _) = coupled_engine(nodes, cfg, arrivals, routing, usize::MAX, threads);
+    NodeResult::merge(results)
 }
 
 #[cfg(test)]

@@ -145,7 +145,7 @@ pub(crate) fn spec_nodes(
     let warmup = warmup_calls_for_waves(&waves, cfg.node.cores, generator.len());
     let nodes = new_nodes(catalogue, mode, cfg, &weights, faults, sim_seed, &warmup);
     let routing = Routing::of(cfg.lb);
-    coupled_engine(nodes, cfg, burst.into_iter(), routing, chunk, threads)
+    coupled_engine(nodes, cfg, burst.into_iter(), routing, chunk, threads).0
 }
 
 /// A chunked read-ahead cursor over a trace: at most `chunk` calls
@@ -196,7 +196,7 @@ pub(crate) fn trace_nodes(
         peak_resident: 0,
     };
     let routing = Routing::of(cfg.lb);
-    let mut results = coupled_engine(nodes, cfg, &mut cursor, routing, chunk, threads);
+    let (mut results, _) = coupled_engine(nodes, cfg, &mut cursor, routing, chunk, threads);
     results[0].peak_resident_calls = cursor.peak_resident;
     results
 }

@@ -33,6 +33,20 @@ fn arrival_strategy() -> impl Strategy<Value = ArrivalSpec> {
     ]
 }
 
+/// [`arrival_strategy`]'s shapes plus a uniform burst above the
+/// generator's serial floor (2^16 calls), which the parallel path splits
+/// into chunks.
+fn sharded_arrival_strategy() -> impl Strategy<Value = ArrivalSpec> {
+    prop_oneof![
+        arrival_strategy(),
+        arrival_strategy(),
+        arrival_strategy(),
+        (1usize..4096).prop_map(|extra| ArrivalSpec::Uniform {
+            count: (1 << 16) + extra
+        }),
+    ]
+}
+
 fn mix_strategy() -> impl Strategy<Value = MixSpec> {
     prop_oneof![
         Just(MixSpec::Equal),
@@ -72,11 +86,12 @@ proptest! {
     }
 
     /// Sharded generation is pure: parallel chunking and per-node strides
-    /// reproduce the serial output exactly, for every arrival × mix.
+    /// reproduce the serial output exactly, for every arrival × mix and
+    /// for bursts large enough that the parallel path splits them.
     #[test]
     fn sharded_equals_unsharded(
         seed in any::<u64>(),
-        arrival in arrival_strategy(),
+        arrival in sharded_arrival_strategy(),
         mix in mix_strategy(),
         nodes in 1u64..12,
     ) {
