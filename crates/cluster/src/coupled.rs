@@ -45,6 +45,9 @@
 //! workers.
 //!
 //! [`NodeProgress`]: faas_invoker::NodeProgress
+//! [`SimDuration::MAX`]: faas_simcore::time::SimDuration::MAX
+//! [`Lookahead::failover`]: crate::sim::Lookahead::failover
+//! [`ClusterConfig::coupled`]: crate::ClusterConfig::coupled
 //!
 //! # The ingestion cap
 //!
@@ -58,13 +61,13 @@
 //! would put it first; only an exact nanosecond tie between an arrival and
 //! another event can tell the two apart. Service and cold-start times are
 //! continuous draws, so for a static policy the outcomes are the same for
-//! every `chunk` — the pinned digests and the chunk-invariance tests hold
-//! it — and only `peak_events` sees the shorter event queues.
+//! every `chunk` — the pinned digests and the configuration-space property
+//! hold it — and only `peak_events` sees the shorter event queues.
 //!
 //! # Node workers
 //!
-//! The engine reads the pool size once and splits the nodes into that many
-//! contiguous chunks (at most one per node). The controller thread owns
+//! The engine splits the nodes into as many contiguous chunks as the run
+//! has threads (at most one per node). The controller thread owns
 //! chunk 0; every other chunk sits in a worker slot behind a lock that is
 //! never contended. Each window the controller decides where the window
 //! runs, from counts alone: a window that delivers at least `FAN_OUT`
@@ -99,55 +102,30 @@
 //!
 //! # Cross-node failover
 //!
-//! With [`ClusterConfig::failover`] on, a failed attempt with retries left
+//! With [`Lookahead::failover`] on, a failed attempt with retries left
 //! leaves its node as a [`Handoff`] instead of backing off locally. The
 //! engine collects outboxes at each barrier and re-injects every due
 //! handoff on the least-loaded healthy node (lowest index on ties,
 //! preferring nodes other than the one that failed), no earlier than the
 //! barrier at which it was collected — failover cannot run ahead of the
-//! window protocol, which is why it requires a finite lookahead. The
+//! window protocol, which is why only a finite lookahead can carry it
+//! ([`ClusterConfig::coupled`] refuses anything else). The
 //! attempt counter carries across nodes: a policy of `n` attempts spends
 //! `n` attempts cluster-wide.
 
 use crate::lb::{hash_rotation, FeedbackRouter, LoadBalancer, NodeView};
-use crate::sim::{node_seeds, ClusterConfig};
-use faas_invoker::{Handoff, NodeMode, NodeResult, NodeSim};
-use faas_simcore::time::{SimDuration, SimTime};
-use faas_workload::faults::FaultSpec;
-use faas_workload::sebs::{Catalogue, FuncId};
+use crate::trace_run::Run;
+use faas_invoker::{Handoff, NodeResult, NodeSim};
+use faas_simcore::time::SimTime;
+use faas_workload::sebs::FuncId;
 use faas_workload::trace::Call;
-use faas_workload::weight::WeightTable;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-/// Build the cluster's nodes, each warmed with `warmup`.
-pub(crate) fn new_nodes<'a>(
-    catalogue: &'a Catalogue,
-    mode: &NodeMode,
-    cfg: &'a ClusterConfig,
-    weights: &'a WeightTable,
-    faults: &'a FaultSpec,
-    sim_seed: u64,
-    warmup: &[Call],
-) -> Vec<NodeSim<'a>> {
-    let (node_cfg, failover) = (&cfg.node, cfg.failover);
-    let build = |(node, seed): (u16, u64)| {
-        let mut sim = NodeSim::new(
-            catalogue, mode, node_cfg, weights, faults, seed, node, failover,
-        );
-        sim.inject(warmup);
-        sim
-    };
-    let seeds = node_seeds(sim_seed, cfg.nodes);
-    seeds.into_iter().map(build).collect()
-}
-
 /// How the window loop routes each arrival.
-pub(crate) enum Routing {
-    /// A precomputed assignment, one node per arrival in order.
-    Fixed(std::vec::IntoIter<u16>),
+enum Routing {
     /// Round-robin over generation indices: the call's id strides the
     /// nodes ([`Call::stride_node`]).
     Stride,
@@ -161,7 +139,7 @@ pub(crate) enum Routing {
 impl Routing {
     /// The routing `lb` applies to arrivals whose ids are their
     /// generation (or trace) indices.
-    pub(crate) fn of(lb: LoadBalancer) -> Routing {
+    fn of(lb: LoadBalancer) -> Routing {
         match lb {
             LoadBalancer::RoundRobin => Routing::Stride,
             LoadBalancer::FunctionHash => Routing::Hash(BTreeMap::new()),
@@ -172,7 +150,6 @@ impl Routing {
     fn route(&mut self, call: &Call, views: &[NodeView]) -> usize {
         let nodes = views.len() as u16;
         (match self {
-            Routing::Fixed(assignment) => assignment.next().expect("one node per call"),
             Routing::Stride => call.stride_node(nodes),
             Routing::Hash(counters) => hash_rotation(counters, call.func, nodes),
             Routing::Feedback(router) => router.route(views),
@@ -371,27 +348,20 @@ fn just_before(t: SimTime) -> SimTime {
     SimTime::from_nanos(t.as_nanos().saturating_sub(1))
 }
 
-/// The one window loop behind every entry point. Arrivals must come in
-/// `(release, id)` order; a window routes at most `chunk` of them;
-/// `threads` is clamped to `[1, nodes]`. Returns each node's result and
-/// the run's window tally.
+/// The one window loop behind every entry point: `run`'s nodes, routed
+/// by its balancer through windows of its lookahead. Arrivals must come in
+/// `(release, id)` order; a window routes at most `run.chunk` of them;
+/// `run.threads` is clamped to `[1, nodes]`. Returns each node's result
+/// and the run's window tally.
 pub(crate) fn coupled_engine(
     mut nodes: Vec<NodeSim>,
-    cfg: &ClusterConfig,
     arrivals: impl Iterator<Item = Call>,
-    mut routing: Routing,
-    chunk: usize,
-    threads: usize,
+    run: &Run,
 ) -> (Vec<NodeResult>, Windows) {
-    assert!(cfg.nodes > 0, "cluster needs at least one node");
-    assert!(chunk > 0, "ingestion window must hold at least one call");
-    assert!(
-        !cfg.failover || cfg.lookahead < SimDuration::MAX,
-        "failover handoffs are delivered at window barriers: a finite \
-         lookahead is required"
-    );
+    let (lookahead, chunk) = (run.cfg.lookahead.width(), run.chunk);
+    let mut routing = Routing::of(run.cfg.lb);
     let mut arrivals = arrivals.peekable();
-    let threads = threads.clamp(1, nodes.len());
+    let threads = run.threads.clamp(1, nodes.len());
     // Slot k holds nodes[bounds[k]..bounds[k + 1]]; slot 0 is the
     // controller's own and is never handed to a worker.
     let bounds: Vec<usize> = (0..=threads).map(|k| k * nodes.len() / threads).collect();
@@ -433,7 +403,7 @@ pub(crate) fn coupled_engine(
                 let Some(t) = t.chain(pending.front().map(|h| h.due)).min() else {
                     break;
                 };
-                let mut horizon = t + cfg.lookahead; // saturates at SimTime::MAX
+                let mut horizon = t + lookahead; // saturates at SimTime::MAX
 
                 // 1. Route this window's arrivals, at most `chunk`. Batches
                 // stay (release, id)-sorted because arrivals come in that
@@ -535,105 +505,58 @@ pub(crate) fn coupled_engine(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace_run::{spec_nodes, trace_nodes};
+    use crate::sim::{ClusterConfig, ClusterScenario};
+    use crate::trace_run::Arrivals;
     use faas_core::{Policy, SchedulerConfig};
-    use faas_invoker::NodeConfig;
+    use faas_invoker::{NodeConfig, NodeMode};
+    use faas_simcore::time::SimDuration;
     use faas_workload::arrival::ArrivalSpec;
-    use faas_workload::faults::CapacityRamp;
+    use faas_workload::faults::{CapacityRamp, FaultSpec};
     use faas_workload::generate::{ShardedGenerator, WorkloadSpec};
     use faas_workload::mix::MixSpec;
-    use faas_workload::scenario::warmup_waves as warmup_waves_for;
-    use faas_workload::weight::WeightSpec;
+    use faas_workload::scenario::warmup_waves;
+    use faas_workload::sebs::Catalogue;
+    use faas_workload::synth::{SynthSpec, SyntheticTrace};
+    use faas_workload::trace_source::{TraceSource, TraceSpec, WorkloadSource};
+    use faas_workload::weight::{WeightSpec, WeightTable};
+    use proptest::prelude::*;
 
     fn catalogue() -> Catalogue {
         Catalogue::sebs()
     }
 
-    fn streamed_spec(count: usize) -> WorkloadSpec {
-        WorkloadSpec {
+    fn fair_choice() -> NodeMode {
+        NodeMode::Scheduled(SchedulerConfig::paper(Policy::FairChoice))
+    }
+
+    /// A `count`-call uniform spec run on two workers, every burst in one
+    /// ingestion chunk.
+    fn run(
+        count: usize,
+        mode: &NodeMode,
+        cfg: &ClusterConfig,
+        faults: &FaultSpec,
+        (scenario_seed, sim_seed): (u64, u64),
+    ) -> NodeResult {
+        let cat = catalogue();
+        let source = WorkloadSource::Spec(WorkloadSpec {
             arrival: ArrivalSpec::Uniform { count },
             mix: MixSpec::Equal,
             weights: WeightSpec::Uniform,
             window: SimDuration::from_secs(60),
-        }
-    }
-
-    /// A spec run on two workers, every burst in one ingestion chunk.
-    fn run(
-        cat: &Catalogue,
-        spec: &WorkloadSpec,
-        mode: &NodeMode,
-        cfg: &ClusterConfig,
-        faults: &FaultSpec,
-        seeds: (u64, u64),
-    ) -> NodeResult {
-        NodeResult::merge(spec_nodes(cat, spec, mode, cfg, faults, seeds, 8192, 2))
+        });
+        let run = Run {
+            threads: 2,
+            ..Run::new(&cat, mode, cfg, faults, sim_seed, 8192)
+        };
+        let results = run.source(&source, scenario_seed);
+        NodeResult::merge(results.expect("spec sources cannot fail"))
     }
 
     fn crash_faults(seed: u64) -> FaultSpec {
-        let (_, burst_start) = warmup_waves_for(&catalogue());
+        let (_, burst_start) = warmup_waves(&catalogue());
         let mut faults = FaultSpec::crash_restart(seed, burst_start, SimDuration::from_secs(60));
         faults.transient_failure = 0.05;
-        faults
-    }
-
-    #[test]
-    fn finite_windows_conserve_calls_and_rerun_bit_identically() {
-        let cat = catalogue();
-        let spec = streamed_spec(264);
-        let cfg = ClusterConfig::independent(3, NodeConfig::paper(10), LoadBalancer::RoundRobin)
-            .coupled(SimDuration::from_millis(250), false);
-        let mode = NodeMode::Scheduled(SchedulerConfig::paper(Policy::FairChoice));
-        let r = run(&cat, &spec, &mode, &cfg, &FaultSpec::none(), (5, 6));
-        assert_eq!(
-            r.outcomes.iter().filter(|o| o.is_measured()).count(),
-            264,
-            "windowing must not lose calls"
-        );
-        let again = run(&cat, &spec, &mode, &cfg, &FaultSpec::none(), (5, 6));
-        assert_eq!(r.outcomes, again.outcomes);
-        assert_eq!(r.peak_events, again.peak_events);
-    }
-
-    #[test]
-    fn coupled_runs_are_thread_count_invariant() {
-        // The whole point of the conservative protocol: the schedule is a
-        // pure function of (seed, lookahead), however many worker threads
-        // advance the nodes.
-        let cat = catalogue();
-        let spec = streamed_spec(132);
-        let cfg = ClusterConfig::independent(
-            4,
-            NodeConfig::paper(10),
-            LoadBalancer::JoinShortestQueue { seed: 7 },
-        )
-        .coupled(SimDuration::from_millis(500), true);
-        let faults = crash_faults(41);
-        let mode = NodeMode::Scheduled(SchedulerConfig::paper(Policy::FairChoice));
-        let run = |threads| spec_nodes(&cat, &spec, &mode, &cfg, &faults, (7, 8), 8192, threads);
-        let serial = NodeResult::merge(run(1));
-        let parallel = NodeResult::merge(run(4));
-        assert_eq!(parallel.outcomes, serial.outcomes);
-        assert_eq!(parallel.drops, serial.drops);
-        assert_eq!(parallel.fault_stats, serial.fault_stats);
-        assert_eq!(parallel.peak_events, serial.peak_events);
-    }
-
-    /// The benchmark's faulted-cluster shape on `nodes` nodes: a crash on
-    /// node 0, a capacity ramp on the last node, transient failures.
-    fn ramp_and_crash_faults(nodes: u16) -> FaultSpec {
-        let (_, burst_start) = warmup_waves_for(&catalogue());
-        let mut faults = crash_faults(43);
-        faults.capacity.push(CapacityRamp {
-            node: Some(nodes - 1),
-            start: burst_start + SimDuration::from_secs(10),
-            floor: 0.5,
-            steps_down: 2,
-            step_every: SimDuration::from_secs(2),
-            hold: SimDuration::from_secs(10),
-            steps_up: 3,
-        });
-        faults.validate();
         faults
     }
 
@@ -645,43 +568,154 @@ mod tests {
         assert_eq!(a.peak_events, b.peak_events, "{what}");
         assert_eq!(a.served_cpu_secs, b.served_cpu_secs, "{what}");
         assert_eq!(a.served_mem_units, b.served_mem_units, "{what}");
+        assert_eq!(a.peak_resident_calls, b.peak_resident_calls, "{what}");
     }
 
-    #[test]
-    fn uneven_partitions_are_thread_count_invariant() {
-        // Every split of nodes over workers — more workers than nodes,
-        // chunks of unequal size — reproduces the one-thread run exactly,
-        // on both the spec and the trace arrival cursors.
-        use faas_workload::synth::{SynthSpec, SyntheticTrace};
-        let cat = catalogue();
-        let mut spec = streamed_spec(198);
-        spec.weights = WeightSpec::paper_tiers_mem();
-        let trace = SyntheticTrace::new(
-            &SynthSpec::azure(4.0, SimDuration::from_secs(60)),
-            &cat,
-            SimTime::ZERO,
-            3,
-        );
-        let mode = NodeMode::Baseline;
-        for nodes in [1u16, 2, 3, 5] {
-            let cfg = ClusterConfig::independent(
-                nodes,
-                NodeConfig::paper(10).with_mem_bandwidth(8.0),
-                LoadBalancer::JoinShortestDominant { seed: 5 },
-            )
-            .coupled(SimDuration::from_millis(250), true);
-            let faults = ramp_and_crash_faults(nodes);
-            let spec_run = |t| spec_nodes(&cat, &spec, &mode, &cfg, &faults, (5, 6), 8192, t);
-            let trace_run = |t| trace_nodes(&cat, &trace, &mode, &cfg, &faults, 6, 32, t);
-            let (spec_serial, trace_serial) = (spec_run(1), trace_run(1));
-            assert_eq!(spec_serial.len(), nodes as usize);
-            for threads in [2, 3, 4, 8] {
-                for (a, b) in spec_run(threads).iter().zip(&spec_serial) {
-                    same(a, b, &format!("spec, {nodes} nodes, {threads} threads"));
+    /// The span of the property's workloads; its faults fire inside it.
+    const SPAN: SimDuration = SimDuration::from_secs(30);
+
+    /// The benchmark's faulted-cluster shape on `nodes` nodes, for a
+    /// workload starting at `start`: a crash on node 0, a capacity ramp on
+    /// the last node, transient failures.
+    fn ramp_and_crash_faults(nodes: u16, start: SimTime) -> FaultSpec {
+        let mut faults = FaultSpec::crash_restart(43, start, SPAN);
+        faults.transient_failure = 0.05;
+        faults.capacity.push(CapacityRamp {
+            node: Some(nodes - 1),
+            start: start + SimDuration::from_secs(10),
+            floor: 0.5,
+            steps_down: 2,
+            step_every: SimDuration::from_secs(2),
+            hold: SimDuration::from_secs(10),
+            steps_up: 3,
+        });
+        faults.validate();
+        faults
+    }
+
+    proptest! {
+        // Each case runs a few hundred calls through up to four cluster
+        // runs; keep the case count in the tens.
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Over the configuration space — node mode, all six balancers,
+        /// 1–5 nodes, unbounded or finite lookahead, no faults or a crash
+        /// with transient failures and a capacity ramp, failover on a
+        /// finite lookahead with faults, uniform or memory-tiered weights, a spec or a synthetic
+        /// trace, 1–8 threads and a chunk of 1–256:
+        ///
+        /// * every issued call is measured or dropped exactly once;
+        /// * a rerun, and the run on one thread, reproduce every node's
+        ///   result;
+        /// * a trace's cursor holds at most one chunk, a spec's none;
+        /// * a static balancer without failover gives the same outcomes at
+        ///   any chunk and lookahead as with the whole workload in one
+        ///   unbounded window, and round-robin keeps every call on its id
+        ///   stride.
+        #[test]
+        fn coupled_runs_conserve_calls_and_are_thread_chunk_and_window_invariant(
+            seed in any::<u64>(),
+            scheduled in any::<bool>(),
+            balancer in 0usize..6,
+            nodes in 1u16..6,
+            window_ms in prop_oneof![Just(None), (10u64..1000).prop_map(Some)],
+            failover in any::<bool>(),
+            faulty in any::<bool>(),
+            tiered in any::<bool>(),
+            trace in any::<bool>(),
+            rate in 2.0f64..10.0,
+            threads in 1usize..9,
+            chunk in prop_oneof![1usize..8, 8usize..257]
+        ) {
+            let cat = catalogue();
+            let lb = [
+                LoadBalancer::RoundRobin,
+                LoadBalancer::FunctionHash,
+                LoadBalancer::JoinShortestQueue { seed },
+                LoadBalancer::PowerOfTwoChoices { seed },
+                LoadBalancer::JoinShortestDominant { seed },
+                LoadBalancer::PowerOfTwoDominant { seed },
+            ][balancer];
+            let mut node = NodeConfig::paper(10);
+            if tiered {
+                node = node.with_mem_bandwidth(8.0);
+            }
+            let independent = ClusterConfig::independent(nodes, node, lb);
+            // Failover needs a finite window and a fault plan.
+            let failover = failover && faulty && window_ms.is_some();
+            let cfg = match window_ms {
+                Some(ms) => independent.coupled(SimDuration::from_millis(ms), failover),
+                None => independent,
+            };
+            let mode = if scheduled { fair_choice() } else { NodeMode::Baseline };
+            let (source, start, issued) = if trace {
+                let synth = SynthSpec::azure(rate, SPAN);
+                let issued = SyntheticTrace::new(&synth, &cat, SimTime::ZERO, seed).len();
+                (WorkloadSource::Trace(TraceSpec::Synthetic(synth)), SimTime::ZERO, issued)
+            } else {
+                let weights = if tiered {
+                    WeightSpec::paper_tiers_mem()
+                } else {
+                    WeightSpec::Uniform
+                };
+                let spec = WorkloadSpec {
+                    arrival: ArrivalSpec::Poisson { rate },
+                    mix: MixSpec::Zipf { s: 1.1 },
+                    weights,
+                    window: SPAN,
+                };
+                let (_, start) = warmup_waves(&cat);
+                let issued = ShardedGenerator::new(&spec, &cat, start, seed).len();
+                (WorkloadSource::Spec(spec), start, issued)
+            };
+            let faults = if faulty {
+                ramp_and_crash_faults(nodes, start)
+            } else {
+                FaultSpec::none()
+            };
+            let run = |threads, chunk, cfg: &ClusterConfig| {
+                let run = Run { threads, ..Run::new(&cat, &mode, cfg, &faults, !seed, chunk) };
+                run.source(&source, seed).expect("synthetic sources cannot fail")
+            };
+            let results = run(threads, chunk, &cfg);
+            prop_assert_eq!(results.len(), nodes as usize);
+
+            let mut ids: Vec<u64> = results
+                .iter()
+                .flat_map(|r| {
+                    let dropped = r.drops.iter().map(|d| d.id.0).filter(|&id| id < issued);
+                    r.measured().map(|o| o.id.0).chain(dropped)
+                })
+                .collect();
+            ids.sort_unstable();
+            prop_assert_eq!(ids, (0..issued).collect::<Vec<u64>>(), "each call once");
+            let crashes: u64 = results.iter().map(|r| r.fault_stats.crashes).sum();
+            prop_assert_eq!(crashes, faulty as u64);
+            let resident = results[0].peak_resident_calls;
+            if trace {
+                prop_assert!(resident <= chunk as u64 && (resident > 0) == (issued > 0));
+            } else {
+                prop_assert_eq!(resident, 0, "a spec is materialized");
+            }
+
+            for (what, threads) in [("rerun", threads), ("one thread", 1)] {
+                for (a, b) in run(threads, chunk, &cfg).iter().zip(&results) {
+                    same(a, b, what);
                 }
-                let what = format!("trace, {nodes} nodes, {threads} threads");
-                for (a, b) in trace_run(threads).iter().zip(&trace_serial) {
-                    same(a, b, &what);
+            }
+
+            if !lb.is_feedback() && !failover {
+                let whole = run(threads, usize::MAX, &independent);
+                for (a, b) in results.iter().zip(&whole) {
+                    prop_assert_eq!(&a.outcomes, &b.outcomes, "chunk and lookahead");
+                    prop_assert_eq!(&a.drops, &b.drops, "chunk and lookahead");
+                }
+                if lb == LoadBalancer::RoundRobin {
+                    let on_stride = results
+                        .iter()
+                        .flat_map(|r| r.measured())
+                        .all(|o| o.node as u64 == o.id.0 % nodes as u64);
+                    prop_assert!(on_stride, "round-robin strides the ids");
                 }
             }
         }
@@ -694,11 +728,11 @@ mod tests {
         // passed the release. Its window also delivers `FAN_OUT - 1` calls
         // to node 2, so it fans out and node 1 panics on the worker that
         // owns nodes 1 and 2; the run must end with that panic instead of
-        // spinning.
+        // spinning. Round-robin strides the ids, so ids 1 and 4 land on
+        // node 1 and ids 2, 5, 8, ... on node 2.
         use faas_workload::sebs::FuncId;
         use faas_workload::trace::{CallId, CallKind};
         let cat = catalogue();
-        let (weights, faults) = (WeightTable::uniform(cat.len()), FaultSpec::none());
         let cfg = ClusterConfig::independent(3, NodeConfig::paper(10), LoadBalancer::RoundRobin)
             .coupled(SimDuration::from_millis(250), false);
         let call = |id, secs| Call {
@@ -707,15 +741,25 @@ mod tests {
             release: SimTime::from_secs(secs),
             kind: CallKind::Measured,
         };
-        let late = FAN_OUT as u64;
-        let mut arrivals = vec![call(0, 10)];
-        arrivals.extend((1..late).map(|id| call(id, 20)));
-        arrivals.push(call(late, 1));
-        let nodes = new_nodes(&cat, &NodeMode::Baseline, &cfg, &weights, &faults, 1, &[]);
-        let mut assignment = vec![2; arrivals.len()];
-        (assignment[0], assignment[late as usize]) = (1, 1);
-        let routing = Routing::Fixed(assignment.into_iter());
-        coupled_engine(nodes, &cfg, arrivals.into_iter(), routing, usize::MAX, 2);
+        let mut burst = vec![call(1, 10)];
+        burst.extend((0..FAN_OUT as u64 - 1).map(|k| call(2 + 3 * k, 20)));
+        burst.push(call(4, 1));
+        let scenario = ClusterScenario {
+            burst,
+            burst_start: SimTime::ZERO,
+            burst_window: SimDuration::from_secs(20),
+            warmup_waves: Vec::new(),
+        };
+        let (mode, weights, faults) = (
+            NodeMode::Baseline,
+            WeightTable::uniform(cat.len()),
+            FaultSpec::none(),
+        );
+        let run = Run {
+            threads: 2,
+            ..Run::new(&cat, &mode, &cfg, &faults, 1, usize::MAX)
+        };
+        run.execute(Arrivals::Burst(&scenario, &weights));
     }
 
     /// Each node's result and the run's window tally for on-off bursts
@@ -737,17 +781,24 @@ mod tests {
         };
         let mut burst = ShardedGenerator::new(&spec, &cat, SimTime::ZERO, 17).generate_serial();
         burst.sort_by_key(|c| (c.release, c.id));
+        let scenario = ClusterScenario {
+            burst,
+            burst_start: SimTime::ZERO,
+            burst_window: spec.window,
+            warmup_waves: Vec::new(),
+        };
         let mut faults = FaultSpec::crash_restart(3, SimTime::ZERO, spec.window);
         faults.transient_failure = 0.05;
         let node = NodeConfig::paper(10).with_mem_bandwidth(8.0);
         let cfg =
             ClusterConfig::independent(4, node, LoadBalancer::JoinShortestDominant { seed: 5 })
                 .coupled(SimDuration::from_millis(250), true);
-        let weights = spec.weights.table(&cat);
-        let mode = NodeMode::Baseline;
-        let nodes = new_nodes(&cat, &mode, &cfg, &weights, &faults, 9, &[]);
-        let routing = Routing::of(cfg.lb);
-        coupled_engine(nodes, &cfg, burst.into_iter(), routing, 8192, threads)
+        let (mode, weights) = (NodeMode::Baseline, spec.weights.table(&cat));
+        let run = Run {
+            threads,
+            ..Run::new(&cat, &mode, &cfg, &faults, 9, 8192)
+        };
+        run.execute(Arrivals::Burst(&scenario, &weights))
     }
 
     #[test]
@@ -770,26 +821,25 @@ mod tests {
     }
 
     #[test]
-    fn feedback_policies_route_every_call_and_differ_from_round_robin() {
-        let cat = catalogue();
-        let spec = streamed_spec(264);
-        let mode = NodeMode::Scheduled(SchedulerConfig::paper(Policy::FairChoice));
+    fn feedback_policies_spread_the_load_and_differ_from_round_robin() {
+        // On memory-bandwidth nodes every policy, backlog- or
+        // dominant-share-keyed, has every node serve traffic; JSQ routes
+        // differently from round-robin, and its global minimum differently
+        // from two probes.
+        let mode = fair_choice();
+        let node = NodeConfig::paper(10).with_mem_bandwidth(4.0);
         let run = |lb: LoadBalancer| {
-            let cfg = ClusterConfig::independent(3, NodeConfig::paper(10), lb)
+            let cfg = ClusterConfig::independent(3, node, lb)
                 .coupled(SimDuration::from_millis(500), false);
-            run(&cat, &spec, &mode, &cfg, &FaultSpec::none(), (9, 10))
+            run(264, &mode, &cfg, &FaultSpec::none(), (9, 10))
         };
         let rr = run(LoadBalancer::RoundRobin);
         let jsq = run(LoadBalancer::JoinShortestQueue { seed: 1 });
         let p2c = run(LoadBalancer::PowerOfTwoChoices { seed: 1 });
-        for r in [&rr, &jsq, &p2c] {
-            let measured: Vec<_> = r.outcomes.iter().filter(|o| o.is_measured()).collect();
-            assert_eq!(measured.len(), 264);
-            let mut ids: Vec<u64> = measured.iter().map(|o| o.id.0).collect();
-            ids.sort_unstable();
-            ids.dedup();
-            assert_eq!(ids.len(), 264, "each call served exactly once");
-            let nodes: std::collections::BTreeSet<u16> = measured.iter().map(|o| o.node).collect();
+        let jsd = run(LoadBalancer::JoinShortestDominant { seed: 1 });
+        let p2d = run(LoadBalancer::PowerOfTwoDominant { seed: 1 });
+        for r in [&rr, &jsq, &p2c, &jsd, &p2d] {
+            let nodes: std::collections::BTreeSet<u16> = r.measured().map(|o| o.node).collect();
             assert_eq!(nodes.len(), 3, "every node serves traffic");
         }
         assert_ne!(rr.outcomes, jsq.outcomes, "JSQ must route differently");
@@ -800,53 +850,15 @@ mod tests {
     }
 
     #[test]
-    fn dominant_share_policies_route_every_call_and_rerun_identically() {
-        // The dominant-share feedback policies run the same window
-        // protocol: every call resolves exactly once, every node serves
-        // traffic, and reruns are bit-identical. With a memory-bandwidth
-        // axis modeled the dominant signal carries real information (some
-        // functions are bandwidth-heavy), so the routing may legitimately
-        // differ from plain JSQ's.
-        let cat = catalogue();
-        let spec = streamed_spec(264);
-        let mode = NodeMode::Scheduled(SchedulerConfig::paper(Policy::FairChoice));
-        let node = NodeConfig::paper(10).with_mem_bandwidth(4.0);
-        let run = |lb: LoadBalancer| {
-            let cfg = ClusterConfig::independent(3, node, lb)
-                .coupled(SimDuration::from_millis(500), false);
-            run(&cat, &spec, &mode, &cfg, &FaultSpec::none(), (9, 10))
-        };
-        for lb in [
-            LoadBalancer::JoinShortestDominant { seed: 1 },
-            LoadBalancer::PowerOfTwoDominant { seed: 1 },
-        ] {
-            let r = run(lb);
-            let measured: Vec<_> = r.outcomes.iter().filter(|o| o.is_measured()).collect();
-            assert_eq!(measured.len(), 264, "{lb:?}");
-            let mut ids: Vec<u64> = measured.iter().map(|o| o.id.0).collect();
-            ids.sort_unstable();
-            ids.dedup();
-            assert_eq!(ids.len(), 264, "{lb:?}: each call served exactly once");
-            let nodes: std::collections::BTreeSet<u16> = measured.iter().map(|o| o.node).collect();
-            assert_eq!(nodes.len(), 3, "{lb:?}: every node serves traffic");
-            let again = run(lb);
-            assert_eq!(r.outcomes, again.outcomes, "{lb:?} rerun");
-        }
-    }
-
-    #[test]
     fn failover_moves_retries_across_nodes_and_conserves_calls() {
-        // Crash node 0 mid-burst with a strict no-local-timeout policy:
-        // killed attempts must resume on the surviving nodes, and every
-        // call still resolves exactly once cluster-wide.
-        let cat = catalogue();
-        let spec = streamed_spec(660);
+        // Crash node 0 mid-burst: killed attempts must resume on the
+        // surviving nodes, and every call still resolves exactly once
+        // cluster-wide.
         let faults = crash_faults(21);
         let cfg = ClusterConfig::independent(3, NodeConfig::paper(10), LoadBalancer::RoundRobin)
             .coupled(SimDuration::from_millis(500), true);
-        let mode = NodeMode::Scheduled(SchedulerConfig::paper(Policy::FairChoice));
-        let r = run(&cat, &spec, &mode, &cfg, &faults, (21, 22));
-        let measured = r.outcomes.iter().filter(|o| o.is_measured()).count();
+        let r = run(660, &fair_choice(), &cfg, &faults, (21, 22));
+        let measured = r.measured().count();
         let measured_drops = r.drops.iter().filter(|d| d.id.0 < 660).count();
         assert_eq!(measured + measured_drops, 660, "cluster call conservation");
         assert!(r.fault_stats.failovers > 0, "crash kills must hand off");
@@ -854,59 +866,16 @@ mod tests {
         // A failed-over retry lands on a healthy node: node 0 crashed, so
         // some calls released to node 0's shard complete elsewhere.
         let moved = r
-            .outcomes
-            .iter()
-            .filter(|o| o.is_measured() && o.id.0 % 3 == 0 && o.node != 0)
+            .measured()
+            .filter(|o| o.id.0 % 3 == 0 && o.node != 0)
             .count();
         assert!(moved > 0, "some node-0 calls must finish on other nodes");
-        let again = run(&cat, &spec, &mode, &cfg, &faults, (21, 22));
-        assert_eq!(r.outcomes, again.outcomes);
-        assert_eq!(r.fault_stats, again.fault_stats);
     }
 
     #[test]
-    #[should_panic(expected = "finite")]
+    #[should_panic(expected = "failover needs a finite lookahead")]
     fn failover_requires_a_finite_lookahead() {
-        let cat = catalogue();
-        let faults = crash_faults(5);
-        let cfg = ClusterConfig::independent(2, NodeConfig::paper(10), LoadBalancer::RoundRobin)
-            .coupled(SimDuration::MAX, true);
-        run(
-            &cat,
-            &streamed_spec(22),
-            &NodeMode::Baseline,
-            &cfg,
-            &faults,
-            (1, 2),
-        );
-    }
-
-    #[test]
-    fn narrower_windows_only_change_feedback_schedules() {
-        // With a static policy the routing is window-invariant, so any
-        // lookahead yields the same assignment (the service schedule may
-        // shift only through handoff timing — disabled here). Sanity: the
-        // call-to-node mapping is identical across window widths.
-        let cat = catalogue();
-        let spec = streamed_spec(132);
-        let mode = NodeMode::Baseline;
-        let node_of = |lookahead: SimDuration| {
-            let cfg =
-                ClusterConfig::independent(3, NodeConfig::paper(10), LoadBalancer::RoundRobin)
-                    .coupled(lookahead, false);
-            let r = run(&cat, &spec, &mode, &cfg, &FaultSpec::none(), (3, 4));
-            let mut v: Vec<(u64, u16)> = r
-                .outcomes
-                .iter()
-                .filter(|o| o.is_measured())
-                .map(|o| (o.id.0, o.node))
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(
-            node_of(SimDuration::from_millis(100)),
-            node_of(SimDuration::MAX)
-        );
+        let cfg = ClusterConfig::independent(2, NodeConfig::paper(10), LoadBalancer::RoundRobin);
+        let _ = cfg.coupled(SimDuration::MAX, true);
     }
 }

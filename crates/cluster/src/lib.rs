@@ -15,7 +15,9 @@
 //! and routes at most one ingestion chunk per window (see the [`coupled`]
 //! module docs for the protocol and its determinism argument).
 //!
-//! Four entry points feed it:
+//! Every run takes one crate-private path ([`trace_run`]) that builds the
+//! nodes, their warm-up and weights, reads the worker-thread count and
+//! hands the arrivals to that loop. Three thin entry points feed it:
 //!
 //! * [`sim::run_cluster`] replays a materialized [`sim::ClusterScenario`]
 //!   (the paper's fixed shared burst);
@@ -25,9 +27,7 @@
 //!   so a 10^8-call day streams through the cluster without ever being
 //!   materialized;
 //! * [`trace_run::run_cluster_source_per_node`] is the same run with one
-//!   result per node;
-//! * [`trace_run::run_cluster_trace`] replays a [`faas_workload::TraceSource`]
-//!   the caller already holds.
+//!   result per node.
 
 pub mod coupled;
 pub mod lb;
@@ -36,4 +36,4 @@ pub mod trace_run;
 
 pub use lb::{FeedbackRouter, LoadBalancer, NodeView};
 pub use sim::{run_cluster, ClusterConfig, ClusterScenario};
-pub use trace_run::{run_cluster_source, run_cluster_source_per_node, run_cluster_trace};
+pub use trace_run::{run_cluster_source, run_cluster_source_per_node};

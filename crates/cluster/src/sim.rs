@@ -5,8 +5,8 @@
 //! the number of workers from 4 down to 1, so that `k` workers see per-core
 //! intensity `120/k`. Every worker is warmed up before the burst.
 
-use crate::coupled::{coupled_engine, new_nodes, Routing};
 use crate::lb::LoadBalancer;
+use crate::trace_run::{Arrivals, Run};
 use faas_invoker::{NodeConfig, NodeMode, NodeResult};
 use faas_simcore::rng::Xoshiro256;
 use faas_simcore::time::{SimDuration, SimTime};
@@ -14,14 +14,14 @@ use faas_workload::arrival::ArrivalSpec;
 use faas_workload::faults::FaultSpec;
 use faas_workload::generate::WorkloadSpec;
 use faas_workload::mix::MixSpec;
-use faas_workload::scenario::{warmup_calls_for_waves, warmup_waves as warmup_waves_for};
+use faas_workload::scenario::warmup_waves as warmup_waves_for;
 use faas_workload::sebs::{Catalogue, FuncId};
 use faas_workload::trace::Call;
 use faas_workload::weight::{WeightSpec, WeightTable};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of one cluster run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterConfig {
     /// Number of worker nodes.
     pub nodes: u16,
@@ -29,40 +29,57 @@ pub struct ClusterConfig {
     pub node: NodeConfig,
     /// Controller load-balancing policy.
     pub lb: LoadBalancer,
-    /// Conservative-window width of the cluster engine (see
-    /// `crate::coupled`): between windows the controller observes node
-    /// state and routes the next slice of arrivals.
-    /// [`SimDuration::MAX`] couples nothing: only the ingestion cap cuts
-    /// windows, and with a static policy every node runs as if alone.
-    pub lookahead: SimDuration,
-    /// Cross-node failover: a failed attempt with retries left is
-    /// re-routed to the least-loaded healthy node at the next window
-    /// barrier instead of retrying locally. Requires a finite `lookahead`
-    /// and a fault plan.
-    pub failover: bool,
+    /// Conservative-window width of the cluster engine, with cross-node
+    /// failover on or off.
+    pub lookahead: Lookahead,
+}
+
+/// The conservative-window width of the cluster engine (see
+/// `crate::coupled`) and cross-node failover, which only a finite width
+/// can carry: between windows the controller observes node state, routes
+/// the next slice of arrivals and re-routes failed attempts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Lookahead(SimDuration, bool);
+
+impl Lookahead {
+    /// The window width. [`SimDuration::MAX`] couples nothing: only the
+    /// ingestion cap cuts windows, and with a static policy every node runs
+    /// as if alone.
+    pub fn width(self) -> SimDuration {
+        self.0
+    }
+
+    /// Whether a failed attempt with retries left is re-routed to the
+    /// least-loaded healthy node at the next window barrier instead of
+    /// retrying locally. A run with failover needs a fault plan too.
+    pub fn failover(self) -> bool {
+        self.1
+    }
 }
 
 impl ClusterConfig {
     /// A cluster of independent nodes: infinite lookahead, no failover —
     /// the configuration every pre-coupling experiment runs under.
     pub fn independent(nodes: u16, node: NodeConfig, lb: LoadBalancer) -> ClusterConfig {
+        let lookahead = Lookahead(SimDuration::MAX, false);
         ClusterConfig {
             nodes,
             node,
             lb,
-            lookahead: SimDuration::MAX,
-            failover: false,
+            lookahead,
         }
     }
 
     /// The same cluster coupled through windows of `lookahead`, with
-    /// cross-node failover on or off.
+    /// cross-node failover on or off. Panics on failover without a finite
+    /// `lookahead`: handoffs are delivered at window barriers.
     pub fn coupled(self, lookahead: SimDuration, failover: bool) -> ClusterConfig {
-        ClusterConfig {
-            lookahead,
-            failover,
-            ..self
-        }
+        assert!(
+            !failover || lookahead < SimDuration::MAX,
+            "failover needs a finite lookahead"
+        );
+        let lookahead = Lookahead(lookahead, failover);
+        ClusterConfig { lookahead, ..self }
     }
 }
 
@@ -80,19 +97,10 @@ pub struct ClusterScenario {
     pub(crate) warmup_waves: Vec<(FuncId, SimTime)>,
 }
 
-/// Per-node simulation seeds, derived sequentially in node order so the
-/// RNG stream order is fixed regardless of how the node loop is scheduled.
-pub(crate) fn node_seeds(seed: u64, nodes: u16) -> Vec<(u16, u64)> {
-    let mut root = Xoshiro256::seed_from_u64(seed ^ 0xC1u64.rotate_left(32));
-    (0..nodes)
-        .map(|node| (node, root.derive_stream(node as u64).next_u64()))
-        .collect()
-}
-
 impl ClusterScenario {
     /// Generate the paper's fixed-total-load burst: `per_function` calls of
     /// each function, uniform over `window`, preceded by per-node warm-up
-    /// waves of `cores` parallel calls per function.
+    /// waves of as many parallel calls per function as a node has cores.
     ///
     /// A thin adapter over the workload subsystem
     /// ([`WorkloadSpec::generate_sorted`] with uniform arrivals and the
@@ -101,7 +109,6 @@ impl ClusterScenario {
     pub fn generate(
         catalogue: &Catalogue,
         per_function: usize,
-        cores: u32,
         window: SimDuration,
         seed: u64,
     ) -> ClusterScenario {
@@ -120,7 +127,6 @@ impl ClusterScenario {
         };
         let burst =
             spec.generate_sorted(catalogue, burst_start, &mut rng_times, &mut rng_assign, 0);
-        let _ = cores; // cores shapes only the per-node warm-up.
 
         ClusterScenario {
             burst,
@@ -129,18 +135,12 @@ impl ClusterScenario {
             warmup_waves,
         }
     }
-
-    /// The warm-up calls one node issues (with ids offset to stay unique
-    /// within that node's simulation).
-    pub(crate) fn node_warmup(&self, cores: u32, id_base: u64) -> Vec<Call> {
-        warmup_calls_for_waves(&self.warmup_waves, cores, id_base)
-    }
 }
 
 /// Run a cluster experiment on a materialized scenario: every node
 /// replays the warm-up waves, then the burst is routed through the window
-/// loop of [`crate::coupled`] — static policies by [`LoadBalancer::assign`]
-/// in arrival order, feedback policies on the barrier views. The burst is
+/// loop of [`crate::coupled`] — static policies over the burst's ids (its
+/// positions), feedback policies on the barrier views. The burst is
 /// already resident, so no ingestion cap applies. Fault-free, with
 /// uniform container weights; see [`crate::run_cluster_source`] for
 /// weighted specs, traces and fault plans. Bit-identical across reruns and
@@ -152,38 +152,24 @@ pub fn run_cluster(
     cfg: &ClusterConfig,
     seed: u64,
 ) -> NodeResult {
-    let routing = if cfg.lb.is_feedback() {
-        Routing::of(cfg.lb)
-    } else {
-        Routing::Fixed(cfg.lb.assign(&scenario.burst, cfg.nodes).into_iter())
-    };
-    let (weights, faults) = (WeightTable::uniform(catalogue.len()), FaultSpec::none());
-    // Warm-up ids start above the burst ids so each node's ids are unique.
-    let warmup = scenario.node_warmup(cfg.node.cores, scenario.burst.len() as u64);
-    let nodes = new_nodes(catalogue, mode, cfg, &weights, &faults, seed, &warmup);
-    let arrivals = scenario.burst.iter().copied();
-    let threads = rayon::current_num_threads();
-    let (results, _) = coupled_engine(nodes, cfg, arrivals, routing, usize::MAX, threads);
-    NodeResult::merge(results)
+    let none = FaultSpec::none();
+    let run = Run::new(catalogue, mode, cfg, &none, seed, usize::MAX);
+    let weights = WeightTable::uniform(catalogue.len());
+    NodeResult::merge(run.execute(Arrivals::Burst(scenario, &weights)).0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use faas_core::{Policy, SchedulerConfig};
+    use faas_workload::scenario::warmup_calls_for_waves;
 
     fn catalogue() -> Catalogue {
         Catalogue::sebs()
     }
 
     fn scenario(per_function: usize, seed: u64) -> ClusterScenario {
-        ClusterScenario::generate(
-            &catalogue(),
-            per_function,
-            10,
-            SimDuration::from_secs(60),
-            seed,
-        )
+        ClusterScenario::generate(&catalogue(), per_function, SimDuration::from_secs(60), seed)
     }
 
     #[test]
@@ -265,16 +251,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn deterministic_given_seed() {
-        let sc = scenario(12, 9);
-        let cat = catalogue();
-        let cfg = ClusterConfig::independent(2, NodeConfig::paper(10), LoadBalancer::FunctionHash);
-        let a = run_cluster(&cat, &sc, &NodeMode::Baseline, &cfg, 10);
-        let b = run_cluster(&cat, &sc, &NodeMode::Baseline, &cfg, 10);
-        assert_eq!(a.outcomes, b.outcomes);
-    }
-
     /// FNV-1a over little-endian u64 words (regression pinning).
     fn fnv1a(acc: &mut u64, x: u64) {
         for b in x.to_le_bytes() {
@@ -291,7 +267,7 @@ mod tests {
         let digests: Vec<u64> = [101u64, 202, 303, 404, 505]
             .iter()
             .map(|&seed| {
-                let sc = ClusterScenario::generate(&cat, 120, 10, SimDuration::from_secs(60), seed);
+                let sc = ClusterScenario::generate(&cat, 120, SimDuration::from_secs(60), seed);
                 let mut acc = 0xcbf2_9ce4_8422_2325u64;
                 fnv1a(&mut acc, sc.burst_start.as_nanos());
                 fnv1a(&mut acc, sc.burst_window.as_nanos());
@@ -320,7 +296,7 @@ mod tests {
     #[test]
     fn warmup_ids_do_not_collide_with_burst() {
         let sc = scenario(12, 11);
-        let warm = sc.node_warmup(10, sc.burst.len() as u64);
+        let warm = warmup_calls_for_waves(&sc.warmup_waves, 10, sc.burst.len() as u64);
         let burst_max = sc.burst.iter().map(|c| c.id.0).max().unwrap();
         assert!(warm.iter().all(|c| c.id.0 > burst_max));
     }

@@ -1,14 +1,21 @@
-//! Workload sources through the cluster engine: analytic specs and
-//! bounded-memory trace replay.
+//! The one cluster run behind every entry point, and the workload sources
+//! it runs: materialized bursts, analytic specs and bounded-memory trace
+//! replay.
 //!
-//! [`run_cluster_source`] runs any [`WorkloadSource`] under any
-//! [`ClusterConfig`] on the one window loop of [`crate::coupled`]. A spec
-//! source is generated in parallel chunks, sorted and routed; every node
-//! first replays the warm-up waves. A trace source is a fixed,
-//! release-ordered log addressed by index ([`faas_workload::trace_source`]),
-//! which may be a recorded file or a lazily-synthesized 10^8-call day. Its
-//! contract — `call(i)` is pure in `(source, index)` and `call(i).id ==
-//! CallId(i)` — lets the controller page the log on demand.
+//! Every run goes through one crate-private `Run`, which builds the nodes,
+//! their warm-up and the container weights from a resident burst or a
+//! paged trace and hands the arrivals to the window loop of
+//! [`crate::coupled`]. The three public wrappers — [`crate::run_cluster`],
+//! [`run_cluster_source`] and [`run_cluster_source_per_node`] — differ only
+//! in where the arrivals come from and whether the results are merged.
+//!
+//! A spec source is generated in parallel chunks, sorted and routed as a
+//! burst; every node first replays the warm-up waves. A trace source is a
+//! fixed, release-ordered log addressed by index
+//! ([`faas_workload::trace_source`]), which may be a recorded file or a
+//! lazily-synthesized 10^8-call day. Its contract — `call(i)` is pure in
+//! `(source, index)` and `call(i).id == CallId(i)` — lets the controller
+//! page the log on demand.
 //!
 //! # Bounded memory
 //!
@@ -19,19 +26,14 @@
 //! [`NodeResult::peak_resident_calls`] — the replay RSS proxy, at most
 //! `chunk` however long the trace is. (Event-queue pressure is what
 //! [`NodeResult::peak_events`] already tracks.)
-//!
-//! # No warm-up
-//!
-//! Trace runs inject no warm-up calls: a trace is the complete log of
-//! what the cluster received — if the recorded system was warmed, the
-//! warming calls are in the log.
 
-use crate::coupled::{coupled_engine, new_nodes, Routing};
-use crate::sim::ClusterConfig;
-use faas_invoker::{NodeMode, NodeResult};
+use crate::coupled::{coupled_engine, Windows};
+use crate::sim::{ClusterConfig, ClusterScenario};
+use faas_invoker::{NodeMode, NodeResult, NodeSim};
+use faas_simcore::rng::Xoshiro256;
 use faas_simcore::time::SimTime;
 use faas_workload::faults::FaultSpec;
-use faas_workload::generate::{ShardedGenerator, WorkloadSpec};
+use faas_workload::generate::ShardedGenerator;
 use faas_workload::scenario::{warmup_calls_for_waves, warmup_waves};
 use faas_workload::sebs::Catalogue;
 use faas_workload::trace::Call;
@@ -45,7 +47,7 @@ use std::collections::VecDeque;
 /// [`SimTime::ZERO`] and draw from `scenario_seed`) and paged through the
 /// `chunk`-call cursor. A window routes at most `chunk` arrivals either
 /// way. The only fallible path is opening a recorded trace file.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments)] // perfbench calls this signature
 pub fn run_cluster_source(
     catalogue: &Catalogue,
     source: &WorkloadSource,
@@ -57,95 +59,158 @@ pub fn run_cluster_source(
     chunk: usize,
 ) -> std::io::Result<NodeResult> {
     let seeds = (scenario_seed, sim_seed);
-    let threads = rayon::current_num_threads();
-    source_nodes(catalogue, source, mode, cfg, faults, seeds, chunk, threads).map(NodeResult::merge)
+    run_cluster_source_per_node(catalogue, source, mode, cfg, faults, seeds, chunk)
+        .map(NodeResult::merge)
 }
 
-/// Per-node variant of [`run_cluster_source`]: the same run, but each
-/// node's [`NodeResult`] is returned separately (index = node id) instead
-/// of merged. The resource-utilization experiments need the per-node
-/// `served_cpu_secs` / `served_mem_units` split to compute cross-node
-/// dominant-share fairness, which a merged result erases. A trace's
-/// cursor peak is charged to node 0.
-#[allow(clippy::too_many_arguments)]
+/// [`run_cluster_source`] with its seeds paired as `(scenario_seed,
+/// sim_seed)` and one [`NodeResult`] per node (index = node id): the
+/// resource experiments need the per-node served work for cross-node
+/// dominant-share fairness. A trace's cursor peak is charged to node 0.
 pub fn run_cluster_source_per_node(
     catalogue: &Catalogue,
     source: &WorkloadSource,
     mode: &NodeMode,
     cfg: &ClusterConfig,
     faults: &FaultSpec,
-    scenario_seed: u64,
-    sim_seed: u64,
-    chunk: usize,
-) -> std::io::Result<Vec<NodeResult>> {
-    let seeds = (scenario_seed, sim_seed);
-    let threads = rayon::current_num_threads();
-    source_nodes(catalogue, source, mode, cfg, faults, seeds, chunk, threads)
-}
-
-/// Any source on an explicit worker count.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn source_nodes(
-    catalogue: &Catalogue,
-    source: &WorkloadSource,
-    mode: &NodeMode,
-    cfg: &ClusterConfig,
-    faults: &FaultSpec,
-    seeds: (u64, u64),
-    chunk: usize,
-    threads: usize,
-) -> std::io::Result<Vec<NodeResult>> {
-    Ok(match source {
-        WorkloadSource::Spec(spec) => {
-            spec_nodes(catalogue, spec, mode, cfg, faults, seeds, chunk, threads)
-        }
-        WorkloadSource::Trace(tspec) => {
-            let trace = tspec.open(catalogue, SimTime::ZERO, seeds.0)?;
-            let trace = trace.as_ref();
-            trace_nodes(catalogue, trace, mode, cfg, faults, seeds.1, chunk, threads)
-        }
-    })
-}
-
-/// Replay an open trace: [`run_cluster_source`] for a [`TraceSource`] the
-/// caller already holds. Bit-identical across reruns and thread counts.
-pub fn run_cluster_trace(
-    catalogue: &Catalogue,
-    trace: &dyn TraceSource,
-    mode: &NodeMode,
-    cfg: &ClusterConfig,
-    faults: &FaultSpec,
-    sim_seed: u64,
-    chunk: usize,
-) -> NodeResult {
-    let threads = rayon::current_num_threads();
-    NodeResult::merge(trace_nodes(
-        catalogue, trace, mode, cfg, faults, sim_seed, chunk, threads,
-    ))
-}
-
-/// A spec source on an explicit worker count.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn spec_nodes(
-    catalogue: &Catalogue,
-    spec: &WorkloadSpec,
-    mode: &NodeMode,
-    cfg: &ClusterConfig,
-    faults: &FaultSpec,
     (scenario_seed, sim_seed): (u64, u64),
     chunk: usize,
-    threads: usize,
-) -> Vec<NodeResult> {
-    let (waves, burst_start) = warmup_waves(catalogue);
-    let generator = ShardedGenerator::new(spec, catalogue, burst_start, scenario_seed);
-    let weights = spec.weights.table(catalogue);
-    let mut burst = generator.generate_parallel();
-    burst.sort_by_key(|c| (c.release, c.id));
-    // Warm-up ids start above the burst ids, which are generation indices.
-    let warmup = warmup_calls_for_waves(&waves, cfg.node.cores, generator.len());
-    let nodes = new_nodes(catalogue, mode, cfg, &weights, faults, sim_seed, &warmup);
-    let routing = Routing::of(cfg.lb);
-    coupled_engine(nodes, cfg, burst.into_iter(), routing, chunk, threads).0
+) -> std::io::Result<Vec<NodeResult>> {
+    Run::new(catalogue, mode, cfg, faults, sim_seed, chunk).source(source, scenario_seed)
+}
+
+/// Where a run's arrivals come from.
+#[derive(Clone, Copy)]
+pub(crate) enum Arrivals<'s> {
+    /// A resident, `(release, id)`-sorted burst whose ids are its
+    /// positions, under these container weights. Every node first replays
+    /// the scenario's warm-up waves.
+    Burst(&'s ClusterScenario, &'s WeightTable),
+    /// A trace paged through a `chunk`-call cursor, under uniform weights.
+    /// No warm-up: a trace is the complete log of what the cluster
+    /// received, so a warmed system's warming calls are in the log.
+    Trace(&'s dyn TraceSource),
+}
+
+/// One cluster run: everything but its arrivals.
+pub(crate) struct Run<'a> {
+    pub(crate) catalogue: &'a Catalogue,
+    pub(crate) mode: &'a NodeMode,
+    pub(crate) cfg: &'a ClusterConfig,
+    pub(crate) faults: &'a FaultSpec,
+    pub(crate) sim_seed: u64,
+    /// The most arrivals one window routes.
+    pub(crate) chunk: usize,
+    /// Node worker threads, clamped to `[1, nodes]` by the engine.
+    pub(crate) threads: usize,
+}
+
+impl<'a> Run<'a> {
+    /// A run on the ambient worker pool: the one place the engine reads
+    /// the thread count, so tests can set it per run instead.
+    pub(crate) fn new(
+        catalogue: &'a Catalogue,
+        mode: &'a NodeMode,
+        cfg: &'a ClusterConfig,
+        faults: &'a FaultSpec,
+        sim_seed: u64,
+        chunk: usize,
+    ) -> Run<'a> {
+        let threads = rayon::current_num_threads();
+        Run {
+            catalogue,
+            mode,
+            cfg,
+            faults,
+            sim_seed,
+            chunk,
+            threads,
+        }
+    }
+
+    /// Run a workload source: generate a spec's burst from
+    /// `scenario_seed`, or open a trace.
+    pub(crate) fn source(
+        &self,
+        source: &WorkloadSource,
+        scenario_seed: u64,
+    ) -> std::io::Result<Vec<NodeResult>> {
+        let catalogue = self.catalogue;
+        let results = match source {
+            WorkloadSource::Spec(spec) => {
+                let (warmup_waves, burst_start) = warmup_waves(catalogue);
+                let generator = ShardedGenerator::new(spec, catalogue, burst_start, scenario_seed);
+                let mut burst = generator.generate_parallel();
+                burst.sort_by_key(|c| (c.release, c.id));
+                let scenario = ClusterScenario {
+                    burst,
+                    burst_start,
+                    burst_window: spec.window,
+                    warmup_waves,
+                };
+                let weights = spec.weights.table(catalogue);
+                self.execute(Arrivals::Burst(&scenario, &weights))
+            }
+            WorkloadSource::Trace(tspec) => {
+                let trace = tspec.open(catalogue, SimTime::ZERO, scenario_seed)?;
+                self.execute(Arrivals::Trace(trace.as_ref()))
+            }
+        };
+        Ok(results.0)
+    }
+
+    /// Build the nodes, with their warm-up and weights, and run `arrivals`
+    /// through the window loop. Returns each node's result and the run's
+    /// window tally.
+    pub(crate) fn execute(&self, arrivals: Arrivals) -> (Vec<NodeResult>, Windows) {
+        let (cat, cfg) = (self.catalogue, self.cfg);
+        assert!(cfg.nodes > 0, "cluster needs at least one node");
+        assert!(self.chunk > 0, "a window must route at least one call");
+        let uniform = WeightTable::uniform(cat.len());
+        let (weights, warmup) = match arrivals {
+            // Warm-up ids start above the burst ids, so each node's ids are
+            // unique.
+            Arrivals::Burst(sc, weights) => {
+                let id_base = sc.burst.len() as u64;
+                (
+                    weights,
+                    warmup_calls_for_waves(&sc.warmup_waves, cfg.node.cores, id_base),
+                )
+            }
+            Arrivals::Trace(_) => (&uniform, Vec::new()),
+        };
+        // Per-node simulation seeds, derived sequentially in node order so
+        // the RNG stream order is fixed however the nodes are stepped.
+        let mut root = Xoshiro256::seed_from_u64(self.sim_seed ^ 0xC1u64.rotate_left(32));
+        let (faults, failover) = (self.faults, cfg.lookahead.failover());
+        let nodes = (0..cfg.nodes)
+            .map(|node| {
+                let seed = root.derive_stream(node as u64).next_u64();
+                let mut sim = NodeSim::new(
+                    cat, self.mode, &cfg.node, weights, faults, seed, node, failover,
+                );
+                sim.inject(&warmup);
+                sim
+            })
+            .collect();
+        match arrivals {
+            Arrivals::Burst(scenario, _) => {
+                coupled_engine(nodes, scenario.burst.iter().copied(), self)
+            }
+            Arrivals::Trace(trace) => {
+                let mut cursor = TraceCursor {
+                    trace,
+                    next_index: 0,
+                    buf: VecDeque::with_capacity(self.chunk.min(trace.len() as usize)),
+                    chunk: self.chunk,
+                    peak_resident: 0,
+                };
+                let (mut results, windows) = coupled_engine(nodes, &mut cursor, self);
+                results[0].peak_resident_calls = cursor.peak_resident;
+                (results, windows)
+            }
+        }
+    }
 }
 
 /// A chunked read-ahead cursor over a trace: at most `chunk` calls
@@ -165,7 +230,7 @@ impl Iterator for TraceCursor<'_> {
     /// once it runs dry.
     fn next(&mut self) -> Option<Call> {
         if self.buf.is_empty() {
-            let hi = (self.next_index + self.chunk as u64).min(self.trace.len());
+            let hi = (self.next_index.saturating_add(self.chunk as u64)).min(self.trace.len());
             self.buf.extend(self.trace.iter_chunk(self.next_index, hi));
             self.next_index = hi;
             self.peak_resident = self.peak_resident.max(self.buf.len() as u64);
@@ -174,41 +239,14 @@ impl Iterator for TraceCursor<'_> {
     }
 }
 
-/// A trace replay on an explicit worker count.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn trace_nodes(
-    catalogue: &Catalogue,
-    trace: &dyn TraceSource,
-    mode: &NodeMode,
-    cfg: &ClusterConfig,
-    faults: &FaultSpec,
-    sim_seed: u64,
-    chunk: usize,
-    threads: usize,
-) -> Vec<NodeResult> {
-    let weights = WeightTable::uniform(catalogue.len());
-    let nodes = new_nodes(catalogue, mode, cfg, &weights, faults, sim_seed, &[]);
-    let mut cursor = TraceCursor {
-        trace,
-        next_index: 0,
-        buf: VecDeque::with_capacity(chunk.min(trace.len() as usize)),
-        chunk,
-        peak_resident: 0,
-    };
-    let routing = Routing::of(cfg.lb);
-    let (mut results, _) = coupled_engine(nodes, cfg, &mut cursor, routing, chunk, threads);
-    results[0].peak_resident_calls = cursor.peak_resident;
-    results
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lb::LoadBalancer;
-    use faas_core::{Policy, SchedulerConfig};
     use faas_invoker::NodeConfig;
     use faas_simcore::time::SimDuration;
     use faas_workload::arrival::ArrivalSpec;
+    use faas_workload::generate::WorkloadSpec;
     use faas_workload::mix::MixSpec;
     use faas_workload::synth::{SynthSpec, SyntheticTrace};
     use faas_workload::trace_source::TraceSpec;
@@ -218,17 +256,11 @@ mod tests {
         Catalogue::sebs()
     }
 
-    fn synth(mean_rate: f64, seed: u64) -> SyntheticTrace {
-        SyntheticTrace::new(
-            &SynthSpec::azure(mean_rate, SimDuration::from_secs(60)),
-            &catalogue(),
-            SimTime::ZERO,
-            seed,
-        )
-    }
-
-    fn fair_choice() -> NodeMode {
-        NodeMode::Scheduled(SchedulerConfig::paper(Policy::FairChoice))
+    /// An Azure-style synthetic trace source averaging `mean_rate`
+    /// calls/s over a minute.
+    fn synth_source(mean_rate: f64) -> WorkloadSource {
+        let spec = SynthSpec::azure(mean_rate, SimDuration::from_secs(60));
+        WorkloadSource::Trace(TraceSpec::Synthetic(spec))
     }
 
     fn spec(count: usize) -> WorkloadSpec {
@@ -244,12 +276,17 @@ mod tests {
     fn run_spec(
         cat: &Catalogue,
         spec: &WorkloadSpec,
-        mode: &NodeMode,
         cfg: &ClusterConfig,
         faults: &FaultSpec,
-        seeds: (u64, u64),
+        (scenario_seed, sim_seed): (u64, u64),
     ) -> NodeResult {
-        NodeResult::merge(spec_nodes(cat, spec, mode, cfg, faults, seeds, 8192, 2))
+        let mode = NodeMode::Baseline;
+        let run = Run {
+            threads: 2,
+            ..Run::new(cat, &mode, cfg, faults, sim_seed, 8192)
+        };
+        let results = run.source(&WorkloadSource::Spec(spec.clone()), scenario_seed);
+        NodeResult::merge(results.expect("spec sources cannot fail"))
     }
 
     fn node_map(r: &NodeResult) -> Vec<(u64, u16)> {
@@ -258,70 +295,16 @@ mod tests {
         v
     }
 
-    fn same(a: &NodeResult, b: &NodeResult) {
-        assert_eq!(a.outcomes, b.outcomes);
-        assert_eq!(a.drops, b.drops);
-        assert_eq!(a.fault_stats, b.fault_stats);
-        assert_eq!(a.peak_events, b.peak_events);
-        assert_eq!(a.peak_resident_calls, b.peak_resident_calls);
-    }
-
-    #[test]
-    fn replay_serves_every_call_once_and_reruns_identically() {
-        let cat = catalogue();
-        let trace = synth(8.0, 3);
-        let cfg = ClusterConfig::independent(3, NodeConfig::paper(10), LoadBalancer::RoundRobin);
-        let none = FaultSpec::none();
-        let r = run_cluster_trace(&cat, &trace, &fair_choice(), &cfg, &none, 5, 64);
-        assert_eq!(
-            node_map(&r).len() as u64,
-            trace.len(),
-            "each call served once"
-        );
-        assert!(node_map(&r)
-            .iter()
-            .enumerate()
-            .all(|(i, &(id, node))| { id == i as u64 && id % 3 == node as u64 }));
-        let again = run_cluster_trace(&cat, &trace, &fair_choice(), &cfg, &none, 5, 64);
-        same(&r, &again);
-    }
-
-    #[test]
-    fn ingestion_windows_do_not_change_the_replay() {
-        // A capped window ends just before the next unrouted release, so
-        // the outcomes are the same whatever the chunking: one call per
-        // window, 64-call windows and the whole trace in one window.
-        let cat = catalogue();
-        let trace = synth(6.0, 7);
-        let mode = NodeMode::Baseline;
-        for lb in [LoadBalancer::RoundRobin, LoadBalancer::FunctionHash] {
-            let cfg = ClusterConfig::independent(2, NodeConfig::paper(10), lb);
-            let run =
-                |chunk| run_cluster_trace(&cat, &trace, &mode, &cfg, &FaultSpec::none(), 9, chunk);
-            let whole = run(trace.len() as usize);
-            assert_eq!(run(1).outcomes, whole.outcomes, "{lb:?}");
-            let capped = run(64);
-            assert_eq!(capped.outcomes, whole.outcomes, "{lb:?}");
-            // The cap keeps most of the trace out of the event queues.
-            assert!(capped.peak_events < whole.peak_events, "{lb:?}");
-        }
-    }
-
     #[test]
     fn function_hash_replay_follows_the_static_assignment() {
         let cat = catalogue();
-        let trace = synth(6.0, 11);
         let lb = LoadBalancer::FunctionHash;
         let cfg = ClusterConfig::independent(3, NodeConfig::paper(10), lb);
-        let r = run_cluster_trace(
-            &cat,
-            &trace,
-            &NodeMode::Baseline,
-            &cfg,
-            &FaultSpec::none(),
-            13,
-            32,
-        );
+        let (mode, none) = (NodeMode::Baseline, FaultSpec::none());
+        let r = run_cluster_source(&cat, &synth_source(6.0), &mode, &cfg, &none, 11, 13, 32)
+            .expect("synthetic source");
+        let synth = SynthSpec::azure(6.0, SimDuration::from_secs(60));
+        let trace = SyntheticTrace::new(&synth, &cat, SimTime::ZERO, 11);
         let calls: Vec<Call> = trace.iter_chunk(0, trace.len()).collect();
         let assigned: Vec<(u64, u16)> = calls
             .iter()
@@ -332,94 +315,13 @@ mod tests {
     }
 
     #[test]
-    fn replay_routes_feedback_policies() {
-        let cat = catalogue();
-        let trace = synth(8.0, 17);
-        let run = |lb: LoadBalancer| {
-            let cfg = ClusterConfig::independent(3, NodeConfig::paper(10), lb)
-                .coupled(SimDuration::from_millis(500), false);
-            run_cluster_trace(
-                &cat,
-                &trace,
-                &fair_choice(),
-                &cfg,
-                &FaultSpec::none(),
-                19,
-                64,
-            )
-        };
-        let jsq = run(LoadBalancer::JoinShortestQueue { seed: 1 });
-        let rr = run(LoadBalancer::RoundRobin);
-        for r in [&jsq, &rr] {
-            assert_eq!(r.measured().count() as u64, trace.len());
-        }
-        assert_ne!(node_map(&jsq), node_map(&rr), "JSQ must route differently");
-        let again = run(LoadBalancer::JoinShortestQueue { seed: 1 });
-        assert_eq!(jsq.outcomes, again.outcomes);
-    }
-
-    #[test]
-    fn replay_is_thread_invariant() {
-        // Static round-robin at infinite lookahead and JSQ at 500 ms
-        // windows: one worker or three, the same run.
-        let cat = catalogue();
-        let trace = synth(8.0, 0x7A12);
-        let node = NodeConfig::paper(10);
-        let jsq = LoadBalancer::JoinShortestQueue { seed: 7 };
-        for cfg in [
-            ClusterConfig::independent(3, node, LoadBalancer::RoundRobin),
-            ClusterConfig::independent(3, node, jsq).coupled(SimDuration::from_millis(500), false),
-        ] {
-            let none = FaultSpec::none();
-            let run = |threads| {
-                let per_node =
-                    trace_nodes(&cat, &trace, &fair_choice(), &cfg, &none, 5, 64, threads);
-                NodeResult::merge(per_node)
-            };
-            let serial = run(1);
-            same(&run(3), &serial);
-            assert_eq!(serial.outcomes.len() as u64, trace.len());
-        }
-    }
-
-    #[test]
-    fn capped_feedback_windows_conserve_calls_and_are_thread_invariant() {
-        // At 40 calls/s a 250 ms window holds ten calls on average, so a
-        // 4-call cap cuts windows short while JSQ routes on their views.
-        let cat = catalogue();
-        let trace = synth(40.0, 0xCA9);
-        let chunk = 4;
-        let window = SimDuration::from_millis(250);
-        let crowded = (0..trace.len() - chunk as u64)
-            .any(|i| trace.call(i + chunk as u64).release <= trace.call(i).release + window);
-        assert!(crowded, "some window must hold more than `chunk` arrivals");
-        let cfg = ClusterConfig::independent(
-            3,
-            NodeConfig::paper(10),
-            LoadBalancer::JoinShortestQueue { seed: 7 },
-        )
-        .coupled(window, false);
-        let none = FaultSpec::none();
-        let run = |threads| {
-            let per_node =
-                trace_nodes(&cat, &trace, &fair_choice(), &cfg, &none, 5, chunk, threads);
-            NodeResult::merge(per_node)
-        };
-        let serial = run(1);
-        same(&run(3), &serial);
-        assert_eq!(
-            node_map(&serial).len() as u64,
-            trace.len(),
-            "each call served once"
-        );
-        assert!(serial.peak_resident_calls <= chunk as u64);
-    }
-
-    #[test]
     fn peak_resident_calls_is_bounded_by_chunk() {
-        // However long the trace, the controller holds at most one chunk.
+        // However long the trace, the controller holds at most one chunk,
+        // and at infinite lookahead the cap keeps most of the trace out of
+        // the event queues.
         let cat = catalogue();
         let cfg = ClusterConfig::independent(3, NodeConfig::paper(10), LoadBalancer::RoundRobin);
+        let (mode, none) = (NodeMode::Baseline, FaultSpec::none());
         let chunk = 32usize;
         let mut peaks = Vec::new();
         for (rate, lookahead) in [
@@ -427,57 +329,22 @@ mod tests {
             (16.0, SimDuration::MAX),
             (8.0, SimDuration::from_millis(500)),
         ] {
-            let trace = synth(rate, 23);
             let cfg = cfg.coupled(lookahead, false);
-            let r = run_cluster_trace(
-                &cat,
-                &trace,
-                &NodeMode::Baseline,
-                &cfg,
-                &FaultSpec::none(),
-                25,
-                chunk,
-            );
-            assert!(r.peak_resident_calls > 0);
-            peaks.push(r.peak_resident_calls);
+            let run = |chunk| {
+                run_cluster_source(&cat, &synth_source(rate), &mode, &cfg, &none, 23, 25, chunk)
+                    .expect("synthetic source")
+            };
+            let capped = run(chunk);
+            assert!(capped.peak_resident_calls > 0);
+            peaks.push(capped.peak_resident_calls);
+            if lookahead == SimDuration::MAX {
+                assert!(capped.peak_events < run(usize::MAX).peak_events, "{rate}");
+            }
         }
         assert_eq!(
             peaks, [chunk as u64; 3],
             "residency is independent of length"
         );
-    }
-
-    #[test]
-    fn run_cluster_source_runs_specs_and_traces() {
-        let cat = catalogue();
-        let cfg = ClusterConfig::independent(2, NodeConfig::paper(10), LoadBalancer::RoundRobin);
-        let mode = NodeMode::Baseline;
-        let none = FaultSpec::none();
-        let via_spec = run_cluster_source(
-            &cat,
-            &WorkloadSource::Spec(spec(66)),
-            &mode,
-            &cfg,
-            &none,
-            1,
-            2,
-            64,
-        )
-        .expect("spec source");
-        assert_eq!(via_spec.measured().count(), 66);
-        assert_eq!(via_spec.peak_resident_calls, 0, "a spec is materialized");
-
-        // Synthetic trace sources replay through the bounded cursor, at
-        // infinite and finite lookahead alike.
-        let synth_spec = SynthSpec::azure(6.0, SimDuration::from_secs(60));
-        let trace = SyntheticTrace::new(&synth_spec, &cat, SimTime::ZERO, 1);
-        let source = WorkloadSource::Trace(TraceSpec::Synthetic(synth_spec));
-        for cfg in [cfg, cfg.coupled(SimDuration::from_millis(500), false)] {
-            let r = run_cluster_source(&cat, &source, &mode, &cfg, &none, 1, 2, 64)
-                .expect("synthetic source");
-            assert_eq!(r.measured().count() as u64, trace.len());
-            assert!(r.peak_resident_calls > 0 && r.peak_resident_calls <= 64);
-        }
     }
 
     #[test]
@@ -496,7 +363,7 @@ mod tests {
         )
         .coupled(SimDuration::from_millis(250), false);
         let (mode, none) = (NodeMode::Baseline, FaultSpec::none());
-        let per_node = run_cluster_source_per_node(&cat, &source, &mode, &cfg, &none, 5, 6, 64)
+        let per_node = run_cluster_source_per_node(&cat, &source, &mode, &cfg, &none, (5, 6), 64)
             .expect("spec source");
         assert_eq!(per_node.len(), 3, "one result per node");
         let merged =
@@ -514,61 +381,11 @@ mod tests {
     }
 
     #[test]
-    fn faulted_replay_conserves_calls_and_fails_over() {
-        let cat = catalogue();
-        let trace = synth(10.0, 29);
-        let n = trace.len();
-        let mut faults = FaultSpec::crash_restart(21, SimTime::ZERO, SimDuration::from_secs(60));
-        faults.transient_failure = 0.05;
-        let cfg = ClusterConfig::independent(3, NodeConfig::paper(10), LoadBalancer::RoundRobin)
-            .coupled(SimDuration::from_millis(500), true);
-        let r = run_cluster_trace(&cat, &trace, &fair_choice(), &cfg, &faults, 31, 64);
-        let measured = r.measured().count() as u64;
-        assert_eq!(
-            measured + r.drops.len() as u64,
-            n,
-            "replay call conservation"
-        );
-        assert_eq!(r.fault_stats.crashes, 1);
-        let again = run_cluster_trace(&cat, &trace, &fair_choice(), &cfg, &faults, 31, 64);
-        assert_eq!(r.outcomes, again.outcomes);
-        assert_eq!(r.fault_stats, again.fault_stats);
-    }
-
-    #[test]
-    fn spec_round_robin_strides_the_nodes_exactly() {
-        let cat = catalogue();
-        let cfg = ClusterConfig::independent(3, NodeConfig::paper(10), LoadBalancer::RoundRobin);
-        let r = run_spec(
-            &cat,
-            &spec(132),
-            &NodeMode::Baseline,
-            &cfg,
-            &FaultSpec::none(),
-            (1, 2),
-        );
-        let map = node_map(&r);
-        assert_eq!(map.len(), 132, "each call served once");
-        // Stride assignment balances nodes exactly (132 = 3 x 44).
-        assert!(map
-            .iter()
-            .enumerate()
-            .all(|(i, &(id, node))| id == i as u64 && id % 3 == node as u64));
-    }
-
-    #[test]
     fn scenario_seed_changes_workload_sim_seed_does_not() {
         let cat = catalogue();
         let cfg = ClusterConfig::independent(2, NodeConfig::paper(10), LoadBalancer::RoundRobin);
         let releases = |seeds| -> Vec<u64> {
-            let r = run_spec(
-                &cat,
-                &spec(66),
-                &NodeMode::Baseline,
-                &cfg,
-                &FaultSpec::none(),
-                seeds,
-            );
+            let r = run_spec(&cat, &spec(66), &cfg, &FaultSpec::none(), seeds);
             let mut v: Vec<u64> = r.measured().map(|o| o.release.as_nanos()).collect();
             v.sort_unstable();
             v
@@ -596,8 +413,8 @@ mod tests {
         for lb in [LoadBalancer::RoundRobin, LoadBalancer::FunctionHash] {
             let cfg = ClusterConfig::independent(2, NodeConfig::paper(10), lb);
             let none = FaultSpec::none();
-            let weighted = run_spec(&cat, &tiered, &NodeMode::Baseline, &cfg, &none, (7, 8));
-            let uniform = run_spec(&cat, &spec(132), &NodeMode::Baseline, &cfg, &none, (7, 8));
+            let weighted = run_spec(&cat, &tiered, &cfg, &none, (7, 8));
+            let uniform = run_spec(&cat, &spec(132), &cfg, &none, (7, 8));
             assert_ne!(weighted.outcomes, uniform.outcomes, "{lb:?}");
             let ids = |r: &NodeResult| {
                 node_map(r)
@@ -621,14 +438,7 @@ mod tests {
         let faults = FaultSpec::degradation(31, burst_start, SimDuration::from_secs(60));
         let run_with = |lb: LoadBalancer| {
             let cfg = ClusterConfig::independent(2, NodeConfig::paper(10), lb);
-            run_spec(
-                &cat,
-                &spec(132),
-                &NodeMode::Baseline,
-                &cfg,
-                &faults,
-                (31, 32),
-            )
+            run_spec(&cat, &spec(132), &cfg, &faults, (31, 32))
         };
         let rr = run_with(LoadBalancer::RoundRobin);
         let fh = run_with(LoadBalancer::FunctionHash);

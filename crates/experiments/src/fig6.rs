@@ -105,7 +105,6 @@ pub fn run(effort: Effort) -> Fig6Result {
                 let scenario = ClusterScenario::generate(
                     &catalogue,
                     per_func,
-                    cores,
                     SimDuration::from_secs(60),
                     seed,
                 );

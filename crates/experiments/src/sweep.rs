@@ -19,10 +19,11 @@
 //!
 //! The trace table replays Azure-style synthetic traces — Zipf mean
 //! rates, diurnal phase, MMPP bursts, correlated chains — through the
-//! bounded-memory trace cursor
-//! ([`faas_cluster::run_cluster_trace`]), putting a
-//! recorded-workload-shaped scenario column next to the parametric axes
-//! and reporting the ingestion working set per combination.
+//! cluster engine's bounded-memory trace cursor
+//! ([`faas_cluster::run_cluster_source`] over a
+//! [`TraceSpec::Synthetic`] source), putting a recorded-workload-shaped
+//! scenario column next to the parametric axes and reporting the
+//! ingestion working set per combination.
 //!
 //! The multi-resource table is the DRF-vs-single-resource comparison the
 //! PR 10 refactor exists for: the fixed total load under the
@@ -33,9 +34,7 @@
 
 use crate::grid::mode_for;
 use crate::Effort;
-use faas_cluster::{
-    run_cluster_source, run_cluster_source_per_node, run_cluster_trace, ClusterConfig, LoadBalancer,
-};
+use faas_cluster::{run_cluster_source, run_cluster_source_per_node, ClusterConfig, LoadBalancer};
 use faas_invoker::{simulate_calls_faulted, NodeConfig};
 use faas_metrics::compare::Strategy;
 use faas_metrics::summary::{
@@ -51,9 +50,9 @@ use faas_workload::generate::WorkloadSpec;
 use faas_workload::mix::MixSpec;
 use faas_workload::scenario::{warmup_for_spec, warmup_waves};
 use faas_workload::sebs::Catalogue;
-use faas_workload::synth::{SynthSpec, SyntheticTrace};
+use faas_workload::synth::SynthSpec;
 use faas_workload::trace::CallOutcome;
-use faas_workload::trace_source::WorkloadSource;
+use faas_workload::trace_source::{TraceSpec, WorkloadSource};
 use faas_workload::weight::{WeightSpec, WeightTable};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -927,7 +926,7 @@ fn run_coupled_sweep(
 }
 
 /// The trace-replay sweep: each synthetic trace of [`trace_axis`]
-/// replayed through [`run_cluster_trace`] on [`TRACE_NODES`]
+/// replayed through [`run_cluster_source`] on [`TRACE_NODES`]
 /// workers with a [`TRACE_CHUNK`]-call ingestion window, per strategy.
 /// The trace seed is derived per run seed, so pooling over seeds pools
 /// over trace realizations of the same synthesizer spec; a trace is the
@@ -968,21 +967,23 @@ fn run_trace_sweep(
     let outputs: Vec<TraceOut> = tasks
         .iter()
         .map(|&(spec, strategy, seed)| {
-            let trace = SyntheticTrace::new(spec, catalogue, SimTime::ZERO, seed ^ 0x7AC3);
+            let source = WorkloadSource::Trace(TraceSpec::Synthetic(spec.clone()));
             let cfg = ClusterConfig::independent(
                 TRACE_NODES,
                 NodeConfig::paper(cores),
                 LoadBalancer::RoundRobin,
             );
-            let result = run_cluster_trace(
+            let result = run_cluster_source(
                 catalogue,
-                &trace,
+                &source,
                 &mode_for(strategy),
                 &cfg,
                 &FaultSpec::none(),
+                seed ^ 0x7AC3,
                 seed ^ 0xC1u64,
                 TRACE_CHUNK,
-            );
+            )
+            .expect("synthetic sources cannot fail");
             TraceOut {
                 trace: spec.label(),
                 strategy,
@@ -1120,8 +1121,7 @@ fn run_resource_sweep(
                     &mode_for(strategy),
                     &cfg,
                     &FaultSpec::none(),
-                    seed,
-                    seed ^ 0xC1u64,
+                    (seed, seed ^ 0xC1u64),
                     SPEC_CHUNK,
                 )
                 .expect("spec sources cannot fail");

@@ -21,13 +21,8 @@ fn main() {
     let per_function = 216; // 11 functions x 216 = 2376 requests.
     let seed = 11;
 
-    let scenario = ClusterScenario::generate(
-        &catalogue,
-        per_function,
-        cores_per_node,
-        SimDuration::from_secs(60),
-        seed,
-    );
+    let scenario =
+        ClusterScenario::generate(&catalogue, per_function, SimDuration::from_secs(60), seed);
     println!(
         "fixed load: {} requests over 60 s; workers of {cores_per_node} action cores\n",
         scenario.burst.len()

@@ -69,7 +69,7 @@ fn same_scenario_different_sim_seed_changes_service_times_only() {
 #[test]
 fn cluster_runs_are_reproducible() {
     let catalogue = Catalogue::sebs();
-    let scenario = ClusterScenario::generate(&catalogue, 24, 10, SimDuration::from_secs(60), 13);
+    let scenario = ClusterScenario::generate(&catalogue, 24, SimDuration::from_secs(60), 13);
     let cfg = ClusterConfig::independent(3, NodeConfig::paper(10), LoadBalancer::FunctionHash);
     let mode = NodeMode::Scheduled(SchedulerConfig::paper(Policy::FairChoice));
     let a = run_cluster(&catalogue, &scenario, &mode, &cfg, 13);
@@ -288,7 +288,7 @@ fn static_cluster_runs_match_their_pinned_digests() {
         let r = run_cluster_source(&cat, source, mode, cfg, faults, seeds.0, seeds.1, 8192);
         cluster_digest(&r.expect("spec sources cannot fail"))
     };
-    let scenario = ClusterScenario::generate(&cat, 12, 10, SimDuration::from_secs(60), 2);
+    let scenario = ClusterScenario::generate(&cat, 12, SimDuration::from_secs(60), 2);
     let digests = [
         run(&spec(132), &base, &rr3, &none, (1, 2)),
         run(&spec(132), &fc, &rr3, &none, (1, 2)),

@@ -109,7 +109,7 @@ fn cluster_and_single_node_agree_on_one_worker() {
     // wraps (same calls, same seed derivation modulo the cluster's seed
     // scrambling — so compare structure, not exact times).
     let catalogue = Catalogue::sebs();
-    let scenario = ClusterScenario::generate(&catalogue, 12, 10, SimDuration::from_secs(60), 5);
+    let scenario = ClusterScenario::generate(&catalogue, 12, SimDuration::from_secs(60), 5);
     let cfg = ClusterConfig::independent(1, NodeConfig::paper(10), LoadBalancer::RoundRobin);
     let mode = NodeMode::Scheduled(SchedulerConfig::paper(Policy::Sept));
     let result = run_cluster(&catalogue, &scenario, &mode, &cfg, 5);

@@ -207,7 +207,6 @@ fn fc_on_three_nodes_beats_baseline_on_four() {
     let scenario = ClusterScenario::generate(
         &catalogue,
         216, // 2376 requests total, as in SSVIII
-        18,
         SimDuration::from_secs(60),
         12,
     );

@@ -237,3 +237,16 @@ proptest! {
         }
     }
 }
+
+/// DRF smoke: a handful of seeded multi-resource churn schedules, on the
+/// fixed mixed-demand pool and on seeded heterogeneous pools, where the
+/// incremental dominant-share kernel must match the reference integrator
+/// at every step (the full 520-schedule sweep lives in `faas-cpu`).
+#[test]
+fn drf_kernel_matches_the_reference_integrator() {
+    use faas_scheduling::cpu::schedule::{run_drf_differential_schedule, SignaturePool};
+    for seed in 0..8u64 {
+        run_drf_differential_schedule(seed, &SignaturePool::drf_mixed(), 80);
+        run_drf_differential_schedule(seed, &SignaturePool::drf_weighted(seed), 80);
+    }
+}
