@@ -5,8 +5,14 @@
 //! time, so to speak). Stretch uses each function's median idle-system
 //! response time from Table I as the denominator (§V-A), which is why values
 //! below 1 are possible.
+//!
+//! [`RunSummary::from_outcomes`] reads the outcomes once, filling the
+//! response times, the stretches and `max c(i)` in the same traversal, and
+//! [`RobustnessSummary::from_outcomes`] selects only its p99. Every
+//! percentile comes from `faas_simcore::stats` by selection in expected
+//! O(n), equal bit for bit to sorting the values and interpolating.
 
-use faas_simcore::stats::{BoxPlot, Summary};
+use faas_simcore::stats::{percentile, BoxPlot, Summary};
 use faas_simcore::time::SimTime;
 use faas_workload::sebs::{Catalogue, FuncId};
 use faas_workload::trace::CallOutcome;
@@ -33,7 +39,8 @@ pub struct MetricSummary {
 }
 
 impl MetricSummary {
-    /// Build from raw observations.
+    /// Build from raw observations by selection ([`Summary::from_data`]).
+    /// Panics on empty input or NaNs.
     pub fn from_values(values: &[f64]) -> MetricSummary {
         let s = Summary::from_data(values);
         MetricSummary {
@@ -99,18 +106,24 @@ impl RunSummary {
     ///
     /// `burst_start` anchors `max c(i)`; response time and stretch are
     /// anchored to each call's own release time so they need no shifting.
+    /// One traversal of `outcomes` fills the response times, the stretches
+    /// and `max c(i)`; each metric is then summarised by selection
+    /// ([`Summary::from_data`]), not by sorting.
     pub fn from_outcomes(
         outcomes: &[&CallOutcome],
         catalogue: &Catalogue,
         burst_start: SimTime,
     ) -> RunSummary {
         assert!(!outcomes.is_empty(), "summary of zero calls");
-        let resp = response_times(outcomes);
-        let st = stretches(outcomes, catalogue);
-        let max_completion = outcomes
-            .iter()
-            .map(|o| o.completion.saturating_since(burst_start).as_secs_f64())
-            .fold(0.0f64, f64::max);
+        let mut resp = Vec::with_capacity(outcomes.len());
+        let mut st = Vec::with_capacity(outcomes.len());
+        let mut max_completion = 0.0f64;
+        for o in outcomes {
+            resp.push(o.response_time().as_secs_f64());
+            st.push(o.stretch(catalogue.spec(o.func).stretch_reference()));
+            max_completion =
+                max_completion.max(o.completion.saturating_since(burst_start).as_secs_f64());
+        }
         RunSummary {
             response: MetricSummary::from_values(&resp),
             stretch: MetricSummary::from_values(&st),
@@ -180,7 +193,8 @@ pub struct RobustnessSummary {
 
 impl RobustnessSummary {
     /// Summarise the delivered measured calls plus the drop/fault
-    /// counters of one run.
+    /// counters of one run. Only the p99 of the response times is
+    /// selected ([`percentile`]); no other statistic is computed.
     pub fn from_outcomes(
         outcomes: &[&CallOutcome],
         dropped: usize,
@@ -192,7 +206,7 @@ impl RobustnessSummary {
         let p99_response = if delivered == 0 {
             0.0
         } else {
-            MetricSummary::from_values(&response_times(outcomes)).p99
+            percentile(&response_times(outcomes), 0.99)
         };
         RobustnessSummary {
             delivered,
@@ -405,6 +419,18 @@ mod tests {
         assert!(rb.p25 <= rb.median && rb.median <= rb.p75);
         let sb = stretch_boxplot(&refs, &cat);
         assert!(sb.whisker_lo <= sb.whisker_hi);
+    }
+
+    #[test]
+    #[should_panic(expected = "statistics input contained NaN")]
+    fn metric_summary_rejects_a_lone_nan() {
+        MetricSummary::from_values(&[f64::NAN]);
+    }
+
+    #[test]
+    #[should_panic(expected = "statistics input contained NaN")]
+    fn metric_summary_rejects_nan_among_values() {
+        MetricSummary::from_values(&[1.0, f64::NAN, 3.0]);
     }
 
     #[test]

@@ -4,36 +4,116 @@
 //! percentiles, and the maximum completion time; box plots use the
 //! 25th/50th/75th percentiles with 1.5·IQR whiskers and the mean marked
 //! separately. This module implements exactly those aggregations.
+//!
+//! Every percentile is the linear-interpolation estimator of
+//! [`percentile_sorted`]: quantile `q` of `n` values reads the order
+//! statistics at ranks `lo = floor(q(n-1))` and `lo + 1`. [`Summary`],
+//! [`BoxPlot`] and [`percentile`] find exactly those ranks by selection
+//! (Hoare's FIND; Floyd & Rivest, CACM 1975) instead of sorting: one copy of
+//! the data, then nested `select_nth_unstable` calls, each running inside
+//! the part of the slice the previous one left, in expected O(n) total.
+//! Minimum and maximum are the ranks `0` and `n - 1` of the same selection.
+//! An order statistic is one value whatever order the input came in, so
+//! the results equal the sorted path bit for bit (one exception: a tie
+//! between `-0.0` and `0.0` may come out with either sign). Means are the
+//! [`compensated_sum`] in input order. [`sorted_copy`] and
+//! [`percentile_sorted`] remain as the reference estimator.
 
 use serde::{Deserialize, Serialize};
+
+/// Where the linear-interpolation estimator reads quantile `q` of `n`
+/// values: the rank `lo = floor(q(n-1))` and the weight of rank `lo + 1`.
+fn position(n: usize, q: f64) -> (usize, f64) {
+    assert!(n > 0, "percentile of empty data");
+    assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
+    let pos = q * (n - 1) as f64;
+    let lo = pos.floor() as usize;
+    (lo, pos - lo as f64)
+}
+
+/// The estimate from the values at ranks `lo` and (when `frac > 0`)
+/// `lo + 1` of `v`, which must hold those order statistics.
+fn interpolate(v: &[f64], (lo, frac): (usize, f64)) -> f64 {
+    if frac == 0.0 {
+        v[lo]
+    } else {
+        v[lo] * (1.0 - frac) + v[lo + 1] * frac
+    }
+}
 
 /// Linear-interpolation percentile on a pre-sorted slice (the same estimator
 /// NumPy uses by default, which is what the paper's plotting stack used).
 ///
 /// `q` is in `[0, 1]`. Panics on an empty slice.
 pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
-    assert!(!sorted.is_empty(), "percentile of empty data");
-    assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-    if sorted.len() == 1 {
-        return sorted[0];
-    }
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = pos - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-    }
+    interpolate(sorted, position(sorted.len(), q))
+}
+
+/// Copy the data, rejecting NaNs with a panic because they always indicate
+/// an upstream modelling bug.
+fn checked_copy(data: &[f64]) -> Vec<f64> {
+    assert!(
+        !data.iter().any(|x| x.is_nan()),
+        "statistics input contained NaN"
+    );
+    data.to_vec()
 }
 
 /// Sort a copy of the data and return it; NaNs are rejected with a panic
 /// because they always indicate an upstream modelling bug.
 pub fn sorted_copy(data: &[f64]) -> Vec<f64> {
-    let mut v = data.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("statistics input contained NaN"));
+    let mut v = checked_copy(data);
+    v.sort_by(|a, b| a.partial_cmp(b).expect("NaN was rejected by the copy"));
     v
+}
+
+/// Move the order statistic of every rank in `ranks` (ascending, distinct,
+/// relative to the whole slice; `v` starts at rank `offset`) to its index.
+///
+/// Each selection runs inside the part the previous one left: the first
+/// rank at or past the middle of `v` (else the last) splits it, the ranks
+/// below recurse into the left part and those above into the right. A rank
+/// at either end of its part (an interpolation partner `lo + 1`, the
+/// minimum, the maximum) costs one scan: `select_nth_unstable` places a
+/// part's first or last element by a minimum or maximum search.
+fn select_ranks(v: &mut [f64], offset: usize, ranks: &[usize]) {
+    if ranks.is_empty() {
+        return;
+    }
+    let mid = ranks
+        .partition_point(|&r| r < offset + v.len() / 2)
+        .min(ranks.len() - 1);
+    let (left, _, right) = v.select_nth_unstable_by(ranks[mid] - offset, f64::total_cmp);
+    select_ranks(left, offset, &ranks[..mid]);
+    select_ranks(right, ranks[mid] + 1, &ranks[mid + 1..]);
+}
+
+/// The estimator at each of `qs`, selecting only the ranks it reads.
+/// Reorders `v` (which must be non-empty and NaN-free).
+fn select_quantiles<const K: usize>(v: &mut [f64], qs: [f64; K]) -> [f64; K] {
+    let reads = qs.map(|q| position(v.len(), q));
+    let mut ranks: Vec<usize> = reads
+        .iter()
+        .flat_map(|&(lo, frac)| [Some(lo), (frac > 0.0).then_some(lo + 1)])
+        .flatten()
+        .collect();
+    ranks.sort_unstable();
+    ranks.dedup();
+    select_ranks(v, 0, &ranks);
+    reads.map(|read| interpolate(v, read))
+}
+
+/// Linear-interpolation percentile ([`percentile_sorted`]'s estimator) of
+/// unsorted data, for callers that need a single quantile.
+///
+/// Copies the data once and selects the one or two order statistics the
+/// estimator reads, in expected O(n); the result equals
+/// `percentile_sorted(&sorted_copy(data), q)` bit for bit, except that a
+/// tie between `-0.0` and `0.0` may come out with either sign. `q` is in
+/// `[0, 1]`. Panics on empty input or NaNs.
+pub fn percentile(data: &[f64], q: f64) -> f64 {
+    let [p] = select_quantiles(&mut checked_copy(data), [q]);
+    p
 }
 
 /// Compensated (Neumaier) summation: the running error of each addition is
@@ -79,6 +159,12 @@ pub struct Percentiles {
 }
 
 /// Full summary of one metric over one experiment configuration.
+///
+/// The percentiles are [`percentile_sorted`]'s estimator, found by
+/// selection in one copy of the data (expected O(n), see the module docs),
+/// so they equal the sorted path's bit for bit. Min and max are the order
+/// statistics at the ends (quantiles 0 and 1) of the same selection; the
+/// mean is the [`compensated_sum`] in input order.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Summary {
     /// Number of observations.
@@ -96,25 +182,22 @@ pub struct Summary {
 impl Summary {
     /// Compute a summary from unsorted data. Panics on empty input or NaNs.
     pub fn from_data(data: &[f64]) -> Summary {
-        let sorted = sorted_copy(data);
-        Summary::from_sorted(&sorted)
-    }
-
-    /// Compute a summary from data already sorted ascending.
-    pub fn from_sorted(sorted: &[f64]) -> Summary {
-        assert!(!sorted.is_empty(), "summary of empty data");
+        assert!(!data.is_empty(), "summary of empty data");
+        let mut v = checked_copy(data);
+        let [min, p25, p50, p75, p95, p99, max] =
+            select_quantiles(&mut v, [0.0, 0.25, 0.50, 0.75, 0.95, 0.99, 1.0]);
         Summary {
-            count: sorted.len(),
-            mean: mean(sorted),
+            count: data.len(),
+            mean: mean(data),
             percentiles: Percentiles {
-                p25: percentile_sorted(sorted, 0.25),
-                p50: percentile_sorted(sorted, 0.50),
-                p75: percentile_sorted(sorted, 0.75),
-                p95: percentile_sorted(sorted, 0.95),
-                p99: percentile_sorted(sorted, 0.99),
+                p25,
+                p50,
+                p75,
+                p95,
+                p99,
             },
-            min: sorted[0],
-            max: *sorted.last().unwrap(),
+            min,
+            max,
         }
     }
 
@@ -127,6 +210,13 @@ impl Summary {
 /// The five-number box-plot summary used by the paper's figures:
 /// hinges at the quartiles, whiskers at the most extreme data point within
 /// 1.5 × IQR of the hinges, mean marked separately.
+///
+/// The hinges and median are [`percentile_sorted`]'s estimator, found by
+/// selection in one copy of the data (expected O(n), see the module docs),
+/// so they equal the sorted path's bit for bit. The same selection yields
+/// the data's extremes; a fence with observations on both sides costs one
+/// filtered scan for its whisker, and one counting pass finds the
+/// outliers. The mean is the [`compensated_sum`] in input order.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BoxPlot {
     /// Lower whisker: smallest observation ≥ `p25 - 1.5*IQR`.
@@ -146,47 +236,50 @@ pub struct BoxPlot {
 }
 
 impl BoxPlot {
-    /// Compute box-plot statistics from unsorted data.
+    /// Compute box-plot statistics from unsorted data. Panics on empty
+    /// input or NaNs.
     pub fn from_data(data: &[f64]) -> BoxPlot {
-        let sorted = sorted_copy(data);
-        BoxPlot::from_sorted(&sorted)
-    }
-
-    /// Compute box-plot statistics from data sorted ascending.
-    pub fn from_sorted(sorted: &[f64]) -> BoxPlot {
-        assert!(!sorted.is_empty(), "boxplot of empty data");
-        let p25 = percentile_sorted(sorted, 0.25);
-        let p75 = percentile_sorted(sorted, 0.75);
+        assert!(!data.is_empty(), "boxplot of empty data");
+        let mut v = checked_copy(data);
+        let [min, p25, median, p75, max] = select_quantiles(&mut v, [0.0, 0.25, 0.50, 0.75, 1.0]);
         let iqr = p75 - p25;
         let lo_fence = p25 - 1.5 * iqr;
         let hi_fence = p75 + 1.5 * iqr;
         // Most extreme data points within the fences, clamped to the hinges
         // (with sparse data no observation may fall between fence and the
         // interpolated hinge; the whisker then collapses onto the hinge).
-        let whisker_lo = sorted
-            .iter()
-            .copied()
-            .find(|&x| x >= lo_fence)
-            .unwrap_or(sorted[0])
-            .min(p25);
-        let whisker_hi = sorted
-            .iter()
-            .rev()
-            .copied()
-            .find(|&x| x <= hi_fence)
-            .unwrap_or(*sorted.last().unwrap())
-            .max(p75);
-        let outliers = sorted
+        // Only a fence with data on both sides needs a scan; otherwise the
+        // answer is the data's extreme (also the fallback when no
+        // observation is inside a fence).
+        let whisker_lo = if min < lo_fence && max >= lo_fence {
+            v.iter()
+                .copied()
+                .filter(|&x| x >= lo_fence)
+                .fold(max, f64::min)
+        } else {
+            min
+        }
+        .min(p25);
+        let whisker_hi = if max > hi_fence && min <= hi_fence {
+            v.iter()
+                .copied()
+                .filter(|&x| x <= hi_fence)
+                .fold(min, f64::max)
+        } else {
+            max
+        }
+        .max(p75);
+        let outliers = v
             .iter()
             .filter(|&&x| x < whisker_lo || x > whisker_hi)
             .count();
         BoxPlot {
             whisker_lo,
             p25,
-            median: percentile_sorted(sorted, 0.50),
+            median,
             p75,
             whisker_hi,
-            mean: mean(sorted),
+            mean: mean(data),
             outliers,
         }
     }
@@ -288,10 +381,43 @@ mod tests {
         percentile_sorted(&[], 0.5);
     }
 
+    /// Every entry point rejects NaN at every length, including n = 1,
+    /// where no comparison ever runs.
     #[test]
-    #[should_panic(expected = "NaN")]
-    fn nan_input_panics() {
-        sorted_copy(&[1.0, f64::NAN]);
+    fn nan_input_panics_at_every_length() {
+        type Entry = fn(&[f64]);
+        let entries: [(&str, Entry); 4] = [
+            ("sorted_copy", |d| {
+                sorted_copy(d);
+            }),
+            ("percentile", |d| {
+                percentile(d, 0.5);
+            }),
+            ("Summary", |d| {
+                Summary::from_data(d);
+            }),
+            ("BoxPlot", |d| {
+                BoxPlot::from_data(d);
+            }),
+        ];
+        for (name, entry) in entries {
+            for data in [&[f64::NAN][..], &[1.0, f64::NAN], &[f64::NAN, 2.0, 3.0]] {
+                let err = std::panic::catch_unwind(|| entry(data))
+                    .expect_err(&format!("{name} accepted NaN in {data:?}"));
+                let msg = err
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| err.downcast_ref::<String>().cloned())
+                    .unwrap_or_default();
+                assert_eq!(msg, "statistics input contained NaN", "{name} {data:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "empty")]
+    fn percentile_of_nothing_panics() {
+        percentile(&[], 0.5);
     }
 
     #[test]
@@ -352,7 +478,7 @@ mod tests {
     fn boxplot_single_element() {
         // Degenerate but legal (a grid cell with one observation): every
         // statistic collapses onto that observation.
-        let b = BoxPlot::from_sorted(&[7.25]);
+        let b = BoxPlot::from_data(&[7.25]);
         assert_eq!(b.whisker_lo, 7.25);
         assert_eq!(b.p25, 7.25);
         assert_eq!(b.median, 7.25);
@@ -380,7 +506,7 @@ mod tests {
         // of rounding drift against ulp-of-100000-sized addend steps; the
         // compensated sum keeps the mean within one rounding of 0.1.
         let data = vec![0.1; 1_000_000];
-        let s = Summary::from_sorted(&data);
+        let s = Summary::from_data(&data);
         assert!(
             (s.mean - 0.1).abs() < 1e-15,
             "mean drifted to {:.17}",

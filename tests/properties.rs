@@ -3,11 +3,145 @@
 
 use faas_scheduling::core::{PendingQueue, Policy, SchedulerConfig, SchedulerState};
 use faas_scheduling::cpu::{GpsCpu, GpsParams};
-use faas_scheduling::simcore::stats::{percentile_sorted, sorted_copy, BoxPlot, Summary};
+use faas_scheduling::metrics::summary::{
+    response_times, stretches, FaultCounts, MetricSummary, RobustnessSummary, RunSummary,
+};
+use faas_scheduling::simcore::stats::{
+    mean, percentile, percentile_sorted, sorted_copy, BoxPlot, Percentiles, Summary,
+};
 use faas_scheduling::simcore::time::{SimDuration, SimTime};
 use faas_scheduling::workload::scenario::BurstScenario;
 use faas_scheduling::workload::sebs::{Catalogue, FuncId};
+use faas_scheduling::workload::trace::{CallId, CallKind, CallOutcome, ColdStartKind};
 use proptest::prelude::*;
+use std::fmt::Debug;
+
+/// Bitwise equality of two summaries: `Debug` prints every `f64` in its
+/// shortest round-trip form, so equal text means equal bits (and the same
+/// sign of zero). The data never holds NaN.
+fn assert_same_bits<T: Debug>(got: &T, want: &T, data: &[f64]) {
+    assert_eq!(format!("{got:?}"), format!("{want:?}"), "data {data:?}");
+}
+
+/// The sorted path that [`Summary::from_data`] must reproduce: sort, read
+/// the estimator, take the mean in sorted order.
+fn reference_summary(data: &[f64]) -> Summary {
+    let sorted = sorted_copy(data);
+    let p = |q| percentile_sorted(&sorted, q);
+    Summary {
+        count: sorted.len(),
+        mean: mean(&sorted),
+        percentiles: Percentiles {
+            p25: p(0.25),
+            p50: p(0.50),
+            p75: p(0.75),
+            p95: p(0.95),
+            p99: p(0.99),
+        },
+        min: sorted[0],
+        max: sorted[sorted.len() - 1],
+    }
+}
+
+/// The sorted path that [`BoxPlot::from_data`] must reproduce: whiskers
+/// are the first observations inside the fences, walking in from either
+/// end of the sorted data, clamped to the hinges.
+fn reference_boxplot(data: &[f64]) -> BoxPlot {
+    let sorted = sorted_copy(data);
+    let p25 = percentile_sorted(&sorted, 0.25);
+    let p75 = percentile_sorted(&sorted, 0.75);
+    let iqr = p75 - p25;
+    let (lo_fence, hi_fence) = (p25 - 1.5 * iqr, p75 + 1.5 * iqr);
+    let whisker_lo = sorted
+        .iter()
+        .copied()
+        .find(|&x| x >= lo_fence)
+        .unwrap_or(sorted[0])
+        .min(p25);
+    let whisker_hi = sorted
+        .iter()
+        .rev()
+        .copied()
+        .find(|&x| x <= hi_fence)
+        .unwrap_or(sorted[sorted.len() - 1])
+        .max(p75);
+    BoxPlot {
+        whisker_lo,
+        p25,
+        median: percentile_sorted(&sorted, 0.50),
+        p75,
+        whisker_hi,
+        mean: mean(&sorted),
+        outliers: sorted
+            .iter()
+            .filter(|&&x| x < whisker_lo || x > whisker_hi)
+            .count(),
+    }
+}
+
+fn reference_metric(values: &[f64]) -> MetricSummary {
+    let s = reference_summary(values);
+    let p = s.percentiles;
+    MetricSummary {
+        count: s.count,
+        mean: s.mean,
+        p50: p.p50,
+        p75: p.p75,
+        p95: p.p95,
+        p99: p.p99,
+        max: s.max,
+    }
+}
+
+/// Selection must equal the sorted path on `data` for every summary.
+fn assert_selection_matches_sorting(data: &[f64], q: f64) {
+    assert_same_bits(&Summary::from_data(data), &reference_summary(data), data);
+    assert_same_bits(&BoxPlot::from_data(data), &reference_boxplot(data), data);
+    let sorted = sorted_copy(data);
+    for q in [q, 0.0, 0.05, 0.5, 0.99, 1.0] {
+        assert_same_bits(&percentile(data, q), &percentile_sorted(&sorted, q), data);
+    }
+}
+
+/// Statistics inputs of 1-300 values, `-0.0` excluded (a `±0` tie may come
+/// out of selection with either sign): mixed signs, heavy duplicates from a
+/// small set, all-equal data, heavy tails of either sign, and n = 1 and 2.
+fn stats_data() -> impl Strategy<Value = Vec<f64>> {
+    let heavy = (1e-9f64..1.0, any::<bool>()).prop_map(|(u, neg)| {
+        let x = u.powf(-3.0);
+        if neg {
+            -x
+        } else {
+            x
+        }
+    });
+    let small_set = prop::sample::select(vec![-2.5, 0.0, 0.1, 0.3, 1.0, 7.0, 1e9]);
+    prop_oneof![
+        prop::collection::vec(-1e6f64..1e6, 1..301),
+        prop::collection::vec(small_set, 1..301),
+        (-1e6f64..1e6, 1usize..301).prop_map(|(x, n)| vec![x; n]),
+        prop::collection::vec(heavy, 1..301),
+        prop::collection::vec(-1e6f64..1e6, 1..3),
+    ]
+}
+
+fn outcome(func: u16, release_ms: u64, resp_ms: u64) -> CallOutcome {
+    let release = SimTime::ZERO + SimDuration::from_millis(release_ms);
+    let completion = release + SimDuration::from_millis(resp_ms);
+    CallOutcome {
+        id: CallId(release_ms),
+        func: FuncId(func),
+        kind: CallKind::Measured,
+        release,
+        invoker_receive: release,
+        exec_start: release,
+        exec_end: completion,
+        completion,
+        processing: SimDuration::from_millis(resp_ms),
+        start_kind: ColdStartKind::Warm,
+        node: 0,
+    }
+}
 
 proptest! {
     /// The pending queue is an exact min-priority queue with FIFO ties.
@@ -167,6 +301,65 @@ proptest! {
         prop_assert!(p_hi <= sorted[sorted.len() - 1] + 1e-9);
     }
 
+    /// Selection reproduces the sorted path bit for bit: `Summary`,
+    /// `BoxPlot` and `percentile` against `sorted_copy` +
+    /// `percentile_sorted` + the whisker rule, mean included.
+    #[test]
+    fn selection_summaries_match_the_sorted_path(
+        data in stats_data(),
+        q in 0.0f64..1.0
+    ) {
+        assert_selection_matches_sorting(&data, q);
+    }
+
+    /// `RunSummary` (one traversal) and `RobustnessSummary` (p99 only)
+    /// equal the sorted composition over `response_times` / `stretches`,
+    /// on outcomes with tied and heavy-tailed response times and drops.
+    #[test]
+    fn run_and_robustness_summaries_match_the_sorted_path(
+        calls in prop::collection::vec(
+            (0u16..11, 0u64..100_000, prop_oneof![
+                prop::sample::select(vec![1u64, 40, 40, 900, 12_000]),
+                (1e-6f64..1.0).prop_map(|u| (u.powf(-2.0)) as u64),
+            ]),
+            0..200,
+        ),
+        dropped in 0usize..5,
+        burst_start_ms in 0u64..50_000
+    ) {
+        prop_assume!(!calls.is_empty() || dropped > 0);
+        let catalogue = Catalogue::sebs();
+        let outs: Vec<CallOutcome> =
+            calls.iter().map(|&(f, r, d)| outcome(f, r, d)).collect();
+        let refs: Vec<&CallOutcome> = outs.iter().collect();
+        let resp = response_times(&refs);
+        if !refs.is_empty() {
+            let burst_start = SimTime::ZERO + SimDuration::from_millis(burst_start_ms);
+            let want = RunSummary {
+                response: reference_metric(&resp),
+                stretch: reference_metric(&stretches(&refs, &catalogue)),
+                max_completion: refs
+                    .iter()
+                    .map(|o| o.completion.saturating_since(burst_start).as_secs_f64())
+                    .fold(0.0f64, f64::max),
+            };
+            let got = RunSummary::from_outcomes(&refs, &catalogue, burst_start);
+            assert_same_bits(&got, &want, &resp);
+        }
+        let counts = FaultCounts { retries: dropped as u64, ..FaultCounts::default() };
+        let got = RobustnessSummary::from_outcomes(&refs, dropped, counts);
+        let offered = (refs.len() + dropped) as f64;
+        let want = RobustnessSummary {
+            delivered: refs.len(),
+            dropped,
+            goodput: refs.len() as f64 / offered,
+            drop_rate: dropped as f64 / offered,
+            counts,
+            p99_response: if refs.is_empty() { 0.0 } else { reference_metric(&resp).p99 },
+        };
+        assert_same_bits(&got, &want, &resp);
+    }
+
     /// Box-plot invariants: fences ordered, whiskers inside data range.
     #[test]
     fn boxplot_invariants(
@@ -236,6 +429,24 @@ proptest! {
             }
         }
     }
+}
+
+/// One large tied, heavy-tailed input (2^17 values from a deterministic
+/// generator, quantized so most values repeat): selection must still equal
+/// the sorted path bit for bit.
+#[test]
+fn selection_matches_sorting_on_a_large_tied_heavy_tailed_input() {
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let data: Vec<f64> = (0..1 << 17)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let u = ((state >> 11) as f64 + 1.0) / (1u64 << 53) as f64;
+            (u.powf(-1.5) * 4.0).round() / 4.0
+        })
+        .collect();
+    assert_selection_matches_sorting(&data, 0.37);
 }
 
 /// DRF smoke: a handful of seeded multi-resource churn schedules, on the
