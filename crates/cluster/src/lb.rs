@@ -30,6 +30,7 @@
 //! windows or threads — which is what makes coupled runs bit-identical
 //! across thread counts.
 
+use faas_simcore::rng::splitmix64;
 use faas_workload::sebs::FuncId;
 use faas_workload::trace::Call;
 use serde::{Deserialize, Serialize};
@@ -135,15 +136,6 @@ pub struct NodeView {
     pub dominant_milli: u32,
 }
 
-/// SplitMix64 finalizer: the counter-based draw behind every feedback
-/// routing decision.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
-}
-
 /// The routing state of a feedback [`LoadBalancer`]: a decision counter.
 /// Each [`FeedbackRouter::route`] call consumes exactly one counter value,
 /// so the decision sequence is a pure function of `(policy seed, decision
@@ -191,12 +183,12 @@ impl FeedbackRouter {
             | LoadBalancer::JoinShortestDominant { seed } => {
                 let best = candidates.clone().map(key).min().expect("a candidate");
                 let ties: Vec<u16> = candidates.filter(|&n| key(n) == best).collect();
-                ties[(splitmix64(seed ^ d) % ties.len() as u64) as usize]
+                ties[(splitmix64(&mut (seed ^ d)) % ties.len() as u64) as usize]
             }
             LoadBalancer::PowerOfTwoChoices { seed }
             | LoadBalancer::PowerOfTwoDominant { seed } => {
                 let alive: Vec<u16> = candidates.collect();
-                let r = splitmix64(seed ^ d);
+                let r = splitmix64(&mut (seed ^ d));
                 // Two probes from one draw (independent halves).
                 let a = alive[(r as u32 as u64 % alive.len() as u64) as usize];
                 let b = alive[((r >> 32) % alive.len() as u64) as usize];

@@ -12,9 +12,9 @@
 //!   rises from 22.2 (SEPT) to 25.8 (Fig. 5c).
 
 use crate::grid::{mode_for, STRATEGIES};
-use crate::Effort;
+use crate::{Effort, TRACE_CHUNK};
 use faas_cluster::{run_cluster_source, ClusterConfig, LoadBalancer};
-use faas_invoker::{simulate_scenario, NodeConfig};
+use faas_invoker::{simulate_scenario, NodeConfig, NodeResult};
 use faas_metrics::compare::Strategy;
 use faas_metrics::summary::{stretches, MetricSummary};
 use faas_metrics::table::{fmt_secs, TextTable};
@@ -50,89 +50,44 @@ pub struct Fig5Result {
 pub fn run(effort: Effort) -> Fig5Result {
     let catalogue = Catalogue::sebs();
     let scenario_cfg = FairnessScenario::paper();
-    let seeds = effort.seed_set();
-    let dna = catalogue.by_name("dna-visualisation").expect("dna exists");
-    let bfs = catalogue.by_name("graph-bfs").expect("bfs exists");
-
-    let rows: Vec<Fig5Row> = STRATEGIES
+    let rows = STRATEGIES
         .par_iter()
         .map(|&strategy| {
-            let mut all = Vec::new();
-            let mut dna_vals = Vec::new();
-            let mut bfs_vals = Vec::new();
-            for &seed in seeds {
-                let scenario = scenario_cfg.generate(&catalogue, seed);
-                let cfg = NodeConfig::paper(scenario_cfg.cores);
-                let result =
-                    simulate_scenario(&catalogue, &scenario, &mode_for(strategy), &cfg, seed);
-                let outcomes: Vec<&CallOutcome> = result.measured().collect();
-                all.extend(stretches(&outcomes, &catalogue));
-                let dna_outs: Vec<&CallOutcome> =
-                    outcomes.iter().copied().filter(|o| o.func == dna).collect();
-                dna_vals.extend(stretches(&dna_outs, &catalogue));
-                let bfs_outs: Vec<&CallOutcome> =
-                    outcomes.iter().copied().filter(|o| o.func == bfs).collect();
-                bfs_vals.extend(stretches(&bfs_outs, &catalogue));
-            }
-            Fig5Row {
-                strategy,
-                all: MetricSummary::from_values(&all),
-                dna: MetricSummary::from_values(&dna_vals),
-                bfs: MetricSummary::from_values(&bfs_vals),
-            }
+            let runs: Vec<NodeResult> = effort
+                .seed_set()
+                .iter()
+                .map(|&seed| {
+                    let scenario = scenario_cfg.generate(&catalogue, seed);
+                    let cfg = NodeConfig::paper(scenario_cfg.cores);
+                    simulate_scenario(&catalogue, &scenario, &mode_for(strategy), &cfg, seed)
+                })
+                .collect();
+            row(&catalogue, strategy, &runs)
         })
         .collect();
-
     Fig5Result { rows }
-}
-
-/// Ingestion window of trace-backed runs (matches the sweep's chunk).
-const SOURCE_CHUNK: usize = 512;
-
-/// A summary that tolerates an absent panel: a trace need not call every
-/// function the paper's fairness scenario names.
-fn summary_or_empty(values: &[f64]) -> MetricSummary {
-    if values.is_empty() {
-        MetricSummary {
-            count: 0,
-            mean: 0.0,
-            p50: 0.0,
-            p75: 0.0,
-            p95: 0.0,
-            p99: 0.0,
-            max: 0.0,
-        }
-    } else {
-        MetricSummary::from_values(values)
-    }
 }
 
 /// The fairness panels over an arbitrary [`WorkloadSource`] — the
 /// trace-backed counterpart of [`run`]: the same three stretch panels on
 /// the paper's 10-core node, but the calls come from any analytic spec or
-/// trace instead of the materialized fairness scenario. Trace seeds are
-/// the run seeds, so pooling over seeds pools over trace realizations.
-/// Panels of functions the source never calls report a zero-count
-/// summary. The only fallible path is opening a recorded trace file.
+/// trace instead of the materialized fairness scenario, and each row
+/// comes from the same reducer. Trace seeds are the run seeds, so pooling
+/// over seeds pools over trace realizations. Panels of functions the
+/// source never calls report a zero-count summary. The only fallible path
+/// is opening a recorded trace file.
 pub fn run_source(source: &WorkloadSource, effort: Effort) -> std::io::Result<Fig5Result> {
     let catalogue = Catalogue::sebs();
-    let scenario_cfg = FairnessScenario::paper();
-    let seeds = effort.seed_set();
-    let dna = catalogue.by_name("dna-visualisation").expect("dna exists");
-    let bfs = catalogue.by_name("graph-bfs").expect("bfs exists");
-
+    let cfg = ClusterConfig::independent(
+        1,
+        NodeConfig::paper(FairnessScenario::paper().cores),
+        LoadBalancer::RoundRobin,
+    );
     let mut rows = Vec::new();
-    for &strategy in STRATEGIES.iter() {
-        let mut all = Vec::new();
-        let mut dna_vals = Vec::new();
-        let mut bfs_vals = Vec::new();
-        for &seed in seeds {
-            let cfg = ClusterConfig::independent(
-                1,
-                NodeConfig::paper(scenario_cfg.cores),
-                LoadBalancer::RoundRobin,
-            );
-            let result = run_cluster_source(
+    for strategy in STRATEGIES {
+        let mut runs = Vec::new();
+        for &seed in effort.seed_set() {
+            runs.push(run_cluster_source(
                 &catalogue,
                 source,
                 &mode_for(strategy),
@@ -140,25 +95,38 @@ pub fn run_source(source: &WorkloadSource, effort: Effort) -> std::io::Result<Fi
                 &FaultSpec::none(),
                 seed,
                 seed ^ 0xC1u64,
-                SOURCE_CHUNK,
-            )?;
-            let outcomes: Vec<&CallOutcome> = result.measured().collect();
-            all.extend(stretches(&outcomes, &catalogue));
-            let dna_outs: Vec<&CallOutcome> =
-                outcomes.iter().copied().filter(|o| o.func == dna).collect();
-            dna_vals.extend(stretches(&dna_outs, &catalogue));
-            let bfs_outs: Vec<&CallOutcome> =
-                outcomes.iter().copied().filter(|o| o.func == bfs).collect();
-            bfs_vals.extend(stretches(&bfs_outs, &catalogue));
+                TRACE_CHUNK,
+            )?);
         }
-        rows.push(Fig5Row {
-            strategy,
-            all: summary_or_empty(&all),
-            dna: summary_or_empty(&dna_vals),
-            bfs: summary_or_empty(&bfs_vals),
-        });
+        rows.push(row(&catalogue, strategy, &runs));
     }
     Ok(Fig5Result { rows })
+}
+
+/// One strategy's three stretch panels, pooled over its per-seed runs in
+/// seed order. A panel of a function no run calls (possible on a trace)
+/// reports a zero-count summary.
+fn row(catalogue: &Catalogue, strategy: Strategy, runs: &[NodeResult]) -> Fig5Row {
+    let outcomes: Vec<&CallOutcome> = runs.iter().flat_map(|r| r.measured()).collect();
+    let panel = |func: Option<&str>| {
+        let func = func.map(|name| catalogue.by_name(name).expect("a SeBS function"));
+        let calls: Vec<&CallOutcome> = outcomes
+            .iter()
+            .copied()
+            .filter(|o| func.is_none_or(|f| o.func == f))
+            .collect();
+        if calls.is_empty() {
+            MetricSummary::default()
+        } else {
+            MetricSummary::from_values(&stretches(&calls, catalogue))
+        }
+    };
+    Fig5Row {
+        strategy,
+        all: panel(None),
+        dna: panel(Some("dna-visualisation")),
+        bfs: panel(Some("graph-bfs")),
+    }
 }
 
 /// Render the three panels.

@@ -6,10 +6,10 @@
 //! 3 VMs provides better response-time statistics than the baseline on
 //! 4 VMs.
 
-use crate::Effort;
+use crate::grid::mode_for;
+use crate::{Effort, TRACE_CHUNK};
 use faas_cluster::{run_cluster, run_cluster_source, ClusterConfig, ClusterScenario, LoadBalancer};
-use faas_core::{Policy, SchedulerConfig};
-use faas_invoker::{NodeConfig, NodeMode};
+use faas_invoker::{NodeConfig, NodeResult};
 use faas_metrics::compare::{self, Strategy};
 use faas_metrics::summary::MetricSummary;
 use faas_metrics::table::{fmt_secs, TextTable};
@@ -59,10 +59,19 @@ impl Fig6Result {
     }
 }
 
+/// Worker counts of the fixed-total-load design.
+fn node_counts(effort: Effort) -> &'static [u16] {
+    if effort.quick {
+        &[4, 1]
+    } else {
+        &[4, 3, 2, 1]
+    }
+}
+
 /// Run the multi-node experiments for both node sizes of the paper.
 pub fn run(effort: Effort) -> Fig6Result {
     let catalogue = Catalogue::sebs();
-    let seeds = effort.seed_set();
+    let window = SimDuration::from_secs(60);
     // (cores per node, calls per function for the fixed load): 10-core
     // experiment sends 1320 = 11 x 120, 18-core sends 2376 = 11 x 216.
     let node_sizes: &[(u32, usize)] = if effort.quick {
@@ -70,12 +79,10 @@ pub fn run(effort: Effort) -> Fig6Result {
     } else {
         &[(10, 120), (18, 216)]
     };
-    let node_counts: &[u16] = if effort.quick { &[4, 1] } else { &[4, 3, 2, 1] };
-
     let cases: Vec<(u32, usize, u16, Strategy)> = node_sizes
         .iter()
         .flat_map(|&(cores, per_func)| {
-            node_counts.iter().flat_map(move |&n| {
+            node_counts(effort).iter().flat_map(move |&n| {
                 [Strategy::Baseline, Strategy::Fc]
                     .into_iter()
                     .map(move |s| (cores, per_func, n, s))
@@ -83,158 +90,115 @@ pub fn run(effort: Effort) -> Fig6Result {
         })
         .collect();
 
-    let rows: Vec<Fig6Row> = cases
+    let rows = cases
         .par_iter()
         .map(|&(cores, per_func, nodes, strategy)| {
-            let mode = match strategy {
-                Strategy::Baseline => NodeMode::Baseline,
-                Strategy::Fc => NodeMode::Scheduled(SchedulerConfig::paper(Policy::FairChoice)),
-                _ => unreachable!("the paper's SSVIII uses baseline and FC only"),
-            };
             let cfg = ClusterConfig::independent(
                 nodes,
                 NodeConfig::paper(cores),
                 LoadBalancer::RoundRobin,
             );
-            let mut pooled: Vec<f64> = Vec::new();
-            let mut per_seed_avg = Vec::new();
-            let mut max_completion: f64 = 0.0;
-            let mut peak_queue = 0usize;
-            let mut peak_events = 0usize;
-            for &seed in seeds {
-                let scenario = ClusterScenario::generate(
-                    &catalogue,
-                    per_func,
-                    SimDuration::from_secs(60),
-                    seed,
-                );
-                let result = run_cluster(&catalogue, &scenario, &mode, &cfg, seed);
-                let resp: Vec<f64> = result
-                    .outcomes
-                    .iter()
-                    .filter(|o| o.is_measured())
-                    .map(|o| o.response_time().as_secs_f64())
-                    .collect();
-                per_seed_avg.push(resp.iter().sum::<f64>() / resp.len() as f64);
-                max_completion = max_completion.max(
-                    result
-                        .last_completion
-                        .saturating_since(scenario.burst_start)
-                        .as_secs_f64(),
-                );
-                peak_queue = peak_queue.max(result.peak_queue);
-                peak_events = peak_events.max(result.peak_events);
-                pooled.extend(resp);
-            }
-            // The per-core intensity the paper quotes: the 4-node setup is
-            // intensity 30, halving the nodes doubles it.
-            let intensity = 120 / nodes as u32;
-            Fig6Row {
-                nodes,
-                cpus_per_node: cores,
-                intensity,
-                strategy,
-                response: MetricSummary::from_values(&pooled),
-                max_completion,
-                per_seed_avg,
-                peak_queue,
-                peak_events,
-            }
+            let runs: Vec<(NodeResult, SimTime)> = effort
+                .seed_set()
+                .iter()
+                .map(|&seed| {
+                    let scenario = ClusterScenario::generate(&catalogue, per_func, window, seed);
+                    let result =
+                        run_cluster(&catalogue, &scenario, &mode_for(strategy), &cfg, seed);
+                    (result, scenario.burst_start)
+                })
+                .collect();
+            row(&cfg, strategy, &runs)
         })
         .collect();
-
     Fig6Result { rows }
 }
 
-/// Ingestion window of trace-backed runs (matches the sweep's chunk).
-const SOURCE_CHUNK: usize = 512;
-
 /// The multi-node scaling experiment over an arbitrary [`WorkloadSource`]
-/// — the trace-backed counterpart of [`run`]. The same fixed-total-load
-/// design: every node count serves the *same* source, so halving the
-/// worker count doubles the per-node load. Trace seeds are the run seeds,
-/// so pooling over seeds pools over trace realizations. The `intensity`
-/// column keeps the paper's `120 / nodes` mapping, which is meaningful
-/// for paper-shaped loads only; `max_completion` is anchored to the first
-/// measured release of each run (a trace carries no warm-up phase). It
-/// fails if a recorded trace file cannot be opened, and with
-/// `InvalidInput` if a seed's source yields no measured call (e.g. an
-/// empty trace or a near-zero synthetic rate).
+/// — the trace-backed counterpart of [`run`], whose row reducer it
+/// shares. The same fixed-total-load design: every node count serves the
+/// *same* source, so halving the worker count doubles the per-node load.
+/// Trace seeds are the run seeds, so pooling over seeds pools over trace
+/// realizations. The `intensity` column keeps the paper's `120 / nodes`
+/// mapping, which is meaningful for paper-shaped loads only;
+/// `max_completion` is anchored to the first measured release of each run
+/// (a trace carries no warm-up phase). It fails if a recorded trace file
+/// cannot be opened, and with `InvalidInput` if a seed's source yields no
+/// measured call (e.g. an empty trace or a near-zero synthetic rate).
 pub fn run_source(
     source: &WorkloadSource,
     cores: u32,
     effort: Effort,
 ) -> std::io::Result<Fig6Result> {
     let catalogue = Catalogue::sebs();
-    let seeds = effort.seed_set();
-    let node_counts: &[u16] = if effort.quick { &[4, 1] } else { &[4, 3, 2, 1] };
-
     let mut rows = Vec::new();
-    for &nodes in node_counts {
+    for &nodes in node_counts(effort) {
         for strategy in [Strategy::Baseline, Strategy::Fc] {
-            let mode = match strategy {
-                Strategy::Baseline => NodeMode::Baseline,
-                Strategy::Fc => NodeMode::Scheduled(SchedulerConfig::paper(Policy::FairChoice)),
-                _ => unreachable!("the paper's SSVIII uses baseline and FC only"),
-            };
             let cfg = ClusterConfig::independent(
                 nodes,
                 NodeConfig::paper(cores),
                 LoadBalancer::RoundRobin,
             );
-            let mut pooled: Vec<f64> = Vec::new();
-            let mut per_seed_avg = Vec::new();
-            let mut max_completion: f64 = 0.0;
-            let mut peak_queue = 0usize;
-            let mut peak_events = 0usize;
-            for &seed in seeds {
+            let mut runs = Vec::new();
+            for &seed in effort.seed_set() {
                 let result = run_cluster_source(
                     &catalogue,
                     source,
-                    &mode,
+                    &mode_for(strategy),
                     &cfg,
                     &FaultSpec::none(),
                     seed,
                     seed ^ 0xC1u64,
-                    SOURCE_CHUNK,
+                    TRACE_CHUNK,
                 )?;
-                let resp: Vec<f64> = result
-                    .measured()
-                    .map(|o| o.response_time().as_secs_f64())
-                    .collect();
-                if resp.is_empty() {
+                let Some(start) = result.measured().map(|o| o.release).min() else {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::InvalidInput,
                         "source produced no measured calls",
                     ));
-                }
-                per_seed_avg.push(resp.iter().sum::<f64>() / resp.len() as f64);
-                let start = result
-                    .measured()
-                    .map(|o| o.release)
-                    .min()
-                    .unwrap_or(SimTime::ZERO);
-                max_completion = max_completion
-                    .max(result.last_completion.saturating_since(start).as_secs_f64());
-                peak_queue = peak_queue.max(result.peak_queue);
-                peak_events = peak_events.max(result.peak_events);
-                pooled.extend(resp);
+                };
+                runs.push((result, start));
             }
-            let intensity = 120 / nodes as u32;
-            rows.push(Fig6Row {
-                nodes,
-                cpus_per_node: cores,
-                intensity,
-                strategy,
-                response: MetricSummary::from_values(&pooled),
-                max_completion,
-                per_seed_avg,
-                peak_queue,
-                peak_events,
-            });
+            rows.push(row(&cfg, strategy, &runs));
         }
     }
     Ok(Fig6Result { rows })
+}
+
+/// One Table V row of `cfg`'s cluster, pooled over its per-seed runs in
+/// seed order. Each run comes with the instant its `max_completion` is
+/// measured from.
+fn row(cfg: &ClusterConfig, strategy: Strategy, runs: &[(NodeResult, SimTime)]) -> Fig6Row {
+    let mut pooled: Vec<f64> = Vec::new();
+    let mut per_seed_avg = Vec::new();
+    let mut max_completion: f64 = 0.0;
+    for (result, start) in runs {
+        let resp: Vec<f64> = result
+            .measured()
+            .map(|o| o.response_time().as_secs_f64())
+            .collect();
+        per_seed_avg.push(resp.iter().sum::<f64>() / resp.len() as f64);
+        max_completion = max_completion.max(
+            result
+                .last_completion
+                .saturating_since(*start)
+                .as_secs_f64(),
+        );
+        pooled.extend(resp);
+    }
+    Fig6Row {
+        nodes: cfg.nodes,
+        cpus_per_node: cfg.node.cores,
+        // The per-core intensity the paper quotes: the 4-node setup is
+        // intensity 30, halving the nodes doubles it.
+        intensity: 120 / cfg.nodes as u32,
+        strategy,
+        response: MetricSummary::from_values(&pooled),
+        max_completion,
+        per_seed_avg,
+        peak_queue: runs.iter().map(|(r, _)| r.peak_queue).max().unwrap_or(0),
+        peak_events: runs.iter().map(|(r, _)| r.peak_events).max().unwrap_or(0),
+    }
 }
 
 /// Render Table V with paper references.

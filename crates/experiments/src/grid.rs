@@ -18,7 +18,7 @@ use crate::Effort;
 use faas_core::{Policy, SchedulerConfig};
 use faas_invoker::{simulate_scenario, NodeConfig, NodeMode};
 use faas_metrics::compare::{self, Strategy};
-use faas_metrics::summary::{response_times_into, stretches_into, MetricSummary, RunSummary};
+use faas_metrics::summary::{response_times, stretches, MetricSummary, RunSummary};
 use faas_metrics::table::{fmt_ratio, fmt_secs, TextTable};
 use faas_simcore::stats::BoxPlot;
 use faas_workload::scenario::BurstScenario;
@@ -131,124 +131,79 @@ pub fn axes(effort: Effort) -> (Vec<u32>, Vec<u32>) {
 }
 
 /// Run the grid.
+///
+/// One task per (cpus, intensity, seed), seeds innermost, replays the
+/// same scenario under all six strategies and summarises each run; cell
+/// `(config, strategy)` then pools, by position and in seed order, the
+/// strategy's run of every task in the config's chunk of `seeds.len()`
+/// tasks.
 pub fn run(effort: Effort) -> GridResult {
     let catalogue = Catalogue::sebs();
     let (cpu_axis, intensity_axis) = axes(effort);
     let seeds = effort.seed_set();
-
-    // One task per (cpus, intensity, seed): replay the same scenario under
-    // all six strategies.
-    let tasks: Vec<(u32, u32, u64)> = cpu_axis
+    let configs: Vec<(u32, u32)> = cpu_axis
         .iter()
-        .flat_map(|&c| {
-            intensity_axis
-                .iter()
-                .flat_map(move |&v| seeds.iter().map(move |&s| (c, v, s)))
-        })
+        .flat_map(|&c| intensity_axis.iter().map(move |&v| (c, v)))
+        .collect();
+    let tasks: Vec<(u32, u32, u64)> = configs
+        .iter()
+        .flat_map(|&(c, v)| seeds.iter().map(move |&s| (c, v, s)))
         .collect();
 
-    struct StrategyRun {
-        strategy: Strategy,
-        outcomes: Vec<CallOutcome>,
-        cold_starts: usize,
-        peak_queue: usize,
-        peak_events: usize,
-    }
-
-    struct TaskOut {
-        cpus: u32,
-        intensity: u32,
-        seed: u64,
-        // One run per strategy, plus burst start for completion anchoring.
-        runs: Vec<StrategyRun>,
-        burst_start: faas_simcore::time::SimTime,
-    }
-
-    let outputs: Vec<TaskOut> = tasks
+    // Per task, one (per-seed statistics, response times, stretches)
+    // triple per strategy, in `STRATEGIES` order.
+    let outputs: Vec<Vec<_>> = tasks
         .par_iter()
         .map(|&(cpus, intensity, seed)| {
             let scenario = BurstScenario::standard(cpus, intensity).generate(&catalogue, seed);
             let cfg = NodeConfig::paper(cpus);
-            let runs = STRATEGIES
+            STRATEGIES
                 .iter()
                 .map(|&strategy| {
                     let result =
                         simulate_scenario(&catalogue, &scenario, &mode_for(strategy), &cfg, seed);
-                    StrategyRun {
-                        strategy,
+                    let refs: Vec<&CallOutcome> = result.measured().collect();
+                    let resp = response_times(&refs);
+                    let stretch = stretches(&refs, &catalogue);
+                    let run = SeedRun {
+                        seed,
+                        summary: RunSummary::from_outcomes(&refs, &catalogue, scenario.burst_start),
+                        response_box: BoxPlot::from_data(&resp),
+                        stretch_box: BoxPlot::from_data(&stretch),
                         cold_starts: result.measured_cold_starts(),
+                        calls: refs.len(),
                         peak_queue: result.peak_queue,
                         peak_events: result.peak_events,
-                        outcomes: result.measured().copied().collect(),
-                    }
+                    };
+                    (run, resp, stretch)
                 })
-                .collect();
-            TaskOut {
-                cpus,
-                intensity,
-                seed,
-                runs,
-                burst_start: scenario.burst_start,
-            }
+                .collect()
         })
         .collect();
 
-    // Reduce into cells. The scratch buffers are reused across every run
-    // (zero steady-state allocation; the grid reduces thousands of runs).
     let mut cells = Vec::new();
-    let mut refs: Vec<&CallOutcome> = Vec::new();
-    let mut resp: Vec<f64> = Vec::new();
-    let mut stretch: Vec<f64> = Vec::new();
-    for &cpus in &cpu_axis {
-        for &intensity in &intensity_axis {
-            for &strategy in &STRATEGIES {
-                let mut per_seed = Vec::new();
-                let mut pooled_resp: Vec<f64> = Vec::new();
-                let mut pooled_stretch: Vec<f64> = Vec::new();
-                let mut pooled_max_c: f64 = 0.0;
-                for out in outputs
+    for (&(cpus, intensity), tasks) in configs.iter().zip(outputs.chunks(seeds.len())) {
+        for (k, &strategy) in STRATEGIES.iter().enumerate() {
+            let runs = || tasks.iter().map(|t| &t[k]);
+            let pooled_resp: Vec<f64> = runs().flat_map(|(_, r, _)| r).copied().collect();
+            let pooled_stretch: Vec<f64> = runs().flat_map(|(_, _, s)| s).copied().collect();
+            let per_seed: Vec<SeedRun> = runs().map(|(run, _, _)| run.clone()).collect();
+            let pooled = RunSummary {
+                response: MetricSummary::from_values(&pooled_resp),
+                stretch: MetricSummary::from_values(&pooled_stretch),
+                max_completion: per_seed
                     .iter()
-                    .filter(|o| o.cpus == cpus && o.intensity == intensity)
-                {
-                    let run = out
-                        .runs
-                        .iter()
-                        .find(|r| r.strategy == strategy)
-                        .expect("every strategy runs");
-                    refs.clear();
-                    refs.extend(run.outcomes.iter());
-                    let summary = RunSummary::from_outcomes(&refs, &catalogue, out.burst_start);
-                    response_times_into(&refs, &mut resp);
-                    stretches_into(&refs, &catalogue, &mut stretch);
-                    per_seed.push(SeedRun {
-                        seed: out.seed,
-                        summary,
-                        response_box: BoxPlot::from_data(&resp),
-                        stretch_box: BoxPlot::from_data(&stretch),
-                        cold_starts: run.cold_starts,
-                        calls: run.outcomes.len(),
-                        peak_queue: run.peak_queue,
-                        peak_events: run.peak_events,
-                    });
-                    pooled_max_c = pooled_max_c.max(summary.max_completion);
-                    pooled_resp.extend_from_slice(&resp);
-                    pooled_stretch.extend_from_slice(&stretch);
-                }
-                let pooled = RunSummary {
-                    response: MetricSummary::from_values(&pooled_resp),
-                    stretch: MetricSummary::from_values(&pooled_stretch),
-                    max_completion: pooled_max_c,
-                };
-                cells.push(Cell {
-                    cpus,
-                    intensity,
-                    strategy,
-                    per_seed,
-                    pooled,
-                    response_box: BoxPlot::from_data(&pooled_resp),
-                    stretch_box: BoxPlot::from_data(&pooled_stretch),
-                });
-            }
+                    .fold(0.0, |m, r| f64::max(m, r.summary.max_completion)),
+            };
+            cells.push(Cell {
+                cpus,
+                intensity,
+                strategy,
+                per_seed,
+                pooled,
+                response_box: BoxPlot::from_data(&pooled_resp),
+                stretch_box: BoxPlot::from_data(&pooled_stretch),
+            });
         }
     }
     GridResult { cells }

@@ -29,6 +29,13 @@
 //!
 //! All experiments run the 5-seed repetitions in parallel (rayon) and are
 //! bit-for-bit reproducible from the seed set.
+//!
+//! Every artefact pools its seeds the same way: the runs are ordered row
+//! by row with the seeds innermost, each run yields one per-seed record,
+//! and row `i` pools the `i`-th chunk of `seeds.len()` records by
+//! position, in seed order, never by matching labels. A `run_source`
+//! twin ([`table1`], [`fig5`], [`fig6`]) differs from its `run` only in
+//! where the calls come from; both feed the same row reducer.
 
 pub mod ablations;
 pub mod custom;
@@ -42,6 +49,11 @@ pub mod table1;
 
 /// The seeds of the paper's "5 different random sequences of calls".
 pub const SEEDS: [u64; 5] = [101, 202, 303, 404, 505];
+
+/// Ingestion window of every trace-backed run (the `run_source` twins and
+/// the sweep's trace table): small enough that a trace's resident working
+/// set stays bounded, large enough to amortize the windowed drain.
+pub(crate) const TRACE_CHUNK: usize = 512;
 
 /// Reduced configuration for smoke tests: fewer seeds and the
 /// cheaper corner of the grid.

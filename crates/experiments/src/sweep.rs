@@ -31,15 +31,20 @@
 //! keyed policies through the per-node coupled entry point, reporting
 //! per-resource utilization and the cross-node dominant-share Jain index
 //! next to a single-resource (memory-unmodeled) control.
+//!
+//! Every table is pooled the same way: its rows are crossed with the
+//! seeds, seeds innermost, each run yields one per-seed record, and row
+//! `i` pools the `i`-th chunk of `seeds.len()` records by position, in
+//! seed order (see `Setup::pooled`).
 
 use crate::grid::mode_for;
-use crate::Effort;
+use crate::{Effort, TRACE_CHUNK};
 use faas_cluster::{run_cluster_source, run_cluster_source_per_node, ClusterConfig, LoadBalancer};
-use faas_invoker::{simulate_calls_faulted, NodeConfig};
+use faas_invoker::{simulate_calls_faulted, FaultStats, NodeConfig, NodeResult};
 use faas_metrics::compare::Strategy;
 use faas_metrics::summary::{
-    response_times_into, stretches_into, FaultCounts, MetricSummary, ResourceSummary,
-    ResourceUsage, RobustnessSummary,
+    response_times, stretches, FaultCounts, MetricSummary, ResourceSummary, ResourceUsage,
+    RobustnessSummary,
 };
 use faas_metrics::table::{fmt_secs, TextTable};
 use faas_simcore::rng::Xoshiro256;
@@ -51,9 +56,9 @@ use faas_workload::mix::MixSpec;
 use faas_workload::scenario::{warmup_for_spec, warmup_waves};
 use faas_workload::sebs::Catalogue;
 use faas_workload::synth::SynthSpec;
-use faas_workload::trace::CallOutcome;
+use faas_workload::trace::{Call, CallOutcome};
 use faas_workload::trace_source::{TraceSpec, WorkloadSource};
-use faas_workload::weight::{WeightSpec, WeightTable};
+use faas_workload::weight::WeightSpec;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -324,7 +329,7 @@ fn weight_axis(quick: bool) -> Vec<WeightSpec> {
 /// size-based policy.
 fn strategy_axis(quick: bool) -> Vec<Strategy> {
     if quick {
-        vec![Strategy::Baseline, Strategy::Fc]
+        HEADLINE.to_vec()
     } else {
         vec![
             Strategy::Baseline,
@@ -360,165 +365,514 @@ fn trace_axis(window: SimDuration, quick: bool) -> Vec<SynthSpec> {
 /// Worker count of the trace-replay table.
 const TRACE_NODES: u16 = 2;
 
-/// Ingestion window of the trace-replay table: small enough that the
-/// peak-resident column demonstrates the bounded working set, large
-/// enough to amortize the windowed drain.
-const TRACE_CHUNK: usize = 512;
 /// Ingestion cap of the spec-sourced cluster runs: above every sweep
 /// burst, so a burst at infinite lookahead is one window.
 const SPEC_CHUNK: usize = 8192;
 
+/// The paper's headline pair, the strategy axis of every table but the
+/// first: the cluster, robustness, trace and multi-resource tables are
+/// about scaling and regimes, not the policy grid.
+const HEADLINE: [Strategy; 2] = [Strategy::Baseline, Strategy::Fc];
+
+/// Cross a table's keys with its strategies, strategies innermost.
+fn cross<K: Copy>(
+    keys: impl IntoIterator<Item = K>,
+    strategies: &[Strategy],
+) -> Vec<(K, Strategy)> {
+    keys.into_iter()
+        .flat_map(|k| strategies.iter().map(move |&s| (k, s)))
+        .collect()
+}
+
+/// The paper's burst shape: `count` calls released uniformly over
+/// `window`, split equally over the functions, under `weights`.
+fn paper_burst(count: usize, weights: WeightSpec, window: SimDuration) -> WorkloadSpec {
+    WorkloadSpec {
+        arrival: ArrivalSpec::Uniform { count },
+        mix: MixSpec::Equal,
+        weights,
+        window,
+    }
+}
+
+/// One run of a sweep table: its measured outcomes and counters. A row
+/// is reduced from its runs' records.
+#[derive(Default)]
+struct SeedOut {
+    outcomes: Vec<CallOutcome>,
+    cold_starts: usize,
+    peak_queue: usize,
+    peak_events: usize,
+    peak_resident: u64,
+    /// Measured calls dropped (set by the robustness tables).
+    dropped: usize,
+    faults: FaultStats,
+    /// Served work per node (multi-resource table only).
+    usages: Vec<ResourceUsage>,
+    /// Latest completion over the nodes, seconds (multi-resource table
+    /// only).
+    horizon_secs: f64,
+}
+
+impl SeedOut {
+    fn of(result: &NodeResult) -> Self {
+        SeedOut {
+            outcomes: result.measured().copied().collect(),
+            cold_starts: result.measured_cold_starts(),
+            peak_queue: result.peak_queue,
+            peak_events: result.peak_events,
+            peak_resident: result.peak_resident_calls,
+            faults: result.fault_stats,
+            ..SeedOut::default()
+        }
+    }
+}
+
+/// The latency and sim-health columns of one row, pooled over its runs:
+/// calls and response times concatenated, cold starts summed, peaks
+/// maximised.
+struct Latency {
+    calls: usize,
+    response: MetricSummary,
+    cold_starts: usize,
+    peak_queue: usize,
+    peak_events: usize,
+    peak_resident: u64,
+}
+
+fn latency(runs: &[SeedOut]) -> Latency {
+    let resp: Vec<f64> = runs
+        .iter()
+        .flat_map(|r| &r.outcomes)
+        .map(|o| o.response_time().as_secs_f64())
+        .collect();
+    Latency {
+        calls: resp.len(),
+        response: MetricSummary::from_values(&resp),
+        cold_starts: runs.iter().map(|r| r.cold_starts).sum(),
+        peak_queue: runs.iter().map(|r| r.peak_queue).max().unwrap_or(0),
+        peak_events: runs.iter().map(|r| r.peak_events).max().unwrap_or(0),
+        peak_resident: runs.iter().map(|r| r.peak_resident).max().unwrap_or(0),
+    }
+}
+
+/// Goodput, drops, fault counters and the delivered response times of
+/// one robustness row, pooled over its runs.
+fn robustness(runs: &[SeedOut]) -> (RobustnessSummary, MetricSummary) {
+    let refs: Vec<&CallOutcome> = runs.iter().flat_map(|r| &r.outcomes).collect();
+    let sum = |f: fn(&FaultStats) -> u64| runs.iter().map(|r| f(&r.faults)).sum();
+    let counts = FaultCounts {
+        retries: sum(|f| f.retries),
+        timeouts: sum(|f| f.timeouts),
+        transient_failures: sum(|f| f.transient_failures),
+        crashes: sum(|f| f.crashes),
+        failovers: sum(|f| f.failovers),
+    };
+    let dropped = runs.iter().map(|r| r.dropped).sum();
+    (
+        RobustnessSummary::from_outcomes(&refs, dropped, counts),
+        MetricSummary::from_values(&response_times(&refs)),
+    )
+}
+
+/// What every table of one sweep shares.
+struct Setup {
+    catalogue: Catalogue,
+    cores: u32,
+    /// Measured calls of the paper-shaped burst: `1.1 · cores ·
+    /// intensity`.
+    count: usize,
+    window: SimDuration,
+    effort: Effort,
+}
+
 /// Run the sweep.
 pub fn run(effort: Effort) -> SweepResult {
-    let catalogue = Catalogue::sebs();
     // Both modes keep the paper's 10-core node at an intensity where
     // scheduling matters; the full sweep runs the stressed regime.
     let (cores, intensity) = if effort.quick { (10, 60) } else { (10, 90) };
-    let window = SimDuration::from_secs(60);
+    let catalogue = Catalogue::sebs();
     let count = catalogue.len() * cores as usize * intensity as usize / 10;
-    let seeds = effort.seed_set();
-
-    let arrivals = arrival_axis(count, window, effort.quick);
-    let mixes = mix_axis(effort.quick);
-    let weight_specs = weight_axis(effort.quick);
-    let strategies = strategy_axis(effort.quick);
-
-    #[allow(clippy::type_complexity)]
-    let tasks: Vec<(&ArrivalSpec, &MixSpec, &WeightSpec, Strategy, u64)> = arrivals
-        .iter()
-        .flat_map(|a| {
-            mixes.iter().flat_map({
-                let (weight_specs, strategies, seeds) = (&weight_specs, &strategies, &seeds);
-                move |m| {
-                    weight_specs.iter().flat_map(move |w| {
-                        strategies
-                            .iter()
-                            .flat_map(move |&s| seeds.iter().map(move |&seed| (a, m, w, s, seed)))
-                    })
-                }
-            })
-        })
-        .collect();
-
-    struct TaskOut {
-        arrival: String,
-        mix: String,
-        weights: String,
-        strategy: Strategy,
-        outcomes: Vec<CallOutcome>,
-        cold_starts: usize,
-        peak_queue: usize,
-        peak_events: usize,
-    }
-
-    let outputs: Vec<TaskOut> = tasks
-        .par_iter()
-        .map(|&(arrival, mix, weights, strategy, seed)| {
-            let spec = WorkloadSpec {
-                arrival: arrival.clone(),
-                mix: mix.clone(),
-                weights: weights.clone(),
-                window,
-            };
-            let weight_table = spec.weights.table(&catalogue);
-            let mut root = Xoshiro256::seed_from_u64(seed);
-            let mut rng_times = root.derive_stream(STREAM_TIMES);
-            let mut rng_assign = root.derive_stream(STREAM_ASSIGN);
-            let (mut calls, burst_start) = warmup_for_spec(&catalogue, cores);
-            calls.extend(spec.generate_sorted(
-                &catalogue,
-                burst_start,
-                &mut rng_times,
-                &mut rng_assign,
-                calls.len() as u64,
-            ));
-            let result = simulate_calls_faulted(
-                &catalogue,
-                &calls,
-                &mode_for(strategy),
-                &NodeConfig::paper(cores),
-                &weight_table,
-                &FaultSpec::none(),
-                seed,
-                0,
-            );
-            TaskOut {
-                arrival: spec.arrival.label(),
-                mix: spec.mix.label(&catalogue),
-                weights: spec.weights.label(),
-                strategy,
-                cold_starts: result.measured_cold_starts(),
-                peak_queue: result.peak_queue,
-                peak_events: result.peak_events,
-                outcomes: result.measured().copied().collect(),
-            }
-        })
-        .collect();
-
-    // Reduce over seeds with reused scratch buffers.
-    let mut rows = Vec::new();
-    let mut refs: Vec<&CallOutcome> = Vec::new();
-    let mut resp_scratch: Vec<f64> = Vec::new();
-    let mut stretch_scratch: Vec<f64> = Vec::new();
-    for arrival in &arrivals {
-        for mix in &mixes {
-            for weights in &weight_specs {
-                for &strategy in &strategies {
-                    let a_label = arrival.label();
-                    let m_label = mix.label(&catalogue);
-                    let w_label = weights.label();
-                    let mut pooled_resp: Vec<f64> = Vec::new();
-                    let mut pooled_stretch: Vec<f64> = Vec::new();
-                    let mut cold_starts = 0;
-                    let mut peak_queue = 0;
-                    let mut peak_events = 0;
-                    for out in outputs.iter().filter(|o| {
-                        o.arrival == a_label
-                            && o.mix == m_label
-                            && o.weights == w_label
-                            && o.strategy == strategy
-                    }) {
-                        refs.clear();
-                        refs.extend(out.outcomes.iter());
-                        response_times_into(&refs, &mut resp_scratch);
-                        stretches_into(&refs, &catalogue, &mut stretch_scratch);
-                        pooled_resp.extend_from_slice(&resp_scratch);
-                        pooled_stretch.extend_from_slice(&stretch_scratch);
-                        cold_starts += out.cold_starts;
-                        peak_queue = peak_queue.max(out.peak_queue);
-                        peak_events = peak_events.max(out.peak_events);
-                    }
-                    rows.push(SweepRow {
-                        arrival: a_label,
-                        mix: m_label,
-                        weights: w_label,
-                        strategy,
-                        calls: pooled_resp.len(),
-                        response: MetricSummary::from_values(&pooled_resp),
-                        stretch: MetricSummary::from_values(&pooled_stretch),
-                        cold_starts,
-                        peak_queue,
-                        peak_events,
-                    });
-                }
-            }
-        }
-    }
-
-    let cluster_rows = run_cluster_sweep(&catalogue, cores, intensity, window, effort);
-    let fault_rows = run_fault_sweep(&catalogue, cores, intensity, window, effort);
-    let coupled_rows = run_coupled_sweep(&catalogue, cores, intensity, window, effort);
-    let trace_rows = run_trace_sweep(&catalogue, cores, window, effort);
-    let resource_rows = run_resource_sweep(&catalogue, cores, intensity, window, effort);
+    let s = Setup {
+        catalogue,
+        cores,
+        count,
+        window: SimDuration::from_secs(60),
+        effort,
+    };
     SweepResult {
         cores,
         intensity,
-        rows,
-        cluster_rows,
-        fault_rows,
-        coupled_rows,
-        trace_rows,
-        resource_rows,
+        rows: s.rows(),
+        cluster_rows: s.cluster_rows(),
+        fault_rows: s.fault_rows(),
+        coupled_rows: s.coupled_rows(),
+        trace_rows: s.trace_rows(),
+        resource_rows: s.resource_rows(),
+    }
+}
+
+impl Setup {
+    /// Run every (row, seed) pair, seeds innermost, and reduce each row
+    /// from its runs: row `i` pools the `i`-th chunk of `seeds.len()`
+    /// records, by position and in seed order. `parallel` fans the runs
+    /// out over rayon; the cluster tables run them one at a time, since
+    /// the cluster engine already fans out its nodes and serial runs keep
+    /// peak memory flat.
+    fn pooled<R: Sync, T>(
+        &self,
+        rows: &[R],
+        parallel: bool,
+        run: impl Fn(&R, u64) -> SeedOut + Sync,
+        reduce: impl Fn(&R, &[SeedOut]) -> T,
+    ) -> Vec<T> {
+        let seeds = self.effort.seed_set();
+        let tasks: Vec<(&R, u64)> = rows
+            .iter()
+            .flat_map(|r| seeds.iter().map(move |&seed| (r, seed)))
+            .collect();
+        let runs: Vec<SeedOut> = if parallel {
+            tasks.par_iter().map(|&(r, seed)| run(r, seed)).collect()
+        } else {
+            tasks.iter().map(|&(r, seed)| run(r, seed)).collect()
+        };
+        rows.iter()
+            .zip(runs.chunks(seeds.len()))
+            .map(|(r, runs)| reduce(r, runs))
+            .collect()
+    }
+
+    /// The node's warm-up waves followed by `spec`'s burst drawn from
+    /// `seed`, and the first burst call id (warm-up ids lie below it).
+    fn warmed_burst(&self, spec: &WorkloadSpec, seed: u64) -> (Vec<Call>, u64) {
+        let mut root = Xoshiro256::seed_from_u64(seed);
+        let mut rng_times = root.derive_stream(STREAM_TIMES);
+        let mut rng_assign = root.derive_stream(STREAM_ASSIGN);
+        let (mut calls, burst_start) = warmup_for_spec(&self.catalogue, self.cores);
+        let id_base = calls.len() as u64;
+        calls.extend(spec.generate_sorted(
+            &self.catalogue,
+            burst_start,
+            &mut rng_times,
+            &mut rng_assign,
+            id_base,
+        ));
+        (calls, id_base)
+    }
+
+    /// A `nodes`-worker cluster of the paper's node under `lb`.
+    fn cluster(&self, nodes: u16, lb: LoadBalancer) -> ClusterConfig {
+        ClusterConfig::independent(nodes, NodeConfig::paper(self.cores), lb)
+    }
+
+    /// The single-node table: every (arrival, mix, weights, strategy)
+    /// combination at the same mean load, after the warm-up waves.
+    fn rows(&self) -> Vec<SweepRow> {
+        let quick = self.effort.quick;
+        let arrivals = arrival_axis(self.count, self.window, quick);
+        let (mixes, weight_specs) = (&mix_axis(quick), &weight_axis(quick));
+        let keys = arrivals.iter().flat_map(|a| {
+            mixes
+                .iter()
+                .flat_map(move |m| weight_specs.iter().map(move |w| (a, m, w)))
+        });
+        let rows = cross(keys, &strategy_axis(quick));
+        let catalogue = &self.catalogue;
+        self.pooled(
+            &rows,
+            true,
+            |&((arrival, mix, weights), strategy), seed| {
+                let spec = WorkloadSpec {
+                    arrival: arrival.clone(),
+                    mix: mix.clone(),
+                    weights: weights.clone(),
+                    window: self.window,
+                };
+                let (calls, _) = self.warmed_burst(&spec, seed);
+                SeedOut::of(&simulate_calls_faulted(
+                    catalogue,
+                    &calls,
+                    &mode_for(strategy),
+                    &NodeConfig::paper(self.cores),
+                    &spec.weights.table(catalogue),
+                    &FaultSpec::none(),
+                    seed,
+                    0,
+                ))
+            },
+            |&((arrival, mix, weights), strategy), runs| {
+                let l = latency(runs);
+                let refs: Vec<&CallOutcome> = runs.iter().flat_map(|r| &r.outcomes).collect();
+                SweepRow {
+                    arrival: arrival.label(),
+                    mix: mix.label(catalogue),
+                    weights: weights.label(),
+                    strategy,
+                    calls: l.calls,
+                    response: l.response,
+                    stretch: MetricSummary::from_values(&stretches(&refs, catalogue)),
+                    cold_starts: l.cold_starts,
+                    peak_queue: l.peak_queue,
+                    peak_events: l.peak_events,
+                }
+            },
+        )
+    }
+
+    /// The robustness sweep: the paper's uniform/equal burst replayed
+    /// under each fault scenario (see [`fault_axis`]) per strategy —
+    /// goodput, drop rate, retry cost and the delivered p99 next to the
+    /// fault-free control.
+    fn fault_rows(&self) -> Vec<FaultSweepRow> {
+        let (_, burst_start) = warmup_for_spec(&self.catalogue, self.cores);
+        let labels: Vec<String> = fault_axis(0, burst_start, self.window)
+            .into_iter()
+            .map(|(label, _)| label)
+            .collect();
+        self.pooled(
+            &cross(0..labels.len(), &HEADLINE),
+            true,
+            |&(scenario, strategy), seed| {
+                // The fault draws are seeded per run seed, so pooling over
+                // seeds samples fault realizations too.
+                let (_, faults) =
+                    fault_axis(seed ^ 0xFA17, burst_start, self.window).swap_remove(scenario);
+                let spec = paper_burst(self.count, WeightSpec::Uniform, self.window);
+                let (calls, id_base) = self.warmed_burst(&spec, seed);
+                let result = simulate_calls_faulted(
+                    &self.catalogue,
+                    &calls,
+                    &mode_for(strategy),
+                    &NodeConfig::paper(self.cores),
+                    &spec.weights.table(&self.catalogue),
+                    &faults,
+                    seed,
+                    0,
+                );
+                SeedOut {
+                    // Measured drops only: burst ids start at `id_base`.
+                    dropped: result.drops.iter().filter(|d| d.id.0 >= id_base).count(),
+                    ..SeedOut::of(&result)
+                }
+            },
+            |&(scenario, strategy), runs| {
+                let (robustness, response) = robustness(runs);
+                FaultSweepRow {
+                    scenario: labels[scenario].clone(),
+                    strategy,
+                    robustness,
+                    response,
+                }
+            },
+        )
+    }
+
+    /// The cluster-size sweep: the paper's fixed-total-load design
+    /// (§VIII) under static round-robin, crossed with the weighted axis.
+    fn cluster_rows(&self) -> Vec<ClusterSweepRow> {
+        let weight_specs = &weight_axis(self.effort.quick);
+        let keys = node_axis(self.effort.quick)
+            .into_iter()
+            .flat_map(|n| weight_specs.iter().map(move |w| (n, w)));
+        self.pooled(
+            &cross(keys, &HEADLINE),
+            false,
+            |&((nodes, weights), strategy), seed| {
+                let spec = paper_burst(self.count, weights.clone(), self.window);
+                let result = run_cluster_source(
+                    &self.catalogue,
+                    &WorkloadSource::Spec(spec),
+                    &mode_for(strategy),
+                    &self.cluster(nodes, LoadBalancer::RoundRobin),
+                    &FaultSpec::none(),
+                    seed,
+                    seed ^ 0xC1u64,
+                    SPEC_CHUNK,
+                );
+                SeedOut::of(&result.expect("spec sources cannot fail"))
+            },
+            |&((nodes, weights), strategy), runs| {
+                let l = latency(runs);
+                ClusterSweepRow {
+                    nodes,
+                    weights: weights.label(),
+                    strategy,
+                    calls: l.calls,
+                    response: l.response,
+                    cold_starts: l.cold_starts,
+                    peak_events: l.peak_events,
+                }
+            },
+        )
+    }
+
+    /// The coupled-engine robustness sweep: the §VIII fixed total load on
+    /// [`COUPLED_NODES`] workers under [`FaultSpec::crash_strict`] — node
+    /// 0 dies mid-burst while an impatient client times queued calls out
+    /// — per LB policy and strategy. Static round-robin keeps committing
+    /// calls to the dead node's shard and drops them; the feedback
+    /// policies route around the outage and fail killed attempts over,
+    /// which is exactly the goodput gap this table exists to show.
+    fn coupled_rows(&self) -> Vec<CoupledSweepRow> {
+        let (_, burst_start) = warmup_waves(&self.catalogue);
+        let axis = coupled_lb_axis(0);
+        self.pooled(
+            &cross(0..axis.len(), &HEADLINE),
+            false,
+            |&(policy, strategy), seed| {
+                let (_, lb, failover) = coupled_lb_axis(seed).swap_remove(policy);
+                let spec = paper_burst(self.count, WeightSpec::Uniform, self.window);
+                let result = run_cluster_source(
+                    &self.catalogue,
+                    &WorkloadSource::Spec(spec),
+                    &mode_for(strategy),
+                    &self
+                        .cluster(COUPLED_NODES, lb)
+                        .coupled(COUPLED_LOOKAHEAD, failover),
+                    &FaultSpec::crash_strict(seed ^ 0xFA17, burst_start, self.window),
+                    seed,
+                    seed ^ 0xC1u64,
+                    SPEC_CHUNK,
+                )
+                .expect("spec sources cannot fail");
+                SeedOut {
+                    // Measured drops only: burst ids are below `count`
+                    // (warmup ids start at the burst length).
+                    dropped: result
+                        .drops
+                        .iter()
+                        .filter(|d| (d.id.0 as usize) < self.count)
+                        .count(),
+                    ..SeedOut::of(&result)
+                }
+            },
+            |&(policy, strategy), runs| {
+                let (robustness, response) = robustness(runs);
+                CoupledSweepRow {
+                    lb: axis[policy].0.clone(),
+                    failover: axis[policy].2,
+                    strategy,
+                    robustness,
+                    response,
+                }
+            },
+        )
+    }
+
+    /// The trace-replay sweep: each synthetic trace of [`trace_axis`]
+    /// replayed through [`run_cluster_source`] on [`TRACE_NODES`]
+    /// workers with a [`TRACE_CHUNK`]-call ingestion window, per
+    /// strategy. The trace seed is derived per run seed, so pooling over
+    /// seeds pools over trace realizations of the same synthesizer spec;
+    /// a trace is the complete call log, so no warm-up is injected and
+    /// every outcome is measured.
+    fn trace_rows(&self) -> Vec<TraceSweepRow> {
+        let specs = trace_axis(self.window, self.effort.quick);
+        self.pooled(
+            &cross(&specs, &HEADLINE),
+            false,
+            |&(spec, strategy), seed| {
+                let result = run_cluster_source(
+                    &self.catalogue,
+                    &WorkloadSource::Trace(TraceSpec::Synthetic(spec.clone())),
+                    &mode_for(strategy),
+                    &self.cluster(TRACE_NODES, LoadBalancer::RoundRobin),
+                    &FaultSpec::none(),
+                    seed ^ 0x7AC3,
+                    seed ^ 0xC1u64,
+                    TRACE_CHUNK,
+                );
+                SeedOut::of(&result.expect("synthetic sources cannot fail"))
+            },
+            |&(spec, strategy), runs| {
+                let l = latency(runs);
+                TraceSweepRow {
+                    trace: spec.label(),
+                    strategy,
+                    calls: l.calls,
+                    response: l.response,
+                    cold_starts: l.cold_starts,
+                    peak_resident: l.peak_resident,
+                    peak_events: l.peak_events,
+                }
+            },
+        )
+    }
+
+    /// The multi-resource sweep: the §VIII fixed total load on
+    /// [`RESOURCE_NODES`] workers under the memory-correlated tier model,
+    /// per resource configuration (see [`resource_lb_axis`]) and
+    /// strategy. Runs through the per-node coupled entry point so each
+    /// node's served CPU/memory work is observable, then reduces to
+    /// per-resource utilization and the cross-node dominant-share
+    /// fairness index: served work and horizons are summed over seeds
+    /// before dividing, so the pooled utilization is the work-weighted
+    /// mean of the per-seed ones.
+    fn resource_rows(&self) -> Vec<ResourceSweepRow> {
+        let axis = resource_lb_axis(0);
+        self.pooled(
+            &cross(0..axis.len(), &HEADLINE),
+            false,
+            |&(config, strategy), seed| {
+                let (_, lb, mem_modeled) = resource_lb_axis(seed).swap_remove(config);
+                let mut cfg = self.cluster(RESOURCE_NODES, lb);
+                if mem_modeled {
+                    cfg.node = cfg.node.with_mem_bandwidth(RESOURCE_MEM_BW);
+                }
+                let spec = paper_burst(self.count, WeightSpec::paper_tiers_mem(), self.window);
+                let per_node = run_cluster_source_per_node(
+                    &self.catalogue,
+                    &WorkloadSource::Spec(spec),
+                    &mode_for(strategy),
+                    &cfg.coupled(COUPLED_LOOKAHEAD, false),
+                    &FaultSpec::none(),
+                    (seed, seed ^ 0xC1u64),
+                    SPEC_CHUNK,
+                )
+                .expect("spec sources cannot fail");
+                let horizon = per_node.iter().map(|r| r.last_completion).max();
+                SeedOut {
+                    outcomes: per_node
+                        .iter()
+                        .flat_map(|r| r.measured().copied())
+                        .collect(),
+                    usages: per_node
+                        .iter()
+                        .map(|r| ResourceUsage {
+                            cpu_secs: r.served_cpu_secs,
+                            mem_units: r.served_mem_units,
+                        })
+                        .collect(),
+                    horizon_secs: horizon.expect("at least one node").as_secs_f64(),
+                    ..SeedOut::default()
+                }
+            },
+            |&(config, strategy), runs| {
+                let mut usages = vec![ResourceUsage::default(); RESOURCE_NODES as usize];
+                for run in runs {
+                    for (acc, u) in usages.iter_mut().zip(&run.usages) {
+                        acc.cpu_secs += u.cpu_secs;
+                        acc.mem_units += u.mem_units;
+                    }
+                }
+                let horizon_secs = runs.iter().map(|r| r.horizon_secs).sum();
+                let (label, _, mem_modeled) = &axis[config];
+                let mem_bandwidth = if *mem_modeled { RESOURCE_MEM_BW } else { 0.0 };
+                let l = latency(runs);
+                ResourceSweepRow {
+                    config: label.clone(),
+                    strategy,
+                    calls: l.calls,
+                    response: l.response,
+                    resource: ResourceSummary::from_usages(
+                        &usages,
+                        self.cores as f64,
+                        mem_bandwidth,
+                        horizon_secs,
+                    ),
+                }
+            },
+        )
     }
 }
 
@@ -537,247 +891,6 @@ fn fault_axis(seed: u64, burst_start: SimTime, window: SimDuration) -> Vec<(Stri
         ),
         ("retry-storm".into(), FaultSpec::retry_storm(seed)),
     ]
-}
-
-/// The robustness sweep: the paper's uniform/equal burst replayed under
-/// each fault scenario (see [`fault_axis`]) per strategy — goodput, drop
-/// rate, retry cost and the delivered p99 next to the fault-free control.
-fn run_fault_sweep(
-    catalogue: &Catalogue,
-    cores: u32,
-    intensity: u32,
-    window: SimDuration,
-    effort: Effort,
-) -> Vec<FaultSweepRow> {
-    let count = catalogue.len() * cores as usize * intensity as usize / 10;
-    // The robustness table compares regimes under stress, not the policy
-    // grid: keep the paper's headline pair in both modes.
-    let strategies = vec![Strategy::Baseline, Strategy::Fc];
-    let seeds = effort.seed_set();
-    let (_, burst_start) = warmup_for_spec(catalogue, cores);
-    let scenario_labels: Vec<String> = fault_axis(0, burst_start, window)
-        .into_iter()
-        .map(|(label, _)| label)
-        .collect();
-
-    #[allow(clippy::type_complexity)]
-    let tasks: Vec<(String, FaultSpec, Strategy, u64)> = seeds
-        .iter()
-        .flat_map(|&seed| {
-            // The fault draws are seeded per run seed, so pooling over
-            // seeds samples fault realizations too.
-            let axis = fault_axis(seed ^ 0xFA17, burst_start, window);
-            axis.into_iter().flat_map({
-                let strategies = &strategies;
-                move |(label, spec)| {
-                    strategies
-                        .iter()
-                        .map(move |&s| (label.clone(), spec.clone(), s, seed))
-                }
-            })
-        })
-        .collect();
-
-    struct FaultOut {
-        scenario: String,
-        strategy: Strategy,
-        outcomes: Vec<CallOutcome>,
-        dropped: usize,
-        counts: FaultCounts,
-    }
-
-    let outputs: Vec<FaultOut> = tasks
-        .par_iter()
-        .map(|(label, faults, strategy, seed)| {
-            let spec = WorkloadSpec {
-                arrival: ArrivalSpec::Uniform { count },
-                mix: MixSpec::Equal,
-                weights: WeightSpec::Uniform,
-                window,
-            };
-            let mut root = Xoshiro256::seed_from_u64(*seed);
-            let mut rng_times = root.derive_stream(STREAM_TIMES);
-            let mut rng_assign = root.derive_stream(STREAM_ASSIGN);
-            let (mut calls, burst_start) = warmup_for_spec(catalogue, cores);
-            let id_base = calls.len() as u64;
-            calls.extend(spec.generate_sorted(
-                catalogue,
-                burst_start,
-                &mut rng_times,
-                &mut rng_assign,
-                id_base,
-            ));
-            let result = simulate_calls_faulted(
-                catalogue,
-                &calls,
-                &mode_for(*strategy),
-                &NodeConfig::paper(cores),
-                &WeightTable::uniform(catalogue.len()),
-                faults,
-                *seed,
-                0,
-            );
-            let fs = result.fault_stats;
-            FaultOut {
-                scenario: label.clone(),
-                strategy: *strategy,
-                // Measured drops only: burst ids start at `id_base`.
-                dropped: result.drops.iter().filter(|d| d.id.0 >= id_base).count(),
-                counts: FaultCounts {
-                    retries: fs.retries,
-                    timeouts: fs.timeouts,
-                    transient_failures: fs.transient_failures,
-                    crashes: fs.crashes,
-                    failovers: fs.failovers,
-                },
-                outcomes: result.measured().copied().collect(),
-            }
-        })
-        .collect();
-
-    let mut rows = Vec::new();
-    for label in &scenario_labels {
-        for &strategy in &strategies {
-            let mut pooled: Vec<CallOutcome> = Vec::new();
-            let mut dropped = 0;
-            let mut counts = FaultCounts::default();
-            for out in outputs
-                .iter()
-                .filter(|o| &o.scenario == label && o.strategy == strategy)
-            {
-                pooled.extend(out.outcomes.iter().copied());
-                dropped += out.dropped;
-                counts.retries += out.counts.retries;
-                counts.timeouts += out.counts.timeouts;
-                counts.transient_failures += out.counts.transient_failures;
-                counts.crashes += out.counts.crashes;
-                counts.failovers += out.counts.failovers;
-            }
-            let refs: Vec<&CallOutcome> = pooled.iter().collect();
-            let mut resp = Vec::new();
-            response_times_into(&refs, &mut resp);
-            rows.push(FaultSweepRow {
-                scenario: label.clone(),
-                strategy,
-                robustness: RobustnessSummary::from_outcomes(&refs, dropped, counts),
-                response: MetricSummary::from_values(&resp),
-            });
-        }
-    }
-    rows
-}
-
-/// The cluster-size sweep: the paper's fixed-total-load design (§VIII)
-/// under static round-robin, crossed with the weighted axis.
-fn run_cluster_sweep(
-    catalogue: &Catalogue,
-    cores: u32,
-    intensity: u32,
-    window: SimDuration,
-    effort: Effort,
-) -> Vec<ClusterSweepRow> {
-    let count = catalogue.len() * cores as usize * intensity as usize / 10;
-    let node_counts = node_axis(effort.quick);
-    let weight_specs = weight_axis(effort.quick);
-    // The cluster table is about scaling, not the policy grid: keep the
-    // paper's headline pair in both modes.
-    let strategies = vec![Strategy::Baseline, Strategy::Fc];
-    let seeds = effort.seed_set();
-
-    #[allow(clippy::type_complexity)]
-    let tasks: Vec<(u16, &WeightSpec, Strategy, u64)> = node_counts
-        .iter()
-        .flat_map(|&n| {
-            weight_specs.iter().flat_map({
-                let (strategies, seeds) = (&strategies, &seeds);
-                move |w| {
-                    strategies
-                        .iter()
-                        .flat_map(move |&s| seeds.iter().map(move |&seed| (n, w, s, seed)))
-                }
-            })
-        })
-        .collect();
-
-    struct ClusterOut {
-        nodes: u16,
-        weights: String,
-        strategy: Strategy,
-        outcomes: Vec<CallOutcome>,
-        cold_starts: usize,
-        peak_events: usize,
-    }
-
-    // The cluster engine already fans the nodes out over worker threads;
-    // run the configurations serially to keep peak memory flat.
-    let outputs: Vec<ClusterOut> = tasks
-        .iter()
-        .map(|&(nodes, weights, strategy, seed)| {
-            let spec = WorkloadSpec {
-                arrival: ArrivalSpec::Uniform { count },
-                mix: MixSpec::Equal,
-                weights: weights.clone(),
-                window,
-            };
-            let cfg = ClusterConfig::independent(
-                nodes,
-                NodeConfig::paper(cores),
-                LoadBalancer::RoundRobin,
-            );
-            let weights = spec.weights.label();
-            let result = run_cluster_source(
-                catalogue,
-                &WorkloadSource::Spec(spec),
-                &mode_for(strategy),
-                &cfg,
-                &FaultSpec::none(),
-                seed,
-                seed ^ 0xC1u64,
-                SPEC_CHUNK,
-            )
-            .expect("spec sources cannot fail");
-            ClusterOut {
-                nodes,
-                weights,
-                strategy,
-                cold_starts: result.measured_cold_starts(),
-                peak_events: result.peak_events,
-                outcomes: result.measured().copied().collect(),
-            }
-        })
-        .collect();
-
-    let mut rows = Vec::new();
-    for &nodes in &node_counts {
-        for weights in &weight_specs {
-            for &strategy in &strategies {
-                let w_label = weights.label();
-                let mut pooled: Vec<f64> = Vec::new();
-                let mut cold_starts = 0;
-                let mut peak_events = 0;
-                let mut calls = 0;
-                for out in outputs
-                    .iter()
-                    .filter(|o| o.nodes == nodes && o.weights == w_label && o.strategy == strategy)
-                {
-                    pooled.extend(out.outcomes.iter().map(|o| o.response_time().as_secs_f64()));
-                    calls += out.outcomes.len();
-                    cold_starts += out.cold_starts;
-                    peak_events = peak_events.max(out.peak_events);
-                }
-                rows.push(ClusterSweepRow {
-                    nodes,
-                    weights: w_label,
-                    strategy,
-                    calls,
-                    response: MetricSummary::from_values(&pooled),
-                    cold_starts,
-                    peak_events,
-                });
-            }
-        }
-    }
-    rows
 }
 
 /// The LB-policy axis of the coupled robustness table: the static
@@ -810,223 +923,6 @@ const COUPLED_LOOKAHEAD: SimDuration = SimDuration::from_millis(250);
 /// Worker count of the coupled robustness table (the acceptance bar asks
 /// for the crash-failover story at 4+ nodes).
 const COUPLED_NODES: u16 = 4;
-
-/// The coupled-engine robustness sweep: the §VIII fixed total load on
-/// [`COUPLED_NODES`] workers under [`FaultSpec::crash_strict`] — node 0
-/// dies mid-burst while an impatient client times queued calls out — per
-/// LB policy and strategy. Static round-robin keeps committing calls to
-/// the dead node's shard and drops them; the feedback policies route
-/// around the outage and fail killed attempts over, which is exactly the
-/// goodput gap this table exists to show.
-fn run_coupled_sweep(
-    catalogue: &Catalogue,
-    cores: u32,
-    intensity: u32,
-    window: SimDuration,
-    effort: Effort,
-) -> Vec<CoupledSweepRow> {
-    let count = catalogue.len() * cores as usize * intensity as usize / 10;
-    let strategies = vec![Strategy::Baseline, Strategy::Fc];
-    let seeds = effort.seed_set();
-    let (_, burst_start) = warmup_waves(catalogue);
-    let lb_labels: Vec<(String, bool)> = coupled_lb_axis(0)
-        .into_iter()
-        .map(|(label, _, failover)| (label, failover))
-        .collect();
-
-    struct CoupledOut {
-        lb: String,
-        strategy: Strategy,
-        outcomes: Vec<CallOutcome>,
-        dropped: usize,
-        counts: FaultCounts,
-    }
-
-    // The cluster engine already fans the nodes out over worker threads;
-    // run the configurations serially.
-    let mut outputs: Vec<CoupledOut> = Vec::new();
-    for &seed in seeds {
-        for (label, lb, failover) in coupled_lb_axis(seed) {
-            for &strategy in &strategies {
-                let spec = WorkloadSpec {
-                    arrival: ArrivalSpec::Uniform { count },
-                    mix: MixSpec::Equal,
-                    weights: WeightSpec::Uniform,
-                    window,
-                };
-                let faults = FaultSpec::crash_strict(seed ^ 0xFA17, burst_start, window);
-                let cfg = ClusterConfig::independent(COUPLED_NODES, NodeConfig::paper(cores), lb)
-                    .coupled(COUPLED_LOOKAHEAD, failover);
-                let result = run_cluster_source(
-                    catalogue,
-                    &WorkloadSource::Spec(spec),
-                    &mode_for(strategy),
-                    &cfg,
-                    &faults,
-                    seed,
-                    seed ^ 0xC1u64,
-                    SPEC_CHUNK,
-                )
-                .expect("spec sources cannot fail");
-                let fs = result.fault_stats;
-                outputs.push(CoupledOut {
-                    lb: label.clone(),
-                    strategy,
-                    // Measured drops only: burst ids are below `count`
-                    // (warmup ids start at the burst length).
-                    dropped: result
-                        .drops
-                        .iter()
-                        .filter(|d| (d.id.0 as usize) < count)
-                        .count(),
-                    counts: FaultCounts {
-                        retries: fs.retries,
-                        timeouts: fs.timeouts,
-                        transient_failures: fs.transient_failures,
-                        crashes: fs.crashes,
-                        failovers: fs.failovers,
-                    },
-                    outcomes: result.measured().copied().collect(),
-                });
-            }
-        }
-    }
-
-    let mut rows = Vec::new();
-    for (label, failover) in &lb_labels {
-        for &strategy in &strategies {
-            let mut pooled: Vec<CallOutcome> = Vec::new();
-            let mut dropped = 0;
-            let mut counts = FaultCounts::default();
-            for out in outputs
-                .iter()
-                .filter(|o| &o.lb == label && o.strategy == strategy)
-            {
-                pooled.extend(out.outcomes.iter().copied());
-                dropped += out.dropped;
-                counts.retries += out.counts.retries;
-                counts.timeouts += out.counts.timeouts;
-                counts.transient_failures += out.counts.transient_failures;
-                counts.crashes += out.counts.crashes;
-                counts.failovers += out.counts.failovers;
-            }
-            let refs: Vec<&CallOutcome> = pooled.iter().collect();
-            let mut resp = Vec::new();
-            response_times_into(&refs, &mut resp);
-            rows.push(CoupledSweepRow {
-                lb: label.clone(),
-                failover: *failover,
-                strategy,
-                robustness: RobustnessSummary::from_outcomes(&refs, dropped, counts),
-                response: MetricSummary::from_values(&resp),
-            });
-        }
-    }
-    rows
-}
-
-/// The trace-replay sweep: each synthetic trace of [`trace_axis`]
-/// replayed through [`run_cluster_source`] on [`TRACE_NODES`]
-/// workers with a [`TRACE_CHUNK`]-call ingestion window, per strategy.
-/// The trace seed is derived per run seed, so pooling over seeds pools
-/// over trace realizations of the same synthesizer spec; a trace is the
-/// complete call log, so no warm-up is injected and every outcome is
-/// measured.
-fn run_trace_sweep(
-    catalogue: &Catalogue,
-    cores: u32,
-    window: SimDuration,
-    effort: Effort,
-) -> Vec<TraceSweepRow> {
-    let specs = trace_axis(window, effort.quick);
-    let strategies = vec![Strategy::Baseline, Strategy::Fc];
-    let seeds = effort.seed_set();
-
-    #[allow(clippy::type_complexity)]
-    let tasks: Vec<(&SynthSpec, Strategy, u64)> = specs
-        .iter()
-        .flat_map(|spec| {
-            let seeds = &seeds;
-            strategies
-                .iter()
-                .flat_map(move |&s| seeds.iter().map(move |&seed| (spec, s, seed)))
-        })
-        .collect();
-
-    struct TraceOut {
-        trace: String,
-        strategy: Strategy,
-        outcomes: Vec<CallOutcome>,
-        cold_starts: usize,
-        peak_resident: u64,
-        peak_events: usize,
-    }
-
-    // The cluster engine already fans the nodes out over worker threads;
-    // run the configurations serially to keep peak memory flat.
-    let outputs: Vec<TraceOut> = tasks
-        .iter()
-        .map(|&(spec, strategy, seed)| {
-            let source = WorkloadSource::Trace(TraceSpec::Synthetic(spec.clone()));
-            let cfg = ClusterConfig::independent(
-                TRACE_NODES,
-                NodeConfig::paper(cores),
-                LoadBalancer::RoundRobin,
-            );
-            let result = run_cluster_source(
-                catalogue,
-                &source,
-                &mode_for(strategy),
-                &cfg,
-                &FaultSpec::none(),
-                seed ^ 0x7AC3,
-                seed ^ 0xC1u64,
-                TRACE_CHUNK,
-            )
-            .expect("synthetic sources cannot fail");
-            TraceOut {
-                trace: spec.label(),
-                strategy,
-                cold_starts: result.measured_cold_starts(),
-                peak_resident: result.peak_resident_calls,
-                peak_events: result.peak_events,
-                outcomes: result.measured().copied().collect(),
-            }
-        })
-        .collect();
-
-    let mut rows = Vec::new();
-    for spec in &specs {
-        for &strategy in &strategies {
-            let label = spec.label();
-            let mut pooled: Vec<f64> = Vec::new();
-            let mut calls = 0;
-            let mut cold_starts = 0;
-            let mut peak_resident = 0;
-            let mut peak_events = 0;
-            for out in outputs
-                .iter()
-                .filter(|o| o.trace == label && o.strategy == strategy)
-            {
-                pooled.extend(out.outcomes.iter().map(|o| o.response_time().as_secs_f64()));
-                calls += out.outcomes.len();
-                cold_starts += out.cold_starts;
-                peak_resident = peak_resident.max(out.peak_resident);
-                peak_events = peak_events.max(out.peak_events);
-            }
-            rows.push(TraceSweepRow {
-                trace: label,
-                strategy,
-                calls,
-                response: MetricSummary::from_values(&pooled),
-                cold_starts,
-                peak_resident,
-                peak_events,
-            });
-        }
-    }
-    rows
-}
 
 /// The resource-configuration axis of the multi-resource table: a
 /// single-resource control (memory unmodeled, backlog-keyed JSQ — the
@@ -1064,127 +960,6 @@ const RESOURCE_NODES: u16 = 4;
 /// unit) this makes the memory axis the binding constraint for the
 /// big-memory tier, so dominant shares genuinely diverge from backlogs.
 const RESOURCE_MEM_BW: f64 = 8.0;
-
-/// The multi-resource sweep: the §VIII fixed total load on
-/// [`RESOURCE_NODES`] workers under the memory-correlated tier model,
-/// per resource configuration (see [`resource_lb_axis`]) and strategy.
-/// Runs through the per-node coupled entry point so each node's served
-/// CPU/memory work is observable, then reduces to per-resource
-/// utilization and the cross-node dominant-share fairness index: served
-/// work and horizons are summed over seeds before dividing, so the pooled
-/// utilization is the work-weighted mean of the per-seed ones.
-fn run_resource_sweep(
-    catalogue: &Catalogue,
-    cores: u32,
-    intensity: u32,
-    window: SimDuration,
-    effort: Effort,
-) -> Vec<ResourceSweepRow> {
-    let count = catalogue.len() * cores as usize * intensity as usize / 10;
-    let strategies = vec![Strategy::Baseline, Strategy::Fc];
-    let seeds = effort.seed_set();
-    let labels: Vec<(String, bool)> = resource_lb_axis(0)
-        .into_iter()
-        .map(|(label, _, mem_modeled)| (label, mem_modeled))
-        .collect();
-
-    struct ResourceOut {
-        config: String,
-        strategy: Strategy,
-        outcomes: Vec<CallOutcome>,
-        usages: Vec<ResourceUsage>,
-        horizon_secs: f64,
-    }
-
-    // The cluster engine already fans the nodes out over worker threads;
-    // run the configurations serially.
-    let mut outputs: Vec<ResourceOut> = Vec::new();
-    for &seed in seeds {
-        for (label, lb, mem_modeled) in resource_lb_axis(seed) {
-            for &strategy in &strategies {
-                let spec = WorkloadSpec {
-                    arrival: ArrivalSpec::Uniform { count },
-                    mix: MixSpec::Equal,
-                    weights: WeightSpec::paper_tiers_mem(),
-                    window,
-                };
-                let node = if mem_modeled {
-                    NodeConfig::paper(cores).with_mem_bandwidth(RESOURCE_MEM_BW)
-                } else {
-                    NodeConfig::paper(cores)
-                };
-                let cfg = ClusterConfig::independent(RESOURCE_NODES, node, lb)
-                    .coupled(COUPLED_LOOKAHEAD, false);
-                let per_node = run_cluster_source_per_node(
-                    catalogue,
-                    &WorkloadSource::Spec(spec),
-                    &mode_for(strategy),
-                    &cfg,
-                    &FaultSpec::none(),
-                    (seed, seed ^ 0xC1u64),
-                    SPEC_CHUNK,
-                )
-                .expect("spec sources cannot fail");
-                let horizon_secs = per_node
-                    .iter()
-                    .map(|r| r.last_completion)
-                    .max()
-                    .expect("at least one node")
-                    .as_secs_f64();
-                outputs.push(ResourceOut {
-                    config: label.clone(),
-                    strategy,
-                    usages: per_node
-                        .iter()
-                        .map(|r| ResourceUsage {
-                            cpu_secs: r.served_cpu_secs,
-                            mem_units: r.served_mem_units,
-                        })
-                        .collect(),
-                    horizon_secs,
-                    outcomes: per_node
-                        .iter()
-                        .flat_map(|r| r.measured().copied())
-                        .collect(),
-                });
-            }
-        }
-    }
-
-    let mut rows = Vec::new();
-    for (label, mem_modeled) in &labels {
-        for &strategy in &strategies {
-            let mut usages = vec![ResourceUsage::default(); RESOURCE_NODES as usize];
-            let mut horizon_secs = 0.0;
-            let mut resp: Vec<f64> = Vec::new();
-            for out in outputs
-                .iter()
-                .filter(|o| &o.config == label && o.strategy == strategy)
-            {
-                for (acc, u) in usages.iter_mut().zip(&out.usages) {
-                    acc.cpu_secs += u.cpu_secs;
-                    acc.mem_units += u.mem_units;
-                }
-                horizon_secs += out.horizon_secs;
-                resp.extend(out.outcomes.iter().map(|o| o.response_time().as_secs_f64()));
-            }
-            let mem_bandwidth = if *mem_modeled { RESOURCE_MEM_BW } else { 0.0 };
-            rows.push(ResourceSweepRow {
-                config: label.clone(),
-                strategy,
-                calls: resp.len(),
-                response: MetricSummary::from_values(&resp),
-                resource: ResourceSummary::from_usages(
-                    &usages,
-                    cores as f64,
-                    mem_bandwidth,
-                    horizon_secs,
-                ),
-            });
-        }
-    }
-    rows
-}
 
 /// Render the sweep comparison tables.
 pub fn render(result: &SweepResult) -> String {
@@ -1401,6 +1176,39 @@ mod tests {
 
     fn expected_resource_rows() -> usize {
         resource_lb_axis(0).len() * 2
+    }
+
+    #[test]
+    fn rows_pool_their_own_runs_by_position_in_seed_order() {
+        // Rows 0 and 1 share a label, the case a match on labels would
+        // pool into both rows.
+        let setup = Setup {
+            catalogue: Catalogue::sebs(),
+            cores: 10,
+            count: 0,
+            window: SimDuration::from_secs(60),
+            effort: Effort {
+                seeds: 3,
+                quick: true,
+            },
+        };
+        let rows = [(0, "same"), (1, "same"), (2, "other")];
+        for parallel in [true, false] {
+            let pooled = setup.pooled(
+                &rows,
+                parallel,
+                |&(i, _), seed| SeedOut {
+                    cold_starts: i * 1000 + seed as usize,
+                    ..SeedOut::default()
+                },
+                |_, runs| runs.iter().map(|r| r.cold_starts).collect::<Vec<_>>(),
+            );
+            assert_eq!(
+                pooled,
+                [[101, 202, 303], [1101, 1202, 1303], [2101, 2202, 2303]],
+                "parallel: {parallel}"
+            );
+        }
     }
 
     #[test]

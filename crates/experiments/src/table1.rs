@@ -6,15 +6,17 @@
 //! report the 5th percentile, median and 95th percentile of the client-side
 //! response time per function.
 
+use crate::grid::mode_for;
+use crate::TRACE_CHUNK;
 use faas_cluster::{run_cluster_source, ClusterConfig, LoadBalancer};
-use faas_core::{Policy, SchedulerConfig};
-use faas_invoker::{simulate_calls, NodeConfig, NodeMode};
+use faas_invoker::{simulate_calls, NodeConfig};
+use faas_metrics::compare::Strategy;
 use faas_metrics::table::TextTable;
-use faas_simcore::stats::percentile_sorted;
+use faas_simcore::stats::{percentile_sorted, sorted_copy};
 use faas_simcore::time::{SimDuration, SimTime};
 use faas_workload::faults::FaultSpec;
-use faas_workload::sebs::Catalogue;
-use faas_workload::trace::{Call, CallId, CallKind};
+use faas_workload::sebs::{Catalogue, FunctionSpec};
+use faas_workload::trace::{Call, CallId, CallKind, CallOutcome};
 use faas_workload::trace_source::WorkloadSource;
 use serde::{Deserialize, Serialize};
 
@@ -48,7 +50,7 @@ pub struct Table1Result {
 pub fn run(seed: u64) -> Table1Result {
     let catalogue = Catalogue::sebs();
     let cfg = NodeConfig::paper(4);
-    let mode = NodeMode::Scheduled(SchedulerConfig::paper(Policy::Fifo));
+    let mode = mode_for(Strategy::Fifo);
 
     let mut rows = Vec::with_capacity(catalogue.len());
     for (func, spec) in catalogue.iter() {
@@ -73,69 +75,54 @@ pub fn run(seed: u64) -> Table1Result {
             at += spacing;
         }
         let result = simulate_calls(&catalogue, &calls, &mode, &cfg, seed ^ func.0 as u64, 0);
-        let mut resp_ms: Vec<f64> = result
-            .measured()
-            .map(|o| o.response_time().as_millis_f64())
-            .collect();
-        resp_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        rows.push(Table1Row {
-            name: spec.name.to_string(),
-            p5_ms: percentile_sorted(&resp_ms, 0.05),
-            median_ms: percentile_sorted(&resp_ms, 0.50),
-            p95_ms: percentile_sorted(&resp_ms, 0.95),
-            paper_p5_ms: spec.client_p5_ms,
-            paper_median_ms: spec.client_median_ms,
-            paper_p95_ms: spec.client_p95_ms,
-        });
+        rows.push(row(spec, result.measured()));
     }
     Table1Result { rows }
 }
 
 /// Per-function latency quantiles over an arbitrary [`WorkloadSource`] —
-/// the trace-backed counterpart of [`run`]: replay the source on the
-/// paper's idle-benchmark node (4 cores, FIFO) and report each called
-/// function's client-side response-time quantiles next to the paper's
-/// published idle-system numbers. Functions the source never calls are
-/// omitted; under real (non-idle) load the measured quantiles include
-/// queueing, so they upper-bound the paper's idle columns rather than
-/// reproduce them. The only fallible path is opening a recorded trace
-/// file.
+/// the trace-backed counterpart of [`run`], whose row builder it shares:
+/// replay the source on the paper's idle-benchmark node (4 cores, FIFO)
+/// and report each called function's client-side response-time quantiles
+/// next to the paper's published idle-system numbers. Functions the
+/// source never calls are omitted; under real (non-idle) load the
+/// measured quantiles include queueing, so they upper-bound the paper's
+/// idle columns rather than reproduce them. The only fallible path is
+/// opening a recorded trace file.
 pub fn run_source(source: &WorkloadSource, seed: u64) -> std::io::Result<Table1Result> {
     let catalogue = Catalogue::sebs();
     let cfg = ClusterConfig::independent(1, NodeConfig::paper(4), LoadBalancer::RoundRobin);
-    let mode = NodeMode::Scheduled(SchedulerConfig::paper(Policy::Fifo));
     let result = run_cluster_source(
         &catalogue,
         source,
-        &mode,
+        &mode_for(Strategy::Fifo),
         &cfg,
         &FaultSpec::none(),
         seed,
         seed ^ 0xC1u64,
-        512,
+        TRACE_CHUNK,
     )?;
-    let mut rows = Vec::with_capacity(catalogue.len());
-    for (func, spec) in catalogue.iter() {
-        let mut resp_ms: Vec<f64> = result
-            .measured()
-            .filter(|o| o.func == func)
-            .map(|o| o.response_time().as_millis_f64())
-            .collect();
-        if resp_ms.is_empty() {
-            continue;
-        }
-        resp_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        rows.push(Table1Row {
-            name: spec.name.to_string(),
-            p5_ms: percentile_sorted(&resp_ms, 0.05),
-            median_ms: percentile_sorted(&resp_ms, 0.50),
-            p95_ms: percentile_sorted(&resp_ms, 0.95),
-            paper_p5_ms: spec.client_p5_ms,
-            paper_median_ms: spec.client_median_ms,
-            paper_p95_ms: spec.client_p95_ms,
-        });
-    }
+    let rows = catalogue
+        .iter()
+        .filter(|&(func, _)| result.measured().any(|o| o.func == func))
+        .map(|(func, spec)| row(spec, result.measured().filter(|o| o.func == func)))
+        .collect();
     Ok(Table1Result { rows })
+}
+
+/// One function's row from its measured calls.
+fn row<'a>(spec: &FunctionSpec, calls: impl Iterator<Item = &'a CallOutcome>) -> Table1Row {
+    let resp_ms: Vec<f64> = calls.map(|o| o.response_time().as_millis_f64()).collect();
+    let sorted = sorted_copy(&resp_ms);
+    Table1Row {
+        name: spec.name.to_string(),
+        p5_ms: percentile_sorted(&sorted, 0.05),
+        median_ms: percentile_sorted(&sorted, 0.50),
+        p95_ms: percentile_sorted(&sorted, 0.95),
+        paper_p5_ms: spec.client_p5_ms,
+        paper_median_ms: spec.client_median_ms,
+        paper_p95_ms: spec.client_p95_ms,
+    }
 }
 
 /// Render the result with paper-vs-measured columns.

@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 
 /// Summary of one metric (seconds for response time, dimensionless for
 /// stretch) over the measured calls of one run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricSummary {
     /// Number of calls aggregated.
     pub count: usize,
