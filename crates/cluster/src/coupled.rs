@@ -129,8 +129,8 @@ enum Routing {
     /// Round-robin over generation indices: the call's id strides the
     /// nodes ([`Call::stride_node`]).
     Stride,
-    /// Function-hash rotation counters, advanced in arrival order —
-    /// identical to [`LoadBalancer::assign`] over the same sequence.
+    /// Function-hash rotation counters, advanced in arrival order
+    /// ([`hash_rotation`]).
     Hash(BTreeMap<FuncId, u64>),
     /// Feedback policy routing on barrier snapshots.
     Feedback(FeedbackRouter),

@@ -11,7 +11,10 @@
 //!
 //! [`LoadBalancer::RoundRobin`] and [`LoadBalancer::FunctionHash`] are
 //! *static*: the assignment is a pure function of the call sequence, so it
-//! is the same however the engine windows the arrivals.
+//! is the same however the engine windows the arrivals. Round-robin strides
+//! the call ids
+//! ([`Call::stride_node`](faas_workload::trace::Call::stride_node));
+//! function hash rotates each function's calls from its [`home_node`].
 //! [`LoadBalancer::JoinShortestQueue`],
 //! [`LoadBalancer::PowerOfTwoChoices`] and their dominant-share twins
 //! [`LoadBalancer::JoinShortestDominant`] /
@@ -19,8 +22,7 @@
 //! route on the per-node state the engine observes at each
 //! conservative-window barrier (see `crate::coupled`) — queue depths for
 //! the former pair, `(dominant resource share, backlog)` keys for the
-//! latter — so they have no static assignment; [`LoadBalancer::assign`]
-//! panics for them.
+//! latter — through a [`FeedbackRouter`].
 //!
 //! Feedback routing is deterministic by construction: every random draw
 //! (tie-breaks, the two probes of power-of-two) is a counter-based
@@ -32,7 +34,6 @@
 
 use faas_simcore::rng::splitmix64;
 use faas_workload::sebs::FuncId;
-use faas_workload::trace::Call;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -91,31 +92,6 @@ impl LoadBalancer {
                 | LoadBalancer::JoinShortestDominant { .. }
                 | LoadBalancer::PowerOfTwoDominant { .. }
         )
-    }
-
-    /// Assign every call to a node in `0..nodes`. Assignment is by arrival
-    /// order and deterministic. Panics for feedback policies — they have
-    /// no static assignment.
-    pub fn assign(&self, calls: &[Call], nodes: u16) -> Vec<u16> {
-        assert!(nodes > 0, "cluster needs at least one node");
-        match self {
-            LoadBalancer::RoundRobin => (0..calls.len())
-                .map(|i| (i % nodes as usize) as u16)
-                .collect(),
-            LoadBalancer::FunctionHash => {
-                let mut counters = BTreeMap::new();
-                calls
-                    .iter()
-                    .map(|call| hash_rotation(&mut counters, call.func, nodes))
-                    .collect()
-            }
-            LoadBalancer::JoinShortestQueue { .. }
-            | LoadBalancer::PowerOfTwoChoices { .. }
-            | LoadBalancer::JoinShortestDominant { .. }
-            | LoadBalancer::PowerOfTwoDominant { .. } => {
-                panic!("feedback policies have no static assignment")
-            }
-        }
     }
 }
 
@@ -228,7 +204,7 @@ pub fn home_node(func: FuncId, nodes: u16) -> u16 {
 mod tests {
     use super::*;
     use faas_simcore::time::SimTime;
-    use faas_workload::trace::{CallId, CallKind};
+    use faas_workload::trace::{Call, CallId, CallKind};
 
     fn calls(n: usize) -> Vec<Call> {
         (0..n)
@@ -241,10 +217,24 @@ mod tests {
             .collect()
     }
 
+    /// Route `cs` in arrival order the way the window engine routes a
+    /// static policy: round-robin strides the call ids, function hash
+    /// rotates each function from its home node.
+    fn route(lb: LoadBalancer, cs: &[Call], nodes: u16) -> Vec<u16> {
+        let mut counters = BTreeMap::new();
+        cs.iter()
+            .map(|call| match lb {
+                LoadBalancer::RoundRobin => call.stride_node(nodes),
+                LoadBalancer::FunctionHash => hash_rotation(&mut counters, call.func, nodes),
+                _ => unreachable!("feedback policies route on node views"),
+            })
+            .collect()
+    }
+
     #[test]
     fn round_robin_is_balanced() {
         let cs = calls(100);
-        let assign = LoadBalancer::RoundRobin.assign(&cs, 4);
+        let assign = route(LoadBalancer::RoundRobin, &cs, 4);
         for node in 0..4u16 {
             let count = assign.iter().filter(|&&n| n == node).count();
             assert_eq!(count, 25);
@@ -256,7 +246,7 @@ mod tests {
     #[test]
     fn function_hash_balances_per_function() {
         let cs = calls(400);
-        let assign = LoadBalancer::FunctionHash.assign(&cs, 4);
+        let assign = route(LoadBalancer::FunctionHash, &cs, 4);
         // Each function's 100 calls spread evenly.
         for func in 0..4u16 {
             for node in 0..4u16 {
@@ -273,7 +263,7 @@ mod tests {
     #[test]
     fn function_hash_first_call_goes_home() {
         let cs = calls(4);
-        let assign = LoadBalancer::FunctionHash.assign(&cs, 3);
+        let assign = route(LoadBalancer::FunctionHash, &cs, 3);
         for (c, &n) in cs.iter().zip(&assign) {
             if cs.iter().position(|x| x.func == c.func) == cs.iter().position(|x| x.id == c.id) {
                 assert_eq!(n, home_node(c.func, 3));
@@ -285,15 +275,9 @@ mod tests {
     fn single_node_assigns_everything_to_zero() {
         let cs = calls(10);
         for lb in [LoadBalancer::RoundRobin, LoadBalancer::FunctionHash] {
-            let assign = lb.assign(&cs, 1);
+            let assign = route(lb, &cs, 1);
             assert!(assign.iter().all(|&n| n == 0));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one node")]
-    fn zero_nodes_rejected() {
-        LoadBalancer::RoundRobin.assign(&calls(1), 0);
     }
 
     #[test]
@@ -310,8 +294,8 @@ mod tests {
     fn function_hash_is_deterministic_across_runs() {
         let cs = calls(257);
         for nodes in [2u16, 3, 8] {
-            let a = LoadBalancer::FunctionHash.assign(&cs, nodes);
-            let b = LoadBalancer::FunctionHash.assign(&cs, nodes);
+            let a = route(LoadBalancer::FunctionHash, &cs, nodes);
+            let b = route(LoadBalancer::FunctionHash, &cs, nodes);
             assert_eq!(a, b, "{nodes} nodes");
         }
     }
@@ -351,7 +335,7 @@ mod tests {
                 kind: CallKind::Measured,
             })
             .collect();
-        let assign = LoadBalancer::FunctionHash.assign(&cs, nodes);
+        let assign = route(LoadBalancer::FunctionHash, &cs, nodes);
         let home = home_node(func, nodes);
         let expected: Vec<u16> = (0..12).map(|k| (home + k as u16) % nodes).collect();
         assert_eq!(assign, expected);
@@ -365,12 +349,6 @@ mod tests {
         assert!(LoadBalancer::PowerOfTwoChoices { seed: 0 }.is_feedback());
         assert!(LoadBalancer::JoinShortestDominant { seed: 0 }.is_feedback());
         assert!(LoadBalancer::PowerOfTwoDominant { seed: 0 }.is_feedback());
-    }
-
-    #[test]
-    #[should_panic(expected = "no static assignment")]
-    fn feedback_policies_refuse_static_assignment() {
-        LoadBalancer::JoinShortestQueue { seed: 1 }.assign(&calls(3), 2);
     }
 
     #[test]
@@ -527,7 +505,7 @@ mod tests {
                 kind: CallKind::Measured,
             })
             .collect();
-        let assign = LoadBalancer::FunctionHash.assign(&cs, nodes);
+        let assign = route(LoadBalancer::FunctionHash, &cs, nodes);
         for f in 0..2u16 {
             let seq: Vec<u16> = cs
                 .iter()

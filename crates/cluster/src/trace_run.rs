@@ -242,7 +242,7 @@ impl Iterator for TraceCursor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lb::LoadBalancer;
+    use crate::lb::{hash_rotation, LoadBalancer};
     use faas_invoker::NodeConfig;
     use faas_simcore::time::SimDuration;
     use faas_workload::arrival::ArrivalSpec;
@@ -251,6 +251,7 @@ mod tests {
     use faas_workload::synth::{SynthSpec, SyntheticTrace};
     use faas_workload::trace_source::TraceSpec;
     use faas_workload::weight::WeightSpec;
+    use std::collections::BTreeMap;
 
     fn catalogue() -> Catalogue {
         Catalogue::sebs()
@@ -305,11 +306,10 @@ mod tests {
             .expect("synthetic source");
         let synth = SynthSpec::azure(6.0, SimDuration::from_secs(60));
         let trace = SyntheticTrace::new(&synth, &cat, SimTime::ZERO, 11);
-        let calls: Vec<Call> = trace.iter_chunk(0, trace.len()).collect();
-        let assigned: Vec<(u64, u16)> = calls
-            .iter()
-            .zip(lb.assign(&calls, 3))
-            .map(|(c, node)| (c.id.0, node))
+        let mut counters = BTreeMap::new();
+        let assigned: Vec<(u64, u16)> = trace
+            .iter_chunk(0, trace.len())
+            .map(|c| (c.id.0, hash_rotation(&mut counters, c.func, 3)))
             .collect();
         assert_eq!(node_map(&r), assigned);
     }

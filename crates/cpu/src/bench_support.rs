@@ -6,8 +6,9 @@
 //! them, and admits replacements). [`run_churn`] reproduces that access
 //! pattern against any [`GpsKernel`]. The drivers feed the repository
 //! benchmark's `cpu.gps_events_per_s` probe (`perfbench/`), and the
-//! differential tests below run each of them on both the virtual-time
-//! kernel and the [`ReferenceGpsCpu`] integrator and compare the results.
+//! differential tests below run each of them on both the two-clock
+//! [`GpsCpu`] and the [`ReferenceGpsCpu`] integrator and compare the
+//! results.
 
 use crate::gps::{GpsCpu, GpsParams, Resource, ResourceVector, TaskId};
 use crate::gps_reference::ReferenceGpsCpu;
@@ -127,11 +128,12 @@ pub fn churn_params(cores: f64) -> GpsParams {
     }
 }
 
-/// Completion-driven churn: keep `tasks` uniform tasks runnable for
-/// `completions` completion events. Every event performs the same kernel
-/// calls the baseline invoker's GPS tick performs (`next_completion`,
-/// `finished_tasks`, `remove_task`, `add_task` for the replacement), so the
-/// measured cost is the kernel's per-event cost at concurrency `tasks`.
+/// Completion-driven churn: keep `tasks` `(1, 1)` tasks (one pin-ratio
+/// class) runnable for `completions` completion events. Every event
+/// performs the same kernel calls the baseline invoker's GPS tick performs
+/// (`next_completion`, `finished_tasks`, `remove_task`, `add_task` for the
+/// replacement), so the measured cost is the kernel's per-event cost at
+/// concurrency `tasks`.
 ///
 /// Returns `work_done` as a checksum so callers can black-box it (and so
 /// differential callers can compare the two kernels).
@@ -139,9 +141,9 @@ pub fn run_churn<K: GpsKernel>(kernel: &mut K, tasks: usize, completions: usize)
     run_churn_with(kernel, tasks, completions, |_| (1.0, 1.0))
 }
 
-/// The churn loop shared by the uniform and weighted drivers: identical
+/// The churn loop shared by the one-class and weighted drivers: identical
 /// access pattern, with the `k`-th spawned task's `(weight, max_rate)`
-/// supplied by `sig`. Keeping one loop keeps the uniform and weighted
+/// supplied by `sig`. Keeping one loop keeps the one-class and weighted
 /// workloads comparable.
 pub fn run_churn_with<K: GpsKernel>(
     kernel: &mut K,
@@ -216,7 +218,7 @@ pub fn run_weighted_churn<K: GpsKernel>(kernel: &mut K, tasks: usize, completion
 /// sibling completions on the node). Membership is unchanged between
 /// probes, so the two-clock kernel answers each probe in O(1)/O(log n)
 /// where the per-slot integrator re-deplets and re-scans all `tasks`
-/// slots: this is the workload that measures the *end-to-end* general-mode
+/// slots: this is the workload that measures the *end-to-end* two-clock
 /// win, not just the rate-refresh win.
 /// Capacity factors a [`run_capacity_churn`] cycle walks through: a
 /// degradation ramp to a 0.4 trough and back up past nominal — the shape

@@ -1,5 +1,5 @@
 //! Generalized processor sharing with context-switch overhead: the baseline
-//! OpenWhisk CPU regime, implemented as a **virtual-time kernel**.
+//! OpenWhisk CPU regime.
 //!
 //! # Model
 //!
@@ -32,147 +32,99 @@
 //! context-switch penalty. With `n <= C` there is no penalty and GPS
 //! degenerates to "every task runs at full speed", matching an idle node.
 //!
-//! # Virtual-time formulation
-//!
-//! The interface is driven once per simulation event, and the baseline node
-//! oversubscribes hundreds of containers onto a handful of cores — exactly
-//! the regime where the naive integrator (deplete every slot on every
-//! `advance`, rescan every slot on every `next_completion`) costs
-//! O(events × tasks). That integrator survives as
+//! The naive integrator (deplete every slot on every `advance`, rescan every
+//! slot on every `next_completion`) costs O(events × tasks), and the
+//! baseline node oversubscribes hundreds of containers onto a handful of
+//! cores. That integrator survives as
 //! [`crate::gps_reference::ReferenceGpsCpu`], the executable specification
 //! this kernel is differentially tested against.
 //!
-//! The production kernel exploits a structural property of GPS: *between
-//! membership changes the rate vector is constant*, and in the common
-//! uniform case (all tasks share one `(weight, max_rate)` signature — the
-//! invoker always uses `(1.0, 1.0)`) every task receives the **same** rate
-//! `r = min(C_eff / n, max_rate)`. Define the *virtual time*
+//! # Classes and the water level
 //!
-//! ```text
-//! V(t) = ∫₀ᵗ r(s) ds      (cumulative service per task)
-//! ```
-//!
-//! Then a task that joins at virtual time `V₀` with `w` core-seconds of work
-//! finishes exactly when `V` reaches `V₀ + w`, **independently of any later
-//! membership changes** — later arrivals merely slow the growth of `V`
-//! itself. This turns the kernel into three O(1)/O(log n) pieces:
-//!
-//! * [`GpsCpu::advance`] is one multiply-add on `V` (plus an amortized
-//!   heap drain of tasks whose finish virtual-time was passed);
-//! * the per-task rate is memoized on the membership [`GpsCpu::generation`]
-//!   and recomputed only when the task set actually changes;
-//! * completions live in a min-heap keyed by `(finish_V, slot)`, so
-//!   [`GpsCpu::next_completion`] is a heap peek and
-//!   [`GpsCpu::finished_tasks`] pops only the tasks that actually finished.
-//!   The `(finish_V, slot)` key also preserves the deterministic
-//!   lowest-slot tie-break of the reference integrator, because heap order
-//!   is membership-invariant in virtual time.
-//!
-//! # Weighted (general) mode: the incremental capped/uncapped partition
-//!
-//! Heterogeneous weights or rate caps (weighted containers) break the
-//! single-virtual-clock property. The water-filling fixed point has a
-//! threshold structure: for the current capacity `C_eff` there is a
-//! *water level* `λ` (service per unit weight) such that
+//! The water-filling fixed point has a threshold structure: for the current
+//! capacity there is a *water level* `λ` (service per unit weight) with
 //!
 //! ```text
 //! rate_i = min(max_rate_i, weight_i * λ)
 //! ```
 //!
 //! and a task is **capped** (pinned at its `max_rate`) exactly when its
-//! *pin ratio* `r_i = max_rate_i / weight_i` satisfies `r_i <= λ`. The
-//! kernel maintains that partition incrementally instead of re-deriving it
-//! from scratch on every membership change: two ordered sets keyed by the
-//! pin ratio, plus running sums `W = Σ weight` over the uncapped set and
-//! `K = Σ max_rate` over the capped set (compensated, so incremental
-//! updates do not drift), from which `λ = (C_eff − K) / W`.
+//! *pin ratio* `r_i = max_rate_i / weight_i` satisfies `r_i <= λ`. Tasks
+//! with equal pin ratios therefore always sit on the same side of the
+//! level, so the kernel partitions **classes** of equal pin ratio, not
+//! tasks (Parekh & Gallager define GPS rates per class the same way). Each
+//! side keeps an ordered map from pin ratio to the class's member slots,
+//! plus running sums `W = Σ weight` over the uncapped side and
+//! `K = Σ max_rate` over the capped side (compensated, so incremental
+//! updates do not drift), from which `λ = (C_eff − K) / W`. A task joins
+//! its class's side directly; a task with a new pin ratio starts on the
+//! side the current level puts it. The invoker's homogeneous bank is the
+//! one-class case: every add and remove is O(1) membership work.
 //!
-//! **Water-level monotonicity.** Moving a boundary task in the direction
-//! its ratio demands can only *raise* the level: pinning a task with
-//! `r_i <= λ` yields `λ' = (C−K−cap_i)/(W−w_i)` with
-//! `λ' − λ ∝ w_i (λ − r_i) >= 0`, and unpinning a task with `r_i > λ`
-//! yields `λ' − λ ∝ w_i (r_i − λ) > 0`. Rebalancing after a membership
-//! change is therefore two sweeps — unpin from the top of the capped
-//! order while `r > λ`, then pin from the bottom of the uncapped order
-//! while `r <= λ` — each move `O(log n)`, and neither sweep can
-//! re-enable the other because both only raise `λ`. The boundary
-//! typically crosses O(1) tasks per event, so the rate refresh is
-//! O(log n) amortized where the seed re-ran the full O(n·rounds)
-//! water-filling; the O(n log n) partition build happens only on the
-//! uniform→general representation switch, which already costs O(n).
+//! **Water-level monotonicity.** Moving a class in the direction its ratio
+//! demands can only *raise* the level: pinning weight `w` at ratio
+//! `r <= λ` yields `λ' − λ ∝ w (λ − r) >= 0`, and unpinning weight `w` at
+//! ratio `r > λ` yields `λ' − λ ∝ w (r − λ) > 0`. Rebalancing after a
+//! membership change is therefore two sweeps — unpin classes from the top
+//! of the capped order while `r > λ`, then pin classes from the bottom of
+//! the uncapped order while `r <= λ` — and neither sweep can re-enable the
+//! other. A class moves whole: after each member moves, the class's ratio
+//! still satisfies its side of the new level, so moving it member by member
+//! and at once give the same partition.
 //!
-//! # The two general-mode clocks
+//! # The two clocks
 //!
-//! The partition makes every *rate* cheap; time progression is made cheap
-//! by the observation that between membership changes each side of the
-//! partition depletes against its own clock:
+//! Between membership changes each side of the partition depletes against
+//! its own clock:
 //!
-//! * An **uncapped** task depletes at `weight_i * λ`. Define the uncapped
-//!   virtual clock `U(t) = ∫ λ(s) ds` (service per unit weight —
-//!   [`GpsCpu::advance`] adds `λ · dt`). A task that is uncapped with
-//!   `rem` core-seconds left at `U = U₀` finishes when `U` reaches the
-//!   **fixed coordinate** `U₀ + rem / weight_i`, however `λ` moves in
-//!   between: rate changes slow or speed the growth of `U` itself, never
-//!   the task's coordinate.
-//! * A **capped** task depletes at the constant `max_rate_i`, so plain
-//!   real time covers it: with `rem` left at general-mode clock `R₀`
-//!   (seconds of general-mode residence), it finishes at the fixed
-//!   coordinate `R₀ + rem / max_rate_i`.
+//! * An **uncapped** task depletes at `weight_i * λ`. The uncapped clock
+//!   `U = ∫ λ dt` (service per unit weight) grows by `λ · dt` per
+//!   [`GpsCpu::advance`]; a task with `rem` core-seconds left at `U = U₀`
+//!   finishes at the **fixed coordinate** `U₀ + rem / weight_i`, however
+//!   `λ` moves in between.
+//! * A **capped** task depletes at the constant `max_rate_i`, so the real
+//!   clock `R` covers it: it finishes at `R₀ + rem / max_rate_i`.
 //!
-//! Each family keeps its unfinished tasks in a min-heap keyed by the
-//! *freeze coordinate* `finish − ε/axis` (`axis` = `weight` for the
-//! uncapped family, `max_rate` for the capped one), which is exactly the
-//! clock value at which the task's remaining work drops to the
-//! `WORK_EPSILON` "numerically finished" threshold — so draining each
-//! heap while `key <= clock` collects precisely the finished set without
-//! scanning slots, and an exhausted task surfaces even when its rate is
-//! zero-ish (the uniform path's `finished_pending` rule; the freeze
-//! coordinate does not involve `λ`). `advance` is then two clock bumps,
-//! one compensated `work_done` update from the running unfinished-weight /
-//! unfinished-cap sums, and the amortized drain; `next_completion`
-//! compares the two family heads (`(finish_U − U)/λ` against
-//! `finish_R − R`) in O(log n).
+//! Each side keeps its unfinished tasks in a min-heap keyed by the *freeze
+//! coordinate* `finish − ε/axis` (`axis` = `weight` uncapped, `max_rate`
+//! capped): the clock value at which the remaining work drops to the
+//! `WORK_EPSILON` "numerically finished" threshold. Draining each heap
+//! while `key <= clock` collects exactly the finished set without scanning
+//! slots, and an exhausted task surfaces even when its rate is zero-ish.
+//! `advance` is two clock bumps, one compensated `work_done` update from
+//! the running per-side sums and the amortized drain; `next_completion`
+//! compares the two heap heads (`(finish_U − U)/λ` against `finish_R − R`).
+//! Ties resolve to the lowest slot, like the reference scan.
 //!
-//! **Epoch on boundary crossing.** Heap keys are only valid while the
-//! task stays on its side of the partition: a crossing changes the axis
-//! (and the clock) its coordinate is expressed in. When a rebalance sweep
-//! moves a task across the boundary, the kernel re-derives `rem` from the
-//! old coordinate, bumps the slot's epoch (the same slot/epoch discipline
-//! the indexed event heap of PR 2 and the uniform heap use), and pushes a
-//! fresh key on the other family's heap; the stale entry is discarded
-//! lazily when it surfaces, because its epoch no longer matches the slot.
-//! Since each sweep move is a boundary crossing and the boundary crosses
-//! O(1) tasks per event in steady state, membership churn stays O(log n)
-//! amortized end to end — there is no O(n) re-keying, and tasks that do
-//! not cross keep their coordinates bit-for-bit.
+//! **Epochs on class crossing.** A heap key is valid only while its task
+//! stays on its side: a crossing changes the axis and the clock its
+//! coordinate is expressed in. When a sweep moves a class, each member's
+//! remaining work is re-derived from the old coordinate, its slot epoch is
+//! bumped and a fresh key goes on the other side's heap; the stale entry is
+//! discarded lazily when it surfaces. Members of classes that do not cross
+//! keep their coordinates bit-for-bit. Both clocks are rebased to zero when
+//! either exceeds 2^14, and whenever the bank idles.
 //!
 //! # Dynamic capacity and the capacity-rebase invariant
 //!
 //! The fault-injection layer (`faas_workload::faults`) degrades and
-//! restores node capacity mid-run — cgroup throttling, noisy neighbors,
-//! autoscale lag. [`GpsCpu::set_capacity`] supports this in O(log n)
-//! amortized because **every stored completion coordinate is
-//! capacity-invariant**: uniform-mode tasks finish at a fixed virtual time
-//! (capacity only changes how fast `V` grows afterwards), general-mode
-//! uncapped tasks finish at a fixed `U`-clock coordinate (λ moves, the
-//! coordinate does not), and capped tasks deplete at their constant
-//! `max_rate` on the real clock. A capacity change therefore reduces to:
-//! settle work under the old capacity, swap the parameter, bump the
-//! generation, and in general mode run the two rebalance sweeps — the
-//! water level moved, so the boundary-crossing machinery re-keys exactly
-//! the tasks whose pin ratio the level crossed. Everything else keeps its
-//! coordinate bit-for-bit, which is what the capacity-thrash differential
-//! suite (`tests/prop_gps_faults.rs`) pins against the reference
-//! integrator.
+//! restores node capacity mid-run. [`GpsCpu::set_capacity`] is cheap
+//! because **every stored completion coordinate is capacity-invariant**:
+//! uncapped tasks finish at a fixed `U` coordinate (λ moves, the coordinate
+//! does not) and capped tasks deplete at their constant `max_rate` on the
+//! real clock. A capacity change settles work under the old capacity,
+//! swaps the parameter, bumps the generation and runs the two sweeps:
+//! exactly the classes whose ratio the level crossed are re-keyed. The
+//! capacity-thrash differential suite (`tests/prop_gps_faults.rs`) pins this
+//! against the reference integrator.
 //!
 //! # Multi-resource demands and dominant-share allocation (DRF)
 //!
 //! Tasks may demand a second resource — memory bandwidth — alongside CPU.
 //! A task's [`ResourceVector`] demand is normalized into a *profile*
-//! `g = [g_cpu, g_mem]` whose **dominant** component is exactly `1.0` (the
-//! other is demand per dominant unit, in `[0, 1]`); `work`, `weight`-shares
-//! and `max_rate` are then expressed in dominant-resource units. The
-//! water-filling machinery generalizes axis-wise:
+//! `g = [g_cpu, g_mem]` whose **dominant** component is exactly `1.0`;
+//! `work`, `weight`-shares and `max_rate` are then expressed in
+//! dominant-resource units. The water filling generalizes axis-wise:
 //!
 //! ```text
 //! W_k = Σ_uncapped weight_i · g_ik     K_k = Σ_capped max_rate_i · g_ik
@@ -180,28 +132,17 @@
 //! rate_i = min(max_rate_i, weight_i · λ)      (dominant units / sec)
 //! ```
 //!
-//! **The dominant-share invariant:** a task is capped exactly when its pin
-//! ratio `r_i = max_rate_i / weight_i` satisfies `r_i <= λ`, with `λ` the
-//! *minimum* per-axis water level — the level of the binding (saturated)
-//! resource. The single-threshold two-sweep structure survives because
-//! unpinning a task with `r_i > λ` makes every per-axis level a weighted
-//! average of `λ_k` and `r_i` (`λ_k' = (λ_k W_k + r_i w_i g_ik) /
-//! (W_k + w_i g_ik)`), so `min_k λ_k` cannot fall below `min(λ, r_i) = λ`,
-//! and pinning a task with `r_j <= λ` moves every level away from `r_j`
-//! (upward) — both sweeps only raise the minimum level, exactly the
-//! monotonicity the scalar proof used. The two-clock progression carries
-//! over unchanged with `U = ∫ λ dt` integrating the minimum level. On the
-//! binding axis capacity is exactly consumed (`λ·W_b + K_b = C_b`, Pareto
-//! efficiency) and `λ >= C_b / Σ w_i` (sharing incentive: no uncapped
-//! task's dominant-unit rate falls below its weighted equal split of the
-//! contended axis) — both pinned by `tests/prop_gps_drf.rs`.
-//!
-//! The single-resource path is the degenerate profile `g = [1.0, 0.0]`
-//! with the memory axis disabled ([`GpsCpu::set_resource_capacity`] left
-//! at the `+∞` default): the axis-1 sums stay exactly `0.0`, the axis-1
-//! level is `+∞` and drops out of the `min`, and every floating-point
-//! operation sequence reduces bit-for-bit to the scalar kernel's — pinned
-//! by the digest-regression and differential suites.
+//! **The dominant-share invariant:** a task is capped exactly when
+//! `r_i <= λ`, with `λ` the *minimum* per-axis level — the level of the
+//! binding resource. Unpinning at `r > λ` makes every per-axis level a
+//! weighted average of `λ_k` and `r`, and pinning at `r <= λ` moves every
+//! level away from `r`, so both sweeps still only raise the minimum level
+//! and the two clocks carry over with `U` integrating it. On the binding
+//! axis capacity is exactly consumed (`λ·W_b + K_b = C_b`, Pareto
+//! efficiency) and `λ >= C_b / Σ w_i` (sharing incentive) — both pinned by
+//! `tests/prop_gps_drf.rs`. The single-resource path is the profile
+//! `[1.0, 0.0]` with the memory axis disabled (`+∞` capacity): the axis-1
+//! sums stay exactly `0.0`, its level is `+∞` and drops out of the `min`.
 //!
 //! The structure is a pure state machine over simulated time. The owner
 //! drives it with [`GpsCpu::advance`] and re-queries
@@ -211,7 +152,7 @@
 use faas_simcore::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Identifier of a task inside a [`GpsCpu`]. Slots are recycled; a `TaskId`
 /// is only meaningful until the task completes or is removed.
@@ -328,7 +269,8 @@ pub struct ResourceVector {
 
 impl ResourceVector {
     /// The classic single-resource demand: all CPU, no memory bandwidth.
-    /// Tasks added with this profile take the bit-identical scalar path.
+    /// Tasks added with this profile leave the memory-axis sums at exactly
+    /// zero, so the water filling is the scalar one.
     pub const CPU_ONLY: ResourceVector = ResourceVector { cpu: 1.0, mem: 0.0 };
 
     /// A demand of one CPU unit plus `mem_per_cpu` memory-bandwidth units
@@ -373,9 +315,8 @@ impl ResourceVector {
     /// The normalized demand profile `[g_cpu, g_mem]`: demand per
     /// *dominant-resource unit*, so the dominant component is exactly
     /// `1.0` and the other lies in `[0, 1]`. Zero components stay exactly
-    /// `+0.0` (so the degenerate single-resource profile is bit-exact
-    /// `[1.0, 0.0]` and `-0.0` inputs cannot split the uniform-mode
-    /// signature).
+    /// `+0.0`, so the degenerate single-resource profile is bit-exact
+    /// `[1.0, 0.0]`.
     pub fn profile(&self) -> [f64; AXES] {
         self.validate();
         let gmax = self.cpu.max(self.mem);
@@ -402,34 +343,22 @@ impl ResourceVector {
 /// floating-point residue keeping a task alive forever.
 pub(crate) const WORK_EPSILON: f64 = 1e-9;
 
-/// Rebase the virtual clock once it exceeds this magnitude (2^14
-/// core-seconds of per-task service). The epsilon-finish machinery needs
-/// `ulp(vt) << WORK_EPSILON`; left unbounded, a never-idle bank would erode
-/// that headroom (`ulp(1e7) ≈ 2e-9`). Rebasing is O(live tasks) and fires
-/// at most once per 16384 core-seconds of service, so it is amortized
+/// Rebase both clocks once either exceeds this magnitude (2^14 seconds of
+/// real time or of per-unit-weight service). The epsilon-finish machinery
+/// needs `ulp(clock) << WORK_EPSILON`; left unbounded, a never-idle bank
+/// would erode that headroom (`ulp(1e7) ≈ 2e-9`). Rebasing is O(live
+/// tasks) and fires at most once per 16384 clock units, so it is amortized
 /// free; as a bonus it discards all stale heap entries.
-const VT_REBASE_THRESHOLD: f64 = 16384.0;
+const CLOCK_REBASE_THRESHOLD: f64 = 16384.0;
 
-/// `(weight, max_rate, g_cpu, g_mem)` signature used to detect the uniform
-/// fast path. Bit-level equality matches the reference integrator's `!=`
-/// comparison (weights are asserted positive, profile components are
-/// normalized with zeros pinned to `+0.0`, so `-0.0`/NaN cannot occur).
-type Signature = (u64, u64, u64, u64);
+/// Index of the uncapped side: rate `weight · λ`, clock `U = ∫ λ dt`.
+const UNCAPPED: usize = 0;
+/// Index of the capped side: rate `max_rate`, the real clock `R`.
+const CAPPED: usize = 1;
 
-fn signature(weight: f64, max_rate: f64, demand: [f64; AXES]) -> Signature {
-    (
-        weight.to_bits(),
-        max_rate.to_bits(),
-        demand[0].to_bits(),
-        demand[1].to_bits(),
-    )
-}
-
-/// Partition-order key: `(pin ratio bits, slot)`. Weights and caps are
-/// positive, so the IEEE bit pattern of `max_rate / weight` orders exactly
-/// like the ratio itself; the slot index makes ties deterministic.
-type PartKey = (u64, u32);
-
+/// Class key: the bits of the pin ratio `max_rate / weight`. Weights and
+/// caps are positive, so the IEEE bit pattern orders exactly like the
+/// ratio itself.
 fn pin_ratio_bits(weight: f64, max_rate: f64) -> u64 {
     (max_rate / weight).to_bits()
 }
@@ -467,30 +396,17 @@ impl CompensatedSum {
 
 #[derive(Debug, Clone, Copy)]
 enum Body {
-    /// Uniform-mode unfinished task: completes when the virtual clock
-    /// reaches `finish_vt`.
-    Virtual {
-        /// Virtual time at which the task's work is exhausted.
-        finish_vt: f64,
-    },
-    /// Explicit remaining work: tasks (in either mode) whose work is
-    /// numerically exhausted and which wait in `finished_pending` for the
-    /// owner to remove them.
+    /// Explicit remaining work: a task whose work is numerically exhausted
+    /// (waiting in `finished_pending` for the owner to remove it), a task
+    /// being added, or a parked task whose coordinate is not representable.
     Settled {
-        /// Remaining CPU work in core-seconds.
+        /// Remaining work in dominant-resource units.
         remaining: f64,
     },
-    /// General-mode unfinished task on the uncapped side: completes when
-    /// the uncapped virtual clock reaches `finish_uvt`.
-    GenUncapped {
-        /// Uncapped-clock coordinate at which the work is exhausted.
-        finish_uvt: f64,
-    },
-    /// General-mode unfinished task pinned at its rate cap: completes
-    /// when the general-mode real clock reaches `finish_rt`.
-    GenCapped {
-        /// Real-clock coordinate at which the work is exhausted.
-        finish_rt: f64,
+    /// Unfinished: completes when its side's clock reaches `finish`.
+    Running {
+        /// Clock coordinate at which the work is exhausted.
+        finish: f64,
     },
 }
 
@@ -501,71 +417,60 @@ struct Slot {
     /// Normalized demand profile `[g_cpu, g_mem]` (dominant component
     /// exactly `1.0`; single-resource tasks carry `[1.0, 0.0]`).
     demand: [f64; AXES],
-    /// Distinguishes reincarnations of a recycled slot in stale heap keys.
+    /// Distinguishes reincarnations and crossings in stale heap keys.
     epoch: u64,
-    /// General mode: true while the task sits in the capped side of the
-    /// water-filling partition (rate pinned at `max_rate`). Meaningless in
-    /// uniform mode.
+    /// True while the task's class sits on the capped side.
     capped: bool,
+    /// Position of the slot in its class's member list.
+    pos: u32,
     body: Body,
 }
 
-/// Min-heap key ordering completions by `(finish_vt, slot)`; the slot
-/// component reproduces the reference kernel's lowest-slot tie-break.
-#[derive(Debug, Clone, Copy)]
-struct HeapKey {
-    finish_vt: f64,
-    slot: u32,
-    epoch: u64,
-}
+impl Slot {
+    fn side(&self) -> usize {
+        self.capped as usize
+    }
 
-impl PartialEq for HeapKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+    /// The quantity `side` measures the task in: its weight uncapped (rate
+    /// `weight · λ`), its cap capped (rate `max_rate`).
+    fn axis_on(&self, side: usize) -> f64 {
+        if side == CAPPED {
+            self.max_rate
+        } else {
+            self.weight
+        }
     }
-}
-impl Eq for HeapKey {}
-impl PartialOrd for HeapKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Inverted: BinaryHeap is a max-heap, we want the earliest
-        // (finish_vt, slot) on top.
-        other
-            .finish_vt
-            .total_cmp(&self.finish_vt)
-            .then_with(|| other.slot.cmp(&self.slot))
+
+    fn axis(&self) -> f64 {
+        self.axis_on(self.side())
     }
 }
 
-/// General-mode heap entry: `key` is the *freeze coordinate*
-/// `finish − WORK_EPSILON / axis` (the clock value at which remaining work
-/// hits the numerically-finished threshold), `finish` the true completion
-/// coordinate on the family clock. Min-ordered by `(key, slot)`; the slot
-/// component keeps same-signature ties deterministic.
+/// Heap entry: `key` is the *freeze coordinate* `finish − WORK_EPSILON /
+/// axis` (the clock value at which remaining work hits the
+/// numerically-finished threshold), `finish` the true completion
+/// coordinate. Min-ordered by `(key, slot)`; the slot component keeps ties
+/// deterministic.
 #[derive(Debug, Clone, Copy)]
-struct GenKey {
+struct ClockKey {
     key: f64,
     finish: f64,
     slot: u32,
     epoch: u64,
 }
 
-impl PartialEq for GenKey {
+impl PartialEq for ClockKey {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
-impl Eq for GenKey {}
-impl PartialOrd for GenKey {
+impl Eq for ClockKey {}
+impl PartialOrd for ClockKey {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for GenKey {
+impl Ord for ClockKey {
     fn cmp(&self, other: &Self) -> Ordering {
         // Inverted for BinaryHeap: earliest (key, slot) on top.
         other
@@ -573,24 +478,6 @@ impl Ord for GenKey {
             .total_cmp(&self.key)
             .then_with(|| other.slot.cmp(&self.slot))
     }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Single `(weight, max_rate)` signature: O(1) virtual-time advance.
-    Uniform,
-    /// Heterogeneous signatures: incremental water-filling partition with
-    /// per-family clock coordinates.
-    General,
-}
-
-/// The two general-mode completion families, each with its own clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Family {
-    /// Depletes at `weight * λ`; coordinates on the uncapped virtual clock.
-    Uncapped,
-    /// Depletes at the constant `max_rate`; coordinates on the real clock.
-    Capped,
 }
 
 /// The GPS processor bank.
@@ -605,77 +492,41 @@ pub struct GpsCpu {
     runnable: usize,
     last_advance: SimTime,
     /// Incremented on every membership change; lets the owner discard stale
-    /// completion events, and keys the rate memo.
+    /// completion events.
     generation: u64,
     /// Total core-seconds of work completed, for conservation checks.
     /// Neumaier-compensated: long runs accumulate one blanket update per
     /// `advance` plus overshoot corrections, and plain `+=` would drift
     /// against the freshly-summed reference accounting.
     work_done: CompensatedSum,
-    /// Next slot epoch (bumped on every add, never reused).
+    /// Next slot epoch (bumped on every add and crossing, never reused).
     next_epoch: u64,
-    /// Live-task count per `(weight, max_rate)` signature; a single entry
-    /// enables the uniform virtual-time representation.
-    sig_counts: HashMap<Signature, usize>,
-    mode: Mode,
-
-    // ---- Uniform-mode state ----
-    /// The virtual clock: cumulative per-task service since the last rebase.
-    vt: f64,
-    /// Completion heap over unfinished uniform tasks.
-    heap: BinaryHeap<HeapKey>,
-    /// Number of live unfinished (`Body::Virtual`) tasks.
-    unfinished: usize,
     /// Slots whose work is exhausted but which still occupy the bank until
-    /// the owner removes them (unsorted; sorted on query). Shared by both
-    /// modes: the general-mode heap drain lands finished tasks here too.
+    /// the owner removes them (unsorted; sorted on query).
     finished_pending: Vec<u32>,
-
-    // ---- Uniform-rate memo (valid while `rates_generation ==
-    // Some(generation)`; general mode keeps its rates implicit in the
-    // partition instead) ----
-    rates_generation: Option<u64>,
-    /// Uniform mode: the common task rate.
-    uniform_rate: f64,
-
-    // ---- General-mode partition state ----
-    /// Uncapped tasks ordered by pin ratio ascending: the head is the next
-    /// task to pin as the water level rises.
-    part_uncapped: BTreeSet<PartKey>,
-    /// Capped tasks in the same order: the tail is the next task to unpin
-    /// as the water level falls.
-    part_capped: BTreeSet<PartKey>,
-    /// `W_k = Σ weight·g_k` over the uncapped set, per resource axis.
-    uncapped_weight: [CompensatedSum; AXES],
-    /// `K_k = Σ max_rate·g_k` over the capped set, per resource axis.
-    capped_capacity: [CompensatedSum; AXES],
-    /// The water level `λ` for the current membership (general mode).
+    /// Per side, the classes keyed by pin-ratio bits, each holding its
+    /// member slots. The head of the uncapped map pins next as the level
+    /// rises; the tail of the capped map unpins next as it falls.
+    classes: [BTreeMap<u64, Vec<u32>>; 2],
+    /// Per side and resource axis, `Σ axis·g_k` over the side's tasks:
+    /// `W_k` (weights) uncapped, `K_k` (caps) capped.
+    side_sums: [[CompensatedSum; AXES]; 2],
+    /// The water level `λ` for the current membership; `+∞` while no
+    /// uncapped task constrains it.
     water_level: f64,
-
-    // ---- General-mode two-clock state ----
-    /// The uncapped virtual clock `U = ∫ λ dt`: cumulative service per
-    /// unit weight since the last general-mode rebase.
-    g_uvt: f64,
-    /// The capped real clock `R`: seconds of general-mode residence since
-    /// the last rebase (capped tasks deplete at their constant cap).
-    g_rt: f64,
-    /// Completion heap over unfinished uncapped tasks, keyed by the freeze
-    /// coordinate on the `U` axis.
-    g_uncapped_heap: BinaryHeap<GenKey>,
-    /// Completion heap over unfinished capped tasks, keyed by the freeze
-    /// coordinate on the `R` axis.
-    g_capped_heap: BinaryHeap<GenKey>,
-    /// Σ weight over *unfinished* uncapped tasks (blanket `work_done`
-    /// accounting; frozen tasks leave it).
-    unf_uncapped_weight: CompensatedSum,
-    /// Number of unfinished uncapped tasks (pins the sum to exact zero).
-    unf_uncapped_count: usize,
-    /// Σ max_rate over *unfinished* capped tasks.
-    unf_capped_rate: CompensatedSum,
-    /// Number of unfinished capped tasks.
-    unf_capped_count: usize,
-    /// Total capped/uncapped boundary crossings (test introspection: the
-    /// thrash suites assert their schedules actually exercise re-keying).
+    /// The side clocks `[U, R]`, since the last rebase.
+    clocks: [f64; 2],
+    /// Per side, the completion heap over unfinished tasks, keyed by the
+    /// freeze coordinate on that side's clock.
+    heaps: [BinaryHeap<ClockKey>; 2],
+    /// Per side, `Σ axis` over *unfinished* tasks (the blanket `work_done`
+    /// charge; finished and parked tasks leave it).
+    running_axis: [CompensatedSum; 2],
+    /// Per side, the number of unfinished tasks (pins the sum to exact zero).
+    running: [usize; 2],
+    /// Total task moves across the capped/uncapped boundary (test
+    /// introspection: the thrash suites assert their schedules actually
+    /// exercise re-keying).
     boundary_crossings: u64,
 }
 
@@ -693,27 +544,14 @@ impl GpsCpu {
             generation: 0,
             work_done: CompensatedSum::ZERO,
             next_epoch: 0,
-            sig_counts: HashMap::new(),
-            mode: Mode::Uniform,
-            vt: 0.0,
-            heap: BinaryHeap::new(),
-            unfinished: 0,
             finished_pending: Vec::new(),
-            rates_generation: None,
-            uniform_rate: 0.0,
-            part_uncapped: BTreeSet::new(),
-            part_capped: BTreeSet::new(),
-            uncapped_weight: [CompensatedSum::ZERO; AXES],
-            capped_capacity: [CompensatedSum::ZERO; AXES],
-            water_level: 0.0,
-            g_uvt: 0.0,
-            g_rt: 0.0,
-            g_uncapped_heap: BinaryHeap::new(),
-            g_capped_heap: BinaryHeap::new(),
-            unf_uncapped_weight: CompensatedSum::ZERO,
-            unf_uncapped_count: 0,
-            unf_capped_rate: CompensatedSum::ZERO,
-            unf_capped_count: 0,
+            classes: [BTreeMap::new(), BTreeMap::new()],
+            side_sums: [[CompensatedSum::ZERO; AXES]; 2],
+            water_level: f64::INFINITY,
+            clocks: [0.0; 2],
+            heaps: [BinaryHeap::new(), BinaryHeap::new()],
+            running_axis: [CompensatedSum::ZERO; 2],
+            running: [0; 2],
             boundary_crossings: 0,
         }
     }
@@ -743,48 +581,37 @@ impl GpsCpu {
         self.work_done.value()
     }
 
-    /// Total number of capped/uncapped boundary crossings so far (general
-    /// mode re-keys exactly the crossing tasks). Test introspection: the
-    /// boundary-thrash suites assert their schedules exercise this path.
+    /// Total number of task moves across the capped/uncapped boundary so
+    /// far (exactly the moved tasks are re-keyed); placing a task as it
+    /// joins is not a move. Test introspection: the boundary-thrash suites
+    /// assert their schedules exercise this path.
     pub fn boundary_crossings(&self) -> u64 {
         self.boundary_crossings
     }
 
-    /// True while the bank runs the uniform virtual-time representation
-    /// (single `(weight, max_rate)` signature — the invoker's hot path).
-    /// Test/introspection hook: homogeneous workloads must never leave it.
-    pub fn is_uniform_mode(&self) -> bool {
-        self.mode == Mode::Uniform
-    }
-
-    /// `(uncapped, capped)` sizes of the general-mode water-filling
-    /// partition; both zero in uniform mode, whose fast path never touches
-    /// the partition structure.
+    /// `(uncapped, capped)` task counts of the water-filling partition.
     pub fn partition_sizes(&self) -> (usize, usize) {
-        (self.part_uncapped.len(), self.part_capped.len())
+        let count = |side: usize| self.classes[side].values().map(Vec::len).sum();
+        (count(UNCAPPED), count(CAPPED))
     }
 
-    /// The general-mode water level `λ` (service rate per unit weight);
-    /// `None` in uniform mode.
-    pub fn water_level(&self) -> Option<f64> {
-        (self.mode == Mode::General).then_some(self.water_level)
+    /// Number of pin-ratio classes in the partition: one for a bank whose
+    /// tasks all share a `max_rate / weight` ratio.
+    pub fn class_count(&self) -> usize {
+        self.classes[UNCAPPED].len() + self.classes[CAPPED].len()
+    }
+
+    /// The water level `λ` (service rate per unit weight); `+∞` while every
+    /// task is capped within capacity, and on an empty bank.
+    pub fn water_level(&self) -> f64 {
+        self.water_level
     }
 
     /// Instantaneous service rate of `id` under the current task set.
-    pub fn current_rate(&mut self, id: TaskId) -> f64 {
-        match self.mode {
-            Mode::Uniform => {
-                if self.slots[id.0 as usize].is_some() {
-                    self.refresh_uniform_rate()
-                } else {
-                    0.0
-                }
-            }
-            Mode::General => match &self.slots[id.0 as usize] {
-                Some(slot) => Self::general_rate(slot, self.water_level),
-                None => 0.0,
-            },
-        }
+    pub fn current_rate(&self, id: TaskId) -> f64 {
+        self.slots[id.0 as usize]
+            .as_ref()
+            .map_or(0.0, |slot| self.rate(slot))
     }
 
     /// Remaining work of a task (after the last `advance`).
@@ -792,91 +619,54 @@ impl GpsCpu {
         let slot = self.slots[id.0 as usize]
             .as_ref()
             .expect("remaining() on dead task");
-        match slot.body {
-            Body::Virtual { finish_vt } => (finish_vt - self.vt).max(0.0),
-            Body::Settled { remaining } => remaining,
-            Body::GenUncapped { finish_uvt } => (finish_uvt - self.g_uvt).max(0.0) * slot.weight,
-            Body::GenCapped { finish_rt } => (finish_rt - self.g_rt).max(0.0) * slot.max_rate,
-        }
+        self.remaining_of(slot)
     }
 
-    /// Advance the clock to `now`. In uniform mode this is O(1) arithmetic
-    /// on the virtual clock plus an amortized drain of tasks whose finish
-    /// virtual-time was passed. Must be called with monotone timestamps.
+    /// Advance the clock to `now`: two clock bumps, one compensated work
+    /// update and an amortized drain of tasks whose freeze coordinate was
+    /// passed. Must be called with monotone timestamps.
     pub fn advance(&mut self, now: SimTime) {
         let dt = now.saturating_since(self.last_advance).as_secs_f64();
         self.last_advance = self.last_advance.max(now);
         if dt <= 0.0 || self.runnable == 0 {
             return;
         }
-        match self.mode {
-            Mode::Uniform => {
-                let rate = self.refresh_uniform_rate();
-                self.vt += rate * dt;
-                // Every unfinished task consumed `rate * dt`... except the
-                // ones that exhausted mid-interval, corrected in the drain.
-                self.work_done.add(self.unfinished as f64 * rate * dt);
-                self.drain_exhausted();
-                if self.vt >= VT_REBASE_THRESHOLD {
-                    self.rebase_vt();
-                }
+        // The uncapped clock runs at λ, which is `+∞` while that side is
+        // empty and finite otherwise — except when subnormal weights
+        // overflow `(C−K)/W`; the finite guard keeps the clock (and the
+        // blanket charge, whose unfinished sum is then a subnormal residue)
+        // unpoisoned.
+        let mut charge = 0.0;
+        for (side, speed) in [(UNCAPPED, self.water_level), (CAPPED, 1.0)] {
+            if !speed.is_finite() {
+                continue;
             }
-            Mode::General => {
-                // The partition (and hence the water level) is kept current
-                // by the membership operations themselves: advance is two
-                // clock bumps, one compensated work update and the
-                // amortized drain of passed/frozen coordinates.
-                let level = self.water_level;
-                // The level is finite and positive whenever the uncapped
-                // side is populated (see the rebalance sweeps) — except
-                // when subnormal weights overflow `(C−K)/W`; the finite
-                // guard keeps the clock (and the blanket charge, whose
-                // unfinished sum is then a subnormal residue) unpoisoned.
-                if !self.part_uncapped.is_empty() && level.is_finite() {
-                    self.g_uvt += level * dt;
-                }
-                self.g_rt += dt;
-                let mut charge = 0.0;
-                let uw = self.unf_uncapped_weight.value();
-                if uw > 0.0 && level.is_finite() {
-                    charge += level * dt * uw;
-                }
-                let cr = self.unf_capped_rate.value();
-                if cr > 0.0 {
-                    charge += dt * cr;
-                }
-                // Single compensated update; tasks that exhausted
-                // mid-interval are corrected by the drain's overshoot term.
-                self.work_done.add(charge);
-                self.drain_gen_finished();
-                if self.g_uvt >= VT_REBASE_THRESHOLD || self.g_rt >= VT_REBASE_THRESHOLD {
-                    self.rebase_gen();
-                }
+            self.clocks[side] += speed * dt;
+            let sum = self.running_axis[side].value();
+            if sum > 0.0 {
+                charge += speed * dt * sum;
             }
+        }
+        // Single compensated update; tasks that exhausted mid-interval are
+        // corrected by the drain's overshoot term.
+        self.work_done.add(charge);
+        self.drain_finished();
+        if self.clocks.iter().any(|&c| c >= CLOCK_REBASE_THRESHOLD) {
+            self.rebase_clocks();
         }
     }
 
     /// Change the bank's core capacity at `now` (dynamic capacity: cgroup
     /// throttling, noisy neighbors, autoscale lag). O((1 + k) log n) for
-    /// the `k` tasks whose pin ratio the water level crosses: O(log n)
-    /// when the level barely moves, but a large resize can cross most
-    /// tasks.
+    /// the `k` tasks in the classes whose pin ratio the water level
+    /// crosses: cheap when the level barely moves, but a large resize can
+    /// cross most tasks.
     ///
-    /// The capacity-rebase invariant that makes this cheap: **every stored
-    /// completion coordinate is capacity-invariant.** Uniform-mode tasks
-    /// finish at a fixed *virtual* time `V₀ + work`, and a capacity change
-    /// only alters the future growth rate of `V` itself; general-mode
-    /// uncapped tasks finish at a fixed coordinate on the `U = ∫ λ dt`
-    /// clock (λ moves, the coordinate does not) and capped tasks deplete at
-    /// their constant `max_rate` on the real clock regardless of capacity.
-    /// So the operation is: settle served work up to `now` under the *old*
-    /// capacity, swap the parameter, bump the generation (invalidating the
-    /// memoized uniform rate and any owner-held completion events), and in
-    /// general mode run the two rebalance sweeps — the water level moved,
-    /// so tasks whose pin ratio the level crossed migrate between the
-    /// capped and uncapped families, re-keyed onto the other clock by the
-    /// same boundary-crossing machinery membership churn uses. Tasks the
-    /// level did not cross keep their coordinates bit-for-bit.
+    /// Every stored completion coordinate is capacity-invariant (see the
+    /// module docs), so this settles served work up to `now` under the old
+    /// capacity, swaps the parameter, bumps the generation (invalidating
+    /// owner-held completion events) and runs the two rebalance sweeps.
+    /// Classes the level did not cross keep their coordinates bit-for-bit.
     pub fn set_capacity(&mut self, now: SimTime, cores: f64) {
         self.advance(now);
         if cores == self.params.cores {
@@ -889,9 +679,7 @@ impl GpsCpu {
         params.validate();
         self.params = params;
         self.generation += 1;
-        if self.mode == Mode::General {
-            self.rebalance_partition();
-        }
+        self.rebalance_partition();
     }
 
     /// Change one resource axis's capacity at `now`. The CPU axis is
@@ -914,9 +702,7 @@ impl GpsCpu {
                 );
                 self.mem_capacity = capacity;
                 self.generation += 1;
-                if self.mode == Mode::General {
-                    self.rebalance_partition();
-                }
+                self.rebalance_partition();
             }
         }
     }
@@ -933,29 +719,14 @@ impl GpsCpu {
     /// tasks, in that resource's units. O(n) slot scan — introspection for
     /// the fairness/efficiency suites and the per-resource utilization
     /// metrics, not a hot path.
-    pub fn resource_consumption(&mut self, resource: Resource) -> f64 {
+    pub fn resource_consumption(&self, resource: Resource) -> f64 {
         let axis = resource.axis();
-        if self.runnable == 0 {
-            return 0.0;
-        }
-        let uniform_rate = if self.mode == Mode::Uniform {
-            self.refresh_uniform_rate()
-        } else {
-            0.0
-        };
-        let level = self.water_level;
-        let mut total = 0.0;
-        for slot in self.slots.iter().flatten() {
-            let rate = match slot.body {
-                Body::Virtual { .. } => uniform_rate,
-                Body::GenUncapped { .. } | Body::GenCapped { .. } => {
-                    Self::general_rate(slot, level)
-                }
-                Body::Settled { .. } => 0.0,
-            };
-            total += rate * slot.demand[axis];
-        }
-        total
+        self.slots
+            .iter()
+            .flatten()
+            .filter(|slot| matches!(slot.body, Body::Running { .. }))
+            .map(|slot| self.rate(slot) * slot.demand[axis])
+            .fold(0.0, |total, used| total + used)
     }
 
     /// Add a single-resource task with `work` core-seconds of demand.
@@ -985,14 +756,9 @@ impl GpsCpu {
         let profile = demand.profile();
         self.advance(now);
         self.generation += 1;
-        *self
-            .sig_counts
-            .entry(signature(weight, max_rate, profile))
-            .or_insert(0) += 1;
         self.runnable += 1;
         let epoch = self.next_epoch;
         self.next_epoch += 1;
-
         let index = match self.free_slots.pop() {
             Some(slot) => slot,
             None => {
@@ -1000,52 +766,29 @@ impl GpsCpu {
                 (self.slots.len() - 1) as u32
             }
         };
-        if self.sig_counts.len() > 1 {
-            // Heterogeneous signatures: leave (or put) the bank in general
-            // mode, splice the task into the water-filling partition, and
-            // give it a clock coordinate on whichever side the rebalance
-            // leaves it.
-            let switched = self.mode == Mode::Uniform;
-            self.enter_general_mode();
-            self.slots[index as usize] = Some(Slot {
-                weight,
-                max_rate,
-                demand: profile,
-                epoch,
-                capped: false,
-                body: Body::Settled { remaining: work },
-            });
-            self.partition_insert(index);
-            self.rebalance_partition();
-            if switched {
-                // The representation switch left every carried-over task
-                // settled; coordinate them all (O(n), amortized into the
-                // O(n) switch itself).
-                for i in 0..self.slots.len() as u32 {
-                    self.activate_settled(i);
-                }
+        self.slots[index as usize] = Some(Slot {
+            weight,
+            max_rate,
+            demand: profile,
+            epoch,
+            capped: false,
+            pos: 0,
+            body: Body::Settled { remaining: work },
+        });
+        self.join_class(index);
+        self.rebalance_partition();
+        // A crossing may already have coordinated the task; otherwise give
+        // it a clock coordinate on the side the rebalance left it.
+        if let Some(Slot {
+            body: Body::Settled { remaining },
+            ..
+        }) = self.slots[index as usize]
+        {
+            if remaining <= WORK_EPSILON {
+                self.finished_pending.push(index);
             } else {
-                self.activate_settled(index);
+                self.push_coordinate(index, remaining);
             }
-        } else {
-            // Single signature implies the bank was already uniform (adds
-            // cannot shrink the signature set).
-            debug_assert_eq!(self.mode, Mode::Uniform);
-            let finish_vt = self.vt + work;
-            self.slots[index as usize] = Some(Slot {
-                weight,
-                max_rate,
-                demand: profile,
-                epoch,
-                capped: false,
-                body: Body::Virtual { finish_vt },
-            });
-            self.unfinished += 1;
-            self.heap.push(HeapKey {
-                finish_vt,
-                slot: index,
-                epoch,
-            });
         }
         TaskId(index)
     }
@@ -1057,52 +800,20 @@ impl GpsCpu {
         let slot = self.slots[id.0 as usize]
             .take()
             .expect("remove_task on dead task");
-        if self.mode == Mode::General {
-            self.partition_remove(id.0, &slot);
-        }
         self.free_slots.push(id.0);
         self.runnable -= 1;
-        let sig = signature(slot.weight, slot.max_rate, slot.demand);
-        let count = self
-            .sig_counts
-            .get_mut(&sig)
-            .expect("live task must have a signature count");
-        *count -= 1;
-        if *count == 0 {
-            self.sig_counts.remove(&sig);
+        let residual = self.remaining_of(&slot);
+        match slot.body {
+            Body::Settled { .. } => self.finished_pending.retain(|&s| s != id.0),
+            Body::Running { .. } => self.leave_running(slot.side(), slot.axis()),
         }
-        let residual = match slot.body {
-            Body::Virtual { finish_vt } => {
-                self.unfinished -= 1;
-                // The heap entry goes stale and is discarded lazily.
-                (finish_vt - self.vt).max(0.0)
-            }
-            Body::Settled { remaining } => {
-                self.finished_pending.retain(|&s| s != id.0);
-                remaining
-            }
-            Body::GenUncapped { finish_uvt } => {
-                self.unf_leave_uncapped(slot.weight);
-                (finish_uvt - self.g_uvt).max(0.0) * slot.weight
-            }
-            Body::GenCapped { finish_rt } => {
-                self.unf_leave_capped(slot.max_rate);
-                (finish_rt - self.g_rt).max(0.0) * slot.max_rate
-            }
-        };
         if self.runnable == 0 {
             // Rebase the clocks while idle: bounds their magnitude and
             // discards stale heap entries wholesale.
-            self.reset_uniform_state();
-            self.clear_partition();
-            self.reset_gen_state();
-            self.mode = Mode::Uniform;
-        } else if self.mode == Mode::General {
-            if self.sig_counts.len() == 1 {
-                self.enter_uniform_mode();
-            } else {
-                self.rebalance_partition();
-            }
+            self.reset();
+        } else {
+            self.leave_class(&slot);
+            self.rebalance_partition();
         }
         residual
     }
@@ -1115,53 +826,32 @@ impl GpsCpu {
         if self.runnable == 0 {
             return None;
         }
-        match self.mode {
-            Mode::Uniform => {
-                self.freeze_numerically_finished();
-                if let Some(&slot) = self.finished_pending.iter().min() {
-                    // Exhausted tasks complete "now"; lowest slot wins ties,
-                    // exactly like the reference scan's strict-minimum rule.
-                    return Some((TaskId(slot), now));
-                }
-                let top = self.peek_live_top()?;
-                let rate = self.refresh_uniform_rate();
-                let eta = (top.finish_vt - self.vt) / rate;
-                Some((TaskId(top.slot), now + SimDuration::from_secs_f64(eta)))
+        self.drain_finished();
+        if let Some(&slot) = self.finished_pending.iter().min() {
+            // Exhausted tasks complete "now" regardless of their rate — a
+            // task frozen at a zero-ish water level must not be starved out
+            // of the completion stream (the freeze coordinate never
+            // involves the rate), exactly like the reference scan.
+            return Some((TaskId(slot), now));
+        }
+        let mut best: Option<(u32, f64)> = None;
+        for (side, speed) in [(UNCAPPED, self.water_level), (CAPPED, 1.0)] {
+            if !(speed > 0.0 && speed.is_finite()) {
+                continue;
             }
-            Mode::General => {
-                self.drain_gen_finished();
-                if let Some(&slot) = self.finished_pending.iter().min() {
-                    // Exhausted tasks complete "now" regardless of their
-                    // rate — a task frozen at a zero-ish water level must
-                    // not be starved out of the completion stream (the
-                    // uniform path's `finished_pending` rule; the freeze
-                    // coordinate never involves the rate).
-                    return Some((TaskId(slot), now));
-                }
-                let level = self.water_level;
-                let uncapped = self
-                    .peek_live_gen_top(Family::Uncapped)
-                    .filter(|_| level > 0.0 && level.is_finite())
-                    .map(|top| (top.slot, (top.finish - self.g_uvt).max(0.0) / level));
-                let capped = self
-                    .peek_live_gen_top(Family::Capped)
-                    .map(|top| (top.slot, (top.finish - self.g_rt).max(0.0)));
-                let best = match (uncapped, capped) {
-                    (Some((us, ue)), Some((cs, ce))) => {
-                        // Earliest completion wins; a cross-family tie
-                        // resolves to the lowest slot like the reference
-                        // scan's strict-minimum rule.
-                        if ue < ce || (ue == ce && us < cs) {
-                            Some((us, ue))
-                        } else {
-                            Some((cs, ce))
-                        }
-                    }
-                    (u, c) => u.or(c),
-                };
-                best.map(|(slot, eta)| (TaskId(slot), now + SimDuration::from_secs_f64(eta)))
+            let Some(top) = self.live_top(side) else {
+                continue;
+            };
+            let eta = (top.finish - self.clocks[side]).max(0.0) / speed;
+            // Earliest completion wins; a cross-side tie resolves to the
+            // lowest slot like the reference scan's strict-minimum rule.
+            if best.is_none_or(|(slot, best_eta)| {
+                eta < best_eta || (eta == best_eta && top.slot < slot)
+            }) {
+                best = Some((top.slot, eta));
             }
         }
+        best.map(|(slot, eta)| (TaskId(slot), now + SimDuration::from_secs_f64(eta)))
     }
 
     /// All tasks whose remaining work is (numerically) exhausted at `now`,
@@ -1179,97 +869,78 @@ impl GpsCpu {
     pub fn finished_tasks_into(&mut self, now: SimTime, out: &mut Vec<TaskId>) {
         out.clear();
         self.advance(now);
-        match self.mode {
-            Mode::Uniform => {
-                self.freeze_numerically_finished();
-            }
-            Mode::General => {
-                // Drain the family heaps instead of scanning slots: every
-                // finished task sits in `finished_pending` afterwards.
-                self.drain_gen_finished();
-            }
-        }
+        // Drain the heaps instead of scanning slots: every finished task
+        // sits in `finished_pending` afterwards.
+        self.drain_finished();
         self.finished_pending.sort_unstable();
         out.extend(self.finished_pending.iter().map(|&s| TaskId(s)));
     }
 
-    /// The memoized uniform task rate, recomputed only when the membership
-    /// generation moved. In dominant-resource units: `n` identical tasks
-    /// each run at `min(max_rate, min_k C_k / (n·g_k))` — the binding axis
-    /// is whichever capacity the common profile saturates first. With the
-    /// degenerate `[1.0, 0.0]` profile the memory term drops out and this
-    /// is bit-identical to the scalar `min(C/n, max_rate)`.
-    fn refresh_uniform_rate(&mut self) -> f64 {
-        if self.rates_generation != Some(self.generation) {
-            let (_, max_rate_bits, g_cpu_bits, g_mem_bits) = *self
-                .sig_counts
-                .keys()
-                .next()
-                .expect("uniform rate queried on a non-empty bank");
-            let max_rate = f64::from_bits(max_rate_bits);
-            let g_cpu = f64::from_bits(g_cpu_bits);
-            let g_mem = f64::from_bits(g_mem_bits);
-            let cap = self.params.effective_capacity(self.runnable);
-            let mut rate = max_rate;
-            if g_cpu > 0.0 {
-                rate = rate.min(cap / (self.runnable as f64 * g_cpu));
-            }
-            if g_mem > 0.0 {
-                rate = rate.min(self.mem_capacity / (self.runnable as f64 * g_mem));
-            }
-            self.uniform_rate = rate;
-            self.rates_generation = Some(self.generation);
-        }
-        self.uniform_rate
-    }
-
-    /// The general-mode rate of one slot given the water level.
+    /// The rate of one slot given the current water level.
     #[inline]
-    fn general_rate(slot: &Slot, level: f64) -> f64 {
+    fn rate(&self, slot: &Slot) -> f64 {
         if slot.capped {
             slot.max_rate
         } else {
-            slot.weight * level
+            slot.weight * self.water_level
         }
     }
 
-    /// Insert a live slot into the partition as uncapped (the following
-    /// [`GpsCpu::rebalance_partition`] pins it if its ratio sits below the
-    /// water level).
-    fn partition_insert(&mut self, index: u32) {
+    /// Remaining work of a slot.
+    fn remaining_of(&self, slot: &Slot) -> f64 {
+        match slot.body {
+            Body::Settled { remaining } => remaining,
+            Body::Running { finish } => (finish - self.clocks[slot.side()]).max(0.0) * slot.axis(),
+        }
+    }
+
+    /// Put a fresh slot into its pin-ratio class: an existing class keeps
+    /// its side; a new class starts on the side the current level puts it
+    /// (the rebalance that follows corrects the level).
+    fn join_class(&mut self, index: u32) {
         let slot = self.slots[index as usize]
             .as_mut()
-            .expect("partition insert of a dead slot");
-        slot.capped = false;
-        let (weight, max_rate, demand) = (slot.weight, slot.max_rate, slot.demand);
-        for (k, &d) in demand.iter().enumerate() {
+            .expect("joining a dead slot");
+        let ratio = pin_ratio_bits(slot.weight, slot.max_rate);
+        let side = if self.classes[CAPPED].contains_key(&ratio) {
+            CAPPED
+        } else if self.classes[UNCAPPED].contains_key(&ratio) {
+            UNCAPPED
+        } else {
+            (f64::from_bits(ratio) <= self.water_level) as usize
+        };
+        slot.capped = side == CAPPED;
+        let members = self.classes[side].entry(ratio).or_default();
+        slot.pos = members.len() as u32;
+        members.push(index);
+        let axis = slot.axis();
+        for (k, &d) in slot.demand.iter().enumerate() {
             if d > 0.0 {
-                self.uncapped_weight[k].add(weight * d);
+                self.side_sums[side][k].add(axis * d);
             }
         }
-        self.part_uncapped
-            .insert((pin_ratio_bits(weight, max_rate), index));
     }
 
-    /// Remove a (just-taken) slot from whichever side of the partition it
-    /// occupied.
-    fn partition_remove(&mut self, index: u32, slot: &Slot) {
-        let key = (pin_ratio_bits(slot.weight, slot.max_rate), index);
-        if slot.capped {
-            let removed = self.part_capped.remove(&key);
-            debug_assert!(removed, "capped task missing from partition");
-            for k in 0..AXES {
-                if slot.demand[k] > 0.0 {
-                    self.capped_capacity[k].add(-(slot.max_rate * slot.demand[k]));
-                }
-            }
-        } else {
-            let removed = self.part_uncapped.remove(&key);
-            debug_assert!(removed, "uncapped task missing from partition");
-            for k in 0..AXES {
-                if slot.demand[k] > 0.0 {
-                    self.uncapped_weight[k].add(-(slot.weight * slot.demand[k]));
-                }
+    /// Take a (just-removed) slot out of its class and its side's sums.
+    fn leave_class(&mut self, slot: &Slot) {
+        let side = slot.side();
+        let ratio = pin_ratio_bits(slot.weight, slot.max_rate);
+        let members = self.classes[side]
+            .get_mut(&ratio)
+            .expect("live task missing from its class");
+        members.swap_remove(slot.pos as usize);
+        if let Some(&moved) = members.get(slot.pos as usize) {
+            self.slots[moved as usize]
+                .as_mut()
+                .expect("class holds only live slots")
+                .pos = slot.pos;
+        } else if members.is_empty() {
+            self.classes[side].remove(&ratio);
+        }
+        let axis = slot.axis();
+        for (k, &d) in slot.demand.iter().enumerate() {
+            if d > 0.0 {
+                self.side_sums[side][k].add(-(axis * d));
             }
         }
     }
@@ -1299,98 +970,262 @@ impl GpsCpu {
         for (k, &axis_cap) in caps.iter().enumerate() {
             level = level.min(Self::axis_level(
                 axis_cap,
-                self.uncapped_weight[k].value(),
-                self.capped_capacity[k].value(),
+                self.side_sums[UNCAPPED][k].value(),
+                self.side_sums[CAPPED][k].value(),
             ));
         }
         level
     }
 
-    /// Restore the capped/uncapped invariant after a membership change.
-    /// Two sweeps suffice (see the module docs): every move — unpinning a
-    /// capped task whose ratio exceeds the level, or pinning an uncapped
-    /// task whose ratio is at or below it — raises the water level, so
-    /// unpins cannot re-enable unpins and pins cannot re-enable either.
+    /// Restore the capped/uncapped invariant after a membership or capacity
+    /// change. Two sweeps over whole classes suffice (see the module docs):
+    /// every move — unpinning a capped class whose ratio exceeds the level,
+    /// or pinning an uncapped class whose ratio is at or below it — raises
+    /// the water level, so unpins cannot re-enable unpins and pins cannot
+    /// re-enable either.
     fn rebalance_partition(&mut self) {
-        debug_assert_eq!(self.mode, Mode::General);
         let cap = self.params.effective_capacity(self.runnable);
         // Sweep 1: unpin from the top of the capped order.
-        while let Some(&(rb, index)) = self.part_capped.last() {
-            if f64::from_bits(rb) <= self.current_level(cap) {
+        while let Some((&ratio, _)) = self.classes[CAPPED].last_key_value() {
+            if f64::from_bits(ratio) <= self.current_level(cap) {
                 break;
             }
-            self.part_capped.remove(&(rb, index));
-            let slot = self.slots[index as usize]
-                .as_mut()
-                .expect("partition holds only live slots");
-            slot.capped = false;
-            let (weight, max_rate, demand) = (slot.weight, slot.max_rate, slot.demand);
-            for (k, &d) in demand.iter().enumerate() {
-                if d > 0.0 {
-                    self.capped_capacity[k].add(-(max_rate * d));
-                    self.uncapped_weight[k].add(weight * d);
-                }
-            }
-            self.part_uncapped.insert((rb, index));
-            self.cross_boundary(index);
+            self.move_class(CAPPED, ratio);
         }
         // Sweep 2: pin from the bottom of the uncapped order.
-        while let Some(&(rb, index)) = self.part_uncapped.first() {
-            if f64::from_bits(rb) > self.current_level(cap) {
+        while let Some((&ratio, _)) = self.classes[UNCAPPED].first_key_value() {
+            if f64::from_bits(ratio) > self.current_level(cap) {
                 break;
             }
-            self.part_uncapped.remove(&(rb, index));
-            let slot = self.slots[index as usize]
-                .as_mut()
-                .expect("partition holds only live slots");
-            slot.capped = true;
-            let (weight, max_rate, demand) = (slot.weight, slot.max_rate, slot.demand);
-            for (k, &d) in demand.iter().enumerate() {
-                if d > 0.0 {
-                    self.uncapped_weight[k].add(-(weight * d));
-                    self.capped_capacity[k].add(max_rate * d);
-                }
-            }
-            self.part_capped.insert((rb, index));
-            self.cross_boundary(index);
+            self.move_class(UNCAPPED, ratio);
         }
         // Pin the sums back to exact zero whenever a side empties, so
-        // residual compensation cannot accumulate across mode episodes.
-        if self.part_uncapped.is_empty() {
-            self.uncapped_weight = [CompensatedSum::ZERO; AXES];
-        }
-        if self.part_capped.is_empty() {
-            self.capped_capacity = [CompensatedSum::ZERO; AXES];
+        // residual compensation cannot accumulate.
+        for side in [UNCAPPED, CAPPED] {
+            if self.classes[side].is_empty() {
+                self.side_sums[side] = [CompensatedSum::ZERO; AXES];
+            }
         }
         self.water_level = self.current_level(cap);
         #[cfg(debug_assertions)]
         self.debug_validate_partition();
     }
 
-    /// Debug-build invariant check: partition membership matches the
-    /// per-slot flags, the running sums match fresh summation, and no task
-    /// sits more than a rounding margin on the wrong side of the level.
+    /// Move the class at `ratio` from side `from` to the other side, member
+    /// by member: shift its sums and re-key each member's coordinate.
+    fn move_class(&mut self, from: usize, ratio: u64) {
+        let to = 1 - from;
+        let members = self.classes[from]
+            .remove(&ratio)
+            .expect("moving a missing class");
+        for &index in &members {
+            let slot = self.slots[index as usize]
+                .as_mut()
+                .expect("class holds only live slots");
+            slot.capped = to == CAPPED;
+            let (old_axis, new_axis) = (slot.axis_on(from), slot.axis_on(to));
+            for (k, &d) in slot.demand.iter().enumerate() {
+                if d > 0.0 {
+                    self.side_sums[from][k].add(-(old_axis * d));
+                    self.side_sums[to][k].add(new_axis * d);
+                }
+            }
+            self.cross_boundary(index, from);
+        }
+        self.classes[to].insert(ratio, members);
+    }
+
+    /// Re-key a task the rebalance just moved off side `from`: its
+    /// coordinate was expressed on the old side's clock, so re-derive the
+    /// remaining work, bump the slot epoch (invalidating the old heap
+    /// entry lazily) and push a fresh key on the new side's heap. Finished
+    /// (`Settled`) tasks only flip sides for rate accounting; a parked or
+    /// just-added task gets a coordinate attempt on the new side.
+    fn cross_boundary(&mut self, index: u32, from: usize) {
+        self.boundary_crossings += 1;
+        let slot = self.slots[index as usize]
+            .as_mut()
+            .expect("boundary crossing on a dead slot");
+        let remaining = match slot.body {
+            Body::Running { finish } => {
+                slot.epoch = self.next_epoch;
+                self.next_epoch += 1;
+                let axis = slot.axis_on(from);
+                let remaining = (finish - self.clocks[from]).max(0.0) * axis;
+                self.leave_running(from, axis);
+                if remaining <= WORK_EPSILON {
+                    self.settle(index, remaining);
+                    return;
+                }
+                remaining
+            }
+            Body::Settled { remaining } if remaining > WORK_EPSILON => remaining,
+            Body::Settled { .. } => return,
+        };
+        self.push_coordinate(index, remaining);
+    }
+
+    /// Give an unfinished task a fresh coordinate (and heap key) on its
+    /// side's clock. The freeze key is the clock value at which the
+    /// remaining work hits [`WORK_EPSILON`].
+    ///
+    /// Subnormal axes can overflow `remaining / axis` (or the `ε / axis`
+    /// freeze offset) past f64 range, turning the key into inf−inf = NaN —
+    /// which would defeat every heap comparison and spuriously settle the
+    /// task. Such a task's completion is astronomically far away, so it is
+    /// **parked** instead: it keeps its exact `Settled` remaining, never
+    /// joins the heap or the unfinished sums (it depletes at an
+    /// effectively-zero rate), and never reports finished — the starved-task
+    /// behaviour the reference's zero-rate skip produces. A boundary
+    /// crossing re-attempts the coordinate on the other side.
+    fn push_coordinate(&mut self, index: u32, remaining: f64) {
+        let slot = self.slots[index as usize]
+            .as_mut()
+            .expect("coordinate push on a dead slot");
+        let (side, axis) = (slot.side(), slot.axis());
+        let finish = self.clocks[side] + remaining / axis;
+        let key = finish - WORK_EPSILON / axis;
+        if !(key.is_finite() && finish.is_finite()) {
+            slot.body = Body::Settled { remaining };
+            return;
+        }
+        slot.body = Body::Running { finish };
+        self.heaps[side].push(ClockKey {
+            key,
+            finish,
+            slot: index,
+            epoch: slot.epoch,
+        });
+        self.running_axis[side].add(axis);
+        self.running[side] += 1;
+    }
+
+    fn leave_running(&mut self, side: usize, axis: f64) {
+        self.running_axis[side].add(-axis);
+        self.running[side] -= 1;
+        if self.running[side] == 0 {
+            // Pin the sum back to exact zero so residual compensation
+            // cannot leak into later blanket charges.
+            self.running_axis[side] = CompensatedSum::ZERO;
+        }
+    }
+
+    /// Mark a task numerically finished with its true sub-epsilon residual.
+    fn settle(&mut self, index: u32, remaining: f64) {
+        self.slots[index as usize]
+            .as_mut()
+            .expect("settling a dead slot")
+            .body = Body::Settled { remaining };
+        self.finished_pending.push(index);
+    }
+
+    /// Discard stale keys and return the earliest live entry of a side's
+    /// heap. An entry is live while the slot exists, the epoch matches (no
+    /// crossing or reincarnation since the push) and the task still runs on
+    /// that side.
+    fn live_top(&mut self, side: usize) -> Option<ClockKey> {
+        while let Some(&top) = self.heaps[side].peek() {
+            let live = matches!(
+                &self.slots[top.slot as usize],
+                Some(slot) if slot.epoch == top.epoch
+                    && slot.side() == side
+                    && matches!(slot.body, Body::Running { .. })
+            );
+            if live {
+                return Some(top);
+            }
+            self.heaps[side].pop();
+        }
+        None
+    }
+
+    /// Drain every task whose freeze coordinate was reached: remaining
+    /// work is at or below [`WORK_EPSILON`], so the task settles (keeping
+    /// its true sub-epsilon residual) and joins `finished_pending`. Tasks
+    /// whose *finish* coordinate was strictly passed over-consumed in the
+    /// blanket `advance` charge; the overshoot is corrected here.
+    fn drain_finished(&mut self) {
+        for side in [UNCAPPED, CAPPED] {
+            while let Some(top) = self.live_top(side) {
+                let clock = self.clocks[side];
+                if top.key > clock {
+                    break;
+                }
+                self.heaps[side].pop();
+                let axis = self.slots[top.slot as usize]
+                    .as_ref()
+                    .expect("live top on a dead slot")
+                    .axis();
+                if top.finish < clock {
+                    self.work_done.add(-((clock - top.finish) * axis));
+                }
+                self.leave_running(side, axis);
+                self.settle(top.slot, (top.finish - clock).max(0.0) * axis);
+            }
+        }
+    }
+
+    /// Shift both clocks back to zero, subtracting the old values from
+    /// every in-flight coordinate (differences — remaining work — are
+    /// preserved to within one rounding each) and rebuilding the heaps,
+    /// dropping stale keys wholesale.
+    fn rebase_clocks(&mut self) {
+        let shift = self.clocks;
+        self.clocks = [0.0; 2];
+        for heap in &mut self.heaps {
+            heap.clear();
+        }
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            let Some(slot) = slot else { continue };
+            let (side, axis, epoch) = (slot.side(), slot.axis(), slot.epoch);
+            if let Body::Running { finish } = &mut slot.body {
+                *finish = (*finish - shift[side]).max(0.0);
+                self.heaps[side].push(ClockKey {
+                    key: *finish - WORK_EPSILON / axis,
+                    finish: *finish,
+                    slot: i as u32,
+                    epoch,
+                });
+            }
+        }
+    }
+
+    /// Return an idle bank to its initial partition and clocks.
+    fn reset(&mut self) {
+        self.finished_pending.clear();
+        for side in [UNCAPPED, CAPPED] {
+            self.classes[side].clear();
+            self.side_sums[side] = [CompensatedSum::ZERO; AXES];
+            self.clocks[side] = 0.0;
+            self.heaps[side].clear();
+            self.running_axis[side] = CompensatedSum::ZERO;
+            self.running[side] = 0;
+        }
+        self.water_level = f64::INFINITY;
+    }
+
+    /// Debug-build invariant check: class membership matches the per-slot
+    /// sides and positions, the running sums match fresh summation, and no
+    /// task sits more than a rounding margin on the wrong side of the level.
     #[cfg(debug_assertions)]
     fn debug_validate_partition(&self) {
-        let mut w = [0.0f64; AXES];
-        let mut k = [0.0f64; AXES];
+        let mut sums = [[0.0f64; AXES]; 2];
+        let mut running = [(0.0f64, 0usize); 2];
         let mut live = 0usize;
         for (i, slot) in self.slots.iter().enumerate() {
             let Some(slot) = slot else { continue };
             live += 1;
-            let key = (pin_ratio_bits(slot.weight, slot.max_rate), i as u32);
-            if slot.capped {
-                debug_assert!(self.part_capped.contains(&key));
-                for (axis, &d) in slot.demand.iter().enumerate() {
-                    k[axis] += slot.max_rate * d;
-                }
-            } else {
-                debug_assert!(self.part_uncapped.contains(&key));
-                for (axis, &d) in slot.demand.iter().enumerate() {
-                    w[axis] += slot.weight * d;
-                }
+            let (side, ratio) = (slot.side(), slot.max_rate / slot.weight);
+            let members = &self.classes[side][&ratio.to_bits()];
+            debug_assert_eq!(members[slot.pos as usize], i as u32);
+            debug_assert!(!self.classes[1 - side].contains_key(&ratio.to_bits()));
+            for (axis, &d) in slot.demand.iter().enumerate() {
+                sums[side][axis] += slot.axis() * d;
             }
-            let ratio = slot.max_rate / slot.weight;
+            if let Body::Running { .. } = slot.body {
+                running[side].0 += slot.axis();
+                running[side].1 += 1;
+            }
             let margin = 1e-9 * (1.0 + ratio.abs() + self.water_level.abs());
             if slot.capped {
                 debug_assert!(
@@ -1406,483 +1241,17 @@ impl GpsCpu {
                 );
             }
         }
-        debug_assert_eq!(live, self.part_uncapped.len() + self.part_capped.len());
-        for a in 0..AXES {
-            debug_assert!(
-                (w[a] - self.uncapped_weight[a].value()).abs() <= 1e-9 * (1.0 + w[a].abs())
-            );
-            debug_assert!(
-                (k[a] - self.capped_capacity[a].value()).abs() <= 1e-9 * (1.0 + k[a].abs())
-            );
-        }
-        // The unfinished sums cover exactly the coordinate bodies.
-        let mut uw = 0.0;
-        let mut uc = 0usize;
-        let mut cr = 0.0;
-        let mut cc = 0usize;
-        for slot in self.slots.iter().flatten() {
-            match slot.body {
-                Body::GenUncapped { .. } => {
-                    uw += slot.weight;
-                    uc += 1;
-                }
-                Body::GenCapped { .. } => {
-                    cr += slot.max_rate;
-                    cc += 1;
-                }
-                _ => {}
+        let (uncapped, capped) = self.partition_sizes();
+        debug_assert_eq!(live, uncapped + capped);
+        for side in [UNCAPPED, CAPPED] {
+            for (axis, &sum) in sums[side].iter().enumerate() {
+                let kept = self.side_sums[side][axis].value();
+                debug_assert!((sum - kept).abs() <= 1e-9 * (1.0 + sum.abs()));
             }
-        }
-        debug_assert_eq!(uc, self.unf_uncapped_count);
-        debug_assert_eq!(cc, self.unf_capped_count);
-        debug_assert!((uw - self.unf_uncapped_weight.value()).abs() <= 1e-9 * (1.0 + uw.abs()));
-        debug_assert!((cr - self.unf_capped_rate.value()).abs() <= 1e-9 * (1.0 + cr.abs()));
-    }
-
-    fn clear_partition(&mut self) {
-        self.part_uncapped.clear();
-        self.part_capped.clear();
-        self.uncapped_weight = [CompensatedSum::ZERO; AXES];
-        self.capped_capacity = [CompensatedSum::ZERO; AXES];
-        self.water_level = 0.0;
-    }
-
-    fn reset_gen_state(&mut self) {
-        self.g_uvt = 0.0;
-        self.g_rt = 0.0;
-        self.g_uncapped_heap.clear();
-        self.g_capped_heap.clear();
-        self.unf_uncapped_weight = CompensatedSum::ZERO;
-        self.unf_uncapped_count = 0;
-        self.unf_capped_rate = CompensatedSum::ZERO;
-        self.unf_capped_count = 0;
-    }
-
-    fn unf_join_uncapped(&mut self, weight: f64) {
-        self.unf_uncapped_weight.add(weight);
-        self.unf_uncapped_count += 1;
-    }
-
-    fn unf_leave_uncapped(&mut self, weight: f64) {
-        self.unf_uncapped_weight.add(-weight);
-        self.unf_uncapped_count -= 1;
-        if self.unf_uncapped_count == 0 {
-            // Pin the sum back to exact zero so residual compensation
-            // cannot leak into later blanket charges.
-            self.unf_uncapped_weight = CompensatedSum::ZERO;
-        }
-    }
-
-    fn unf_join_capped(&mut self, max_rate: f64) {
-        self.unf_capped_rate.add(max_rate);
-        self.unf_capped_count += 1;
-    }
-
-    fn unf_leave_capped(&mut self, max_rate: f64) {
-        self.unf_capped_rate.add(-max_rate);
-        self.unf_capped_count -= 1;
-        if self.unf_capped_count == 0 {
-            self.unf_capped_rate = CompensatedSum::ZERO;
-        }
-    }
-
-    /// Give an unfinished task a fresh coordinate (and heap key) on the
-    /// family its `capped` flag names. The freeze key is the clock value
-    /// at which the remaining work hits [`WORK_EPSILON`].
-    ///
-    /// Subnormal axes can overflow `remaining / axis` (or the
-    /// `ε / axis` freeze offset) past f64 range, turning the key into
-    /// inf−inf = NaN — which would defeat every heap comparison and
-    /// spuriously settle the task. Such a task's completion is
-    /// astronomically far away, so it is **parked** instead: it keeps its
-    /// exact `Settled` remaining, never joins the heap or the unfinished
-    /// sums (it depletes at an effectively-zero rate), and never reports
-    /// finished — the starved-task behaviour the reference's zero-rate
-    /// skip produces. A boundary crossing re-attempts the coordinate on
-    /// the other axis.
-    fn push_gen_coordinate(&mut self, index: u32, remaining: f64) {
-        let slot = self.slots[index as usize]
-            .as_mut()
-            .expect("coordinate push on a dead slot");
-        let epoch = slot.epoch;
-        if slot.capped {
-            let max_rate = slot.max_rate;
-            let finish = self.g_rt + remaining / max_rate;
-            let key = finish - WORK_EPSILON / max_rate;
-            if !(key.is_finite() && finish.is_finite()) {
-                slot.body = Body::Settled { remaining };
-                return;
-            }
-            slot.body = Body::GenCapped { finish_rt: finish };
-            self.g_capped_heap.push(GenKey {
-                key,
-                finish,
-                slot: index,
-                epoch,
-            });
-            self.unf_join_capped(max_rate);
-        } else {
-            let weight = slot.weight;
-            let finish = self.g_uvt + remaining / weight;
-            let key = finish - WORK_EPSILON / weight;
-            if !(key.is_finite() && finish.is_finite()) {
-                slot.body = Body::Settled { remaining };
-                return;
-            }
-            slot.body = Body::GenUncapped { finish_uvt: finish };
-            self.g_uncapped_heap.push(GenKey {
-                key,
-                finish,
-                slot: index,
-                epoch,
-            });
-            self.unf_join_uncapped(weight);
-        }
-    }
-
-    /// Coordinate a task whose body is still `Settled` (a fresh add, or a
-    /// carry-over from the representation switch): numerically-exhausted
-    /// work goes straight to `finished_pending`, the rest onto the family
-    /// heap the rebalance left it on. No-op for dead slots and tasks that
-    /// already carry a coordinate.
-    fn activate_settled(&mut self, index: u32) {
-        let Some(slot) = self.slots[index as usize].as_ref() else {
-            return;
-        };
-        let Body::Settled { remaining } = slot.body else {
-            return;
-        };
-        if remaining <= WORK_EPSILON {
-            self.finished_pending.push(index);
-        } else {
-            self.push_gen_coordinate(index, remaining);
-        }
-    }
-
-    /// Re-key a task the rebalance just moved across the capped/uncapped
-    /// boundary: its coordinate was expressed on the old family's clock,
-    /// so re-derive the remaining work, bump the slot epoch (invalidating
-    /// the old heap entry lazily) and push a fresh key on the new family's
-    /// heap. Frozen (`Settled`) tasks only flip sides for rate accounting
-    /// and need no re-key.
-    fn cross_boundary(&mut self, index: u32) {
-        self.boundary_crossings += 1;
-        let slot = self.slots[index as usize]
-            .as_mut()
-            .expect("boundary crossing on a dead slot");
-        let remaining = match slot.body {
-            Body::GenUncapped { finish_uvt } => {
-                debug_assert!(slot.capped, "crossing must have flipped the flag");
-                let weight = slot.weight;
-                slot.epoch = self.next_epoch;
-                self.next_epoch += 1;
-                let remaining = (finish_uvt - self.g_uvt).max(0.0) * weight;
-                self.unf_leave_uncapped(weight);
-                remaining
-            }
-            Body::GenCapped { finish_rt } => {
-                debug_assert!(!slot.capped, "crossing must have flipped the flag");
-                let max_rate = slot.max_rate;
-                slot.epoch = self.next_epoch;
-                self.next_epoch += 1;
-                let remaining = (finish_rt - self.g_rt).max(0.0) * max_rate;
-                self.unf_leave_capped(max_rate);
-                remaining
-            }
-            // Frozen tasks only flip sides for rate accounting; a parked
-            // task (coordinate not representable on the old axis) gets a
-            // fresh attempt on the new one.
-            Body::Settled { remaining } => {
-                if remaining > WORK_EPSILON {
-                    self.push_gen_coordinate(index, remaining);
-                }
-                return;
-            }
-            Body::Virtual { .. } => unreachable!("general mode holds no virtual bodies"),
-        };
-        if remaining <= WORK_EPSILON {
-            let slot = self.slots[index as usize]
-                .as_mut()
-                .expect("boundary crossing on a dead slot");
-            slot.body = Body::Settled { remaining };
-            self.finished_pending.push(index);
-        } else {
-            self.push_gen_coordinate(index, remaining);
-        }
-    }
-
-    /// Discard stale keys and return the earliest live entry of a family
-    /// heap. An entry is live while the slot exists, the epoch matches
-    /// (no boundary crossing or reincarnation since the push) and the body
-    /// still carries that family's coordinate.
-    fn peek_live_gen_top(&mut self, family: Family) -> Option<GenKey> {
-        let (heap, slots) = match family {
-            Family::Uncapped => (&mut self.g_uncapped_heap, &self.slots),
-            Family::Capped => (&mut self.g_capped_heap, &self.slots),
-        };
-        while let Some(top) = heap.peek() {
-            let live = match (&slots[top.slot as usize], family) {
-                (Some(slot), Family::Uncapped) => {
-                    slot.epoch == top.epoch && matches!(slot.body, Body::GenUncapped { .. })
-                }
-                (Some(slot), Family::Capped) => {
-                    slot.epoch == top.epoch && matches!(slot.body, Body::GenCapped { .. })
-                }
-                (None, _) => false,
-            };
-            if live {
-                return Some(*top);
-            }
-            heap.pop();
-        }
-        None
-    }
-
-    /// Drain every task whose freeze coordinate was reached: remaining
-    /// work is at or below [`WORK_EPSILON`], so the task settles (keeping
-    /// its true sub-epsilon residual) and joins `finished_pending`. Tasks
-    /// whose *finish* coordinate was strictly passed over-consumed in the
-    /// blanket `advance` charge; the overshoot is corrected here, exactly
-    /// like the uniform drain.
-    fn drain_gen_finished(&mut self) {
-        while let Some(top) = self.peek_live_gen_top(Family::Uncapped) {
-            if top.key > self.g_uvt {
-                break;
-            }
-            self.g_uncapped_heap.pop();
-            let weight = self.slots[top.slot as usize]
-                .as_ref()
-                .expect("live top on a dead slot")
-                .weight;
-            let residual = (top.finish - self.g_uvt).max(0.0) * weight;
-            if top.finish < self.g_uvt {
-                self.work_done.add(-((self.g_uvt - top.finish) * weight));
-            }
-            self.unf_leave_uncapped(weight);
-            self.settle_gen_finished(top.slot, residual);
-        }
-        while let Some(top) = self.peek_live_gen_top(Family::Capped) {
-            if top.key > self.g_rt {
-                break;
-            }
-            self.g_capped_heap.pop();
-            let max_rate = self.slots[top.slot as usize]
-                .as_ref()
-                .expect("live top on a dead slot")
-                .max_rate;
-            let residual = (top.finish - self.g_rt).max(0.0) * max_rate;
-            if top.finish < self.g_rt {
-                self.work_done.add(-((self.g_rt - top.finish) * max_rate));
-            }
-            self.unf_leave_capped(max_rate);
-            self.settle_gen_finished(top.slot, residual);
-        }
-    }
-
-    fn settle_gen_finished(&mut self, slot: u32, remaining: f64) {
-        self.slots[slot as usize]
-            .as_mut()
-            .expect("settling a dead slot")
-            .body = Body::Settled { remaining };
-        self.finished_pending.push(slot);
-    }
-
-    /// Shift both general-mode clocks back to zero, subtracting the old
-    /// values from every in-flight coordinate (differences — remaining
-    /// work — are preserved to within one rounding each) and rebuilding
-    /// the family heaps, dropping stale keys wholesale. Same amortization
-    /// argument as [`GpsCpu::rebase_vt`].
-    fn rebase_gen(&mut self) {
-        let du = self.g_uvt;
-        let dr = self.g_rt;
-        self.g_uvt = 0.0;
-        self.g_rt = 0.0;
-        self.g_uncapped_heap.clear();
-        self.g_capped_heap.clear();
-        for i in 0..self.slots.len() {
-            let Some(slot) = &mut self.slots[i] else {
-                continue;
-            };
-            match &mut slot.body {
-                Body::GenUncapped { finish_uvt } => {
-                    *finish_uvt = (*finish_uvt - du).max(0.0);
-                    self.g_uncapped_heap.push(GenKey {
-                        key: *finish_uvt - WORK_EPSILON / slot.weight,
-                        finish: *finish_uvt,
-                        slot: i as u32,
-                        epoch: slot.epoch,
-                    });
-                }
-                Body::GenCapped { finish_rt } => {
-                    *finish_rt = (*finish_rt - dr).max(0.0);
-                    self.g_capped_heap.push(GenKey {
-                        key: *finish_rt - WORK_EPSILON / slot.max_rate,
-                        finish: *finish_rt,
-                        slot: i as u32,
-                        epoch: slot.epoch,
-                    });
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// Discard stale heap keys and return the earliest live unfinished one.
-    fn peek_live_top(&mut self) -> Option<HeapKey> {
-        while let Some(top) = self.heap.peek() {
-            let live = matches!(
-                self.slots[top.slot as usize],
-                Some(Slot {
-                    epoch,
-                    body: Body::Virtual { .. },
-                    ..
-                }) if epoch == top.epoch
-            );
-            if live {
-                return Some(*top);
-            }
-            self.heap.pop();
-        }
-        None
-    }
-
-    /// Settle every task whose finish virtual-time was strictly passed:
-    /// remaining drops to exactly zero, and the blanket `rate * dt` service
-    /// charged in `advance` is corrected by the overshoot.
-    fn drain_exhausted(&mut self) {
-        while let Some(top) = self.peek_live_top() {
-            if top.finish_vt > self.vt {
-                break;
-            }
-            self.heap.pop();
-            self.work_done.add(-(self.vt - top.finish_vt));
-            self.settle_finished(top.slot, 0.0);
-        }
-    }
-
-    /// Settle tasks within `WORK_EPSILON` of their finish virtual-time:
-    /// they report as finished (the reference treats `remaining <= ε` as
-    /// complete) but keep their true sub-epsilon residual.
-    fn freeze_numerically_finished(&mut self) {
-        while let Some(top) = self.peek_live_top() {
-            if top.finish_vt > self.vt + WORK_EPSILON {
-                break;
-            }
-            self.heap.pop();
-            self.settle_finished(top.slot, (top.finish_vt - self.vt).max(0.0));
-        }
-    }
-
-    fn settle_finished(&mut self, slot: u32, remaining: f64) {
-        self.unfinished -= 1;
-        self.finished_pending.push(slot);
-        self.slots[slot as usize]
-            .as_mut()
-            .expect("settling a dead slot")
-            .body = Body::Settled { remaining };
-    }
-
-    /// Switch to the general representation (heterogeneous signatures):
-    /// settle every uniform task at its remaining work and build the
-    /// water-filling partition from the live tasks. O(n log n), amortized
-    /// free: the switch only happens on a membership change that already
-    /// costs O(n); the caller rebalances and then coordinates every
-    /// settled task onto the family clocks.
-    fn enter_general_mode(&mut self) {
-        if self.mode == Mode::General {
-            return;
-        }
-        for slot in self.slots.iter_mut().flatten() {
-            if let Body::Virtual { finish_vt } = slot.body {
-                slot.body = Body::Settled {
-                    remaining: (finish_vt - self.vt).max(0.0),
-                };
-            }
-        }
-        self.reset_uniform_state();
-        self.mode = Mode::General;
-        debug_assert!(self.part_uncapped.is_empty() && self.part_capped.is_empty());
-        debug_assert!(self.g_uncapped_heap.is_empty() && self.g_capped_heap.is_empty());
-        for i in 0..self.slots.len() as u32 {
-            if self.slots[i as usize].is_some() {
-                self.partition_insert(i);
-            }
-        }
-        // The caller (add_task) rebalances after inserting the new task,
-        // then activates the settled bodies onto the family clocks
-        // (rebuilding `finished_pending`, which reset_uniform_state just
-        // cleared).
-    }
-
-    /// Re-enter the uniform virtual-time representation (single signature
-    /// left). Rebases the virtual clock to zero and drops the partition
-    /// and the general-mode clocks.
-    fn enter_uniform_mode(&mut self) {
-        debug_assert_eq!(self.mode, Mode::General);
-        // Capture the clocks before resetting: the coordinate bodies are
-        // still expressed on them.
-        let g_uvt = self.g_uvt;
-        let g_rt = self.g_rt;
-        self.reset_uniform_state();
-        self.clear_partition();
-        self.reset_gen_state();
-        self.mode = Mode::Uniform;
-        for i in 0..self.slots.len() {
-            let Some(slot) = &mut self.slots[i] else {
-                continue;
-            };
-            let remaining = match slot.body {
-                Body::Settled { remaining } => remaining,
-                Body::GenUncapped { finish_uvt } => (finish_uvt - g_uvt).max(0.0) * slot.weight,
-                Body::GenCapped { finish_rt } => (finish_rt - g_rt).max(0.0) * slot.max_rate,
-                Body::Virtual { .. } => unreachable!("general mode holds no virtual bodies"),
-            };
-            if remaining <= WORK_EPSILON {
-                slot.body = Body::Settled { remaining };
-                self.finished_pending.push(i as u32);
-            } else {
-                let finish_vt = self.vt + remaining;
-                let epoch = slot.epoch;
-                slot.body = Body::Virtual { finish_vt };
-                self.unfinished += 1;
-                self.heap.push(HeapKey {
-                    finish_vt,
-                    slot: i as u32,
-                    epoch,
-                });
-            }
-        }
-    }
-
-    fn reset_uniform_state(&mut self) {
-        self.vt = 0.0;
-        self.heap.clear();
-        self.unfinished = 0;
-        self.finished_pending.clear();
-    }
-
-    /// Shift the virtual clock back to zero, subtracting the old `vt` from
-    /// every in-flight finish virtual-time. Differences (`finish_vt - vt`,
-    /// i.e. remaining work) are preserved to within one rounding each, and
-    /// future accumulation happens at small-magnitude ulps again. The heap
-    /// is rebuilt from the live tasks, dropping stale keys wholesale.
-    fn rebase_vt(&mut self) {
-        let delta = self.vt;
-        self.vt = 0.0;
-        self.heap.clear();
-        for i in 0..self.slots.len() {
-            let Some(slot) = &mut self.slots[i] else {
-                continue;
-            };
-            if let Body::Virtual { finish_vt } = &mut slot.body {
-                *finish_vt = (*finish_vt - delta).max(0.0);
-                let key = HeapKey {
-                    finish_vt: *finish_vt,
-                    slot: i as u32,
-                    epoch: slot.epoch,
-                };
-                self.heap.push(key);
-            }
+            let (sum, count) = running[side];
+            debug_assert_eq!(count, self.running[side]);
+            let kept = self.running_axis[side].value();
+            debug_assert!((sum - kept).abs() <= 1e-9 * (1.0 + sum.abs()));
         }
     }
 }
@@ -2069,8 +1438,8 @@ mod tests {
 
     #[test]
     fn work_conservation_with_heterogeneous_weights() {
-        // Same churn but with varying weights/caps, exercising the general
-        // mode and both representation switches.
+        // Same churn but with varying weights/caps, exercising several
+        // classes and the crossings between them.
         let mut cpu = GpsCpu::new(params(4.0, 0.2));
         let mut t = SimTime::ZERO;
         let mut injected = 0.0;
@@ -2128,35 +1497,45 @@ mod tests {
     }
 
     #[test]
-    fn mode_switches_preserve_remaining_work() {
+    fn class_changes_preserve_remaining_work() {
         let mut cpu = GpsCpu::new(params(2.0, 0.0));
+        let mut reference = crate::gps_reference::ReferenceGpsCpu::new(params(2.0, 0.0));
         let t0 = SimTime::ZERO;
-        // Uniform phase: two equal tasks at 1 core each... capped to 1.0.
+        // One class: two equal tasks, each capped at 1 core.
         let a = cpu.add_task(t0, 4.0, 1.0, 1.0);
         let b = cpu.add_task(t0, 4.0, 1.0, 1.0);
+        reference.add_task(t0, 4.0, 1.0, 1.0);
+        reference.add_task(t0, 4.0, 1.0, 1.0);
         let t1 = SimTime::from_secs(1);
         cpu.advance(t1);
+        reference.advance(t1);
         assert!((cpu.remaining(a) - 3.0).abs() < 1e-9);
-        // Heterogeneous task forces general mode.
+        // A second class joins; the first crosses to the uncapped side.
         let c = cpu.add_task(t1, 1.0, 5.0, 1.0);
+        reference.add_task(t1, 1.0, 5.0, 1.0);
+        assert_eq!(cpu.class_count(), 2);
         assert!(
             (cpu.remaining(a) - 3.0).abs() < 1e-9,
-            "settling is lossless"
+            "re-keying is lossless"
         );
-        // Removing it re-enters uniform mode.
+        // Removing it leaves the first class alone again.
         let t2 = SimTime::from_secs(2);
         let res = cpu.remove_task(t2, c);
-        assert!(res >= 0.0);
-        cpu.advance(SimTime::from_secs(3));
+        assert!((res - reference.remove_task(t2, c)).abs() < 1e-9);
+        assert_eq!(cpu.class_count(), 1);
+        let t3 = SimTime::from_secs(3);
+        cpu.advance(t3);
+        reference.advance(t3);
         let ra = cpu.remaining(a);
         let rb = cpu.remaining(b);
         assert!((ra - rb).abs() < 1e-9, "equal tasks stay in lockstep");
-        assert!(ra < 3.0, "work continues depleting after the switch back");
+        assert!((ra - reference.remaining(a)).abs() < 1e-9);
+        assert!(ra < 3.0, "work continues depleting after the class leaves");
     }
 
     #[test]
-    fn long_running_bank_stays_precise_across_vt_rebase() {
-        // Drive the virtual clock far past VT_REBASE_THRESHOLD without the
+    fn long_running_bank_stays_precise_across_clock_rebases() {
+        // Drive the clocks far past CLOCK_REBASE_THRESHOLD without the
         // bank ever going idle: a long-lived background task pins
         // `runnable > 0` while short tasks churn through. Conservation and
         // completion correctness must survive the rebases.
@@ -2177,7 +1556,7 @@ mod tests {
             completed += work - cpu.remove_task(t, id);
         }
         // 400 completions x ~93 s of per-task service ≈ 37_000 core-seconds
-        // of virtual time: the threshold (16384) was crossed repeatedly.
+        // of clock time: the threshold (16384) was crossed repeatedly.
         let residual = cpu.remove_task(t, background);
         assert!(
             (cpu.work_done() + residual - injected).abs() < 1e-4,
@@ -2201,7 +1580,7 @@ mod tests {
         }
         let (uncapped, capped) = cpu.partition_sizes();
         assert_eq!((uncapped, capped), (0, 3), "all tasks on the capped side");
-        assert_eq!(cpu.water_level(), Some(f64::INFINITY));
+        assert_eq!(cpu.water_level(), f64::INFINITY);
         // 1 core-second each at 0.5 cores: all three finish at t=2.
         let (_, at) = cpu.next_completion(SimTime::ZERO).unwrap();
         assert!((at.as_secs_f64() - 2.0).abs() < 1e-9);
@@ -2216,10 +1595,10 @@ mod tests {
         let mut cpu = GpsCpu::new(params(2.0, 0.0));
         let tied = cpu.add_task(SimTime::ZERO, 1.0, 1.0, 1.0);
         let free = cpu.add_task(SimTime::ZERO, 1.0, 1.0, 2.0);
-        assert!(!cpu.is_uniform_mode(), "two signatures force general mode");
+        assert_eq!(cpu.class_count(), 2, "two pin ratios, two classes");
         assert!((cpu.current_rate(tied) - 1.0).abs() < 1e-12);
         assert!((cpu.current_rate(free) - 1.0).abs() < 1e-12);
-        let level = cpu.water_level().unwrap();
+        let level = cpu.water_level();
         assert!((level - 1.0).abs() < 1e-12, "water level sits on the tie");
     }
 
@@ -2241,49 +1620,59 @@ mod tests {
     }
 
     #[test]
-    fn mode_flips_keep_partition_and_remaining_consistent() {
-        // Repeated uniform -> general -> uniform flips: remaining work is
-        // preserved across every representation switch, and the partition
-        // structure drains completely on each return to uniform.
+    fn class_churn_keeps_partition_and_remaining_consistent() {
+        // A second class joins and leaves four times: remaining work is
+        // preserved across every crossing it forces, the partition holds
+        // exactly the live tasks, and everything matches the reference.
         let mut cpu = GpsCpu::new(params(2.0, 0.0));
+        let mut reference = crate::gps_reference::ReferenceGpsCpu::new(params(2.0, 0.0));
         let t0 = SimTime::ZERO;
         let a = cpu.add_task(t0, 10.0, 1.0, 1.0);
+        reference.add_task(t0, 10.0, 1.0, 1.0);
         let mut t = t0;
         for round in 0..4 {
             cpu.advance(t);
+            reference.advance(t);
             let before = cpu.remaining(a);
-            let hetero = cpu.add_task(t, 0.5, 3.0, 0.5 + round as f64 * 0.25);
-            assert!(!cpu.is_uniform_mode());
-            assert_ne!(cpu.partition_sizes(), (0, 0));
+            let cap = 0.5 + round as f64 * 0.25;
+            let hetero = cpu.add_task(t, 0.5, 3.0, cap);
+            reference.add_task(t, 0.5, 3.0, cap);
+            assert_eq!(cpu.class_count(), 2);
+            let (uncapped, capped) = cpu.partition_sizes();
+            assert_eq!(uncapped + capped, 2, "partition holds both tasks");
             assert!(
                 (cpu.remaining(a) - before).abs() < 1e-9,
-                "settling is lossless (round {round})"
+                "joining is lossless (round {round})"
             );
+            assert!((cpu.current_rate(a) - reference.current_rate(a)).abs() < 1e-12);
             t += SimDuration::from_millis(250);
-            let before = {
-                cpu.advance(t);
-                cpu.remaining(a)
-            };
-            cpu.remove_task(t, hetero);
-            assert!(cpu.is_uniform_mode(), "single signature re-enters uniform");
-            assert_eq!(cpu.partition_sizes(), (0, 0), "partition fully drained");
-            assert_eq!(cpu.water_level(), None);
+            cpu.advance(t);
+            reference.advance(t);
+            let before = cpu.remaining(a);
+            assert!((before - reference.remaining(a)).abs() < 1e-9);
+            let residual = cpu.remove_task(t, hetero);
+            assert!((residual - reference.remove_task(t, hetero)).abs() < 1e-9);
+            assert_eq!(cpu.partition_sizes(), (0, 1), "one capped task left");
+            assert_eq!(cpu.water_level(), f64::INFINITY);
             assert!(
                 (cpu.remaining(a) - before).abs() < 1e-9,
-                "un-settling is lossless (round {round})"
+                "leaving is lossless (round {round})"
             );
             t += SimDuration::from_millis(250);
         }
-        // The long task kept depleting through all four flips.
+        // The long task kept depleting through all four rounds.
         cpu.advance(t);
+        reference.advance(t);
         assert!(cpu.remaining(a) < 10.0);
+        assert!((cpu.remaining(a) - reference.remaining(a)).abs() < 1e-9);
+        assert!((cpu.work_done() - reference.work_done()).abs() < 1e-9);
     }
 
     #[test]
-    fn general_mode_stays_precise_across_clock_rebases() {
-        // Drive both general-mode clocks far past VT_REBASE_THRESHOLD
-        // without the bank leaving general mode: a capped task pins the
-        // real clock's family, an uncapped one the virtual clock's, and
+    fn both_clocks_stay_precise_across_rebases() {
+        // Drive both clocks far past CLOCK_REBASE_THRESHOLD: a capped
+        // task keeps the real clock's side populated, an uncapped one the
+        // uncapped clock's, and
         // both deplete at exactly 1 core/s, so remaining work stays a
         // linear function of time through every rebase.
         let mut cpu = GpsCpu::new(params(2.0, 0.0));
@@ -2293,8 +1682,7 @@ mod tests {
         let a = cpu.add_task(t0, work, 1.0, 2.0);
         // Capped: ratio 0.5 <= λ, pinned at max_rate = 1.
         let b = cpu.add_task(t0, work, 2.0, 1.0);
-        assert!(!cpu.is_uniform_mode());
-        assert_eq!(cpu.water_level(), Some(1.0));
+        assert_eq!(cpu.water_level(), 1.0);
         let mut t = t0;
         for step in 1..=30 {
             t += SimDuration::from_secs(1_000);
@@ -2327,11 +1715,10 @@ mod tests {
     #[test]
     fn exhausted_task_completes_now_even_at_zero_rate() {
         // Regression: an exhausted task whose water-filling rate underflows
-        // to exactly 0.0 used to be skipped by the general-mode completion
+        // to exactly 0.0 used to be skipped by the completion
         // scan (`rate <= 0.0 -> continue`) while `finished_tasks` kept
         // reporting it — the owner's completion tick would never fire.
-        // Exhausted tasks must complete "now" regardless of rate, matching
-        // the uniform path's `finished_pending` rule.
+        // Exhausted tasks must complete "now" regardless of rate.
         //
         // Two huge-weight companions drive the water level down to
         // ~1e-307; the tiny subnormal weight then underflows `w * λ` to
@@ -2464,24 +1851,35 @@ mod tests {
     }
 
     #[test]
-    fn set_capacity_changes_uniform_rate_going_forward() {
+    fn set_capacity_changes_one_class_rate_going_forward() {
         let mut cpu = GpsCpu::new(params(4.0, 0.0));
+        let mut reference = crate::gps_reference::ReferenceGpsCpu::new(params(4.0, 0.0));
         let t0 = SimTime::ZERO;
         // Eight unit tasks on four cores: each runs at 0.5.
         let ids: Vec<TaskId> = (0..8).map(|_| cpu.add_task(t0, 2.0, 1.0, 1.0)).collect();
+        for _ in &ids {
+            reference.add_task(t0, 2.0, 1.0, 1.0);
+        }
         assert!((cpu.current_rate(ids[0]) - 0.5).abs() < 1e-12);
         // One second of service at the old capacity, then halve the node.
         let t1 = SimTime::from_secs(1);
+        let crossings = cpu.boundary_crossings();
         cpu.set_capacity(t1, 2.0);
+        reference.set_capacity(t1, 2.0);
         assert!((cpu.current_rate(ids[0]) - 0.25).abs() < 1e-12);
+        assert_eq!(cpu.current_rate(ids[0]), reference.current_rate(ids[0]));
         // Work served before the change was under the old capacity...
         assert!((cpu.remaining(ids[0]) - 1.5).abs() < 1e-9);
+        assert!((cpu.remaining(ids[0]) - reference.remaining(ids[0])).abs() < 1e-9);
         // ...and the completion reflects the degraded rate: 1.5 core-s
         // left at 0.25 cores = 6 more seconds.
         let (_, at) = cpu.next_completion(t1).unwrap();
+        let (_, at_ref) = reference.next_completion(t1).unwrap();
         assert!((at.as_secs_f64() - 7.0).abs() < 1e-9);
-        // The bank never left the uniform fast path.
-        assert!(cpu.is_uniform_mode());
+        assert!((at.as_secs_f64() - at_ref.as_secs_f64()).abs() < 1e-9);
+        // The one class stayed uncapped: nothing crossed.
+        assert_eq!(cpu.boundary_crossings(), crossings);
+        assert_eq!(cpu.class_count(), 1);
     }
 
     #[test]
@@ -2513,7 +1911,6 @@ mod tests {
             ids.push(cpu.add_task(t0, 10.0, w, c));
             reference.add_task(t0, 10.0, w, c);
         }
-        assert!(!cpu.is_uniform_mode());
         let before = cpu.boundary_crossings();
         let t1 = SimTime::from_secs(1);
         cpu.set_capacity(t1, 1.0);
@@ -2637,11 +2034,8 @@ mod tests {
         cpu.set_resource_capacity(SimTime::ZERO, Resource::Mem, 2.0);
         let a = cpu.add_task_demand(SimTime::ZERO, 1.0, 1.0, 10.0, ResourceVector::per_cpu(1.0));
         let b = cpu.add_task_demand(SimTime::ZERO, 1.0, 1.0, 10.0, ResourceVector::CPU_ONLY);
-        assert!(
-            !cpu.is_uniform_mode(),
-            "distinct profiles force general mode"
-        );
-        assert_eq!(cpu.water_level(), Some(2.0));
+        assert_eq!(cpu.class_count(), 1, "equal pin ratios share a class");
+        assert_eq!(cpu.water_level(), 2.0);
         assert!((cpu.current_rate(a) - 2.0).abs() < 1e-12);
         assert!((cpu.current_rate(b) - 2.0).abs() < 1e-12);
         assert!((cpu.resource_consumption(Resource::Cpu) - 4.0).abs() < 1e-12);
@@ -2651,7 +2045,7 @@ mod tests {
         // consumed).
         let t1 = SimTime::from_secs(0);
         cpu.set_resource_capacity(t1, Resource::Mem, 1.0);
-        assert_eq!(cpu.water_level(), Some(1.0));
+        assert_eq!(cpu.water_level(), 1.0);
         assert!((cpu.current_rate(a) - 1.0).abs() < 1e-12);
         assert!((cpu.current_rate(b) - 1.0).abs() < 1e-12);
         assert!((cpu.resource_consumption(Resource::Mem) - 1.0).abs() < 1e-12);
@@ -2659,22 +2053,35 @@ mod tests {
     }
 
     #[test]
-    fn memory_bound_uniform_mode_binds_on_bandwidth() {
+    fn memory_bound_one_class_bank_binds_on_bandwidth() {
         // Two identical tasks demanding bandwidth 1:1 with CPU on a node
         // with 4 cores but 1 bandwidth unit: the common rate is
-        // min(max_rate, 4/2, 1/2) = 0.5, on the uniform fast path.
+        // min(max_rate, 4/2, 1/2) = 0.5, set by the memory axis.
         let mut cpu = GpsCpu::new(params(4.0, 0.0));
+        let mut reference = crate::gps_reference::ReferenceGpsCpu::new(params(4.0, 0.0));
+        let demand = ResourceVector::per_cpu(1.0);
         cpu.set_resource_capacity(SimTime::ZERO, Resource::Mem, 1.0);
-        let a = cpu.add_task_demand(SimTime::ZERO, 1.0, 1.0, 1.0, ResourceVector::per_cpu(1.0));
-        let _b = cpu.add_task_demand(SimTime::ZERO, 1.0, 1.0, 1.0, ResourceVector::per_cpu(1.0));
-        assert!(cpu.is_uniform_mode(), "identical profiles stay uniform");
+        reference.set_resource_capacity(SimTime::ZERO, Resource::Mem, 1.0);
+        let a = cpu.add_task_demand(SimTime::ZERO, 1.0, 1.0, 1.0, demand);
+        let _b = cpu.add_task_demand(SimTime::ZERO, 1.0, 1.0, 1.0, demand);
+        for _ in 0..2 {
+            reference.add_task_demand(SimTime::ZERO, 1.0, 1.0, 1.0, demand);
+        }
+        assert_eq!(cpu.class_count(), 1);
+        assert_eq!(cpu.water_level(), 0.5);
         assert!((cpu.current_rate(a) - 0.5).abs() < 1e-12);
+        assert_eq!(cpu.current_rate(a), reference.current_rate(a));
         let (_, at) = cpu.next_completion(SimTime::ZERO).unwrap();
+        let (_, at_ref) = reference.next_completion(SimTime::ZERO).unwrap();
         assert!((at.as_secs_f64() - 2.0).abs() < 1e-9);
+        assert_eq!(at, at_ref);
         // Restoring infinite bandwidth re-binds on the CPU axis (rate 1.0
-        // via the max_rate cap).
+        // via the max_rate cap): the class crosses to the capped side.
         cpu.set_resource_capacity(SimTime::ZERO, Resource::Mem, f64::INFINITY);
+        reference.set_resource_capacity(SimTime::ZERO, Resource::Mem, f64::INFINITY);
         assert!((cpu.current_rate(a) - 1.0).abs() < 1e-12);
+        assert_eq!(cpu.current_rate(a), reference.current_rate(a));
+        assert_eq!(cpu.partition_sizes(), (0, 2));
     }
 
     #[test]

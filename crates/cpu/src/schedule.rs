@@ -3,15 +3,14 @@
 //! caps, plus the differential driver that locks the production kernel to
 //! the seed integrator after every step.
 //!
-//! PR 1 pinned the virtual-time kernel with an inline harness in
-//! `tests/prop_gps_diff.rs`. This module is that harness extracted and
-//! generalized so the weighted-partition suites
-//! (`tests/prop_gps_weighted.rs`), the original differential tests and any
-//! future kernel rewrite share one schedule vocabulary:
+//! One schedule vocabulary shared by the differential suites
+//! (`tests/prop_gps_diff.rs`, `tests/prop_gps_weighted.rs`,
+//! `tests/prop_gps_drf.rs`, `tests/prop_gps_faults.rs`) and any future
+//! kernel rewrite:
 //!
 //! * [`ChurnOp`] — the four kernel operations a schedule interleaves;
 //! * [`SignaturePool`] — the `(weight, max_rate)` signatures a schedule
-//!   draws from, from the invoker's uniform `(1, 1)` through heavily
+//!   draws from, from the invoker's single `(1, 1)` through heavily
 //!   heterogeneous weighted-container pools;
 //! * [`random_schedule`] — seeded schedule generation;
 //! * [`DifferentialPair`] — drives [`GpsCpu`] and [`ReferenceGpsCpu`] in
@@ -44,8 +43,9 @@ pub enum ChurnOp {
     /// by targeting the heavy swing signature.
     RemoveSig { sig: u8, pick: u64 },
     /// Remove *every* live task of pool signature `sig`. Random removal
-    /// almost never drains a whole signature class, so plain schedules
-    /// cannot force general→uniform mode flips on demand; this op can.
+    /// almost never drains a whole signature, so plain schedules cannot
+    /// empty a pin-ratio class on demand; this op can (a class empties when
+    /// every signature sharing its ratio is drained).
     DrainSig { sig: u8 },
     /// Advance simulated time by `dt_ms`.
     Advance { dt_ms: u64 },
@@ -93,13 +93,15 @@ impl SignaturePool {
         SignaturePool { sigs }
     }
 
-    /// The invoker's single `(1, 1)` signature: schedules stay on the
-    /// uniform fast path.
+    /// The invoker's single `(1, 1)` signature: the bank is always one
+    /// pin-ratio class, which crosses the capped/uncapped boundary exactly
+    /// when the live count crosses the core count.
     pub fn uniform() -> Self {
         SignaturePool::new(vec![(1.0, 1.0)])
     }
 
-    /// PR 1's four-signature mixed pool (uniform plus weighted/capped).
+    /// A four-signature mixed pool: the invoker's `(1, 1)` plus
+    /// weighted/capped signatures.
     pub fn paper_mixed() -> Self {
         SignaturePool::new(vec![(1.0, 1.0), (2.5, 1.0), (1.0, 0.5), (4.0, 0.25)])
     }
@@ -116,7 +118,7 @@ impl SignaturePool {
         let mut sigs: Vec<(f64, f64)> = (0..n)
             .map(|_| (*rng.choose(&weights), *rng.choose(&caps)))
             .collect();
-        // Always include the exact-tie signature and a plain uniform one:
+        // Always include the exact-tie signature and the plain `(1, 1)` one:
         // the interesting partition boundaries must be reachable from any
         // seed.
         sigs[0] = (1.0, 1.0);
@@ -129,12 +131,12 @@ impl SignaturePool {
     /// the water level across several ladder rungs at once, so every such
     /// membership change forces a batch of capped/uncapped boundary
     /// crossings (the re-keying path of the two-clock kernel). Signature 0
-    /// is the swing; 1 is the plain uniform `(1, 1)` rung, so draining
-    /// everything else flips the bank back to uniform mode.
+    /// is the swing; 1 is the plain `(1, 1)` rung, which shares the swing's
+    /// ratio, so draining everything else collapses the bank to one class.
     pub fn boundary_ladder() -> Self {
         SignaturePool::new(vec![
             (8.0, 8.0), // swing: ratio 1.0, weight dominates the level
-            (1.0, 1.0), // uniform rung (also the mode-flip anchor)
+            (1.0, 1.0), // plain rung (also the one-class anchor)
             (1.0, 0.2),
             (1.0, 0.35),
             (1.0, 0.5),
@@ -269,18 +271,15 @@ pub fn drf_schedule(
 }
 
 /// Generate a seeded schedule that deliberately thrashes the
-/// capped/uncapped boundary and the uniform↔general mode flip, for the
-/// [`SignaturePool::boundary_ladder`] pool. Each block populates the
-/// ladder, slams the heavy swing signature in and out (every swing move
-/// shifts the water level across several rungs — a batch of boundary
-/// crossings, i.e. heap re-keys), and every other block drains all
-/// heterogeneous signatures *mid-completion-stream* so the bank flips to
-/// uniform and back while completions are being consumed.
+/// capped/uncapped boundary, for the [`SignaturePool::boundary_ladder`]
+/// pool. Each block populates the ladder, slams the heavy swing signature
+/// in and out (every swing move shifts the water level across several
+/// rungs — a batch of boundary crossings, i.e. heap re-keys), and every
+/// other block drains all other classes *mid-completion-stream* so the
+/// bank collapses to one class and grows back while completions are being
+/// consumed.
 pub fn boundary_thrash_schedule(rng: &mut Xoshiro256, blocks: usize, pool_len: u8) -> Vec<ChurnOp> {
-    assert!(
-        pool_len > 2,
-        "thrash schedules need swing + uniform + rungs"
-    );
+    assert!(pool_len > 2, "thrash schedules need swing + anchor + rungs");
     let mut ops = Vec::new();
     for block in 0..blocks {
         // Populate the ladder rungs (signatures 2..) around the boundary.
@@ -290,7 +289,7 @@ pub fn boundary_thrash_schedule(rng: &mut Xoshiro256, blocks: usize, pool_len: u
                 sig: 2 + (rng.next_u64() % (pool_len as u64 - 2)) as u8,
             });
         }
-        // Keep a uniform anchor alive so mode flips have a survivor.
+        // Keep a `(1, 1)` anchor alive so the one-class bank has a survivor.
         ops.push(ChurnOp::Add {
             work_ms: 400 + rng.next_u64() % 2_000,
             sig: 1,
@@ -311,9 +310,9 @@ pub fn boundary_thrash_schedule(rng: &mut Xoshiro256, blocks: usize, pool_len: u
         });
         ops.push(ChurnOp::CompleteNext);
         if block % 2 == 1 {
-            // Mid-stream mode flip: drain every heterogeneous signature so
-            // only the uniform anchor survives, consume a completion in
-            // uniform mode, then the next block re-enters general mode.
+            // Mid-stream collapse: drain every other signature so only the
+            // anchor's class survives, consume a completion in the
+            // one-class bank, then the next block repopulates the ladder.
             for sig in 2..pool_len {
                 ops.push(ChurnOp::DrainSig { sig });
             }
@@ -331,23 +330,19 @@ pub fn boundary_thrash_schedule(rng: &mut Xoshiro256, blocks: usize, pool_len: u
 /// with churn and completions between the steps — every step moves the
 /// water level, forcing capped/uncapped boundary crossings), holds the
 /// trough, and restores — sometimes past the original capacity (autoscale
-/// overshoot). Every other block drains the heterogeneous signatures so
-/// capacity changes also land in uniform mode and on the representation
-/// flips themselves.
+/// overshoot). Every other block drains every class but the anchor's so
+/// capacity changes also land on a one-class bank.
 pub fn capacity_thrash_schedule(
     rng: &mut Xoshiro256,
     blocks: usize,
     pool_len: u8,
     base_centi: u64,
 ) -> Vec<ChurnOp> {
-    assert!(
-        pool_len > 2,
-        "thrash schedules need swing + uniform + rungs"
-    );
+    assert!(pool_len > 2, "thrash schedules need swing + anchor + rungs");
     assert!(base_centi >= 100, "base capacity below one core");
     let mut ops = Vec::new();
     for block in 0..blocks {
-        // Populate the ladder rungs and the uniform anchor.
+        // Populate the ladder rungs and the `(1, 1)` anchor.
         for _ in 0..3 + rng.next_u64() % 5 {
             ops.push(ChurnOp::Add {
                 work_ms: 200 + rng.next_u64() % 2_500,
@@ -394,8 +389,8 @@ pub fn capacity_thrash_schedule(
         });
         ops.push(ChurnOp::CompleteNext);
         if block % 2 == 1 {
-            // Flip to uniform mode mid-stream and thrash capacity there
-            // too: the memoized uniform rate must track every change.
+            // Collapse to the anchor's class mid-stream and thrash capacity
+            // there too: the one class crosses the boundary as a whole.
             for sig in 2..pool_len {
                 ops.push(ChurnOp::DrainSig { sig });
             }
@@ -463,20 +458,21 @@ impl DifferentialPair {
         self.live.len()
     }
 
-    /// Assert the production kernel sits on the uniform fast path: the
-    /// virtual-time representation, with the weighted partition untouched.
-    /// The uniform-regression suite calls this after every operation of a
-    /// signature-homogeneous schedule.
-    pub fn assert_uniform_fast_path(&self) {
+    /// Assert the production kernel holds a signature-homogeneous bank as
+    /// at most one pin-ratio class, every live task on one side of the
+    /// boundary. The one-class suites call this after every operation.
+    pub fn assert_one_class(&self) {
         assert!(
-            self.opt.is_uniform_mode(),
-            "homogeneous workload left the uniform fast path at {:?}",
+            self.opt.class_count() <= 1,
+            "homogeneous workload split into {} classes at {:?}",
+            self.opt.class_count(),
             self.now
         );
-        assert_eq!(
-            self.opt.partition_sizes(),
-            (0, 0),
-            "homogeneous workload touched the partition structure"
+        let (uncapped, capped) = self.opt.partition_sizes();
+        assert_eq!(uncapped + capped, self.live.len(), "partition lost a task");
+        assert!(
+            uncapped == 0 || capped == 0,
+            "one class straddles the boundary: ({uncapped}, {capped})"
         );
     }
 
@@ -703,10 +699,11 @@ pub fn run_boundary_thrash_schedule(seed: u64, blocks: usize) -> u64 {
 
 /// Drive one seeded capacity-thrash schedule end to end over the
 /// [`SignaturePool::boundary_ladder`] pool — dynamic-capacity ramps and
-/// restorations interleaved with membership churn and mode flips, every
-/// observable pinned to the reference integrator per step — and return the
-/// number of capped/uncapped boundary crossings the production kernel
-/// performed (so suites can assert the ramps actually move the boundary).
+/// restorations interleaved with membership churn and one-class collapses,
+/// every observable pinned to the reference integrator per step — and
+/// return the number of capped/uncapped boundary crossings the production
+/// kernel performed (so suites can assert the ramps actually move the
+/// boundary).
 pub fn run_capacity_thrash_schedule(seed: u64, blocks: usize) -> u64 {
     let mut rng = Xoshiro256::seed_from_u64(seed ^ 0xCA9A_C17F);
     // Same envelope as the boundary-thrash runner: the ladder ratios sit
@@ -846,19 +843,23 @@ mod tests {
     }
 
     #[test]
-    fn drain_sig_removes_exactly_one_signature_class() {
+    fn drain_sig_empties_exactly_one_class() {
+        // The swing (8, 8) and the anchor (1, 1) share pin ratio 1: one
+        // class of two signatures. Rung (1, 0.2) is a class of its own.
         let pool = SignaturePool::boundary_ladder();
         let mut pair = DifferentialPair::new(4.0, 0.0, pool);
         for sig in [0u8, 1, 2, 0, 1, 2] {
             pair.apply(ChurnOp::Add { work_ms: 500, sig });
         }
         assert_eq!(pair.live_len(), 6);
+        assert_eq!(pair.opt.class_count(), 2);
         pair.apply(ChurnOp::DrainSig { sig: 0 });
         assert_eq!(pair.live_len(), 4, "both swing tasks removed");
+        assert_eq!(pair.opt.class_count(), 2, "the anchor keeps ratio 1 alive");
         pair.apply(ChurnOp::DrainSig { sig: 2 });
         pair.apply(ChurnOp::RemoveSig { sig: 2, pick: 7 });
         assert_eq!(pair.live_len(), 2, "drained class is empty, op is a no-op");
-        assert!(pair.opt.is_uniform_mode(), "single signature flips back");
+        pair.assert_one_class();
         pair.drain();
     }
 }

@@ -1,8 +1,8 @@
-//! Differential tests: the virtual-time `GpsCpu` must reproduce the seed
+//! Differential tests: the two-clock `GpsCpu` must reproduce the seed
 //! integrator (`ReferenceGpsCpu`) — same completion order, completion times
 //! within 1e-6 s, same per-task remaining work, and the same `work_done`
 //! accounting — over random add/remove/advance/complete schedules, in both
-//! the uniform fast path and the heterogeneous water-filling path.
+//! one-class banks and heterogeneous multi-class partitions.
 //!
 //! The schedule vocabulary and the lockstep driver live in
 //! `faas_cpu::schedule` (shared with the weighted-partition suite in
@@ -43,7 +43,7 @@ proptest! {
     }
 
     /// Heterogeneous schedules exercise the water-filling partition and
-    /// both representation switches.
+    /// the class crossings.
     #[test]
     fn heterogeneous_schedules_match_reference(
         cores in 1u32..8,

@@ -176,8 +176,8 @@ fn differential_520_drf_schedules() {
 }
 
 /// The DRF sweep must actually exercise the memory axis: across seeds,
-/// schedules reach general mode with the memory axis binding the water
-/// level (the level set by bandwidth, not cores).
+/// schedules reach banks whose memory axis binds the water level (the
+/// level set by bandwidth, not cores).
 #[test]
 fn drf_schedules_bind_the_memory_axis() {
     let mut saw_mem_bound = false;
@@ -189,13 +189,11 @@ fn drf_schedules_bind_the_memory_axis() {
         for op in ops {
             pair.apply(op);
             // With 8 cores and ≤3 bandwidth units, a memory-saturated
-            // general-mode bank means the level came from the mem axis.
-            if !pair.opt.is_uniform_mode() {
-                let mem_cap = pair.opt.resource_capacity(Resource::Mem);
-                let used = pair.opt.resource_consumption(Resource::Mem);
-                if mem_cap.is_finite() && used >= mem_cap * (1.0 - 1e-6) {
-                    saw_mem_bound = true;
-                }
+            // bank means the level came from the mem axis.
+            let mem_cap = pair.opt.resource_capacity(Resource::Mem);
+            let used = pair.opt.resource_consumption(Resource::Mem);
+            if mem_cap.is_finite() && used >= mem_cap * (1.0 - 1e-6) {
+                saw_mem_bound = true;
             }
         }
         pair.drain();

@@ -1,7 +1,7 @@
 //! Dynamic-capacity differential tests: `GpsCpu::set_capacity` pinned to
 //! the seed integrator (`gps_reference`) across seeded capacity-churn
 //! schedules — degradation/restoration ramps interleaved with membership
-//! churn, boundary crossings and uniform↔general mode flips.
+//! churn, boundary crossings and collapses to a one-class bank.
 //!
 //! Three suites:
 //!
@@ -11,8 +11,8 @@
 //!   volume the acceptance criteria require — which must also actually
 //!   cross the capped/uncapped boundary (a ramp that never re-keys is
 //!   testing nothing);
-//! * the uniform fast-path regression: capacity changes on a homogeneous
-//!   workload must never leave the virtual-time representation.
+//! * the one-class regression: capacity changes on a homogeneous workload
+//!   move its one class across the boundary as a whole, never split it.
 
 use faas_cpu::schedule::{
     capacity_thrash_schedule, run_capacity_thrash_schedule, ChurnOp, DifferentialPair,
@@ -57,8 +57,8 @@ proptest! {
 }
 
 /// The acceptance-criteria volume: 520 seeded capacity-thrash schedules
-/// (ramps + membership churn + mode flips over the boundary-ladder pool),
-/// each driven to completion under the full per-step observable
+/// (ramps + membership churn + one-class collapses over the boundary-ladder
+/// pool), each driven to completion under the full per-step observable
 /// comparison, and collectively required to exercise the re-keying path.
 #[test]
 fn differential_520_capacity_thrash_schedules() {
@@ -82,17 +82,16 @@ fn differential_520_capacity_thrash_schedules() {
     );
 }
 
-/// Capacity thrash on a homogeneous workload: the bank must ride out every
-/// degradation and restoration on the uniform fast path — `set_capacity`
-/// in uniform mode is a parameter swap plus a rate-memo invalidation,
-/// never a partition build.
+/// Capacity thrash on a homogeneous workload: the bank rides out every
+/// degradation and restoration as one class on one side of the boundary,
+/// matching the reference after every operation.
 #[test]
-fn homogeneous_capacity_churn_stays_on_fast_path() {
+fn homogeneous_capacity_churn_stays_one_class() {
     for seed in 0..60u64 {
         let mut rng = Xoshiro256::seed_from_u64(seed ^ 0xFA57_CAFE);
         let cores = 1 + rng.next_u64() % 12;
         let mut pair = DifferentialPair::new(cores as f64, 0.3, SignaturePool::uniform());
-        for step in 0..60 {
+        for _ in 0..60 {
             let op = match rng.next_u64() % 10 {
                 0..=3 => ChurnOp::Add {
                     work_ms: 1 + rng.next_u64() % 2_000,
@@ -107,23 +106,19 @@ fn homogeneous_capacity_churn_stays_on_fast_path() {
                 _ => ChurnOp::CompleteNext,
             };
             pair.apply(op);
-            assert!(
-                pair.opt.is_uniform_mode(),
-                "capacity change left the fast path at seed {seed} step {step}"
-            );
-            assert_eq!(pair.opt.partition_sizes(), (0, 0));
+            pair.assert_one_class();
         }
         pair.drain();
     }
 }
 
-/// The thrash generator's ramps land in both representations: schedules
-/// must apply capacity changes while the bank is in general mode *and*
-/// while it is uniform (the every-other-block drain).
+/// The thrash generator's ramps land on both bank shapes: schedules must
+/// apply capacity changes while the bank holds several classes *and* while
+/// it is one class (the every-other-block drain).
 #[test]
-fn capacity_thrash_hits_both_modes() {
-    let mut general_hits = 0usize;
-    let mut uniform_hits = 0usize;
+fn capacity_thrash_hits_one_and_many_class_banks() {
+    let mut many_hits = 0usize;
+    let mut one_hits = 0usize;
     for seed in 0..10u64 {
         let mut rng = Xoshiro256::seed_from_u64(seed ^ 0x0DD5_EED5);
         let pool = SignaturePool::boundary_ladder();
@@ -131,10 +126,10 @@ fn capacity_thrash_hits_both_modes() {
         let mut pair = DifferentialPair::new(4.0, 0.2, pool);
         for op in ops {
             if matches!(op, ChurnOp::SetCapacity { .. }) && !pair.opt.is_empty() {
-                if pair.opt.is_uniform_mode() {
-                    uniform_hits += 1;
+                if pair.opt.class_count() == 1 {
+                    one_hits += 1;
                 } else {
-                    general_hits += 1;
+                    many_hits += 1;
                 }
             }
             pair.apply(op);
@@ -142,11 +137,11 @@ fn capacity_thrash_hits_both_modes() {
         pair.drain();
     }
     assert!(
-        general_hits > 10,
-        "no general-mode capacity changes ({general_hits})"
+        many_hits > 10,
+        "no capacity changes on a many-class bank ({many_hits})"
     );
     assert!(
-        uniform_hits > 5,
-        "no uniform-mode capacity changes ({uniform_hits})"
+        one_hits > 5,
+        "no capacity changes on a one-class bank ({one_hits})"
     );
 }

@@ -83,7 +83,7 @@ fn functions_are_pinned() {
 
 #[test]
 fn sweep_is_pinned() {
-    assert_pinned("sweep", &sweep::run(Effort::quick()), 0x684a_bd5a_7e7d_a1b5);
+    assert_pinned("sweep", &sweep::run(Effort::quick()), 0xae82_22e2_76ff_83e6);
 }
 
 #[test]

@@ -37,8 +37,8 @@
 //! [`faas_workload::weight::TaskShare`] for measured calls, with optional
 //! per-phase overrides for warm-up calls (cgroup update latency: a fresh
 //! container initialises under the default share until its cgroup update
-//! lands). The uniform `(1, 1)` table is the paper's regime and keeps
-//! every task on the GPS fast path.
+//! lands). The uniform `(1, 1)` table is the paper's regime: every task
+//! falls in one GPS pin-ratio class.
 
 use crate::config::NodeConfig;
 use crate::node::{Ev, Regime, Shell};
@@ -66,7 +66,7 @@ enum Owner {
 /// a GPS bank shared by every CPU phase.
 pub(crate) struct Gps<'a> {
     /// Per-function GPS weights/caps (weighted containers). The uniform
-    /// table keeps every task on the GPS fast path.
+    /// table puts every task in one GPS pin-ratio class.
     weights: &'a WeightTable,
     cpu: GpsCpu,
     fifo: VecDeque<u32>,
@@ -351,7 +351,7 @@ impl Regime for Gps<'_> {
 
     /// The maximum over modeled resource axes of the GPS bank's
     /// `consumption / capacity`: one O(live tasks) scan per window.
-    fn dominant_share(&mut self, _cfg: &NodeConfig) -> f64 {
+    fn dominant_share(&self, _cfg: &NodeConfig) -> f64 {
         let mut share: f64 = 0.0;
         for r in [Resource::Cpu, Resource::Mem] {
             let cap = self.cpu.resource_capacity(r);

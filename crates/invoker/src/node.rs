@@ -189,7 +189,7 @@ pub(crate) trait Regime {
     fn inflight(&self) -> usize;
     /// Dominant-share consumption over the modeled resource axes (see
     /// [`NodeProgress::dominant_milli`]).
-    fn dominant_share(&mut self, cfg: &NodeConfig) -> f64;
+    fn dominant_share(&self, cfg: &NodeConfig) -> f64;
     /// Check the regime drained and fill in its peaks and served work.
     fn settle(self, sh: &Shell, result: &mut NodeResult);
 }

@@ -216,7 +216,7 @@ impl Regime for Cores {
     /// Core occupancy against the current (possibly degraded) pool, or
     /// bandwidth pressure when the memory axis is modeled — whichever axis
     /// is tighter (the DRF signal feedback balancers route on).
-    fn dominant_share(&mut self, cfg: &NodeConfig) -> f64 {
+    fn dominant_share(&self, cfg: &NodeConfig) -> f64 {
         let mut share = self.cores.busy() as f64 / self.cores.total() as f64;
         if cfg.mem_bandwidth > 0.0 {
             share = share.max(self.mem_load / cfg.mem_bandwidth);

@@ -17,8 +17,8 @@
 //!
 //! Four models:
 //!
-//! * [`WeightSpec::Uniform`] — the legacy `(1, 1)` signature; the invoker
-//!   detects it and stays on the GPS uniform fast path.
+//! * [`WeightSpec::Uniform`] — the legacy `(1, 1)` signature: every GPS
+//!   task falls in one pin-ratio class.
 //! * [`WeightSpec::Tiers`] — explicit weight/cap tiers assigned round-robin
 //!   over the catalogue order, the "memory tier" picture: big-memory
 //!   containers get proportionally larger shares, a throttled tier is
@@ -142,7 +142,7 @@ pub struct WarmupShares {
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub enum WeightSpec {
     /// Every container identical: weight 1, cap 1 core (the paper's
-    /// regime and the GPS uniform fast path).
+    /// regime: one GPS pin-ratio class).
     #[default]
     Uniform,
     /// Explicit tiers assigned round-robin by catalogue index.
@@ -416,8 +416,8 @@ impl WeightTable {
 
     /// True when every share this table can hand out carries the uniform
     /// signature (including warm-up overrides). Introspection for tests
-    /// and reports; the GPS kernel keys its fast path on the live
-    /// signature set, not on this table.
+    /// and reports; the GPS kernel groups live tasks by pin ratio, not by
+    /// this table.
     pub fn is_uniform(&self) -> bool {
         self.shares.iter().all(TaskShare::is_uniform)
             && [self.warmup.init, self.warmup.exec]
@@ -491,7 +491,7 @@ mod tests {
     fn zipf_zero_skew_degenerates_to_uniform_weights() {
         let t = WeightSpec::ZipfCorrelated { s: 0.0 }.table(&catalogue());
         // Every weight is exactly 1.0 (and so is the cap); the table is
-        // bit-for-bit uniform and the fast path applies.
+        // bit-for-bit uniform.
         assert!(t.is_uniform());
     }
 
