@@ -40,13 +40,17 @@ use faas_workload::trace::Call;
 use faas_workload::trace_source::{TraceSource, WorkloadSource};
 use faas_workload::weight::WeightTable;
 use std::collections::VecDeque;
+use std::io;
 
 /// Run any [`WorkloadSource`] under any [`ClusterConfig`]: the entry point
 /// the experiment layers call. Spec sources draw their calls from
 /// `scenario_seed`; trace sources are opened (synthetic traces start at
 /// [`SimTime::ZERO`] and draw from `scenario_seed`) and paged through the
 /// `chunk`-call cursor. A window routes at most `chunk` arrivals either
-/// way. The only fallible path is opening a recorded trace file.
+/// way. Fails with [`std::io::ErrorKind::InvalidInput`], before any call
+/// is generated, on a configuration the engine cannot run: zero nodes, a
+/// zero `chunk`, or failover without a fault plan. Otherwise the only
+/// fallible path is opening a recorded trace file.
 #[allow(clippy::too_many_arguments)] // perfbench calls this signature
 pub fn run_cluster_source(
     catalogue: &Catalogue,
@@ -57,7 +61,7 @@ pub fn run_cluster_source(
     scenario_seed: u64,
     sim_seed: u64,
     chunk: usize,
-) -> std::io::Result<NodeResult> {
+) -> io::Result<NodeResult> {
     let seeds = (scenario_seed, sim_seed);
     run_cluster_source_per_node(catalogue, source, mode, cfg, faults, seeds, chunk)
         .map(NodeResult::merge)
@@ -75,7 +79,7 @@ pub fn run_cluster_source_per_node(
     faults: &FaultSpec,
     (scenario_seed, sim_seed): (u64, u64),
     chunk: usize,
-) -> std::io::Result<Vec<NodeResult>> {
+) -> io::Result<Vec<NodeResult>> {
     Run::new(catalogue, mode, cfg, faults, sim_seed, chunk).source(source, scenario_seed)
 }
 
@@ -129,12 +133,24 @@ impl<'a> Run<'a> {
     }
 
     /// Run a workload source: generate a spec's burst from
-    /// `scenario_seed`, or open a trace.
+    /// `scenario_seed`, or open a trace. A configuration the engine cannot
+    /// run is rejected first.
     pub(crate) fn source(
         &self,
         source: &WorkloadSource,
         scenario_seed: u64,
-    ) -> std::io::Result<Vec<NodeResult>> {
+    ) -> io::Result<Vec<NodeResult>> {
+        let unrunnable = [
+            (self.cfg.nodes == 0, "a cluster needs at least one node"),
+            (self.chunk == 0, "a window must route at least one call"),
+            (
+                self.cfg.lookahead.failover() && self.faults.is_none(),
+                "failover needs a fault plan",
+            ),
+        ];
+        if let Some(&(_, problem)) = unrunnable.iter().find(|(bad, _)| *bad) {
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, problem));
+        }
         let catalogue = self.catalogue;
         let results = match source {
             WorkloadSource::Spec(spec) => {
@@ -425,6 +441,39 @@ mod tests {
             assert_eq!(ids(&weighted), ids(&uniform), "{lb:?}");
             assert_eq!(ids(&weighted).len(), 132);
         }
+    }
+
+    /// The error both source entry points return for a cluster of `nodes`
+    /// with windows of `chunk` calls and failover on or off, over a
+    /// fault-free spec source.
+    fn unrunnable(nodes: u16, chunk: usize, failover: bool) -> io::ErrorKind {
+        let cat = catalogue();
+        let cfg =
+            ClusterConfig::independent(nodes, NodeConfig::paper(10), LoadBalancer::RoundRobin)
+                .coupled(SimDuration::from_millis(500), failover);
+        let (mode, none) = (NodeMode::Baseline, FaultSpec::none());
+        let source = WorkloadSource::Spec(spec(66));
+        let merged = run_cluster_source(&cat, &source, &mode, &cfg, &none, 1, 2, chunk);
+        let per_node =
+            run_cluster_source_per_node(&cat, &source, &mode, &cfg, &none, (1, 2), chunk);
+        let kind = per_node.expect_err("the run is rejected").kind();
+        assert_eq!(merged.err().map(|e| e.kind()), Some(kind));
+        kind
+    }
+
+    #[test]
+    fn zero_nodes_is_an_error() {
+        assert_eq!(unrunnable(0, 64, false), io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn zero_chunk_is_an_error() {
+        assert_eq!(unrunnable(2, 0, false), io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn failover_without_a_fault_plan_is_an_error() {
+        assert_eq!(unrunnable(2, 64, true), io::ErrorKind::InvalidInput);
     }
 
     #[test]

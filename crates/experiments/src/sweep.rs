@@ -53,7 +53,7 @@ use faas_workload::arrival::ArrivalSpec;
 use faas_workload::faults::FaultSpec;
 use faas_workload::generate::WorkloadSpec;
 use faas_workload::mix::MixSpec;
-use faas_workload::scenario::{warmup_for_spec, warmup_waves};
+use faas_workload::scenario::{warmup_calls_for_waves, warmup_waves};
 use faas_workload::sebs::Catalogue;
 use faas_workload::synth::SynthSpec;
 use faas_workload::trace::{Call, CallOutcome};
@@ -289,10 +289,7 @@ fn arrival_axis(count: usize, window: SimDuration, quick: bool) -> Vec<ArrivalSp
             mean_on_secs: 8.0,
             mean_off_secs: 8.0,
         });
-        axis.push(ArrivalSpec::Diurnal {
-            mean_rate: rate,
-            weights: vec![0.25, 0.5, 1.0, 1.75, 1.75, 1.25, 0.75, 0.75],
-        });
+        axis.push(ArrivalSpec::day_shape(rate));
     }
     axis
 }
@@ -548,7 +545,8 @@ impl Setup {
         let mut root = Xoshiro256::seed_from_u64(seed);
         let mut rng_times = root.derive_stream(STREAM_TIMES);
         let mut rng_assign = root.derive_stream(STREAM_ASSIGN);
-        let (mut calls, burst_start) = warmup_for_spec(&self.catalogue, self.cores);
+        let (waves, burst_start) = warmup_waves(&self.catalogue);
+        let mut calls = warmup_calls_for_waves(&waves, self.cores, 0);
         let id_base = calls.len() as u64;
         calls.extend(spec.generate_sorted(
             &self.catalogue,
@@ -605,7 +603,7 @@ impl Setup {
                 let refs: Vec<&CallOutcome> = runs.iter().flat_map(|r| &r.outcomes).collect();
                 SweepRow {
                     arrival: arrival.label(),
-                    mix: mix.label(catalogue),
+                    mix: mix.label(),
                     weights: weights.label(),
                     strategy,
                     calls: l.calls,
@@ -624,7 +622,7 @@ impl Setup {
     /// goodput, drop rate, retry cost and the delivered p99 next to the
     /// fault-free control.
     fn fault_rows(&self) -> Vec<FaultSweepRow> {
-        let (_, burst_start) = warmup_for_spec(&self.catalogue, self.cores);
+        let (_, burst_start) = warmup_waves(&self.catalogue);
         let labels: Vec<String> = fault_axis(0, burst_start, self.window)
             .into_iter()
             .map(|(label, _)| label)

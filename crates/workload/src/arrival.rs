@@ -1,17 +1,16 @@
-//! Pluggable arrival processes.
+//! Arrival processes.
 //!
 //! The paper evaluates with exactly one arrival shape: a fixed number of
 //! requests i.i.d.-uniform over a 60-second window (§V-B). Real FaaS traffic
 //! is Poisson at short scales, bursty (on-off) at medium scales and diurnal
-//! at long scales, so the generator subsystem makes the arrival shape a
-//! pluggable axis.
+//! at long scales, so [`ArrivalSpec`] has one variant per shape.
 //!
 //! Every process reduces to the same two-step scheme:
 //!
-//! 1. [`ArrivalProcess::realize`] samples the scenario's **intensity
+//! 1. [`ArrivalSpec::realize`] samples the scenario's **intensity
 //!    profile** — a piecewise-constant arrival-rate curve over the window.
-//!    Processes with hidden state (the MMPP's on/off chain) sample their
-//!    state path here; memoryless processes return a deterministic profile.
+//!    The MMPP samples its hidden on/off path here; the memoryless
+//!    processes return a deterministic profile.
 //! 2. Given the profile, arrivals are conditionally i.i.d.: the call count
 //!    is either fixed (the paper's burst) or Poisson with the profile's
 //!    total mass, and each release offset is an independent draw from the
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 
 /// A realized, piecewise-constant arrival-intensity curve over a window.
 ///
-/// Produced by [`ArrivalProcess::realize`]; consumed by the generators to
+/// Produced by [`ArrivalSpec::realize`]; consumed by the generators to
 /// draw call counts and i.i.d. release offsets.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IntensityProfile {
@@ -119,6 +118,19 @@ impl IntensityProfile {
         }
     }
 
+    /// Index of the segment containing release offset `t` (the last
+    /// segment at or past the window end).
+    pub(crate) fn segment_at(&self, t: f64) -> usize {
+        let seg = match self
+            .bounds
+            .binary_search_by(|b| b.partial_cmp(&t).expect("finite bounds"))
+        {
+            Ok(i) => i,
+            Err(i) => i.saturating_sub(1),
+        };
+        seg.min(self.rates.len() - 1)
+    }
+
     /// Invert the normalized arrival-time CDF: map `u ∈ [0, 1)` to a
     /// release offset in `[0, window)` seconds.
     ///
@@ -182,183 +194,27 @@ fn sample_poisson(mean: f64, rng: &mut Xoshiro256) -> usize {
     draw.round().max(0.0) as usize
 }
 
-/// An arrival process: everything needed to realize one scenario's
-/// intensity profile from a seeded RNG stream.
-pub trait ArrivalProcess: Send + Sync {
-    /// Short label for report tables (`uniform`, `poisson`, ...).
-    fn label(&self) -> String;
-
-    /// Realize the scenario's intensity profile over `window_secs`.
-    ///
-    /// Deterministic given the RNG state; hidden-state processes consume
-    /// randomness here, memoryless ones consume none.
-    fn realize(&self, window_secs: f64, rng: &mut Xoshiro256) -> IntensityProfile;
-}
-
-/// The paper's §V-B burst: exactly `count` calls i.i.d.-uniform over the
-/// window.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UniformBurst {
-    /// Exact number of calls.
-    pub count: usize,
-}
-
-impl ArrivalProcess for UniformBurst {
-    fn label(&self) -> String {
-        "uniform".into()
-    }
-
-    fn realize(&self, window_secs: f64, _rng: &mut Xoshiro256) -> IntensityProfile {
-        IntensityProfile::uniform_fixed(window_secs, self.count)
-    }
-}
-
-/// Homogeneous Poisson arrivals at a constant rate; the call count is
-/// itself Poisson (open workload).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PoissonArrivals {
-    /// Arrival rate, calls per second.
-    pub rate: f64,
-}
-
-impl ArrivalProcess for PoissonArrivals {
-    fn label(&self) -> String {
-        "poisson".into()
-    }
-
-    fn realize(&self, window_secs: f64, _rng: &mut Xoshiro256) -> IntensityProfile {
-        assert!(self.rate >= 0.0, "rate must be non-negative");
-        IntensityProfile::piecewise(&[(window_secs, self.rate)], CountModel::Poisson)
-    }
-}
-
-/// Two-state Markov-modulated Poisson process (on-off bursts).
-///
-/// The hidden chain alternates exponentially-distributed sojourns in an
-/// *on* state (rate `rate_on`) and an *off* state (rate `rate_off`); the
-/// initial state is drawn from the stationary distribution. Conditional on
-/// the realized state path the arrivals are an inhomogeneous Poisson
-/// process, which is exactly what [`IntensityProfile`] represents — so MMPP
-/// generation shards without approximation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MmppArrivals {
-    /// Arrival rate while the chain is on, calls/second.
-    pub rate_on: f64,
-    /// Arrival rate while the chain is off, calls/second.
-    pub rate_off: f64,
-    /// Mean sojourn in the on state, seconds.
-    pub mean_on_secs: f64,
-    /// Mean sojourn in the off state, seconds.
-    pub mean_off_secs: f64,
-}
-
-impl MmppArrivals {
-    /// Long-run mean arrival rate (stationary mixture of the two rates).
-    pub fn mean_rate(&self) -> f64 {
-        let p_on = self.mean_on_secs / (self.mean_on_secs + self.mean_off_secs);
-        p_on * self.rate_on + (1.0 - p_on) * self.rate_off
-    }
-}
-
-impl ArrivalProcess for MmppArrivals {
-    fn label(&self) -> String {
-        "mmpp".into()
-    }
-
-    fn realize(&self, window_secs: f64, rng: &mut Xoshiro256) -> IntensityProfile {
-        assert!(
-            self.mean_on_secs > 0.0 && self.mean_off_secs > 0.0,
-            "MMPP sojourn means must be positive"
-        );
-        assert!(
-            self.rate_on >= 0.0 && self.rate_off >= 0.0,
-            "MMPP rates must be non-negative"
-        );
-        let p_on = self.mean_on_secs / (self.mean_on_secs + self.mean_off_secs);
-        let mut on = rng.next_f64() < p_on;
-        let mut segments: Vec<(f64, f64)> = Vec::new();
-        let mut t = 0.0;
-        while t < window_secs {
-            let mean = if on {
-                self.mean_on_secs
-            } else {
-                self.mean_off_secs
-            };
-            let sojourn = -mean * (1.0 - rng.next_f64()).ln();
-            let len = sojourn.min(window_secs - t);
-            if len > 0.0 {
-                segments.push((len, if on { self.rate_on } else { self.rate_off }));
-                t += len;
-            }
-            on = !on;
-        }
-        IntensityProfile::piecewise(&segments, CountModel::Poisson)
-    }
-}
-
-/// Piecewise-constant diurnal rate curve.
-///
-/// The window is split into `weights.len()` equal-length segments whose
-/// rates follow the relative weights, normalized so the window-average rate
-/// is `mean_rate`. The profile is deterministic (no hidden state).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiurnalArrivals {
-    /// Window-average arrival rate, calls/second.
-    pub mean_rate: f64,
-    /// Relative rate of each equal-length segment (any positive scale).
-    pub weights: Vec<f64>,
-}
-
-impl DiurnalArrivals {
-    /// A day-shaped default: quiet night, morning ramp, midday peak,
-    /// evening tail.
-    pub fn day_shape(mean_rate: f64) -> DiurnalArrivals {
-        DiurnalArrivals {
-            mean_rate,
-            weights: vec![0.25, 0.5, 1.0, 1.75, 1.75, 1.25, 0.75, 0.75],
-        }
-    }
-}
-
-impl ArrivalProcess for DiurnalArrivals {
-    fn label(&self) -> String {
-        "diurnal".into()
-    }
-
-    fn realize(&self, window_secs: f64, _rng: &mut Xoshiro256) -> IntensityProfile {
-        assert!(!self.weights.is_empty(), "diurnal curve needs segments");
-        assert!(
-            self.weights.iter().all(|&w| w >= 0.0),
-            "diurnal weights must be non-negative"
-        );
-        let sum: f64 = self.weights.iter().sum();
-        assert!(sum > 0.0, "diurnal curve must have positive mass");
-        let k = self.weights.len() as f64;
-        let seg_len = window_secs / k;
-        let segments: Vec<(f64, f64)> = self
-            .weights
-            .iter()
-            .map(|&w| (seg_len, self.mean_rate * w * k / sum))
-            .collect();
-        IntensityProfile::piecewise(&segments, CountModel::Poisson)
-    }
-}
-
-/// Serializable description of an arrival process (sweep configs, JSON
-/// results).
+/// An arrival process (sweep configs, JSON results).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ArrivalSpec {
-    /// Exactly `count` i.i.d.-uniform calls (the paper's burst).
+    /// The paper's §V-B burst: exactly `count` calls i.i.d.-uniform over
+    /// the window.
     Uniform {
         /// Exact call count.
         count: usize,
     },
-    /// Homogeneous Poisson at `rate` calls/second.
+    /// Homogeneous Poisson at `rate` calls/second; the call count is
+    /// itself Poisson (open workload).
     Poisson {
         /// Arrival rate, calls/second.
         rate: f64,
     },
-    /// Two-state on-off MMPP.
+    /// Two-state Markov-modulated Poisson process (on-off bursts). The
+    /// hidden chain alternates exponential sojourns in the on and off
+    /// states, starting from the stationary distribution. Conditional on
+    /// the realized path the arrivals are an inhomogeneous Poisson
+    /// process, which is exactly what [`IntensityProfile`] represents, so
+    /// MMPP generation shards without approximation.
     Mmpp {
         /// On-state rate, calls/second.
         rate_on: f64,
@@ -369,42 +225,98 @@ pub enum ArrivalSpec {
         /// Mean off sojourn, seconds.
         mean_off_secs: f64,
     },
-    /// Piecewise diurnal curve averaging `mean_rate` calls/second.
+    /// Piecewise-constant diurnal curve: the window is split into
+    /// `weights.len()` equal-length segments whose rates follow the
+    /// relative weights, normalized so the window-average rate is
+    /// `mean_rate`. Deterministic (no hidden state).
     Diurnal {
         /// Window-average rate, calls/second.
         mean_rate: f64,
-        /// Relative per-segment rates.
+        /// Relative per-segment rates (any non-negative scale).
         weights: Vec<f64>,
     },
 }
 
 impl ArrivalSpec {
-    /// Instantiate the process this spec describes.
-    pub fn process(&self) -> Box<dyn ArrivalProcess> {
+    /// A day-shaped diurnal curve averaging `mean_rate` calls/second:
+    /// quiet night, morning ramp, midday peak, evening tail.
+    pub fn day_shape(mean_rate: f64) -> ArrivalSpec {
+        ArrivalSpec::Diurnal {
+            mean_rate,
+            weights: vec![0.25, 0.5, 1.0, 1.75, 1.75, 1.25, 0.75, 0.75],
+        }
+    }
+
+    /// Short label for report tables (`uniform`, `poisson`, ...).
+    pub fn label(&self) -> String {
         match self {
-            ArrivalSpec::Uniform { count } => Box::new(UniformBurst { count: *count }),
-            ArrivalSpec::Poisson { rate } => Box::new(PoissonArrivals { rate: *rate }),
-            ArrivalSpec::Mmpp {
+            ArrivalSpec::Uniform { .. } => "uniform",
+            ArrivalSpec::Poisson { .. } => "poisson",
+            ArrivalSpec::Mmpp { .. } => "mmpp",
+            ArrivalSpec::Diurnal { .. } => "diurnal",
+        }
+        .into()
+    }
+
+    /// Realize the scenario's intensity profile over `window_secs`.
+    ///
+    /// Deterministic given the RNG state: the MMPP draws its on/off path
+    /// here; the memoryless processes consume no randomness.
+    pub fn realize(&self, window_secs: f64, rng: &mut Xoshiro256) -> IntensityProfile {
+        match self {
+            ArrivalSpec::Uniform { count } => IntensityProfile::uniform_fixed(window_secs, *count),
+            ArrivalSpec::Poisson { rate } => {
+                IntensityProfile::piecewise(&[(window_secs, *rate)], CountModel::Poisson)
+            }
+            &ArrivalSpec::Mmpp {
                 rate_on,
                 rate_off,
                 mean_on_secs,
                 mean_off_secs,
-            } => Box::new(MmppArrivals {
-                rate_on: *rate_on,
-                rate_off: *rate_off,
-                mean_on_secs: *mean_on_secs,
-                mean_off_secs: *mean_off_secs,
-            }),
-            ArrivalSpec::Diurnal { mean_rate, weights } => Box::new(DiurnalArrivals {
-                mean_rate: *mean_rate,
-                weights: weights.clone(),
-            }),
+            } => {
+                assert!(
+                    mean_on_secs > 0.0 && mean_off_secs > 0.0,
+                    "MMPP sojourn means must be positive"
+                );
+                assert!(
+                    rate_on >= 0.0 && rate_off >= 0.0,
+                    "MMPP rates must be non-negative"
+                );
+                // The initial state is drawn from the stationary
+                // distribution, then sojourns alternate.
+                let p_on = mean_on_secs / (mean_on_secs + mean_off_secs);
+                let mut on = rng.next_f64() < p_on;
+                let mut segments: Vec<(f64, f64)> = Vec::new();
+                let mut t = 0.0;
+                while t < window_secs {
+                    let mean = if on { mean_on_secs } else { mean_off_secs };
+                    let sojourn = -mean * (1.0 - rng.next_f64()).ln();
+                    let len = sojourn.min(window_secs - t);
+                    if len > 0.0 {
+                        segments.push((len, if on { rate_on } else { rate_off }));
+                        t += len;
+                    }
+                    on = !on;
+                }
+                IntensityProfile::piecewise(&segments, CountModel::Poisson)
+            }
+            ArrivalSpec::Diurnal { mean_rate, weights } => {
+                assert!(!weights.is_empty(), "diurnal curve needs segments");
+                assert!(
+                    weights.iter().all(|&w| w >= 0.0),
+                    "diurnal weights must be non-negative"
+                );
+                let sum: f64 = weights.iter().sum();
+                assert!(sum > 0.0, "diurnal curve must have positive mass");
+                let k = weights.len() as f64;
+                let seg_len = window_secs / k;
+                let segments: Vec<(f64, f64)> = weights
+                    .iter()
+                    .map(|&w| (seg_len, mean_rate * w * k / sum))
+                    .collect();
+                IntensityProfile::piecewise(&segments, CountModel::Poisson)
+            }
         }
-    }
-
-    /// Short label for report tables.
-    pub fn label(&self) -> String {
-        self.process().label()
     }
 }
 
@@ -414,7 +326,8 @@ mod tests {
 
     #[test]
     fn uniform_profile_is_flat_and_fixed() {
-        let p = UniformBurst { count: 660 }.realize(60.0, &mut Xoshiro256::seed_from_u64(1));
+        let p =
+            ArrivalSpec::Uniform { count: 660 }.realize(60.0, &mut Xoshiro256::seed_from_u64(1));
         assert_eq!(p.window_secs(), 60.0);
         assert!((p.mass() - 660.0).abs() < 1e-9);
         assert_eq!(p.sample_count(&mut Xoshiro256::seed_from_u64(2)), 660);
@@ -424,7 +337,7 @@ mod tests {
     fn flat_inv_cdf_matches_legacy_arithmetic() {
         // Bit-for-bit contract with the pre-subsystem generators:
         // inv_cdf(u) == u * window exactly.
-        let p = UniformBurst { count: 10 }.realize(60.0, &mut Xoshiro256::seed_from_u64(1));
+        let p = ArrivalSpec::Uniform { count: 10 }.realize(60.0, &mut Xoshiro256::seed_from_u64(1));
         let mut rng = Xoshiro256::seed_from_u64(3);
         for _ in 0..1000 {
             let u = rng.next_f64();
@@ -434,7 +347,8 @@ mod tests {
 
     #[test]
     fn poisson_count_tracks_mean() {
-        let p = PoissonArrivals { rate: 11.0 }.realize(60.0, &mut Xoshiro256::seed_from_u64(1));
+        let p =
+            ArrivalSpec::Poisson { rate: 11.0 }.realize(60.0, &mut Xoshiro256::seed_from_u64(1));
         let mut rng = Xoshiro256::seed_from_u64(4);
         let samples = 400;
         let mean: f64 = (0..samples)
@@ -463,7 +377,7 @@ mod tests {
 
     #[test]
     fn mmpp_profile_covers_window_with_both_rates() {
-        let mmpp = MmppArrivals {
+        let mmpp = ArrivalSpec::Mmpp {
             rate_on: 20.0,
             rate_off: 2.0,
             mean_on_secs: 5.0,
@@ -471,8 +385,9 @@ mod tests {
         };
         let p = mmpp.realize(600.0, &mut Xoshiro256::seed_from_u64(7));
         assert_eq!(p.window_secs(), 600.0);
-        // Long window: realized mass should be near the stationary mean.
-        let expected = mmpp.mean_rate() * 600.0;
+        // Long window: realized mass should be near the stationary mean,
+        // p_on * rate_on + p_off * rate_off with p_on = 5 / (5 + 5).
+        let expected = (0.5 * 20.0 + 0.5 * 2.0) * 600.0;
         assert!(
             (p.mass() - expected).abs() / expected < 0.5,
             "mass {} vs {}",
@@ -483,7 +398,7 @@ mod tests {
 
     #[test]
     fn mmpp_is_deterministic_given_stream() {
-        let mmpp = MmppArrivals {
+        let mmpp = ArrivalSpec::Mmpp {
             rate_on: 10.0,
             rate_off: 1.0,
             mean_on_secs: 3.0,
@@ -496,14 +411,14 @@ mod tests {
 
     #[test]
     fn diurnal_mass_matches_mean_rate() {
-        let d = DiurnalArrivals::day_shape(11.0);
+        let d = ArrivalSpec::day_shape(11.0);
         let p = d.realize(60.0, &mut Xoshiro256::seed_from_u64(9));
         assert!((p.mass() - 11.0 * 60.0).abs() < 1e-6, "mass {}", p.mass());
     }
 
     #[test]
     fn inv_cdf_is_monotone_and_in_window() {
-        let d = DiurnalArrivals::day_shape(5.0);
+        let d = ArrivalSpec::day_shape(5.0);
         let p = d.realize(60.0, &mut Xoshiro256::seed_from_u64(10));
         let mut prev = -1.0;
         for i in 0..=1000 {
@@ -527,7 +442,7 @@ mod tests {
     }
 
     #[test]
-    fn spec_round_trips_to_process_labels() {
+    fn spec_labels_name_the_variant() {
         let specs = [
             ArrivalSpec::Uniform { count: 5 },
             ArrivalSpec::Poisson { rate: 1.0 },

@@ -2,27 +2,29 @@
 //! streaming generator.
 //!
 //! A [`WorkloadSpec`] is the full description of one measured burst: an
-//! arrival process ([`crate::arrival`]), a function mix ([`crate::mix`]) and
-//! a window. Two generation schemes consume it:
+//! [`ArrivalSpec`], a [`MixSpec`], a weight model and a window. Both
+//! generation schemes first realize the arrival's intensity profile
+//! ([`ArrivalSpec::realize`]) and draw the call count, then realize the mix
+//! for that count:
 //!
 //! * [`WorkloadSpec::generate_sorted`] — the serial path: release times are
-//!   drawn sequentially from one RNG stream and sorted, the function
-//!   multiset is materialized and shuffled on a second stream, and ids are
-//!   assigned in release order. For the paper's uniform/equal and fairness
-//!   scenarios this consumes the streams exactly like the pre-subsystem
-//!   generators, so [`crate::scenario`]'s adapters are bit-for-bit
-//!   identical (pinned by `tests/regression_scenarios.rs`).
+//!   drawn sequentially from one RNG stream and sorted, the mix's exact
+//!   function multiset is materialized and shuffled on a second stream,
+//!   and ids are assigned in release order. For the paper's uniform/equal
+//!   and fairness scenarios this consumes the streams exactly like the
+//!   pre-subsystem generators, so [`crate::scenario`]'s adapters are
+//!   bit-for-bit identical (pinned by `tests/regression_scenarios.rs`).
 //! * [`ShardedGenerator`] — the scale path: every call is a pure function
 //!   of `(seed, call index)`. Each call derives its own RNG stream, draws
 //!   its release offset by inverting the realized intensity profile, and
 //!   gets its function from the mix via a seeded bijective
 //!   [`IndexPermutation`] (so exact-count mixes stay exact). Any partition
-//!   of the index space — contiguous chunks, per-node strides — yields the
-//!   same calls, which is what lets the cluster engine generate a burst
-//!   in parallel chunks and route it by generation index.
+//!   of the index space yields the same calls, which is what lets the
+//!   cluster engine generate a burst in parallel chunks and route it by
+//!   generation index.
 
 use crate::arrival::{ArrivalSpec, IntensityProfile};
-use crate::mix::{FunctionMix, MixSpec};
+use crate::mix::{Mix, MixSpec};
 use crate::sebs::Catalogue;
 use crate::trace::{Call, CallId, CallKind};
 use crate::weight::WeightSpec;
@@ -55,8 +57,8 @@ pub struct WorkloadSpec {
 
 impl WorkloadSpec {
     /// Short `arrival/mix` label for report tables.
-    pub fn label(&self, catalogue: &Catalogue) -> String {
-        format!("{}/{}", self.arrival.label(), self.mix.label(catalogue))
+    pub fn label(&self) -> String {
+        format!("{}/{}", self.arrival.label(), self.mix.label())
     }
 
     /// Serial generation: sorted measured calls starting at `start`, ids
@@ -71,12 +73,9 @@ impl WorkloadSpec {
         rng_assign: &mut Xoshiro256,
         id_base: u64,
     ) -> Vec<Call> {
-        let profile = self
-            .arrival
-            .process()
-            .realize(self.window.as_secs_f64(), rng_times);
+        let profile = self.arrival.realize(self.window.as_secs_f64(), rng_times);
         let n = profile.sample_count(rng_times);
-        let funcs = self.mix.mix(catalogue).materialize(n, rng_assign);
+        let funcs = self.mix.mix(catalogue, n).materialize(n, rng_assign);
         let mut times: Vec<SimTime> = (0..n)
             .map(|_| start + SimDuration::from_secs_f64(profile.inv_cdf(rng_times.next_f64())))
             .collect();
@@ -187,7 +186,7 @@ const PARALLEL_FLOOR: u64 = 1 << 16;
 pub struct ShardedGenerator {
     start: SimTime,
     profile: IntensityProfile,
-    mix: Box<dyn FunctionMix>,
+    mix: Mix,
     perm: IndexPermutation,
     n: u64,
     base: u64,
@@ -207,7 +206,6 @@ impl ShardedGenerator {
         let mut rng_profile = root.derive_stream(STREAM_PROFILE);
         let profile = spec
             .arrival
-            .process()
             .realize(spec.window.as_secs_f64(), &mut rng_profile);
         let n = profile.sample_count(&mut rng_profile) as u64;
         let perm = IndexPermutation::new(n.max(1), root.derive_stream(STREAM_PERM).next_u64());
@@ -215,7 +213,7 @@ impl ShardedGenerator {
         ShardedGenerator {
             start,
             profile,
-            mix: spec.mix.mix(catalogue),
+            mix: spec.mix.mix(catalogue, n as usize),
             perm,
             n,
             base,
@@ -258,15 +256,6 @@ impl ShardedGenerator {
     pub fn iter_chunk(&self, lo: u64, hi: u64) -> impl Iterator<Item = Call> + '_ {
         debug_assert!(lo <= hi && hi <= self.n);
         (lo..hi).map(move |i| self.call(i))
-    }
-
-    /// Stream every `stride`-th call starting at `offset` — the per-node
-    /// view under round-robin assignment by call index.
-    pub fn iter_stride(&self, offset: u64, stride: u64) -> impl Iterator<Item = Call> + '_ {
-        assert!(stride > 0, "stride must be positive");
-        (offset..self.n)
-            .step_by(stride as usize)
-            .map(move |i| self.call(i))
     }
 
     /// Materialize every call serially, in index order (unsorted by
@@ -366,7 +355,9 @@ mod tests {
     #[test]
     fn strides_partition_the_call_set() {
         let g = ShardedGenerator::new(&spec(), &catalogue(), SimTime::ZERO, 8);
-        let mut union: Vec<Call> = (0..4u64).flat_map(|s| g.iter_stride(s, 4)).collect();
+        let mut union: Vec<Call> = (0..4u64)
+            .flat_map(|s| (s..g.len()).step_by(4).map(|i| g.call(i)))
+            .collect();
         union.sort_by_key(|c| c.id);
         assert_eq!(union, g.generate_serial());
     }

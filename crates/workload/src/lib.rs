@@ -10,14 +10,16 @@
 //!   (Table I), each with its published idle-system latency quantiles, an
 //!   I/O-vs-CPU intensity class, and a fitted log-normal service-time
 //!   distribution.
-//! * [`arrival`] — pluggable arrival processes: the paper's uniform-window
-//!   burst, homogeneous Poisson, a two-state MMPP (on-off bursts) and a
-//!   piecewise diurnal curve. Every process realizes a piecewise-constant
-//!   [`arrival::IntensityProfile`], after which calls are conditionally
-//!   i.i.d. — the property that makes generation shardable.
-//! * [`mix`] — pluggable function-popularity mixes: the paper's exact
-//!   equal split, the Fig. 5 fairness mix (exactly `rare_calls` of one
-//!   long function) and Zipf popularity over the catalogue.
+//! * [`arrival`] — the arrival processes of [`arrival::ArrivalSpec`]: the
+//!   paper's uniform-window burst, homogeneous Poisson, a two-state MMPP
+//!   (on-off bursts) and a piecewise diurnal curve. Every process realizes
+//!   a piecewise-constant [`arrival::IntensityProfile`], after which calls
+//!   are conditionally i.i.d. — the property that makes generation
+//!   shardable.
+//! * [`mix`] — the function-popularity mixes of [`mix::MixSpec`]: the
+//!   paper's exact equal split, the Fig. 5 fairness mix (exactly
+//!   `rare_calls` of one long function) and Zipf popularity over the
+//!   catalogue.
 //! * [`weight`] — per-function container weights and rate caps (the
 //!   weighted-container axis): uniform, round-robin memory tiers, and
 //!   Zipf-correlated shares. Weights never consume RNG streams — they
@@ -39,8 +41,8 @@
 //! * [`trace_source`] — the trace ingestion subsystem: the
 //!   [`trace_source::TraceSource`] trait (indexable, memory-bounded access
 //!   to a fixed release-ordered call log, pure in `(source, index)` so any
-//!   chunk/stride partition reproduces the serial trace bit-for-bit),
-//!   [`trace_source::RecordedTrace`] (JSONL save/load/stream plus a
+//!   partition of the index space reproduces the serial trace
+//!   bit-for-bit), [`trace_source::RecordedTrace`] (JSONL save/load plus a
 //!   `record` path capturing any [`generate::WorkloadSpec`]), and
 //!   [`trace_source::WorkloadSource`] (spec-or-trace, threaded through the
 //!   experiment layers).
@@ -60,10 +62,10 @@
 //!
 //! | Paper scenario | Arrival | Mix |
 //! |----------------|---------|-----|
-//! | §V-B burst (Tables II–IV, Figs. 3–4) | [`arrival::UniformBurst`] with `1.1·c·v` calls | [`mix::EqualSplit`] |
-//! | Fig. 5 fairness | [`arrival::UniformBurst`] | [`mix::FairnessMix`] (10 × dna-visualisation) |
-//! | §VIII cluster (Fig. 6, Tables V–VI) | [`arrival::UniformBurst`] with the fixed total load | [`mix::EqualSplit`] |
-//! | beyond the paper | [`arrival::PoissonArrivals`], [`arrival::MmppArrivals`], [`arrival::DiurnalArrivals`] | [`mix::ZipfMix`] |
+//! | §V-B burst (Tables II–IV, Figs. 3–4) | [`ArrivalSpec::Uniform`] with `1.1·c·v` calls | [`MixSpec::Equal`] |
+//! | Fig. 5 fairness | [`ArrivalSpec::Uniform`] | [`MixSpec::Fairness`] (10 × dna-visualisation) |
+//! | §VIII cluster (Fig. 6, Tables V–VI) | [`ArrivalSpec::Uniform`] with the fixed total load | [`MixSpec::Equal`] |
+//! | beyond the paper | [`ArrivalSpec::Poisson`], [`ArrivalSpec::Mmpp`], [`ArrivalSpec::Diurnal`] | [`MixSpec::Zipf`] |
 
 pub mod arrival;
 pub mod faults;
@@ -76,16 +78,16 @@ pub mod trace;
 pub mod trace_source;
 pub mod weight;
 
-pub use arrival::{ArrivalProcess, ArrivalSpec, IntensityProfile};
+pub use arrival::{ArrivalSpec, IntensityProfile};
 pub use faults::{
     CapacityRamp, CrashSpec, DropReason, FaultEvent, FaultKind, FaultSpec, FaultTimeline,
     RetryPolicy,
 };
 pub use generate::{IndexPermutation, ShardedGenerator, WorkloadSpec};
-pub use mix::{FunctionMix, MixSpec};
+pub use mix::MixSpec;
 pub use scenario::{BurstScenario, FairnessScenario, Scenario};
 pub use sebs::{Catalogue, FuncId, FunctionSpec, IntensityClass};
 pub use synth::{MmppBurst, SynthSpec, SyntheticTrace};
 pub use trace::{Call, CallKind, CallOutcome, ColdStartKind};
 pub use trace_source::{RecordedTrace, TraceSource, TraceSpec, WorkloadSource};
-pub use weight::{TaskShare, TierSpec, WeightSpec, WeightTable};
+pub use weight::{TaskShare, WeightSpec, WeightTable};

@@ -69,25 +69,33 @@ pub fn warmup_calls_for_waves(waves: &[(FuncId, SimTime)], cores: u32, id_base: 
     calls
 }
 
-/// The §V-A warm-up phase: one wave per function, `cores` simultaneous
-/// calls each, ids `0..`. Returns the calls and the end of the last wave.
-pub(crate) fn warmup_calls(catalogue: &Catalogue, cores: u32) -> (Vec<Call>, SimTime) {
-    let (waves, _) = warmup_waves(catalogue);
+/// The §V-A warm-up (`cores` calls per wave, ids `0..`) followed by
+/// `spec`'s burst, generated serially on the streams `tags` of `seed`.
+fn warmup_then_burst(
+    catalogue: &Catalogue,
+    cores: u32,
+    spec: &WorkloadSpec,
+    seed: u64,
+    tags: [u64; 2],
+) -> Scenario {
+    let mut root = Xoshiro256::seed_from_u64(seed);
+    let mut rng_times = root.derive_stream(tags[0]);
+    let mut rng_assign = root.derive_stream(tags[1]);
+    let (waves, burst_start) = warmup_waves(catalogue);
     let warmup = warmup_calls_for_waves(&waves, cores, 0);
-    let last_wave_end = waves
-        .last()
-        .map(|&(_, at)| at + WARMUP_WAVE_SPACING)
-        .unwrap_or(SimTime::ZERO);
-    (warmup, last_wave_end)
-}
-
-/// The §V-A warm-up plus the burst start after the paper's standard
-/// 5-second settle gap — the preamble every scenario built from a
-/// [`WorkloadSpec`] uses (ids `0..`, so pass `warmup.len()` as the burst's
-/// id base).
-pub fn warmup_for_spec(catalogue: &Catalogue, cores: u32) -> (Vec<Call>, SimTime) {
-    let (warmup, last_wave) = warmup_calls(catalogue, cores);
-    (warmup, last_wave + WARMUP_SETTLE_GAP)
+    let burst = spec.generate_sorted(
+        catalogue,
+        burst_start,
+        &mut rng_times,
+        &mut rng_assign,
+        warmup.len() as u64,
+    );
+    Scenario {
+        warmup,
+        burst,
+        burst_start,
+        burst_window: spec.window,
+    }
 }
 
 /// A generated scenario: warm-up calls followed by a measured burst.
@@ -126,19 +134,15 @@ pub struct BurstScenario {
     pub intensity: u32,
     /// Length of the burst window; the paper fixes 60 s.
     pub window: SimDuration,
-    /// Gap between the end of warm-up and the burst start, giving the node
-    /// time to settle.
-    pub warmup_gap: SimDuration,
 }
 
 impl BurstScenario {
-    /// The paper's standard configuration: 60-second window, 5-second gap.
+    /// The paper's standard configuration: a 60-second window.
     pub fn standard(cores: u32, intensity: u32) -> Self {
         BurstScenario {
             cores,
             intensity,
             window: SimDuration::from_secs(60),
-            warmup_gap: SimDuration::from_secs(5),
         }
     }
 
@@ -169,32 +173,15 @@ impl BurstScenario {
     ///
     /// A thin adapter over the workload subsystem: the warm-up phase issues
     /// `cores` parallel calls per function, one function at a time
-    /// (matching §V-A); the burst is the uniform-arrival/equal-split
+    /// (matching §V-A), and the burst starts [`WARMUP_SETTLE_GAP`] after
+    /// the last wave; the burst is the uniform-arrival/equal-split
     /// [`WorkloadSpec`] on the same seeded streams the pre-subsystem
     /// generator used, so the output is bit-for-bit identical (pinned by
     /// `tests/regression_scenarios.rs`). Five seeds give the paper's "5
     /// different random sequences of calls".
     pub fn generate(&self, catalogue: &Catalogue, seed: u64) -> Scenario {
-        let mut root = Xoshiro256::seed_from_u64(seed);
-        let mut rng_times = root.derive_stream(0x7131);
-        let mut rng_assign = root.derive_stream(0x7132);
-
-        let (warmup, last_wave) = warmup_calls(catalogue, self.cores);
-        let burst_start = last_wave + self.warmup_gap;
-        let burst = self.workload_spec(catalogue).generate_sorted(
-            catalogue,
-            burst_start,
-            &mut rng_times,
-            &mut rng_assign,
-            warmup.len() as u64,
-        );
-
-        Scenario {
-            warmup,
-            burst,
-            burst_start,
-            burst_window: self.window,
-        }
+        let spec = self.workload_spec(catalogue);
+        warmup_then_burst(catalogue, self.cores, &spec, seed, [0x7131, 0x7132])
     }
 }
 
@@ -211,8 +198,6 @@ pub struct FairnessScenario {
     pub rare_function: &'static str,
     /// Burst window.
     pub window: SimDuration,
-    /// Warm-up gap, as in [`BurstScenario`].
-    pub warmup_gap: SimDuration,
 }
 
 impl FairnessScenario {
@@ -224,7 +209,6 @@ impl FairnessScenario {
             rare_calls: 10,
             rare_function: "dna-visualisation",
             window: SimDuration::from_secs(60),
-            warmup_gap: SimDuration::from_secs(5),
         }
     }
 
@@ -245,29 +229,12 @@ impl FairnessScenario {
     /// Generate the scenario. Exactly `rare_calls` calls of the rare
     /// function; all other calls pick uniformly at random among the
     /// remaining functions (no partial-uniformity guarantee, matching
-    /// §VII-D). A thin adapter over the workload subsystem, bit-for-bit
-    /// identical to the pre-subsystem generator.
+    /// §VII-D). A thin adapter over the workload subsystem with the
+    /// warm-up of [`BurstScenario::generate`], bit-for-bit identical to the
+    /// pre-subsystem generator.
     pub fn generate(&self, catalogue: &Catalogue, seed: u64) -> Scenario {
-        let mut root = Xoshiro256::seed_from_u64(seed);
-        let mut rng_times = root.derive_stream(0x7A01);
-        let mut rng_assign = root.derive_stream(0x7A02);
-
-        let (warmup, last_wave) = warmup_calls(catalogue, self.cores);
-        let burst_start = last_wave + self.warmup_gap;
-        let burst = self.workload_spec(catalogue).generate_sorted(
-            catalogue,
-            burst_start,
-            &mut rng_times,
-            &mut rng_assign,
-            warmup.len() as u64,
-        );
-
-        Scenario {
-            warmup,
-            burst,
-            burst_start,
-            burst_window: self.window,
-        }
+        let spec = self.workload_spec(catalogue);
+        warmup_then_burst(catalogue, self.cores, &spec, seed, [0x7A01, 0x7A02])
     }
 }
 

@@ -111,13 +111,11 @@ impl SynthSpec {
 /// and the purity/memory contract.
 pub struct SyntheticTrace {
     start: SimTime,
-    /// The merged cluster-wide rate curve (release-offset distribution).
+    /// The merged cluster-wide rate curve (release-offset distribution),
+    /// with `S` segments.
     profile: IntensityProfile,
-    /// Global segment boundaries in seconds (`seg_bounds.len() == S + 1`),
-    /// matching `profile`'s segments one-for-one.
-    seg_bounds: Vec<f64>,
-    /// Row-major `S × functions` per-segment cumulative function shares;
-    /// each row ends at 1.0.
+    /// Row-major `S × functions` per-segment cumulative function shares,
+    /// one row per `profile` segment; each row ends at 1.0.
     fn_cdf: Vec<f64>,
     functions: u16,
     /// `chain_next[f]` is the seeded successor of function `f` (a single
@@ -214,8 +212,9 @@ impl SyntheticTrace {
         bounds.push(window);
 
         // Per-segment per-function rates, evaluated at segment midpoints
-        // (exact: every factor is piecewise-constant on this grid).
-        let mut seg_bounds = vec![0.0f64];
+        // (exact: every factor is piecewise-constant on this grid). Every
+        // kept segment has positive length, so `fn_cdf` row `i` is the
+        // profile's segment `i`.
         let mut segments: Vec<(f64, f64)> = Vec::new();
         let mut fn_cdf: Vec<f64> = Vec::new();
         // Walk each function's switch list with a cursor instead of
@@ -258,7 +257,6 @@ impl SyntheticTrace {
                     *v = (f + 1) as f64 / nf as f64;
                 }
             }
-            seg_bounds.push(*seg_bounds.last().expect("bounds") + len);
             segments.push((len, total));
         }
 
@@ -278,7 +276,6 @@ impl SyntheticTrace {
         SyntheticTrace {
             start,
             profile,
-            seg_bounds,
             fn_cdf,
             functions: nf as u16,
             chain_next,
@@ -292,18 +289,6 @@ impl SyntheticTrace {
     /// is Poisson around it.
     pub fn mass(&self) -> f64 {
         self.profile.mass()
-    }
-
-    /// Index of the profile segment containing release offset `t`.
-    fn segment_of(&self, t: f64) -> usize {
-        let s = match self
-            .seg_bounds
-            .binary_search_by(|b| b.partial_cmp(&t).expect("finite bounds"))
-        {
-            Ok(i) => i,
-            Err(i) => i.saturating_sub(1),
-        };
-        s.min(self.seg_bounds.len().saturating_sub(2))
     }
 }
 
@@ -326,7 +311,7 @@ impl TraceSource for SyntheticTrace {
         let q = (index as f64 + rng.next_f64()) / self.n as f64;
         let offset = self.profile.inv_cdf(q);
         let release = self.start + SimDuration::from_secs_f64(offset);
-        let seg = self.segment_of(offset);
+        let seg = self.profile.segment_at(offset);
         let u = rng.next_f64();
         let nf = self.functions as usize;
         let row = &self.fn_cdf[seg * nf..(seg + 1) * nf];

@@ -38,9 +38,8 @@ pub struct Call {
 impl Call {
     /// The call's round-robin home node in an `nodes`-worker cluster.
     ///
-    /// A burst call's id is its generation index, so this is exactly the
-    /// shard that `ShardedGenerator::iter_stride` hands node `k` — the
-    /// routing metadata that makes the cluster engine's static round-robin
+    /// A burst call's id is its generation index, so node `k` gets every
+    /// call whose index is `k` modulo `nodes` — the routing metadata that makes the cluster engine's static round-robin
     /// independent of how arrivals are windowed, and lets tests ask "which
     /// node was this call released to?" when checking cross-node failover.
     pub fn stride_node(&self, nodes: u16) -> u16 {

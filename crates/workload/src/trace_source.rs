@@ -7,8 +7,8 @@
 //!
 //! 1. **Pure in `(source, index)`** — `call(i)` returns the identical
 //!    [`Call`] however, whenever and on whatever thread it is evaluated,
-//!    so any chunk/stride partition of the index space reproduces the
-//!    serial trace bit-for-bit (the shard-invariance guarantee).
+//!    so any partition of the index space reproduces the serial trace
+//!    bit-for-bit (the shard-invariance guarantee).
 //! 2. **Release-ordered** — releases are non-decreasing in the index and
 //!    `call(i).id == CallId(i)`. A trace is a log: index order *is*
 //!    arrival order. This is what lets the streaming engines pull bounded
@@ -16,12 +16,11 @@
 //!    and what makes `Call::stride_node` the round-robin assignment.
 //!
 //! Two implementations live here and in [`crate::synth`]:
-//! [`RecordedTrace`] (a materialized log with JSONL save/load, a
-//! chunk-streamed file reader, and a `record` path capturing any
-//! [`WorkloadSpec`]) and [`crate::synth::SyntheticTrace`] (an
-//! Azure-Functions-style synthesizer whose calls are derived lazily per
-//! index, so a 10^8-call day is generated on the fly, never held in
-//! memory). [`WorkloadSource`] is the enum the experiment layers thread
+//! [`RecordedTrace`] (a materialized log with JSONL save/load and a
+//! `record` path capturing any [`WorkloadSpec`]) and
+//! [`crate::synth::SyntheticTrace`] (an Azure-Functions-style synthesizer
+//! whose calls are derived lazily per index, so a 10^8-call day is
+//! generated on the fly, never held in memory). [`WorkloadSource`] is the enum the experiment layers thread
 //! through: an analytic spec or a trace, interchangeably.
 //!
 //! Trace runs inject **no warm-up calls**: a trace is the complete log of
@@ -59,17 +58,6 @@ pub trait TraceSource: Sync {
         debug_assert!(lo <= hi && hi <= self.len());
         Box::new((lo..hi).map(move |i| self.call(i)))
     }
-
-    /// Stream every `stride`-th call starting at `offset` — the per-node
-    /// view under round-robin assignment by index.
-    fn iter_stride(&self, offset: u64, stride: u64) -> Box<dyn Iterator<Item = Call> + '_> {
-        assert!(stride > 0, "stride must be positive");
-        Box::new(
-            (offset..self.len())
-                .step_by(stride as usize)
-                .map(move |i| self.call(i)),
-        )
-    }
 }
 
 /// The JSONL trace-file header (first line of the file).
@@ -88,9 +76,9 @@ const TRACE_FORMAT_VERSION: u32 = 1;
 /// A materialized, release-ordered call log.
 ///
 /// The file format is JSONL — one header line, then one [`Call`] per line
-/// — chosen so [`RecordedTrace::stream`] can replay a file with an O(1
-/// line) working set and no streaming-JSON machinery. [`SimTime`] is
-/// integer nanoseconds, so save/load round-trips bit-exactly.
+/// — so a file is read line by line with no streaming-JSON machinery.
+/// [`SimTime`] is integer nanoseconds, so save/load round-trips
+/// bit-exactly.
 pub struct RecordedTrace {
     start: SimTime,
     calls: Vec<Call>,
@@ -143,20 +131,10 @@ impl RecordedTrace {
     }
 
     /// Load a JSONL trace file fully into memory (re-establishing the
-    /// ordering contract on the way in). For O(chunk) replay of a file
-    /// too large to hold, use [`RecordedTrace::stream`].
+    /// ordering contract on the way in). A file holding a different number
+    /// of calls than its header promises is rejected with
+    /// [`io::ErrorKind::InvalidData`].
     pub fn load(path: &Path) -> io::Result<RecordedTrace> {
-        let mut reader = RecordedTrace::stream(path)?;
-        let mut calls = Vec::with_capacity(reader.len().min(1 << 20) as usize);
-        for call in &mut reader {
-            calls.push(call?);
-        }
-        Ok(RecordedTrace::from_calls(reader.start(), calls))
-    }
-
-    /// Open a chunk-streamed reader over a JSONL trace file: an iterator
-    /// with an O(1 line) working set, plus the header's `len`/`start`.
-    pub fn stream(path: &Path) -> io::Result<TraceFileReader> {
         let mut lines = BufReader::new(std::fs::File::open(path)?).lines();
         let header_line = lines
             .next()
@@ -168,7 +146,20 @@ impl RecordedTrace {
                 header.version
             )));
         }
-        Ok(TraceFileReader { header, lines })
+        let calls = lines
+            .map(|line| serde_json::from_str(&line?).map_err(io::Error::other))
+            .collect::<io::Result<Vec<Call>>>()?;
+        if calls.len() as u64 != header.len {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "trace header promises {} calls, the file holds {}",
+                    header.len,
+                    calls.len()
+                ),
+            ));
+        }
+        Ok(RecordedTrace::from_calls(header.start, calls))
     }
 
     /// The calls, in release order.
@@ -188,41 +179,6 @@ impl TraceSource for RecordedTrace {
 
     fn call(&self, index: u64) -> Call {
         self.calls[index as usize]
-    }
-}
-
-/// A chunk-streamed JSONL trace-file reader; see [`RecordedTrace::stream`].
-pub struct TraceFileReader {
-    header: TraceHeader,
-    lines: std::io::Lines<BufReader<std::fs::File>>,
-}
-
-impl TraceFileReader {
-    /// Number of calls the header promises.
-    pub fn len(&self) -> u64 {
-        self.header.len
-    }
-
-    /// True when the header promises no calls.
-    pub fn is_empty(&self) -> bool {
-        self.header.len == 0
-    }
-
-    /// Trace start time from the header.
-    pub fn start(&self) -> SimTime {
-        self.header.start
-    }
-}
-
-impl Iterator for TraceFileReader {
-    type Item = io::Result<Call>;
-
-    fn next(&mut self) -> Option<io::Result<Call>> {
-        let line = match self.lines.next()? {
-            Ok(line) => line,
-            Err(e) => return Some(Err(e)),
-        };
-        Some(serde_json::from_str(&line).map_err(io::Error::other))
     }
 }
 
@@ -284,9 +240,9 @@ pub enum WorkloadSource {
 
 impl WorkloadSource {
     /// Short label for report tables.
-    pub fn label(&self, catalogue: &Catalogue) -> String {
+    pub fn label(&self) -> String {
         match self {
-            WorkloadSource::Spec(spec) => spec.label(catalogue),
+            WorkloadSource::Spec(spec) => spec.label(),
             WorkloadSource::Trace(trace) => trace.label(),
         }
     }
@@ -362,16 +318,16 @@ mod tests {
     }
 
     #[test]
-    fn streamed_reader_matches_indexed_access() {
+    fn truncated_trace_file_is_rejected() {
         let t = RecordedTrace::record(&spec(), &catalogue(), SimTime::from_secs(5), 17);
-        let path = tmp("stream.jsonl");
+        let path = tmp("truncated.jsonl");
         t.save(&path).expect("save");
-        let reader = RecordedTrace::stream(&path).expect("open");
-        assert_eq!(reader.len(), t.len());
-        assert_eq!(reader.start(), t.start());
-        let streamed: Vec<Call> = reader.map(|c| c.expect("parse")).collect();
+        let text = std::fs::read_to_string(&path).expect("read");
+        let last_line = text.trim_end().rfind('\n').expect("header plus calls");
+        std::fs::write(&path, &text[..=last_line]).expect("write");
+        let err = RecordedTrace::load(&path).err().expect("a call is missing");
         std::fs::remove_file(&path).ok();
-        assert_eq!(streamed, t.calls());
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
@@ -379,7 +335,9 @@ mod tests {
         let t = RecordedTrace::record(&spec(), &catalogue(), SimTime::ZERO, 19);
         let n = t.len();
         let serial: Vec<Call> = t.iter_chunk(0, n).collect();
-        let mut from_strides: Vec<Call> = (0..3).flat_map(|s| t.iter_stride(s, 3)).collect();
+        let mut from_strides: Vec<Call> = (0..3)
+            .flat_map(|s| (s..n).step_by(3).map(|i| t.call(i)))
+            .collect();
         from_strides.sort_by_key(|c| c.id);
         assert_eq!(from_strides, serial);
         let mid = n / 2;
@@ -429,7 +387,7 @@ mod tests {
         assert_eq!(r.len(), rec.len());
         assert!(replay.label().starts_with("replay("));
         let src = WorkloadSource::Trace(synth);
-        assert!(src.label(&cat).starts_with("synth("));
-        assert_eq!(WorkloadSource::Spec(spec()).label(&cat), spec().label(&cat));
+        assert!(src.label().starts_with("synth("));
+        assert_eq!(WorkloadSource::Spec(spec()).label(), spec().label());
     }
 }

@@ -3,10 +3,8 @@
 //! OpenWhisk gives every container a CPU share proportional to its memory
 //! limit (§III of the paper), and a single-threaded function cannot exceed
 //! one core however large its share. The GPS kernel in `faas-cpu` models
-//! both knobs per task (`weight`, `max_rate`); until PR 4 every simulation
-//! drove it with the uniform `(1.0, 1.0)` signature, leaving the weighted
-//! water-filling path exercised only by unit tests. A [`WeightSpec`] is
-//! the third workload axis alongside the arrival process and the function
+//! both knobs per task (`weight`, `max_rate`). A [`WeightSpec`] is the
+//! third workload axis alongside the arrival process and the function
 //! mix: it maps every catalogue function to a [`TaskShare`], which the
 //! invoker hands to the GPS bank for that function's CPU phases.
 //!
@@ -15,7 +13,7 @@
 //! sequences of every existing scenario bit-for-bit intact (the digest
 //! regressions in `tests/regression_scenarios.rs` still pin them).
 //!
-//! Four models:
+//! Five models:
 //!
 //! * [`WeightSpec::Uniform`] — the legacy `(1, 1)` signature: every GPS
 //!   task falls in one pin-ratio class.
@@ -41,21 +39,21 @@
 //!
 //! # Per-resource demands (DRF)
 //!
-//! Since PR 10 a [`TaskShare`] also carries `mem_per_cpu`: the
-//! memory-bandwidth units a function consumes per unit of CPU. The
-//! invoker turns it into a `faas_cpu::ResourceVector` and the GPS bank
-//! allocates by *dominant share* — each task's water-filling key is its
-//! rate on whichever resource axis its profile demands most, so the
-//! capped/uncapped partition machinery is reused unchanged across axes
-//! (Dominant Resource Fairness on top of weighted water-filling). The
-//! invariant the whole stack preserves: **`mem_per_cpu == 0.0` is the
-//! degenerate single-resource profile, and every schedule built only
-//! from such shares is bit-for-bit identical to the pre-DRF scalar
-//! kernel** — the digest regressions in `tests/regression_scenarios.rs`
-//! still pin the legacy scenarios unchanged. Tier and Zipf models grow
-//! correlated CPU/mem variants ([`WeightSpec::paper_tiers_mem`],
-//! [`WeightSpec::ZipfMemCorrelated`]); labels render the memory axis at
-//! full precision so distinct specs never alias to one sweep row.
+//! A [`TaskShare`] also carries `mem_per_cpu`: the memory-bandwidth units a
+//! function consumes per unit of CPU. The invoker turns it into a
+//! `faas_cpu::ResourceVector` and the GPS bank allocates by *dominant
+//! share* — each task's water-filling key is its rate on whichever resource
+//! axis its profile demands most, so the capped/uncapped partition
+//! machinery is reused unchanged across axes (Dominant Resource Fairness on
+//! top of weighted water-filling). The invariant the whole stack preserves:
+//! **`mem_per_cpu == 0.0` is the degenerate single-resource profile, and
+//! every schedule built only from such shares is bit-for-bit identical to
+//! the pre-DRF scalar kernel** — the digest regressions in
+//! `tests/regression_scenarios.rs` still pin the legacy scenarios
+//! unchanged. Tier and Zipf models grow correlated CPU/mem variants
+//! ([`WeightSpec::paper_tiers_mem`], [`WeightSpec::ZipfMemCorrelated`]);
+//! labels render the memory axis at full precision so distinct specs never
+//! alias to one sweep row.
 
 use crate::sebs::{Catalogue, FuncId};
 use crate::trace::CallKind;
@@ -101,18 +99,6 @@ impl TaskShare {
     }
 }
 
-/// One explicit weight/cap tier of [`WeightSpec::Tiers`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TierSpec {
-    /// GPS weight of the tier.
-    pub weight: f64,
-    /// Rate cap of the tier, cores.
-    pub max_rate: f64,
-    /// Memory-bandwidth demand per unit of CPU (see
-    /// [`TaskShare::mem_per_cpu`]); `0.0` keeps the tier CPU-only.
-    pub mem_per_cpu: f64,
-}
-
 /// The CPU phase a GPS task belongs to, from the weight model's point of
 /// view: cold-start initialisation runs before the container's cgroup
 /// update has landed, execution after.
@@ -147,13 +133,14 @@ pub enum WeightSpec {
     Uniform,
     /// Explicit tiers assigned round-robin by catalogue index.
     Tiers {
-        /// The tiers, cycled over the catalogue order.
-        tiers: Vec<TierSpec>,
+        /// The tier shares, cycled over the catalogue order.
+        tiers: Vec<TaskShare>,
     },
     /// Weight `(rank + 1)^{-s}` by catalogue popularity rank, normalized
     /// to mean 1; caps fixed at one core.
     ZipfCorrelated {
-        /// Skew exponent (matches [`crate::mix::ZipfMix`]'s rank order).
+        /// Skew exponent (matches the rank order of
+        /// [`crate::mix::MixSpec::Zipf`]).
         s: f64,
     },
     /// A base model plus per-phase warm-up share overrides (cgroup update
@@ -172,7 +159,8 @@ pub enum WeightSpec {
     /// so the memory axis saturates first under a Zipf mix. Caps stay at
     /// one core.
     ZipfMemCorrelated {
-        /// Skew exponent (matches [`crate::mix::ZipfMix`]'s rank order).
+        /// Skew exponent (matches the rank order of
+        /// [`crate::mix::MixSpec::Zipf`]).
         s: f64,
         /// `mem_per_cpu` of the rank-0 function; later ranks decay by the
         /// same Zipf law. `mem_top > 1.0` makes the head memory-dominant.
@@ -187,17 +175,17 @@ impl WeightSpec {
     pub fn paper_tiers() -> WeightSpec {
         WeightSpec::Tiers {
             tiers: vec![
-                TierSpec {
+                TaskShare {
                     weight: 4.0,
                     max_rate: 1.0,
                     mem_per_cpu: 0.0,
                 },
-                TierSpec {
+                TaskShare {
                     weight: 1.0,
                     max_rate: 1.0,
                     mem_per_cpu: 0.0,
                 },
-                TierSpec {
+                TaskShare {
                     weight: 1.0,
                     max_rate: 0.5,
                     mem_per_cpu: 0.0,
@@ -215,17 +203,17 @@ impl WeightSpec {
     pub fn paper_tiers_mem() -> WeightSpec {
         WeightSpec::Tiers {
             tiers: vec![
-                TierSpec {
+                TaskShare {
                     weight: 4.0,
                     max_rate: 1.0,
                     mem_per_cpu: 2.0,
                 },
-                TierSpec {
+                TaskShare {
                     weight: 1.0,
                     max_rate: 1.0,
                     mem_per_cpu: 0.5,
                 },
-                TierSpec {
+                TaskShare {
                     weight: 1.0,
                     max_rate: 0.5,
                     mem_per_cpu: 0.0,
@@ -319,47 +307,10 @@ impl WeightSpec {
                         "tier memory demand must be finite and non-negative"
                     );
                 }
-                (0..n)
-                    .map(|i| {
-                        let t = tiers[i % tiers.len()];
-                        TaskShare {
-                            weight: t.weight,
-                            max_rate: t.max_rate,
-                            mem_per_cpu: t.mem_per_cpu,
-                        }
-                    })
-                    .collect()
+                (0..n).map(|i| tiers[i % tiers.len()]).collect()
             }
-            WeightSpec::ZipfCorrelated { s } => {
-                assert!(s.is_finite() && *s >= 0.0, "zipf skew must be non-negative");
-                let raw: Vec<f64> = (0..n).map(|r| (r as f64 + 1.0).powf(-s)).collect();
-                let mean = raw.iter().sum::<f64>() / n as f64;
-                raw.iter()
-                    .map(|w| TaskShare {
-                        weight: w / mean,
-                        max_rate: 1.0,
-                        mem_per_cpu: 0.0,
-                    })
-                    .collect()
-            }
-            WeightSpec::ZipfMemCorrelated { s, mem_top } => {
-                assert!(s.is_finite() && *s >= 0.0, "zipf skew must be non-negative");
-                assert!(
-                    mem_top.is_finite() && *mem_top >= 0.0,
-                    "mem_top must be finite and non-negative"
-                );
-                let raw: Vec<f64> = (0..n).map(|r| (r as f64 + 1.0).powf(-s)).collect();
-                let mean = raw.iter().sum::<f64>() / n as f64;
-                raw.iter()
-                    .map(|w| TaskShare {
-                        weight: w / mean,
-                        max_rate: 1.0,
-                        // raw[0] is exactly 1.0, so the head function gets
-                        // mem_top and later ranks decay by the Zipf law.
-                        mem_per_cpu: mem_top * w,
-                    })
-                    .collect()
-            }
+            WeightSpec::ZipfCorrelated { s } => zipf_shares(n, *s, 0.0),
+            WeightSpec::ZipfMemCorrelated { s, mem_top } => zipf_shares(n, *s, *mem_top),
             WeightSpec::PhasedWarmup { .. } => unreachable!("handled above"),
         };
         WeightTable {
@@ -367,6 +318,28 @@ impl WeightSpec {
             warmup: WarmupShares::default(),
         }
     }
+}
+
+/// Zipf-by-rank shares over `n` functions: weight `(r + 1)^{-s}`
+/// normalized to mean 1, a one-core cap, and `mem_per_cpu = mem_top ·
+/// (r + 1)^{-s}` (so `mem_top = 0` is CPU-only).
+fn zipf_shares(n: usize, s: f64, mem_top: f64) -> Vec<TaskShare> {
+    assert!(s.is_finite() && s >= 0.0, "zipf skew must be non-negative");
+    assert!(
+        mem_top.is_finite() && mem_top >= 0.0,
+        "mem_top must be finite and non-negative"
+    );
+    let raw: Vec<f64> = (0..n).map(|r| (r as f64 + 1.0).powf(-s)).collect();
+    let mean = raw.iter().sum::<f64>() / n as f64;
+    raw.iter()
+        .map(|w| TaskShare {
+            weight: w / mean,
+            max_rate: 1.0,
+            // raw[0] is exactly 1.0, so the head function gets mem_top and
+            // later ranks decay by the Zipf law.
+            mem_per_cpu: mem_top * w,
+        })
+        .collect()
 }
 
 /// A realized weight model: one [`TaskShare`] per catalogue function,
@@ -665,7 +638,7 @@ mod tests {
     #[should_panic(expected = "memory demand must be finite")]
     fn negative_tier_mem_rejected() {
         WeightSpec::Tiers {
-            tiers: vec![TierSpec {
+            tiers: vec![TaskShare {
                 weight: 1.0,
                 max_rate: 1.0,
                 mem_per_cpu: -1.0,
@@ -678,7 +651,7 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn non_positive_tier_rejected() {
         WeightSpec::Tiers {
-            tiers: vec![TierSpec {
+            tiers: vec![TaskShare {
                 weight: 0.0,
                 max_rate: 1.0,
                 mem_per_cpu: 0.0,

@@ -8,7 +8,7 @@
 
 use faas_simcore::rng::Xoshiro256;
 use faas_simcore::time::{SimDuration, SimTime};
-use faas_workload::arrival::{ArrivalProcess, ArrivalSpec, MmppArrivals, PoissonArrivals};
+use faas_workload::arrival::ArrivalSpec;
 use faas_workload::generate::{ShardedGenerator, WorkloadSpec};
 use faas_workload::mix::MixSpec;
 use faas_workload::sebs::Catalogue;
@@ -100,7 +100,9 @@ proptest! {
         let g = ShardedGenerator::new(&spec, &catalogue, SimTime::from_secs(50), seed);
         let serial = g.generate_serial();
         prop_assert_eq!(&g.generate_parallel(), &serial, "parallel == serial");
-        let mut union: Vec<_> = (0..nodes).flat_map(|k| g.iter_stride(k, nodes)).collect();
+        let mut union: Vec<_> = (0..nodes)
+            .flat_map(|k| (k..g.len()).step_by(nodes as usize).map(|i| g.call(i)))
+            .collect();
         union.sort_by_key(|c| c.id);
         prop_assert_eq!(&union, &serial, "stride partition == serial");
     }
@@ -128,7 +130,7 @@ proptest! {
 }
 
 /// Mean count over a battery of seeds derived from one root.
-fn mean_count(process: &dyn ArrivalProcess, window: f64, seeds: u64) -> f64 {
+fn mean_count(process: &ArrivalSpec, window: f64, seeds: u64) -> f64 {
     let mut root = Xoshiro256::seed_from_u64(0xA11);
     let mut sum = 0.0;
     for _ in 0..seeds {
@@ -142,7 +144,7 @@ fn mean_count(process: &dyn ArrivalProcess, window: f64, seeds: u64) -> f64 {
 #[test]
 fn poisson_mean_rate_within_tolerance_at_large_n() {
     // 100 seeds x mean 4800: sample-mean sd ~ 6.9, so +-3% is >20 sigma.
-    let p = PoissonArrivals { rate: 8.0 };
+    let p = ArrivalSpec::Poisson { rate: 8.0 };
     let mean = mean_count(&p, 600.0, 100);
     let expected = 8.0 * 600.0;
     assert!(
@@ -156,14 +158,15 @@ fn mmpp_mean_rate_within_tolerance_at_large_n() {
     // The dominant noise is the realized on/off path (~100 sojourns per
     // window); averaging 200 windows brings the sample mean within a few
     // percent of the stationary rate.
-    let mmpp = MmppArrivals {
+    let mmpp = ArrivalSpec::Mmpp {
         rate_on: 14.0,
         rate_off: 2.0,
         mean_on_secs: 6.0,
         mean_off_secs: 6.0,
     };
     let mean = mean_count(&mmpp, 600.0, 200);
-    let expected = mmpp.mean_rate() * 600.0;
+    // Stationary rate: p_on * rate_on + p_off * rate_off, p_on = 6 / 12.
+    let expected = (0.5 * 14.0 + 0.5 * 2.0) * 600.0;
     assert!(
         (mean - expected).abs() / expected < 0.05,
         "mean {mean} vs stationary {expected}"
