@@ -67,38 +67,24 @@
 //! # Node workers
 //!
 //! The engine splits the nodes into as many contiguous chunks as the run
-//! has threads (at most one per node). The controller thread owns
-//! chunk 0; every other chunk sits in a worker slot behind a lock that is
-//! never contended. Each window the controller decides where the window
-//! runs, from counts alone: a window that delivers at least `FAN_OUT`
-//! (64) routed calls and handoffs to worker-owned nodes fans out, and any
-//! other window runs inline. Fanning out hands each worker whose nodes
-//! have work due its chunk's deliveries through its slot; the controller
-//! advances chunk 0 and waits for a completion count. Inline, the
-//! controller locks each slot and steps every node itself. The choice
-//! depends only on the routed work, never on wall time, and each node's
-//! simulator is self-contained, so it cannot change a result.
+//! has threads (at most one per node); the controller thread owns chunk 0.
+//! Each window the controller decides where the window runs, from counts
+//! alone: a window that delivers at least `FAN_OUT` routed calls and
+//! handoffs to the other chunks' nodes fans out, and any other window runs
+//! inline, the controller stepping every node itself. Fanning out spawns
+//! one scoped thread for each other chunk with work due, steps chunk 0 on
+//! the controller and joins the threads; a panic on any of them resumes
+//! on the caller's thread. The choice depends only on the routed work,
+//! never on wall time, and each node's simulator is self-contained, so it
+//! cannot change a result.
 //!
-//! The workers are spawned at the first window that fans out and live for
-//! the rest of the run; a run that never fans out spawns none, and with
-//! one thread there are no workers at all. A waiting worker spins, then
-//! yields, through inline windows too. Parking it instead measured no
-//! faster on azure-replay (medians 607k vs 621k calls/s over 6 pairs on a
-//! 2-vCPU host), so the spin stays. A panic on a worker ends the run and
-//! resumes on the caller's thread.
-//!
-//! A sparse window holds about 1 µs of node work, which one cross-core
-//! handoff costs as well, so fanning it out can only lose (Nicol, JACM
-//! 1993); a dense one splits its node work over the cores. Measured with
-//! perfbench on a 2-vCPU host, 10 alternating pairs of 5 s runs per
-//! comparison (absolute rates drift with the host's load between sets):
-//! cluster-faults fans out none of its 8,575 windows and runs at its
-//! 1-thread rate (medians 518k calls/s at 2 threads, 495k at 1); fanning
-//! out every window with work for a worker instead ran it at 178k against
-//! 294k. At 2 threads azure-replay fans out all 162 of its windows and
-//! runs at 641k calls/s, against 461k with every window inline (faster in
-//! 10 of 10 pairs; peak RSS is 358 against 332 MiB, the worker's own
-//! allocator arena). `FAN_OUT` records how the threshold was chosen.
+//! A scoped spawn and join costs about 60 µs on a 2-vCPU host, so
+//! fanning out a sparse window can only lose (Nicol, JACM 1993); a dense
+//! one splits its node work over the cores.
+//! At 2 threads cluster-faults delivers at most 3 calls to the other chunk
+//! in any window and fans out none of its 8,575 windows; azure-replay fans
+//! out all 162 of its 8,192-call windows. `FAN_OUT` records how the
+//! threshold was chosen.
 //!
 //! # Cross-node failover
 //!
@@ -120,9 +106,7 @@ use faas_simcore::time::SimTime;
 use faas_workload::sebs::FuncId;
 use faas_workload::trace::Call;
 use std::collections::{BTreeMap, VecDeque};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::panic::resume_unwind;
 
 /// How the window loop routes each arrival.
 enum Routing {
@@ -176,7 +160,6 @@ fn failover_target(views: &[NodeView], from: u16) -> usize {
 
 /// One node's traffic through a window: what the controller delivers and
 /// what the node reports back at the barrier.
-#[derive(Clone)]
 struct NodeWork {
     /// Calls routed to the node, release-sorted.
     batch: Vec<Call>,
@@ -235,25 +218,20 @@ impl NodeWork {
     }
 }
 
-/// A window fans out to the node workers only when it delivers at least
-/// this many routed calls and handoffs to worker-owned nodes; a smaller
+/// A window fans out only when it delivers at least this many routed
+/// calls and handoffs to nodes outside the controller's chunk; a smaller
 /// window runs inline on the controller (see the module docs).
 ///
-/// Measured on a 2-vCPU host at 2 threads. cluster-faults delivers at
-/// most 3 calls to the worker's nodes in any window; fanning out every
-/// window with at least 1, 2 or 3 of them ran at 170k, 227k and 256k
-/// calls/s against 281k with none fanned out (perfbench medians of 6 runs
-/// each). On azure-replay's trace with the ingestion cap shrunk so that
-/// every window delivers `d` calls to the worker, fanning out every
-/// window beat running every window inline from `d` = 4 up: 1.06 vs 1.20
-/// µs per call at 4, 0.74 vs 1.07 at 32 and 0.85 vs 1.40 at 4,096
-/// (medians of 7 runs). So on these two workloads the crossover lies
-/// between 3 and 4 deliveries; how far it moves with the node work per
-/// call was not measured. 64 keeps well clear of the losing counts; it
-/// gives up the 12–31% gain of steady windows with 4 to 63 deliveries,
-/// which no benchmark workload has. Every value from 4 to 4,096 splits the benchmark's runs the same
+/// Measured on a 2-vCPU host at 2 threads, on azure-replay's trace with
+/// the ingestion cap shrunk so that every window delivers `d` calls to the
+/// other chunk (medians of 7 alternating runs, µs per call, fanned out
+/// vs inline): 2.97 vs 1.08 at `d` = 16, 1.43 vs 1.17 at 64, ties from 96
+/// to 192 (1.21 vs 1.23 at 128), and fanning out won every run from 256
+/// up (1.08 vs 1.38 at 256, 1.03 vs 1.52 at 4,096). 256 is the least
+/// count that won every run; windows with 96 to 255 deliveries tie either
+/// way. Every value from 4 to 8,192 splits the benchmark's runs the same
 /// way: cluster-faults fans out none of its windows, azure-replay all.
-const FAN_OUT: usize = 64;
+const FAN_OUT: usize = 256;
 
 /// How many windows a run stepped inline and how many it fanned out.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -270,76 +248,37 @@ fn step_all(nodes: &mut [NodeSim], work: &mut [NodeWork], horizon: SimTime) {
     }
 }
 
-/// One chunk of nodes and their [`NodeWork`], as a worker holds them.
-struct Chunk<'n, 'a> {
-    nodes: &'n mut [NodeSim<'a>],
-    work: Vec<NodeWork>,
-}
-
-/// One worker's mailbox and nodes: the last window handed to it, that
-/// window's horizon in nanoseconds, and its [`Chunk`]. The controller
-/// swaps the window's work in and stores the horizon, then publishes the
-/// window with a `Release` store that the worker's `Acquire` load pairs
-/// with; the worker's `Release` increment of the shared done count pairs
-/// with the controller's `Acquire` wait the same way. The worker drops
-/// the lock before it counts itself done, and a window that runs inline
-/// locks the chunk on the controller while its worker (if spawned)
-/// waits, so the lock is never contended.
-struct Slot<'n, 'a> {
-    window: AtomicU64,
-    horizon: AtomicU64,
-    chunk: Mutex<Chunk<'n, 'a>>,
-}
-
-impl<'n, 'a> Slot<'n, 'a> {
-    fn lock(&self) -> MutexGuard<'_, Chunk<'n, 'a>> {
-        self.chunk.lock().expect("no thread panicked holding it")
-    }
-
-    /// Trade the controller's copy of the chunk's work for the slot's.
-    fn swap(&self, work: &mut [NodeWork]) {
-        self.lock().work.swap_with_slice(work);
-    }
-
-    /// Advance the slot's nodes through `work` on the calling thread.
-    fn step_inline(&self, work: &mut [NodeWork], horizon: SimTime) {
-        if work.iter().all(|w| w.idle(horizon)) {
-            return;
+/// Advance the nodes to `horizon` in parallel. `nodes` and `work` split
+/// into the chunks `bounds[k]..bounds[k + 1]`; the calling thread steps
+/// chunk 0 and one scoped thread steps each other chunk with work due. A
+/// panic on a worker resumes on the caller once every worker has joined.
+fn fan_out(
+    mut nodes: &mut [NodeSim],
+    mut work: &mut [NodeWork],
+    bounds: &[usize],
+    horizon: SimTime,
+) {
+    let mut chunks = bounds.windows(2).map(|b| {
+        let len = b[1] - b[0];
+        let (n, rest) = std::mem::take(&mut nodes).split_at_mut(len);
+        nodes = rest;
+        let (w, rest) = std::mem::take(&mut work).split_at_mut(len);
+        work = rest;
+        (n, w)
+    });
+    let (own_nodes, own_work) = chunks.next().expect("the controller owns chunk 0");
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = chunks
+            .filter(|(_, w)| w.iter().any(|w| !w.idle(horizon)))
+            .map(|(n, w)| scope.spawn(move || step_all(n, w, horizon)))
+            .collect();
+        step_all(own_nodes, own_work, horizon);
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                resume_unwind(panic);
+            }
         }
-        step_all(self.lock().nodes, work, horizon);
-    }
-}
-
-/// Spin, then yield, until `ready` holds.
-fn wait_until(ready: impl Fn() -> bool) {
-    let mut spins = 0u32;
-    while !ready() {
-        spins += 1;
-        if spins < 1 << 10 {
-            std::hint::spin_loop();
-        } else {
-            std::thread::yield_now();
-        }
-    }
-}
-
-/// A worker's run: advance its slot's nodes through every window handed
-/// to it, counting each into `done`, until `stop`.
-fn worker(slot: &Slot, done: &AtomicU64, stop: &AtomicBool) {
-    let mut seen = 0;
-    loop {
-        wait_until(|| stop.load(Ordering::Acquire) || slot.window.load(Ordering::Acquire) != seen);
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        seen = slot.window.load(Ordering::Acquire);
-        let horizon = SimTime::from_nanos(slot.horizon.load(Ordering::Relaxed));
-        {
-            let held = &mut *slot.lock();
-            step_all(held.nodes, &mut held.work, horizon);
-        }
-        done.fetch_add(1, Ordering::Release);
-    }
+    });
 }
 
 /// One nanosecond before `t` (clamped at zero): where a window the
@@ -362,143 +301,79 @@ pub(crate) fn coupled_engine(
     let mut routing = Routing::of(run.cfg.lb);
     let mut arrivals = arrivals.peekable();
     let threads = run.threads.clamp(1, nodes.len());
-    // Slot k holds nodes[bounds[k]..bounds[k + 1]]; slot 0 is the
-    // controller's own and is never handed to a worker.
+    // Chunk k holds nodes[bounds[k]..bounds[k + 1]]; chunk 0 is the
+    // controller's own.
     let bounds: Vec<usize> = (0..=threads).map(|k| k * nodes.len() / threads).collect();
-    let owned = |k: usize| bounds[k]..bounds[k + 1];
     let mut work: Vec<NodeWork> = nodes.iter().map(NodeWork::new).collect();
-    let mut rest = nodes.as_mut_slice();
-    let slots: Vec<Slot> = (0..threads)
-        .map(|k| {
-            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(owned(k).len());
-            rest = tail;
-            Slot {
-                window: AtomicU64::new(0),
-                horizon: AtomicU64::new(0),
-                chunk: Mutex::new(Chunk {
-                    nodes: chunk,
-                    work: work[owned(k)].to_vec(),
-                }),
-            }
-        })
-        .collect();
-    let (done, stop) = (AtomicU64::new(0), AtomicBool::new(false));
     let mut tally = Windows::default();
+    // The controller's view: each node's backlog at the last barrier plus
+    // the calls routed there since (self-feedback within a window), and
+    // its last observed liveness.
+    let mut views: Vec<NodeView> = work.iter().map(|w| w.view).collect();
+    // Collected but not yet delivered handoffs, sorted by (due, id).
+    let mut pending: VecDeque<Handoff> = VecDeque::new();
+    let mut barrier = SimTime::ZERO;
+    loop {
+        // The earliest pending work anywhere bounds the next window.
+        let t = work.iter().filter_map(|w| w.next_event);
+        let t = t.chain(arrivals.peek().map(|c| c.release));
+        let Some(t) = t.chain(pending.front().map(|h| h.due)).min() else {
+            break;
+        };
+        let mut horizon = t + lookahead; // saturates at SimTime::MAX
 
-    std::thread::scope(|scope| {
-        let mut workers = Vec::new();
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            // The controller's view: each node's backlog at the last
-            // barrier plus the calls routed there since (self-feedback
-            // within a window), and its last observed liveness.
-            let mut views: Vec<NodeView> = work.iter().map(|w| w.view).collect();
-            // Collected but not yet delivered handoffs, sorted by (due, id).
-            let mut pending: VecDeque<Handoff> = VecDeque::new();
-            let mut barrier = SimTime::ZERO;
-            let mut sent = 0; // windows handed to workers so far
-            for window in 1.. {
-                // The earliest pending work anywhere bounds the next window.
-                let t = work.iter().filter_map(|w| w.next_event);
-                let t = t.chain(arrivals.peek().map(|c| c.release));
-                let Some(t) = t.chain(pending.front().map(|h| h.due)).min() else {
-                    break;
-                };
-                let mut horizon = t + lookahead; // saturates at SimTime::MAX
-
-                // 1. Route this window's arrivals, at most `chunk`. Batches
-                // stay (release, id)-sorted because arrivals come in that
-                // order. A full window ends just before the next release.
-                for _ in 0..chunk {
-                    let Some(call) = arrivals.next_if(|c| c.release <= horizon) else {
-                        break;
-                    };
-                    let node = routing.route(&call, &views);
-                    views[node].backlog += 1;
-                    work[node].batch.push(call);
-                }
-                if let Some(next) = arrivals.peek().filter(|c| c.release <= horizon) {
-                    horizon = just_before(next.release);
-                }
-                // 2. Deliver due handoffs, never earlier than the barrier
-                // they were collected at (the engine cannot deliver into a
-                // window that already ran).
-                while pending.front().is_some_and(|h| h.due <= horizon) {
-                    let h = pending.pop_front().expect("checked");
-                    let target = failover_target(&views, h.from);
-                    views[target].backlog += 1;
-                    work[target].handoffs.push((h, h.due.max(barrier)));
-                }
-
-                // 3. Advance every node to the horizon: inline on the
-                // controller unless the workers' nodes receive enough to
-                // pay for the handoff. Each simulator is self-contained,
-                // so the snapshots are the same wherever a node runs.
-                let deliveries: usize = work[bounds[1]..]
-                    .iter()
-                    .map(|w| w.batch.len() + w.handoffs.len())
-                    .sum();
-                if deliveries < FAN_OUT {
-                    tally.inline += 1;
-                    for (k, slot) in slots.iter().enumerate() {
-                        slot.step_inline(&mut work[owned(k)], horizon);
-                    }
-                } else {
-                    tally.fanned_out += 1;
-                    if workers.is_empty() {
-                        for slot in &slots[1..] {
-                            let (done, stop) = (&done, &stop);
-                            workers.push(scope.spawn(move || worker(slot, done, stop)));
-                        }
-                    }
-                    // Hand each worker with a busy node its chunk, advance
-                    // the controller's own, then wait for the others.
-                    for (k, slot) in slots.iter().enumerate().skip(1) {
-                        let chunk = &mut work[owned(k)];
-                        if chunk.iter().all(|w| w.idle(horizon)) {
-                            continue;
-                        }
-                        slot.swap(chunk);
-                        slot.horizon.store(horizon.as_nanos(), Ordering::Relaxed);
-                        slot.window.store(window, Ordering::Release);
-                        sent += 1;
-                    }
-                    slots[0].step_inline(&mut work[owned(0)], horizon);
-                    // A worker only returns early by panicking.
-                    let dead = || workers.iter().any(|w| w.is_finished());
-                    wait_until(|| done.load(Ordering::Acquire) == sent || dead());
-                    assert!(!dead(), "a node worker panicked");
-                    for (k, slot) in slots.iter().enumerate().skip(1) {
-                        if slot.window.load(Ordering::Relaxed) == window {
-                            slot.swap(&mut work[owned(k)]);
-                        }
-                    }
-                }
-
-                // 4. Collect failover outboxes in node order
-                // (deterministic), keep the pending list sorted by (due, id).
-                for (v, w) in views.iter_mut().zip(&mut work) {
-                    *v = w.view;
-                    pending.extend(w.outbox.drain(..));
-                }
-                pending
-                    .make_contiguous()
-                    .sort_by_key(|h| (h.due, h.call.id));
-                barrier = horizon;
-            }
-            assert!(pending.is_empty(), "every handoff was delivered");
-        }));
-        stop.store(true, Ordering::Release);
-        // A worker's own panic outranks the controller's report of it.
-        for w in workers {
-            if let Err(p) = w.join() {
-                resume_unwind(p);
-            }
+        // 1. Route this window's arrivals, at most `chunk`. Batches stay
+        // (release, id)-sorted because arrivals come in that order. A full
+        // window ends just before the next release.
+        for _ in 0..chunk {
+            let Some(call) = arrivals.next_if(|c| c.release <= horizon) else {
+                break;
+            };
+            let node = routing.route(&call, &views);
+            views[node].backlog += 1;
+            work[node].batch.push(call);
         }
-        if let Err(p) = run {
-            resume_unwind(p);
+        if let Some(next) = arrivals.peek().filter(|c| c.release <= horizon) {
+            horizon = just_before(next.release);
         }
-    });
-    drop(slots);
+        // 2. Deliver due handoffs, never earlier than the barrier they
+        // were collected at (the engine cannot deliver into a window that
+        // already ran).
+        while pending.front().is_some_and(|h| h.due <= horizon) {
+            let h = pending.pop_front().expect("checked");
+            let target = failover_target(&views, h.from);
+            views[target].backlog += 1;
+            work[target].handoffs.push((h, h.due.max(barrier)));
+        }
+
+        // 3. Advance every node to the horizon: inline on the controller
+        // unless the other chunks' nodes receive enough to pay for the
+        // spawn. Each simulator is self-contained, so the snapshots are
+        // the same wherever a node runs.
+        let deliveries: usize = work[bounds[1]..]
+            .iter()
+            .map(|w| w.batch.len() + w.handoffs.len())
+            .sum();
+        if deliveries < FAN_OUT {
+            tally.inline += 1;
+            step_all(&mut nodes, &mut work, horizon);
+        } else {
+            tally.fanned_out += 1;
+            fan_out(&mut nodes, &mut work, &bounds, horizon);
+        }
+
+        // 4. Collect failover outboxes in node order (deterministic), keep
+        // the pending list sorted by (due, id).
+        for (v, w) in views.iter_mut().zip(&mut work) {
+            *v = w.view;
+            pending.extend(w.outbox.drain(..));
+        }
+        pending
+            .make_contiguous()
+            .sort_by_key(|h| (h.due, h.call.id));
+        barrier = horizon;
+    }
+    assert!(pending.is_empty(), "every handoff was delivered");
     (nodes.into_iter().map(|n| n.finish()).collect(), tally)
 }
 
@@ -721,15 +596,15 @@ mod tests {
         }
     }
 
-    #[test]
-    #[should_panic(expected = "cannot schedule into the past")]
-    fn a_worker_panic_resumes_on_the_caller() {
-        // An out-of-order arrival reaches node 1 after its clock has
-        // passed the release. Its window also delivers `FAN_OUT - 1` calls
-        // to node 2, so it fans out and node 1 panics on the worker that
-        // owns nodes 1 and 2; the run must end with that panic instead of
-        // spinning. Round-robin strides the ids, so ids 1 and 4 land on
-        // node 1 and ids 2, 5, 8, ... on node 2.
+    /// Run three nodes on two threads, so the controller steps node 0
+    /// and one worker nodes 1 and 2, through a window that fans out and
+    /// injects an out-of-order call into `node` after its clock has passed
+    /// the call's release. Round-robin strides the ids: ids `node` and
+    /// `node + 3` land on `node`, ids 2, 5, 8, ... on node 2. A call at
+    /// 10 s moves `node`'s clock past 10 s. The window at 20 s delivers
+    /// `FAN_OUT` calls to node 2, so it fans out, and it also delivers a
+    /// call released at 1 s to `node`, which panics there.
+    fn late_call_in_a_fanned_out_window(node: u64) {
         use faas_workload::sebs::FuncId;
         use faas_workload::trace::{CallId, CallKind};
         let cat = catalogue();
@@ -741,9 +616,9 @@ mod tests {
             release: SimTime::from_secs(secs),
             kind: CallKind::Measured,
         };
-        let mut burst = vec![call(1, 10)];
-        burst.extend((0..FAN_OUT as u64 - 1).map(|k| call(2 + 3 * k, 20)));
-        burst.push(call(4, 1));
+        let mut burst = vec![call(node, 10)];
+        burst.extend((0..FAN_OUT as u64).map(|k| call(2 + 3 * k, 20)));
+        burst.push(call(node + 3, 1));
         let scenario = ClusterScenario {
             burst,
             burst_start: SimTime::ZERO,
@@ -762,6 +637,21 @@ mod tests {
         run.execute(Arrivals::Burst(&scenario, &weights));
     }
 
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past")]
+    fn a_worker_panic_resumes_on_the_caller() {
+        // The run must end with the worker's own panic.
+        late_call_in_a_fanned_out_window(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past")]
+    fn a_controller_panic_joins_the_workers_first() {
+        // The controller's own chunk panics while the worker steps node
+        // 2; the scope joins the worker before the panic surfaces.
+        late_call_in_a_fanned_out_window(0);
+    }
+
     /// Each node's result and the run's window tally for on-off bursts
     /// on `threads` threads: bursts dense enough to fan out between
     /// sparse stretches that run inline, on four dominant-share-routed
@@ -770,7 +660,7 @@ mod tests {
         let cat = catalogue();
         let spec = WorkloadSpec {
             arrival: ArrivalSpec::Mmpp {
-                rate_on: 800.0,
+                rate_on: 1600.0,
                 rate_off: 2.0,
                 mean_on_secs: 0.5,
                 mean_off_secs: 10.0,

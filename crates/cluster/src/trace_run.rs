@@ -49,8 +49,9 @@ use std::io;
 /// `chunk`-call cursor. A window routes at most `chunk` arrivals either
 /// way. Fails with [`std::io::ErrorKind::InvalidInput`], before any call
 /// is generated, on a configuration the engine cannot run: zero nodes, a
-/// zero `chunk`, or failover without a fault plan. Otherwise the only
-/// fallible path is opening a recorded trace file.
+/// zero `chunk`, failover without a fault plan, or a malformed fault plan
+/// ([`FaultSpec::check`]). Otherwise the only fallible path is opening a
+/// recorded trace file.
 #[allow(clippy::too_many_arguments)] // perfbench calls this signature
 pub fn run_cluster_source(
     catalogue: &Catalogue,
@@ -148,7 +149,11 @@ impl<'a> Run<'a> {
                 "failover needs a fault plan",
             ),
         ];
-        if let Some(&(_, problem)) = unrunnable.iter().find(|(bad, _)| *bad) {
+        let problem = unrunnable
+            .iter()
+            .find(|(bad, _)| *bad)
+            .map(|(_, p)| p.to_string());
+        if let Some(problem) = problem.or_else(|| self.faults.check().err()) {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, problem));
         }
         let catalogue = self.catalogue;
@@ -444,18 +449,18 @@ mod tests {
     }
 
     /// The error both source entry points return for a cluster of `nodes`
-    /// with windows of `chunk` calls and failover on or off, over a
-    /// fault-free spec source.
-    fn unrunnable(nodes: u16, chunk: usize, failover: bool) -> io::ErrorKind {
+    /// with windows of `chunk` calls and failover on or off, under
+    /// `faults`, over a spec source.
+    fn unrunnable(nodes: u16, chunk: usize, failover: bool, faults: &FaultSpec) -> io::ErrorKind {
         let cat = catalogue();
         let cfg =
             ClusterConfig::independent(nodes, NodeConfig::paper(10), LoadBalancer::RoundRobin)
                 .coupled(SimDuration::from_millis(500), failover);
-        let (mode, none) = (NodeMode::Baseline, FaultSpec::none());
+        let mode = NodeMode::Baseline;
         let source = WorkloadSource::Spec(spec(66));
-        let merged = run_cluster_source(&cat, &source, &mode, &cfg, &none, 1, 2, chunk);
+        let merged = run_cluster_source(&cat, &source, &mode, &cfg, faults, 1, 2, chunk);
         let per_node =
-            run_cluster_source_per_node(&cat, &source, &mode, &cfg, &none, (1, 2), chunk);
+            run_cluster_source_per_node(&cat, &source, &mode, &cfg, faults, (1, 2), chunk);
         let kind = per_node.expect_err("the run is rejected").kind();
         assert_eq!(merged.err().map(|e| e.kind()), Some(kind));
         kind
@@ -463,17 +468,41 @@ mod tests {
 
     #[test]
     fn zero_nodes_is_an_error() {
-        assert_eq!(unrunnable(0, 64, false), io::ErrorKind::InvalidInput);
+        let none = FaultSpec::none();
+        assert_eq!(unrunnable(0, 64, false, &none), io::ErrorKind::InvalidInput);
     }
 
     #[test]
     fn zero_chunk_is_an_error() {
-        assert_eq!(unrunnable(2, 0, false), io::ErrorKind::InvalidInput);
+        let none = FaultSpec::none();
+        assert_eq!(unrunnable(2, 0, false, &none), io::ErrorKind::InvalidInput);
     }
 
     #[test]
     fn failover_without_a_fault_plan_is_an_error() {
-        assert_eq!(unrunnable(2, 64, true), io::ErrorKind::InvalidInput);
+        let none = FaultSpec::none();
+        assert_eq!(unrunnable(2, 64, true, &none), io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn a_malformed_fault_plan_is_an_error() {
+        // Each plan would panic in `NodeSim::new`; the entry points refuse
+        // it before generating a call.
+        let (_, burst_start) = warmup_waves(&catalogue());
+        let mut plans = vec![FaultSpec::none(); 3];
+        plans[0].transient_failure = 1.5;
+        plans[1].retry.max_attempts = 0;
+        plans[2].retry.jitter = f64::NAN;
+        plans.push(FaultSpec::degradation(
+            1,
+            burst_start,
+            SimDuration::from_secs(60),
+        ));
+        plans[3].capacity[0].floor = 0.0;
+        for faults in &plans {
+            let kind = unrunnable(2, 64, false, faults);
+            assert_eq!(kind, io::ErrorKind::InvalidInput, "{:?}", faults.check());
+        }
     }
 
     #[test]

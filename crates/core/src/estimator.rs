@@ -77,16 +77,7 @@ impl RecentWindow {
         if self.filled == 0 {
             return 0.0;
         }
-        let take = self.filled.min(self.capacity);
-        self.buf
-            .iter()
-            .take(if self.filled < self.capacity {
-                self.filled
-            } else {
-                take
-            })
-            .sum::<f64>()
-            / self.filled as f64
+        self.buf[..self.filled].iter().sum::<f64>() / self.filled as f64
     }
 }
 

@@ -5,16 +5,20 @@
 //!
 //! * **RECT** uses `r̄(i)` — the moment the *previous* call of the same
 //!   function was received;
-//! * **Fair-Choice** uses `#(f(i), −T)` — the number of *recently
-//!   concluded* calls of the function (§IV: "we prioritize actions based on
-//!   the estimation of the total processing time of the recently concluded
-//!   calls of the same function"), over the last `T = 60 s`.
+//! * **Fair-Choice** uses `#(f(i), −T)` — the number of calls of the
+//!   function over the last `T = 60 s`. By default
+//!   ([`FcCountMode::Arrivals`]) that is the calls *received* in the
+//!   window; [`FcCountMode::Completions`], which only the ablation runs,
+//!   counts the calls *concluded* in it instead (§IV speaks of "the
+//!   recently concluded calls of the same function").
 //!
 //! Arrivals are recorded at `r'(i)` (invoker receive time, logged when the
 //! request is pulled from Kafka, §IV-B); completions are recorded when the
-//! invoker receives the container's response. Counting *concluded* rather
-//! than received calls is what keeps a backlogged function's priority low —
-//! the mechanism behind Fair-Choice's fairness in Fig. 5.
+//! invoker receives the container's response. The history keeps both, so
+//! either count is available.
+//!
+//! [`FcCountMode::Arrivals`]: crate::config::FcCountMode::Arrivals
+//! [`FcCountMode::Completions`]: crate::config::FcCountMode::Completions
 
 use faas_simcore::time::{SimDuration, SimTime};
 use faas_workload::sebs::FuncId;

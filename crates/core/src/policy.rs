@@ -95,8 +95,14 @@ pub struct PriorityInputs {
     /// `r̄(i)`: receive time of the previous call of the same function;
     /// `None` if this is the first call.
     pub prev_received: Option<SimTime>,
-    /// `#(f(i), −T)`: calls of the function *concluded* in the last `T`
-    /// seconds (§IV: "recently concluded calls").
+    /// `#(f(i), −T)`: calls of the function in the last `T` seconds,
+    /// counted as the scheduler's [`FcCountMode`] says: calls *received*
+    /// by default ([`FcCountMode::Arrivals`]), calls *concluded* under
+    /// [`FcCountMode::Completions`] (the ablation).
+    ///
+    /// [`FcCountMode`]: crate::config::FcCountMode
+    /// [`FcCountMode::Arrivals`]: crate::config::FcCountMode::Arrivals
+    /// [`FcCountMode::Completions`]: crate::config::FcCountMode::Completions
     pub recent_count: usize,
 }
 

@@ -101,19 +101,21 @@ impl RetryPolicy {
         }
     }
 
-    /// Panic unless the policy is well-formed.
-    pub fn validate(&self) {
-        assert!(self.max_attempts >= 1, "a call needs at least one attempt");
-        assert!(
-            self.backoff_factor.is_finite() && self.backoff_factor >= 1.0,
-            "backoff factor must be finite and at least 1, got {}",
-            self.backoff_factor
-        );
-        assert!(
-            self.jitter.is_finite() && (0.0..=1.0).contains(&self.jitter),
-            "jitter must sit in [0, 1], got {}",
-            self.jitter
-        );
+    /// Why the policy is malformed, if it is.
+    pub fn check(&self) -> Result<(), String> {
+        if self.max_attempts < 1 {
+            return Err("a call needs at least one attempt".into());
+        }
+        if !(self.backoff_factor.is_finite() && self.backoff_factor >= 1.0) {
+            return Err(format!(
+                "backoff factor must be finite and at least 1, got {}",
+                self.backoff_factor
+            ));
+        }
+        if !(self.jitter.is_finite() && (0.0..=1.0).contains(&self.jitter)) {
+            return Err(format!("jitter must sit in [0, 1], got {}", self.jitter));
+        }
+        Ok(())
     }
 
     /// The deterministic backoff before retrying `call` after its failed
@@ -152,17 +154,18 @@ pub struct CapacityRamp {
 }
 
 impl CapacityRamp {
-    /// Panic unless the ramp is well-formed.
-    pub fn validate(&self) {
-        assert!(
-            self.floor.is_finite() && self.floor > 0.0,
-            "capacity floor must be positive and finite, got {}",
-            self.floor
-        );
-        assert!(
-            self.steps_down >= 1 && self.steps_up >= 1,
-            "ramps need steps"
-        );
+    /// Why the ramp is malformed, if it is.
+    pub fn check(&self) -> Result<(), String> {
+        if !(self.floor.is_finite() && self.floor > 0.0) {
+            return Err(format!(
+                "capacity floor must be positive and finite, got {}",
+                self.floor
+            ));
+        }
+        if self.steps_down < 1 || self.steps_up < 1 {
+            return Err("ramps need steps".into());
+        }
+        Ok(())
     }
 
     /// Append this ramp's `SetCapacity` events for `node` to `out`.
@@ -309,16 +312,23 @@ impl FaultSpec {
             && self.retry.pending_timeout.is_none()
     }
 
-    /// Panic unless the plan is well-formed.
+    /// Why the plan is malformed, if it is: a transient-failure
+    /// probability outside `[0, 1]`, or a malformed retry policy or ramp.
+    pub fn check(&self) -> Result<(), String> {
+        let p = self.transient_failure;
+        if !(p.is_finite() && (0.0..=1.0).contains(&p)) {
+            return Err(format!(
+                "transient failure probability must sit in [0, 1], got {p}"
+            ));
+        }
+        self.retry.check()?;
+        self.capacity.iter().try_for_each(CapacityRamp::check)
+    }
+
+    /// Panic unless the plan is well-formed ([`FaultSpec::check`]).
     pub fn validate(&self) {
-        assert!(
-            self.transient_failure.is_finite() && (0.0..=1.0).contains(&self.transient_failure),
-            "transient failure probability must sit in [0, 1], got {}",
-            self.transient_failure
-        );
-        self.retry.validate();
-        for ramp in &self.capacity {
-            ramp.validate();
+        if let Err(problem) = self.check() {
+            panic!("{problem}");
         }
     }
 
