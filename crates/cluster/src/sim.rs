@@ -19,6 +19,7 @@ use faas_workload::sebs::{Catalogue, FuncId};
 use faas_workload::trace::Call;
 use faas_workload::weight::{WeightSpec, WeightTable};
 use serde::{Deserialize, Serialize};
+use std::io;
 
 /// Configuration of one cluster run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -144,18 +145,23 @@ impl ClusterScenario {
 /// already resident, so no ingestion cap applies. Fault-free, with
 /// uniform container weights; see [`crate::run_cluster_source`] for
 /// weighted specs, traces and fault plans. Bit-identical across reruns and
-/// thread counts.
+/// thread counts. Fails with [`std::io::ErrorKind::InvalidInput`], before
+/// any node is built, on a configuration the engine cannot run: zero
+/// nodes, or failover (which needs a fault plan).
 pub fn run_cluster(
     catalogue: &Catalogue,
     scenario: &ClusterScenario,
     mode: &NodeMode,
     cfg: &ClusterConfig,
     seed: u64,
-) -> NodeResult {
+) -> io::Result<NodeResult> {
     let none = FaultSpec::none();
     let run = Run::new(catalogue, mode, cfg, &none, seed, usize::MAX);
+    run.check()?;
     let weights = WeightTable::uniform(catalogue.len());
-    NodeResult::merge(run.execute(Arrivals::Burst(scenario, &weights)).0)
+    Ok(NodeResult::merge(
+        run.execute(Arrivals::Burst(scenario, &weights)).0,
+    ))
 }
 
 #[cfg(test)]
@@ -188,8 +194,8 @@ mod tests {
         let cfg1 = ClusterConfig::independent(1, NodeConfig::paper(10), LoadBalancer::RoundRobin);
         let cfg2 = ClusterConfig { nodes: 2, ..cfg1 };
         let mode = NodeMode::Scheduled(SchedulerConfig::paper(Policy::FairChoice));
-        let r1 = run_cluster(&cat, &sc, &mode, &cfg1, 3);
-        let r2 = run_cluster(&cat, &sc, &mode, &cfg2, 3);
+        let r1 = run_cluster(&cat, &sc, &mode, &cfg1, 3).expect("runnable cluster");
+        let r2 = run_cluster(&cat, &sc, &mode, &cfg2, 3).expect("runnable cluster");
         assert_eq!(
             r1.outcomes.iter().filter(|o| o.is_measured()).count(),
             r2.outcomes.iter().filter(|o| o.is_measured()).count(),
@@ -201,7 +207,7 @@ mod tests {
         let sc = scenario(12, 3);
         let cat = catalogue();
         let cfg = ClusterConfig::independent(3, NodeConfig::paper(10), LoadBalancer::RoundRobin);
-        let r = run_cluster(&cat, &sc, &NodeMode::Baseline, &cfg, 4);
+        let r = run_cluster(&cat, &sc, &NodeMode::Baseline, &cfg, 4).expect("runnable cluster");
         let measured: Vec<_> = r.outcomes.iter().filter(|o| o.is_measured()).collect();
         assert_eq!(measured.len(), sc.burst.len());
         let mut ids: Vec<u64> = measured.iter().map(|o| o.id.0).collect();
@@ -216,7 +222,7 @@ mod tests {
         let cat = catalogue();
         let cfg = ClusterConfig::independent(4, NodeConfig::paper(10), LoadBalancer::RoundRobin);
         let mode = NodeMode::Scheduled(SchedulerConfig::paper(Policy::Fifo));
-        let r = run_cluster(&cat, &sc, &mode, &cfg, 6);
+        let r = run_cluster(&cat, &sc, &mode, &cfg, 6).expect("runnable cluster");
         let nodes: std::collections::BTreeSet<u16> = r
             .outcomes
             .iter()
@@ -234,7 +240,7 @@ mod tests {
         let avg = |nodes: u16| {
             let cfg =
                 ClusterConfig::independent(nodes, NodeConfig::paper(10), LoadBalancer::RoundRobin);
-            let r = run_cluster(&cat, &sc, &mode, &cfg, 8);
+            let r = run_cluster(&cat, &sc, &mode, &cfg, 8).expect("runnable cluster");
             let v: Vec<f64> = r
                 .outcomes
                 .iter()
@@ -291,6 +297,26 @@ mod tests {
             5828814471167295050,
         ];
         assert_eq!(digests, pinned, "pinned cluster digests");
+    }
+
+    /// The error `run_cluster` returns for `cfg`.
+    fn unrunnable(cfg: &ClusterConfig) -> io::ErrorKind {
+        let sc = scenario(2, 12);
+        let r = run_cluster(&catalogue(), &sc, &NodeMode::Baseline, cfg, 13);
+        r.expect_err("the run is rejected").kind()
+    }
+
+    #[test]
+    fn a_cluster_of_zero_nodes_is_an_error() {
+        let cfg = ClusterConfig::independent(0, NodeConfig::paper(10), LoadBalancer::RoundRobin);
+        assert_eq!(unrunnable(&cfg), io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn failover_in_a_fault_free_cluster_is_an_error() {
+        let cfg = ClusterConfig::independent(2, NodeConfig::paper(10), LoadBalancer::RoundRobin)
+            .coupled(SimDuration::from_millis(500), true);
+        assert_eq!(unrunnable(&cfg), io::ErrorKind::InvalidInput);
     }
 
     #[test]

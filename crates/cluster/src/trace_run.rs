@@ -133,14 +133,11 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// Run a workload source: generate a spec's burst from
-    /// `scenario_seed`, or open a trace. A configuration the engine cannot
-    /// run is rejected first.
-    pub(crate) fn source(
-        &self,
-        source: &WorkloadSource,
-        scenario_seed: u64,
-    ) -> io::Result<Vec<NodeResult>> {
+    /// Fail with [`io::ErrorKind::InvalidInput`] on a configuration the
+    /// engine cannot run: zero nodes, a zero `chunk`, failover without a
+    /// fault plan, or a malformed fault plan ([`FaultSpec::check`]). Every
+    /// public entry point calls this before it generates a call.
+    pub(crate) fn check(&self) -> io::Result<()> {
         let unrunnable = [
             (self.cfg.nodes == 0, "a cluster needs at least one node"),
             (self.chunk == 0, "a window must route at least one call"),
@@ -153,9 +150,21 @@ impl<'a> Run<'a> {
             .iter()
             .find(|(bad, _)| *bad)
             .map(|(_, p)| p.to_string());
-        if let Some(problem) = problem.or_else(|| self.faults.check().err()) {
-            return Err(io::Error::new(io::ErrorKind::InvalidInput, problem));
+        match problem.or_else(|| self.faults.check().err()) {
+            Some(problem) => Err(io::Error::new(io::ErrorKind::InvalidInput, problem)),
+            None => Ok(()),
         }
+    }
+
+    /// Run a workload source: generate a spec's burst from
+    /// `scenario_seed`, or open a trace. A configuration the engine cannot
+    /// run is rejected first ([`Run::check`]).
+    pub(crate) fn source(
+        &self,
+        source: &WorkloadSource,
+        scenario_seed: u64,
+    ) -> io::Result<Vec<NodeResult>> {
+        self.check()?;
         let catalogue = self.catalogue;
         let results = match source {
             WorkloadSource::Spec(spec) => {

@@ -118,15 +118,6 @@ impl<T> PendingQueue<T> {
     pub fn peek_priority(&self) -> Option<f64> {
         self.heap.peek().map(|e| e.key.priority)
     }
-
-    /// Drain everything in priority order (used at simulation teardown).
-    pub fn drain_ordered(&mut self) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.heap.len());
-        while let Some(item) = self.pop() {
-            out.push(item);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -215,15 +206,5 @@ mod tests {
         q.push(3.0, ());
         assert_eq!(q.peak_len(), 2);
         assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn drain_ordered_returns_priority_order() {
-        let mut q = PendingQueue::new();
-        for p in [5.0, 1.0, 3.0, 2.0, 4.0] {
-            q.push(p, p as i32);
-        }
-        assert_eq!(q.drain_ordered(), vec![1, 2, 3, 4, 5]);
-        assert!(q.is_empty());
     }
 }

@@ -104,7 +104,8 @@ pub fn run(effort: Effort) -> Fig6Result {
                 .map(|&seed| {
                     let scenario = ClusterScenario::generate(&catalogue, per_func, window, seed);
                     let result =
-                        run_cluster(&catalogue, &scenario, &mode_for(strategy), &cfg, seed);
+                        run_cluster(&catalogue, &scenario, &mode_for(strategy), &cfg, seed)
+                            .expect("a Fig. 6 cluster is runnable");
                     (result, scenario.burst_start)
                 })
                 .collect();

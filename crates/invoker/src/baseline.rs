@@ -44,7 +44,6 @@ use crate::config::NodeConfig;
 use crate::node::{Ev, Regime, Shell};
 use crate::result::NodeResult;
 use faas_cpu::{GpsCpu, GpsParams, Resource, ResourceVector, TaskId};
-use faas_simcore::dist::Sampler;
 use faas_simcore::events::EventHandle;
 use faas_simcore::time::{SimDuration, SimTime};
 use faas_workload::sebs::Catalogue;
@@ -169,38 +168,30 @@ impl<'a> Gps<'a> {
     }
 
     /// Enter a CPU phase of `cpu_work` core-seconds into the GPS bank
-    /// under `share`, returning the task and its demand profile. CPU-only
-    /// shares take the scalar `add_task` path — bit-identical to the
-    /// pre-DRF model. Shares with a memory-bandwidth demand convert work
-    /// and rate cap into dominant-resource units
+    /// under `share`, returning the task and its demand profile. Work and
+    /// rate cap convert into dominant-resource units
     /// (`ResourceVector::dominant_per_cpu`) so the bank's water-filling
-    /// allocates by dominant share (see `faas_cpu::gps`). Offered work is
-    /// credited to the per-resource served counters here; removals debit
-    /// the unserved residual.
+    /// allocates by dominant share (see `faas_cpu::gps`). A CPU-only share
+    /// is the [`ResourceVector::CPU_ONLY`] demand, whose scale is exactly
+    /// 1 and profile `[1, 0]`: the same task `GpsCpu::add_task` enters.
+    /// Offered work is credited to the per-resource served counters here;
+    /// removals debit the unserved residual.
     fn add_share_task(
         &mut self,
         now: SimTime,
         cpu_work: f64,
         share: &TaskShare,
     ) -> (TaskId, [f64; 2]) {
-        if share.is_cpu_only() {
-            self.served_work[0] += cpu_work;
-            let tid = self
-                .cpu
-                .add_task(now, cpu_work, share.weight, share.max_rate);
-            (tid, [1.0, 0.0])
-        } else {
-            let demand = ResourceVector::per_cpu(share.mem_per_cpu);
-            let scale = demand.dominant_per_cpu();
-            let profile = demand.profile();
-            let work = cpu_work * scale;
-            self.served_work[0] += work * profile[0];
-            self.served_work[1] += work * profile[1];
-            let tid =
-                self.cpu
-                    .add_task_demand(now, work, share.weight, share.max_rate * scale, demand);
-            (tid, profile)
-        }
+        let demand = ResourceVector::per_cpu(share.mem_per_cpu);
+        let scale = demand.dominant_per_cpu();
+        let profile = demand.profile();
+        let work = cpu_work * scale;
+        self.served_work[0] += work * profile[0];
+        self.served_work[1] += work * profile[1];
+        let tid = self
+            .cpu
+            .add_task_demand(now, work, share.weight, share.max_rate * scale, demand);
+        (tid, profile)
     }
 
     /// Remove a GPS task and debit the unserved residual from the
@@ -239,8 +230,7 @@ impl Regime for Gps<'_> {
     /// requests, the request is added to the queue." A dead node's
     /// requests queue too: the load balancer committed them to the topic.
     fn admit(&mut self, sh: &mut Shell, now: SimTime, i: u32) {
-        let dead = sh.fault_on && !sh.alive;
-        if dead || !self.fifo.is_empty() || !self.try_place(sh, now, i) {
+        if !sh.alive || !self.fifo.is_empty() || !self.try_place(sh, now, i) {
             self.fifo.push_back(i);
             self.peak_queue = self.peak_queue.max(self.fifo.len());
         }

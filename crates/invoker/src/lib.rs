@@ -86,8 +86,8 @@ pub fn simulate_calls(
 /// documents the shared fault lifecycle, and the `baseline` / `ours`
 /// modules what each regime changes). The node's fault timeline is
 /// derived from `(faults, node_index)` inside the invoker, so multi-node
-/// runs stay shard-invariant. [`FaultSpec::none`] gates every fault path
-/// off, bit-for-bit.
+/// runs stay shard-invariant. Under the inert [`FaultSpec::none`] the
+/// same lifecycle runs and finds nothing to do: the fault-free run.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_calls_faulted(
     catalogue: &Catalogue,

@@ -20,9 +20,10 @@
 //!
 //! # Per-call fault lifecycle
 //!
-//! On a fault run every call tracks its current delivery attempt and where
-//! that attempt sits. The state machine is the same in both regimes; only
-//! the queued structure differs (baseline FIFO vs scheduled pending queue):
+//! Every call tracks its current delivery attempt and where that attempt
+//! sits, in its [`CallRuntime`]. The state machine is the same in both
+//! regimes; only the queued structure differs (baseline FIFO vs scheduled
+//! pending queue):
 //!
 //! ```text
 //!             begin_attempt                place
@@ -53,16 +54,19 @@
 //!
 //! A call whose attempts are exhausted is dropped — excluded from
 //! `outcomes`, reported in [`NodeResult::drops`] — so every call resolves
-//! exactly once: completed XOR dropped XOR handed off. On
-//! [`FaultSpec::none`] the per-call state is never allocated and every one
-//! of these paths is gated off.
+//! exactly once: completed XOR dropped XOR handed off.
+//!
+//! A fault-free run takes the same path under the inert
+//! [`FaultSpec::none`] plan: its timeline is empty, its zero failure
+//! probability fails no attempt without a draw, and it arms no pending
+//! timeout. So no event is added, no random stream moves, and every call
+//! goes `Idle → Queued → Running → Done` once.
 
 use crate::config::{NodeConfig, NodeMode};
 use crate::pool::{ContainerId, ContainerPool, PoolStats};
 use crate::result::{DroppedCall, FaultStats, NodeResult};
 use crate::step::{Handoff, NodeProgress};
 use crate::{baseline, ours};
-use faas_simcore::dist::Sampler;
 use faas_simcore::events::EventQueue;
 use faas_simcore::rng::Xoshiro256;
 use faas_simcore::time::{SimDuration, SimTime};
@@ -92,7 +96,7 @@ pub(crate) enum Ev {
     CleanupDone(ContainerId, u32),
     /// A prewarm replacement becomes ready (incarnation-guarded).
     PrewarmReady(u32),
-    /// Fault-timeline event at this index fires (fault runs only).
+    /// Fault-timeline event at this index fires.
     Fault(u32),
     /// A failed call's retry backoff expired: re-deliver the next attempt.
     Retry(u32),
@@ -122,15 +126,6 @@ pub(crate) enum FaultPhase {
     Migrated,
 }
 
-/// Per-call fault-runtime state.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct FaultCall {
-    /// Delivery attempts begun so far (1-based once arrived).
-    pub attempt: u32,
-    /// Lifecycle position of the current attempt.
-    pub phase: FaultPhase,
-}
-
 /// Per-call runtime of the current attempt.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CallRuntime {
@@ -142,17 +137,30 @@ pub(crate) struct CallRuntime {
     pub p: f64,
     pub start_kind: ColdStartKind,
     pub container: Option<ContainerId>,
+    /// Delivery attempts begun so far (1-based once arrived).
+    pub attempt: u32,
+    /// Lifecycle position of the current attempt.
+    pub phase: FaultPhase,
 }
 
+// One 48-byte slot per call: the attempt counter and phase fit in the
+// padding of the other fields, so a fault-free run pays no memory for them.
+const _: () = assert!(std::mem::size_of::<CallRuntime>() == 48);
+
 impl CallRuntime {
-    const EMPTY: CallRuntime = CallRuntime {
-        priority: 0.0,
-        invoker_receive: SimTime::ZERO,
-        exec_start: SimTime::ZERO,
-        p: 0.0,
-        start_kind: ColdStartKind::Warm,
-        container: None,
-    };
+    /// A call that has begun `attempt` deliveries and is not yet arrived.
+    const fn idle(attempt: u32) -> CallRuntime {
+        CallRuntime {
+            priority: 0.0,
+            invoker_receive: SimTime::ZERO,
+            exec_start: SimTime::ZERO,
+            p: 0.0,
+            start_kind: ColdStartKind::Warm,
+            container: None,
+            attempt,
+            phase: FaultPhase::Idle,
+        }
+    }
 }
 
 /// What differs between the two CPU regimes. Every hook receives the
@@ -222,16 +230,11 @@ pub(crate) struct Shell<'a> {
     faults: &'a FaultSpec,
     /// This node's compiled fault timeline, indexed by [`Ev::Fault`].
     timeline: Vec<FaultEvent>,
-    /// False iff `faults.is_none()`: every fault code path is gated on
-    /// this, keeping the fault-free run free of fault bookkeeping.
-    pub fault_on: bool,
     /// False between a crash and its restart.
     pub alive: bool,
     /// Bumped on every crash; timer events carry the value they were
     /// scheduled under and are dropped when stale.
     pub incarnation: u32,
-    /// Per-call attempt/phase state (empty on fault-free runs).
-    pub fstate: Vec<FaultCall>,
     fault_stats: FaultStats,
     drops: Vec<DroppedCall>,
     /// Cross-node failover enabled (coupled cluster runs only): a failed
@@ -287,14 +290,12 @@ impl<'a> NodeSim<'a> {
                 (Cpu::Cores(Box::new(cores)), ours::Cores::RNG_STREAMS)
             }
         };
-        faults.validate();
-        let fault_on = !faults.is_none();
-        assert!(!failover || fault_on, "failover needs a fault plan");
-        let timeline = if fault_on {
-            faults.timeline_for_node(node_index).events
-        } else {
-            Vec::new()
-        };
+        assert!(
+            !failover || !faults.is_none(),
+            "failover needs a fault plan"
+        );
+        // Compiling the timeline validates the plan.
+        let timeline = faults.timeline_for_node(node_index).events;
         let mut root = Xoshiro256::seed_from_u64(seed);
         let rng_service = root.derive_stream(streams[0]);
         let rng_cold = root.derive_stream(streams[1]);
@@ -307,8 +308,8 @@ impl<'a> NodeSim<'a> {
         let mut events = EventQueue::new();
         // Fault-timeline events go in before the arrivals: a fault at the
         // same instant as an arrival gets the smaller sequence number and
-        // fires first. A no-op loop on fault-free runs (empty timeline),
-        // so arrival sequence numbers are unchanged.
+        // fires first. The inert plan's timeline is empty, so arrival
+        // sequence numbers are unchanged.
         for (k, fault) in timeline.iter().enumerate() {
             events.schedule(fault.at, Ev::Fault(k as u32));
         }
@@ -334,10 +335,8 @@ impl<'a> NodeSim<'a> {
             dominant_milli: 0,
             faults,
             timeline,
-            fault_on,
             alive: true,
             incarnation: 0,
-            fstate: Vec::new(),
             fault_stats: FaultStats::default(),
             drops: Vec::new(),
             failover,
@@ -354,18 +353,12 @@ impl<'a> NodeSim<'a> {
         let sh = &mut self.sh;
         sh.runtime.reserve(calls.len());
         sh.outcomes.reserve(calls.len());
-        if sh.fault_on {
-            sh.fstate.reserve(calls.len());
-        }
         for (k, call) in calls.iter().enumerate() {
             debug_assert!(
                 k == 0 || calls[k - 1].release <= call.release,
                 "calls must be sorted by release"
             );
-            if sh.fault_on {
-                sh.fstate.push(FaultCall::default());
-            }
-            sh.push_call(call, call.release);
+            sh.push_call(call, call.release, 0);
         }
     }
 
@@ -375,12 +368,11 @@ impl<'a> NodeSim<'a> {
     /// expiry, barrier-aligned by the cluster engine).
     pub fn inject_handoff(&mut self, h: &Handoff, deliver_at: SimTime) {
         let sh = &mut self.sh;
-        assert!(sh.fault_on, "handoffs only exist under a fault plan");
-        sh.fstate.push(FaultCall {
-            attempt: h.attempts,
-            phase: FaultPhase::Idle,
-        });
-        sh.push_call(&h.call, deliver_at);
+        assert!(
+            !sh.faults.is_none(),
+            "handoffs only exist under a fault plan"
+        );
+        sh.push_call(&h.call, deliver_at, h.attempts);
     }
 
     /// Drain every event with `time <= horizon`, then report progress.
@@ -462,11 +454,11 @@ impl<'a> NodeSim<'a> {
 }
 
 impl Shell<'_> {
-    /// Append one call's slots and schedule its delivery one
-    /// `hop_request` after `sent`.
-    fn push_call(&mut self, call: &Call, sent: SimTime) {
+    /// Append the slots of a call that has begun `attempts` deliveries
+    /// and schedule its next one `hop_request` after `sent`.
+    fn push_call(&mut self, call: &Call, sent: SimTime, attempts: u32) {
         let idx = self.outcomes.len() as u32;
-        self.runtime.push(CallRuntime::EMPTY);
+        self.runtime.push(CallRuntime::idle(attempts));
         self.outcomes
             .push(CallOutcome::pending(call, self.node_index));
         self.events
@@ -501,7 +493,7 @@ impl Shell<'_> {
                 }
                 Ev::Fault(k) => self.on_fault(r, now, k),
                 Ev::Retry(i) => {
-                    debug_assert_eq!(self.fstate[i as usize].phase, FaultPhase::Backoff);
+                    debug_assert_eq!(self.runtime[i as usize].phase, FaultPhase::Backoff);
                     self.deliver(r, now, i);
                 }
                 Ev::PendingTimeout(i, attempt) => self.on_pending_timeout(r, now, i, attempt),
@@ -536,19 +528,17 @@ impl Shell<'_> {
             self.measured_snapshot = Some(self.pool.stats());
         }
         self.runtime[idx].invoker_receive = now;
-        if self.fault_on {
-            self.begin_attempt(now, i);
-        }
+        self.begin_attempt(now, i);
         r.admit(self, now, i);
     }
 
-    /// Start the next delivery attempt of call `i` (fault runs only):
-    /// bump the attempt counter and arm the pending timeout.
+    /// Start the next delivery attempt of call `i`: bump the attempt
+    /// counter and arm the pending timeout, if the plan has one.
     fn begin_attempt(&mut self, now: SimTime, i: u32) {
-        let fs = &mut self.fstate[i as usize];
-        fs.attempt += 1;
-        fs.phase = FaultPhase::Queued;
-        let attempt = fs.attempt;
+        let rt = &mut self.runtime[i as usize];
+        rt.attempt += 1;
+        rt.phase = FaultPhase::Queued;
+        let attempt = rt.attempt;
         if attempt > 1 {
             self.fault_stats.retries += 1;
         }
@@ -565,11 +555,10 @@ impl Shell<'_> {
         let func = self.outcomes[idx].func;
         let memory_mb = self.catalogue.spec(func).memory_mb as u64;
         let placement = self.pool.place(func, memory_mb, now)?;
-        self.runtime[idx].start_kind = placement.kind;
-        self.runtime[idx].container = Some(placement.container);
-        if self.fault_on {
-            self.fstate[idx].phase = FaultPhase::Running;
-        }
+        let rt = &mut self.runtime[idx];
+        rt.start_kind = placement.kind;
+        rt.container = Some(placement.container);
+        rt.phase = FaultPhase::Running;
         Some(placement.kind)
     }
 
@@ -599,7 +588,7 @@ impl Shell<'_> {
         self.events
             .schedule(now + hold, Ev::CleanupDone(container, self.incarnation));
         let call = self.outcomes[idx].call();
-        if self.fault_on && self.faults.attempt_fails(call.id, self.fstate[idx].attempt) {
+        if self.faults.attempt_fails(call.id, rt.attempt) {
             self.fault_stats.transient_failures += 1;
             self.fail_attempt(now, i, DropReason::ExhaustedRetries);
             return;
@@ -614,9 +603,7 @@ impl Shell<'_> {
             "outcome written twice"
         );
         self.outcomes_filled += 1;
-        if self.fault_on {
-            self.fstate[idx].phase = FaultPhase::Done;
-        }
+        self.runtime[idx].phase = FaultPhase::Done;
         self.outcomes[idx] = CallOutcome {
             id: call.id,
             func: call.func,
@@ -641,7 +628,7 @@ impl Shell<'_> {
     /// the call with `exhausted_reason` when no attempts remain.
     fn fail_attempt(&mut self, now: SimTime, i: u32, exhausted_reason: DropReason) {
         let idx = i as usize;
-        let attempt = self.fstate[idx].attempt;
+        let attempt = self.runtime[idx].attempt;
         let call = self.outcomes[idx].call();
         if attempt < self.faults.retry.max_attempts {
             let wait = self
@@ -651,7 +638,7 @@ impl Shell<'_> {
             if self.failover {
                 // The retry leaves the node: the cluster engine re-routes
                 // it to the least-loaded healthy node at the next barrier.
-                self.fstate[idx].phase = FaultPhase::Migrated;
+                self.runtime[idx].phase = FaultPhase::Migrated;
                 self.migrated += 1;
                 self.fault_stats.failovers += 1;
                 self.handoffs.push(Handoff {
@@ -662,7 +649,7 @@ impl Shell<'_> {
                 });
                 return;
             }
-            self.fstate[idx].phase = FaultPhase::Backoff;
+            self.runtime[idx].phase = FaultPhase::Backoff;
             self.events.schedule(now + wait, Ev::Retry(i));
         } else {
             assert_eq!(
@@ -670,7 +657,7 @@ impl Shell<'_> {
                 SimTime::ZERO,
                 "dropped a call that already completed"
             );
-            self.fstate[idx].phase = FaultPhase::Dropped;
+            self.runtime[idx].phase = FaultPhase::Dropped;
             self.fault_stats.dropped += 1;
             self.drops.push(DroppedCall {
                 id: call.id,
@@ -688,8 +675,8 @@ impl Shell<'_> {
     /// regime's queue and the attempt fails. Stale timeouts (the attempt
     /// started executing, resolved, or a later attempt is current) no-op.
     fn on_pending_timeout<R: Regime>(&mut self, r: &mut R, now: SimTime, i: u32, attempt: u32) {
-        let fs = self.fstate[i as usize];
-        if fs.phase != FaultPhase::Queued || fs.attempt != attempt {
+        let rt = self.runtime[i as usize];
+        if rt.phase != FaultPhase::Queued || rt.attempt != attempt {
             return;
         }
         r.abandon(i);
@@ -713,7 +700,7 @@ impl Shell<'_> {
                 // stale under the bumped incarnation. Index order keeps
                 // the retry schedule deterministic.
                 for i in 0..self.outcomes.len() as u32 {
-                    if self.fstate[i as usize].phase == FaultPhase::Running {
+                    if self.runtime[i as usize].phase == FaultPhase::Running {
                         self.fault_stats.crash_kills += 1;
                         self.fail_attempt(now, i, DropReason::ExhaustedRetries);
                     }
@@ -777,10 +764,12 @@ mod tests {
 
     #[test]
     fn inert_fault_machinery_reproduces_the_plain_run() {
-        // A non-trivial spec whose events cannot change the simulation — a
-        // capacity ramp whose floor is 1.0 — exercises every fault gate
-        // (timeline merge, per-call state, transient draws at zero
-        // probability) and must still produce the plain run's outcomes.
+        // A capacity ramp whose floor is 1.0 adds timeline events that
+        // cannot change the simulation: every capacity event rescales the
+        // CPU model to its nominal size. Under the standard retry policy
+        // and a zero failure probability the run must reproduce the plain
+        // run everywhere but the event-queue peak, which counts the ramp's
+        // own events.
         let spec = FaultSpec {
             seed: 99,
             capacity: vec![CapacityRamp {
@@ -796,14 +785,29 @@ mod tests {
             transient_failure: 0.0,
             retry: RetryPolicy::standard(),
         };
-        assert!(!spec.is_none(), "the gate must actually engage");
         for mode in &modes(Policy::Sept) {
             let plain = run(mode, 10, 30, 14);
-            let gated = faulted(mode, &NodeConfig::paper(10), 10, 30, 14, &spec);
-            assert_eq!(plain.outcomes, gated.outcomes, "{mode:?}");
-            assert!(gated.drops.is_empty());
-            assert_eq!(gated.fault_stats.capacity_events, 4);
-            assert_eq!(gated.fault_stats.retries, 0);
+            let ramped = faulted(mode, &NodeConfig::paper(10), 10, 30, 14, &spec);
+            assert_eq!(plain.outcomes, ramped.outcomes, "{mode:?}");
+            assert_eq!(plain.drops, ramped.drops, "{mode:?}");
+            assert!(ramped.drops.is_empty());
+            assert_eq!(plain.measured_pool_stats, ramped.measured_pool_stats);
+            assert_eq!(plain.total_pool_stats, ramped.total_pool_stats);
+            assert_eq!(plain.peak_queue, ramped.peak_queue, "{mode:?}");
+            assert_eq!(plain.peak_concurrency, ramped.peak_concurrency);
+            assert_eq!(plain.last_completion, ramped.last_completion);
+            assert_eq!(
+                plain.served_cpu_secs.to_bits(),
+                ramped.served_cpu_secs.to_bits(),
+                "{mode:?}"
+            );
+            assert_eq!(
+                plain.served_mem_units.to_bits(),
+                ramped.served_mem_units.to_bits(),
+                "{mode:?}"
+            );
+            assert_eq!(ramped.fault_stats.capacity_events, 4);
+            assert_eq!(ramped.fault_stats.retries, 0);
         }
     }
 

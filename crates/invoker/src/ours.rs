@@ -42,7 +42,6 @@ use crate::node::{Ev, FaultPhase, Regime, Shell};
 use crate::result::NodeResult;
 use faas_core::{PendingQueue, SchedulerConfig, SchedulerState};
 use faas_cpu::CorePool;
-use faas_simcore::dist::Sampler;
 use faas_simcore::time::{SimDuration, SimTime};
 use faas_workload::sebs::Catalogue;
 
@@ -86,15 +85,17 @@ impl Cores {
     /// priority order with head-of-line blocking (the queue is strict).
     /// A no-op on a dead node: arrivals keep queuing until the restart.
     fn dispatch(&mut self, sh: &mut Shell, now: SimTime) {
-        if sh.fault_on && !sh.alive {
+        if !sh.alive {
             return;
         }
         while self.cores.has_free() && !self.pending.is_empty() {
             let i = self.pending.pop().expect("non-empty queue pops");
             let idx = i as usize;
-            if sh.fault_on && sh.fstate[idx].phase != FaultPhase::Queued {
+            if sh.runtime[idx].phase != FaultPhase::Queued {
                 // Stale entry: the attempt timed out while queued (or a
-                // duplicate entry already dispatched this call).
+                // duplicate entry already dispatched this call). A failed
+                // lease requeues before the phase moves, so a fault-free
+                // run never pops one.
                 continue;
             }
             let Some(kind) = sh.lease(now, i) else {
@@ -225,11 +226,11 @@ impl Regime for Cores {
     }
 
     fn settle(mut self, sh: &Shell, result: &mut NodeResult) {
-        // Fault runs skip timed-out queue entries lazily, so stale entries
-        // may remain; anything still genuinely queued is a stuck call.
+        // Timed-out queue entries are skipped lazily, so stale entries may
+        // remain; anything still genuinely queued is a stuck call.
         while let Some(i) = self.pending.pop() {
             assert!(
-                sh.fault_on && sh.fstate[i as usize].phase != FaultPhase::Queued,
+                sh.runtime[i as usize].phase != FaultPhase::Queued,
                 "simulation ended with call {i} stuck in the pending queue \
                  (memory smaller than one container?)"
             );

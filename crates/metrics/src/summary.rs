@@ -12,9 +12,9 @@
 //! percentile comes from `faas_simcore::stats` by selection in expected
 //! O(n), equal bit for bit to sorting the values and interpolating.
 
-use faas_simcore::stats::{percentile, BoxPlot, Summary};
+use faas_simcore::stats::{percentile, Summary};
 use faas_simcore::time::SimTime;
-use faas_workload::sebs::{Catalogue, FuncId};
+use faas_workload::sebs::Catalogue;
 use faas_workload::trace::CallOutcome;
 use serde::{Deserialize, Serialize};
 
@@ -128,26 +128,6 @@ impl RunSummary {
             response: MetricSummary::from_values(&resp),
             stretch: MetricSummary::from_values(&st),
             max_completion,
-        }
-    }
-
-    /// Summarise only the calls of one function (Fig. 5's per-function
-    /// breakdowns).
-    pub fn for_function(
-        outcomes: &[&CallOutcome],
-        catalogue: &Catalogue,
-        burst_start: SimTime,
-        func: FuncId,
-    ) -> Option<RunSummary> {
-        let filtered: Vec<&CallOutcome> = outcomes
-            .iter()
-            .copied()
-            .filter(|o| o.func == func)
-            .collect();
-        if filtered.is_empty() {
-            None
-        } else {
-            Some(RunSummary::from_outcomes(&filtered, catalogue, burst_start))
         }
     }
 }
@@ -305,20 +285,11 @@ impl ResourceSummary {
     }
 }
 
-/// Box-plot statistics of response times (for figure regeneration).
-pub fn response_boxplot(outcomes: &[&CallOutcome]) -> BoxPlot {
-    BoxPlot::from_data(&response_times(outcomes))
-}
-
-/// Box-plot statistics of stretch (for figure regeneration).
-pub fn stretch_boxplot(outcomes: &[&CallOutcome], catalogue: &Catalogue) -> BoxPlot {
-    BoxPlot::from_data(&stretches(outcomes, catalogue))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use faas_simcore::time::SimDuration;
+    use faas_workload::sebs::FuncId;
     use faas_workload::trace::{CallId, CallKind, ColdStartKind};
 
     fn outcome(func: FuncId, release_s: u64, resp_s: f64) -> CallOutcome {
@@ -383,20 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn per_function_filter() {
-        let cat = catalogue();
-        let a = cat.by_name("graph-bfs").unwrap();
-        let b = cat.by_name("sleep").unwrap();
-        let outs = [outcome(a, 0, 1.0), outcome(b, 1, 2.0), outcome(a, 2, 3.0)];
-        let refs: Vec<&CallOutcome> = outs.iter().collect();
-        let s = RunSummary::for_function(&refs, &cat, SimTime::ZERO, a).unwrap();
-        assert_eq!(s.response.count, 2);
-        assert!((s.response.mean - 2.0).abs() < 1e-12);
-        let missing = cat.by_name("uploader").unwrap();
-        assert!(RunSummary::for_function(&refs, &cat, SimTime::ZERO, missing).is_none());
-    }
-
-    #[test]
     fn percentiles_are_ordered() {
         let cat = catalogue();
         let outs: Vec<CallOutcome> = (0..100)
@@ -406,19 +363,6 @@ mod tests {
         let s = RunSummary::from_outcomes(&refs, &cat, SimTime::ZERO);
         let r = s.response;
         assert!(r.p50 <= r.p75 && r.p75 <= r.p95 && r.p95 <= r.p99 && r.p99 <= r.max);
-    }
-
-    #[test]
-    fn boxplot_helpers_run() {
-        let cat = catalogue();
-        let outs: Vec<CallOutcome> = (0..50)
-            .map(|i| outcome(FuncId(0), i, 1.0 + (i % 7) as f64))
-            .collect();
-        let refs: Vec<&CallOutcome> = outs.iter().collect();
-        let rb = response_boxplot(&refs);
-        assert!(rb.p25 <= rb.median && rb.median <= rb.p75);
-        let sb = stretch_boxplot(&refs, &cat);
-        assert!(sb.whisker_lo <= sb.whisker_hi);
     }
 
     #[test]

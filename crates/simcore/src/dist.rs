@@ -14,12 +14,6 @@ use serde::{Deserialize, Serialize};
 /// the 5th percentile).
 pub const Z_95: f64 = 1.6448536269514722;
 
-/// Something that can draw `f64` samples from a PRNG.
-pub trait Sampler {
-    /// Draw one sample.
-    fn sample(&self, rng: &mut Xoshiro256) -> f64;
-}
-
 /// The distribution kinds used across the workspace.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Distribution {
@@ -33,8 +27,9 @@ pub enum Distribution {
     LogNormal(LogNormal),
 }
 
-impl Sampler for Distribution {
-    fn sample(&self, rng: &mut Xoshiro256) -> f64 {
+impl Distribution {
+    /// Draw one sample.
+    pub fn sample(&self, rng: &mut Xoshiro256) -> f64 {
         match *self {
             Distribution::Deterministic(v) => v,
             Distribution::Uniform { lo, hi } => rng.uniform_f64(lo, hi),
@@ -45,9 +40,7 @@ impl Sampler for Distribution {
             Distribution::LogNormal(ln) => ln.sample(rng),
         }
     }
-}
 
-impl Distribution {
     /// The analytic mean of the distribution.
     pub fn mean(&self) -> f64 {
         match *self {
@@ -127,10 +120,9 @@ impl LogNormal {
         assert!((0.0..1.0).contains(&p) && p > 0.0, "p must be in (0,1)");
         (self.mu + self.sigma * inverse_standard_normal_cdf(p)).exp()
     }
-}
 
-impl Sampler for LogNormal {
-    fn sample(&self, rng: &mut Xoshiro256) -> f64 {
+    /// Draw one sample.
+    pub fn sample(&self, rng: &mut Xoshiro256) -> f64 {
         (self.mu + self.sigma * rng.standard_normal()).exp()
     }
 }

@@ -34,7 +34,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use dist::{Distribution, LogNormal, Sampler};
+pub use dist::{Distribution, LogNormal};
 pub use events::{EventHandle, EventQueue};
 pub use rng::Xoshiro256;
 pub use stats::{Percentiles, Summary};

@@ -74,12 +74,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference: `None` if `earlier > self`.
-    #[inline]
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -147,12 +141,6 @@ impl SimDuration {
     #[inline]
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
-    }
-
-    /// Multiply by a non-negative float, saturating. NaN maps to zero.
-    #[inline]
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        SimDuration(secs_to_nanos(self.as_secs_f64() * factor))
     }
 }
 
@@ -261,18 +249,7 @@ mod tests {
         assert_eq!(late - early, SimDuration::from_secs(4));
         // Subtracting a later time saturates instead of wrapping.
         assert_eq!(early - late, SimDuration::ZERO);
-        assert_eq!(early.checked_since(late), None);
-        assert_eq!(late.checked_since(early), Some(SimDuration::from_secs(4)));
         assert_eq!(SimTime::MAX + SimDuration::from_secs(1), SimTime::MAX);
-    }
-
-    #[test]
-    fn duration_mul_f64() {
-        let d = SimDuration::from_secs(2);
-        assert_eq!(d.mul_f64(1.5), SimDuration::from_millis(3000));
-        assert_eq!(d.mul_f64(0.0), SimDuration::ZERO);
-        assert_eq!(d.mul_f64(-3.0), SimDuration::ZERO);
-        assert_eq!(d.mul_f64(f64::NAN), SimDuration::ZERO);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests of the simulation kernel.
 
-use faas_simcore::dist::{LogNormal, Sampler};
+use faas_simcore::dist::LogNormal;
 use faas_simcore::events::EventQueue;
 use faas_simcore::rng::Xoshiro256;
 use faas_simcore::stats::Welford;

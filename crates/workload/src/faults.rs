@@ -261,8 +261,8 @@ impl FaultTimeline {
 
 /// The full fault plan of a run. [`FaultSpec::none`] — the default — is
 /// the identity: no capacity events, no crashes, zero failure probability
-/// and a no-retry policy, under which every simulation path reduces to
-/// the fault-free behavior bit-for-bit.
+/// and a no-retry policy. Fault-free runs go through the same per-call
+/// lifecycle as fault runs; under this plan it has nothing to act on.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultSpec {
     /// Root seed of every deterministic fault draw (transient failures,
@@ -287,7 +287,11 @@ impl Default for FaultSpec {
 }
 
 impl FaultSpec {
-    /// The identity plan: no faults, no retries.
+    /// The identity plan: no faults, no retries. Inert by its data: an
+    /// empty timeline on every node, a zero failure probability that
+    /// [`FaultSpec::attempt_fails`] answers without a draw, and no pending
+    /// timeout. A run under it schedules no fault event and moves no
+    /// random stream, so it is the fault-free run.
     pub fn none() -> Self {
         FaultSpec {
             seed: 0,
@@ -298,13 +302,12 @@ impl FaultSpec {
         }
     }
 
-    /// True when the plan can never alter a run: the invokers skip all
-    /// fault bookkeeping on such plans, keeping the no-fault hot path
-    /// bit-identical to the pre-fault simulator. A pending timeout counts
-    /// as a fault source — it can abandon queued attempts even with no
-    /// capacity events, crashes or transient failures. A bare
-    /// `max_attempts > 1` does not: with nothing able to fail an attempt,
-    /// retries are unreachable.
+    /// True when nothing in the plan can fail an attempt, so no retry can
+    /// ever leave a node: cross-node failover needs a plan for which this
+    /// is false. A pending timeout counts as a fault source — it can
+    /// abandon queued attempts even with no capacity events, crashes or
+    /// transient failures. A bare `max_attempts > 1` does not: with
+    /// nothing able to fail an attempt, retries are unreachable.
     pub fn is_none(&self) -> bool {
         self.capacity.is_empty()
             && self.crashes.is_empty()

@@ -271,7 +271,6 @@ impl Catalogue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faas_simcore::dist::Sampler;
     use faas_simcore::rng::Xoshiro256;
 
     #[test]

@@ -69,7 +69,7 @@ pub struct TaskShare {
     pub max_rate: f64,
     /// Memory-bandwidth units consumed per unit of CPU. `0.0` (the
     /// default everywhere) is the degenerate single-resource profile: the
-    /// invoker places such tasks through the scalar `add_task` path,
+    /// invoker places such tasks as the `ResourceVector::CPU_ONLY` demand,
     /// bit-identical to the pre-DRF kernel. Values above `1.0` make the
     /// function memory-dominant under DRF.
     pub mem_per_cpu: f64,
@@ -90,12 +90,6 @@ impl TaskShare {
         self.weight.to_bits() == 1.0f64.to_bits()
             && self.max_rate.to_bits() == 1.0f64.to_bits()
             && self.mem_per_cpu == 0.0
-    }
-
-    /// True iff the share demands no memory bandwidth — the degenerate
-    /// single-resource profile the invoker keeps on the scalar path.
-    pub fn is_cpu_only(&self) -> bool {
-        self.mem_per_cpu == 0.0
     }
 }
 
@@ -552,7 +546,11 @@ mod tests {
     fn mem_tiers_correlate_and_keep_legacy_shares_cpu_only() {
         let plain = WeightSpec::paper_tiers().table(&catalogue());
         for func in catalogue().ids() {
-            assert!(plain.share(func).is_cpu_only(), "legacy tiers stay scalar");
+            assert_eq!(
+                plain.share(func).mem_per_cpu,
+                0.0,
+                "legacy tiers stay CPU-only"
+            );
         }
         let mem = WeightSpec::paper_tiers_mem().table(&catalogue());
         // Same weights and caps as the plain tiers; only the memory axis
@@ -564,8 +562,9 @@ mod tests {
             assert_eq!(a.max_rate, b.max_rate);
         }
         assert!((mem.share(FuncId(0)).mem_per_cpu - 2.0).abs() < 1e-12);
-        assert!(
-            mem.share(FuncId(2)).is_cpu_only(),
+        assert_eq!(
+            mem.share(FuncId(2)).mem_per_cpu,
+            0.0,
             "throttled tier stays CPU-only"
         );
     }
@@ -621,7 +620,7 @@ mod tests {
 
     #[test]
     fn uniform_share_is_cpu_only_and_mem_share_is_not_uniform() {
-        assert!(TaskShare::UNIFORM.is_cpu_only());
+        assert_eq!(TaskShare::UNIFORM.mem_per_cpu, 0.0);
         let s = TaskShare {
             weight: 1.0,
             max_rate: 1.0,
@@ -631,7 +630,7 @@ mod tests {
             !s.is_uniform(),
             "a memory demand breaks the uniform signature"
         );
-        assert!(!s.is_cpu_only());
+        assert_ne!(s.mem_per_cpu, 0.0);
     }
 
     #[test]

@@ -45,7 +45,8 @@ fn main() {
                 NodeConfig::paper(cores_per_node),
                 LoadBalancer::RoundRobin,
             );
-            let result = run_cluster(&catalogue, &scenario, &mode, &cfg, seed);
+            let result =
+                run_cluster(&catalogue, &scenario, &mode, &cfg, seed).expect("runnable cluster");
             let resp: Vec<f64> = result
                 .outcomes
                 .iter()

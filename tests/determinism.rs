@@ -72,8 +72,8 @@ fn cluster_runs_are_reproducible() {
     let scenario = ClusterScenario::generate(&catalogue, 24, SimDuration::from_secs(60), 13);
     let cfg = ClusterConfig::independent(3, NodeConfig::paper(10), LoadBalancer::FunctionHash);
     let mode = NodeMode::Scheduled(SchedulerConfig::paper(Policy::FairChoice));
-    let a = run_cluster(&catalogue, &scenario, &mode, &cfg, 13);
-    let b = run_cluster(&catalogue, &scenario, &mode, &cfg, 13);
+    let a = run_cluster(&catalogue, &scenario, &mode, &cfg, 13).expect("runnable cluster");
+    let b = run_cluster(&catalogue, &scenario, &mode, &cfg, 13).expect("runnable cluster");
     assert_eq!(a.outcomes, b.outcomes);
 }
 
@@ -292,7 +292,7 @@ fn static_cluster_runs_match_their_pinned_digests() {
     let digests = [
         run(&spec(132), &base, &rr3, &none, (1, 2)),
         run(&spec(132), &fc, &rr3, &none, (1, 2)),
-        cluster_digest(&run_cluster(&cat, &scenario, &base, &fh2, 3)),
+        cluster_digest(&run_cluster(&cat, &scenario, &base, &fh2, 3).expect("runnable cluster")),
         run(&spec(660), &fc, &rr3, &crash, (21, 22)),
         run(&spec(660), &base, &rr3, &crash, (21, 22)),
         run(&spec(66), &fc, &rr1, &none, (5, 6)),

@@ -112,7 +112,7 @@ fn cluster_and_single_node_agree_on_one_worker() {
     let scenario = ClusterScenario::generate(&catalogue, 12, SimDuration::from_secs(60), 5);
     let cfg = ClusterConfig::independent(1, NodeConfig::paper(10), LoadBalancer::RoundRobin);
     let mode = NodeMode::Scheduled(SchedulerConfig::paper(Policy::Sept));
-    let result = run_cluster(&catalogue, &scenario, &mode, &cfg, 5);
+    let result = run_cluster(&catalogue, &scenario, &mode, &cfg, 5).expect("runnable cluster");
     let measured: Vec<&CallOutcome> = result.outcomes.iter().filter(|o| o.is_measured()).collect();
     assert_eq!(measured.len(), scenario.burst.len());
     assert!(measured.iter().all(|o| o.node == 0));

@@ -213,7 +213,7 @@ fn fc_on_three_nodes_beats_baseline_on_four() {
     let run_cfg = |nodes: u16, mode: &NodeMode| {
         let cfg =
             ClusterConfig::independent(nodes, NodeConfig::paper(18), LoadBalancer::RoundRobin);
-        let result = run_cluster(&catalogue, &scenario, mode, &cfg, 12);
+        let result = run_cluster(&catalogue, &scenario, mode, &cfg, 12).expect("runnable cluster");
         let v: Vec<f64> = result
             .outcomes
             .iter()
