@@ -441,6 +441,7 @@ mod tests {
         assert_eq!(a.drops, b.drops, "{what}");
         assert_eq!(a.fault_stats, b.fault_stats, "{what}");
         assert_eq!(a.peak_events, b.peak_events, "{what}");
+        assert_eq!(a.peak_live_calls, b.peak_live_calls, "{what}");
         assert_eq!(a.served_cpu_secs, b.served_cpu_secs, "{what}");
         assert_eq!(a.served_mem_units, b.served_mem_units, "{what}");
         assert_eq!(a.peak_resident_calls, b.peak_resident_calls, "{what}");

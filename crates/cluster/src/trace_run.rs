@@ -19,13 +19,23 @@
 //!
 //! # Bounded memory
 //!
-//! A trace is never materialized. The controller reads it through one
-//! read-ahead cursor of at most `chunk` calls, and the engine routes at
-//! most `chunk` arrivals per window, so a trace replays in bounded memory
-//! even at infinite lookahead. The cursor's peak is reported as
-//! [`NodeResult::peak_resident_calls`] — the replay RSS proxy, at most
-//! `chunk` however long the trace is. (Event-queue pressure is what
-//! [`NodeResult::peak_events`] already tracks.)
+//! A trace is never materialized. Two kinds of per-call state are bounded
+//! however long the trace is:
+//!
+//! * **The ingest cursor.** The controller reads the trace through one
+//!   read-ahead cursor of at most `chunk` calls, and the engine routes at
+//!   most `chunk` arrivals per window, even at infinite lookahead. The
+//!   cursor's peak is [`NodeResult::peak_resident_calls`].
+//! * **Each node's runtime.** A node keeps a call's runtime only in its
+//!   live window, from its oldest unresolved call to its newest injected
+//!   one; the peak is [`NodeResult::peak_live_calls`]. On a stable load
+//!   that is about the calls in flight plus one chunk. A priority policy
+//!   that holds one call back while later ones complete widens the window
+//!   by every call released meanwhile.
+//!
+//! What still grows O(n) is the result: every node keeps one 64-byte
+//! `CallOutcome` per call it served, merged at the end. (Event-queue
+//! pressure is what [`NodeResult::peak_events`] tracks.)
 
 use crate::coupled::{coupled_engine, Windows};
 use crate::sim::{ClusterConfig, ClusterScenario};
@@ -273,6 +283,7 @@ impl Iterator for TraceCursor<'_> {
 mod tests {
     use super::*;
     use crate::lb::{hash_rotation, LoadBalancer};
+    use faas_core::{Policy, SchedulerConfig};
     use faas_invoker::NodeConfig;
     use faas_simcore::time::SimDuration;
     use faas_workload::arrival::ArrivalSpec;
@@ -375,6 +386,40 @@ mod tests {
             peaks, [chunk as u64; 3],
             "residency is independent of length"
         );
+    }
+
+    #[test]
+    fn peak_live_calls_is_bounded_by_calls_in_flight_not_trace_length() {
+        // A node keeps runtime only from its oldest unresolved call on. On
+        // a stable load that window is the calls injected but not yet
+        // arrived (at most one chunk), queued or running, plus the few
+        // that finished behind an older one still in service: twice the
+        // in-flight bound covers it, however long the trace.
+        let cat = catalogue();
+        let cfg = ClusterConfig::independent(3, NodeConfig::paper(10), LoadBalancer::RoundRobin);
+        let none = FaultSpec::none();
+        let chunk = 32usize;
+        let fair_choice = NodeMode::Scheduled(SchedulerConfig::paper(Policy::FairChoice));
+        for mode in [NodeMode::Baseline, fair_choice] {
+            let run = |minutes: u64| {
+                let spec = SynthSpec::azure(4.0, SimDuration::from_secs(60 * minutes));
+                let source = WorkloadSource::Trace(TraceSpec::Synthetic(spec));
+                run_cluster_source_per_node(&cat, &source, &mode, &cfg, &none, (23, 25), chunk)
+                    .expect("synthetic source")
+            };
+            let (short, long) = (run(1), run(10));
+            let served = |rs: &[NodeResult]| rs.iter().map(|r| r.outcomes.len()).sum::<usize>();
+            assert!(served(&long) >= 8 * served(&short), "{mode:?}");
+            for r in short.iter().chain(&long) {
+                let bound = 2 * (chunk + r.peak_queue + r.peak_concurrency);
+                assert!(
+                    r.peak_live_calls > 0 && r.peak_live_calls <= bound,
+                    "{mode:?}: live window {} over {bound} ({} calls served)",
+                    r.peak_live_calls,
+                    r.outcomes.len()
+                );
+            }
+        }
     }
 
     #[test]

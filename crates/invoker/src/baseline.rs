@@ -160,8 +160,8 @@ impl<'a> Gps<'a> {
         let spec = sh.catalogue.spec(func);
         let p = spec.service_dist().sample(&mut sh.rng_service);
         let cpu_work = spec.cpu_fraction * p;
-        sh.runtime[idx].exec_start = now;
-        sh.runtime[idx].p = p;
+        sh.runtime[i].exec_start = now;
+        sh.runtime[i].p = p;
         let share = self.weights.phase_share(func, kind, CallPhase::Exec);
         let (tid, profile) = self.add_share_task(now, cpu_work, &share);
         self.owners.insert(tid, (Owner::Exec(i), profile));
@@ -257,7 +257,7 @@ impl Regime for Gps<'_> {
     /// cores the OS overlaps this work, unlike the paper's dedicated-core
     /// regime where it idles the call's core.
     fn end_exec(&mut self, sh: &mut Shell, now: SimTime, i: u32) -> (SimDuration, SimDuration) {
-        let rt = sh.runtime[i as usize];
+        let rt = sh.runtime[i];
         let mgmt = sh
             .cfg
             .calibration
@@ -319,7 +319,7 @@ impl Regime for Gps<'_> {
                     // The I/O phase: the rest of the intrinsic time.
                     let idx = i as usize;
                     let spec = sh.catalogue.spec(sh.outcomes[idx].func);
-                    let io = (1.0 - spec.cpu_fraction) * sh.runtime[idx].p;
+                    let io = (1.0 - spec.cpu_fraction) * sh.runtime[i].p;
                     sh.events.schedule(
                         now + SimDuration::from_secs_f64(io),
                         Ev::ExecDone(i, sh.incarnation),

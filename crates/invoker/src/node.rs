@@ -61,6 +61,22 @@
 //! probability fails no attempt without a draw, and it arms no pending
 //! timeout. So no event is added, no random stream moves, and every call
 //! goes `Idle → Queued → Running → Done` once.
+//!
+//! # Live calls
+//!
+//! Like the paper's invoker, which keeps per-request state only while a
+//! request is queued or holds its core (§IV), a node keeps a call's
+//! [`CallRuntime`] only while the call is live: in a [`LiveCalls`] window
+//! from the oldest unresolved call to the newest injected one. Events,
+//! the regime queues and the outcome slots keep addressing a call by its
+//! injection index. A resolved call (`Done`, `Dropped` or `Migrated`)
+//! retires once every older call has resolved too. The readers that can
+//! still meet it are the stale ones — a lazily skipped pending-queue
+//! entry, an old pending timeout — and they treat a retired call as
+//! resolved. The window spans calls in flight plus those that resolved
+//! behind an older live one, so under a priority policy that holds one
+//! call back it also spans every later call; its peak is reported as
+//! [`NodeResult::peak_live_calls`].
 
 use crate::config::{NodeConfig, NodeMode};
 use crate::pool::{ContainerId, ContainerPool, PoolStats};
@@ -126,6 +142,17 @@ pub(crate) enum FaultPhase {
     Migrated,
 }
 
+impl FaultPhase {
+    /// Whether the call is resolved on this node: it can never run here
+    /// again, so its runtime may retire.
+    fn is_resolved(self) -> bool {
+        matches!(
+            self,
+            FaultPhase::Done | FaultPhase::Dropped | FaultPhase::Migrated
+        )
+    }
+}
+
 /// Per-call runtime of the current attempt.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CallRuntime {
@@ -143,7 +170,7 @@ pub(crate) struct CallRuntime {
     pub phase: FaultPhase,
 }
 
-// One 48-byte slot per call: the attempt counter and phase fit in the
+// One 48-byte slot per live call: the attempt counter and phase fit in the
 // padding of the other fields, so a fault-free run pays no memory for them.
 const _: () = assert!(std::mem::size_of::<CallRuntime>() == 48);
 
@@ -160,6 +187,80 @@ impl CallRuntime {
             attempt,
             phase: FaultPhase::Idle,
         }
+    }
+}
+
+/// The runtime of every call from the oldest unresolved one on, addressed
+/// by injection index. A call resolves when it reaches `Done`, `Dropped` or
+/// `Migrated`; the resolved prefix then retires, and the slots compact once
+/// the retired prefix is at least half of them. So retiring costs amortized
+/// O(1), an index is one subtraction, and a node holds runtime for its live
+/// calls, not for every call it ever received.
+#[derive(Default)]
+pub(crate) struct LiveCalls {
+    /// Injection index of `slots[0]`.
+    base: u32,
+    /// Leading slots already resolved, awaiting compaction.
+    retired: usize,
+    slots: Vec<CallRuntime>,
+    /// Largest live window held (see [`NodeResult::peak_live_calls`]).
+    peak: usize,
+}
+
+impl LiveCalls {
+    fn push(&mut self, rt: CallRuntime) {
+        self.slots.push(rt);
+        self.peak = self.peak.max(self.slots.len() - self.retired);
+    }
+
+    /// Call `i`'s phase, or `None` once it has retired. Only the stale
+    /// readers (a lazily skipped queue entry, an old pending timeout) and
+    /// the crash's kill walk, whose kills may retire calls as it goes, can
+    /// meet a retired call; they treat it as resolved.
+    pub fn phase(&self, i: u32) -> Option<FaultPhase> {
+        let k = i.checked_sub(self.base)? as usize;
+        (k >= self.retired).then(|| self.slots[k].phase)
+    }
+
+    /// Injection indices of the calls not yet retired, oldest first.
+    fn live(&self) -> std::ops::Range<u32> {
+        self.base + self.retired as u32..self.base + self.slots.len() as u32
+    }
+
+    /// Resolve call `i` into `phase`, then retire the resolved prefix.
+    fn resolve(&mut self, i: u32, phase: FaultPhase) {
+        debug_assert!(phase.is_resolved());
+        self[i].phase = phase;
+        if (i - self.base) as usize != self.retired {
+            return; // an older call is still live
+        }
+        while self
+            .slots
+            .get(self.retired)
+            .is_some_and(|rt| rt.phase.is_resolved())
+        {
+            self.retired += 1;
+        }
+        if 2 * self.retired >= self.slots.len() {
+            self.slots.drain(..self.retired);
+            self.base += self.retired as u32;
+            self.retired = 0;
+        }
+    }
+}
+
+impl std::ops::Index<u32> for LiveCalls {
+    type Output = CallRuntime;
+    /// Call `i`'s runtime. `i` must be live: a retired call panics once
+    /// its slot is compacted away.
+    fn index(&self, i: u32) -> &CallRuntime {
+        &self.slots[(i - self.base) as usize]
+    }
+}
+
+impl std::ops::IndexMut<u32> for LiveCalls {
+    fn index_mut(&mut self, i: u32) -> &mut CallRuntime {
+        &mut self.slots[(i - self.base) as usize]
     }
 }
 
@@ -209,10 +310,12 @@ pub(crate) struct Shell<'a> {
     pub node_index: u16,
     pub events: EventQueue<Ev>,
     pub pool: ContainerPool,
-    pub runtime: Vec<CallRuntime>,
-    /// One slot per injected call, indexed like `runtime`: pending until
-    /// the call completes, and the call's identity (id, function, release,
-    /// kind) throughout.
+    /// Runtime of the live calls, by injection index.
+    pub runtime: LiveCalls,
+    /// One slot per injected call, by injection index: pending until the
+    /// call completes, and the call's identity (id, function, release,
+    /// kind) throughout. Unlike `runtime`, it never retires: it is the
+    /// result.
     pub outcomes: Vec<CallOutcome>,
     /// Slots of `outcomes` already overwritten with a real completion.
     outcomes_filled: usize,
@@ -324,7 +427,7 @@ impl<'a> NodeSim<'a> {
                 cfg.prewarm_count,
                 prewarm_mem_mb,
             ),
-            runtime: Vec::new(),
+            runtime: LiveCalls::default(),
             outcomes: Vec::new(),
             outcomes_filled: 0,
             rng_service,
@@ -351,7 +454,7 @@ impl<'a> NodeSim<'a> {
     /// scheduled into the past).
     pub fn inject(&mut self, calls: &[Call]) {
         let sh = &mut self.sh;
-        sh.runtime.reserve(calls.len());
+        sh.runtime.slots.reserve(calls.len());
         sh.outcomes.reserve(calls.len());
         for (k, call) in calls.iter().enumerate() {
             debug_assert!(
@@ -438,6 +541,7 @@ impl<'a> NodeSim<'a> {
             peak_queue: 0,
             peak_concurrency: 0,
             peak_events: sh.peak_events,
+            peak_live_calls: sh.runtime.peak,
             peak_resident_calls: 0,
             last_completion: sh.last_completion,
             served_cpu_secs: 0.0,
@@ -493,7 +597,7 @@ impl Shell<'_> {
                 }
                 Ev::Fault(k) => self.on_fault(r, now, k),
                 Ev::Retry(i) => {
-                    debug_assert_eq!(self.runtime[i as usize].phase, FaultPhase::Backoff);
+                    debug_assert_eq!(self.runtime[i].phase, FaultPhase::Backoff);
                     self.deliver(r, now, i);
                 }
                 Ev::PendingTimeout(i, attempt) => self.on_pending_timeout(r, now, i, attempt),
@@ -527,7 +631,7 @@ impl Shell<'_> {
             // the first measured arrival.
             self.measured_snapshot = Some(self.pool.stats());
         }
-        self.runtime[idx].invoker_receive = now;
+        self.runtime[i].invoker_receive = now;
         self.begin_attempt(now, i);
         r.admit(self, now, i);
     }
@@ -535,7 +639,7 @@ impl Shell<'_> {
     /// Start the next delivery attempt of call `i`: bump the attempt
     /// counter and arm the pending timeout, if the plan has one.
     fn begin_attempt(&mut self, now: SimTime, i: u32) {
-        let rt = &mut self.runtime[i as usize];
+        let rt = &mut self.runtime[i];
         rt.attempt += 1;
         rt.phase = FaultPhase::Queued;
         let attempt = rt.attempt;
@@ -555,7 +659,7 @@ impl Shell<'_> {
         let func = self.outcomes[idx].func;
         let memory_mb = self.catalogue.spec(func).memory_mb as u64;
         let placement = self.pool.place(func, memory_mb, now)?;
-        let rt = &mut self.runtime[idx];
+        let rt = &mut self.runtime[i];
         rt.start_kind = placement.kind;
         rt.container = Some(placement.container);
         rt.phase = FaultPhase::Running;
@@ -581,7 +685,7 @@ impl Shell<'_> {
     fn on_exec_done<R: Regime>(&mut self, r: &mut R, now: SimTime, i: u32) {
         let idx = i as usize;
         let (hold, processing) = r.end_exec(self, now, i);
-        let rt = self.runtime[idx];
+        let rt = self.runtime[i];
         // The container cleans up whether or not the response survives
         // the transient-failure draw below: the work was consumed.
         let container = rt.container.expect("executed call must hold a container");
@@ -603,7 +707,7 @@ impl Shell<'_> {
             "outcome written twice"
         );
         self.outcomes_filled += 1;
-        self.runtime[idx].phase = FaultPhase::Done;
+        self.runtime.resolve(i, FaultPhase::Done);
         self.outcomes[idx] = CallOutcome {
             id: call.id,
             func: call.func,
@@ -628,7 +732,7 @@ impl Shell<'_> {
     /// the call with `exhausted_reason` when no attempts remain.
     fn fail_attempt(&mut self, now: SimTime, i: u32, exhausted_reason: DropReason) {
         let idx = i as usize;
-        let attempt = self.runtime[idx].attempt;
+        let attempt = self.runtime[i].attempt;
         let call = self.outcomes[idx].call();
         if attempt < self.faults.retry.max_attempts {
             let wait = self
@@ -638,7 +742,7 @@ impl Shell<'_> {
             if self.failover {
                 // The retry leaves the node: the cluster engine re-routes
                 // it to the least-loaded healthy node at the next barrier.
-                self.runtime[idx].phase = FaultPhase::Migrated;
+                self.runtime.resolve(i, FaultPhase::Migrated);
                 self.migrated += 1;
                 self.fault_stats.failovers += 1;
                 self.handoffs.push(Handoff {
@@ -649,7 +753,7 @@ impl Shell<'_> {
                 });
                 return;
             }
-            self.runtime[idx].phase = FaultPhase::Backoff;
+            self.runtime[i].phase = FaultPhase::Backoff;
             self.events.schedule(now + wait, Ev::Retry(i));
         } else {
             assert_eq!(
@@ -657,7 +761,7 @@ impl Shell<'_> {
                 SimTime::ZERO,
                 "dropped a call that already completed"
             );
-            self.runtime[idx].phase = FaultPhase::Dropped;
+            self.runtime.resolve(i, FaultPhase::Dropped);
             self.fault_stats.dropped += 1;
             self.drops.push(DroppedCall {
                 id: call.id,
@@ -673,10 +777,10 @@ impl Shell<'_> {
     /// The pending timeout of `(i, attempt)` fired. If that attempt is
     /// still queued the client has given up on it: the entry leaves the
     /// regime's queue and the attempt fails. Stale timeouts (the attempt
-    /// started executing, resolved, or a later attempt is current) no-op.
+    /// started executing, a later attempt is current, or the call resolved
+    /// and may have retired) no-op.
     fn on_pending_timeout<R: Regime>(&mut self, r: &mut R, now: SimTime, i: u32, attempt: u32) {
-        let rt = self.runtime[i as usize];
-        if rt.phase != FaultPhase::Queued || rt.attempt != attempt {
+        if self.runtime.phase(i) != Some(FaultPhase::Queued) || self.runtime[i].attempt != attempt {
             return;
         }
         r.abandon(i);
@@ -697,10 +801,12 @@ impl Shell<'_> {
                 self.fault_stats.crashes += 1;
                 r.crash(self, now);
                 // Kill every in-flight attempt; their pending timers are
-                // stale under the bumped incarnation. Index order keeps
-                // the retry schedule deterministic.
-                for i in 0..self.outcomes.len() as u32 {
-                    if self.runtime[i as usize].phase == FaultPhase::Running {
+                // stale under the bumped incarnation. Only live calls can
+                // be running, and index order keeps the retry schedule
+                // deterministic. A kill may retire calls mid-walk, so each
+                // is looked up afresh.
+                for i in self.runtime.live() {
+                    if self.runtime.phase(i) == Some(FaultPhase::Running) {
                         self.fault_stats.crash_kills += 1;
                         self.fail_attempt(now, i, DropReason::ExhaustedRetries);
                     }

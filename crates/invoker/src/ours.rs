@@ -91,17 +91,18 @@ impl Cores {
         while self.cores.has_free() && !self.pending.is_empty() {
             let i = self.pending.pop().expect("non-empty queue pops");
             let idx = i as usize;
-            if sh.runtime[idx].phase != FaultPhase::Queued {
+            if sh.runtime.phase(i) != Some(FaultPhase::Queued) {
                 // Stale entry: the attempt timed out while queued (or a
-                // duplicate entry already dispatched this call). A failed
-                // lease requeues before the phase moves, so a fault-free
-                // run never pops one.
+                // duplicate entry already dispatched this call, which may
+                // since have resolved and retired). A failed lease
+                // requeues before the phase moves, so a fault-free run
+                // never pops one.
                 continue;
             }
             let Some(kind) = sh.lease(now, i) else {
                 // No memory even after eviction: requeue at the same
                 // priority and wait for a container release.
-                self.pending.push(sh.runtime[idx].priority, i);
+                self.pending.push(sh.runtime[i].priority, i);
                 break;
             };
             assert!(self.cores.try_acquire(), "free core checked above");
@@ -123,8 +124,8 @@ impl Cores {
             }
             let exec_secs = p * (spec.cpu_fraction * slowdown + (1.0 - spec.cpu_fraction));
             let exec_start = now + SimDuration::from_secs_f64(init_secs);
-            sh.runtime[idx].exec_start = exec_start;
-            sh.runtime[idx].p = p;
+            sh.runtime[i].exec_start = exec_start;
+            sh.runtime[i].p = p;
             sh.events.schedule(
                 exec_start + SimDuration::from_secs_f64(exec_secs),
                 Ev::ExecDone(i, sh.incarnation),
@@ -138,7 +139,7 @@ impl Regime for Cores {
 
     fn admit(&mut self, sh: &mut Shell, now: SimTime, i: u32) {
         let prio = self.sched.on_receive(sh.outcomes[i as usize].func, now);
-        sh.runtime[i as usize].priority = prio;
+        sh.runtime[i].priority = prio;
         self.pending.push(prio, i);
         self.dispatch(sh, now);
     }
@@ -161,7 +162,7 @@ impl Regime for Cores {
     /// The container is held — and its core idles — through the per-call
     /// management cleanup.
     fn end_exec(&mut self, sh: &mut Shell, now: SimTime, i: u32) -> (SimDuration, SimDuration) {
-        let rt = sh.runtime[i as usize];
+        let rt = sh.runtime[i];
         let func = sh.outcomes[i as usize].func;
         let spec = sh.catalogue.spec(func);
         self.cpu_load -= spec.cpu_fraction;
@@ -227,10 +228,11 @@ impl Regime for Cores {
 
     fn settle(mut self, sh: &Shell, result: &mut NodeResult) {
         // Timed-out queue entries are skipped lazily, so stale entries may
-        // remain; anything still genuinely queued is a stuck call.
+        // remain (their calls possibly retired); anything still genuinely
+        // queued is a stuck call.
         while let Some(i) = self.pending.pop() {
             assert!(
-                sh.runtime[i as usize].phase != FaultPhase::Queued,
+                sh.runtime.phase(i) != Some(FaultPhase::Queued),
                 "simulation ended with call {i} stuck in the pending queue \
                  (memory smaller than one container?)"
             );

@@ -85,6 +85,14 @@ pub struct NodeResult {
     /// is a simulator-health metric, not a modelled quantity: it bounds the
     /// event heap's memory and guards against stale-event buildup.
     pub peak_events: usize,
+    /// Largest live window a node held: the calls from its oldest
+    /// unresolved one to its newest injected one, whose runtime it keeps
+    /// (see the crate's `node` module). On a stable load it follows the
+    /// calls in flight, not how many the node received; a call a priority
+    /// queue holds back widens it by every later call. Counts calls
+    /// injected but not yet arrived, so it moves with a cluster run's
+    /// ingestion chunk. Merges take the max.
+    pub peak_live_calls: usize,
     /// Largest number of calls resident in the ingestion buffer of a trace
     /// replay — the bounded-memory RSS proxy, at most one `chunk`. Zero
     /// for runs that materialize their call list up front. Unlike the
@@ -138,6 +146,7 @@ impl NodeResult {
         self.peak_queue = self.peak_queue.max(other.peak_queue);
         self.peak_concurrency = self.peak_concurrency.max(other.peak_concurrency);
         self.peak_events = self.peak_events.max(other.peak_events);
+        self.peak_live_calls = self.peak_live_calls.max(other.peak_live_calls);
         self.peak_resident_calls += other.peak_resident_calls;
         self.last_completion = self.last_completion.max(other.last_completion);
         self.served_cpu_secs += other.served_cpu_secs;
@@ -220,6 +229,7 @@ mod tests {
             peak_queue: 3,
             peak_concurrency: 2,
             peak_events: 5,
+            peak_live_calls: 4,
             peak_resident_calls: 7,
             last_completion: last,
             served_cpu_secs: 1.5,
@@ -267,6 +277,7 @@ mod tests {
         assert_eq!(acc.outcomes[0].id, CallId(1), "sorted after merge_from");
         assert_eq!(acc.last_completion, SimTime::from_secs(3));
         assert_eq!(acc.peak_events, 5, "event peak maxes across nodes");
+        assert_eq!(acc.peak_live_calls, 4, "live-window peak maxes too");
         assert_eq!(
             acc.peak_resident_calls, 14,
             "resident peak sums across nodes"

@@ -2,11 +2,13 @@
 //! prewarm replacement, tiny nodes, degenerate workloads.
 
 use faas_core::{Policy, SchedulerConfig};
-use faas_invoker::{simulate_calls, simulate_scenario, NodeConfig, NodeMode};
+use faas_invoker::{simulate_calls, simulate_scenario, NodeConfig, NodeMode, NodeSim};
 use faas_simcore::time::{SimDuration, SimTime};
+use faas_workload::faults::{FaultSpec, RetryPolicy};
 use faas_workload::scenario::BurstScenario;
 use faas_workload::sebs::Catalogue;
 use faas_workload::trace::{Call, CallId, CallKind};
+use faas_workload::weight::WeightTable;
 
 fn catalogue() -> Catalogue {
     Catalogue::sebs()
@@ -248,5 +250,63 @@ fn event_queue_stays_bounded_by_live_tasks() {
             bound,
             calls.len()
         );
+    }
+}
+
+#[test]
+fn retired_calls_survive_stale_timers_queue_entries_and_a_crash() {
+    // A node keeps runtime only from its oldest unresolved call on. Here a
+    // short pending timeout on an overloaded node times calls out while
+    // queued. With retries, they complete and retire, and only then do the
+    // stale `PendingTimeout` of the completed attempt and (on the
+    // scheduled node) the lazily skipped queue entry of the timed-out one
+    // fire. Without retries, the crash drops every call it kills, so its
+    // kill walk retires calls, and compacts the window, under its feet.
+    // The crash lands mid-burst, when the window has long since retired a
+    // prefix. Calls arrive in chunks, as a cluster run feeds them, so the
+    // node never holds every call's runtime at once.
+    let cat = catalogue();
+    let seed = 37;
+    let scenario = BurstScenario::standard(4, 30).generate(&cat, seed);
+    let calls = scenario.all_calls();
+    let weights = WeightTable::uniform(cat.len());
+    let cfg = NodeConfig::paper(4);
+    for max_attempts in [8, 1] {
+        let window = SimDuration::from_secs(60);
+        let mut faults = FaultSpec::crash_restart(seed, scenario.burst_start, window);
+        faults.retry = RetryPolicy {
+            max_attempts,
+            pending_timeout: Some(SimDuration::from_secs(2)),
+            backoff_base: SimDuration::from_millis(100),
+            backoff_factor: 1.0,
+            jitter: 0.5,
+        };
+        for mode in [
+            NodeMode::Baseline,
+            NodeMode::Scheduled(SchedulerConfig::paper(Policy::Sept)),
+        ] {
+            let what = format!("{mode:?}, {max_attempts} attempts");
+            let run = || {
+                let mut sim = NodeSim::new(&cat, &mode, &cfg, &weights, &faults, seed, 0, false);
+                for chunk in calls.chunks(16) {
+                    sim.advance_to(chunk[0].release);
+                    sim.inject(chunk);
+                }
+                sim.advance_to(SimTime::MAX);
+                sim.finish()
+            };
+            let r = run();
+            assert_eq!(r.fault_stats.crashes, 1, "{what}");
+            assert!(r.fault_stats.crash_kills > 0, "{what}");
+            assert!(r.fault_stats.timeouts > 0, "{what}");
+            assert!(r.outcomes.len() > r.drops.len(), "{what}");
+            assert_eq!(r.outcomes.len() + r.drops.len(), calls.len(), "{what}");
+            assert!(r.peak_live_calls < calls.len(), "{what}: calls retire");
+            let again = run();
+            assert_eq!(r.outcomes, again.outcomes, "{what}");
+            assert_eq!(r.drops, again.drops, "{what}");
+            assert_eq!(r.fault_stats, again.fault_stats, "{what}");
+            assert_eq!(r.peak_live_calls, again.peak_live_calls, "{what}");
+        }
     }
 }
