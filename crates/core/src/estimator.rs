@@ -73,6 +73,7 @@ impl RecentWindow {
     }
 
     /// Recompute the sum from scratch (used by tests to bound drift).
+    #[cfg(test)]
     pub fn exact_mean(&self) -> f64 {
         if self.filled == 0 {
             return 0.0;

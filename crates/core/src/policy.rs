@@ -72,11 +72,6 @@ impl Policy {
             _ => None,
         }
     }
-
-    /// True for the policies the paper proves starvation-free (§IV).
-    pub fn is_starvation_free(self) -> bool {
-        matches!(self, Policy::Fifo | Policy::Eect | Policy::Rect)
-    }
 }
 
 impl fmt::Display for Policy {
@@ -226,15 +221,6 @@ mod tests {
         }
         assert_eq!(Policy::from_name("fair-choice"), Some(Policy::FairChoice));
         assert_eq!(Policy::from_name("bogus"), None);
-    }
-
-    #[test]
-    fn starvation_free_set_matches_paper() {
-        assert!(Policy::Eect.is_starvation_free());
-        assert!(Policy::Rect.is_starvation_free());
-        assert!(Policy::Fifo.is_starvation_free());
-        assert!(!Policy::Sept.is_starvation_free());
-        assert!(!Policy::FairChoice.is_starvation_free());
     }
 
     #[test]

@@ -113,11 +113,6 @@ impl<T> PendingQueue<T> {
     pub fn pop(&mut self) -> Option<T> {
         self.heap.pop().map(|e| e.item)
     }
-
-    /// Priority of the item that would pop next.
-    pub fn peek_priority(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.key.priority)
-    }
 }
 
 #[cfg(test)]
@@ -185,16 +180,6 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn nan_priority_panics() {
         PendingQueue::new().push(f64::NAN, ());
-    }
-
-    #[test]
-    fn peek_matches_pop() {
-        let mut q = PendingQueue::new();
-        q.push(2.0, "b");
-        q.push(1.0, "a");
-        assert_eq!(q.peek_priority(), Some(1.0));
-        q.pop();
-        assert_eq!(q.peek_priority(), Some(2.0));
     }
 
     #[test]

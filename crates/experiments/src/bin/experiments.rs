@@ -40,13 +40,18 @@
 //!   all      Everything above except `run`
 //! ```
 //!
+//! `--seeds N` runs the first N of the paper's five seeds (1 <= N <= 5);
+//! `--quick` lowers only the default seed count (5 to 2), never an
+//! explicit `--seeds`, in whichever order the two are given.
+//!
 //! Results are also written as JSON under `--out` (default `results/`).
-//! Bad arguments, including out-of-range values such as `--cores 0`,
-//! print the usage line and exit with status 2. Performance is measured
-//! by the repository benchmark (`perfbench/`), not by this CLI.
+//! Bad arguments, including out-of-range values such as `--cores 0` or
+//! `--seeds 9`, print the usage line and exit with status 2. Performance
+//! is measured by the repository benchmark (`perfbench/`), not by this
+//! CLI.
 
 use faas_experiments::{
-    ablations, custom, fig2, fig5, fig6, functions, grid, sweep, table1, Effort,
+    ablations, custom, fig2, fig5, fig6, functions, grid, sweep, table1, Effort, SEEDS,
 };
 use faas_simcore::time::SimDuration;
 use faas_workload::scenario::BurstScenario;
@@ -92,21 +97,20 @@ fn main() {
         source: None,
     };
     let rest: Vec<String> = args.collect();
+    let mut seeds = None;
     let mut i = 0;
     while i < rest.len() {
         match rest[i].as_str() {
-            "--quick" => {
-                opts.effort.quick = true;
-                opts.effort.seeds = opts.effort.seeds.min(2);
-            }
+            "--quick" => opts.effort = Effort::quick(),
             "--per-seed" => opts.per_seed = true,
             "--seeds" => {
                 i += 1;
-                let n: usize = rest
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                opts.effort.seeds = n.clamp(1, 5);
+                seeds = Some(
+                    rest.get(i)
+                        .and_then(|s| s.parse().ok())
+                        .filter(|n| (1..=SEEDS.len()).contains(n))
+                        .unwrap_or_else(|| usage()),
+                );
             }
             "--out" => {
                 i += 1;
@@ -121,6 +125,9 @@ fn main() {
             _ => usage(),
         }
         i += 1;
+    }
+    if let Some(n) = seeds {
+        opts.effort.seeds = n;
     }
 
     let started = Instant::now();

@@ -232,6 +232,7 @@ impl SweepResult {
     }
 
     /// Look up one cluster row.
+    #[cfg(test)]
     pub fn cluster_row(
         &self,
         nodes: u16,
@@ -244,6 +245,7 @@ impl SweepResult {
     }
 
     /// Look up one fault-scenario row.
+    #[cfg(test)]
     pub fn fault_row(&self, scenario: &str, strategy: Strategy) -> Option<&FaultSweepRow> {
         self.fault_rows
             .iter()
@@ -251,6 +253,7 @@ impl SweepResult {
     }
 
     /// Look up one coupled-engine robustness row.
+    #[cfg(test)]
     pub fn coupled_row(&self, lb: &str, strategy: Strategy) -> Option<&CoupledSweepRow> {
         self.coupled_rows
             .iter()
@@ -258,6 +261,7 @@ impl SweepResult {
     }
 
     /// Look up one trace-replay row.
+    #[cfg(test)]
     pub fn trace_row(&self, trace: &str, strategy: Strategy) -> Option<&TraceSweepRow> {
         self.trace_rows
             .iter()
@@ -265,6 +269,7 @@ impl SweepResult {
     }
 
     /// Look up one multi-resource row.
+    #[cfg(test)]
     pub fn resource_row(&self, config: &str, strategy: Strategy) -> Option<&ResourceSweepRow> {
         self.resource_rows
             .iter()

@@ -2,6 +2,7 @@
 //! cannot run is rejected while parsing (usage, exit 2) instead of
 //! panicking inside a library (exit 101).
 
+use faas_experiments::fig6::Fig6Result;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -34,6 +35,38 @@ fn out_of_range_arguments_exit_with_usage() {
     assert_usage(&["run", "--cores", "1", "--intensity", "9"]);
     assert_usage(&["table1", "--source", "synth:-1"]);
     assert_usage(&["table1", "--source", "synth:nan"]);
+    // The paper has five seeds: 0 and 6+ are rejected, not clamped.
+    for n in ["0", "6", "9", "-1", "x"] {
+        assert_usage(&["fig6", "--seeds", n]);
+        assert_usage(&["fig6", "--quick", "--seeds", n]);
+    }
+    assert_usage(&["fig6", "--seeds"]);
+}
+
+#[test]
+fn quick_lowers_only_the_default_seed_count() {
+    // `--seeds 3` wins over `--quick` in either order; `--quick` alone
+    // runs two seeds.
+    for (name, args) in [
+        ("quick_first", &["--quick", "--seeds", "3"][..]),
+        ("seeds_first", &["--seeds", "3", "--quick"][..]),
+        ("quick_only", &["--quick"][..]),
+    ] {
+        let dir = out_dir(name);
+        let mut argv = vec!["fig6"];
+        argv.extend_from_slice(args);
+        argv.extend(["--out", dir.to_str().unwrap()]);
+        let out = experiments(&argv);
+        assert_eq!(out.status.code(), Some(0), "{argv:?}");
+        let json = std::fs::read_to_string(dir.join("fig6.json")).unwrap();
+        let result: Fig6Result = serde_json::from_str(&json).unwrap();
+        let want = if name == "quick_only" { 2 } else { 3 };
+        assert!(!result.rows.is_empty());
+        for row in &result.rows {
+            assert_eq!(row.per_seed_avg.len(), want, "{argv:?}");
+        }
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 #[test]

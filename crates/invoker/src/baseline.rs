@@ -44,7 +44,6 @@ use crate::config::NodeConfig;
 use crate::node::{Ev, Regime, Shell};
 use crate::result::NodeResult;
 use faas_cpu::{GpsCpu, GpsParams, Resource, ResourceVector, TaskId};
-use faas_simcore::events::EventHandle;
 use faas_simcore::time::{SimDuration, SimTime};
 use faas_workload::sebs::Catalogue;
 use faas_workload::trace::ColdStartKind;
@@ -82,9 +81,6 @@ pub(crate) struct Gps<'a> {
     /// work at task entry minus the residual returned at removal, so
     /// crash-killed work counts only what actually ran.
     served_work: [f64; 2],
-    /// The one pending [`Ev::GpsTick`], rescheduled in place on every GPS
-    /// membership change instead of abandoning stale copies in the queue.
-    tick: Option<EventHandle>,
     /// Reused buffer for completion collection: the GPS tick is the hottest
     /// event, and `finished_tasks_into` keeps it allocation-free.
     finished_scratch: Vec<TaskId>,
@@ -117,7 +113,6 @@ impl<'a> Gps<'a> {
             peak_leased: 0,
             owners: HashMap::new(),
             served_work: [0.0; 2],
-            tick: None,
             finished_scratch: Vec::new(),
         }
     }
@@ -202,23 +197,13 @@ impl<'a> Gps<'a> {
         self.served_work[1] -= residual * profile[1];
     }
 
-    /// Keep the single tick event aligned with the next GPS completion:
-    /// moved in place when the completion time shifts, cancelled when the
-    /// bank drains. The queue never holds stale ticks.
+    /// Keep the queue's one timer, [`Ev::GpsTick`], aligned with the next
+    /// GPS completion: re-armed on every membership change, withdrawn when
+    /// the bank drains. The queue never holds stale ticks.
     fn reschedule_tick(&mut self, sh: &mut Shell, now: SimTime) {
         match self.cpu.next_completion(now) {
-            Some((_, at)) => {
-                let at = at.max(now);
-                match self.tick {
-                    Some(handle) => sh.events.reschedule(handle, at),
-                    None => self.tick = Some(sh.events.schedule(at, Ev::GpsTick)),
-                }
-            }
-            None => {
-                if let Some(handle) = self.tick.take() {
-                    sh.events.cancel(handle);
-                }
-            }
+            Some((_, at)) => sh.events.set_timer(at.max(now), Ev::GpsTick),
+            None => sh.events.clear_timer(),
         }
     }
 }
@@ -287,7 +272,7 @@ impl Regime for Gps<'_> {
         }
         self.owners.clear();
         self.leased = 0;
-        self.reschedule_tick(sh, now); // the bank is empty: cancels the tick
+        self.reschedule_tick(sh, now); // the bank is empty: clears the tick
     }
 
     fn abandon(&mut self, i: u32) {
@@ -300,8 +285,7 @@ impl Regime for Gps<'_> {
     }
 
     fn tick(&mut self, sh: &mut Shell, now: SimTime) {
-        // The tick just fired; its handle is dead until rescheduled below.
-        self.tick = None;
+        // The tick just fired, which disarmed the timer; it is re-armed below.
         // Collect every task that finished by now (several can tie) into the
         // reused scratch buffer, snapshotting the set before membership
         // changes below can alter it.

@@ -97,9 +97,9 @@ pub(crate) enum Ev {
     /// A delivery of a call reaches the invoker (first arrival or
     /// failover handoff).
     Arrive(u32),
-    /// The earliest GPS task completion is due (baseline only). There is
-    /// at most one live tick at any time: membership changes move it in
-    /// place via [`EventQueue::reschedule`].
+    /// The earliest GPS task completion is due (baseline only). It is the
+    /// queue's one timer, so at most one tick is live at any time:
+    /// membership changes re-arm it via [`EventQueue::set_timer`].
     GpsTick,
     /// A call's execution ends and its response leaves (the baseline's I/O
     /// phase or the scheduled node's dedicated-core run). The second field

@@ -140,6 +140,7 @@ impl ContainerPool {
     }
 
     /// Number of live containers (idle + leased + prewarm).
+    #[cfg(test)]
     pub fn container_count(&self) -> usize {
         self.slots
             .iter()
@@ -149,6 +150,7 @@ impl ContainerPool {
     }
 
     /// Number of idle containers of `func`.
+    #[cfg(test)]
     pub fn idle_count(&self, func: FuncId) -> usize {
         self.idle_by_func[func.index()].len()
     }

@@ -227,12 +227,12 @@ fn event_queue_stays_bounded_by_live_tasks() {
     // to schedule a fresh generation-stamped tick on every arrival/IO/
     // completion without cancelling the previous one, so every simulated
     // event pushed a dead entry through the heap (plus hash-map traffic on
-    // the pop path). With the tick rescheduled in place, the queue can
-    // never hold more than the live events: the pre-scheduled arrivals,
-    // at most one IoDone/CleanupDone per leased container, at most one
-    // tick, and a handful of in-flight PrewarmReady events.
-    // (See also `reschedule_burst_keeps_len_bounded_by_live_events` in
-    // faas-simcore, which pins the thousands-of-dead-entries case at the
+    // the pop path). With the tick as the queue's one re-armable timer,
+    // the queue can never hold more than the live events: the
+    // pre-scheduled arrivals, at most one IoDone/CleanupDone per leased
+    // container, at most one tick, and a handful of in-flight PrewarmReady
+    // events. (See also `timer_re_arm_burst_keeps_len_at_live_events_plus_one`
+    // in faas-simcore, which pins the thousands-of-re-arms case at the
     // queue level.)
     let cat = catalogue();
     let scenario = BurstScenario::standard(10, 90).generate(&cat, 42);

@@ -6,70 +6,64 @@
 //! two runs with the same seed push the same events in the same order and
 //! therefore pop them in the same order.
 //!
-//! # Indexed-heap design
+//! # One heap plus one timer
 //!
-//! The queue is a binary heap stored in a `Vec`, augmented with a *slot
-//! table* that maps every [`EventHandle`] to the current position of its
-//! entry in the heap array. Sift operations keep the table in sync, which
-//! makes three operations possible that a plain `BinaryHeap` cannot offer:
+//! Ordinary events live in a `std` [`BinaryHeap`] and are never withdrawn:
+//! once scheduled, an event pops. The one event a simulation needs to move
+//! or withdraw (the baseline node's next GPS completion) is the queue's
+//! single re-armable *timer*, held beside the heap:
 //!
-//! * [`EventQueue::cancel`] physically removes the entry (swap with the last
-//!   element, then sift to restore the heap property). There are no lazily
-//!   discarded tombstones: after a cancel, [`EventQueue::len`] *is* the
-//!   number of entries in the heap array, and memory is bounded by the live
-//!   event count however cancellation-heavy the workload is.
-//! * [`EventQueue::reschedule`] moves an event to a new time in place
-//!   (decrease/increase-key), assigning a fresh sequence number so the
-//!   operation is observably identical to cancel-plus-schedule — a
-//!   rescheduled event fires after events already scheduled at its new
-//!   timestamp, preserving the FIFO tie-break.
-//! * [`EventQueue::peek_time`] is a true `&self` read of the heap root —
-//!   there are no cancelled heads to discard.
+//! * [`EventQueue::set_timer`] arms it, replacing any armed timer, under a
+//!   fresh sequence number: a re-arm is observably a withdraw plus a new
+//!   schedule, so it fires after events already scheduled at its instant.
+//! * [`EventQueue::clear_timer`] withdraws it (idempotent).
+//! * [`EventQueue::len`], [`EventQueue::peek_time`], [`EventQueue::pop`]
+//!   and [`EventQueue::pop_at_or_before`] treat an armed timer as one more
+//!   event at its `(time, seq)`. A popped timer is disarmed.
 //!
-//! Handles stay cheap and `Copy`: a handle packs a slot index and an epoch;
-//! the slot's epoch is bumped whenever its event pops or is cancelled, so a
-//! dead handle (including one whose slot was since reused) is recognised and
-//! `cancel` stays a true no-op for it. The per-event hash map the previous
-//! lazy-cancellation design kept on the schedule/pop hot path is gone.
+//! Memory is bounded by the live event count however often the timer
+//! moves: a re-arm overwrites it instead of leaving a stale copy queued.
 
 use crate::time::SimTime;
-
-/// Identifies a scheduled event so it can be cancelled or rescheduled.
-///
-/// A handle is *live* from [`EventQueue::schedule`] until its event pops or
-/// is cancelled; afterwards it is *dead* — [`EventQueue::cancel`] becomes a
-/// no-op and [`EventQueue::reschedule`] a panic. Slot reuse cannot
-/// resurrect a dead handle: each reuse bumps the slot's epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventHandle {
-    slot: u32,
-    epoch: u32,
-}
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 struct Entry<E> {
     time: SimTime,
     seq: u64,
-    slot: u32,
     payload: E,
 }
 
-/// Per-handle slot state: where the entry currently sits in the heap array,
-/// and which incarnation of the slot outstanding handles refer to.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    pos: u32,
-    epoch: u32,
+impl<E> Entry<E> {
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
+    }
 }
 
-/// Priority queue of timestamped events with stable FIFO tie-break, true
-/// cancellation and in-place reschedule (see the module docs).
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+impl<E> Eq for Entry<E> {}
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reverse: BinaryHeap is a max-heap, we want the earliest on top.
+        other.key().cmp(&self.key())
+    }
+}
+
+/// Priority queue of timestamped events with stable FIFO tie-break and one
+/// re-armable timer (see the module docs).
 pub struct EventQueue<E> {
-    /// Heap-ordered entries; `heap[0]` is the earliest `(time, seq)`.
-    heap: Vec<Entry<E>>,
-    /// Slot table indexed by `EventHandle::slot`.
-    slots: Vec<Slot>,
-    /// Slots whose event popped or was cancelled, available for reuse.
-    free_slots: Vec<u32>,
+    heap: BinaryHeap<Entry<E>>,
+    /// The armed timer, if any; it pops in `(time, seq)` order with `heap`.
+    timer: Option<Entry<E>>,
     next_seq: u64,
     now: SimTime,
 }
@@ -84,9 +78,8 @@ impl<E> EventQueue<E> {
     /// Create an empty queue with the clock at zero.
     pub fn new() -> Self {
         EventQueue {
-            heap: Vec::new(),
-            slots: Vec::new(),
-            free_slots: Vec::new(),
+            heap: BinaryHeap::new(),
+            timer: None,
             next_seq: 0,
             now: SimTime::ZERO,
         }
@@ -98,16 +91,14 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of live events. Cancellation removes entries physically, so
-    /// this is exactly the heap's size — no stale entries are counted (or
-    /// kept).
+    /// Number of queued events, an armed timer included.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + usize::from(self.timer.is_some())
     }
 
-    /// True if no live events remain.
+    /// True if no events are queued and no timer is armed.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.timer.is_none()
     }
 
     /// Schedule `payload` at absolute time `time`.
@@ -115,90 +106,45 @@ impl<E> EventQueue<E> {
     /// Panics if `time` is before the current clock — scheduling into the
     /// past is always a simulation bug and silently reordering it would
     /// corrupt causality.
-    pub fn schedule(&mut self, time: SimTime, payload: E) -> EventHandle {
-        assert!(
-            time >= self.now,
-            "cannot schedule into the past: now={} event={}",
-            self.now,
-            time
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let slot = match self.free_slots.pop() {
-            Some(slot) => slot,
-            None => {
-                self.slots.push(Slot { pos: 0, epoch: 0 });
-                (self.slots.len() - 1) as u32
-            }
-        };
-        let pos = self.heap.len();
-        let state = &mut self.slots[slot as usize];
-        state.pos = pos as u32;
-        let epoch = state.epoch;
-        self.heap.push(Entry {
-            time,
-            seq,
-            slot,
-            payload,
-        });
-        self.sift_up(pos);
-        EventHandle { slot, epoch }
+    pub fn schedule(&mut self, time: SimTime, payload: E) {
+        let entry = self.entry(time, payload);
+        self.heap.push(entry);
     }
 
-    /// True while `handle`'s event is still queued (not popped, not
-    /// cancelled).
-    pub fn is_scheduled(&self, handle: EventHandle) -> bool {
-        self.resolve(handle).is_some()
-    }
-
-    /// Cancel a previously scheduled event, removing it from the heap.
-    /// Idempotent; cancelling an already-popped event has no effect.
-    pub fn cancel(&mut self, handle: EventHandle) {
-        if let Some(pos) = self.resolve(handle) {
-            self.remove_at(pos);
-        }
-    }
-
-    /// Move a live event to a new absolute time in place. The event gets a
-    /// fresh sequence number, so this is observably identical to
-    /// cancel-plus-schedule (FIFO tie-break included) while keeping
-    /// `handle` valid.
+    /// Arm the timer at absolute time `time`, replacing any armed timer.
+    /// The timer takes a fresh sequence number, exactly as a new
+    /// [`EventQueue::schedule`] would.
     ///
-    /// Panics if `handle` is dead (already popped or cancelled) or `time`
-    /// is in the past — both are simulation bugs.
-    pub fn reschedule(&mut self, handle: EventHandle, time: SimTime) {
-        assert!(
-            time >= self.now,
-            "cannot reschedule into the past: now={} event={}",
-            self.now,
-            time
-        );
-        let pos = self
-            .resolve(handle)
-            .expect("reschedule of a dead event (already popped or cancelled)");
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap[pos].time = time;
-        self.heap[pos].seq = seq;
-        self.restore_at(pos);
+    /// Panics if `time` is before the current clock.
+    pub fn set_timer(&mut self, time: SimTime, payload: E) {
+        self.timer = Some(self.entry(time, payload));
     }
 
-    /// Pop the earliest live event, advancing the clock to its timestamp.
+    /// Withdraw the armed timer, if any.
+    pub fn clear_timer(&mut self) {
+        self.timer = None;
+    }
+
+    /// Pop the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let entry = self.remove_at(0);
+        // Entries order in reverse, so the greater one is the earlier one,
+        // and `None` is less than any entry.
+        let entry = if self.timer.as_ref() > self.heap.peek() {
+            self.timer.take()
+        } else {
+            self.heap.pop()
+        }?;
         self.now = entry.time;
         Some((entry.time, entry.payload))
     }
 
-    /// Timestamp of the earliest live event without popping it.
+    /// Timestamp of the earliest event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|entry| entry.time)
+        // The greater entry is the earlier one (see `pop`).
+        self.heap.peek().max(self.timer.as_ref()).map(|e| e.time)
     }
 
-    /// Pop the earliest live event only if its timestamp is at or before
+    /// Pop the earliest event only if its timestamp is at or before
     /// `horizon`; otherwise leave the queue — and the clock — untouched.
     ///
     /// This is the window primitive of conservative time-stepped
@@ -214,107 +160,17 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Heap position of a live handle's entry, `None` if the handle is dead.
-    fn resolve(&self, handle: EventHandle) -> Option<usize> {
-        let slot = self.slots.get(handle.slot as usize)?;
-        (slot.epoch == handle.epoch).then_some(slot.pos as usize)
-    }
-
-    /// Remove the entry at heap position `pos`, retiring its slot and
-    /// restoring the heap property. Returns the removed entry.
-    fn remove_at(&mut self, pos: usize) -> Entry<E> {
-        let entry = self.heap.swap_remove(pos);
-        let slot = &mut self.slots[entry.slot as usize];
-        // Kill outstanding handles to this slot before it is reused.
-        slot.epoch = slot.epoch.wrapping_add(1);
-        self.free_slots.push(entry.slot);
-        if pos < self.heap.len() {
-            self.sift_down_to_bottom(pos);
-        }
-        entry
-    }
-
-    /// Re-establish the heap property for an entry whose key changed; it may
-    /// need to move either towards the root or towards the leaves.
-    fn restore_at(&mut self, pos: usize) {
-        if pos > 0 && self.before(pos, (pos - 1) / 2) {
-            self.sift_up(pos);
-        } else {
-            self.sift_down(pos);
-        }
-    }
-
-    /// `(time, seq)` ordering between two heap positions.
-    fn before(&self, a: usize, b: usize) -> bool {
-        let (ea, eb) = (&self.heap[a], &self.heap[b]);
-        (ea.time, ea.seq) < (eb.time, eb.seq)
-    }
-
-    /// Sift towards the root via swap-chains. Only the *displaced* entry's
-    /// slot position is updated per level; the moving entry's slot is
-    /// written once at its final position.
-    fn sift_up(&mut self, mut pos: usize) {
-        while pos > 0 {
-            let parent = (pos - 1) / 2;
-            if !self.before(pos, parent) {
-                break;
-            }
-            self.heap.swap(pos, parent);
-            self.slots[self.heap[pos].slot as usize].pos = pos as u32;
-            pos = parent;
-        }
-        self.slots[self.heap[pos].slot as usize].pos = pos as u32;
-    }
-
-    /// Drag the entry at `pos` (the relocated last leaf after a removal)
-    /// to the bottom along the min-child path without comparing against it,
-    /// then sift it back up. A displaced leaf almost always belongs near
-    /// the bottom again, so skipping the per-level entry comparison beats
-    /// [`EventQueue::sift_down`] on the pop hot path — the same strategy
-    /// `std`'s `BinaryHeap` uses.
-    fn sift_down_to_bottom(&mut self, mut pos: usize) {
-        let len = self.heap.len();
-        loop {
-            let left = 2 * pos + 1;
-            if left >= len {
-                break;
-            }
-            let right = left + 1;
-            let child = if right < len && self.before(right, left) {
-                right
-            } else {
-                left
-            };
-            self.heap.swap(pos, child);
-            self.slots[self.heap[pos].slot as usize].pos = pos as u32;
-            pos = child;
-        }
-        self.slots[self.heap[pos].slot as usize].pos = pos as u32;
-        self.sift_up(pos);
-    }
-
-    /// Sift towards the leaves (see [`EventQueue::sift_up`]).
-    fn sift_down(&mut self, mut pos: usize) {
-        let len = self.heap.len();
-        loop {
-            let left = 2 * pos + 1;
-            if left >= len {
-                break;
-            }
-            let right = left + 1;
-            let child = if right < len && self.before(right, left) {
-                right
-            } else {
-                left
-            };
-            if !self.before(child, pos) {
-                break;
-            }
-            self.heap.swap(pos, child);
-            self.slots[self.heap[pos].slot as usize].pos = pos as u32;
-            pos = child;
-        }
-        self.slots[self.heap[pos].slot as usize].pos = pos as u32;
+    /// A new entry at `time` under the next sequence number.
+    fn entry(&mut self, time: SimTime, payload: E) -> Entry<E> {
+        assert!(
+            time >= self.now,
+            "cannot schedule into the past: now={} event={}",
+            self.now,
+            time
+        );
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        Entry { time, seq, payload }
     }
 }
 
@@ -323,14 +179,17 @@ mod tests {
     use super::*;
     use crate::time::SimDuration;
 
+    fn drain<E>(q: &mut EventQueue<E>) -> Vec<E> {
+        std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect()
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_millis(30), "c");
         q.schedule(SimTime::from_millis(10), "a");
         q.schedule(SimTime::from_millis(20), "b");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!["a", "b", "c"]);
+        assert_eq!(drain(&mut q), vec!["a", "b", "c"]);
     }
 
     #[test]
@@ -340,8 +199,7 @@ mod tests {
         for i in 0..100 {
             q.schedule(t, i);
         }
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
+        assert_eq!(drain(&mut q), (0..100).collect::<Vec<_>>());
     }
 
     #[test]
@@ -369,90 +227,6 @@ mod tests {
         q.pop();
         q.schedule(SimTime::from_secs(5), 2);
         assert_eq!(q.pop(), Some((SimTime::from_secs(5), 2)));
-    }
-
-    #[test]
-    fn cancellation_skips_events() {
-        let mut q = EventQueue::new();
-        let _a = q.schedule(SimTime::from_millis(1), "a");
-        let b = q.schedule(SimTime::from_millis(2), "b");
-        let _c = q.schedule(SimTime::from_millis(3), "c");
-        q.cancel(b);
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!["a", "c"]);
-    }
-
-    #[test]
-    fn cancel_is_idempotent_and_safe_after_pop() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_millis(1), "a");
-        q.cancel(a);
-        q.cancel(a);
-        assert!(q.pop().is_none());
-        let b = q.schedule(SimTime::from_millis(2), "b");
-        assert!(q.pop().is_some());
-        q.cancel(b); // already popped: no effect
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn len_accounts_for_cancellations() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_millis(1), ());
-        q.schedule(SimTime::from_millis(2), ());
-        assert_eq!(q.len(), 2);
-        q.cancel(a);
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-    }
-
-    #[test]
-    fn cancel_after_pop_does_not_underflow_len() {
-        // Regression: cancelling an already-popped event used to leave a
-        // stale entry in the cancelled set, so `heap.len() - cancelled.len()`
-        // underflowed (panicking in debug builds) once the queue drained.
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_millis(1), "a");
-        assert_eq!(q.pop(), Some((SimTime::from_millis(1), "a")));
-        q.cancel(a); // already popped: must be a true no-op
-        assert_eq!(q.len(), 0);
-        assert!(q.is_empty());
-        // The queue keeps working normally afterwards.
-        q.schedule(SimTime::from_millis(2), "b");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((SimTime::from_millis(2), "b")));
-        assert_eq!(q.len(), 0);
-    }
-
-    #[test]
-    fn cancel_popped_then_cancel_queued_keeps_len_exact() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_millis(1), ());
-        let b = q.schedule(SimTime::from_millis(2), ());
-        let c = q.schedule(SimTime::from_millis(3), ());
-        q.pop();
-        q.cancel(a); // popped: no-op
-        q.cancel(b); // queued: counts
-        q.cancel(b); // idempotent
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(3)));
-        q.cancel(c);
-        assert_eq!(q.len(), 0);
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn peek_time_is_a_shared_read() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_millis(1), ());
-        q.schedule(SimTime::from_millis(2), ());
-        q.cancel(a);
-        // peek_time borrows &self: two simultaneous peeks are fine.
-        let peek: &EventQueue<()> = &q;
-        assert_eq!(peek.peek_time(), peek.peek_time());
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(2)));
-        assert_eq!(q.pop(), Some((SimTime::from_millis(2), ())));
-        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
@@ -534,110 +308,89 @@ mod tests {
     }
 
     #[test]
-    fn handle_reuse_cannot_cancel_the_new_tenant() {
-        // `a` pops, freeing its slot; `b` reuses it. The dead handle `a`
-        // must not be able to cancel (or report as) `b`.
+    fn timer_re_arms_earlier_and_later() {
         let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_millis(1), "a");
-        assert_eq!(q.pop(), Some((SimTime::from_millis(1), "a")));
-        let b = q.schedule(SimTime::from_millis(2), "b");
-        assert!(!q.is_scheduled(a));
-        assert!(q.is_scheduled(b));
-        q.cancel(a);
-        assert_eq!(q.len(), 1, "dead handle must not evict the reused slot");
-        assert_eq!(q.pop(), Some((SimTime::from_millis(2), "b")));
-    }
-
-    #[test]
-    fn reschedule_moves_event_in_both_directions() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_millis(10), "a");
         q.schedule(SimTime::from_millis(20), "b");
         q.schedule(SimTime::from_millis(30), "c");
-        // Increase-key: a jumps past both.
-        q.reschedule(a, SimTime::from_millis(40));
+        q.set_timer(SimTime::from_millis(10), "t");
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(10)));
+        // Later: the timer jumps past both events.
+        q.set_timer(SimTime::from_millis(40), "t");
         assert_eq!(q.peek_time(), Some(SimTime::from_millis(20)));
-        // Decrease-key: a comes back to the front.
-        q.reschedule(a, SimTime::from_millis(5));
+        assert_eq!(q.len(), 3, "a re-arm replaces, it does not add");
+        // Earlier: back to the front.
+        q.set_timer(SimTime::from_millis(5), "t");
         assert_eq!(q.peek_time(), Some(SimTime::from_millis(5)));
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!["a", "b", "c"]);
+        assert_eq!(drain(&mut q), vec!["t", "b", "c"]);
+        assert!(q.is_empty(), "a popped timer is disarmed");
     }
 
     #[test]
-    fn reschedule_takes_fresh_fifo_position_at_equal_time() {
-        // Rescheduling onto an occupied timestamp must behave exactly like
-        // cancel + schedule: the moved event fires after events that were
-        // already scheduled there.
+    fn re_armed_timer_fires_after_events_already_at_its_instant() {
+        // A re-arm takes a fresh sequence number, exactly like a withdraw
+        // plus a new schedule: at an occupied instant it queues behind the
+        // events already there, and ahead of the ones scheduled after it.
         let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_millis(1), "moved");
-        q.schedule(SimTime::from_millis(5), "first");
-        q.reschedule(a, SimTime::from_millis(5));
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!["first", "moved"]);
+        let t = SimTime::from_millis(5);
+        q.set_timer(SimTime::from_millis(1), "timer");
+        q.schedule(t, "first");
+        q.set_timer(t, "timer");
+        q.schedule(t, "after");
+        assert_eq!(drain(&mut q), vec!["first", "timer", "after"]);
     }
 
     #[test]
-    fn reschedule_keeps_handle_valid() {
+    #[should_panic(expected = "cannot schedule into the past")]
+    fn setting_the_timer_into_the_past_panics() {
         let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_millis(1), ());
-        for k in 2..100u64 {
-            q.reschedule(a, SimTime::from_millis(k));
-            assert!(q.is_scheduled(a));
-            assert_eq!(q.len(), 1);
-        }
-        q.cancel(a);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "dead event")]
-    fn reschedule_after_pop_panics() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_millis(1), ());
-        q.pop();
-        q.reschedule(a, SimTime::from_millis(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot reschedule into the past")]
-    fn reschedule_into_the_past_panics() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_secs(10), ());
         q.schedule(SimTime::from_secs(5), ());
         q.pop();
-        q.reschedule(a, SimTime::from_secs(1));
+        q.set_timer(SimTime::from_secs(1), ());
     }
 
     #[test]
-    fn reschedule_burst_keeps_len_bounded_by_live_events() {
-        // Regression for the invoker tick pattern: the lazy queue forced
-        // callers to schedule a fresh generation-stamped tick on every
-        // change (no true cancel), so a burst of N reschedules grew the
-        // heap to N dead entries. With in-place reschedule the queue never
-        // holds more than the live events.
+    fn clear_timer_is_idempotent() {
+        let mut q = EventQueue::new();
+        q.clear_timer();
+        assert!(q.is_empty());
+        q.schedule(SimTime::from_millis(2), "a");
+        q.set_timer(SimTime::from_millis(1), "t");
+        assert_eq!(q.len(), 2);
+        q.clear_timer();
+        q.clear_timer();
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(2)));
+        assert_eq!(drain(&mut q), vec!["a"]);
+        q.clear_timer();
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn timer_re_arm_burst_keeps_len_at_live_events_plus_one() {
+        // The invoker's tick pattern: every GPS membership change moves the
+        // one tick. However many re-arms, the queue holds the live events
+        // plus the timer, never stale copies.
         let mut q = EventQueue::new();
         let live = 10u64;
         for i in 0..live {
             q.schedule(SimTime::from_secs(1000 + i), i);
         }
-        let tick = q.schedule(SimTime::from_millis(1), u64::MAX);
         for k in 0..5000u64 {
-            q.reschedule(tick, SimTime::from_millis(2 + k));
+            q.set_timer(SimTime::from_millis(2 + k), u64::MAX);
             assert_eq!(q.len() as u64, live + 1, "no stale entries may pile up");
         }
-        q.cancel(tick);
+        q.clear_timer();
         assert_eq!(q.len() as u64, live);
-        let popped: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(popped, (0..live).collect::<Vec<_>>());
+        assert_eq!(drain(&mut q), (0..live).collect::<Vec<_>>());
     }
 
     #[test]
-    fn heavy_interleaving_maintains_heap_order() {
-        // Deterministic stress: schedule/cancel/reschedule/pop driven by a
-        // cheap LCG, validated by ordered pops at the end.
+    fn seeded_interleaving_pops_in_key_order() {
+        // Deterministic stress: schedule/set/clear/pop driven by a cheap
+        // xorshift, checked against the (time, seq) key each event was
+        // given: pops must come out in strictly increasing key order.
         let mut q = EventQueue::new();
-        let mut handles = Vec::new();
+        let mut seq = 0u64;
         let mut state = 0x2545F4914F6CDD1Du64;
         let mut rng = move || {
             state ^= state << 13;
@@ -645,37 +398,26 @@ mod tests {
             state ^= state << 17;
             state
         };
+        let mut popped = Vec::new();
         for _ in 0..2000 {
-            match rng() % 4 {
-                0 | 1 => {
-                    let t = q.now() + SimDuration::from_millis(rng() % 50);
-                    handles.push(q.schedule(t, ()));
-                }
-                2 => {
-                    if !handles.is_empty() {
-                        let h = handles[(rng() % handles.len() as u64) as usize];
-                        if q.is_scheduled(h) {
-                            q.reschedule(h, q.now() + SimDuration::from_millis(rng() % 50));
-                        }
-                    }
+            let t = q.now() + SimDuration::from_millis(rng() % 50);
+            match rng() % 5 {
+                0 | 1 => q.schedule(t, (t, seq)),
+                2 => q.set_timer(t, (t, seq)),
+                3 => {
+                    q.clear_timer();
+                    continue;
                 }
                 _ => {
-                    if rng() % 2 == 0 {
-                        if !handles.is_empty() {
-                            let h = handles[(rng() % handles.len() as u64) as usize];
-                            q.cancel(h);
-                        }
-                    } else {
-                        q.pop();
-                    }
+                    popped.extend(q.pop().map(|(_, key)| key));
+                    continue;
                 }
             }
+            seq += 1;
         }
-        let mut last = q.now();
-        while let Some((t, ())) = q.pop() {
-            assert!(t >= last, "pops must stay time-ordered");
-            last = t;
-        }
-        assert_eq!(q.len(), 0);
+        popped.extend(drain(&mut q));
+        assert!(popped.len() > 500);
+        assert!(popped.windows(2).all(|w| w[0] < w[1]), "pops out of order");
+        assert!(q.is_empty());
     }
 }

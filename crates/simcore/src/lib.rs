@@ -3,7 +3,7 @@
 //! Deterministic discrete-event simulation kernel shared by every other crate
 //! in the workspace.
 //!
-//! The crate provides four building blocks:
+//! The crate provides five building blocks:
 //!
 //! * [`time`] — integer-nanosecond simulated time ([`SimTime`], [`SimDuration`])
 //!   with saturating arithmetic, so a simulation can never observe negative
@@ -16,10 +16,9 @@
 //!   log-normal (fitted from the 5th/50th/95th percentiles published in the
 //!   paper's Table I), uniform, exponential and deterministic.
 //! * [`events`] — a monotonic event queue ([`events::EventQueue`]) with a
-//!   stable tie-break, built on a slot-indexed binary heap: handles support
-//!   true O(log n) cancellation (entries are removed, not tombstoned) and
-//!   in-place reschedule, so queue memory is bounded by the live event
-//!   count even under cancellation-heavy workloads.
+//!   stable FIFO tie-break: a `std` binary heap of events that always pop,
+//!   plus one re-armable timer (the baseline's GPS tick) that can be moved
+//!   or withdrawn, so queue memory is bounded by the live event count.
 //! * [`stats`] — percentile / box-plot / summary statistics used to aggregate
 //!   response times and stretch exactly the way the paper reports them.
 //!
@@ -35,7 +34,7 @@ pub mod stats;
 pub mod time;
 
 pub use dist::{Distribution, LogNormal};
-pub use events::{EventHandle, EventQueue};
+pub use events::EventQueue;
 pub use rng::Xoshiro256;
 pub use stats::{Percentiles, Summary};
 pub use time::{SimDuration, SimTime};

@@ -327,11 +327,6 @@ impl Welford {
         }
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Merge another accumulator into this one (parallel reduction).
     pub fn merge(&mut self, other: &Welford) {
         if other.count == 0 {
@@ -535,7 +530,6 @@ mod tests {
         assert_eq!(w.count(), 8);
         assert!((w.mean() - 5.0).abs() < 1e-12);
         assert!((w.variance() - 4.0).abs() < 1e-12);
-        assert!((w.std_dev() - 2.0).abs() < 1e-12);
     }
 
     #[test]

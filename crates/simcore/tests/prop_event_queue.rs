@@ -1,10 +1,10 @@
-//! Differential property test of the indexed event heap.
+//! Differential property test of the event queue and its one timer.
 //!
 //! The reference model is a naive `Vec` scan: schedule pushes `(time, seq,
-//! id)`, cancel retains, reschedule rewrites time and takes a fresh
-//! sequence number, pop scans for the minimum `(time, seq)`. Every
-//! operation's observable effect (pop results, length, handle liveness,
-//! peek) must match the indexed heap exactly — including the FIFO
+//! id)`, the timer is one more model entry that `set_timer` replaces under
+//! a fresh sequence number and `clear_timer` removes, and pop scans for the
+//! minimum `(time, seq)`. Every operation's observable effect (pop results,
+//! clock, length, peek) must match the queue exactly — including the FIFO
 //! tie-break at equal timestamps, which the tiny time range below forces
 //! constantly.
 
@@ -12,16 +12,14 @@ use faas_simcore::events::EventQueue;
 use faas_simcore::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
-/// One operation of the random interleaving. Indices are resolved modulo
-/// the number of handles issued so far.
+/// One operation of the random interleaving.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     /// Schedule at `now + dt` milliseconds.
     Schedule(u64),
-    /// Cancel the k-th issued handle (dead handles exercise the no-op path).
-    Cancel(usize),
-    /// Reschedule the k-th issued handle to `now + dt` ms, if still live.
-    Reschedule(usize, u64),
+    /// Arm (or re-arm) the timer at `now + dt` milliseconds.
+    SetTimer(u64),
+    ClearTimer,
     Pop,
 }
 
@@ -29,50 +27,40 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     // dt in 0..6 ms over hundreds of events forces equal-timestamp ties.
     prop_oneof![
         (0u64..6).prop_map(Op::Schedule),
-        (0usize..512).prop_map(Op::Cancel),
-        ((0usize..512), (0u64..6)).prop_map(|(k, dt)| Op::Reschedule(k, dt)),
+        (0u64..6).prop_map(Op::SetTimer),
+        Just(Op::ClearTimer),
         Just(Op::Pop),
         Just(Op::Pop),
     ]
 }
 
-/// The executable specification: a flat vector scanned on every pop.
+/// The executable specification: a flat vector scanned on every pop. Each
+/// entry is `(time, seq, id, is_timer)`.
 #[derive(Default)]
 struct VecModel {
-    live: Vec<(SimTime, u64, usize)>,
+    live: Vec<(SimTime, u64, usize, bool)>,
     next_seq: u64,
     now: SimTime,
 }
 
 impl VecModel {
-    fn schedule(&mut self, time: SimTime, id: usize) {
+    fn push(&mut self, time: SimTime, id: usize, is_timer: bool) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.live.push((time, seq, id));
+        self.live.push((time, seq, id, is_timer));
     }
 
-    fn cancel(&mut self, id: usize) {
-        self.live.retain(|&(_, _, i)| i != id);
+    fn clear_timer(&mut self) {
+        self.live.retain(|&(_, _, _, is_timer)| !is_timer);
     }
 
-    fn is_live(&self, id: usize) -> bool {
-        self.live.iter().any(|&(_, _, i)| i == id)
-    }
-
-    fn reschedule(&mut self, id: usize, time: SimTime) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let entry = self
-            .live
-            .iter_mut()
-            .find(|(_, _, i)| *i == id)
-            .expect("reschedule of a dead id");
-        entry.0 = time;
-        entry.1 = seq;
+    fn set_timer(&mut self, time: SimTime, id: usize) {
+        self.clear_timer();
+        self.push(time, id, true);
     }
 
     fn peek_time(&self) -> Option<SimTime> {
-        self.live.iter().map(|&(t, _, _)| t).min()
+        self.live.iter().map(|&(t, ..)| t).min()
     }
 
     fn pop(&mut self) -> Option<(SimTime, usize)> {
@@ -80,52 +68,47 @@ impl VecModel {
             .live
             .iter()
             .enumerate()
-            .min_by_key(|(_, &(t, s, _))| (t, s))
+            .min_by_key(|(_, &(t, s, ..))| (t, s))
             .map(|(k, _)| k)?;
-        let (time, _, id) = self.live.swap_remove(best);
+        let (time, _, id, _) = self.live.swap_remove(best);
         self.now = time;
         Some((time, id))
     }
 }
 
 proptest! {
-    /// Arbitrary schedule/cancel/reschedule/pop interleavings agree with
-    /// the Vec-scan model on every observable.
+    /// Arbitrary schedule/set_timer/clear_timer/pop interleavings agree
+    /// with the Vec-scan model on every observable.
     #[test]
-    fn indexed_heap_matches_vec_scan_model(
+    fn queue_with_timer_matches_vec_scan_model(
         ops in prop::collection::vec(op_strategy(), 1..400)
     ) {
         let mut q = EventQueue::new();
         let mut model = VecModel::default();
-        // Every handle ever issued, with its model id (= issue index).
-        let mut handles = Vec::new();
+        // Payload ids are issue indices, timer arms included.
+        let mut next_id = 0usize;
         for op in ops {
             match op {
                 Op::Schedule(dt) => {
                     let t = q.now() + SimDuration::from_millis(dt);
-                    let id = handles.len();
-                    handles.push(q.schedule(t, id));
-                    model.schedule(t, id);
+                    q.schedule(t, next_id);
+                    model.push(t, next_id, false);
+                    next_id += 1;
                 }
-                Op::Cancel(k) if !handles.is_empty() => {
-                    let id = k % handles.len();
-                    q.cancel(handles[id]);
-                    model.cancel(id);
+                Op::SetTimer(dt) => {
+                    let t = q.now() + SimDuration::from_millis(dt);
+                    q.set_timer(t, next_id);
+                    model.set_timer(t, next_id);
+                    next_id += 1;
                 }
-                Op::Reschedule(k, dt) if !handles.is_empty() => {
-                    let id = k % handles.len();
-                    prop_assert_eq!(q.is_scheduled(handles[id]), model.is_live(id));
-                    if q.is_scheduled(handles[id]) {
-                        let t = q.now() + SimDuration::from_millis(dt);
-                        q.reschedule(handles[id], t);
-                        model.reschedule(id, t);
-                    }
+                Op::ClearTimer => {
+                    q.clear_timer();
+                    model.clear_timer();
                 }
                 Op::Pop => {
                     prop_assert_eq!(q.pop(), model.pop());
                     prop_assert_eq!(q.now(), model.now);
                 }
-                Op::Cancel(_) | Op::Reschedule(_, _) => {}
             }
             prop_assert_eq!(q.len(), model.live.len());
             prop_assert_eq!(q.peek_time(), model.peek_time());
@@ -139,31 +122,30 @@ proptest! {
                 break;
             }
         }
-        for (id, &h) in handles.iter().enumerate() {
-            prop_assert!(!q.is_scheduled(h), "drained queue kept handle {id} live");
-        }
+        prop_assert!(q.is_empty());
     }
 
-    /// Equal-timestamp storms pop in exact issue order, with rescheduled
-    /// events taking their *new* FIFO position.
+    /// Equal-timestamp storms pop in exact issue order, with the timer
+    /// taking the FIFO position of its *last* arm.
     #[test]
-    fn fifo_tie_break_survives_reschedules(
-        moved in prop::collection::vec(0usize..64, 1..32)
+    fn fifo_tie_break_places_the_timer_at_its_last_arm(
+        arms in prop::collection::vec(0usize..=64, 1..32)
     ) {
+        const TIMER: usize = usize::MAX;
         let mut q = EventQueue::new();
         let t = SimTime::from_secs(1);
-        let mut handles = Vec::new();
-        for i in 0..64usize {
-            handles.push(q.schedule(t, i));
+        // Arm before event `k` for each `k` in `arms` (64: after them all).
+        for k in 0..=64usize {
+            if arms.contains(&k) {
+                q.set_timer(t, TIMER);
+            }
+            if k < 64 {
+                q.schedule(t, k);
+            }
         }
-        // Rescheduling to the same timestamp re-queues behind the rest —
-        // exactly what cancel + schedule would do.
+        let last = *arms.iter().max().unwrap();
         let mut order: Vec<usize> = (0..64).collect();
-        for &k in &moved {
-            q.reschedule(handles[k], t);
-            order.retain(|&i| i != k);
-            order.push(k);
-        }
+        order.insert(last, TIMER);
         let popped: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, i)| i)).collect();
         prop_assert_eq!(popped, order);
     }

@@ -353,12 +353,6 @@ impl WeightTable {
         }
     }
 
-    /// Attach warm-up phase overrides to this table.
-    pub fn with_warmup(mut self, warmup: WarmupShares) -> WeightTable {
-        self.warmup = warmup;
-        self
-    }
-
     /// The share of one function's containers.
     pub fn share(&self, func: FuncId) -> TaskShare {
         self.shares[func.index()]
@@ -525,10 +519,14 @@ mod tests {
         .table(&catalogue());
         assert!(!t.is_uniform());
         // And uniform overrides keep a uniform base uniform.
-        let u = WeightTable::uniform(catalogue().len()).with_warmup(WarmupShares {
-            init: Some(TaskShare::UNIFORM),
-            exec: Some(TaskShare::UNIFORM),
-        });
+        let u = WeightSpec::PhasedWarmup {
+            base: Box::new(WeightSpec::Uniform),
+            warmup: WarmupShares {
+                init: Some(TaskShare::UNIFORM),
+                exec: Some(TaskShare::UNIFORM),
+            },
+        }
+        .table(&catalogue());
         assert!(u.is_uniform());
     }
 
