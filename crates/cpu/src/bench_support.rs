@@ -210,16 +210,6 @@ pub fn run_weighted_churn<K: GpsKernel>(kernel: &mut K, tasks: usize, completion
     })
 }
 
-/// Advance/next_completion-heavy weighted churn: the same weighted
-/// completion-driven loop as [`run_weighted_churn`], but with `probes`
-/// intermediate `advance` + `next_completion` calls between consecutive
-/// completion events (the access pattern of an owner that re-queries the
-/// bank on every event — monitoring ticks, arrivals that end up queueing,
-/// sibling completions on the node). Membership is unchanged between
-/// probes, so the two-clock kernel answers each probe in O(1)/O(log n)
-/// where the per-slot integrator re-deplets and re-scans all `tasks`
-/// slots: this is the workload that measures the *end-to-end* two-clock
-/// win, not just the rate-refresh win.
 /// Capacity factors a [`run_capacity_churn`] cycle walks through: a
 /// degradation ramp to a 0.4 trough and back up past nominal — the shape
 /// of the fault subsystem's `CapacityRamp` events.
@@ -329,6 +319,16 @@ pub fn run_drf_churn<K: GpsKernel>(kernel: &mut K, tasks: usize, completions: us
     kernel.work_done()
 }
 
+/// Advance/next_completion-heavy weighted churn: the same weighted
+/// completion-driven loop as [`run_weighted_churn`], but with `probes`
+/// intermediate `advance` + `next_completion` calls between consecutive
+/// completion events (the access pattern of an owner that re-queries the
+/// bank on every event — monitoring ticks, arrivals that end up queueing,
+/// sibling completions on the node). Membership is unchanged between
+/// probes, so the two-clock kernel answers each probe in O(1)/O(log n)
+/// where the per-slot integrator re-deplets and re-scans all `tasks`
+/// slots: this is the workload that measures the *end-to-end* two-clock
+/// win, not just the rate-refresh win.
 pub fn run_weighted_probe_churn<K: GpsKernel>(
     kernel: &mut K,
     tasks: usize,

@@ -14,18 +14,17 @@
 //!
 //! * **The paper's approach** (§IV-A): at most `cores` busy containers, each
 //!   pinned to exactly one core, no oversubscription and hence (almost) no
-//!   OS preemption. We model this with [`dedicated::CorePool`].
+//!   OS preemption. No processor model is needed: `faas-invoker` caps the
+//!   node's leased containers at the busy limit.
 //!
-//! Both models are pure state machines over simulated time; the node
-//! simulation in `faas-invoker` owns the event queue and drives them.
+//! The GPS model is a pure state machine over simulated time; the node
+//! simulation in `faas-invoker` owns the event queue and drives it.
 
 pub mod bench_support;
-pub mod dedicated;
 pub mod gps;
 pub mod gps_reference;
 pub mod schedule;
 
-pub use dedicated::CorePool;
 pub use gps::{GpsCpu, GpsParams, Resource, ResourceVector, TaskId};
 pub use gps_reference::ReferenceGpsCpu;
 pub use schedule::{ChurnOp, DifferentialPair, SignaturePool};

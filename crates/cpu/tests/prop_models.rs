@@ -1,30 +1,10 @@
 //! Property tests of the processor models.
 
-use faas_cpu::{CorePool, GpsCpu, GpsParams, TaskId};
+use faas_cpu::{GpsCpu, GpsParams, TaskId};
 use faas_simcore::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
 proptest! {
-    /// Dedicated cores: busy + free == total under any operation sequence.
-    #[test]
-    fn core_pool_conserves_cores(
-        total in 1u32..64,
-        ops in prop::collection::vec(any::<bool>(), 0..300)
-    ) {
-        let mut pool = CorePool::new(total);
-        for acquire in ops {
-            if acquire {
-                let had_free = pool.has_free();
-                let got = pool.try_acquire();
-                prop_assert_eq!(got, had_free);
-            } else if pool.busy() > 0 {
-                pool.release();
-            }
-            prop_assert_eq!(pool.busy() + pool.free(), pool.total());
-            prop_assert!(pool.peak_busy() <= pool.total());
-        }
-    }
-
     /// GPS with weights: rates order like weights (heavier never slower).
     #[test]
     fn gps_weighted_rates_are_monotone_in_weight(

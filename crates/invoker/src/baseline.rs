@@ -48,7 +48,6 @@ use faas_simcore::time::{SimDuration, SimTime};
 use faas_workload::sebs::Catalogue;
 use faas_workload::trace::ColdStartKind;
 use faas_workload::weight::{CallPhase, TaskShare, WeightTable};
-use std::collections::HashMap;
 use std::collections::VecDeque;
 
 /// What a GPS task belongs to.
@@ -69,13 +68,11 @@ pub(crate) struct Gps<'a> {
     cpu: GpsCpu,
     fifo: VecDeque<u32>,
     peak_queue: usize,
-    /// Containers leased (placed, not yet cleaned up).
-    leased: usize,
-    peak_leased: usize,
-    /// Each live GPS task's owner and demand profile (per dominant-resource
-    /// unit, from `ResourceVector::profile`), so removals can settle the
-    /// per-resource served-work counters.
-    owners: HashMap<TaskId, (Owner, [f64; 2])>,
+    /// Each live GPS task with its owner and demand profile (per
+    /// dominant-resource unit, from `ResourceVector::profile`), so removals
+    /// can settle the per-resource served-work counters. Indexed by
+    /// [`TaskId::index`]: the bank recycles its slots, so ids stay dense.
+    owners: Vec<Option<(TaskId, Owner, [f64; 2])>>,
     /// Per-resource work served by the GPS bank, in axis units:
     /// `[core-seconds, bandwidth-unit-seconds]`. Accumulated as offered
     /// work at task entry minus the residual returned at removal, so
@@ -109,9 +106,7 @@ impl<'a> Gps<'a> {
             cpu,
             fifo: VecDeque::new(),
             peak_queue: 0,
-            leased: 0,
-            peak_leased: 0,
-            owners: HashMap::new(),
+            owners: Vec::new(),
             served_work: [0.0; 2],
             finished_scratch: Vec::new(),
         }
@@ -119,11 +114,9 @@ impl<'a> Gps<'a> {
 
     /// Attempt immediate placement; returns false if the call must queue.
     fn try_place(&mut self, sh: &mut Shell, now: SimTime, i: u32) -> bool {
-        let Some(kind) = sh.lease(now, i) else {
+        let Some(kind) = sh.lease(i) else {
             return false;
         };
-        self.leased += 1;
-        self.peak_leased = self.peak_leased.max(self.leased);
         if kind == ColdStartKind::Prewarm && sh.pool.prewarm_deficit() > 0 {
             sh.events.schedule(
                 now + sh.cfg.calibration.prewarm_replacement_delay,
@@ -138,8 +131,7 @@ impl<'a> Gps<'a> {
             let share = self
                 .weights
                 .phase_share(call.func, call.kind, CallPhase::Init);
-            let (tid, profile) = self.add_share_task(now, init_work, &share);
-            self.owners.insert(tid, (Owner::Init(i), profile));
+            self.add_share_task(now, init_work, &share, Owner::Init(i));
         } else {
             self.start_exec(sh, now, i);
         }
@@ -158,12 +150,11 @@ impl<'a> Gps<'a> {
         sh.runtime[i].exec_start = now;
         sh.runtime[i].p = p;
         let share = self.weights.phase_share(func, kind, CallPhase::Exec);
-        let (tid, profile) = self.add_share_task(now, cpu_work, &share);
-        self.owners.insert(tid, (Owner::Exec(i), profile));
+        self.add_share_task(now, cpu_work, &share, Owner::Exec(i));
     }
 
-    /// Enter a CPU phase of `cpu_work` core-seconds into the GPS bank
-    /// under `share`, returning the task and its demand profile. Work and
+    /// Enter `owner`'s CPU phase of `cpu_work` core-seconds into the GPS
+    /// bank under `share` and record the task in `owners`. Work and
     /// rate cap convert into dominant-resource units
     /// (`ResourceVector::dominant_per_cpu`) so the bank's water-filling
     /// allocates by dominant share (see `faas_cpu::gps`). A CPU-only share
@@ -171,12 +162,7 @@ impl<'a> Gps<'a> {
     /// 1 and profile `[1, 0]`: the same task `GpsCpu::add_task` enters.
     /// Offered work is credited to the per-resource served counters here;
     /// removals debit the unserved residual.
-    fn add_share_task(
-        &mut self,
-        now: SimTime,
-        cpu_work: f64,
-        share: &TaskShare,
-    ) -> (TaskId, [f64; 2]) {
+    fn add_share_task(&mut self, now: SimTime, cpu_work: f64, share: &TaskShare, owner: Owner) {
         let demand = ResourceVector::per_cpu(share.mem_per_cpu);
         let scale = demand.dominant_per_cpu();
         let profile = demand.profile();
@@ -186,7 +172,11 @@ impl<'a> Gps<'a> {
         let tid = self
             .cpu
             .add_task_demand(now, work, share.weight, share.max_rate * scale, demand);
-        (tid, profile)
+        let slot = tid.index() as usize;
+        if slot >= self.owners.len() {
+            self.owners.resize(slot + 1, None);
+        }
+        self.owners[slot] = Some((tid, owner, profile));
     }
 
     /// Remove a GPS task and debit the unserved residual from the
@@ -233,7 +223,6 @@ impl Regime for Gps<'_> {
     }
 
     fn release(&mut self, sh: &mut Shell, now: SimTime) {
-        self.leased -= 1;
         self.drain(sh, now);
     }
 
@@ -243,10 +232,8 @@ impl Regime for Gps<'_> {
     /// regime where it idles the call's core.
     fn end_exec(&mut self, sh: &mut Shell, now: SimTime, i: u32) -> (SimDuration, SimDuration) {
         let rt = sh.runtime[i];
-        let mgmt = sh
-            .cfg
-            .calibration
-            .baseline_mgmt_secs(sh.cfg.cores, rt.p, self.leased);
+        let calib = &sh.cfg.calibration;
+        let mgmt = calib.baseline_mgmt_secs(sh.cfg.cores, rt.p, sh.pool.leased() as usize);
         let processing = now.saturating_since(rt.exec_start);
         (SimDuration::from_secs_f64(mgmt), processing)
     }
@@ -261,17 +248,11 @@ impl Regime for Gps<'_> {
     }
 
     fn crash(&mut self, sh: &mut Shell, now: SimTime) {
-        // Tear down the GPS bank. `owners` is a HashMap whose iteration
-        // order is arbitrary: collect and sort the task ids first so the
-        // bank's float accumulation stays deterministic across runs.
-        let mut tasks: Vec<TaskId> = self.owners.keys().copied().collect();
-        tasks.sort_unstable();
-        for tid in tasks {
-            let profile = self.owners[&tid].1;
+        // Tear down the GPS bank in task-id order, so the bank's float
+        // accumulation is deterministic.
+        for (tid, _, profile) in std::mem::take(&mut self.owners).into_iter().flatten() {
             self.remove_gps_task(now, tid, profile);
         }
-        self.owners.clear();
-        self.leased = 0;
         self.reschedule_tick(sh, now); // the bank is empty: clears the tick
     }
 
@@ -292,9 +273,8 @@ impl Regime for Gps<'_> {
         let mut finished = std::mem::take(&mut self.finished_scratch);
         self.cpu.finished_tasks_into(now, &mut finished);
         for &tid in &finished {
-            let (owner, profile) = self
-                .owners
-                .remove(&tid)
+            let (_, owner, profile) = self.owners[tid.index() as usize]
+                .take()
                 .expect("finished GPS task must have an owner");
             self.remove_gps_task(now, tid, profile);
             match owner {
@@ -319,13 +299,9 @@ impl Regime for Gps<'_> {
         self.fifo.len()
     }
 
-    fn inflight(&self) -> usize {
-        self.leased
-    }
-
     /// The maximum over modeled resource axes of the GPS bank's
     /// `consumption / capacity`: one O(live tasks) scan per window.
-    fn dominant_share(&self, _cfg: &NodeConfig) -> f64 {
+    fn dominant_share(&self, _sh: &Shell) -> f64 {
         let mut share: f64 = 0.0;
         for r in [Resource::Cpu, Resource::Mem] {
             let cap = self.cpu.resource_capacity(r);
@@ -344,7 +320,6 @@ impl Regime for Gps<'_> {
         );
         debug_assert!(self.cpu.is_empty(), "GPS bank must drain");
         result.peak_queue = self.peak_queue;
-        result.peak_concurrency = self.peak_leased;
         // Compensated entry/exit accounting can leave a ±ulp residue
         // around zero; served work is non-negative by construction.
         result.served_cpu_secs = self.served_work[0].max(0.0);

@@ -43,7 +43,6 @@ pub use step::{Handoff, NodeProgress};
 
 use faas_simcore::time::SimTime;
 
-use faas_core::SchedulerConfig;
 use faas_workload::faults::FaultSpec;
 use faas_workload::sebs::Catalogue;
 use faas_workload::trace::Call;
@@ -117,9 +116,4 @@ pub fn simulate_scenario(
 ) -> NodeResult {
     let calls = scenario.all_calls();
     simulate_calls(catalogue, &calls, mode, cfg, seed, 0)
-}
-
-/// Convenience constructor for the scheduled mode.
-pub fn scheduled(sched: SchedulerConfig) -> NodeMode {
-    NodeMode::Scheduled(sched)
 }

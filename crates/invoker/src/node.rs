@@ -11,12 +11,16 @@
 //!   overflow queue, every CPU phase time-sliced under generalized
 //!   processor sharing.
 //! * `crate::ours` — the paper's node: a policy-ordered pending queue in
-//!   front of a pool of dedicated cores, non-preemptive execution.
+//!   front of at most a busy limit of leased containers, each on a
+//!   dedicated core, non-preemptive execution.
 //!
 //! A regime decides how a delivered call is admitted, how its execution
 //! consumes CPU, how a capacity fault and a crash touch its CPU model, and
 //! how a timed-out queue entry leaves its queue. The shell below decides
-//! everything else, so the two regimes cannot drift apart on it.
+//! everything else, so the two regimes cannot drift apart on it. That
+//! includes the count of busy containers: the shell's [`ContainerPool`]
+//! counts every lease once, and both regimes read it — the baseline's
+//! memory-bounded concurrency and the scheduled node's busy limit alike.
 //!
 //! # Per-call fault lifecycle
 //!
@@ -265,8 +269,17 @@ impl std::ops::IndexMut<u32> for LiveCalls {
 }
 
 /// What differs between the two CPU regimes. Every hook receives the
-/// shared [`Shell`]; the shell owns the call lifecycle and calls these at
-/// fixed points of it.
+/// shared [`Shell`]; the shell owns the call lifecycle and the container
+/// pool, whose lease count is the node's busy-container count, and calls
+/// these at fixed points of the lifecycle.
+///
+/// Prewarm backfill is still decided per regime, not by the shell: the
+/// baseline schedules one [`Ev::PrewarmReady`] when a placement consumes a
+/// prewarm container, while the scheduled node schedules one on every
+/// container release while the pool has a deficit, so one deficit can
+/// queue several (an extra refills a deficit that has reopened by the time
+/// it fires, or else only re-runs dispatch). Unifying them would move the
+/// pinned results.
 pub(crate) trait Regime {
     /// Stream ids of the service-time and cold-start generators, derived
     /// from the node seed.
@@ -276,15 +289,16 @@ pub(crate) trait Regime {
     /// Start whatever queued work now fits (a prewarm container became
     /// ready, the node restarted).
     fn drain(&mut self, sh: &mut Shell, now: SimTime);
-    /// A container finished cleanup and went back to the pool.
+    /// A container finished cleanup and went back to the pool (its lease
+    /// is already released).
     fn release(&mut self, sh: &mut Shell, now: SimTime);
     /// Call `i`'s execution ended: settle the CPU model and return the
     /// container's cleanup hold and the call's processing time.
     fn end_exec(&mut self, sh: &mut Shell, now: SimTime, i: u32) -> (SimDuration, SimDuration);
     /// A capacity fault scales the node's CPU to `factor` of nominal.
     fn set_capacity(&mut self, sh: &mut Shell, now: SimTime, factor: f64);
-    /// The node crashed: tear down the CPU model (the shell kills the
-    /// attempts and the containers).
+    /// The node crashed: tear down the CPU model (the shell then kills the
+    /// attempts and the containers, leases included).
     fn crash(&mut self, sh: &mut Shell, now: SimTime);
     /// Call `i`'s queued attempt timed out and leaves the queue.
     fn abandon(&mut self, i: u32);
@@ -294,12 +308,10 @@ pub(crate) trait Regime {
     }
     /// Calls waiting in the regime's queue.
     fn queue_len(&self) -> usize;
-    /// Calls holding a container or core.
-    fn inflight(&self) -> usize;
     /// Dominant-share consumption over the modeled resource axes (see
     /// [`NodeProgress::dominant_milli`]).
-    fn dominant_share(&self, cfg: &NodeConfig) -> f64;
-    /// Check the regime drained and fill in its peaks and served work.
+    fn dominant_share(&self, sh: &Shell) -> f64;
+    /// Check the regime drained and fill in its queue peak and served work.
     fn settle(self, sh: &Shell, result: &mut NodeResult);
 }
 
@@ -515,6 +527,7 @@ impl<'a> NodeSim<'a> {
             "finish with {} events still queued",
             sh.events.len()
         );
+        assert_eq!(sh.pool.leased(), 0, "finish with containers still leased");
         assert!(
             sh.handoffs.is_empty(),
             "finish with {} handoffs not collected",
@@ -539,7 +552,7 @@ impl<'a> NodeSim<'a> {
             measured_pool_stats: total.since(sh.measured_snapshot.unwrap_or(total)),
             total_pool_stats: total,
             peak_queue: 0,
-            peak_concurrency: 0,
+            peak_concurrency: sh.pool.peak_leased() as usize,
             peak_events: sh.peak_events,
             peak_live_calls: sh.runtime.peak,
             peak_resident_calls: 0,
@@ -603,7 +616,7 @@ impl Shell<'_> {
                 Ev::PendingTimeout(i, attempt) => self.on_pending_timeout(r, now, i, attempt),
             }
         }
-        self.dominant_milli = (r.dominant_share(self.cfg) * 1000.0).round() as u32;
+        self.dominant_milli = (r.dominant_share(self) * 1000.0).round() as u32;
         self.snapshot(r)
     }
 
@@ -612,7 +625,7 @@ impl Shell<'_> {
             now: self.events.now(),
             next_event: self.events.peek_time(),
             queue_depth: r.queue_len(),
-            inflight: r.inflight(),
+            inflight: self.pool.leased() as usize,
             alive: self.alive,
             dominant_milli: self.dominant_milli,
             completed: self.outcomes_filled,
@@ -654,11 +667,11 @@ impl Shell<'_> {
 
     /// Lease a container for call `i`'s attempt and mark it running.
     /// `None` when memory cannot fit the container even after eviction.
-    pub fn lease(&mut self, now: SimTime, i: u32) -> Option<ColdStartKind> {
+    pub fn lease(&mut self, i: u32) -> Option<ColdStartKind> {
         let idx = i as usize;
         let func = self.outcomes[idx].func;
         let memory_mb = self.catalogue.spec(func).memory_mb as u64;
-        let placement = self.pool.place(func, memory_mb, now)?;
+        let placement = self.pool.place(func, memory_mb)?;
         let rt = &mut self.runtime[i];
         rt.start_kind = placement.kind;
         rt.container = Some(placement.container);

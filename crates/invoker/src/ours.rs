@@ -8,27 +8,30 @@
 //!        [cold-start init] → execution (p drawn from the function's
 //!        distribution, full core, non-preemptive) → ExecDone
 //! ExecDone ──hop──▶ completion at the client; container enters cleanup
-//! CleanupDone: container → free pool, core released, dispatch again
+//! CleanupDone: container → free pool (lease released), dispatch again
 //! ```
 //!
-//! The container is unavailable during cleanup and the core is held: this is
-//! the per-call management cost (docker pause/unpause, log collection) that
-//! the paper identifies as comparable to the execution time itself (§V-B).
+//! A core is busy exactly while its call holds a container lease: the node
+//! runs at most `limit` leased containers, counted by the shell's
+//! [`ContainerPool`](crate::ContainerPool). The container is unavailable
+//! during cleanup and its core idles: this is the per-call management cost
+//! (docker pause/unpause, log collection) that the paper identifies as
+//! comparable to the execution time itself (§V-B).
 //!
 //! # Faults
 //!
 //! The call lifecycle under faults is the shared one (see `crate::node`),
 //! adapted here to the dedicated-core regime:
 //!
-//! * **Capacity** events resize the [`CorePool`]. Execution is
-//!   non-preemptive, so a shrink never interrupts running calls — the pool
-//!   just hands out nothing until completions drain it below the new
-//!   total. The oversubscription slowdown keeps using the configured core
+//! * **Capacity** events rescale the busy limit. Execution is
+//!   non-preemptive, so a shrink never interrupts running calls — the node
+//!   just dispatches nothing until completions drain its leases below the
+//!   new limit. The oversubscription slowdown keeps using the configured core
 //!   count (a documented approximation: at the paper's busy limit the
 //!   slowdown is exactly 1 and the capacity squeeze is fully captured by
 //!   the reduced parallelism).
-//! * **Crash** releases every core; queued calls survive in the pending
-//!   queue.
+//! * **Crash** loses every lease with the containers; queued calls
+//!   survive in the pending queue.
 //! * **Pending timeouts** skip lazily: [`PendingQueue`] has no removal, so
 //!   a timed-out entry stays queued and `dispatch` discards it on pop
 //!   (its phase is no longer `Queued`). A retried call is pushed again
@@ -41,16 +44,17 @@ use crate::config::NodeConfig;
 use crate::node::{Ev, FaultPhase, Regime, Shell};
 use crate::result::NodeResult;
 use faas_core::{PendingQueue, SchedulerConfig, SchedulerState};
-use faas_cpu::CorePool;
 use faas_simcore::time::{SimDuration, SimTime};
 use faas_workload::sebs::Catalogue;
 
 /// The paper's CPU regime: a policy-ordered pending queue in front of at
-/// most `busy_limit` busy containers, each on a dedicated core.
+/// most `limit` busy containers, each on a dedicated core.
 pub(crate) struct Cores {
     pending: PendingQueue<u32>,
     sched: SchedulerState,
-    cores: CorePool,
+    /// Busy-container limit: [`NodeConfig::busy_limit`] rescaled by
+    /// capacity faults.
+    limit: u32,
     /// Summed CPU fraction of currently executing calls, for the
     /// oversubscription slowdown (zero-cost at the default busy limit).
     cpu_load: f64,
@@ -70,10 +74,11 @@ pub(crate) struct Cores {
 
 impl Cores {
     pub(crate) fn new(catalogue: &Catalogue, cfg: &NodeConfig, sched: SchedulerConfig) -> Self {
+        assert!(cfg.cores > 0, "a node needs at least one action core");
         Cores {
             pending: PendingQueue::new(),
             sched: SchedulerState::new(catalogue.len(), sched),
-            cores: CorePool::new(cfg.busy_limit()),
+            limit: cfg.busy_limit(),
             cpu_load: 0.0,
             mem_load: 0.0,
             served_cpu_secs: 0.0,
@@ -88,7 +93,7 @@ impl Cores {
         if !sh.alive {
             return;
         }
-        while self.cores.has_free() && !self.pending.is_empty() {
+        while sh.pool.leased() < self.limit && !self.pending.is_empty() {
             let i = self.pending.pop().expect("non-empty queue pops");
             let idx = i as usize;
             if sh.runtime.phase(i) != Some(FaultPhase::Queued) {
@@ -99,13 +104,12 @@ impl Cores {
                 // never pops one.
                 continue;
             }
-            let Some(kind) = sh.lease(now, i) else {
+            let Some(kind) = sh.lease(i) else {
                 // No memory even after eviction: requeue at the same
                 // priority and wait for a container release.
                 self.pending.push(sh.runtime[i].priority, i);
                 break;
             };
-            assert!(self.cores.try_acquire(), "free core checked above");
             // Cold-start initialisation runs on the call's core at full
             // speed (dedicated core: work in core-seconds == seconds).
             let init_secs = sh.init_work(kind);
@@ -149,7 +153,6 @@ impl Regime for Cores {
     }
 
     fn release(&mut self, sh: &mut Shell, now: SimTime) {
-        self.cores.release();
         if sh.pool.prewarm_deficit() > 0 {
             sh.events.schedule(
                 now + sh.cfg.calibration.prewarm_replacement_delay,
@@ -189,16 +192,14 @@ impl Regime for Cores {
     fn set_capacity(&mut self, sh: &mut Shell, now: SimTime, factor: f64) {
         // Scale the busy limit; never below one core. Running calls are
         // non-preemptive, so a shrink only stops new dispatches until the
-        // pool drains below the new total.
-        let scaled = (sh.cfg.busy_limit() as f64 * factor).round().max(1.0) as u32;
-        self.cores.set_total(scaled);
+        // leases drain below the new limit.
+        self.limit = (sh.cfg.busy_limit() as f64 * factor).round().max(1.0) as u32;
         self.dispatch(sh, now); // a grow frees cores immediately
     }
 
     fn crash(&mut self, _sh: &mut Shell, _now: SimTime) {
         self.cpu_load = 0.0;
         self.mem_load = 0.0;
-        self.cores.release_all();
     }
 
     /// Lazy: the entry stays queued and `dispatch` skips it on pop.
@@ -211,17 +212,13 @@ impl Regime for Cores {
         self.pending.len()
     }
 
-    fn inflight(&self) -> usize {
-        self.cores.busy() as usize
-    }
-
-    /// Core occupancy against the current (possibly degraded) pool, or
+    /// Leases against the current (possibly degraded) busy limit, or
     /// bandwidth pressure when the memory axis is modeled — whichever axis
     /// is tighter (the DRF signal feedback balancers route on).
-    fn dominant_share(&self, cfg: &NodeConfig) -> f64 {
-        let mut share = self.cores.busy() as f64 / self.cores.total() as f64;
-        if cfg.mem_bandwidth > 0.0 {
-            share = share.max(self.mem_load / cfg.mem_bandwidth);
+    fn dominant_share(&self, sh: &Shell) -> f64 {
+        let mut share = sh.pool.leased() as f64 / self.limit as f64;
+        if sh.cfg.mem_bandwidth > 0.0 {
+            share = share.max(self.mem_load / sh.cfg.mem_bandwidth);
         }
         share
     }
@@ -238,7 +235,6 @@ impl Regime for Cores {
             );
         }
         result.peak_queue = self.pending.peak_len();
-        result.peak_concurrency = self.cores.peak_busy() as usize;
         result.served_cpu_secs = self.served_cpu_secs;
         result.served_mem_units = self.served_mem_units;
     }
@@ -328,6 +324,13 @@ mod tests {
             r.measured_cold_starts()
         );
         assert!(r.total_pool_stats.evictions > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one action core")]
+    fn zero_cores_rejected() {
+        let sched = SchedulerConfig::paper(Policy::Fifo);
+        Cores::new(&catalogue(), &NodeConfig::paper(0), sched);
     }
 
     #[test]

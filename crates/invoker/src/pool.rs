@@ -4,7 +4,8 @@
 //! free pool (initialised for one function, ready for a warm start),
 //! **prewarmed** (runtime initialised, no function yet), or **leased** to a
 //! running call (busy executing, initialising, or being cleaned up — the
-//! pool only tracks that the memory is held).
+//! pool only tracks that the memory is held). The pool's lease count is the
+//! node's one count of busy containers: both regimes read it.
 //!
 //! Placement follows OpenWhisk's documented order: free-pool match →
 //! prewarm → create new → evict idle free-pool containers to make room →
@@ -95,6 +96,10 @@ pub struct ContainerPool {
     free_slots: Vec<u32>,
     /// Idle containers per function, most-recently-used last.
     idle_by_func: Vec<Vec<ContainerId>>,
+    /// Containers leased (placed, not yet released or lost to a crash).
+    leased: u32,
+    /// Most containers ever leased at once; survives a crash.
+    peak_leased: u32,
     stats: PoolStats,
 }
 
@@ -118,6 +123,8 @@ impl ContainerPool {
             slots: Vec::new(),
             free_slots: Vec::new(),
             idle_by_func: (0..num_functions).map(|_| Vec::new()).collect(),
+            leased: 0,
+            peak_leased: 0,
             stats: PoolStats::default(),
         };
         for _ in 0..prewarm_target {
@@ -134,9 +141,14 @@ impl ContainerPool {
         self.mem_used_mb
     }
 
-    /// Total memory, MiB.
-    pub fn mem_total_mb(&self) -> u64 {
-        self.mem_total_mb
+    /// Containers currently leased.
+    pub fn leased(&self) -> u32 {
+        self.leased
+    }
+
+    /// Most containers leased at once over the run.
+    pub fn peak_leased(&self) -> u32 {
+        self.peak_leased
     }
 
     /// Number of live containers (idle + leased + prewarm).
@@ -170,14 +182,14 @@ impl ContainerPool {
         self.stats
     }
 
-    /// Try to place a call of `func` needing `mem_mb` MiB, at time `now`.
+    /// Try to place a call of `func` needing `mem_mb` MiB.
     ///
     /// Follows the OpenWhisk placement order. On failure (no warm container,
     /// no prewarm, and not enough memory even after evicting every idle
     /// container) returns `None` and the caller must queue the request.
-    pub fn place(&mut self, func: FuncId, mem_mb: u64, now: SimTime) -> Option<Placement> {
-        // 1. Free-pool container already initialised for this function.
-        if let Some(cid) = self.idle_by_func[func.index()].pop() {
+    pub fn place(&mut self, func: FuncId, mem_mb: u64) -> Option<Placement> {
+        let (container, kind) = if let Some(cid) = self.idle_by_func[func.index()].pop() {
+            // 1. Free-pool container already initialised for this function.
             let slot = &mut self.slots[cid.0 as usize];
             debug_assert!(matches!(slot, Slot::Idle { func: f, .. } if *f == func));
             let mem = match *slot {
@@ -186,39 +198,29 @@ impl ContainerPool {
             };
             *slot = Slot::Leased { func, mem_mb: mem };
             self.stats.warm_hits += 1;
-            return Some(Placement {
-                container: cid,
-                kind: ColdStartKind::Warm,
-            });
-        }
-
-        // 2. Prewarm container: runtime ready, function must initialise.
-        if self.prewarm_ready > 0 {
+            (cid, ColdStartKind::Warm)
+        } else if self.prewarm_ready > 0 {
+            // 2. Prewarm container: runtime ready, function must initialise.
+            // The prewarm memory is re-purposed for the function's own
+            // footprint.
             self.prewarm_ready -= 1;
-            // The prewarm memory is re-purposed; adjust for the function's
-            // own footprint.
             self.mem_used_mb = self.mem_used_mb - self.prewarm_mem_mb + mem_mb;
-            let cid = self.alloc_slot(Slot::Leased { func, mem_mb });
             self.stats.prewarm_hits += 1;
-            return Some(Placement {
-                container: cid,
-                kind: ColdStartKind::Prewarm,
-            });
-        }
-
-        // 3. Create a new container, evicting idles if needed.
-        if self.ensure_memory(mem_mb, now) {
-            self.mem_used_mb += mem_mb;
             let cid = self.alloc_slot(Slot::Leased { func, mem_mb });
+            (cid, ColdStartKind::Prewarm)
+        } else if self.ensure_memory(mem_mb) {
+            // 3. Create a new container, evicting idles if needed.
+            self.mem_used_mb += mem_mb;
             self.stats.cold_creates += 1;
-            return Some(Placement {
-                container: cid,
-                kind: ColdStartKind::Cold,
-            });
-        }
-
-        self.stats.placement_failures += 1;
-        None
+            let cid = self.alloc_slot(Slot::Leased { func, mem_mb });
+            (cid, ColdStartKind::Cold)
+        } else {
+            self.stats.placement_failures += 1;
+            return None;
+        };
+        self.leased += 1;
+        self.peak_leased = self.peak_leased.max(self.leased);
+        Some(Placement { container, kind })
     }
 
     /// Return a leased container to the free pool (idle, warm for its
@@ -236,27 +238,17 @@ impl ContainerPool {
             }
             ref other => panic!("release_idle on non-leased container: {other:?}"),
         }
-    }
-
-    /// Destroy a leased container outright (memory returned). Used when a
-    /// node tears down rather than recycling.
-    pub fn destroy_leased(&mut self, cid: ContainerId) {
-        let slot = &mut self.slots[cid.0 as usize];
-        match *slot {
-            Slot::Leased { mem_mb, .. } => {
-                self.mem_used_mb -= mem_mb;
-                *slot = Slot::Dead;
-                self.free_slots.push(cid.0);
-            }
-            ref other => panic!("destroy_leased on non-leased container: {other:?}"),
-        }
+        self.leased = self
+            .leased
+            .checked_sub(1)
+            .expect("released a container the lease count never saw");
     }
 
     /// Node crash: every container — idle, leased, prewarm — is lost and
-    /// its memory returned. Accumulated statistics survive (they describe
-    /// the run, not the incarnation); the restart boots with an empty pool
-    /// and must re-build its prewarm stock via
-    /// [`ContainerPool::replenish_prewarm`].
+    /// its memory returned, and with them every lease. Accumulated
+    /// statistics and the lease peak survive (they describe the run, not
+    /// the incarnation); the restart boots with an empty pool and must
+    /// re-build its prewarm stock via [`ContainerPool::replenish_prewarm`].
     pub fn crash(&mut self) {
         for (idx, slot) in self.slots.iter_mut().enumerate() {
             if !matches!(slot, Slot::Dead) {
@@ -269,6 +261,7 @@ impl ContainerPool {
         }
         self.prewarm_ready = 0;
         self.mem_used_mb = 0;
+        self.leased = 0;
     }
 
     /// Add one prewarm container if there is a deficit and memory allows.
@@ -288,7 +281,7 @@ impl ContainerPool {
     /// Evict idle containers (least-recently-used first, across all
     /// functions) until `needed_mb` additional MiB fit. Returns true on
     /// success; partial evictions are kept (they only help future requests).
-    fn ensure_memory(&mut self, needed_mb: u64, _now: SimTime) -> bool {
+    fn ensure_memory(&mut self, needed_mb: u64) -> bool {
         while self.mem_used_mb + needed_mb > self.mem_total_mb {
             match self.oldest_idle() {
                 Some(cid) => self.evict(cid),
@@ -358,13 +351,12 @@ mod tests {
     #[test]
     fn cold_create_then_warm_reuse() {
         let mut p = pool(1024);
-        let t = SimTime::ZERO;
-        let a = p.place(FuncId(0), MB, t).unwrap();
+        let a = p.place(FuncId(0), MB).unwrap();
         assert_eq!(a.kind, ColdStartKind::Cold);
         assert_eq!(p.mem_used_mb(), MB);
-        p.release_idle(a.container, t);
+        p.release_idle(a.container, SimTime::ZERO);
         assert_eq!(p.idle_count(FuncId(0)), 1);
-        let b = p.place(FuncId(0), MB, t).unwrap();
+        let b = p.place(FuncId(0), MB).unwrap();
         assert_eq!(b.kind, ColdStartKind::Warm);
         assert_eq!(b.container, a.container);
         assert_eq!(p.mem_used_mb(), MB, "warm reuse must not grow memory");
@@ -373,11 +365,10 @@ mod tests {
     #[test]
     fn warm_pool_is_per_function() {
         let mut p = pool(1024);
-        let t = SimTime::ZERO;
-        let a = p.place(FuncId(0), MB, t).unwrap();
-        p.release_idle(a.container, t);
+        let a = p.place(FuncId(0), MB).unwrap();
+        p.release_idle(a.container, SimTime::ZERO);
         // A different function cannot take function 0's warm container.
-        let b = p.place(FuncId(1), MB, t).unwrap();
+        let b = p.place(FuncId(1), MB).unwrap();
         assert_eq!(b.kind, ColdStartKind::Cold);
     }
 
@@ -385,7 +376,7 @@ mod tests {
     fn prewarm_is_used_before_create() {
         let mut p = ContainerPool::new(1024, 2, 1, MB);
         assert_eq!(p.prewarm_ready(), 1);
-        let a = p.place(FuncId(0), MB, SimTime::ZERO).unwrap();
+        let a = p.place(FuncId(0), MB).unwrap();
         assert_eq!(a.kind, ColdStartKind::Prewarm);
         assert_eq!(p.prewarm_ready(), 0);
         assert_eq!(p.prewarm_deficit(), 1);
@@ -398,13 +389,13 @@ mod tests {
     #[test]
     fn eviction_frees_lru_idle() {
         let mut p = pool(2 * MB);
-        let a = p.place(FuncId(0), MB, SimTime::from_secs(0)).unwrap();
-        let b = p.place(FuncId(1), MB, SimTime::from_secs(1)).unwrap();
+        let a = p.place(FuncId(0), MB).unwrap();
+        let b = p.place(FuncId(1), MB).unwrap();
         p.release_idle(a.container, SimTime::from_secs(2)); // older idle
         p.release_idle(b.container, SimTime::from_secs(3));
         // Memory full (2 idle); placing function 2 must evict the LRU idle
         // (function 0's).
-        let c = p.place(FuncId(2), MB, SimTime::from_secs(4)).unwrap();
+        let c = p.place(FuncId(2), MB).unwrap();
         assert_eq!(c.kind, ColdStartKind::Cold);
         assert_eq!(p.idle_count(FuncId(0)), 0, "older idle evicted");
         assert_eq!(p.idle_count(FuncId(1)), 1, "newer idle kept");
@@ -414,10 +405,10 @@ mod tests {
     #[test]
     fn placement_fails_when_all_memory_leased() {
         let mut p = pool(2 * MB);
-        p.place(FuncId(0), MB, SimTime::ZERO).unwrap();
-        p.place(FuncId(1), MB, SimTime::ZERO).unwrap();
+        p.place(FuncId(0), MB).unwrap();
+        p.place(FuncId(1), MB).unwrap();
         // Nothing idle to evict: must fail.
-        assert!(p.place(FuncId(2), MB, SimTime::ZERO).is_none());
+        assert!(p.place(FuncId(2), MB).is_none());
         assert_eq!(p.stats().placement_failures, 1);
     }
 
@@ -426,7 +417,7 @@ mod tests {
         let mut p = pool(4 * MB);
         let t = SimTime::ZERO;
         let ids: Vec<_> = (0..3)
-            .map(|i| p.place(FuncId(i % 3), MB, t).unwrap().container)
+            .map(|i| p.place(FuncId(i % 3), MB).unwrap().container)
             .collect();
         assert_eq!(p.mem_used_mb(), 3 * MB);
         for id in &ids {
@@ -437,19 +428,48 @@ mod tests {
     }
 
     #[test]
-    fn destroy_returns_memory() {
-        let mut p = pool(2 * MB);
-        let a = p.place(FuncId(0), MB, SimTime::ZERO).unwrap();
-        p.destroy_leased(a.container);
-        assert_eq!(p.mem_used_mb(), 0);
-        assert_eq!(p.container_count(), 0);
+    fn lease_count_is_exact_through_placement_release_eviction_and_crash() {
+        let mut p = ContainerPool::new(4 * MB, 3, 1, MB);
+        let t = SimTime::ZERO;
+        let a = p.place(FuncId(0), MB).unwrap();
+        assert_eq!(a.kind, ColdStartKind::Prewarm);
+        let b = p.place(FuncId(1), MB).unwrap();
+        assert_eq!(b.kind, ColdStartKind::Cold);
+        assert_eq!(p.leased(), 2);
+        p.release_idle(a.container, t);
+        assert_eq!(p.leased(), 1);
+        let warm = p.place(FuncId(0), MB).unwrap();
+        assert_eq!(warm.kind, ColdStartKind::Warm);
+        assert_eq!(p.leased(), 2);
+        p.release_idle(warm.container, t);
+        p.release_idle(b.container, SimTime::from_secs(1));
+        assert_eq!(p.leased(), 0, "idle containers are not leased");
+        // Three MiB-units on top of two idle ones: one eviction, one lease.
+        p.place(FuncId(2), 3 * MB).unwrap();
+        assert_eq!(p.stats().evictions, 1);
+        assert_eq!(p.leased(), 1);
+        p.crash();
+        assert_eq!(p.leased(), 0, "a crash loses every lease");
+        assert_eq!(p.peak_leased(), 2);
+    }
+
+    #[test]
+    fn peak_leased_survives_a_crash() {
+        let mut p = pool(4 * MB);
+        for i in 0..3 {
+            p.place(FuncId(i), MB).unwrap();
+        }
+        p.crash();
+        p.place(FuncId(0), MB).unwrap();
+        assert_eq!(p.leased(), 1);
+        assert_eq!(p.peak_leased(), 3, "the peak describes the run");
     }
 
     #[test]
     fn stats_cold_starts_counts_prewarm_and_cold() {
         let mut p = ContainerPool::new(4 * MB, 2, 1, MB);
-        p.place(FuncId(0), MB, SimTime::ZERO).unwrap(); // prewarm
-        p.place(FuncId(0), MB, SimTime::ZERO).unwrap(); // cold
+        p.place(FuncId(0), MB).unwrap(); // prewarm
+        p.place(FuncId(0), MB).unwrap(); // cold
         let s = p.stats();
         assert_eq!(s.prewarm_hits, 1);
         assert_eq!(s.cold_creates, 1);
@@ -462,12 +482,11 @@ mod tests {
         // Most-recently-used container is reused first (cache-friendliness),
         // leaving the LRU one as the eviction candidate.
         let mut p = pool(4 * MB);
-        let t = SimTime::ZERO;
-        let a = p.place(FuncId(0), MB, t).unwrap().container;
-        let b = p.place(FuncId(0), MB, t).unwrap().container;
+        let a = p.place(FuncId(0), MB).unwrap().container;
+        let b = p.place(FuncId(0), MB).unwrap().container;
         p.release_idle(a, SimTime::from_secs(1));
         p.release_idle(b, SimTime::from_secs(2));
-        let again = p.place(FuncId(0), MB, SimTime::from_secs(3)).unwrap();
+        let again = p.place(FuncId(0), MB).unwrap();
         assert_eq!(again.container, b, "MRU idle reused first");
     }
 
@@ -475,12 +494,11 @@ mod tests {
     fn eviction_tie_breaks_deterministically() {
         // Two idles released at the same instant: lowest ContainerId wins.
         let mut p = pool(2 * MB);
-        let t = SimTime::ZERO;
-        let a = p.place(FuncId(0), MB, t).unwrap().container;
-        let b = p.place(FuncId(1), MB, t).unwrap().container;
+        let a = p.place(FuncId(0), MB).unwrap().container;
+        let b = p.place(FuncId(1), MB).unwrap().container;
         p.release_idle(a, SimTime::from_secs(1));
         p.release_idle(b, SimTime::from_secs(1));
-        p.place(FuncId(2), MB, SimTime::from_secs(2)).unwrap();
+        p.place(FuncId(2), MB).unwrap();
         // a has the lower id: it must have been evicted.
         assert_eq!(p.idle_count(FuncId(0)), 0);
         assert_eq!(p.idle_count(FuncId(1)), 1);
@@ -498,10 +516,9 @@ mod tests {
     #[test]
     fn crash_loses_every_container_but_keeps_stats() {
         let mut p = ContainerPool::new(8 * MB, 3, 2, MB);
-        let t = SimTime::ZERO;
-        let a = p.place(FuncId(0), MB, t).unwrap();
-        let b = p.place(FuncId(1), MB, t).unwrap();
-        p.release_idle(b.container, t);
+        let a = p.place(FuncId(0), MB).unwrap();
+        let b = p.place(FuncId(1), MB).unwrap();
+        p.release_idle(b.container, SimTime::ZERO);
         assert!(p.mem_used_mb() > 0);
         let stats_before = p.stats();
         p.crash();
@@ -514,7 +531,7 @@ mod tests {
         // the prewarm deficit is replenishable.
         assert_eq!(p.prewarm_deficit(), 2);
         assert!(p.replenish_prewarm());
-        let c = p.place(FuncId(1), MB, t).unwrap();
+        let c = p.place(FuncId(1), MB).unwrap();
         assert_eq!(c.kind, ColdStartKind::Prewarm);
         let _ = a;
     }
@@ -523,15 +540,22 @@ mod tests {
     fn crash_does_not_double_free_dead_slots() {
         let mut p = pool(4 * MB);
         let t = SimTime::ZERO;
-        let a = p.place(FuncId(0), MB, t).unwrap();
-        p.destroy_leased(a.container); // slot already Dead + in free list
-        p.place(FuncId(1), MB, t).unwrap();
+        let a = p.place(FuncId(0), MB).unwrap().container;
+        let b = p.place(FuncId(1), MB).unwrap().container;
+        p.place(FuncId(2), MB).unwrap();
+        p.release_idle(a, t);
+        p.release_idle(b, t);
+        // A triple-size container evicts both idles and reuses one of their
+        // slots: the other stays Dead on the free list.
+        p.place(FuncId(2), 3 * MB).unwrap();
+        assert_eq!(p.stats().evictions, 2);
+        assert_eq!(p.container_count(), 2);
         p.crash();
         p.crash(); // idempotent: a second crash finds only Dead slots
                    // Allocating up to capacity must hand out distinct slots.
         let mut seen = std::collections::HashSet::new();
         for i in 0..4 {
-            let cid = p.place(FuncId(i % 3), MB, t).unwrap().container;
+            let cid = p.place(FuncId(i % 3), MB).unwrap().container;
             assert!(seen.insert(cid), "slot {cid:?} handed out twice");
         }
     }
@@ -540,7 +564,7 @@ mod tests {
     #[should_panic(expected = "non-leased")]
     fn double_release_panics() {
         let mut p = pool(1024);
-        let a = p.place(FuncId(0), MB, SimTime::ZERO).unwrap();
+        let a = p.place(FuncId(0), MB).unwrap();
         p.release_idle(a.container, SimTime::ZERO);
         p.release_idle(a.container, SimTime::ZERO);
     }

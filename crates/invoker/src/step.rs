@@ -67,7 +67,8 @@ pub struct NodeProgress {
     /// lazily, so under faults this is an upper bound — exactly the noisy
     /// signal a real controller polls.
     pub queue_depth: usize,
-    /// Calls currently holding a container (admitted, not yet cleaned up).
+    /// Calls currently holding a container (admitted, not yet cleaned up):
+    /// the container pool's lease count.
     pub inflight: usize,
     /// False between a crash and its restart.
     pub alive: bool,

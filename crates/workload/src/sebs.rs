@@ -262,6 +262,7 @@ impl Catalogue {
     /// Mean of the client-side median response times across functions,
     /// seconds. The paper quotes ~1.042 s for the SeBS set and uses it to
     /// translate intensity into utilization (§V-B).
+    #[cfg(test)]
     pub fn mean_of_client_medians_secs(&self) -> f64 {
         let sum: f64 = self.functions.iter().map(|f| f.client_median_ms).sum();
         sum / self.functions.len() as f64 / 1000.0
