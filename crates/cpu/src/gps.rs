@@ -113,10 +113,10 @@
 //! uncapped tasks finish at a fixed `U` coordinate (λ moves, the coordinate
 //! does not) and capped tasks deplete at their constant `max_rate` on the
 //! real clock. A capacity change settles work under the old capacity,
-//! swaps the parameter, bumps the generation and runs the two sweeps:
-//! exactly the classes whose ratio the level crossed are re-keyed. The
-//! capacity-thrash differential suite (`tests/prop_gps_faults.rs`) pins this
-//! against the reference integrator.
+//! swaps the parameter and runs the two sweeps: exactly the classes whose
+//! ratio the level crossed are re-keyed. The capacity-thrash differential
+//! suite (`tests/prop_gps_faults.rs`) pins this against the reference
+//! integrator.
 //!
 //! # Multi-resource demands and dominant-share allocation (DRF)
 //!
@@ -146,9 +146,10 @@
 //!
 //! The structure is a pure state machine over simulated time. The owner
 //! drives it with [`GpsCpu::advance`] and re-queries
-//! [`GpsCpu::next_completion`] after every membership change; stale
-//! completion events are invalidated by a generation counter.
+//! [`GpsCpu::next_completion`] after every membership or capacity change,
+//! re-arming its one completion timer there.
 
+use faas_simcore::stats::CompensatedSum;
 use faas_simcore::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -363,37 +364,6 @@ fn pin_ratio_bits(weight: f64, max_rate: f64) -> u64 {
     (max_rate / weight).to_bits()
 }
 
-/// Neumaier-compensated running sum: the partition sums see a long stream
-/// of incremental `+weight`/`-weight` updates, and plain f64 accumulation
-/// would slowly drift away from the freshly-summed value the reference
-/// integrator computes.
-#[derive(Debug, Clone, Copy, Default)]
-struct CompensatedSum {
-    sum: f64,
-    comp: f64,
-}
-
-impl CompensatedSum {
-    const ZERO: CompensatedSum = CompensatedSum {
-        sum: 0.0,
-        comp: 0.0,
-    };
-
-    fn add(&mut self, x: f64) {
-        let t = self.sum + x;
-        if self.sum.abs() >= x.abs() {
-            self.comp += (self.sum - t) + x;
-        } else {
-            self.comp += (x - t) + self.sum;
-        }
-        self.sum = t;
-    }
-
-    fn value(&self) -> f64 {
-        self.sum + self.comp
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 enum Body {
     /// Explicit remaining work: a task whose work is numerically exhausted
@@ -491,9 +461,6 @@ pub struct GpsCpu {
     free_slots: Vec<u32>,
     runnable: usize,
     last_advance: SimTime,
-    /// Incremented on every membership change; lets the owner discard stale
-    /// completion events.
-    generation: u64,
     /// Total core-seconds of work completed, for conservation checks.
     /// Neumaier-compensated: long runs accumulate one blanket update per
     /// `advance` plus overshoot corrections, and plain `+=` would drift
@@ -541,7 +508,6 @@ impl GpsCpu {
             free_slots: Vec::new(),
             runnable: 0,
             last_advance: SimTime::ZERO,
-            generation: 0,
             work_done: CompensatedSum::ZERO,
             next_epoch: 0,
             finished_pending: Vec::new(),
@@ -569,11 +535,6 @@ impl GpsCpu {
     /// True if no task is runnable.
     pub fn is_empty(&self) -> bool {
         self.runnable == 0
-    }
-
-    /// Current generation; bumped on every add/remove.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Total core-seconds of service delivered so far.
@@ -664,8 +625,8 @@ impl GpsCpu {
     ///
     /// Every stored completion coordinate is capacity-invariant (see the
     /// module docs), so this settles served work up to `now` under the old
-    /// capacity, swaps the parameter, bumps the generation (invalidating
-    /// owner-held completion events) and runs the two rebalance sweeps.
+    /// capacity, swaps the parameter and runs the two rebalance sweeps; the
+    /// owner then re-queries [`GpsCpu::next_completion`].
     /// Classes the level did not cross keep their coordinates bit-for-bit.
     pub fn set_capacity(&mut self, now: SimTime, cores: f64) {
         self.advance(now);
@@ -678,7 +639,6 @@ impl GpsCpu {
         };
         params.validate();
         self.params = params;
-        self.generation += 1;
         self.rebalance_partition();
     }
 
@@ -701,7 +661,6 @@ impl GpsCpu {
                     "memory bandwidth must be positive (+inf disables the axis), got {capacity}"
                 );
                 self.mem_capacity = capacity;
-                self.generation += 1;
                 self.rebalance_partition();
             }
         }
@@ -755,7 +714,6 @@ impl GpsCpu {
         assert!(max_rate > 0.0, "max_rate must be positive");
         let profile = demand.profile();
         self.advance(now);
-        self.generation += 1;
         self.runnable += 1;
         let epoch = self.next_epoch;
         self.next_epoch += 1;
@@ -796,7 +754,6 @@ impl GpsCpu {
     /// Remove a task (completed or aborted), returning its residual work.
     pub fn remove_task(&mut self, now: SimTime, id: TaskId) -> f64 {
         self.advance(now);
-        self.generation += 1;
         let slot = self.slots[id.0 as usize]
             .take()
             .expect("remove_task on dead task");
@@ -1382,17 +1339,6 @@ mod tests {
     }
 
     #[test]
-    fn generation_bumps_on_membership_changes() {
-        let mut cpu = GpsCpu::new(params(1.0, 0.0));
-        let g0 = cpu.generation();
-        let id = cpu.add_task(SimTime::ZERO, 1.0, 1.0, 1.0);
-        assert!(cpu.generation() > g0);
-        let g1 = cpu.generation();
-        cpu.remove_task(SimTime::ZERO, id);
-        assert!(cpu.generation() > g1);
-    }
-
-    #[test]
     fn slots_are_recycled() {
         let mut cpu = GpsCpu::new(params(1.0, 0.0));
         let a = cpu.add_task(SimTime::ZERO, 1.0, 1.0, 1.0);
@@ -1883,17 +1829,21 @@ mod tests {
     }
 
     #[test]
-    fn set_capacity_is_generation_visible_and_idempotent() {
+    fn set_capacity_moves_the_next_completion_and_is_idempotent() {
+        // A task capped at all 4 cores: halving the capacity unpins it and
+        // doubles its completion time.
         let mut cpu = GpsCpu::new(params(4.0, 0.0));
-        cpu.add_task(SimTime::ZERO, 1.0, 1.0, 1.0);
-        let g0 = cpu.generation();
+        cpu.add_task(SimTime::ZERO, 4.0, 1.0, 4.0);
+        let before = cpu.next_completion(SimTime::ZERO);
         cpu.set_capacity(SimTime::ZERO, 2.0);
-        assert!(cpu.generation() > g0, "owners must see stale completions");
-        let g1 = cpu.generation();
+        let after = cpu.next_completion(SimTime::ZERO);
+        assert_ne!(after, before, "the owner must see the new completion");
+        let crossings = cpu.boundary_crossings();
         // Re-asserting the same capacity is a no-op (fault plans may emit
         // redundant restoration events).
         cpu.set_capacity(SimTime::ZERO, 2.0);
-        assert_eq!(cpu.generation(), g1);
+        assert_eq!(cpu.next_completion(SimTime::ZERO), after);
+        assert_eq!(cpu.boundary_crossings(), crossings);
     }
 
     #[test]
@@ -2107,17 +2057,22 @@ mod tests {
     }
 
     #[test]
-    fn set_mem_capacity_is_generation_visible_and_idempotent() {
+    fn set_mem_capacity_moves_the_next_completion_and_is_idempotent() {
         let mut cpu = GpsCpu::new(params(4.0, 0.0));
         assert_eq!(cpu.resource_capacity(Resource::Mem), f64::INFINITY);
         assert_eq!(cpu.resource_capacity(Resource::Cpu), 4.0);
-        cpu.add_task(SimTime::ZERO, 1.0, 1.0, 1.0);
-        let g0 = cpu.generation();
+        // A memory-dominant task capped at 4 units/s: 2 units of bandwidth
+        // unpin it and double its completion time.
+        let demand = ResourceVector::per_cpu(2.0);
+        cpu.add_task_demand(SimTime::ZERO, 4.0, 1.0, 4.0, demand);
+        let before = cpu.next_completion(SimTime::ZERO);
         cpu.set_resource_capacity(SimTime::ZERO, Resource::Mem, 2.0);
-        assert!(cpu.generation() > g0);
-        let g1 = cpu.generation();
+        let after = cpu.next_completion(SimTime::ZERO);
+        assert_ne!(after, before, "the owner must see the new completion");
+        let crossings = cpu.boundary_crossings();
         cpu.set_resource_capacity(SimTime::ZERO, Resource::Mem, 2.0);
-        assert_eq!(cpu.generation(), g1, "re-asserting is a no-op");
+        assert_eq!(cpu.next_completion(SimTime::ZERO), after, "a no-op");
+        assert_eq!(cpu.boundary_crossings(), crossings);
     }
 
     #[test]

@@ -40,7 +40,6 @@ pub struct ReferenceGpsCpu {
     free_slots: Vec<u32>,
     runnable: usize,
     last_advance: SimTime,
-    generation: u64,
     work_done: f64,
     rates_scratch: Vec<f64>,
 }
@@ -56,7 +55,6 @@ impl ReferenceGpsCpu {
             free_slots: Vec::new(),
             runnable: 0,
             last_advance: SimTime::ZERO,
-            generation: 0,
             work_done: 0.0,
             rates_scratch: Vec::new(),
         }
@@ -75,11 +73,6 @@ impl ReferenceGpsCpu {
     /// True if no task is runnable.
     pub fn is_empty(&self) -> bool {
         self.runnable == 0
-    }
-
-    /// Current generation; bumped on every add/remove.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Total core-seconds of service delivered so far.
@@ -122,8 +115,7 @@ impl ReferenceGpsCpu {
 
     /// Change the bank's core capacity at `now`. The integrator recomputes
     /// the full rate vector on every query anyway, so this is just: settle
-    /// served work under the old capacity, swap the parameter, bump the
-    /// generation.
+    /// served work under the old capacity and swap the parameter.
     pub fn set_capacity(&mut self, now: SimTime, cores: f64) {
         self.advance(now);
         if cores == self.params.cores {
@@ -135,7 +127,6 @@ impl ReferenceGpsCpu {
         };
         params.validate();
         self.params = params;
-        self.generation += 1;
     }
 
     /// Change the capacity of an arbitrary resource axis; mirrors
@@ -153,7 +144,6 @@ impl ReferenceGpsCpu {
                     "memory bandwidth must be positive (+inf disables the axis), got {capacity}"
                 );
                 self.mem_capacity = capacity;
-                self.generation += 1;
             }
         }
     }
@@ -179,7 +169,6 @@ impl ReferenceGpsCpu {
         assert!(max_rate > 0.0, "max_rate must be positive");
         let profile = demand.profile();
         self.advance(now);
-        self.generation += 1;
         let task = Task {
             remaining: work,
             weight,
@@ -199,7 +188,6 @@ impl ReferenceGpsCpu {
     /// Remove a task (completed or aborted), returning its residual work.
     pub fn remove_task(&mut self, now: SimTime, id: TaskId) -> f64 {
         self.advance(now);
-        self.generation += 1;
         let task = self.slots[id.index() as usize]
             .take()
             .expect("remove_task on dead task");

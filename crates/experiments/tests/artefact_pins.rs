@@ -50,17 +50,17 @@ fn fig2_is_pinned() {
 
 #[test]
 fn grid_is_pinned() {
-    assert_pinned("grid", &grid::run(Effort::quick()), 0x94dc_b730_7531_6d46);
+    assert_pinned("grid", &grid::run(Effort::quick()), 0x5d26_09f4_c429_f6ef);
 }
 
 #[test]
 fn fig5_is_pinned() {
-    assert_pinned("fig5", &fig5::run(Effort::quick()), 0xecc8_a0cf_ad27_f043);
+    assert_pinned("fig5", &fig5::run(Effort::quick()), 0x33d8_98e3_9d47_6b7d);
 }
 
 #[test]
 fn fig6_is_pinned() {
-    assert_pinned("fig6", &fig6::run(Effort::quick()), 0xcb8a_5932_6922_a6e3);
+    assert_pinned("fig6", &fig6::run(Effort::quick()), 0x4af2_756d_ffaa_eaac);
 }
 
 #[test]
@@ -68,7 +68,7 @@ fn ablations_are_pinned() {
     assert_pinned(
         "ablations",
         &ablations::run(Effort::quick()),
-        0xc268_5d2f_1ae5_4bd2,
+        0x7595_3858_e008_2921,
     );
 }
 
@@ -77,29 +77,29 @@ fn functions_are_pinned() {
     assert_pinned(
         "functions",
         &functions::run(Effort::quick()),
-        0x0000_9c4e_5137_2b1d,
+        0x74b2_c997_2ca5_83d1,
     );
 }
 
 #[test]
 fn sweep_is_pinned() {
-    assert_pinned("sweep", &sweep::run(Effort::quick()), 0xae82_22e2_76ff_83e6);
+    assert_pinned("sweep", &sweep::run(Effort::quick()), 0x3733_e362_6915_31f6);
 }
 
 #[test]
 fn table1_run_source_is_pinned() {
     let result = table1::run_source(&synth_source(), faas_experiments::SEEDS[0]).unwrap();
-    assert_pinned("table1::run_source", &result, 0x1162_3115_b912_80fc);
+    assert_pinned("table1::run_source", &result, 0xd3f4_ca9f_85ab_0a6e);
 }
 
 #[test]
 fn fig5_run_source_is_pinned() {
     let result = fig5::run_source(&synth_source(), Effort::quick()).unwrap();
-    assert_pinned("fig5::run_source", &result, 0x57d3_e585_e594_f666);
+    assert_pinned("fig5::run_source", &result, 0x3fbf_e9c2_789a_d640);
 }
 
 #[test]
 fn fig6_run_source_is_pinned() {
     let result = fig6::run_source(&synth_source(), 10, Effort::quick()).unwrap();
-    assert_pinned("fig6::run_source", &result, 0xfbbf_3c69_a630_5230);
+    assert_pinned("fig6::run_source", &result, 0xebd0_f2fd_4542_99f0);
 }

@@ -46,7 +46,6 @@ use crate::result::NodeResult;
 use faas_cpu::{GpsCpu, GpsParams, Resource, ResourceVector, TaskId};
 use faas_simcore::time::{SimDuration, SimTime};
 use faas_workload::sebs::Catalogue;
-use faas_workload::trace::ColdStartKind;
 use faas_workload::weight::{CallPhase, TaskShare, WeightTable};
 use std::collections::VecDeque;
 
@@ -114,16 +113,9 @@ impl<'a> Gps<'a> {
 
     /// Attempt immediate placement; returns false if the call must queue.
     fn try_place(&mut self, sh: &mut Shell, now: SimTime, i: u32) -> bool {
-        let Some(kind) = sh.lease(i) else {
+        let Some(init_work) = sh.lease(i) else {
             return false;
         };
-        if kind == ColdStartKind::Prewarm && sh.pool.prewarm_deficit() > 0 {
-            sh.events.schedule(
-                now + sh.cfg.calibration.prewarm_replacement_delay,
-                Ev::PrewarmReady(sh.incarnation),
-            );
-        }
-        let init_work = sh.init_work(kind);
         if init_work > 0.0 {
             // Per-phase lookup: warm-up cold-start init can run at a
             // different share than the function's (cgroup update latency).
@@ -220,10 +212,6 @@ impl Regime for Gps<'_> {
                 break;
             }
         }
-    }
-
-    fn release(&mut self, sh: &mut Shell, now: SimTime) {
-        self.drain(sh, now);
     }
 
     /// Post-response cleanup holds the container (docker pause, log
@@ -332,7 +320,7 @@ mod tests {
     use super::*;
     use faas_workload::faults::FaultSpec;
     use faas_workload::scenario::BurstScenario;
-    use faas_workload::trace::{Call, CallId, CallKind};
+    use faas_workload::trace::{Call, CallId, CallKind, ColdStartKind};
 
     fn catalogue() -> Catalogue {
         Catalogue::sebs()

@@ -104,7 +104,9 @@ pub struct Calibration {
     /// nodes saturate later (more dockerd/containerd parallelism). The
     /// effective cap is `baseline_churn_cap_per_core * cores`.
     pub baseline_churn_cap_per_core: f64,
-    /// Delay before a consumed prewarm container is replaced by a fresh one.
+    /// Delay before a consumed prewarm container is replaced by a fresh one
+    /// (one replacement per promoted stemcell, in both regimes). A
+    /// replacement that finds no free memory when it is due is dropped.
     pub prewarm_replacement_delay: SimDuration,
 }
 

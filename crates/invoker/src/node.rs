@@ -21,6 +21,8 @@
 //! includes the count of busy containers: the shell's [`ContainerPool`]
 //! counts every lease once, and both regimes read it — the baseline's
 //! memory-bounded concurrency and the scheduled node's busy limit alike.
+//! It also includes the prewarm stock: a lease that promotes a stemcell
+//! schedules its one replacement (`Shell::lease`).
 //!
 //! # Per-call fault lifecycle
 //!
@@ -272,26 +274,16 @@ impl std::ops::IndexMut<u32> for LiveCalls {
 /// shared [`Shell`]; the shell owns the call lifecycle and the container
 /// pool, whose lease count is the node's busy-container count, and calls
 /// these at fixed points of the lifecycle.
-///
-/// Prewarm backfill is still decided per regime, not by the shell: the
-/// baseline schedules one [`Ev::PrewarmReady`] when a placement consumes a
-/// prewarm container, while the scheduled node schedules one on every
-/// container release while the pool has a deficit, so one deficit can
-/// queue several (an extra refills a deficit that has reopened by the time
-/// it fires, or else only re-runs dispatch). Unifying them would move the
-/// pinned results.
 pub(crate) trait Regime {
     /// Stream ids of the service-time and cold-start generators, derived
     /// from the node seed.
     const RNG_STREAMS: [u64; 2];
     /// Admit call `i`'s freshly begun delivery: start it or queue it.
     fn admit(&mut self, sh: &mut Shell, now: SimTime, i: u32);
-    /// Start whatever queued work now fits (a prewarm container became
-    /// ready, the node restarted).
+    /// Start whatever queued work now fits: a container finished cleanup
+    /// and went back to the pool (its lease is already released), a
+    /// prewarm container became ready, or the node restarted.
     fn drain(&mut self, sh: &mut Shell, now: SimTime);
-    /// A container finished cleanup and went back to the pool (its lease
-    /// is already released).
-    fn release(&mut self, sh: &mut Shell, now: SimTime);
     /// Call `i`'s execution ended: settle the CPU model and return the
     /// container's cleanup hold and the call's processing time.
     fn end_exec(&mut self, sh: &mut Shell, now: SimTime, i: u32) -> (SimDuration, SimDuration);
@@ -338,9 +330,6 @@ pub(crate) struct Shell<'a> {
     measured_snapshot: Option<PoolStats>,
     last_completion: SimTime,
     peak_events: usize,
-    /// Dominant-share consumption in milli-units, refreshed at the end of
-    /// every `advance_to` window.
-    dominant_milli: u32,
     /// The fault plan (the inert [`FaultSpec::none`] on fault-free runs).
     faults: &'a FaultSpec,
     /// This node's compiled fault timeline, indexed by [`Ev::Fault`].
@@ -447,7 +436,6 @@ impl<'a> NodeSim<'a> {
             measured_snapshot: None,
             last_completion: SimTime::ZERO,
             peak_events: 0,
-            dominant_milli: 0,
             faults,
             timeline,
             alive: true,
@@ -496,14 +484,6 @@ impl<'a> NodeSim<'a> {
         match &mut self.cpu {
             Cpu::Gps(r) => self.sh.advance(&mut **r, horizon),
             Cpu::Cores(r) => self.sh.advance(&mut **r, horizon),
-        }
-    }
-
-    /// The [`NodeProgress`] snapshot `advance_to` returns.
-    pub fn progress(&self) -> NodeProgress {
-        match &self.cpu {
-            Cpu::Gps(r) => self.sh.snapshot(&**r),
-            Cpu::Cores(r) => self.sh.snapshot(&**r),
         }
     }
 
@@ -599,7 +579,7 @@ impl Shell<'_> {
                 Ev::CleanupDone(container, inc) => {
                     if inc == self.incarnation {
                         self.pool.release_idle(container, now);
-                        r.release(self, now);
+                        r.drain(self, now);
                     }
                 }
                 Ev::PrewarmReady(inc) => {
@@ -616,21 +596,11 @@ impl Shell<'_> {
                 Ev::PendingTimeout(i, attempt) => self.on_pending_timeout(r, now, i, attempt),
             }
         }
-        self.dominant_milli = (r.dominant_share(self) * 1000.0).round() as u32;
-        self.snapshot(r)
-    }
-
-    fn snapshot<R: Regime>(&self, r: &R) -> NodeProgress {
         NodeProgress {
-            now: self.events.now(),
-            next_event: self.events.peek_time(),
             queue_depth: r.queue_len(),
             inflight: self.pool.leased() as usize,
             alive: self.alive,
-            dominant_milli: self.dominant_milli,
-            completed: self.outcomes_filled,
-            dropped: self.drops.len(),
-            handoffs: self.handoffs.len(),
+            dominant_milli: (r.dominant_share(self) * 1000.0).round() as u32,
         }
     }
 
@@ -665,9 +635,16 @@ impl Shell<'_> {
         }
     }
 
-    /// Lease a container for call `i`'s attempt and mark it running.
-    /// `None` when memory cannot fit the container even after eviction.
-    pub fn lease(&mut self, i: u32) -> Option<ColdStartKind> {
+    /// Lease a container for call `i`'s attempt, mark it running and
+    /// return its cold-start initialisation work in core-seconds: none
+    /// when warm, a fraction of a cold start when a prewarm stemcell is
+    /// promoted. `None` when memory cannot fit the container even after
+    /// eviction.
+    ///
+    /// A promoted stemcell is backfilled once, in both regimes: one
+    /// [`Ev::PrewarmReady`] fires the calibrated replacement delay later,
+    /// and a refill that then finds no memory is dropped.
+    pub fn lease(&mut self, i: u32) -> Option<f64> {
         let idx = i as usize;
         let func = self.outcomes[idx].func;
         let memory_mb = self.catalogue.spec(func).memory_mb as u64;
@@ -676,21 +653,20 @@ impl Shell<'_> {
         rt.start_kind = placement.kind;
         rt.container = Some(placement.container);
         rt.phase = FaultPhase::Running;
-        Some(placement.kind)
-    }
-
-    /// Cold-start initialisation work for a placement of `kind`, in
-    /// core-seconds: none when warm, a fraction of a cold start when a
-    /// prewarm stemcell is promoted.
-    pub fn init_work(&mut self, kind: ColdStartKind) -> f64 {
         let calib = &self.cfg.calibration;
-        match kind {
+        Some(match placement.kind {
             ColdStartKind::Warm => 0.0,
             ColdStartKind::Prewarm => {
+                if self.pool.prewarm_deficit() > 0 {
+                    self.events.schedule(
+                        self.events.now() + calib.prewarm_replacement_delay,
+                        Ev::PrewarmReady(self.incarnation),
+                    );
+                }
                 calib.coldstart_work.sample(&mut self.rng_cold) * calib.prewarm_init_fraction
             }
             ColdStartKind::Cold => calib.coldstart_work.sample(&mut self.rng_cold),
-        }
+        })
     }
 
     /// Call `i`'s execution ended: start its container's cleanup, then
@@ -1033,6 +1009,39 @@ mod tests {
             assert!(r.drops.iter().all(|d| d.reason == DropReason::TimedOut));
             assert_eq!(r.fault_stats.timeouts, r.drops.len() as u64);
             assert_eq!(r.outcomes.len() + r.drops.len(), total);
+        }
+    }
+
+    #[test]
+    fn a_promoted_stemcell_is_backfilled_after_the_replacement_delay() {
+        // Both regimes refill the stemcell a lease promoted one replacement
+        // delay after the lease, whether or not a container was released
+        // since: the call still holds its container when the refill lands.
+        let cat = Catalogue::sebs();
+        let cfg = NodeConfig::paper(2);
+        let weights = WeightTable::uniform(cat.len());
+        let none = FaultSpec::none();
+        let call = Call {
+            id: faas_workload::trace::CallId(0),
+            func: cat.by_name("sleep").unwrap(),
+            release: SimTime::ZERO,
+            kind: CallKind::Measured,
+        };
+        let leased_at = call.release + cfg.calibration.hop_request;
+        let refill_at = leased_at + cfg.calibration.prewarm_replacement_delay;
+        for mode in &modes(Policy::Fifo) {
+            let mut sim = NodeSim::new(&cat, mode, &cfg, &weights, &none, 1, 0, false);
+            sim.inject(&[call]);
+            sim.advance_to(leased_at);
+            assert_eq!(sim.sh.pool.prewarm_deficit(), 1, "{mode:?}: promoted");
+            sim.advance_to(SimTime::from_nanos(refill_at.as_nanos() - 1));
+            assert_eq!(sim.sh.pool.prewarm_deficit(), 1, "{mode:?}: too early");
+            sim.advance_to(refill_at);
+            assert_eq!(sim.sh.pool.prewarm_deficit(), 0, "{mode:?}: backfilled");
+            assert_eq!(sim.sh.pool.leased(), 1, "{mode:?}: container held");
+            sim.advance_to(SimTime::MAX);
+            let r = sim.finish();
+            assert_eq!(r.outcomes[0].start_kind, ColdStartKind::Prewarm);
         }
     }
 

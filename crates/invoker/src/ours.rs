@@ -104,15 +104,14 @@ impl Cores {
                 // never pops one.
                 continue;
             }
-            let Some(kind) = sh.lease(i) else {
+            // Cold-start initialisation runs on the call's core at full
+            // speed (dedicated core: work in core-seconds == seconds).
+            let Some(init_secs) = sh.lease(i) else {
                 // No memory even after eviction: requeue at the same
                 // priority and wait for a container release.
                 self.pending.push(sh.runtime[i].priority, i);
                 break;
             };
-            // Cold-start initialisation runs on the call's core at full
-            // speed (dedicated core: work in core-seconds == seconds).
-            let init_secs = sh.init_work(kind);
             let spec = sh.catalogue.spec(sh.outcomes[idx].func);
             let p = spec.service_dist().sample(&mut sh.rng_service);
             // Oversubscription slowdown, frozen at dispatch (see the
@@ -149,16 +148,6 @@ impl Regime for Cores {
     }
 
     fn drain(&mut self, sh: &mut Shell, now: SimTime) {
-        self.dispatch(sh, now);
-    }
-
-    fn release(&mut self, sh: &mut Shell, now: SimTime) {
-        if sh.pool.prewarm_deficit() > 0 {
-            sh.events.schedule(
-                now + sh.cfg.calibration.prewarm_replacement_delay,
-                Ev::PrewarmReady(sh.incarnation),
-            );
-        }
         self.dispatch(sh, now);
     }
 

@@ -139,7 +139,7 @@ impl NodeResult {
     /// maxed (except `peak_resident_calls`, which sums — see its doc).
     /// The accumulated outcome order is unspecified until
     /// [`NodeResult::sort_outcomes`] is called.
-    pub fn merge_from(&mut self, other: NodeResult) {
+    fn merge_from(&mut self, other: NodeResult) {
         self.outcomes.extend(other.outcomes);
         self.measured_pool_stats = add_stats(self.measured_pool_stats, other.measured_pool_stats);
         self.total_pool_stats = add_stats(self.total_pool_stats, other.total_pool_stats);
@@ -157,7 +157,7 @@ impl NodeResult {
 
     /// Restore the canonical `(release, id)` outcome order after one or
     /// more [`NodeResult::merge_from`] calls.
-    pub fn sort_outcomes(&mut self) {
+    fn sort_outcomes(&mut self) {
         self.outcomes.sort_unstable_by_key(|o| (o.release, o.id));
         self.drops.sort_unstable_by_key(|d| (d.release, d.id));
     }

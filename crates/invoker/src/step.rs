@@ -24,16 +24,17 @@
 //!   reports a [`NodeProgress`] snapshot. The node's clock never passes the
 //!   horizon, so the caller can interleave any number of nodes in
 //!   lock-step windows. `advance_to(SimTime::MAX)` runs to completion.
+//!   Between windows, `next_event_time` tells the caller whether a node
+//!   has work due, and `take_handoffs` empties its failover outbox.
 //! * `finish` checks the conservation invariant (every injected call
 //!   completed XOR dropped XOR was handed off) and assembles the
 //!   [`crate::result::NodeResult`].
 //!
 //! The run-to-completion helper [`crate::simulate_calls_faulted`] is
 //! *defined* as `new`, then one `inject` of the whole call list, then
-//! `advance_to(SimTime::MAX)`, then `finish`; the step extraction is
-//! pinned bit-identical to the old run-to-completion loops (same event
-//! order, same RNG consumption, same `peak_events` accounting — see the
-//! digest pins in the workspace's `tests/determinism.rs`).
+//! `advance_to(SimTime::MAX)`, then `finish`. The digest pins in the
+//! workspace's `tests/determinism.rs` fix its event order, RNG consumption
+//! and `peak_events` accounting.
 //!
 //! # Cross-node failover
 //!
@@ -52,16 +53,9 @@ use faas_simcore::time::SimTime;
 use faas_workload::trace::Call;
 
 /// Snapshot returned by every `advance_to` call: what the load balancer is
-/// allowed to observe about a node between windows (plus simulator-health
-/// counters for tests).
+/// allowed to observe about a node between windows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeProgress {
-    /// The node's clock: timestamp of the last event processed (never past
-    /// the horizon).
-    pub now: SimTime,
-    /// Timestamp of the earliest still-queued event, `None` when the node
-    /// is fully drained.
-    pub next_event: Option<SimTime>,
     /// Calls waiting in the node's pending structure (baseline FIFO /
     /// scheduled priority queue). The scheduled queue reaps stale entries
     /// lazily, so under faults this is an upper bound — exactly the noisy
@@ -80,12 +74,6 @@ pub struct NodeProgress {
     /// saturated, and values above `1000` are possible transiently on the
     /// scheduled node (queued work oversubscribing the busy limit).
     pub dominant_milli: u32,
-    /// Outcomes written so far.
-    pub completed: usize,
-    /// Calls dropped so far.
-    pub dropped: usize,
-    /// Handoffs waiting in the node's outbox.
-    pub handoffs: usize,
 }
 
 impl NodeProgress {

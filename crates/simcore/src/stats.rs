@@ -116,25 +116,51 @@ pub fn percentile(data: &[f64], q: f64) -> f64 {
     p
 }
 
-/// Compensated (Neumaier) summation: the running error of each addition is
-/// tracked and folded back in at the end, so the result is correct to one
-/// rounding of the true sum regardless of length or magnitude mix. The
-/// grid experiments average hundreds of thousands of response times; naive
-/// left-to-right summation loses small addends against the accumulated
-/// total.
-pub fn compensated_sum(data: &[f64]) -> f64 {
-    let mut sum = 0.0;
-    let mut compensation = 0.0;
-    for &x in data {
-        let t = sum + x;
-        compensation += if sum.abs() >= x.abs() {
-            (sum - t) + x
+/// A running Neumaier-compensated sum: the rounding error of each addition
+/// is tracked and folded back in when the value is read, so the value is
+/// correct to one rounding of the true sum regardless of length or
+/// magnitude mix. [`compensated_sum`] folds a slice through it; the GPS
+/// kernel keeps its incremental partition sums in it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CompensatedSum {
+    sum: f64,
+    compensation: f64,
+}
+
+impl CompensatedSum {
+    /// The empty sum.
+    pub const ZERO: CompensatedSum = CompensatedSum {
+        sum: 0.0,
+        compensation: 0.0,
+    };
+
+    /// Add `x`, tracking the rounding error of the addition.
+    pub fn add(&mut self, x: f64) {
+        let t = self.sum + x;
+        self.compensation += if self.sum.abs() >= x.abs() {
+            (self.sum - t) + x
         } else {
-            (x - t) + sum
+            (x - t) + self.sum
         };
-        sum = t;
+        self.sum = t;
     }
-    sum + compensation
+
+    /// The compensated sum of every value added so far.
+    pub fn value(&self) -> f64 {
+        self.sum + self.compensation
+    }
+}
+
+/// Compensated (Neumaier) summation in input order, through
+/// [`CompensatedSum`]. The grid experiments average hundreds of thousands
+/// of response times; naive left-to-right summation loses small addends
+/// against the accumulated total.
+pub fn compensated_sum(data: &[f64]) -> f64 {
+    let mut acc = CompensatedSum::ZERO;
+    for &x in data {
+        acc.add(x);
+    }
+    acc.value()
 }
 
 /// Arithmetic mean via [`compensated_sum`]. Panics on empty input.
