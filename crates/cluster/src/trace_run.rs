@@ -34,8 +34,18 @@
 //!   by every call released meanwhile.
 //!
 //! What still grows O(n) is the result: every node keeps one 64-byte
-//! `CallOutcome` per call it served, merged at the end. (Event-queue
-//! pressure is what [`NodeResult::peak_events`] tracks.)
+//! `CallOutcome` per call it served. At the end [`NodeResult::merge`]
+//! merges the per-node vectors, each already in release order, into the
+//! canonical `(release, id, node)` order in place, with no full sort and
+//! no scratch buffer, so the merge's peak is the merged vector plus the
+//! node vectors not yet merged into it. (Event-queue pressure is what
+//! [`NodeResult::peak_events`] tracks.)
+//!
+//! The trace is read in release order at every level: the cursor pulls
+//! contiguous chunks through [`TraceSource::iter_chunk`] (a synthetic
+//! trace walks its intensity profile forward from call to call instead
+//! of searching it per call), and each node queues its arrivals in its
+//! event queue's in-order lane instead of its heap.
 
 use crate::coupled::{coupled_engine, Windows};
 use crate::sim::{ClusterConfig, ClusterScenario};

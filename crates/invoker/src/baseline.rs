@@ -137,7 +137,7 @@ impl<'a> Gps<'a> {
         let call = &sh.outcomes[idx];
         let (func, kind) = (call.func, call.kind);
         let spec = sh.catalogue.spec(func);
-        let p = spec.service_dist().sample(&mut sh.rng_service);
+        let p = sh.sample_service(func);
         let cpu_work = spec.cpu_fraction * p;
         sh.runtime[i].exec_start = now;
         sh.runtime[i].p = p;

@@ -89,11 +89,12 @@ use crate::pool::{ContainerId, ContainerPool, PoolStats};
 use crate::result::{DroppedCall, FaultStats, NodeResult};
 use crate::step::{Handoff, NodeProgress};
 use crate::{baseline, ours};
+use faas_simcore::dist::LogNormal;
 use faas_simcore::events::EventQueue;
 use faas_simcore::rng::Xoshiro256;
 use faas_simcore::time::{SimDuration, SimTime};
 use faas_workload::faults::{DropReason, FaultEvent, FaultKind, FaultSpec};
-use faas_workload::sebs::Catalogue;
+use faas_workload::sebs::{Catalogue, FuncId};
 use faas_workload::trace::{Call, CallKind, CallOutcome, ColdStartKind};
 use faas_workload::weight::WeightTable;
 
@@ -323,7 +324,10 @@ pub(crate) struct Shell<'a> {
     pub outcomes: Vec<CallOutcome>,
     /// Slots of `outcomes` already overwritten with a real completion.
     outcomes_filled: usize,
-    pub rng_service: Xoshiro256,
+    /// Each function's service-time distribution, by function index:
+    /// fitted once per node, not at every dispatch.
+    service: Vec<LogNormal>,
+    rng_service: Xoshiro256,
     pub rng_cold: Xoshiro256,
     /// Pool statistics when the first measured call arrived, so the
     /// reported counters cover only the measured phase (Fig. 2).
@@ -431,6 +435,7 @@ impl<'a> NodeSim<'a> {
             runtime: LiveCalls::default(),
             outcomes: Vec::new(),
             outcomes_filled: 0,
+            service: catalogue.iter().map(|(_, f)| f.service_dist()).collect(),
             rng_service,
             rng_cold,
             measured_snapshot: None,
@@ -451,7 +456,9 @@ impl<'a> NodeSim<'a> {
 
     /// Append a release-sorted batch of calls and schedule their arrivals.
     /// Every release must be at or after the node's clock (events cannot be
-    /// scheduled into the past).
+    /// scheduled into the past). Arrivals go through the event queue's
+    /// in-order lane ([`EventQueue::append`]): batches come in release
+    /// order, so each costs O(1) instead of a heap push.
     pub fn inject(&mut self, calls: &[Call]) {
         let sh = &mut self.sh;
         sh.runtime.slots.reserve(calls.len());
@@ -461,7 +468,8 @@ impl<'a> NodeSim<'a> {
                 k == 0 || calls[k - 1].release <= call.release,
                 "calls must be sorted by release"
             );
-            sh.push_call(call, call.release, 0);
+            let (at, ev) = sh.push_call(call, call.release, 0);
+            sh.events.append(at, ev);
         }
     }
 
@@ -475,7 +483,8 @@ impl<'a> NodeSim<'a> {
             !sh.faults.is_none(),
             "handoffs only exist under a fault plan"
         );
-        sh.push_call(&h.call, deliver_at, h.attempts);
+        let (at, ev) = sh.push_call(&h.call, deliver_at, h.attempts);
+        sh.events.schedule(at, ev);
     }
 
     /// Drain every event with `time <= horizon`, then report progress.
@@ -552,14 +561,19 @@ impl<'a> NodeSim<'a> {
 
 impl Shell<'_> {
     /// Append the slots of a call that has begun `attempts` deliveries
-    /// and schedule its next one `hop_request` after `sent`.
-    fn push_call(&mut self, call: &Call, sent: SimTime, attempts: u32) {
+    /// and return the event of its next one, due `hop_request` after
+    /// `sent`, for the caller to queue.
+    fn push_call(&mut self, call: &Call, sent: SimTime, attempts: u32) -> (SimTime, Ev) {
         let idx = self.outcomes.len() as u32;
         self.runtime.push(CallRuntime::idle(attempts));
         self.outcomes
             .push(CallOutcome::pending(call, self.node_index));
-        self.events
-            .schedule(sent + self.cfg.calibration.hop_request, Ev::Arrive(idx));
+        (sent + self.cfg.calibration.hop_request, Ev::Arrive(idx))
+    }
+
+    /// Draw an intrinsic processing time for a call of `func`.
+    pub fn sample_service(&mut self, func: FuncId) -> f64 {
+        self.service[func.index()].sample(&mut self.rng_service)
     }
 
     fn advance<R: Regime>(&mut self, r: &mut R, horizon: SimTime) -> NodeProgress {

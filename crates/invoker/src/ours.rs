@@ -112,8 +112,9 @@ impl Cores {
                 self.pending.push(sh.runtime[i].priority, i);
                 break;
             };
-            let spec = sh.catalogue.spec(sh.outcomes[idx].func);
-            let p = spec.service_dist().sample(&mut sh.rng_service);
+            let func = sh.outcomes[idx].func;
+            let spec = sh.catalogue.spec(func);
+            let p = sh.sample_service(func);
             // Oversubscription slowdown, frozen at dispatch (see the
             // module docs); exactly 1 at the paper's busy limit. With a
             // modeled memory axis the slowdown is the dominant-resource

@@ -6,6 +6,7 @@ use faas_workload::faults::DropReason;
 use faas_workload::sebs::FuncId;
 use faas_workload::trace::{CallId, CallOutcome};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// A call that never completed: every retry attempt was consumed (node
 /// crash or transient failure on each) or the pending timeout fired on the
@@ -134,13 +135,14 @@ impl NodeResult {
         self.measured().filter(|o| o.start_kind.is_cold()).count()
     }
 
-    /// Fold `other` into `self` without allocating: outcome vectors are
-    /// appended in place, pool stats summed, peaks and the last completion
-    /// maxed (except `peak_resident_calls`, which sums — see its doc).
-    /// The accumulated outcome order is unspecified until
-    /// [`NodeResult::sort_outcomes`] is called.
+    /// Fold `other` into `self`, whose `outcomes` and `drops` are already
+    /// in the canonical order of [`NodeResult::merge`]: `other`'s runs
+    /// merge into them in place (see `merge_run`), pool stats sum, peaks
+    /// and the last completion max (except `peak_resident_calls`, which
+    /// sums — see its doc).
     fn merge_from(&mut self, other: NodeResult) {
-        self.outcomes.extend(other.outcomes);
+        merge_run(&mut self.outcomes, other.outcomes, outcome_order);
+        merge_run(&mut self.drops, other.drops, drop_order);
         self.measured_pool_stats = add_stats(self.measured_pool_stats, other.measured_pool_stats);
         self.total_pool_stats = add_stats(self.total_pool_stats, other.total_pool_stats);
         self.peak_queue = self.peak_queue.max(other.peak_queue);
@@ -151,35 +153,104 @@ impl NodeResult {
         self.last_completion = self.last_completion.max(other.last_completion);
         self.served_cpu_secs += other.served_cpu_secs;
         self.served_mem_units += other.served_mem_units;
-        self.drops.extend(other.drops);
         self.fault_stats = self.fault_stats.add(other.fault_stats);
     }
 
-    /// Restore the canonical `(release, id)` outcome order after one or
-    /// more [`NodeResult::merge_from`] calls.
-    fn sort_outcomes(&mut self) {
-        self.outcomes.sort_unstable_by_key(|o| (o.release, o.id));
-        self.drops.sort_unstable_by_key(|d| (d.release, d.id));
-    }
-
-    /// Merge outcomes of several nodes (multi-node experiments).
+    /// Merge the results of several nodes (multi-node experiments).
     ///
-    /// Merges in place into the first result — the only allocation is the
-    /// one `reserve_exact` growing its outcome vector to the merged size,
-    /// so grid/sweep experiments with thousands of runs do not reallocate
-    /// per node.
+    /// `outcomes` and `drops` come out in the canonical order
+    /// `(release, id, node)`. The node breaks the ties between the
+    /// per-node warm-up replicas, which share a release and an id. A node
+    /// can still hold two records under one key — its own replica and
+    /// another node's, handed to it by failover — so the remaining fields
+    /// order those: only identical records tie, and the merged vectors do
+    /// not depend on how they were sorted.
+    ///
+    /// A node already holds its outcomes in that order on a static run
+    /// (it stores them by injection index), so nothing is re-sorted: only
+    /// a node whose vector is out of order — a coupled run's failover
+    /// handoffs can leave one — is sorted first. The sorted runs then
+    /// merge pairwise, back to front, into the first result's vector,
+    /// which grows once (`reserve_exact`) to the merged size. Each other
+    /// node's vector is freed after its merge and no scratch buffer is
+    /// allocated, so the memory peak is the merged vector plus the node
+    /// vectors not yet merged — no more than the inputs plus the output.
     pub fn merge(results: Vec<NodeResult>) -> NodeResult {
         assert!(!results.is_empty(), "merge of zero results");
         let total: usize = results.iter().map(|r| r.outcomes.len()).sum();
         let mut iter = results.into_iter();
         let mut acc = iter.next().expect("non-empty");
+        sort_run(&mut acc.outcomes, outcome_order);
+        sort_run(&mut acc.drops, drop_order);
         acc.outcomes.reserve_exact(total - acc.outcomes.len());
         for r in iter {
             acc.merge_from(r);
         }
-        acc.sort_outcomes();
         acc
     }
+}
+
+/// The canonical merged order of outcomes (see [`NodeResult::merge`]):
+/// `(release, id, node)`, then the remaining fields, so only identical
+/// outcomes tie.
+fn outcome_order(a: &CallOutcome, b: &CallOutcome) -> Ordering {
+    let key = |o: &CallOutcome| (o.release, o.id, o.node);
+    let rest = |o: &CallOutcome| {
+        (
+            o.invoker_receive,
+            o.exec_start,
+            o.exec_end,
+            o.completion,
+            o.processing,
+            o.func,
+            o.kind as u8,
+            o.start_kind as u8,
+        )
+    };
+    key(a).cmp(&key(b)).then_with(|| rest(a).cmp(&rest(b)))
+}
+
+/// The canonical merged order of drops, by the same rule as
+/// [`outcome_order`].
+fn drop_order(a: &DroppedCall, b: &DroppedCall) -> Ordering {
+    let key = |d: &DroppedCall| (d.release, d.id, d.node, d.attempts, d.reason as u8, d.func);
+    key(a).cmp(&key(b))
+}
+
+/// Sort `run` by `order` unless it already is in order. Only identical
+/// elements tie under either order, so the unstable sort's choice among
+/// them cannot show, and it needs no scratch buffer.
+fn sort_run<T>(run: &mut [T], order: impl Fn(&T, &T) -> Ordering) {
+    if !run.is_sorted_by(|a, b| order(a, b).is_le()) {
+        run.sort_unstable_by(order);
+    }
+}
+
+/// Merge `run` into `acc`, which is sorted by `order`, keeping `acc`
+/// sorted. `run` is sorted first if it is out of order. The merge works in
+/// place, back to front: `acc` grows by `run`'s length, and each step
+/// moves the greater of the two unmerged tails to the free slot at the
+/// back, which never overtakes an unmerged `acc` element. `run` is freed
+/// on return.
+fn merge_run<T: Copy>(acc: &mut Vec<T>, mut run: Vec<T>, order: impl Fn(&T, &T) -> Ordering) {
+    sort_run(&mut run, &order);
+    let (mut i, mut j) = (acc.len(), run.len());
+    // Grow to the merged length; the loop overwrites the copied tail.
+    acc.extend_from_slice(&run);
+    let mut k = acc.len();
+    while i > 0 && j > 0 {
+        k -= 1;
+        if order(&run[j - 1], &acc[i - 1]).is_ge() {
+            j -= 1;
+            acc[k] = run[j];
+        } else {
+            i -= 1;
+            acc[k] = acc[i];
+        }
+    }
+    // What is left of `acc` is already in place; what is left of `run`
+    // precedes it.
+    acc[..j].copy_from_slice(&run[..j]);
 }
 
 fn add_stats(a: PoolStats, b: PoolStats) -> PoolStats {
@@ -269,13 +340,18 @@ mod tests {
 
     #[test]
     fn merge_from_accumulates_in_place() {
-        let mut acc = result(vec![outcome(2, CallKind::Measured, ColdStartKind::Warm, 0)]);
-        let extra = result(vec![outcome(1, CallKind::Measured, ColdStartKind::Cold, 1)]);
+        let mut acc = result(vec![
+            outcome(2, CallKind::Measured, ColdStartKind::Warm, 0),
+            outcome(4, CallKind::Measured, ColdStartKind::Warm, 0),
+        ]);
+        let extra = result(vec![
+            outcome(1, CallKind::Measured, ColdStartKind::Cold, 1),
+            outcome(3, CallKind::Measured, ColdStartKind::Cold, 1),
+        ]);
         acc.merge_from(extra);
-        acc.sort_outcomes();
-        assert_eq!(acc.outcomes.len(), 2);
-        assert_eq!(acc.outcomes[0].id, CallId(1), "sorted after merge_from");
-        assert_eq!(acc.last_completion, SimTime::from_secs(3));
+        let ids: Vec<u64> = acc.outcomes.iter().map(|o| o.id.0).collect();
+        assert_eq!(ids, [1, 2, 3, 4], "merge_from interleaves the two runs");
+        assert_eq!(acc.last_completion, SimTime::from_secs(5));
         assert_eq!(acc.peak_events, 5, "event peak maxes across nodes");
         assert_eq!(acc.peak_live_calls, 4, "live-window peak maxes too");
         assert_eq!(
@@ -319,7 +395,6 @@ mod tests {
         let merged = NodeResult::merge(vec![a.clone(), b.clone()]);
         let mut manual = a;
         manual.merge_from(b);
-        manual.sort_outcomes();
         assert_eq!(merged.outcomes, manual.outcomes);
         assert_eq!(merged.peak_events, manual.peak_events);
     }

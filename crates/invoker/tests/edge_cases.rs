@@ -4,9 +4,9 @@
 use faas_core::{Policy, SchedulerConfig};
 use faas_invoker::{simulate_calls, simulate_scenario, NodeConfig, NodeMode, NodeSim};
 use faas_simcore::time::{SimDuration, SimTime};
-use faas_workload::faults::{FaultSpec, RetryPolicy};
+use faas_workload::faults::{CrashSpec, FaultSpec, RetryPolicy};
 use faas_workload::scenario::BurstScenario;
-use faas_workload::sebs::Catalogue;
+use faas_workload::sebs::{Catalogue, FuncId};
 use faas_workload::trace::{Call, CallId, CallKind};
 use faas_workload::weight::WeightTable;
 
@@ -308,5 +308,56 @@ fn retired_calls_survive_stale_timers_queue_entries_and_a_crash() {
             assert_eq!(r.fault_stats, again.fault_stats, "{what}");
             assert_eq!(r.peak_live_calls, again.peak_live_calls, "{what}");
         }
+    }
+}
+
+#[test]
+fn a_crash_at_an_arrival_instant_fires_before_the_arrival() {
+    // A node schedules its fault timeline before any arrival, so a crash
+    // at the very instant a call arrives holds the smaller sequence number
+    // and fires first, although arrivals wait in the event queue's
+    // in-order lane and the crash in its heap. The call then reaches a
+    // dead node, waits for the restart and loses no attempt; were the tie
+    // broken the other way, the crash would kill the attempt it had just
+    // started.
+    let cat = catalogue();
+    let cfg = NodeConfig::paper(4);
+    let weights = WeightTable::uniform(cat.len());
+    let release = SimTime::from_secs(10);
+    let arrival = release + cfg.calibration.hop_request;
+    let restart_after = SimDuration::from_secs(5);
+    let faults = FaultSpec {
+        crashes: vec![CrashSpec {
+            node: 0,
+            at: arrival,
+            restart_after,
+        }],
+        retry: RetryPolicy::standard(),
+        ..FaultSpec::none()
+    };
+    let call = Call {
+        id: CallId(0),
+        func: FuncId(0),
+        release,
+        kind: CallKind::Measured,
+    };
+    for mode in [
+        NodeMode::Baseline,
+        NodeMode::Scheduled(SchedulerConfig::paper(Policy::Fifo)),
+    ] {
+        let mut sim = NodeSim::new(&cat, &mode, &cfg, &weights, &faults, 1, 0, false);
+        sim.inject(&[call]);
+        sim.advance_to(SimTime::MAX);
+        let r = sim.finish();
+        assert_eq!(r.fault_stats.crashes, 1, "{mode:?}");
+        assert_eq!(
+            r.fault_stats.crash_kills, 0,
+            "{mode:?}: the crash fires first"
+        );
+        assert_eq!(r.fault_stats.retries, 0, "{mode:?}");
+        assert!(
+            r.outcomes[0].exec_start >= arrival + restart_after,
+            "{mode:?}: the call waits for the restart"
+        );
     }
 }

@@ -6,27 +6,38 @@
 //! two runs with the same seed push the same events in the same order and
 //! therefore pop them in the same order.
 //!
-//! # One heap plus one timer
+//! # A heap, a lane and a timer
 //!
 //! Ordinary events live in a `std` [`BinaryHeap`] and are never withdrawn:
-//! once scheduled, an event pops. The one event a simulation needs to move
-//! or withdraw (the baseline node's next GPS completion) is the queue's
-//! single re-armable *timer*, held beside the heap:
+//! once scheduled, an event pops. Beside the heap sit two cheaper homes:
 //!
-//! * [`EventQueue::set_timer`] arms it, replacing any armed timer, under a
-//!   fresh sequence number: a re-arm is observably a withdraw plus a new
-//!   schedule, so it fires after events already scheduled at its instant.
-//! * [`EventQueue::clear_timer`] withdraws it (idempotent).
-//! * [`EventQueue::len`], [`EventQueue::peek_time`], [`EventQueue::pop`]
-//!   and [`EventQueue::pop_at_or_before`] treat an armed timer as one more
-//!   event at its `(time, seq)`. A popped timer is disarmed.
+//! * The FIFO **lane** holds events appended in non-decreasing time by
+//!   [`EventQueue::append`] — a node's injected arrivals, which its caller
+//!   already delivers in release order. Its head is its earliest event, so
+//!   an in-order append and its pop cost O(1) instead of O(log n). An
+//!   append earlier than the lane's tail goes to the heap instead, so the
+//!   lane stays sorted whatever the caller does.
+//! * The one event a simulation needs to move or withdraw (the baseline
+//!   node's next GPS completion) is the queue's single re-armable
+//!   **timer**. [`EventQueue::set_timer`] arms it, replacing any armed
+//!   timer, under a fresh sequence number: a re-arm is observably a
+//!   withdraw plus a new schedule, so it fires after events already
+//!   scheduled at its instant. [`EventQueue::clear_timer`] withdraws it
+//!   (idempotent).
+//!
+//! [`EventQueue::len`], [`EventQueue::peek_time`], [`EventQueue::pop`] and
+//! [`EventQueue::pop_at_or_before`] take the least `(time, seq)` of the
+//! heap top, the lane head and an armed timer. Every event draws its
+//! sequence number from one counter whichever home it goes to, so the pop
+//! order is exactly that of a single heap holding every event. A popped
+//! timer is disarmed.
 //!
 //! Memory is bounded by the live event count however often the timer
 //! moves: a re-arm overwrites it instead of leaving a stale copy queued.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 struct Entry<E> {
     time: SimTime,
@@ -58,11 +69,23 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Priority queue of timestamped events with stable FIFO tie-break and one
-/// re-armable timer (see the module docs).
+/// Which of the queue's three homes holds an entry.
+#[derive(Clone, Copy)]
+enum Home {
+    Heap,
+    Lane,
+    Timer,
+}
+
+/// Priority queue of timestamped events with stable FIFO tie-break, an
+/// in-order lane and one re-armable timer (see the module docs).
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    /// The armed timer, if any; it pops in `(time, seq)` order with `heap`.
+    /// Appended events in non-decreasing `(time, seq)`; the head is the
+    /// earliest.
+    lane: VecDeque<Entry<E>>,
+    /// The armed timer, if any; it pops in `(time, seq)` order with `heap`
+    /// and `lane`.
     timer: Option<Entry<E>>,
     next_seq: u64,
     now: SimTime,
@@ -79,6 +102,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            lane: VecDeque::new(),
             timer: None,
             next_seq: 0,
             now: SimTime::ZERO,
@@ -91,14 +115,14 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of queued events, an armed timer included.
+    /// Number of queued events, the lane's and an armed timer included.
     pub fn len(&self) -> usize {
-        self.heap.len() + usize::from(self.timer.is_some())
+        self.heap.len() + self.lane.len() + usize::from(self.timer.is_some())
     }
 
     /// True if no events are queued and no timer is armed.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.timer.is_none()
+        self.heap.is_empty() && self.lane.is_empty() && self.timer.is_none()
     }
 
     /// Schedule `payload` at absolute time `time`.
@@ -109,6 +133,21 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, time: SimTime, payload: E) {
         let entry = self.entry(time, payload);
         self.heap.push(entry);
+    }
+
+    /// Schedule `payload` at absolute time `time`, like
+    /// [`EventQueue::schedule`], through the FIFO lane: O(1) when `time` is
+    /// at or after the lane's latest append, otherwise it falls back to the
+    /// heap. Either way the event pops exactly where `schedule` would have
+    /// put it.
+    ///
+    /// Panics if `time` is before the current clock.
+    pub fn append(&mut self, time: SimTime, payload: E) {
+        let entry = self.entry(time, payload);
+        match self.lane.back() {
+            Some(tail) if tail.time > time => self.heap.push(entry),
+            _ => self.lane.push_back(entry),
+        }
     }
 
     /// Arm the timer at absolute time `time`, replacing any armed timer.
@@ -127,21 +166,13 @@ impl<E> EventQueue<E> {
 
     /// Pop the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        // Entries order in reverse, so the greater one is the earlier one,
-        // and `None` is less than any entry.
-        let entry = if self.timer.as_ref() > self.heap.peek() {
-            self.timer.take()
-        } else {
-            self.heap.pop()
-        }?;
-        self.now = entry.time;
-        Some((entry.time, entry.payload))
+        let (home, _) = self.earliest()?;
+        Some(self.take(home))
     }
 
     /// Timestamp of the earliest event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        // The greater entry is the earlier one (see `pop`).
-        self.heap.peek().max(self.timer.as_ref()).map(|e| e.time)
+        self.earliest().map(|(_, time)| time)
     }
 
     /// Pop the earliest event only if its timestamp is at or before
@@ -153,11 +184,41 @@ impl<E> EventQueue<E> {
     /// later event still queued, so it can be resumed with a larger
     /// horizon without ever popping an event out of order.
     pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        if self.peek_time()? <= horizon {
-            self.pop()
+        let (home, time) = self.earliest()?;
+        if time <= horizon {
+            Some(self.take(home))
         } else {
             None
         }
+    }
+
+    /// Where the least `(time, seq)` event lives, and its time, if any
+    /// event is queued. Sequence numbers are unique, so the three heads
+    /// never tie.
+    fn earliest(&self) -> Option<(Home, SimTime)> {
+        // Entries order in reverse, so the greater one is the earlier one,
+        // and `None` is less than any entry.
+        let (heap, lane, timer) = (self.heap.peek(), self.lane.front(), self.timer.as_ref());
+        let (home, entry) = if timer > heap && timer > lane {
+            (Home::Timer, timer)
+        } else if lane > heap {
+            (Home::Lane, lane)
+        } else {
+            (Home::Heap, heap)
+        };
+        entry.map(|e| (home, e.time))
+    }
+
+    /// Remove the head entry of `home` and advance the clock to it.
+    fn take(&mut self, home: Home) -> (SimTime, E) {
+        let entry = match home {
+            Home::Heap => self.heap.pop(),
+            Home::Lane => self.lane.pop_front(),
+            Home::Timer => self.timer.take(),
+        }
+        .expect("earliest names a non-empty home");
+        self.now = entry.time;
+        (entry.time, entry.payload)
     }
 
     /// A new entry at `time` under the next sequence number.
@@ -382,6 +443,41 @@ mod tests {
         q.clear_timer();
         assert_eq!(q.len() as u64, live);
         assert_eq!(drain(&mut q), (0..live).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn in_order_appends_stay_in_the_lane_and_late_ones_fall_back() {
+        let mut q = EventQueue::new();
+        q.append(SimTime::from_millis(10), "a");
+        q.append(SimTime::from_millis(10), "b");
+        q.append(SimTime::from_millis(30), "d");
+        assert_eq!((q.lane.len(), q.heap.len()), (3, 0));
+        // Earlier than the lane's tail: the heap takes it.
+        q.append(SimTime::from_millis(20), "c");
+        assert_eq!((q.lane.len(), q.heap.len()), (3, 1));
+        assert_eq!(q.len(), 4, "len counts the lane");
+        assert_eq!(drain(&mut q), vec!["a", "b", "c", "d"]);
+        // An empty lane takes any time again.
+        q.append(SimTime::from_millis(40), "e");
+        assert_eq!(q.lane.len(), 1);
+    }
+
+    #[test]
+    fn same_instant_ties_across_lane_heap_and_timer_pop_in_issue_order() {
+        // One instant, three homes: pops follow the sequence numbers, as a
+        // single heap would, not the home.
+        let mut q = EventQueue::new();
+        let t = SimTime::from_millis(5);
+        q.schedule(t, "heap-1");
+        q.append(t, "lane-2");
+        q.set_timer(t, "timer-3");
+        q.schedule(t, "heap-4");
+        q.append(t, "lane-5");
+        assert_eq!(q.peek_time(), Some(t));
+        assert_eq!(
+            drain(&mut q),
+            vec!["heap-1", "lane-2", "timer-3", "heap-4", "lane-5"]
+        );
     }
 
     #[test]

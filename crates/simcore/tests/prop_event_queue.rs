@@ -1,12 +1,15 @@
-//! Differential property test of the event queue and its one timer.
+//! Differential property test of the event queue, its in-order lane and
+//! its one timer.
 //!
-//! The reference model is a naive `Vec` scan: schedule pushes `(time, seq,
-//! id)`, the timer is one more model entry that `set_timer` replaces under
-//! a fresh sequence number and `clear_timer` removes, and pop scans for the
-//! minimum `(time, seq)`. Every operation's observable effect (pop results,
-//! clock, length, peek) must match the queue exactly — including the FIFO
-//! tie-break at equal timestamps, which the tiny time range below forces
-//! constantly.
+//! The reference model is a naive `Vec` scan: schedule and append both push
+//! `(time, seq, id)` (the model has no lane: where the queue keeps an
+//! event must not show), the timer is one more model entry that
+//! `set_timer` replaces under a fresh sequence number and `clear_timer`
+//! removes, and pop scans for the minimum `(time, seq)`. Every operation's
+//! observable effect (pop results, clock, length, peek) must match the
+//! queue exactly — including the FIFO tie-break at equal timestamps, which
+//! the tiny time range below forces constantly, between events in the
+//! heap, the lane and the timer alike.
 
 use faas_simcore::events::EventQueue;
 use faas_simcore::time::{SimDuration, SimTime};
@@ -17,6 +20,12 @@ use proptest::prelude::*;
 enum Op {
     /// Schedule at `now + dt` milliseconds.
     Schedule(u64),
+    /// Append at `dt` milliseconds after the latest append (or `now`, if
+    /// later): in-order runs that stay in the lane.
+    Append(u64),
+    /// Append at `now + dt` milliseconds, often before the latest append:
+    /// the lane must hand such an event to the heap.
+    AppendEarly(u64),
     /// Arm (or re-arm) the timer at `now + dt` milliseconds.
     SetTimer(u64),
     ClearTimer,
@@ -27,6 +36,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     // dt in 0..6 ms over hundreds of events forces equal-timestamp ties.
     prop_oneof![
         (0u64..6).prop_map(Op::Schedule),
+        (0u64..3).prop_map(Op::Append),
+        (0u64..3).prop_map(Op::Append),
+        (0u64..6).prop_map(Op::AppendEarly),
         (0u64..6).prop_map(Op::SetTimer),
         Just(Op::ClearTimer),
         Just(Op::Pop),
@@ -77,8 +89,8 @@ impl VecModel {
 }
 
 proptest! {
-    /// Arbitrary schedule/set_timer/clear_timer/pop interleavings agree
-    /// with the Vec-scan model on every observable.
+    /// Arbitrary schedule/append/set_timer/clear_timer/pop interleavings
+    /// agree with the Vec-scan model on every observable.
     #[test]
     fn queue_with_timer_matches_vec_scan_model(
         ops in prop::collection::vec(op_strategy(), 1..400)
@@ -87,11 +99,23 @@ proptest! {
         let mut model = VecModel::default();
         // Payload ids are issue indices, timer arms included.
         let mut next_id = 0usize;
+        let mut last_append = SimTime::ZERO;
         for op in ops {
             match op {
                 Op::Schedule(dt) => {
                     let t = q.now() + SimDuration::from_millis(dt);
                     q.schedule(t, next_id);
+                    model.push(t, next_id, false);
+                    next_id += 1;
+                }
+                Op::Append(dt) | Op::AppendEarly(dt) => {
+                    let from = match op {
+                        Op::Append(_) => last_append.max(q.now()),
+                        _ => q.now(),
+                    };
+                    let t = from + SimDuration::from_millis(dt);
+                    last_append = last_append.max(t);
+                    q.append(t, next_id);
                     model.push(t, next_id, false);
                     next_id += 1;
                 }

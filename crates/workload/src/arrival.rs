@@ -120,15 +120,13 @@ impl IntensityProfile {
 
     /// Index of the segment containing release offset `t` (the last
     /// segment at or past the window end).
-    pub(crate) fn segment_at(&self, t: f64) -> usize {
-        let seg = match self
-            .bounds
-            .binary_search_by(|b| b.partial_cmp(&t).expect("finite bounds"))
-        {
-            Ok(i) => i,
-            Err(i) => i.saturating_sub(1),
-        };
-        seg.min(self.rates.len() - 1)
+    ///
+    /// `hint` is the segment of an earlier lookup (`None` for none) and
+    /// becomes this one's. For non-decreasing `t` the search walks forward
+    /// from the hint instead of bisecting (see `locate`); the result is the
+    /// same whatever the hint.
+    pub(crate) fn segment_at(&self, t: f64, hint: &mut Option<usize>) -> usize {
+        locate(&self.bounds, t, hint, self.rates.len())
     }
 
     /// Invert the normalized arrival-time CDF: map `u ∈ [0, 1)` to a
@@ -139,19 +137,21 @@ impl IntensityProfile {
     /// window)` — which is what keeps the paper-scenario adapters
     /// bit-for-bit identical.
     pub fn inv_cdf(&self, u: f64) -> f64 {
+        self.inv_cdf_from(u, &mut None)
+    }
+
+    /// [`IntensityProfile::inv_cdf`] from a hint, which works as
+    /// [`IntensityProfile::segment_at`]'s does: for non-decreasing `u` the
+    /// segment search walks forward, and the offset is bit-identical to
+    /// `inv_cdf(u)` whatever the hint.
+    pub(crate) fn inv_cdf_from(&self, u: f64, hint: &mut Option<usize>) -> f64 {
         let window = self.window_secs();
         if self.rates.len() == 1 {
             return u * window;
         }
         let target = u * self.mass();
-        // Find the segment whose cumulative range contains `target`.
-        let seg = match self
-            .cum
-            .binary_search_by(|c| c.partial_cmp(&target).expect("cum is finite"))
-        {
-            Ok(i) => i.min(self.rates.len() - 1),
-            Err(i) => i.saturating_sub(1).min(self.rates.len() - 1),
-        };
+        // The segment whose cumulative range contains `target`.
+        let seg = locate(&self.cum, target, hint, self.rates.len());
         let rate = self.rates[seg];
         let offset = if rate > 0.0 {
             self.bounds[seg] + (target - self.cum[seg]) / rate
@@ -166,6 +166,33 @@ impl IntensityProfile {
             offset.max(0.0)
         }
     }
+}
+
+/// The segment (of `segments`) that the non-decreasing boundary array
+/// `keys` places `x` in: the entry equal to `x` if the binary search finds
+/// one, else the last entry below `x`, clamped to the last segment. With a
+/// hint whose entry is below `x`, the search walks forward from it, which
+/// costs O(entries crossed) for a non-decreasing `x`. It bisects with no
+/// hint, with a hint at or past `x`, or on an exact tie with an entry:
+/// duplicate entries (zero-rate segments repeat a `cum` value) leave the
+/// choice among them to the binary search, and the walk must not make a
+/// different one. `hint` becomes the returned segment.
+fn locate(keys: &[f64], x: f64, hint: &mut Option<usize>, segments: usize) -> usize {
+    let walked = hint.filter(|&h| keys[h] < x).and_then(|h| {
+        let above = h + 1 + keys[h + 1..].iter().take_while(|&&k| k < x).count();
+        // Every entry before `above` is below `x`; the walk answers unless
+        // the next one equals it.
+        (keys.get(above) != Some(&x)).then_some(above - 1)
+    });
+    let i = walked.unwrap_or_else(|| {
+        match keys.binary_search_by(|k| k.partial_cmp(&x).expect("finite profile")) {
+            Ok(i) => i,
+            Err(i) => i.saturating_sub(1),
+        }
+    });
+    let seg = i.min(segments - 1);
+    *hint = Some(seg);
+    seg
 }
 
 /// Poisson sample: exact exponential race below mean 256, normal
@@ -323,6 +350,71 @@ impl ArrivalSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn locate_walks_to_the_binary_search_answer_and_defers_ties() {
+        // Duplicate entries (zero-rate segments) and exact hits: the walk
+        // must give the bisection's answer for every x, from any hint.
+        let keys = [0.0, 1.0, 1.0, 1.0, 2.0, 3.0, 3.0, 5.0];
+        let xs: Vec<f64> = (0..=24).map(|k| k as f64 / 4.0).collect();
+        for &x in &xs {
+            let want = locate(&keys, x, &mut None, keys.len() - 1);
+            for h in 0..keys.len() - 1 {
+                assert_eq!(
+                    locate(&keys, x, &mut Some(h), keys.len() - 1),
+                    want,
+                    "x={x} hint={h}"
+                );
+            }
+        }
+        // A chained hint over a monotone sweep is the same again.
+        let mut hint = None;
+        for &x in &xs {
+            let got = locate(&keys, x, &mut hint, keys.len() - 1);
+            assert_eq!(got, locate(&keys, x, &mut None, keys.len() - 1), "x={x}");
+            assert_eq!(hint, Some(got));
+        }
+    }
+
+    #[test]
+    fn hinted_lookups_match_the_binary_search_on_piecewise_profiles() {
+        // Random integer-valued profiles with zero-rate segments, so `cum`
+        // repeats values, swept by monotone `u` (and `t`) that include
+        // every exact boundary hit: chaining the hints must give exactly
+        // the hint-free (binary-search) results.
+        let mut rng = Xoshiro256::seed_from_u64(0xC0FFEE);
+        let (mut cum_ties, mut bound_ties) = (0, 0);
+        for _ in 0..200 {
+            let segments: Vec<(f64, f64)> = (0..1 + rng.next_u64() % 12)
+                .map(|_| ((1 + rng.next_u64() % 4) as f64, (rng.next_u64() % 4) as f64))
+                .collect();
+            if segments.iter().all(|&(_, rate)| rate == 0.0) {
+                continue;
+            }
+            let p = IntensityProfile::piecewise(&segments, CountModel::Poisson);
+            let mut us: Vec<f64> = (0..64).map(|_| rng.next_f64()).collect();
+            us.extend(p.cum.iter().map(|c| c / p.mass()).filter(|&u| u < 1.0));
+            us.sort_by(f64::total_cmp);
+            let mut ts: Vec<f64> = us.iter().map(|&u| p.inv_cdf(u)).collect();
+            ts.extend(p.bounds.iter().copied());
+            ts.sort_by(f64::total_cmp);
+            let (mut cum_hint, mut bound_hint) = (None, None);
+            for &u in &us {
+                cum_ties += usize::from(p.cum.contains(&(u * p.mass())));
+                let got = p.inv_cdf_from(u, &mut cum_hint);
+                assert_eq!(got.to_bits(), p.inv_cdf(u).to_bits(), "u={u} {segments:?}");
+            }
+            for &t in &ts {
+                bound_ties += usize::from(p.bounds.contains(&t));
+                let got = p.segment_at(t, &mut bound_hint);
+                assert_eq!(got, p.segment_at(t, &mut None), "t={t} {segments:?}");
+            }
+        }
+        assert!(
+            cum_ties > 100 && bound_ties > 100,
+            "{cum_ties} {bound_ties}"
+        );
+    }
 
     #[test]
     fn uniform_profile_is_flat_and_fixed() {

@@ -302,6 +302,32 @@ impl TraceSource for SyntheticTrace {
     }
 
     fn call(&self, index: u64) -> Call {
+        self.call_from(index, &mut ProfileHints::default())
+    }
+
+    /// Derive the chunk through one pair of profile hints, so each call's
+    /// segment searches walk forward from the previous call's.
+    fn iter_chunk(&self, lo: u64, hi: u64) -> Box<dyn Iterator<Item = Call> + '_> {
+        debug_assert!(lo <= hi && hi <= self.n);
+        let mut hints = ProfileHints::default();
+        Box::new((lo..hi).map(move |i| self.call_from(i, &mut hints)))
+    }
+}
+
+/// Where an earlier call fell in the trace's profile: the segment hints of
+/// its two lookups (see [`IntensityProfile::inv_cdf_from`]).
+#[derive(Default)]
+struct ProfileHints {
+    cum: Option<usize>,
+    bound: Option<usize>,
+}
+
+impl SyntheticTrace {
+    /// The `index`-th call, its profile lookups starting from `hints`.
+    /// Every hint gives the same call; releases are non-decreasing in the
+    /// index, so the hints of call `i` make call `i + 1`'s lookups a short
+    /// forward walk.
+    fn call_from(&self, index: u64, hints: &mut ProfileHints) -> Call {
         debug_assert!(index < self.n, "call index out of range");
         let mut rng = Xoshiro256::seed_from_u64(self.base ^ mix64(index));
         // Stratified quantile: strictly increasing in the index, uniform
@@ -309,9 +335,9 @@ impl TraceSource for SyntheticTrace {
         // in the index (the TraceSource ordering contract) yet every call
         // remains a pure function of (seed, index).
         let q = (index as f64 + rng.next_f64()) / self.n as f64;
-        let offset = self.profile.inv_cdf(q);
+        let offset = self.profile.inv_cdf_from(q, &mut hints.cum);
         let release = self.start + SimDuration::from_secs_f64(offset);
-        let seg = self.profile.segment_at(offset);
+        let seg = self.profile.segment_at(offset, &mut hints.bound);
         let u = rng.next_f64();
         let nf = self.functions as usize;
         let row = &self.fn_cdf[seg * nf..(seg + 1) * nf];

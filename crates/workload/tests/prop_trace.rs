@@ -74,6 +74,28 @@ proptest! {
         prop_assert_eq!(serial(&rerun), serial(&t));
     }
 
+    /// A synthetic chunk derived through the walking profile hints is,
+    /// call for call, the pure per-index `call(i)`, whatever the chunk
+    /// bounds: a chunk seeds its hints by binary search and walks from
+    /// there.
+    #[test]
+    fn synthetic_chunks_match_per_index_calls(
+        seed in any::<u64>(),
+        rate in 0.5f64..30.0,
+        lo_frac in 0.0f64..1.0,
+        len_frac in 0.0f64..1.0
+    ) {
+        let cat = Catalogue::sebs();
+        let synth = SynthSpec::azure(rate, SimDuration::from_secs(120));
+        let t = faas_workload::synth::SyntheticTrace::new(&synth, &cat, SimTime::ZERO, seed);
+        let n = t.len();
+        let lo = (lo_frac * n as f64) as u64;
+        let hi = lo + (len_frac * (n - lo) as f64) as u64;
+        let chunk: Vec<Call> = t.iter_chunk(lo, hi).collect();
+        let by_index: Vec<Call> = (lo..hi).map(|i| t.call(i)).collect();
+        prop_assert_eq!(chunk, by_index);
+    }
+
     /// Recorded traces: any partition reproduces the serial log, and
     /// recording the same (spec, seed) twice captures the identical trace.
     #[test]
