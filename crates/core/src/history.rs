@@ -1,35 +1,37 @@
-//! Per-function call-arrival history.
-//!
-//! Two policies need arrival history in addition to processing-time
-//! estimates:
+//! Per-function call history: what RECT and Fair-Choice read besides the
+//! processing-time estimate.
 //!
 //! * **RECT** uses `r̄(i)` — the moment the *previous* call of the same
-//!   function was received;
+//!   function was received ([`CallHistory::note_arrival`] /
+//!   [`CallHistory::prev_arrival`]);
 //! * **Fair-Choice** uses `#(f(i), −T)` — the number of calls of the
-//!   function over the last `T = 60 s`. By default
+//!   function over the last `T = 60 s` ([`CallHistory::note_call`] /
+//!   [`CallHistory::count_recent`]). By default
 //!   ([`FcCountMode::Arrivals`]) that is the calls *received* in the
 //!   window; [`FcCountMode::Completions`], which only the ablation runs,
 //!   counts the calls *concluded* in it instead (§IV speaks of "the
 //!   recently concluded calls of the same function").
 //!
-//! Arrivals are recorded at `r'(i)` (invoker receive time, logged when the
-//! request is pulled from Kafka, §IV-B); completions are recorded when the
-//! invoker receives the container's response. The history keeps both, so
-//! either count is available.
+//! The history keeps one window per function, and the caller decides which
+//! event feeds it: [`SchedulerState`] notes a call at `r'(i)` (invoker
+//! receive time, logged when the request is pulled from Kafka, §IV-B) or,
+//! under the completion count, when the invoker receives the container's
+//! response. FIFO, SEPT and EECT read neither, so their schedulers record
+//! nothing here.
 //!
 //! [`FcCountMode::Arrivals`]: crate::config::FcCountMode::Arrivals
 //! [`FcCountMode::Completions`]: crate::config::FcCountMode::Completions
+//! [`SchedulerState`]: crate::scheduler::SchedulerState
 
 use faas_simcore::time::{SimDuration, SimTime};
 use faas_workload::sebs::FuncId;
 use std::collections::VecDeque;
 
-/// Sliding-window arrival history for every function on the node.
+/// Per-function sliding-window call count plus the latest receive time.
 #[derive(Debug, Clone)]
 pub struct CallHistory {
     window: SimDuration,
-    arrivals: Vec<VecDeque<SimTime>>,
-    completions: Vec<VecDeque<SimTime>>,
+    recent: Vec<VecDeque<SimTime>>,
     last_arrival: Vec<Option<SimTime>>,
 }
 
@@ -39,8 +41,7 @@ impl CallHistory {
         assert!(!window.is_zero(), "FC window must be positive");
         CallHistory {
             window,
-            arrivals: (0..num_functions).map(|_| VecDeque::new()).collect(),
-            completions: (0..num_functions).map(|_| VecDeque::new()).collect(),
+            recent: (0..num_functions).map(|_| VecDeque::new()).collect(),
             last_arrival: vec![None; num_functions],
         }
     }
@@ -56,37 +57,28 @@ impl CallHistory {
         self.last_arrival[func.index()]
     }
 
-    /// Record a call of `func` received at `now`. Must be called with
+    /// Record a call of `func` received at `now` as the latest arrival
+    /// ([`prev_arrival`](Self::prev_arrival)). Must be called with
     /// non-decreasing timestamps.
     pub fn note_arrival(&mut self, func: FuncId, now: SimTime) {
         if let Some(prev) = self.last_arrival[func.index()] {
             debug_assert!(now >= prev, "arrivals must be monotone per function");
         }
         self.last_arrival[func.index()] = Some(now);
-        let q = &mut self.arrivals[func.index()];
+    }
+
+    /// Add a call of `func` at `now` to its window (a receive or a
+    /// completion, whichever the caller counts).
+    pub fn note_call(&mut self, func: FuncId, now: SimTime) {
+        let q = &mut self.recent[func.index()];
         q.push_back(now);
         Self::expire(q, self.window, now);
     }
 
-    /// Number of calls of `func` received during the last `T` seconds,
-    /// including any call recorded exactly at `now`.
+    /// Number of calls of `func` noted during the last `T` seconds,
+    /// including any call noted exactly at `now`.
     pub fn count_recent(&mut self, func: FuncId, now: SimTime) -> usize {
-        let q = &mut self.arrivals[func.index()];
-        Self::expire(q, self.window, now);
-        q.len()
-    }
-
-    /// Record a completed call of `func` at `now`.
-    pub fn note_completion(&mut self, func: FuncId, now: SimTime) {
-        let q = &mut self.completions[func.index()];
-        q.push_back(now);
-        Self::expire(q, self.window, now);
-    }
-
-    /// Number of calls of `func` *concluded* during the last `T` seconds
-    /// (the Fair-Choice count).
-    pub fn count_recent_completions(&mut self, func: FuncId, now: SimTime) -> usize {
-        let q = &mut self.completions[func.index()];
+        let q = &mut self.recent[func.index()];
         Self::expire(q, self.window, now);
         q.len()
     }
@@ -130,11 +122,11 @@ mod tests {
     #[test]
     fn count_includes_window_only() {
         let mut h = hist();
-        h.note_arrival(FuncId(0), SimTime::from_secs(0));
-        h.note_arrival(FuncId(0), SimTime::from_secs(30));
-        h.note_arrival(FuncId(0), SimTime::from_secs(59));
+        h.note_call(FuncId(0), SimTime::from_secs(0));
+        h.note_call(FuncId(0), SimTime::from_secs(30));
+        h.note_call(FuncId(0), SimTime::from_secs(59));
         assert_eq!(h.count_recent(FuncId(0), SimTime::from_secs(59)), 3);
-        // At t=90 the t=0 arrival has expired (90-60=30 cutoff keeps t>=30).
+        // At t=90 the t=0 call has expired (90-60=30 cutoff keeps t>=30).
         assert_eq!(h.count_recent(FuncId(0), SimTime::from_secs(90)), 2);
         // At t=200 everything expired.
         assert_eq!(h.count_recent(FuncId(0), SimTime::from_secs(200)), 0);
@@ -143,8 +135,8 @@ mod tests {
     #[test]
     fn boundary_arrival_exactly_at_cutoff_is_kept() {
         let mut h = hist();
-        h.note_arrival(FuncId(0), SimTime::from_secs(10));
-        // now - T == 10: the arrival at exactly the cutoff still counts.
+        h.note_call(FuncId(0), SimTime::from_secs(10));
+        // now - T == 10: the call at exactly the cutoff still counts.
         assert_eq!(h.count_recent(FuncId(0), SimTime::from_secs(70)), 1);
         // One nanosecond later it expires.
         assert_eq!(
@@ -157,9 +149,9 @@ mod tests {
     fn functions_count_independently() {
         let mut h = hist();
         for i in 0..5 {
-            h.note_arrival(FuncId(0), SimTime::from_secs(i));
+            h.note_call(FuncId(0), SimTime::from_secs(i));
         }
-        h.note_arrival(FuncId(1), SimTime::from_secs(5));
+        h.note_call(FuncId(1), SimTime::from_secs(5));
         assert_eq!(h.count_recent(FuncId(0), SimTime::from_secs(5)), 5);
         assert_eq!(h.count_recent(FuncId(1), SimTime::from_secs(5)), 1);
     }
@@ -167,9 +159,21 @@ mod tests {
     #[test]
     fn early_times_do_not_underflow() {
         let mut h = hist();
-        h.note_arrival(FuncId(0), SimTime::from_secs(1));
-        // now < window: cutoff saturates at zero, arrival stays.
+        h.note_call(FuncId(0), SimTime::from_secs(1));
+        // now < window: cutoff saturates at zero, the call stays.
         assert_eq!(h.count_recent(FuncId(0), SimTime::from_secs(2)), 1);
+    }
+
+    #[test]
+    fn arrivals_and_window_calls_are_recorded_apart() {
+        // RECT's last arrival and Fair-Choice's window are fed separately:
+        // noting one leaves the other untouched.
+        let mut h = hist();
+        h.note_arrival(FuncId(0), SimTime::from_secs(4));
+        assert_eq!(h.count_recent(FuncId(0), SimTime::from_secs(4)), 0);
+        h.note_call(FuncId(1), SimTime::from_secs(5));
+        assert_eq!(h.prev_arrival(FuncId(1)), None);
+        assert_eq!(h.prev_arrival(FuncId(0)), Some(SimTime::from_secs(4)));
     }
 
     #[test]

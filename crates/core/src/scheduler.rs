@@ -1,12 +1,22 @@
 //! The scheduler state machine embedded in the invoker.
 //!
-//! Combines the estimator, the arrival history and the policy into the two
+//! Combines the estimator, the call history and the policy into the two
 //! hooks the invoker pipeline calls (§IV-B):
 //!
 //! * [`SchedulerState::on_receive`] — when a request is pulled from Kafka:
-//!   record the arrival and compute the call's (immutable) priority;
+//!   compute the call's (immutable) priority;
 //! * [`SchedulerState::on_complete`] — when the container returns the
 //!   result: store the measured processing time in the per-function buffer.
+//!
+//! Every policy's estimator records each completion. Beyond that the state
+//! keeps only the history its policy reads:
+//!
+//! | Policy | History kept |
+//! |--------|--------------|
+//! | FIFO, SEPT, EECT | none |
+//! | RECT | the last receive time per function |
+//! | FC, [`FcCountMode::Arrivals`] | a `T` window of receives per function |
+//! | FC, [`FcCountMode::Completions`] | a `T` window of completions per function |
 
 use crate::config::{FcCountMode, SchedulerConfig};
 use crate::estimator::ProcTimeEstimator;
@@ -51,29 +61,42 @@ impl SchedulerState {
     /// Handle a request of `func` received by the invoker at `received`
     /// (`r'(i)`), returning its priority.
     ///
-    /// Order matters: RECT's `r̄(i)` is the receive time of the *previous*
-    /// call, so it is read before this arrival is recorded; Fair-Choice's
-    /// arrival count is read after (it includes the current call).
+    /// Only the history the policy reads is touched; the inputs it does not
+    /// read stay `None` and 0. Order matters: RECT's `r̄(i)` is the receive
+    /// time of the *previous* call, so it is read before this arrival is
+    /// recorded; Fair-Choice's arrival count is read after (it includes the
+    /// current call).
     pub fn on_receive(&mut self, func: FuncId, received: SimTime) -> f64 {
-        let prev_received = self.history.prev_arrival(func);
-        self.history.note_arrival(func, received);
-        let recent_count = match self.config.fc_count_mode {
-            FcCountMode::Arrivals => self.history.count_recent(func, received),
-            FcCountMode::Completions => self.history.count_recent_completions(func, received),
-        };
-        let inputs = PriorityInputs {
+        let mut inputs = PriorityInputs {
             received,
             expected_processing: self.estimator.estimate_secs(func),
-            prev_received,
-            recent_count,
+            prev_received: None,
+            recent_count: 0,
         };
+        match self.config.policy {
+            Policy::Fifo | Policy::Sept | Policy::Eect => {}
+            Policy::Rect => {
+                inputs.prev_received = self.history.prev_arrival(func);
+                self.history.note_arrival(func, received);
+            }
+            Policy::FairChoice => {
+                if self.config.fc_count_mode == FcCountMode::Arrivals {
+                    self.history.note_call(func, received);
+                }
+                inputs.recent_count = self.history.count_recent(func, received);
+            }
+        }
         priority(self.config.policy, &inputs)
     }
 
     /// Record the measured processing time of a call completed at `now`.
     pub fn on_complete(&mut self, func: FuncId, processing: SimDuration, now: SimTime) {
         self.estimator.record(func, processing);
-        self.history.note_completion(func, now);
+        if self.config.policy == Policy::FairChoice
+            && self.config.fc_count_mode == FcCountMode::Completions
+        {
+            self.history.note_call(func, now);
+        }
     }
 
     /// Current `E(p)` of a function, seconds.

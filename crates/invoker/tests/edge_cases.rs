@@ -361,3 +361,62 @@ fn a_crash_at_an_arrival_instant_fires_before_the_arrival() {
         );
     }
 }
+
+#[test]
+fn a_gps_tick_re_armed_onto_an_occupied_instant_fires_after_its_events() {
+    // The baseline's GPS tick is the event queue's one re-armable timer,
+    // and a re-arm takes a fresh sequence number. Call A's cold-start init
+    // arms the tick for instant `t`; call B's arrival at exactly `t` is
+    // scheduled after that; call C's init joins the GPS bank before `t`
+    // and re-arms the tick onto `t`. So B arrives first: it takes the
+    // warm container call D left behind and draws its service time before
+    // the tick starts A's execution and A draws its own. Were the re-arm
+    // to keep the tick's old sequence number, the tick would fire first
+    // and the two draws would trade places.
+    let cat = catalogue();
+    let cfg = NodeConfig::paper(4);
+    let weights = WeightTable::uniform(cat.len());
+    let faults = FaultSpec::none();
+    let call = |id: u64, func: u16, release: SimTime| Call {
+        id: CallId(id),
+        func: FuncId(func),
+        release,
+        kind: CallKind::Measured,
+    };
+    let d = call(0, 1, SimTime::ZERO);
+    let a = call(1, 2, SimTime::from_secs(10));
+    let c = call(2, 3, SimTime::from_secs(10) + SimDuration::from_millis(2));
+    let a_placed = a.release + cfg.calibration.hop_request + SimDuration::from_millis(1);
+    let run = |late: &[Call]| {
+        let mut sim = NodeSim::new(
+            &cat,
+            &NodeMode::Baseline,
+            &cfg,
+            &weights,
+            &faults,
+            1,
+            0,
+            false,
+        );
+        sim.inject(&[d, a]);
+        sim.advance_to(a_placed);
+        sim.inject(late);
+        sim.advance_to(SimTime::MAX);
+        sim.finish()
+    };
+    // The instant A's init ends (with C in the bank): where B must land.
+    let t = run(&[c]).outcomes[1].exec_start;
+    let b = call(
+        3,
+        1,
+        SimTime::from_nanos(t.as_nanos() - cfg.calibration.hop_request.as_nanos()),
+    );
+    let r = run(&[c, b]);
+    let [_, ra, _, rb] = [0, 1, 2, 3].map(|i| r.outcomes[i]);
+    assert_eq!(rb.invoker_receive, t, "B arrives at the tick's instant");
+    assert_eq!(ra.exec_start, t, "A starts executing at the tick");
+    assert_eq!(rb.exec_start, t, "B starts at once on D's warm container");
+    // Pinned: B's draw comes first.
+    assert_eq!(ra.exec_end, SimTime::from_nanos(11_039_033_868));
+    assert_eq!(rb.exec_end, SimTime::from_nanos(11_245_548_176));
+}

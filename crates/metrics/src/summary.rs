@@ -6,13 +6,18 @@
 //! response time from Table I as the denominator (§V-A), which is why values
 //! below 1 are possible.
 //!
+//! Each value is derived once. [`MetricSummary`] selects only the ranks it
+//! reports (p50, p75, p95, p99 and the maximum), through the one selection
+//! helper `faas_simcore::stats::select_percentiles`, in expected O(n) and
+//! equal bit for bit to sorting the values and interpolating.
 //! [`RunSummary::from_outcomes`] reads the outcomes once, filling the
 //! response times, the stretches and `max c(i)` in the same traversal, and
-//! [`RobustnessSummary::from_outcomes`] selects only its p99. Every
-//! percentile comes from `faas_simcore::stats` by selection in expected
-//! O(n), equal bit for bit to sorting the values and interpolating.
+//! selects in those vectors without copying them again;
+//! [`RobustnessSummary::from_outcomes`] selects only its p99, in the
+//! response times it builds. The helpers that compute stretches convert
+//! each function's reference to seconds once per call, not per outcome.
 
-use faas_simcore::stats::{percentile, Summary};
+use faas_simcore::stats::{mean, select_percentiles};
 use faas_simcore::time::SimTime;
 use faas_workload::sebs::Catalogue;
 use faas_workload::trace::CallOutcome;
@@ -39,18 +44,27 @@ pub struct MetricSummary {
 }
 
 impl MetricSummary {
-    /// Build from raw observations by selection ([`Summary::from_data`]).
+    /// Build from raw observations by selection in one copy of them.
     /// Panics on empty input or NaNs.
     pub fn from_values(values: &[f64]) -> MetricSummary {
-        let s = Summary::from_data(values);
+        MetricSummary::from_vec(values.to_vec())
+    }
+
+    /// [`MetricSummary::from_values`] on a buffer the caller has just
+    /// built and no longer needs: the mean is taken in input order, then
+    /// the selection consumes the buffer.
+    fn from_vec(values: Vec<f64>) -> MetricSummary {
+        assert!(!values.is_empty(), "summary of empty data");
+        let (count, mean) = (values.len(), mean(&values));
+        let [p50, p75, p95, p99, max] = select_percentiles(values, [0.50, 0.75, 0.95, 0.99, 1.0]);
         MetricSummary {
-            count: s.count,
-            mean: s.mean,
-            p50: s.percentiles.p50,
-            p75: s.percentiles.p75,
-            p95: s.percentiles.p95,
-            p99: s.percentiles.p99,
-            max: s.max,
+            count,
+            mean,
+            p50,
+            p75,
+            p95,
+            p99,
+            max,
         }
     }
 }
@@ -93,12 +107,22 @@ pub fn stretches(outcomes: &[&CallOutcome], catalogue: &Catalogue) -> Vec<f64> {
 /// Fill `out` (cleared first) with the stretch values of the measured
 /// calls; the buffer-reusing twin of [`stretches`].
 pub fn stretches_into(outcomes: &[&CallOutcome], catalogue: &Catalogue, out: &mut Vec<f64>) {
+    let references = reference_secs(catalogue);
     out.clear();
     out.extend(
         outcomes
             .iter()
-            .map(|o| o.stretch(catalogue.spec(o.func).stretch_reference())),
+            .map(|o| o.stretch_secs(references[o.func.index()])),
     );
+}
+
+/// Each function's stretch reference in seconds, indexed by `FuncId`:
+/// converted once per summary, not once per outcome.
+fn reference_secs(catalogue: &Catalogue) -> Vec<f64> {
+    catalogue
+        .iter()
+        .map(|(_, spec)| spec.stretch_reference().as_secs_f64())
+        .collect()
 }
 
 impl RunSummary {
@@ -107,26 +131,27 @@ impl RunSummary {
     /// `burst_start` anchors `max c(i)`; response time and stretch are
     /// anchored to each call's own release time so they need no shifting.
     /// One traversal of `outcomes` fills the response times, the stretches
-    /// and `max c(i)`; each metric is then summarised by selection
-    /// ([`Summary::from_data`]), not by sorting.
+    /// and `max c(i)`; each metric is then summarised by selection in the
+    /// vector just filled, not by sorting.
     pub fn from_outcomes(
         outcomes: &[&CallOutcome],
         catalogue: &Catalogue,
         burst_start: SimTime,
     ) -> RunSummary {
         assert!(!outcomes.is_empty(), "summary of zero calls");
+        let references = reference_secs(catalogue);
         let mut resp = Vec::with_capacity(outcomes.len());
         let mut st = Vec::with_capacity(outcomes.len());
         let mut max_completion = 0.0f64;
         for o in outcomes {
             resp.push(o.response_time().as_secs_f64());
-            st.push(o.stretch(catalogue.spec(o.func).stretch_reference()));
+            st.push(o.stretch_secs(references[o.func.index()]));
             max_completion =
                 max_completion.max(o.completion.saturating_since(burst_start).as_secs_f64());
         }
         RunSummary {
-            response: MetricSummary::from_values(&resp),
-            stretch: MetricSummary::from_values(&st),
+            response: MetricSummary::from_vec(resp),
+            stretch: MetricSummary::from_vec(st),
             max_completion,
         }
     }
@@ -174,7 +199,8 @@ pub struct RobustnessSummary {
 impl RobustnessSummary {
     /// Summarise the delivered measured calls plus the drop/fault
     /// counters of one run. Only the p99 of the response times is
-    /// selected ([`percentile`]); no other statistic is computed.
+    /// selected, in the vector of response times built here; no other
+    /// statistic is computed.
     pub fn from_outcomes(
         outcomes: &[&CallOutcome],
         dropped: usize,
@@ -186,7 +212,8 @@ impl RobustnessSummary {
         let p99_response = if delivered == 0 {
             0.0
         } else {
-            percentile(&response_times(outcomes), 0.99)
+            let [p99] = select_percentiles(response_times(outcomes), [0.99]);
+            p99
         };
         RobustnessSummary {
             delivered,

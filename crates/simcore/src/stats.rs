@@ -7,17 +7,22 @@
 //!
 //! Every percentile is the linear-interpolation estimator of
 //! [`percentile_sorted`]: quantile `q` of `n` values reads the order
-//! statistics at ranks `lo = floor(q(n-1))` and `lo + 1`. [`Summary`],
-//! [`BoxPlot`] and [`percentile`] find exactly those ranks by selection
-//! (Hoare's FIND; Floyd & Rivest, CACM 1975) instead of sorting: one copy of
-//! the data, then nested `select_nth_unstable` calls, each running inside
-//! the part of the slice the previous one left, in expected O(n) total.
-//! Minimum and maximum are the ranks `0` and `n - 1` of the same selection.
-//! An order statistic is one value whatever order the input came in, so
-//! the results equal the sorted path bit for bit (one exception: a tie
-//! between `-0.0` and `0.0` may come out with either sign). Means are the
-//! [`compensated_sum`] in input order. [`sorted_copy`] and
-//! [`percentile_sorted`] remain as the reference estimator.
+//! statistics at ranks `lo = floor(q(n-1))` and `lo + 1`. One selection
+//! helper, [`select_percentiles`], finds exactly the ranks its caller
+//! reports by selection (Hoare's FIND; Floyd & Rivest, CACM 1975) instead of
+//! sorting: nested `select_nth_unstable` calls, each running inside the part
+//! of the slice the previous one left, in expected O(n) total, over integer
+//! keys in `f64::total_cmp` order (one integer comparison each). It consumes
+//! the buffer it is given: [`Summary`], [`BoxPlot`] and [`percentile`] give
+//! it one copy of their data, and a caller that has just built a buffer it
+//! no longer needs (the metrics crate's `MetricSummary`) gives it that
+//! buffer. Minimum and maximum are the ranks `0` and `n - 1` of the same
+//! selection. An order statistic is one value whatever order the input
+//! came in, so the results equal the sorted path bit for bit (one
+//! exception: a tie between `-0.0` and `0.0` may come out with either
+//! sign). Means are the [`compensated_sum`] in input order.
+//! [`sorted_copy`] and [`percentile_sorted`] remain as the reference
+//! estimator.
 
 use serde::{Deserialize, Serialize};
 
@@ -31,13 +36,13 @@ fn position(n: usize, q: f64) -> (usize, f64) {
     (lo, pos - lo as f64)
 }
 
-/// The estimate from the values at ranks `lo` and (when `frac > 0`)
-/// `lo + 1` of `v`, which must hold those order statistics.
-fn interpolate(v: &[f64], (lo, frac): (usize, f64)) -> f64 {
+/// The estimate from the order statistics at ranks `lo` and (when
+/// `frac > 0`) `lo + 1`, as `at(rank)` reads them.
+fn interpolate(at: impl Fn(usize) -> f64, (lo, frac): (usize, f64)) -> f64 {
     if frac == 0.0 {
-        v[lo]
+        at(lo)
     } else {
-        v[lo] * (1.0 - frac) + v[lo + 1] * frac
+        at(lo) * (1.0 - frac) + at(lo + 1) * frac
     }
 }
 
@@ -46,29 +51,37 @@ fn interpolate(v: &[f64], (lo, frac): (usize, f64)) -> f64 {
 ///
 /// `q` is in `[0, 1]`. Panics on an empty slice.
 pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
-    interpolate(sorted, position(sorted.len(), q))
+    interpolate(|rank| sorted[rank], position(sorted.len(), q))
 }
 
-/// Copy the data, rejecting NaNs with a panic because they always indicate
-/// an upstream modelling bug.
-fn checked_copy(data: &[f64]) -> Vec<f64> {
+/// Panic on a NaN: it always indicates an upstream modelling bug.
+fn reject_nan(data: &[f64]) {
     assert!(
         !data.iter().any(|x| x.is_nan()),
         "statistics input contained NaN"
     );
-    data.to_vec()
 }
 
 /// Sort a copy of the data and return it; NaNs are rejected with a panic
 /// because they always indicate an upstream modelling bug.
 pub fn sorted_copy(data: &[f64]) -> Vec<f64> {
-    let mut v = checked_copy(data);
-    v.sort_by(|a, b| a.partial_cmp(b).expect("NaN was rejected by the copy"));
+    reject_nan(data);
+    let mut v = data.to_vec();
+    v.sort_by(|a, b| a.partial_cmp(b).expect("NaN was rejected above"));
     v
+}
+
+/// Map `f64` bits to bits whose signed-integer order is `f64::total_cmp`'s
+/// order: negative values get their magnitude bits flipped. The map is its
+/// own inverse.
+fn flip_order(bits: u64) -> u64 {
+    bits ^ (((bits as i64 >> 63) as u64) >> 1)
 }
 
 /// Move the order statistic of every rank in `ranks` (ascending, distinct,
 /// relative to the whole slice; `v` starts at rank `offset`) to its index.
+/// `v` holds [`flip_order`]ed bits, so each comparison is one integer
+/// comparison.
 ///
 /// Each selection runs inside the part the previous one left: the first
 /// rank at or past the middle of `v` (else the last) splits it, the ranks
@@ -76,22 +89,28 @@ pub fn sorted_copy(data: &[f64]) -> Vec<f64> {
 /// at either end of its part (an interpolation partner `lo + 1`, the
 /// minimum, the maximum) costs one scan: `select_nth_unstable` places a
 /// part's first or last element by a minimum or maximum search.
-fn select_ranks(v: &mut [f64], offset: usize, ranks: &[usize]) {
+fn select_ranks(v: &mut [u64], offset: usize, ranks: &[usize]) {
     if ranks.is_empty() {
         return;
     }
     let mid = ranks
         .partition_point(|&r| r < offset + v.len() / 2)
         .min(ranks.len() - 1);
-    let (left, _, right) = v.select_nth_unstable_by(ranks[mid] - offset, f64::total_cmp);
+    let (left, _, right) = v.select_nth_unstable_by_key(ranks[mid] - offset, |&b| b as i64);
     select_ranks(left, offset, &ranks[..mid]);
     select_ranks(right, ranks[mid] + 1, &ranks[mid + 1..]);
 }
 
-/// The estimator at each of `qs`, selecting only the ranks it reads.
-/// Reorders `v` (which must be non-empty and NaN-free).
-fn select_quantiles<const K: usize>(v: &mut [f64], qs: [f64; K]) -> [f64; K] {
-    let reads = qs.map(|q| position(v.len(), q));
+/// [`percentile_sorted`]'s estimator at each of `qs`, selecting in
+/// `values` only the ranks it reads (see the module docs), in expected
+/// O(n). `values` is consumed as the selection's scratch (its allocation
+/// is reused). The results equal sorting the values and reading each
+/// quantile bit for bit, except that a tie between `-0.0` and `0.0` may
+/// come out with either sign. Every `q` is in `[0, 1]`. Panics on empty
+/// input or NaNs.
+pub fn select_percentiles<const K: usize>(values: Vec<f64>, qs: [f64; K]) -> [f64; K] {
+    reject_nan(&values);
+    let reads = qs.map(|q| position(values.len(), q));
     let mut ranks: Vec<usize> = reads
         .iter()
         .flat_map(|&(lo, frac)| [Some(lo), (frac > 0.0).then_some(lo + 1)])
@@ -99,20 +118,24 @@ fn select_quantiles<const K: usize>(v: &mut [f64], qs: [f64; K]) -> [f64; K] {
         .collect();
     ranks.sort_unstable();
     ranks.dedup();
-    select_ranks(v, 0, &ranks);
-    reads.map(|read| interpolate(v, read))
+    let mut keys: Vec<u64> = values
+        .into_iter()
+        .map(|x| flip_order(x.to_bits()))
+        .collect();
+    select_ranks(&mut keys, 0, &ranks);
+    reads.map(|read| interpolate(|rank| f64::from_bits(flip_order(keys[rank])), read))
 }
 
 /// Linear-interpolation percentile ([`percentile_sorted`]'s estimator) of
 /// unsorted data, for callers that need a single quantile.
 ///
 /// Copies the data once and selects the one or two order statistics the
-/// estimator reads, in expected O(n); the result equals
+/// estimator reads ([`select_percentiles`]); the result equals
 /// `percentile_sorted(&sorted_copy(data), q)` bit for bit, except that a
 /// tie between `-0.0` and `0.0` may come out with either sign. `q` is in
 /// `[0, 1]`. Panics on empty input or NaNs.
 pub fn percentile(data: &[f64], q: f64) -> f64 {
-    let [p] = select_quantiles(&mut checked_copy(data), [q]);
+    let [p] = select_percentiles(data.to_vec(), [q]);
     p
 }
 
@@ -209,9 +232,8 @@ impl Summary {
     /// Compute a summary from unsorted data. Panics on empty input or NaNs.
     pub fn from_data(data: &[f64]) -> Summary {
         assert!(!data.is_empty(), "summary of empty data");
-        let mut v = checked_copy(data);
         let [min, p25, p50, p75, p95, p99, max] =
-            select_quantiles(&mut v, [0.0, 0.25, 0.50, 0.75, 0.95, 0.99, 1.0]);
+            select_percentiles(data.to_vec(), [0.0, 0.25, 0.50, 0.75, 0.95, 0.99, 1.0]);
         Summary {
             count: data.len(),
             mean: mean(data),
@@ -240,9 +262,9 @@ impl Summary {
 /// The hinges and median are [`percentile_sorted`]'s estimator, found by
 /// selection in one copy of the data (expected O(n), see the module docs),
 /// so they equal the sorted path's bit for bit. The same selection yields
-/// the data's extremes; a fence with observations on both sides costs one
-/// filtered scan for its whisker, and one counting pass finds the
-/// outliers. The mean is the [`compensated_sum`] in input order.
+/// the data's extremes; one pass after it finds both whiskers and counts
+/// the outliers (a whisker collapsed onto its hinge costs a second count).
+/// The mean is the [`compensated_sum`] in input order.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BoxPlot {
     /// Lower whisker: smallest observation ≥ `p25 - 1.5*IQR`.
@@ -266,39 +288,54 @@ impl BoxPlot {
     /// input or NaNs.
     pub fn from_data(data: &[f64]) -> BoxPlot {
         assert!(!data.is_empty(), "boxplot of empty data");
-        let mut v = checked_copy(data);
-        let [min, p25, median, p75, max] = select_quantiles(&mut v, [0.0, 0.25, 0.50, 0.75, 1.0]);
+        let [min, p25, median, p75, max] =
+            select_percentiles(data.to_vec(), [0.0, 0.25, 0.50, 0.75, 1.0]);
         let iqr = p75 - p25;
         let lo_fence = p25 - 1.5 * iqr;
         let hi_fence = p75 + 1.5 * iqr;
-        // Most extreme data points within the fences, clamped to the hinges
-        // (with sparse data no observation may fall between fence and the
-        // interpolated hinge; the whisker then collapses onto the hinge).
-        // Only a fence with data on both sides needs a scan; otherwise the
-        // answer is the data's extreme (also the fallback when no
-        // observation is inside a fence).
-        let whisker_lo = if min < lo_fence && max >= lo_fence {
-            v.iter()
-                .copied()
-                .filter(|&x| x >= lo_fence)
-                .fold(max, f64::min)
-        } else {
-            min
+        // One pass finds the innermost observation inside each fence and
+        // counts the observations beyond it (a NaN fence, from infinite
+        // hinges, is never scanned below).
+        let (mut inside_lo, mut inside_hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        let (mut below_fence, mut above_fence) = (0usize, 0usize);
+        for &x in data {
+            if x >= lo_fence {
+                inside_lo = inside_lo.min(x);
+            } else {
+                below_fence += 1;
+            }
+            if x <= hi_fence {
+                inside_hi = inside_hi.max(x);
+            } else {
+                above_fence += 1;
+            }
         }
-        .min(p25);
-        let whisker_hi = if max > hi_fence && min <= hi_fence {
-            v.iter()
-                .copied()
-                .filter(|&x| x <= hi_fence)
-                .fold(min, f64::max)
+        // A whisker is the innermost observation inside its fence when the
+        // fence has data on both sides, else the data's extreme (with no
+        // observation beyond it), clamped to its hinge.
+        let (lo, beyond_lo) = if min < lo_fence && max >= lo_fence {
+            (inside_lo, below_fence)
         } else {
-            max
-        }
-        .max(p75);
-        let outliers = v
-            .iter()
-            .filter(|&&x| x < whisker_lo || x > whisker_hi)
-            .count();
+            (min, 0)
+        };
+        let (hi, beyond_hi) = if max > hi_fence && min <= hi_fence {
+            (inside_hi, above_fence)
+        } else {
+            (max, 0)
+        };
+        let whisker_lo = lo.min(p25);
+        let whisker_hi = hi.max(p75);
+        // With sparse data no observation may fall between a fence and the
+        // interpolated hinge, and the whisker collapses onto the hinge;
+        // rounding can even leave p25 an ulp above p75 on tied data. Only
+        // then do the outliers take a counting pass of their own.
+        let outliers = if whisker_lo == lo && whisker_hi == hi && whisker_lo <= whisker_hi {
+            beyond_lo + beyond_hi
+        } else {
+            data.iter()
+                .filter(|&&x| x < whisker_lo || x > whisker_hi)
+                .count()
+        };
         BoxPlot {
             whisker_lo,
             p25,

@@ -221,6 +221,22 @@ impl SyntheticTrace {
         // re-searching per segment.
         let mut sw_cursor = vec![0usize; nf];
         let boost = spec.burst.map_or(1.0, |b| b.rate_boost);
+        // Each function's mean rate times its diurnal factor at the middle
+        // of each diurnal segment, row `dseg`: many profile segments share
+        // one diurnal segment, so each sine is evaluated once.
+        let segs = spec.diurnal_segments as usize;
+        let diurnal_rates: Vec<f64> = (0..segs)
+            .flat_map(|dseg| {
+                let dmid = (dseg as f64 + 0.5) / spec.diurnal_segments as f64;
+                let (phases, mean_rates) = (&phases, &mean_rates);
+                (0..nf).map(move |f| {
+                    let diurnal = 1.0
+                        + spec.diurnal_amplitude
+                            * (std::f64::consts::TAU * (dmid + phases[f])).sin();
+                    mean_rates[f] * diurnal.max(0.0)
+                })
+            })
+            .collect();
         for w in bounds.windows(2) {
             let (a, b) = (w[0], w[1]);
             let len = b - a;
@@ -229,8 +245,8 @@ impl SyntheticTrace {
             }
             let mid = a + len / 2.0;
             let dseg = ((mid / window) * spec.diurnal_segments as f64) as usize;
-            let dseg = dseg.min(spec.diurnal_segments as usize - 1);
-            let dmid = (dseg as f64 + 0.5) / spec.diurnal_segments as f64;
+            let dseg = dseg.min(segs - 1);
+            let rates = &diurnal_rates[dseg * nf..(dseg + 1) * nf];
             let mut total = 0.0;
             let row_base = fn_cdf.len();
             for f in 0..nf {
@@ -240,9 +256,7 @@ impl SyntheticTrace {
                     sw_cursor[f] += 1;
                 }
                 let on = mmpp_init[f] ^ (sw_cursor[f] % 2 == 1);
-                let diurnal = 1.0
-                    + spec.diurnal_amplitude * (std::f64::consts::TAU * (dmid + phases[f])).sin();
-                let rate = mean_rates[f] * diurnal.max(0.0) * if on { boost } else { 1.0 };
+                let rate = rates[f] * if on { boost } else { 1.0 };
                 total += rate;
                 fn_cdf.push(total);
             }

@@ -137,9 +137,14 @@ impl CallOutcome {
     /// Stretch `S(i) = R(i) / reference`, where the reference is the
     /// function's median idle-system response time (§V-A).
     pub fn stretch(&self, reference: SimDuration) -> f64 {
-        let reference = reference.as_secs_f64();
-        assert!(reference > 0.0, "stretch reference must be positive");
-        self.response_time().as_secs_f64() / reference
+        self.stretch_secs(reference.as_secs_f64())
+    }
+
+    /// [`CallOutcome::stretch`] against a reference already in seconds,
+    /// for callers that convert each function's reference once.
+    pub fn stretch_secs(&self, reference_secs: f64) -> f64 {
+        assert!(reference_secs > 0.0, "stretch reference must be positive");
+        self.response_time().as_secs_f64() / reference_secs
     }
 
     /// Queueing delay at the invoker: time between arrival at the invoker

@@ -1,7 +1,10 @@
 //! Property-based tests (proptest) on the core data structures and
 //! cross-crate invariants.
 
-use faas_scheduling::core::{PendingQueue, Policy, SchedulerConfig, SchedulerState};
+use faas_scheduling::core::policy::{priority, PriorityInputs};
+use faas_scheduling::core::{
+    FcCountMode, PendingQueue, Policy, ProcTimeEstimator, SchedulerConfig, SchedulerState,
+};
 use faas_scheduling::cpu::{GpsCpu, GpsParams};
 use faas_scheduling::metrics::summary::{
     response_times, stretches, FaultCounts, MetricSummary, RobustnessSummary, RunSummary,
@@ -96,6 +99,11 @@ fn reference_metric(values: &[f64]) -> MetricSummary {
 /// Selection must equal the sorted path on `data` for every summary.
 fn assert_selection_matches_sorting(data: &[f64], q: f64) {
     assert_same_bits(&Summary::from_data(data), &reference_summary(data), data);
+    assert_same_bits(
+        &MetricSummary::from_values(data),
+        &reference_metric(data),
+        data,
+    );
     assert_same_bits(&BoxPlot::from_data(data), &reference_boxplot(data), data);
     let sorted = sorted_copy(data);
     for q in [q, 0.0, 0.05, 0.5, 0.99, 1.0] {
@@ -123,6 +131,51 @@ fn stats_data() -> impl Strategy<Value = Vec<f64>> {
         prop::collection::vec(heavy, 1..301),
         prop::collection::vec(-1e6f64..1e6, 1..3),
     ]
+}
+
+/// The scheduler history as it was kept before each policy recorded only
+/// what it reads: every receive and every completion of every function,
+/// whatever the policy, with the window count taken over the full logs.
+struct FullHistory {
+    config: SchedulerConfig,
+    estimator: ProcTimeEstimator,
+    receives: Vec<Vec<SimTime>>,
+    completions: Vec<Vec<SimTime>>,
+}
+
+impl FullHistory {
+    fn new(num_functions: usize, config: SchedulerConfig) -> Self {
+        FullHistory {
+            config,
+            estimator: ProcTimeEstimator::with_window(num_functions, config.estimate_window),
+            receives: vec![Vec::new(); num_functions],
+            completions: vec![Vec::new(); num_functions],
+        }
+    }
+
+    fn on_receive(&mut self, func: FuncId, received: SimTime) -> f64 {
+        let prev_received = self.receives[func.index()].last().copied();
+        self.receives[func.index()].push(received);
+        let log = match self.config.fc_count_mode {
+            FcCountMode::Arrivals => &self.receives[func.index()],
+            FcCountMode::Completions => &self.completions[func.index()],
+        };
+        let cutoff = received
+            .as_nanos()
+            .saturating_sub(self.config.fc_window.as_nanos());
+        let inputs = PriorityInputs {
+            received,
+            expected_processing: self.estimator.estimate_secs(func),
+            prev_received,
+            recent_count: log.iter().filter(|t| t.as_nanos() >= cutoff).count(),
+        };
+        priority(self.config.policy, &inputs)
+    }
+
+    fn on_complete(&mut self, func: FuncId, processing: SimDuration, now: SimTime) {
+        self.estimator.record(func, processing);
+        self.completions[func.index()].push(now);
+    }
 }
 
 fn outcome(func: u16, release_ms: u64, resp_ms: u64) -> CallOutcome {
@@ -426,6 +479,63 @@ proptest! {
                 let p = state.on_receive(func, t);
                 prop_assert!(p.is_finite(), "{policy:?} produced {p}");
                 prop_assert!(p >= 0.0, "{policy:?} produced negative {p}");
+            }
+        }
+    }
+}
+
+proptest! {
+    /// A scheduler that keeps only the history its policy reads gives every
+    /// call the priority a scheduler logging every receive and completion
+    /// gives it: every policy, both Fair-Choice counts, three functions,
+    /// and time steps that put earlier calls exactly on, one nanosecond
+    /// inside and one nanosecond outside the 60 s window's cutoff.
+    #[test]
+    fn scheduler_priorities_match_a_full_history_reference(
+        policy_idx in 0usize..5,
+        count_completions in any::<bool>(),
+        events in prop::collection::vec(
+            (
+                0u16..3,
+                any::<bool>(),
+                prop::sample::select(vec![
+                    0u64,
+                    1,
+                    1_000_000,
+                    20_000_000_000,
+                    30_000_000_000,
+                    59_999_999_999,
+                    60_000_000_000,
+                    60_000_000_001,
+                    120_000_000_000,
+                ]),
+                1u64..5_000,
+            ),
+            1..300,
+        )
+    ) {
+        let config = SchedulerConfig {
+            fc_count_mode: if count_completions {
+                FcCountMode::Completions
+            } else {
+                FcCountMode::Arrivals
+            },
+            ..SchedulerConfig::paper(Policy::ALL[policy_idx])
+        };
+        let mut state = SchedulerState::new(3, config);
+        let mut reference = FullHistory::new(3, config);
+        let mut t = SimTime::ZERO;
+        for &(func, receive, step_ns, processing_ms) in &events {
+            t = SimTime::from_nanos(t.as_nanos() + step_ns);
+            let func = FuncId(func);
+            if receive {
+                let got = state.on_receive(func, t);
+                let want = reference.on_receive(func, t);
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "{:?} at {:?}", config, t);
+            } else {
+                let processing = SimDuration::from_millis(processing_ms);
+                state.on_complete(func, processing, t);
+                reference.on_complete(func, processing, t);
             }
         }
     }
