@@ -32,8 +32,10 @@
 //! }
 //! ```
 //!
-//! Routing (steps 1–2) sees the [`NodeProgress`] snapshots of the previous
-//! barrier plus the calls it has routed since — a stale-by-at-most-one-
+//! Step 1 routes every arrival through one [`Router`], whatever the
+//! balancer; step 2 places each handoff by `failover_target`. Both see
+//! the [`NodeProgress`] snapshots of the previous
+//! barrier plus the calls routed since — a stale-by-at-most-one-
 //! window view, exactly the staleness a real controller's health polling
 //! has. Step 3 is the only section that may run in parallel, and each
 //! node's simulator is self-contained, so the run is a pure function of
@@ -99,47 +101,13 @@
 //! attempt counter carries across nodes: a policy of `n` attempts spends
 //! `n` attempts cluster-wide.
 
-use crate::lb::{hash_rotation, FeedbackRouter, LoadBalancer, NodeView};
+use crate::lb::{NodeView, Router};
 use crate::trace_run::Run;
 use faas_invoker::{Handoff, NodeResult, NodeSim};
 use faas_simcore::time::SimTime;
-use faas_workload::sebs::FuncId;
 use faas_workload::trace::Call;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::resume_unwind;
-
-/// How the window loop routes each arrival.
-enum Routing {
-    /// Round-robin over generation indices: the call's id strides the
-    /// nodes ([`Call::stride_node`]).
-    Stride,
-    /// Function-hash rotation counters, advanced in arrival order
-    /// ([`hash_rotation`]).
-    Hash(BTreeMap<FuncId, u64>),
-    /// Feedback policy routing on barrier snapshots.
-    Feedback(FeedbackRouter),
-}
-
-impl Routing {
-    /// The routing `lb` applies to arrivals whose ids are their
-    /// generation (or trace) indices.
-    fn of(lb: LoadBalancer) -> Routing {
-        match lb {
-            LoadBalancer::RoundRobin => Routing::Stride,
-            LoadBalancer::FunctionHash => Routing::Hash(BTreeMap::new()),
-            _ => Routing::Feedback(FeedbackRouter::new(lb)),
-        }
-    }
-
-    fn route(&mut self, call: &Call, views: &[NodeView]) -> usize {
-        let nodes = views.len() as u16;
-        (match self {
-            Routing::Stride => call.stride_node(nodes),
-            Routing::Hash(counters) => hash_rotation(counters, call.func, nodes),
-            Routing::Feedback(router) => router.route(views),
-        }) as usize
-    }
-}
 
 /// Pick the failover target: least-loaded healthy node, lowest index on
 /// ties, preferring nodes other than the one the attempt failed on. With
@@ -298,7 +266,7 @@ pub(crate) fn coupled_engine(
     run: &Run,
 ) -> (Vec<NodeResult>, Windows) {
     let (lookahead, chunk) = (run.cfg.lookahead.width(), run.chunk);
-    let mut routing = Routing::of(run.cfg.lb);
+    let mut router = Router::new(run.cfg.lb);
     let mut arrivals = arrivals.peekable();
     let threads = run.threads.clamp(1, nodes.len());
     // Chunk k holds nodes[bounds[k]..bounds[k + 1]]; chunk 0 is the
@@ -329,7 +297,7 @@ pub(crate) fn coupled_engine(
             let Some(call) = arrivals.next_if(|c| c.release <= horizon) else {
                 break;
             };
-            let node = routing.route(&call, &views);
+            let node = router.route(&call, &views) as usize;
             views[node].backlog += 1;
             work[node].batch.push(call);
         }
@@ -380,6 +348,7 @@ pub(crate) fn coupled_engine(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lb::LoadBalancer;
     use crate::sim::{ClusterConfig, ClusterScenario};
     use crate::trace_run::Arrivals;
     use faas_core::{Policy, SchedulerConfig};

@@ -9,6 +9,7 @@
 //!
 //! # Static vs feedback policies
 //!
+//! One [`Router`] routes every call under every policy.
 //! [`LoadBalancer::RoundRobin`] and [`LoadBalancer::FunctionHash`] are
 //! *static*: the assignment is a pure function of the call sequence, so it
 //! is the same however the engine windows the arrivals. Round-robin strides
@@ -22,7 +23,7 @@
 //! route on the per-node state the engine observes at each
 //! conservative-window barrier (see `crate::coupled`) — queue depths for
 //! the former pair, `(dominant resource share, backlog)` keys for the
-//! latter — through a [`FeedbackRouter`].
+//! latter.
 //!
 //! Feedback routing is deterministic by construction: every random draw
 //! (tie-breaks, the two probes of power-of-two) is a counter-based
@@ -34,6 +35,7 @@
 
 use faas_simcore::rng::splitmix64;
 use faas_workload::sebs::FuncId;
+use faas_workload::trace::Call;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -112,34 +114,40 @@ pub struct NodeView {
     pub dominant_milli: u32,
 }
 
-/// The routing state of a feedback [`LoadBalancer`]: a decision counter.
-/// Each [`FeedbackRouter::route`] call consumes exactly one counter value,
-/// so the decision sequence is a pure function of `(policy seed, decision
-/// order)` — independent of window widths, shard partitions and thread
-/// counts.
+/// The controller's routing state for one run under any
+/// [`LoadBalancer`] (see the module docs): a decision counter and each
+/// function's rotation counter. Each [`Router::route`] call consumes
+/// exactly one decision counter value, so the decision sequence is a pure
+/// function of `(policy seed, decision order)` — independent of window
+/// widths, shard partitions and thread counts.
 #[derive(Debug, Clone)]
-pub struct FeedbackRouter {
+pub struct Router {
     lb: LoadBalancer,
     decisions: u64,
+    /// Calls of each function routed so far (function hash only).
+    rotations: BTreeMap<FuncId, u64>,
 }
 
-impl FeedbackRouter {
-    /// Build a router for a feedback policy (panics on a static one).
-    pub fn new(lb: LoadBalancer) -> FeedbackRouter {
-        assert!(lb.is_feedback(), "static policies need no feedback router");
-        FeedbackRouter { lb, decisions: 0 }
+impl Router {
+    /// A router for `lb` that has routed nothing yet.
+    pub fn new(lb: LoadBalancer) -> Router {
+        Router {
+            lb,
+            decisions: 0,
+            rotations: BTreeMap::new(),
+        }
     }
 
-    /// Route one call given the per-node views. Dead nodes are skipped
-    /// while any node is alive; with the whole cluster down the call is
-    /// routed as if all were up (like OpenWhisk committing to a down
-    /// invoker's topic — it queues until the restart).
-    pub fn route(&mut self, views: &[NodeView]) -> u16 {
+    /// Route `call` to one of `views.len()` nodes. The static policies
+    /// read only the node count; the feedback policies skip dead nodes
+    /// while any node is alive, and with the whole cluster down route as
+    /// if all were up (like OpenWhisk committing to a down invoker's
+    /// topic — the call queues until the restart).
+    pub fn route(&mut self, call: &Call, views: &[NodeView]) -> u16 {
         assert!(!views.is_empty(), "cluster needs at least one node");
+        let nodes = views.len() as u16;
         let d = self.decisions;
         self.decisions += 1;
-        let any_alive = views.iter().any(|v| v.alive);
-        let candidate = |n: usize| !any_alive || views[n].alive;
         // The dominant policies key on (dominant share, backlog): the share
         // routes around saturated resource axes, the backlog discriminates
         // when shares agree (all idle, or the memory axis unmodeled — then
@@ -153,17 +161,24 @@ impl FeedbackRouter {
             let v = &views[n as usize];
             (if dominant { v.dominant_milli } else { 0 }, v.backlog)
         };
-        let candidates = (0..views.len()).filter(|&n| candidate(n)).map(|n| n as u16);
         match self.lb {
+            LoadBalancer::RoundRobin => call.stride_node(nodes),
+            LoadBalancer::FunctionHash => {
+                let k = self.rotations.entry(call.func).or_insert(0);
+                let node = (home_node(call.func, nodes) as u64 + *k) % nodes as u64;
+                *k += 1;
+                node as u16
+            }
             LoadBalancer::JoinShortestQueue { seed }
             | LoadBalancer::JoinShortestDominant { seed } => {
+                let candidates = candidates(views);
                 let best = candidates.clone().map(key).min().expect("a candidate");
                 let ties: Vec<u16> = candidates.filter(|&n| key(n) == best).collect();
                 ties[(splitmix64(&mut (seed ^ d)) % ties.len() as u64) as usize]
             }
             LoadBalancer::PowerOfTwoChoices { seed }
             | LoadBalancer::PowerOfTwoDominant { seed } => {
-                let alive: Vec<u16> = candidates.collect();
+                let alive: Vec<u16> = candidates(views).collect();
                 let r = splitmix64(&mut (seed ^ d));
                 // Two probes from one draw (independent halves).
                 let a = alive[(r as u32 as u64 % alive.len() as u64) as usize];
@@ -176,19 +191,17 @@ impl FeedbackRouter {
                     b
                 }
             }
-            _ => unreachable!("checked in new()"),
         }
     }
 }
 
-/// Route one call under [`LoadBalancer::FunctionHash`]: per-function
-/// rotation seeded at the function's home node, `counters` holding the
-/// calls of each function routed so far.
-pub(crate) fn hash_rotation(counters: &mut BTreeMap<FuncId, u64>, func: FuncId, nodes: u16) -> u16 {
-    let counter = counters.entry(func).or_insert(0);
-    let node = (home_node(func, nodes) as u64 + *counter) % nodes as u64;
-    *counter += 1;
-    node as u16
+/// The nodes a feedback policy may pick: the live ones, or every node
+/// when none is alive.
+fn candidates(views: &[NodeView]) -> impl Iterator<Item = u16> + Clone + '_ {
+    let any_alive = views.iter().any(|v| v.alive);
+    (0..views.len())
+        .filter(move |&n| !any_alive || views[n].alive)
+        .map(|n| n as u16)
 }
 
 /// The home worker of a function under [`LoadBalancer::FunctionHash`].
@@ -217,18 +230,24 @@ mod tests {
             .collect()
     }
 
-    /// Route `cs` in arrival order the way the window engine routes a
-    /// static policy: round-robin strides the call ids, function hash
-    /// rotates each function from its home node.
+    /// An idle, live node.
+    const IDLE: NodeView = NodeView {
+        backlog: 0,
+        alive: true,
+        dominant_milli: 0,
+    };
+
+    /// Route `cs` in arrival order over `nodes` idle nodes.
     fn route(lb: LoadBalancer, cs: &[Call], nodes: u16) -> Vec<u16> {
-        let mut counters = BTreeMap::new();
-        cs.iter()
-            .map(|call| match lb {
-                LoadBalancer::RoundRobin => call.stride_node(nodes),
-                LoadBalancer::FunctionHash => hash_rotation(&mut counters, call.func, nodes),
-                _ => unreachable!("feedback policies route on node views"),
-            })
-            .collect()
+        let mut router = Router::new(lb);
+        let views = vec![IDLE; nodes as usize];
+        cs.iter().map(|call| router.route(call, &views)).collect()
+    }
+
+    /// The call a feedback decision routes: feedback policies read only
+    /// the views.
+    fn any_call() -> Call {
+        calls(1)[0]
     }
 
     #[test]
@@ -352,14 +371,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no feedback router")]
-    fn static_policies_refuse_a_router() {
-        FeedbackRouter::new(LoadBalancer::RoundRobin);
-    }
-
-    #[test]
     fn jsq_routes_to_the_least_loaded_node() {
-        let mut router = FeedbackRouter::new(LoadBalancer::JoinShortestQueue { seed: 9 });
+        let mut router = Router::new(LoadBalancer::JoinShortestQueue { seed: 9 });
         let views = [
             NodeView {
                 backlog: 4,
@@ -378,7 +391,7 @@ mod tests {
             },
         ];
         for _ in 0..10 {
-            assert_eq!(router.route(&views), 1);
+            assert_eq!(router.route(&any_call(), &views), 1);
         }
     }
 
@@ -404,12 +417,12 @@ mod tests {
                 dominant_milli: 700,
             },
         ];
-        let mut dominant = FeedbackRouter::new(LoadBalancer::JoinShortestDominant { seed: 9 });
+        let mut dominant = Router::new(LoadBalancer::JoinShortestDominant { seed: 9 });
         for _ in 0..10 {
-            assert_eq!(dominant.route(&views), 0);
+            assert_eq!(dominant.route(&any_call(), &views), 0);
         }
-        let mut jsq = FeedbackRouter::new(LoadBalancer::JoinShortestQueue { seed: 9 });
-        assert_eq!(jsq.route(&views), 1);
+        let mut jsq = Router::new(LoadBalancer::JoinShortestQueue { seed: 9 });
+        assert_eq!(jsq.route(&any_call(), &views), 1);
     }
 
     #[test]
@@ -434,10 +447,13 @@ mod tests {
                 dominant_milli: 0,
             },
         ];
-        let mut dominant = FeedbackRouter::new(LoadBalancer::JoinShortestDominant { seed: 5 });
-        let mut jsq = FeedbackRouter::new(LoadBalancer::JoinShortestQueue { seed: 5 });
+        let mut dominant = Router::new(LoadBalancer::JoinShortestDominant { seed: 5 });
+        let mut jsq = Router::new(LoadBalancer::JoinShortestQueue { seed: 5 });
         for _ in 0..32 {
-            assert_eq!(dominant.route(&views), jsq.route(&views));
+            assert_eq!(
+                dominant.route(&any_call(), &views),
+                jsq.route(&any_call(), &views)
+            );
         }
     }
 
@@ -459,15 +475,19 @@ mod tests {
                 dominant_milli: 900,
             },
         ];
-        let mut router = FeedbackRouter::new(LoadBalancer::PowerOfTwoDominant { seed: 3 });
+        let mut router = Router::new(LoadBalancer::PowerOfTwoDominant { seed: 3 });
         let rounds = 256;
-        let to_zero = (0..rounds).filter(|_| router.route(&views) == 0).count();
+        let to_zero = (0..rounds)
+            .filter(|_| router.route(&any_call(), &views) == 0)
+            .count();
         assert!(
             to_zero > rounds / 2,
             "node 0 won only {to_zero} of {rounds} draws"
         );
-        let mut backlog = FeedbackRouter::new(LoadBalancer::PowerOfTwoChoices { seed: 3 });
-        let to_one = (0..rounds).filter(|_| backlog.route(&views) == 1).count();
+        let mut backlog = Router::new(LoadBalancer::PowerOfTwoChoices { seed: 3 });
+        let to_one = (0..rounds)
+            .filter(|_| backlog.route(&any_call(), &views) == 1)
+            .count();
         assert!(to_one > rounds / 2, "backlog P2C must prefer node 1");
     }
 
@@ -486,8 +506,8 @@ mod tests {
             LoadBalancer::JoinShortestDominant { seed: 2 },
             LoadBalancer::PowerOfTwoDominant { seed: 2 },
         ] {
-            let mut router = FeedbackRouter::new(lb);
-            let n = router.route(&views);
+            let mut router = Router::new(lb);
+            let n = router.route(&any_call(), &views);
             assert!(n < 3);
         }
     }

@@ -9,7 +9,8 @@
 //! manages its own container pool and queue — so under a *static* routing
 //! policy every node runs as if alone; feedback policies
 //! ([`lb::LoadBalancer::JoinShortestQueue`] and its kin) and cross-node
-//! failover couple the nodes through the controller. One engine runs both:
+//! failover couple the nodes through the controller. One
+//! [`lb::Router`] routes under every policy, and one engine runs both:
 //! the [`coupled`] window loop advances every node's resumable simulator in
 //! conservative lock-step windows of width [`sim::ClusterConfig::lookahead`]
 //! and routes at most one ingestion chunk per window (see the [`coupled`]
@@ -34,6 +35,6 @@ pub mod lb;
 pub mod sim;
 pub mod trace_run;
 
-pub use lb::{FeedbackRouter, LoadBalancer, NodeView};
+pub use lb::{LoadBalancer, NodeView, Router};
 pub use sim::{run_cluster, ClusterConfig, ClusterScenario};
 pub use trace_run::{run_cluster_source, run_cluster_source_per_node};

@@ -292,7 +292,7 @@ impl Iterator for TraceCursor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lb::{hash_rotation, LoadBalancer};
+    use crate::lb::{home_node, LoadBalancer};
     use faas_core::{Policy, SchedulerConfig};
     use faas_invoker::NodeConfig;
     use faas_simcore::time::SimDuration;
@@ -357,10 +357,16 @@ mod tests {
             .expect("synthetic source");
         let synth = SynthSpec::azure(6.0, SimDuration::from_secs(60));
         let trace = SyntheticTrace::new(&synth, &cat, SimTime::ZERO, 11);
-        let mut counters = BTreeMap::new();
+        // A function's `k`-th call goes to `home + k` around the ring.
+        let mut seen = BTreeMap::new();
         let assigned: Vec<(u64, u16)> = trace
             .iter_chunk(0, trace.len())
-            .map(|c| (c.id.0, hash_rotation(&mut counters, c.func, 3)))
+            .map(|c| {
+                let k = seen.entry(c.func).or_insert(0u64);
+                let node = (home_node(c.func, 3) as u64 + *k) % 3;
+                *k += 1;
+                (c.id.0, node as u16)
+            })
             .collect();
         assert_eq!(node_map(&r), assigned);
     }

@@ -1,7 +1,7 @@
 //! Property tests of the cluster layer.
 
 use faas_cluster::lb::home_node;
-use faas_cluster::{FeedbackRouter, LoadBalancer, NodeView};
+use faas_cluster::{LoadBalancer, NodeView, Router};
 use faas_simcore::time::SimTime;
 use faas_workload::sebs::FuncId;
 use faas_workload::trace::{Call, CallId, CallKind};
@@ -18,9 +18,9 @@ fn calls(n: usize, funcs: u16) -> Vec<Call> {
         .collect()
 }
 
-/// The static routing rules the window engine applies: round-robin strides
-/// the call ids, function hash sends a function's `k`-th call to
-/// `home + k` around the ring.
+/// The static routing rules, written out independently of [`Router`]:
+/// round-robin strides the call ids, function hash sends a function's
+/// `k`-th call to `home + k` around the ring.
 fn route(lb: LoadBalancer, cs: &[Call], nodes: u16) -> Vec<u16> {
     let mut seen = std::collections::BTreeMap::new();
     cs.iter()
@@ -38,7 +38,8 @@ fn route(lb: LoadBalancer, cs: &[Call], nodes: u16) -> Vec<u16> {
 
 proptest! {
     /// Both static routing rules produce a total assignment onto valid
-    /// nodes, and per-node loads are near-balanced.
+    /// nodes, per-node loads are near-balanced, and the engine's
+    /// [`Router`] assigns every call as the rules say.
     #[test]
     fn balancers_partition_evenly(
         n in 1usize..500,
@@ -49,6 +50,10 @@ proptest! {
         for lb in [LoadBalancer::RoundRobin, LoadBalancer::FunctionHash] {
             let assign = route(lb, &cs, nodes);
             prop_assert_eq!(assign.len(), n);
+            let mut router = Router::new(lb);
+            let views = vec![NodeView { backlog: 0, alive: true, dominant_milli: 0 }; nodes as usize];
+            let routed: Vec<u16> = cs.iter().map(|call| router.route(call, &views)).collect();
+            prop_assert_eq!(&routed, &assign, "{:?}", lb);
             let mut counts = vec![0usize; nodes as usize];
             for &a in &assign {
                 prop_assert!(a < nodes);
@@ -80,6 +85,12 @@ fn feedback_policies(seed: u64) -> [LoadBalancer; 4] {
         LoadBalancer::JoinShortestDominant { seed },
         LoadBalancer::PowerOfTwoDominant { seed },
     ]
+}
+
+/// The call a feedback decision routes: feedback policies read only the
+/// views.
+fn any_call() -> Call {
+    calls(1, 1)[0]
 }
 
 /// A pseudo-random but deterministic view sequence for the router to react
@@ -116,12 +127,12 @@ proptest! {
         seed in any::<u64>(),
         salt in any::<u64>(),
     ) {
-        let views = view_sequence(len, nodes, salt);
+        let (views, call) = (view_sequence(len, nodes, salt), any_call());
         for lb in feedback_policies(seed) {
-            let mut a = FeedbackRouter::new(lb);
-            let mut b = FeedbackRouter::new(lb);
+            let mut a = Router::new(lb);
+            let mut b = Router::new(lb);
             for v in &views {
-                prop_assert_eq!(a.route(v), b.route(v));
+                prop_assert_eq!(a.route(&call, v), b.route(&call, v));
             }
         }
     }
@@ -139,19 +150,19 @@ proptest! {
         seed in any::<u64>(),
         salt in any::<u64>(),
     ) {
-        let views = view_sequence(len, nodes, salt);
+        let (views, call) = (view_sequence(len, nodes, salt), any_call());
         let split = ((len as f64 * split_frac) as usize).min(len - 1);
         for lb in feedback_policies(seed) {
-            let mut whole = FeedbackRouter::new(lb);
-            let reference: Vec<u16> = views.iter().map(|v| whole.route(v)).collect();
+            let mut whole = Router::new(lb);
+            let reference: Vec<u16> = views.iter().map(|v| whole.route(&call, v)).collect();
 
-            let mut first = FeedbackRouter::new(lb);
+            let mut first = Router::new(lb);
             for v in &views[..split] {
-                first.route(v);
+                first.route(&call, v);
             }
             let mut second = first.clone();
-            let tail_a: Vec<u16> = views[split..].iter().map(|v| first.route(v)).collect();
-            let tail_b: Vec<u16> = views[split..].iter().map(|v| second.route(v)).collect();
+            let tail_a: Vec<u16> = views[split..].iter().map(|v| first.route(&call, v)).collect();
+            let tail_b: Vec<u16> = views[split..].iter().map(|v| second.route(&call, v)).collect();
             prop_assert_eq!(&tail_a, &reference[split..]);
             prop_assert_eq!(&tail_b, &reference[split..]);
         }
@@ -165,11 +176,11 @@ proptest! {
         seed in any::<u64>(),
         salt in any::<u64>(),
     ) {
-        let views = view_sequence(len, nodes, salt);
+        let (views, call) = (view_sequence(len, nodes, salt), any_call());
         for lb in feedback_policies(seed) {
-            let mut router = FeedbackRouter::new(lb);
+            let mut router = Router::new(lb);
             for v in &views {
-                let choice = router.route(v) as usize;
+                let choice = router.route(&call, v) as usize;
                 prop_assert!(choice < nodes);
                 prop_assert!(v[choice].alive);
             }
@@ -186,11 +197,12 @@ proptest! {
     ) {
         let rounds = 2048usize;
         let flat = vec![NodeView { backlog: 3, alive: true, dominant_milli: 250 }; nodes];
+        let call = any_call();
         for lb in feedback_policies(seed) {
-            let mut router = FeedbackRouter::new(lb);
+            let mut router = Router::new(lb);
             let mut counts = vec![0usize; nodes];
             for _ in 0..rounds {
-                counts[router.route(&flat) as usize] += 1;
+                counts[router.route(&call, &flat) as usize] += 1;
             }
             let expect = rounds / nodes;
             for (n, &c) in counts.iter().enumerate() {

@@ -14,7 +14,7 @@
 //! * **Busy-container limit** — the paper pins busy containers to the core
 //!   count and flags the I/O-idle trade-off (§IV-A); we sweep the limit.
 
-use crate::Effort;
+use crate::{pooled, Effort};
 use faas_core::{FcCountMode, Policy, SchedulerConfig};
 use faas_invoker::{simulate_scenario, NodeConfig, NodeMode};
 use faas_metrics::summary::MetricSummary;
@@ -22,7 +22,6 @@ use faas_metrics::table::{fmt_secs, TextTable};
 use faas_simcore::time::SimDuration;
 use faas_workload::scenario::BurstScenario;
 use faas_workload::sebs::Catalogue;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// The mid-grid configuration every ablation runs on.
@@ -47,21 +46,8 @@ pub struct AblationResult {
     pub points: Vec<AblationPoint>,
 }
 
-fn run_config(cfg: SchedulerConfig, node: &NodeConfig, seeds: &[u64]) -> MetricSummary {
-    let catalogue = Catalogue::sebs();
-    let mut pooled = Vec::new();
-    for &seed in seeds {
-        let scenario = BurstScenario::standard(CORES, INTENSITY).generate(&catalogue, seed);
-        let result =
-            simulate_scenario(&catalogue, &scenario, &NodeMode::Scheduled(cfg), node, seed);
-        pooled.extend(result.measured().map(|o| o.response_time().as_secs_f64()));
-    }
-    MetricSummary::from_values(&pooled)
-}
-
 /// Run every ablation.
 pub fn run(effort: Effort) -> AblationResult {
-    let seeds = effort.seed_set();
     let node = NodeConfig::paper(CORES);
 
     // (variant label, policy, scheduler config, node config)
@@ -122,14 +108,23 @@ pub fn run(effort: Effort) -> AblationResult {
         ));
     }
 
-    let points: Vec<AblationPoint> = cases
-        .par_iter()
-        .map(|(variant, policy, cfg, node)| AblationPoint {
+    let catalogue = Catalogue::sebs();
+    let points = pooled(
+        &cases,
+        effort.seed_set(),
+        |(_, _, cfg, node), seed| {
+            let scenario = BurstScenario::standard(CORES, INTENSITY).generate(&catalogue, seed);
+            let mode = NodeMode::Scheduled(*cfg);
+            let result = simulate_scenario(&catalogue, &scenario, &mode, node, seed);
+            let responses = result.measured().map(|o| o.response_time().as_secs_f64());
+            responses.collect::<Vec<f64>>()
+        },
+        |(variant, policy, _, _), runs| AblationPoint {
             variant: variant.clone(),
             policy: policy.name().to_string(),
-            response: run_config(*cfg, node, seeds),
-        })
-        .collect();
+            response: MetricSummary::from_values(&runs.concat()),
+        },
+    );
 
     AblationResult { points }
 }

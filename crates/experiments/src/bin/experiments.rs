@@ -157,18 +157,18 @@ fn main() {
 
 /// Parse `--source synth:RATE` (an Azure-style synthetic trace at a
 /// mean of RATE calls/sec over the paper's 60 s window) or
-/// `--source trace:PATH` (a recorded JSONL trace).
+/// `--source trace:PATH` (a recorded JSONL trace). A rate is usage unless
+/// its expected call count over the window is a finite number that a
+/// trace index (`u64`) can address.
 fn parse_source(spec: &str) -> WorkloadSource {
     if let Some(rate) = spec.strip_prefix("synth:") {
+        let window = SimDuration::from_secs(60);
         let rate = rate
             .parse::<f64>()
             .ok()
-            .filter(|r| r.is_finite() && *r >= 0.0)
+            .filter(|&r| r >= 0.0 && r * window.as_secs_f64() < u64::MAX as f64)
             .unwrap_or_else(|| usage());
-        WorkloadSource::Trace(TraceSpec::Synthetic(SynthSpec::azure(
-            rate,
-            SimDuration::from_secs(60),
-        )))
+        WorkloadSource::Trace(TraceSpec::Synthetic(SynthSpec::azure(rate, window)))
     } else if let Some(path) = spec.strip_prefix("trace:") {
         WorkloadSource::Trace(TraceSpec::Recorded { path: path.into() })
     } else {

@@ -8,13 +8,12 @@
 //! * the FIFO variant's cold starts fall with memory and plateau (at ~zero)
 //!   from 32 GiB, which is why the remaining experiments fix 32 GiB.
 
-use crate::Effort;
+use crate::{pooled, Effort};
 use faas_core::{Policy, SchedulerConfig};
 use faas_invoker::{simulate_scenario, NodeConfig, NodeMode};
 use faas_metrics::table::TextTable;
 use faas_workload::scenario::BurstScenario;
 use faas_workload::sebs::Catalogue;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Memory points of Fig. 2, MiB.
@@ -55,48 +54,48 @@ pub fn run(effort: Effort) -> Fig2Result {
     } else {
         INTENSITIES.to_vec()
     };
-    let seeds = effort.seed_set();
-
     let cases: Vec<(u64, u32)> = memories
         .iter()
         .flat_map(|&m| intensities.iter().map(move |&v| (m, v)))
         .collect();
 
-    let points: Vec<Fig2Point> = cases
-        .par_iter()
-        .map(|&(memory_mb, intensity)| {
-            let mut base_sum = 0.0;
-            let mut fifo_sum = 0.0;
-            for &seed in seeds {
-                let scenario = BurstScenario::standard(10, intensity).generate(&catalogue, seed);
-                let cfg = NodeConfig::paper(10).with_memory_mb(memory_mb);
-                let calls = scenario.all_calls();
-                let base = faas_invoker::simulate_calls(
-                    &catalogue,
-                    &calls,
-                    &NodeMode::Baseline,
-                    &cfg,
-                    seed,
-                    0,
-                );
-                base_sum += base.measured_cold_starts() as f64;
-                let fifo = simulate_scenario(
-                    &catalogue,
-                    &scenario,
-                    &NodeMode::Scheduled(SchedulerConfig::paper(Policy::Fifo)),
-                    &cfg,
-                    seed,
-                );
-                fifo_sum += fifo.measured_cold_starts() as f64;
-            }
+    // Each run counts (baseline, FIFO) measured cold starts.
+    let points = pooled(
+        &cases,
+        effort.seed_set(),
+        |&(memory_mb, intensity), seed| {
+            let scenario = BurstScenario::standard(10, intensity).generate(&catalogue, seed);
+            let cfg = NodeConfig::paper(10).with_memory_mb(memory_mb);
+            let calls = scenario.all_calls();
+            let base = faas_invoker::simulate_calls(
+                &catalogue,
+                &calls,
+                &NodeMode::Baseline,
+                &cfg,
+                seed,
+                0,
+            );
+            let fifo = simulate_scenario(
+                &catalogue,
+                &scenario,
+                &NodeMode::Scheduled(SchedulerConfig::paper(Policy::Fifo)),
+                &cfg,
+                seed,
+            );
+            (base.measured_cold_starts(), fifo.measured_cold_starts())
+        },
+        |&(memory_mb, intensity), runs| {
+            let mean = |pick: fn(&(usize, usize)) -> usize| {
+                runs.iter().map(pick).sum::<usize>() as f64 / runs.len() as f64
+            };
             Fig2Point {
                 memory_mb,
                 intensity,
-                baseline_cold_starts: base_sum / seeds.len() as f64,
-                fifo_cold_starts: fifo_sum / seeds.len() as f64,
+                baseline_cold_starts: mean(|r| r.0),
+                fifo_cold_starts: mean(|r| r.1),
             }
-        })
-        .collect();
+        },
+    );
 
     Fig2Result { points }
 }

@@ -12,7 +12,7 @@
 //!   rises from 22.2 (SEPT) to 25.8 (Fig. 5c).
 
 use crate::grid::{mode_for, STRATEGIES};
-use crate::{Effort, TRACE_CHUNK};
+use crate::{pooled, try_pooled, Effort, TRACE_CHUNK};
 use faas_cluster::{run_cluster_source, ClusterConfig, LoadBalancer};
 use faas_invoker::{simulate_scenario, NodeConfig, NodeResult};
 use faas_metrics::compare::Strategy;
@@ -23,7 +23,6 @@ use faas_workload::scenario::FairnessScenario;
 use faas_workload::sebs::Catalogue;
 use faas_workload::trace::CallOutcome;
 use faas_workload::trace_source::WorkloadSource;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Stretch statistics for one strategy in the three panels of Fig. 5.
@@ -50,21 +49,16 @@ pub struct Fig5Result {
 pub fn run(effort: Effort) -> Fig5Result {
     let catalogue = Catalogue::sebs();
     let scenario_cfg = FairnessScenario::paper();
-    let rows = STRATEGIES
-        .par_iter()
-        .map(|&strategy| {
-            let runs: Vec<NodeResult> = effort
-                .seed_set()
-                .iter()
-                .map(|&seed| {
-                    let scenario = scenario_cfg.generate(&catalogue, seed);
-                    let cfg = NodeConfig::paper(scenario_cfg.cores);
-                    simulate_scenario(&catalogue, &scenario, &mode_for(strategy), &cfg, seed)
-                })
-                .collect();
-            row(&catalogue, strategy, &runs)
-        })
-        .collect();
+    let rows = pooled(
+        &STRATEGIES,
+        effort.seed_set(),
+        |&strategy, seed| {
+            let scenario = scenario_cfg.generate(&catalogue, seed);
+            let cfg = NodeConfig::paper(scenario_cfg.cores);
+            simulate_scenario(&catalogue, &scenario, &mode_for(strategy), &cfg, seed)
+        },
+        |&strategy, runs| row(&catalogue, strategy, runs),
+    );
     Fig5Result { rows }
 }
 
@@ -83,11 +77,11 @@ pub fn run_source(source: &WorkloadSource, effort: Effort) -> std::io::Result<Fi
         NodeConfig::paper(FairnessScenario::paper().cores),
         LoadBalancer::RoundRobin,
     );
-    let mut rows = Vec::new();
-    for strategy in STRATEGIES {
-        let mut runs = Vec::new();
-        for &seed in effort.seed_set() {
-            runs.push(run_cluster_source(
+    let rows = try_pooled(
+        &STRATEGIES,
+        effort.seed_set(),
+        |&strategy, seed| {
+            run_cluster_source(
                 &catalogue,
                 source,
                 &mode_for(strategy),
@@ -96,10 +90,10 @@ pub fn run_source(source: &WorkloadSource, effort: Effort) -> std::io::Result<Fi
                 seed,
                 seed ^ 0xC1u64,
                 TRACE_CHUNK,
-            )?);
-        }
-        rows.push(row(&catalogue, strategy, &runs));
-    }
+            )
+        },
+        |&strategy, runs| row(&catalogue, strategy, runs),
+    )?;
     Ok(Fig5Result { rows })
 }
 

@@ -7,7 +7,7 @@
 //! 4 VMs.
 
 use crate::grid::mode_for;
-use crate::{Effort, TRACE_CHUNK};
+use crate::{pooled, try_pooled, Effort, TRACE_CHUNK};
 use faas_cluster::{run_cluster, run_cluster_source, ClusterConfig, ClusterScenario, LoadBalancer};
 use faas_invoker::{NodeConfig, NodeResult};
 use faas_metrics::compare::{self, Strategy};
@@ -17,7 +17,6 @@ use faas_simcore::time::{SimDuration, SimTime};
 use faas_workload::faults::FaultSpec;
 use faas_workload::sebs::Catalogue;
 use faas_workload::trace_source::WorkloadSource;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// One multi-node configuration result (a Table V row).
@@ -59,13 +58,15 @@ impl Fig6Result {
     }
 }
 
-/// Worker counts of the fixed-total-load design.
-fn node_counts(effort: Effort) -> &'static [u16] {
-    if effort.quick {
-        &[4, 1]
-    } else {
-        &[4, 3, 2, 1]
-    }
+/// The rows of the fixed-total-load design on `cores`-core workers:
+/// each worker count under round-robin, baseline then FC.
+fn clusters(cores: u32, effort: Effort) -> impl Iterator<Item = (ClusterConfig, Strategy)> {
+    let counts: &[u16] = if effort.quick { &[4, 1] } else { &[4, 3, 2, 1] };
+    counts.iter().flat_map(move |&nodes| {
+        let cfg =
+            ClusterConfig::independent(nodes, NodeConfig::paper(cores), LoadBalancer::RoundRobin);
+        [Strategy::Baseline, Strategy::Fc].map(|s| (cfg, s))
+    })
 }
 
 /// Run the multi-node experiments for both node sizes of the paper.
@@ -79,39 +80,24 @@ pub fn run(effort: Effort) -> Fig6Result {
     } else {
         &[(10, 120), (18, 216)]
     };
-    let cases: Vec<(u32, usize, u16, Strategy)> = node_sizes
+    let cases: Vec<(ClusterConfig, usize, Strategy)> = node_sizes
         .iter()
         .flat_map(|&(cores, per_func)| {
-            node_counts(effort).iter().flat_map(move |&n| {
-                [Strategy::Baseline, Strategy::Fc]
-                    .into_iter()
-                    .map(move |s| (cores, per_func, n, s))
-            })
+            clusters(cores, effort).map(move |(cfg, s)| (cfg, per_func, s))
         })
         .collect();
 
-    let rows = cases
-        .par_iter()
-        .map(|&(cores, per_func, nodes, strategy)| {
-            let cfg = ClusterConfig::independent(
-                nodes,
-                NodeConfig::paper(cores),
-                LoadBalancer::RoundRobin,
-            );
-            let runs: Vec<(NodeResult, SimTime)> = effort
-                .seed_set()
-                .iter()
-                .map(|&seed| {
-                    let scenario = ClusterScenario::generate(&catalogue, per_func, window, seed);
-                    let result =
-                        run_cluster(&catalogue, &scenario, &mode_for(strategy), &cfg, seed)
-                            .expect("a Fig. 6 cluster is runnable");
-                    (result, scenario.burst_start)
-                })
-                .collect();
-            row(&cfg, strategy, &runs)
-        })
-        .collect();
+    let rows = pooled(
+        &cases,
+        effort.seed_set(),
+        |&(cfg, per_func, strategy), seed| {
+            let scenario = ClusterScenario::generate(&catalogue, per_func, window, seed);
+            let result = run_cluster(&catalogue, &scenario, &mode_for(strategy), &cfg, seed)
+                .expect("a Fig. 6 cluster is runnable");
+            (result, scenario.burst_start)
+        },
+        |(cfg, _, strategy), runs| row(cfg, *strategy, runs),
+    );
     Fig6Result { rows }
 }
 
@@ -132,37 +118,31 @@ pub fn run_source(
     effort: Effort,
 ) -> std::io::Result<Fig6Result> {
     let catalogue = Catalogue::sebs();
-    let mut rows = Vec::new();
-    for &nodes in node_counts(effort) {
-        for strategy in [Strategy::Baseline, Strategy::Fc] {
-            let cfg = ClusterConfig::independent(
-                nodes,
-                NodeConfig::paper(cores),
-                LoadBalancer::RoundRobin,
-            );
-            let mut runs = Vec::new();
-            for &seed in effort.seed_set() {
-                let result = run_cluster_source(
-                    &catalogue,
-                    source,
-                    &mode_for(strategy),
-                    &cfg,
-                    &FaultSpec::none(),
-                    seed,
-                    seed ^ 0xC1u64,
-                    TRACE_CHUNK,
-                )?;
-                let Some(start) = result.measured().map(|o| o.release).min() else {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidInput,
-                        "source produced no measured calls",
-                    ));
-                };
-                runs.push((result, start));
-            }
-            rows.push(row(&cfg, strategy, &runs));
-        }
-    }
+    let cases: Vec<(ClusterConfig, Strategy)> = clusters(cores, effort).collect();
+    let rows = try_pooled(
+        &cases,
+        effort.seed_set(),
+        |(cfg, strategy), seed| {
+            let result = run_cluster_source(
+                &catalogue,
+                source,
+                &mode_for(*strategy),
+                cfg,
+                &FaultSpec::none(),
+                seed,
+                seed ^ 0xC1u64,
+                TRACE_CHUNK,
+            )?;
+            let Some(start) = result.measured().map(|o| o.release).min() else {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    "source produced no measured calls",
+                ));
+            };
+            Ok((result, start))
+        },
+        |(cfg, strategy), runs| row(cfg, *strategy, runs),
+    )?;
     Ok(Fig6Result { rows })
 }
 

@@ -10,14 +10,13 @@
 //! 95th-percentile response time per function per strategy.
 
 use crate::grid::{mode_for, STRATEGIES};
-use crate::Effort;
+use crate::{pooled, Effort};
 use faas_invoker::{simulate_scenario, NodeConfig};
 use faas_metrics::compare::Strategy;
 use faas_metrics::summary::MetricSummary;
 use faas_metrics::table::{fmt_secs, TextTable};
 use faas_workload::scenario::BurstScenario;
 use faas_workload::sebs::Catalogue;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Breakdown of one strategy over the functions.
@@ -45,25 +44,24 @@ pub struct FunctionsResult {
 pub fn run(effort: Effort) -> FunctionsResult {
     let catalogue = Catalogue::sebs();
     let (cores, intensity) = (10u32, 60u32);
-    let seeds = effort.seed_set();
-
-    let rows: Vec<FunctionRow> = STRATEGIES
-        .par_iter()
-        .map(|&strategy| {
+    let rows = pooled(
+        &STRATEGIES,
+        effort.seed_set(),
+        |&strategy, seed| {
+            let scenario = BurstScenario::standard(cores, intensity).generate(&catalogue, seed);
+            simulate_scenario(
+                &catalogue,
+                &scenario,
+                &mode_for(strategy),
+                &NodeConfig::paper(cores),
+                seed,
+            )
+        },
+        |&strategy, runs| {
             // Pool responses per function over the seeds.
             let mut per_func: Vec<Vec<f64>> = vec![Vec::new(); catalogue.len()];
-            for &seed in seeds {
-                let scenario = BurstScenario::standard(cores, intensity).generate(&catalogue, seed);
-                let result = simulate_scenario(
-                    &catalogue,
-                    &scenario,
-                    &mode_for(strategy),
-                    &NodeConfig::paper(cores),
-                    seed,
-                );
-                for o in result.measured() {
-                    per_func[o.func.index()].push(o.response_time().as_secs_f64());
-                }
+            for o in runs.iter().flat_map(|r| r.measured()) {
+                per_func[o.func.index()].push(o.response_time().as_secs_f64());
             }
             FunctionRow {
                 strategy,
@@ -77,8 +75,8 @@ pub fn run(effort: Effort) -> FunctionsResult {
                     })
                     .collect(),
             }
-        })
-        .collect();
+        },
+    );
 
     FunctionsResult {
         cores,

@@ -14,7 +14,7 @@
 //! Crucially, for a given (cores, intensity, seed) the *same* call sequence
 //! is replayed under every strategy, exactly like the paper's methodology.
 
-use crate::Effort;
+use crate::{pooled, Effort};
 use faas_core::{Policy, SchedulerConfig};
 use faas_invoker::{simulate_scenario, NodeConfig, NodeMode};
 use faas_metrics::compare::{self, Strategy};
@@ -24,7 +24,6 @@ use faas_simcore::stats::BoxPlot;
 use faas_workload::scenario::BurstScenario;
 use faas_workload::sebs::Catalogue;
 use faas_workload::trace::CallOutcome;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// The six strategies in the paper's presentation order.
@@ -132,81 +131,77 @@ pub fn axes(effort: Effort) -> (Vec<u32>, Vec<u32>) {
 
 /// Run the grid.
 ///
-/// One task per (cpus, intensity, seed), seeds innermost, replays the
-/// same scenario under all six strategies and summarises each run; cell
+/// One run per (cpus, intensity, seed), seeds innermost, replays the same
+/// scenario under all six strategies and summarises each; cell
 /// `(config, strategy)` then pools, by position and in seed order, the
-/// strategy's run of every task in the config's chunk of `seeds.len()`
-/// tasks.
+/// strategy's summary from each of the config's runs.
 pub fn run(effort: Effort) -> GridResult {
     let catalogue = Catalogue::sebs();
     let (cpu_axis, intensity_axis) = axes(effort);
-    let seeds = effort.seed_set();
     let configs: Vec<(u32, u32)> = cpu_axis
         .iter()
         .flat_map(|&c| intensity_axis.iter().map(move |&v| (c, v)))
         .collect();
-    let tasks: Vec<(u32, u32, u64)> = configs
-        .iter()
-        .flat_map(|&(c, v)| seeds.iter().map(move |&s| (c, v, s)))
-        .collect();
-
-    // Per task, one (per-seed statistics, response times, stretches)
-    // triple per strategy, in `STRATEGIES` order.
-    let outputs: Vec<Vec<_>> = tasks
-        .par_iter()
-        .map(|&(cpus, intensity, seed)| {
+    let cells = pooled(
+        &configs,
+        effort.seed_set(),
+        // One (per-seed statistics, response times, stretches) triple per
+        // strategy, in `STRATEGIES` order.
+        |&(cpus, intensity), seed| {
             let scenario = BurstScenario::standard(cpus, intensity).generate(&catalogue, seed);
             let cfg = NodeConfig::paper(cpus);
+            STRATEGIES.map(|strategy| {
+                let result =
+                    simulate_scenario(&catalogue, &scenario, &mode_for(strategy), &cfg, seed);
+                let refs: Vec<&CallOutcome> = result.measured().collect();
+                let resp = response_times(&refs);
+                let stretch = stretches(&refs, &catalogue);
+                let run = SeedRun {
+                    seed,
+                    summary: RunSummary::from_outcomes(&refs, &catalogue, scenario.burst_start),
+                    response_box: BoxPlot::from_data(&resp),
+                    stretch_box: BoxPlot::from_data(&stretch),
+                    cold_starts: result.measured_cold_starts(),
+                    calls: refs.len(),
+                    peak_queue: result.peak_queue,
+                    peak_events: result.peak_events,
+                };
+                (run, resp, stretch)
+            })
+        },
+        |&(cpus, intensity), tasks| {
             STRATEGIES
                 .iter()
-                .map(|&strategy| {
-                    let result =
-                        simulate_scenario(&catalogue, &scenario, &mode_for(strategy), &cfg, seed);
-                    let refs: Vec<&CallOutcome> = result.measured().collect();
-                    let resp = response_times(&refs);
-                    let stretch = stretches(&refs, &catalogue);
-                    let run = SeedRun {
-                        seed,
-                        summary: RunSummary::from_outcomes(&refs, &catalogue, scenario.burst_start),
-                        response_box: BoxPlot::from_data(&resp),
-                        stretch_box: BoxPlot::from_data(&stretch),
-                        cold_starts: result.measured_cold_starts(),
-                        calls: refs.len(),
-                        peak_queue: result.peak_queue,
-                        peak_events: result.peak_events,
+                .enumerate()
+                .map(move |(k, &strategy)| {
+                    let runs = || tasks.iter().map(|t| &t[k]);
+                    let pooled_resp: Vec<f64> = runs().flat_map(|(_, r, _)| r).copied().collect();
+                    let pooled_stretch: Vec<f64> =
+                        runs().flat_map(|(_, _, s)| s).copied().collect();
+                    let per_seed: Vec<SeedRun> = runs().map(|(run, _, _)| run.clone()).collect();
+                    let pooled = RunSummary {
+                        response: MetricSummary::from_values(&pooled_resp),
+                        stretch: MetricSummary::from_values(&pooled_stretch),
+                        max_completion: per_seed
+                            .iter()
+                            .fold(0.0, |m, r| f64::max(m, r.summary.max_completion)),
                     };
-                    (run, resp, stretch)
+                    Cell {
+                        cpus,
+                        intensity,
+                        strategy,
+                        per_seed,
+                        pooled,
+                        response_box: BoxPlot::from_data(&pooled_resp),
+                        stretch_box: BoxPlot::from_data(&pooled_stretch),
+                    }
                 })
-                .collect()
-        })
-        .collect();
-
-    let mut cells = Vec::new();
-    for (&(cpus, intensity), tasks) in configs.iter().zip(outputs.chunks(seeds.len())) {
-        for (k, &strategy) in STRATEGIES.iter().enumerate() {
-            let runs = || tasks.iter().map(|t| &t[k]);
-            let pooled_resp: Vec<f64> = runs().flat_map(|(_, r, _)| r).copied().collect();
-            let pooled_stretch: Vec<f64> = runs().flat_map(|(_, _, s)| s).copied().collect();
-            let per_seed: Vec<SeedRun> = runs().map(|(run, _, _)| run.clone()).collect();
-            let pooled = RunSummary {
-                response: MetricSummary::from_values(&pooled_resp),
-                stretch: MetricSummary::from_values(&pooled_stretch),
-                max_completion: per_seed
-                    .iter()
-                    .fold(0.0, |m, r| f64::max(m, r.summary.max_completion)),
-            };
-            cells.push(Cell {
-                cpus,
-                intensity,
-                strategy,
-                per_seed,
-                pooled,
-                response_box: BoxPlot::from_data(&pooled_resp),
-                stretch_box: BoxPlot::from_data(&pooled_stretch),
-            });
-        }
+                .collect::<Vec<_>>()
+        },
+    );
+    GridResult {
+        cells: cells.into_iter().flatten().collect(),
     }
-    GridResult { cells }
 }
 
 /// Render Table III (pooled statistics, with paper reference columns).

@@ -27,15 +27,19 @@
 //! repository benchmark in `perfbench/` (declared by `BENCHMARK.json`),
 //! whose paper-grid workload runs [`grid`]'s strategy set.
 //!
-//! All experiments run the 5-seed repetitions in parallel (rayon) and are
-//! bit-for-bit reproducible from the seed set.
+//! Every artefact fans its runs out through one crate-private helper,
+//! `pooled` (or its fallible form `try_pooled`): the runs are ordered row
+//! by row with the seeds innermost, all of them run in parallel on the
+//! rayon pool, each yields one per-seed record, and row `i` pools the
+//! `i`-th chunk of `seeds.len()` records by position, in seed order,
+//! never by matching labels. The thread count therefore cannot change an
+//! output: every artefact is bit-for-bit reproducible from the seed set.
 //!
-//! Every artefact pools its seeds the same way: the runs are ordered row
-//! by row with the seeds innermost, each run yields one per-seed record,
-//! and row `i` pools the `i`-th chunk of `seeds.len()` records by
-//! position, in seed order, never by matching labels. A `run_source`
-//! twin ([`table1`], [`fig5`], [`fig6`]) differs from its `run` only in
-//! where the calls come from; both feed the same row reducer.
+//! A `run_source` twin ([`table1`], [`fig5`], [`fig6`]) differs from its
+//! `run` only in where the calls come from; both feed the same row
+//! reducer, and the fig5 and fig6 twins fan out through `try_pooled` like
+//! every other artefact. Each run opens the source itself, so a recorded
+//! `trace:PATH` source is resident once per worker thread.
 
 pub mod ablations;
 pub mod custom;
@@ -46,6 +50,9 @@ pub mod functions;
 pub mod grid;
 pub mod sweep;
 pub mod table1;
+
+use rayon::prelude::*;
+use std::convert::Infallible;
 
 /// The seeds of the paper's "5 different random sequences of calls".
 pub const SEEDS: [u64; 5] = [101, 202, 303, 404, 505];
@@ -85,5 +92,91 @@ impl Effort {
     /// The seed slice to use.
     pub fn seed_set(&self) -> &'static [u64] {
         &SEEDS[..self.seeds.min(SEEDS.len())]
+    }
+}
+
+/// Run every (row, seed) pair, seeds innermost, in parallel, and reduce
+/// each row from its runs: row `i` pools the `i`-th chunk of
+/// `seeds.len()` records, by position and in seed order.
+pub(crate) fn pooled<R: Sync, S: Send, T>(
+    rows: &[R],
+    seeds: &[u64],
+    run: impl Fn(&R, u64) -> S + Sync,
+    reduce: impl Fn(&R, &[S]) -> T,
+) -> Vec<T> {
+    let Ok(rows) = try_pooled(
+        rows,
+        seeds,
+        |r, seed| Ok::<S, Infallible>(run(r, seed)),
+        reduce,
+    );
+    rows
+}
+
+/// [`pooled`] for fallible runs: the first error in (row, seed) order, if
+/// any run fails, else the reduced rows.
+pub(crate) fn try_pooled<R: Sync, S: Send, T, E: Send>(
+    rows: &[R],
+    seeds: &[u64],
+    run: impl Fn(&R, u64) -> Result<S, E> + Sync,
+    reduce: impl Fn(&R, &[S]) -> T,
+) -> Result<Vec<T>, E> {
+    assert!(!seeds.is_empty(), "pooling needs at least one seed");
+    let tasks: Vec<(&R, u64)> = rows
+        .iter()
+        .flat_map(|r| seeds.iter().map(move |&seed| (r, seed)))
+        .collect();
+    let runs: Result<Vec<S>, E> = tasks.par_iter().map(|&(r, seed)| run(r, seed)).collect();
+    let runs = runs?;
+    Ok(rows
+        .iter()
+        .zip(runs.chunks(seeds.len()))
+        .map(|(r, runs)| reduce(r, runs))
+        .collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rows_pool_their_own_runs_by_position_in_seed_order() {
+        // Rows 0 and 1 share a label, the case a match on labels would
+        // pool into both rows.
+        let rows = [(0, "same"), (1, "same"), (2, "other")];
+        let pooled = pooled(
+            &rows,
+            &SEEDS[..3],
+            |&(i, _), seed| i * 1000 + seed,
+            |_, runs| runs.to_vec(),
+        );
+        assert_eq!(
+            pooled,
+            [[101, 202, 303], [1101, 1202, 1303], [2101, 2202, 2303]]
+        );
+    }
+
+    #[test]
+    fn try_pooled_returns_the_first_error_in_row_order() {
+        // Rows 1 and 2 fail, row 2 on an earlier seed than row 1: the
+        // error of the earlier row wins, whichever run finishes first.
+        let rows = [0u64, 1, 2];
+        let result = try_pooled(
+            &rows,
+            &SEEDS[..3],
+            |&row, seed| match (row, seed) {
+                (1, 303) | (2, 101) => Err(format!("row {row}, seed {seed}")),
+                _ => Ok(row * seed),
+            },
+            |_, runs| runs.iter().sum::<u64>(),
+        );
+        assert_eq!(result, Err("row 1, seed 303".to_string()));
+        let result = try_pooled(
+            &rows,
+            &SEEDS[..3],
+            |&row, seed| Ok::<u64, String>(row * seed),
+            |_, runs| runs.iter().sum::<u64>(),
+        );
+        assert_eq!(result, Ok(vec![0, 606, 1212]));
     }
 }

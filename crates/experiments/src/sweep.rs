@@ -32,13 +32,15 @@
 //! per-resource utilization and the cross-node dominant-share Jain index
 //! next to a single-resource (memory-unmodeled) control.
 //!
-//! Every table is pooled the same way: its rows are crossed with the
-//! seeds, seeds innermost, each run yields one per-seed record, and row
-//! `i` pools the `i`-th chunk of `seeds.len()` records by position, in
-//! seed order (see `Setup::pooled`).
+//! Every table is pooled like every other artefact (see the crate docs):
+//! its rows are crossed with the seeds, seeds innermost, every run goes
+//! through the crate's one parallel fan-out, and row `i` pools the `i`-th
+//! chunk of `seeds.len()` records by position, in seed order. The cluster
+//! tables run in parallel too, each run nesting the cluster engine's own
+//! node workers, as fig6 does.
 
 use crate::grid::mode_for;
-use crate::{Effort, TRACE_CHUNK};
+use crate::{pooled, Effort, TRACE_CHUNK};
 use faas_cluster::{run_cluster_source, run_cluster_source_per_node, ClusterConfig, LoadBalancer};
 use faas_invoker::{simulate_calls_faulted, FaultStats, NodeConfig, NodeResult};
 use faas_metrics::compare::Strategy;
@@ -47,19 +49,17 @@ use faas_metrics::summary::{
     RobustnessSummary,
 };
 use faas_metrics::table::{fmt_secs, TextTable};
-use faas_simcore::rng::Xoshiro256;
 use faas_simcore::time::{SimDuration, SimTime};
 use faas_workload::arrival::ArrivalSpec;
 use faas_workload::faults::FaultSpec;
 use faas_workload::generate::WorkloadSpec;
 use faas_workload::mix::MixSpec;
-use faas_workload::scenario::{warmup_calls_for_waves, warmup_waves};
+use faas_workload::scenario::{warmup_waves, Scenario};
 use faas_workload::sebs::Catalogue;
 use faas_workload::synth::SynthSpec;
 use faas_workload::trace::{Call, CallOutcome};
 use faas_workload::trace_source::{TraceSpec, WorkloadSource};
 use faas_workload::weight::WeightSpec;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Stream tag for sweep release times.
@@ -515,52 +515,13 @@ pub fn run(effort: Effort) -> SweepResult {
 }
 
 impl Setup {
-    /// Run every (row, seed) pair, seeds innermost, and reduce each row
-    /// from its runs: row `i` pools the `i`-th chunk of `seeds.len()`
-    /// records, by position and in seed order. `parallel` fans the runs
-    /// out over rayon; the cluster tables run them one at a time, since
-    /// the cluster engine already fans out its nodes and serial runs keep
-    /// peak memory flat.
-    fn pooled<R: Sync, T>(
-        &self,
-        rows: &[R],
-        parallel: bool,
-        run: impl Fn(&R, u64) -> SeedOut + Sync,
-        reduce: impl Fn(&R, &[SeedOut]) -> T,
-    ) -> Vec<T> {
-        let seeds = self.effort.seed_set();
-        let tasks: Vec<(&R, u64)> = rows
-            .iter()
-            .flat_map(|r| seeds.iter().map(move |&seed| (r, seed)))
-            .collect();
-        let runs: Vec<SeedOut> = if parallel {
-            tasks.par_iter().map(|&(r, seed)| run(r, seed)).collect()
-        } else {
-            tasks.iter().map(|&(r, seed)| run(r, seed)).collect()
-        };
-        rows.iter()
-            .zip(runs.chunks(seeds.len()))
-            .map(|(r, runs)| reduce(r, runs))
-            .collect()
-    }
-
     /// The node's warm-up waves followed by `spec`'s burst drawn from
-    /// `seed`, and the first burst call id (warm-up ids lie below it).
+    /// `seed` on the sweep's streams, and the first burst call id
+    /// (warm-up ids lie below it).
     fn warmed_burst(&self, spec: &WorkloadSpec, seed: u64) -> (Vec<Call>, u64) {
-        let mut root = Xoshiro256::seed_from_u64(seed);
-        let mut rng_times = root.derive_stream(STREAM_TIMES);
-        let mut rng_assign = root.derive_stream(STREAM_ASSIGN);
-        let (waves, burst_start) = warmup_waves(&self.catalogue);
-        let mut calls = warmup_calls_for_waves(&waves, self.cores, 0);
-        let id_base = calls.len() as u64;
-        calls.extend(spec.generate_sorted(
-            &self.catalogue,
-            burst_start,
-            &mut rng_times,
-            &mut rng_assign,
-            id_base,
-        ));
-        (calls, id_base)
+        let tags = [STREAM_TIMES, STREAM_ASSIGN];
+        let scenario = Scenario::warmed(&self.catalogue, self.cores, spec, seed, tags);
+        (scenario.all_calls(), scenario.warmup.len() as u64)
     }
 
     /// A `nodes`-worker cluster of the paper's node under `lb`.
@@ -581,9 +542,9 @@ impl Setup {
         });
         let rows = cross(keys, &strategy_axis(quick));
         let catalogue = &self.catalogue;
-        self.pooled(
+        pooled(
             &rows,
-            true,
+            self.effort.seed_set(),
             |&((arrival, mix, weights), strategy), seed| {
                 let spec = WorkloadSpec {
                     arrival: arrival.clone(),
@@ -632,9 +593,9 @@ impl Setup {
             .into_iter()
             .map(|(label, _)| label)
             .collect();
-        self.pooled(
+        pooled(
             &cross(0..labels.len(), &HEADLINE),
-            true,
+            self.effort.seed_set(),
             |&(scenario, strategy), seed| {
                 // The fault draws are seeded per run seed, so pooling over
                 // seeds samples fault realizations too.
@@ -677,9 +638,9 @@ impl Setup {
         let keys = node_axis(self.effort.quick)
             .into_iter()
             .flat_map(|n| weight_specs.iter().map(move |w| (n, w)));
-        self.pooled(
+        pooled(
             &cross(keys, &HEADLINE),
-            false,
+            self.effort.seed_set(),
             |&((nodes, weights), strategy), seed| {
                 let spec = paper_burst(self.count, weights.clone(), self.window);
                 let result = run_cluster_source(
@@ -719,9 +680,9 @@ impl Setup {
     fn coupled_rows(&self) -> Vec<CoupledSweepRow> {
         let (_, burst_start) = warmup_waves(&self.catalogue);
         let axis = coupled_lb_axis(0);
-        self.pooled(
+        pooled(
             &cross(0..axis.len(), &HEADLINE),
-            false,
+            self.effort.seed_set(),
             |&(policy, strategy), seed| {
                 let (_, lb, failover) = coupled_lb_axis(seed).swap_remove(policy);
                 let spec = paper_burst(self.count, WeightSpec::Uniform, self.window);
@@ -771,9 +732,9 @@ impl Setup {
     /// every outcome is measured.
     fn trace_rows(&self) -> Vec<TraceSweepRow> {
         let specs = trace_axis(self.window, self.effort.quick);
-        self.pooled(
+        pooled(
             &cross(&specs, &HEADLINE),
-            false,
+            self.effort.seed_set(),
             |&(spec, strategy), seed| {
                 let result = run_cluster_source(
                     &self.catalogue,
@@ -813,9 +774,9 @@ impl Setup {
     /// mean of the per-seed ones.
     fn resource_rows(&self) -> Vec<ResourceSweepRow> {
         let axis = resource_lb_axis(0);
-        self.pooled(
+        pooled(
             &cross(0..axis.len(), &HEADLINE),
-            false,
+            self.effort.seed_set(),
             |&(config, strategy), seed| {
                 let (_, lb, mem_modeled) = resource_lb_axis(seed).swap_remove(config);
                 let mut cfg = self.cluster(RESOURCE_NODES, lb);
@@ -1179,39 +1140,6 @@ mod tests {
 
     fn expected_resource_rows() -> usize {
         resource_lb_axis(0).len() * 2
-    }
-
-    #[test]
-    fn rows_pool_their_own_runs_by_position_in_seed_order() {
-        // Rows 0 and 1 share a label, the case a match on labels would
-        // pool into both rows.
-        let setup = Setup {
-            catalogue: Catalogue::sebs(),
-            cores: 10,
-            count: 0,
-            window: SimDuration::from_secs(60),
-            effort: Effort {
-                seeds: 3,
-                quick: true,
-            },
-        };
-        let rows = [(0, "same"), (1, "same"), (2, "other")];
-        for parallel in [true, false] {
-            let pooled = setup.pooled(
-                &rows,
-                parallel,
-                |&(i, _), seed| SeedOut {
-                    cold_starts: i * 1000 + seed as usize,
-                    ..SeedOut::default()
-                },
-                |_, runs| runs.iter().map(|r| r.cold_starts).collect::<Vec<_>>(),
-            );
-            assert_eq!(
-                pooled,
-                [[101, 202, 303], [1101, 1202, 1303], [2101, 2202, 2303]],
-                "parallel: {parallel}"
-            );
-        }
     }
 
     #[test]

@@ -35,6 +35,11 @@ fn out_of_range_arguments_exit_with_usage() {
     assert_usage(&["run", "--cores", "1", "--intensity", "9"]);
     assert_usage(&["table1", "--source", "synth:-1"]);
     assert_usage(&["table1", "--source", "synth:nan"]);
+    // An expected call count that is infinite, or beyond what a trace
+    // index can address, is rejected before any trace is built.
+    assert_usage(&["table1", "--source", "synth:1e308"]);
+    assert_usage(&["fig5", "--source", "synth:1e308"]);
+    assert_usage(&["table1", "--source", "synth:1e30"]);
     // The paper has five seeds: 0 and 6+ are rejected, not clamped.
     for n in ["0", "6", "9", "-1", "x"] {
         assert_usage(&["fig6", "--seeds", n]);

@@ -69,35 +69,6 @@ pub fn warmup_calls_for_waves(waves: &[(FuncId, SimTime)], cores: u32, id_base: 
     calls
 }
 
-/// The §V-A warm-up (`cores` calls per wave, ids `0..`) followed by
-/// `spec`'s burst, generated serially on the streams `tags` of `seed`.
-fn warmup_then_burst(
-    catalogue: &Catalogue,
-    cores: u32,
-    spec: &WorkloadSpec,
-    seed: u64,
-    tags: [u64; 2],
-) -> Scenario {
-    let mut root = Xoshiro256::seed_from_u64(seed);
-    let mut rng_times = root.derive_stream(tags[0]);
-    let mut rng_assign = root.derive_stream(tags[1]);
-    let (waves, burst_start) = warmup_waves(catalogue);
-    let warmup = warmup_calls_for_waves(&waves, cores, 0);
-    let burst = spec.generate_sorted(
-        catalogue,
-        burst_start,
-        &mut rng_times,
-        &mut rng_assign,
-        warmup.len() as u64,
-    );
-    Scenario {
-        warmup,
-        burst,
-        burst_start,
-        burst_window: spec.window,
-    }
-}
-
 /// A generated scenario: warm-up calls followed by a measured burst.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
@@ -112,6 +83,38 @@ pub struct Scenario {
 }
 
 impl Scenario {
+    /// The §V-A warm-up (`cores` calls per wave, ids `0..`) followed by
+    /// `spec`'s burst (ids from the warm-up's length on), generated
+    /// serially on the streams `tags` of `seed`: times on `tags[0]`,
+    /// function assignment on `tags[1]`. Every seeded warm-up-plus-burst
+    /// scenario is built here; callers differ only in their tags.
+    pub fn warmed(
+        catalogue: &Catalogue,
+        cores: u32,
+        spec: &WorkloadSpec,
+        seed: u64,
+        tags: [u64; 2],
+    ) -> Scenario {
+        let mut root = Xoshiro256::seed_from_u64(seed);
+        let mut rng_times = root.derive_stream(tags[0]);
+        let mut rng_assign = root.derive_stream(tags[1]);
+        let (waves, burst_start) = warmup_waves(catalogue);
+        let warmup = warmup_calls_for_waves(&waves, cores, 0);
+        let burst = spec.generate_sorted(
+            catalogue,
+            burst_start,
+            &mut rng_times,
+            &mut rng_assign,
+            warmup.len() as u64,
+        );
+        Scenario {
+            warmup,
+            burst,
+            burst_start,
+            burst_window: spec.window,
+        }
+    }
+
     /// All calls (warm-up first, then burst) in release order.
     pub fn all_calls(&self) -> Vec<Call> {
         let mut calls = self.warmup.clone();
@@ -181,7 +184,7 @@ impl BurstScenario {
     /// different random sequences of calls".
     pub fn generate(&self, catalogue: &Catalogue, seed: u64) -> Scenario {
         let spec = self.workload_spec(catalogue);
-        warmup_then_burst(catalogue, self.cores, &spec, seed, [0x7131, 0x7132])
+        Scenario::warmed(catalogue, self.cores, &spec, seed, [0x7131, 0x7132])
     }
 }
 
@@ -234,7 +237,7 @@ impl FairnessScenario {
     /// pre-subsystem generator.
     pub fn generate(&self, catalogue: &Catalogue, seed: u64) -> Scenario {
         let spec = self.workload_spec(catalogue);
-        warmup_then_burst(catalogue, self.cores, &spec, seed, [0x7A01, 0x7A02])
+        Scenario::warmed(catalogue, self.cores, &spec, seed, [0x7A01, 0x7A02])
     }
 }
 
