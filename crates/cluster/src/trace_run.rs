@@ -70,8 +70,9 @@ use std::io;
 /// way. Fails with [`std::io::ErrorKind::InvalidInput`], before any call
 /// is generated, on a configuration the engine cannot run: zero nodes, a
 /// zero `chunk`, failover without a fault plan, or a malformed fault plan
-/// ([`FaultSpec::check`]). Otherwise the only fallible path is opening a
-/// recorded trace file.
+/// ([`FaultSpec::check`]). A recorded trace was read when its
+/// [`TraceSpec::load`](faas_workload::TraceSpec::load) ran, so running
+/// it reads no file.
 #[allow(clippy::too_many_arguments)] // perfbench calls this signature
 pub fn run_cluster_source(
     catalogue: &Catalogue,
@@ -202,7 +203,7 @@ impl<'a> Run<'a> {
                 self.execute(Arrivals::Burst(&scenario, &weights))
             }
             WorkloadSource::Trace(tspec) => {
-                let trace = tspec.open(catalogue, SimTime::ZERO, scenario_seed)?;
+                let trace = tspec.open(catalogue, SimTime::ZERO, scenario_seed);
                 self.execute(Arrivals::Trace(trace.as_ref()))
             }
         };

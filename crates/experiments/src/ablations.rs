@@ -82,9 +82,10 @@ pub fn run(effort: Effort) -> AblationResult {
 
     let hops: &[u64] = if effort.quick { &[5] } else { &[0, 5, 25, 100] };
     for &ms in hops {
-        let mut n = node;
-        n.calibration.hop_request = SimDuration::from_millis(ms);
-        n.calibration.hop_response = SimDuration::from_millis(ms);
+        let n = NodeConfig {
+            hop: SimDuration::from_millis(ms),
+            ..node
+        };
         cases.push((
             format!("hop_one_way={ms}ms"),
             Policy::Sept,

@@ -97,7 +97,7 @@ fn main() {
         source: None,
     };
     let rest: Vec<String> = args.collect();
-    let mut seeds = None;
+    let (mut seeds, mut source) = (None, None);
     let mut i = 0;
     while i < rest.len() {
         match rest[i].as_str() {
@@ -118,9 +118,7 @@ fn main() {
             }
             "--source" => {
                 i += 1;
-                opts.source = Some(parse_source(
-                    &rest.get(i).cloned().unwrap_or_else(|| usage()),
-                ));
+                source = Some(rest.get(i).cloned().unwrap_or_else(|| usage()));
             }
             _ => usage(),
         }
@@ -129,6 +127,7 @@ fn main() {
     if let Some(n) = seeds {
         opts.effort.seeds = n;
     }
+    opts.source = source.map(|spec| parse_source(&spec));
 
     let started = Instant::now();
     match cmd.as_str() {
@@ -157,9 +156,10 @@ fn main() {
 
 /// Parse `--source synth:RATE` (an Azure-style synthetic trace at a
 /// mean of RATE calls/sec over the paper's 60 s window) or
-/// `--source trace:PATH` (a recorded JSONL trace). A rate is usage unless
-/// its expected call count over the window is a finite number that a
-/// trace index (`u64`) can address.
+/// `--source trace:PATH` (a recorded JSONL trace, loaded here once for
+/// every run to share). A rate is usage unless its expected call count
+/// over the window is a finite number that a trace index (`u64`) can
+/// address; a trace file that cannot be loaded exits 1.
 fn parse_source(spec: &str) -> WorkloadSource {
     if let Some(rate) = spec.strip_prefix("synth:") {
         let window = SimDuration::from_secs(60);
@@ -170,14 +170,14 @@ fn parse_source(spec: &str) -> WorkloadSource {
             .unwrap_or_else(|| usage());
         WorkloadSource::Trace(TraceSpec::Synthetic(SynthSpec::azure(rate, window)))
     } else if let Some(path) = spec.strip_prefix("trace:") {
-        WorkloadSource::Trace(TraceSpec::Recorded { path: path.into() })
+        WorkloadSource::Trace(open_source(TraceSpec::load(path)))
     } else {
         usage()
     }
 }
 
-/// Unwrap a trace-backed experiment result: a recorded trace file that
-/// could not be opened, or a source with no measured call, exits 1.
+/// Unwrap a trace-backed result: a recorded trace file that could not be
+/// loaded, or a source with no measured call, exits 1.
 fn open_source<T>(result: std::io::Result<T>) -> T {
     result.unwrap_or_else(|e| {
         eprintln!("trace-backed run failed: {e}");

@@ -68,8 +68,9 @@ pub fn run(effort: Effort) -> Fig5Result {
 /// trace instead of the materialized fairness scenario, and each row
 /// comes from the same reducer. Trace seeds are the run seeds, so pooling
 /// over seeds pools over trace realizations. Panels of functions the
-/// source never calls report a zero-count summary. The only fallible path
-/// is opening a recorded trace file.
+/// source never calls report a zero-count summary. Errors are
+/// [`run_cluster_source`]'s (a recorded trace was read when its spec was
+/// loaded).
 pub fn run_source(source: &WorkloadSource, effort: Effort) -> std::io::Result<Fig5Result> {
     let catalogue = Catalogue::sebs();
     let cfg = ClusterConfig::independent(
@@ -196,7 +197,7 @@ mod tests {
         // Paper: FC cuts the dna mean stretch from 5.3 (SEPT) to 2.1 —
         // a ~2.5x improvement. The simulator reproduces the direction with
         // a weaker factor (queue-depth composition differs); require at
-        // least 1.2x on the mean (see EXPERIMENTS.md).
+        // least 1.2x on the mean.
         let r = quick();
         let fc = row(&r, Strategy::Fc);
         let sept = row(&r, Strategy::Sept);

@@ -109,9 +109,9 @@ pub fn run(effort: Effort) -> Fig6Result {
 /// realizations. The `intensity` column keeps the paper's `120 / nodes`
 /// mapping, which is meaningful for paper-shaped loads only;
 /// `max_completion` is anchored to the first measured release of each run
-/// (a trace carries no warm-up phase). It fails if a recorded trace file
-/// cannot be opened, and with `InvalidInput` if a seed's source yields no
-/// measured call (e.g. an empty trace or a near-zero synthetic rate).
+/// (a trace carries no warm-up phase). It fails with `InvalidInput` if a
+/// seed's source yields no measured call (e.g. an empty trace or a
+/// near-zero synthetic rate).
 pub fn run_source(
     source: &WorkloadSource,
     cores: u32,

@@ -38,8 +38,9 @@
 //! A `run_source` twin ([`table1`], [`fig5`], [`fig6`]) differs from its
 //! `run` only in where the calls come from; both feed the same row
 //! reducer, and the fig5 and fig6 twins fan out through `try_pooled` like
-//! every other artefact. Each run opens the source itself, so a recorded
-//! `trace:PATH` source is resident once per worker thread.
+//! every other artefact. A recorded `trace:PATH` source is loaded once,
+//! when its `TraceSpec` is built, and every run shares that copy; a
+//! synthetic source is realized per run from the run's seed.
 
 pub mod ablations;
 pub mod custom;

@@ -12,7 +12,7 @@ use faas_cluster::{run_cluster_source, ClusterConfig, LoadBalancer};
 use faas_invoker::{simulate_calls, NodeConfig};
 use faas_metrics::compare::Strategy;
 use faas_metrics::table::TextTable;
-use faas_simcore::stats::{percentile_sorted, sorted_copy};
+use faas_simcore::stats::select_percentiles;
 use faas_simcore::time::{SimDuration, SimTime};
 use faas_workload::faults::FaultSpec;
 use faas_workload::sebs::{Catalogue, FunctionSpec};
@@ -87,8 +87,9 @@ pub fn run(seed: u64) -> Table1Result {
 /// next to the paper's published idle-system numbers. Functions the
 /// source never calls are omitted; under real (non-idle) load the
 /// measured quantiles include queueing, so they upper-bound the paper's
-/// idle columns rather than reproduce them. The only fallible path is
-/// opening a recorded trace file.
+/// idle columns rather than reproduce them. Errors are
+/// [`run_cluster_source`]'s (a recorded trace was read when its spec was
+/// loaded).
 pub fn run_source(source: &WorkloadSource, seed: u64) -> std::io::Result<Table1Result> {
     let catalogue = Catalogue::sebs();
     let cfg = ClusterConfig::independent(1, NodeConfig::paper(4), LoadBalancer::RoundRobin);
@@ -113,12 +114,12 @@ pub fn run_source(source: &WorkloadSource, seed: u64) -> std::io::Result<Table1R
 /// One function's row from its measured calls.
 fn row<'a>(spec: &FunctionSpec, calls: impl Iterator<Item = &'a CallOutcome>) -> Table1Row {
     let resp_ms: Vec<f64> = calls.map(|o| o.response_time().as_millis_f64()).collect();
-    let sorted = sorted_copy(&resp_ms);
+    let [p5_ms, median_ms, p95_ms] = select_percentiles(resp_ms, [0.05, 0.50, 0.95]);
     Table1Row {
         name: spec.name.to_string(),
-        p5_ms: percentile_sorted(&sorted, 0.05),
-        median_ms: percentile_sorted(&sorted, 0.50),
-        p95_ms: percentile_sorted(&sorted, 0.95),
+        p5_ms,
+        median_ms,
+        p95_ms,
         paper_p5_ms: spec.client_p5_ms,
         paper_median_ms: spec.client_median_ms,
         paper_p95_ms: spec.client_p95_ms,

@@ -3,6 +3,13 @@
 //! panicking inside a library (exit 101).
 
 use faas_experiments::fig6::Fig6Result;
+use faas_simcore::time::{SimDuration, SimTime};
+use faas_workload::arrival::ArrivalSpec;
+use faas_workload::generate::WorkloadSpec;
+use faas_workload::mix::MixSpec;
+use faas_workload::sebs::Catalogue;
+use faas_workload::trace_source::RecordedTrace;
+use faas_workload::weight::WeightSpec;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -94,6 +101,76 @@ fn empty_trace_source_fails_without_panicking() {
     ]);
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("no measured calls"));
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// FNV-1a over a file's bytes.
+fn file_digest(path: &std::path::Path) -> u64 {
+    let bytes = std::fs::read(path).expect("the artefact was written");
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |acc, &b| {
+        (acc ^ b as u64).wrapping_mul(0x0100_0000_01B3)
+    })
+}
+
+#[test]
+fn recorded_trace_source_runs_fig5() {
+    // 330 calls of the fairness mix (ten of them dna-visualisation),
+    // recorded and saved as a JSONL trace, then replayed by the CLI.
+    let dir = out_dir("trace_source");
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = WorkloadSpec {
+        arrival: ArrivalSpec::Uniform { count: 330 },
+        mix: MixSpec::Fairness {
+            rare_function: "dna-visualisation".into(),
+            rare_calls: 10,
+        },
+        weights: WeightSpec::Uniform,
+        window: SimDuration::from_secs(60),
+    };
+    let trace = dir.join("fairness.jsonl");
+    RecordedTrace::record(&spec, &Catalogue::sebs(), SimTime::ZERO, 7)
+        .save(&trace)
+        .unwrap();
+    let source = format!("trace:{}", trace.display());
+    let out = experiments(&[
+        "fig5",
+        "--quick",
+        "--source",
+        &source,
+        "--out",
+        dir.to_str().unwrap(),
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // The panels are pinned: how a recorded trace is loaded and shared
+    // must not change what replaying it yields.
+    let got = file_digest(&dir.join("fig5.json"));
+    assert_eq!(got, 0x0ede_c89c_8d77_b81c, "fig5.json digest {got:#018x}");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn missing_or_malformed_trace_files_exit_1() {
+    let dir = out_dir("bad_trace");
+    std::fs::create_dir_all(&dir).unwrap();
+    let malformed = dir.join("malformed.jsonl");
+    std::fs::write(&malformed, "not a trace\n").unwrap();
+    for path in [dir.join("missing.jsonl"), malformed] {
+        let source = format!("trace:{}", path.display());
+        for cmd in ["table1", "fig5", "fig6"] {
+            let out = experiments(&[cmd, "--quick", "--source", &source]);
+            assert_eq!(out.status.code(), Some(1), "{cmd} {source}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.starts_with("trace-backed run failed: "),
+                "{cmd} {source} printed {stderr:?}"
+            );
+        }
+    }
     let _ = std::fs::remove_dir_all(dir);
 }
 

@@ -40,7 +40,7 @@
 //! lands). The uniform `(1, 1)` table is the paper's regime: every task
 //! falls in one GPS pin-ratio class.
 
-use crate::config::NodeConfig;
+use crate::config::{baseline_mgmt_secs, NodeConfig, CTX_SWITCH_PENALTY, CTX_SWITCH_PENALTY_CAP};
 use crate::node::{Ev, Regime, Shell};
 use crate::result::NodeResult;
 use faas_cpu::{GpsCpu, GpsParams, Resource, ResourceVector, TaskId};
@@ -91,8 +91,8 @@ impl<'a> Gps<'a> {
         );
         let mut cpu = GpsCpu::new(GpsParams {
             cores: cfg.cores as f64,
-            ctx_switch_penalty: cfg.calibration.ctx_switch_penalty,
-            penalty_cap: cfg.calibration.ctx_switch_penalty_cap,
+            ctx_switch_penalty: CTX_SWITCH_PENALTY,
+            penalty_cap: CTX_SWITCH_PENALTY_CAP,
         });
         // A modeled memory-bandwidth capacity enters the GPS bank before
         // any task exists; with the 0.0 sentinel the bank never hears
@@ -220,8 +220,7 @@ impl Regime for Gps<'_> {
     /// regime where it idles the call's core.
     fn end_exec(&mut self, sh: &mut Shell, now: SimTime, i: u32) -> (SimDuration, SimDuration) {
         let rt = sh.runtime[i];
-        let calib = &sh.cfg.calibration;
-        let mgmt = calib.baseline_mgmt_secs(sh.cfg.cores, rt.p, sh.pool.leased() as usize);
+        let mgmt = baseline_mgmt_secs(sh.cfg.cores, rt.p, sh.pool.leased() as usize);
         let processing = now.saturating_since(rt.exec_start);
         (SimDuration::from_secs_f64(mgmt), processing)
     }

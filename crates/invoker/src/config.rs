@@ -1,13 +1,14 @@
-//! Node configuration and simulator calibration.
+//! Node configuration and the simulator's calibration constants.
 //!
-//! The calibration constants are the bridge between the simulator and the
-//! paper's physical testbed. Each constant is anchored to a number the paper
-//! itself reports; `Calibration::paper()` documents the anchor next to each
-//! value. EXPERIMENTS.md records how well the calibrated simulator tracks
-//! every table and figure.
+//! The constants below are the bridge between the simulator and the
+//! paper's physical testbed. Each is anchored to a number the paper itself
+//! reports, named in its doc comment, and no run varies it. The one
+//! calibration value an experiment sweeps, the one-way network hop, is a
+//! [`NodeConfig`] field instead (the hop ablation). ROADMAP's measured-state
+//! table records how closely the calibrated simulator tracks Table III and
+//! Table V.
 
 use faas_core::SchedulerConfig;
-use faas_simcore::dist::Distribution;
 use faas_simcore::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -31,138 +32,107 @@ impl NodeMode {
     }
 }
 
-/// Calibration constants of the node model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Calibration {
-    /// One-way client→invoker latency (NGINX + controller + Kafka).
-    /// Table I's caption attributes ~10 ms of round-trip overhead to this
-    /// path; we split it evenly.
-    pub hop_request: SimDuration,
-    /// One-way invoker→client latency.
-    pub hop_response: SimDuration,
-    /// CPU work of a full cold start (docker pull/create/init), in
-    /// core-seconds. §VI: "It takes 500 ms on the average \[21\] (and, in our
-    /// measurements, up to 2 s) to fully initialize a new container".
-    pub coldstart_work: Distribution,
-    /// Fraction of the full cold-start work still needed when promoting a
-    /// prewarmed runtime container (function code injection only).
-    pub prewarm_init_fraction: f64,
-    /// Per-call container-management cost (docker pause/unpause, log
-    /// collection, result plumbing), expressed in *seconds of management per
-    /// second of processing per node core*. A call with processing time `p`
-    /// on a node with `c` action cores keeps its container (and, under the
-    /// paper's one-core-per-container regime, its core) busy for an extra
-    /// `mgmt_per_core · c · p` seconds after the response is sent.
-    ///
-    /// Two observations in the paper pin this form down. (a) §V-B: container
-    /// management "may require more time, on average per call, than
-    /// executing the function itself", and the FIFO medians across 5/10/20
-    /// cores (Table III) fit an overhead that scales with the core count —
-    /// the management stack (dockerd, containerd, invoker JVM) degrades with
-    /// the container population, which §V-A's warm-up makes proportional to
-    /// `cores`. (b) SEPT's sub-second medians under overload (Table III)
-    /// rule out a *constant* per-call cost: short calls must occupy their
-    /// core only briefly, so the cost must scale with the call's duration
-    /// (log volume and memory to reconcile grow with runtime).
-    pub mgmt_per_core: f64,
-    /// Duration-independent part of the per-call management cost under the
-    /// paper's regime, in seconds: docker pause/unpause and activation
-    /// bookkeeping have a fixed cost even for millisecond calls. Pinned by
-    /// SEPT's ~1 s response medians under overload (Table III), which stay
-    /// sub-second even on 20 cores at intensity 120 — so the floor must NOT
-    /// grow with the core count (pause/unpause of one container is a
-    /// constant-cost docker operation).
-    pub mgmt_floor: f64,
-    /// Context-switch capacity penalty `kappa` of the baseline's shared-CPU
-    /// regime (see `faas_cpu::gps`). Calibrated against the baseline's
-    /// 20-core collapse in Fig. 3/Table III.
-    pub ctx_switch_penalty: f64,
-    /// Cap on the GPS capacity-loss divisor (see `faas_cpu::GpsParams`).
-    pub ctx_switch_penalty_cap: f64,
-    /// How much heavier per-call container management is on the *baseline*
-    /// node than under the paper's regime. The baseline's free pool churns
-    /// (greedy creation, evictions, pause/unpause of a large fluctuating
-    /// population — SSVI and Fig. 2a), so each call's docker housekeeping
-    /// costs a multiple of the disciplined pool's. Calibrated against the
-    /// baseline's knife-edge between intensity 30 and 40 on 10 cores
-    /// (median 2.8 s -> 61 s, Table III).
-    pub baseline_mgmt_multiplier: f64,
-    /// Additional load-dependence of the baseline's management hold: the
-    /// hold is scaled by `1 + penalty * (leased / cores)^exponent`,
-    /// modelling dockerd degradation as the live-container population
-    /// grows. Calibrated against the superlinear growth of the baseline's
-    /// medians with intensity (Table III) and its 20-core collapse.
-    pub baseline_churn_penalty: f64,
-    /// Exponent of the churn law (see `baseline_churn_penalty`).
-    pub baseline_churn_exponent: f64,
-    /// Duration-independent part of the baseline's per-call management hold,
-    /// in seconds per node core: docker pause/unpause and activation
-    /// bookkeeping cost roughly the same for a 10 ms call as for a 10 s one.
-    pub baseline_mgmt_floor_per_core: f64,
-    /// Upper bound on the churn scale factor, *per core*: dockerd
-    /// degradation saturates once the pool is fully thrashing, and larger
-    /// nodes saturate later (more dockerd/containerd parallelism). The
-    /// effective cap is `baseline_churn_cap_per_core * cores`.
-    pub baseline_churn_cap_per_core: f64,
-    /// Delay before a consumed prewarm container is replaced by a fresh one
-    /// (one replacement per promoted stemcell, in both regimes). A
-    /// replacement that finds no free memory when it is due is dropped.
-    pub prewarm_replacement_delay: SimDuration,
+/// Bounds of the CPU work of a full cold start (docker pull/create/init),
+/// in core-seconds; each cold start draws uniformly on `[lo, hi)`. §VI:
+/// "It takes 500 ms on the average \[21\] (and, in our measurements, up to
+/// 2 s) to fully initialize a new container".
+pub const COLDSTART_WORK_SECS: (f64, f64) = (0.5, 2.0);
+
+/// Fraction of the full cold-start work still needed when promoting a
+/// prewarmed runtime container (function code injection only).
+pub const PREWARM_INIT_FRACTION: f64 = 0.35;
+
+/// Per-call container-management cost (docker pause/unpause, log
+/// collection, result plumbing), expressed in *seconds of management per
+/// second of processing per node core*. A call with processing time `p` on
+/// a node with `c` action cores keeps its container (and, under the paper's
+/// one-core-per-container regime, its core) busy for an extra
+/// `MGMT_PER_CORE · c · p` seconds after the response is sent.
+///
+/// Two observations in the paper pin this form down. (a) §V-B: container
+/// management "may require more time, on average per call, than executing
+/// the function itself", and the FIFO medians across 5/10/20 cores
+/// (Table III) fit an overhead that scales with the core count — the
+/// management stack (dockerd, containerd, invoker JVM) degrades with the
+/// container population, which §V-A's warm-up makes proportional to
+/// `cores`. (b) SEPT's sub-second medians under overload (Table III) rule
+/// out a *constant* per-call cost: short calls must occupy their core only
+/// briefly, so the cost must scale with the call's duration (log volume
+/// and memory to reconcile grow with runtime).
+pub const MGMT_PER_CORE: f64 = 0.27;
+
+/// Duration-independent part of the per-call management cost under the
+/// paper's regime, in seconds: docker pause/unpause and activation
+/// bookkeeping have a fixed cost even for millisecond calls. Pinned by
+/// SEPT's ~1 s response medians under overload (Table III), which stay
+/// sub-second even on 20 cores at intensity 120 — so the floor must NOT
+/// grow with the core count (pause/unpause of one container is a
+/// constant-cost docker operation).
+pub const MGMT_FLOOR: f64 = 0.35;
+
+/// Context-switch capacity penalty `kappa` of the baseline's shared-CPU
+/// regime (see `faas_cpu::gps`). Calibrated against the baseline's 20-core
+/// collapse in Fig. 3/Table III.
+pub const CTX_SWITCH_PENALTY: f64 = 0.12;
+
+/// Cap on the GPS capacity-loss divisor (see `faas_cpu::GpsParams`).
+pub const CTX_SWITCH_PENALTY_CAP: f64 = 2.0;
+
+/// How much heavier per-call container management is on the *baseline*
+/// node than under the paper's regime. The baseline's free pool churns
+/// (greedy creation, evictions, pause/unpause of a large fluctuating
+/// population — §VI and Fig. 2a), so each call's docker housekeeping costs
+/// a multiple of the disciplined pool's. Calibrated against the baseline's
+/// knife-edge between intensity 30 and 40 on 10 cores (median 2.8 s ->
+/// 61 s, Table III).
+pub const BASELINE_MGMT_MULTIPLIER: f64 = 4.4;
+
+/// Load-dependence of the baseline's management hold: the hold is scaled
+/// by `1 + BASELINE_CHURN_PENALTY · leased / cores`, modelling dockerd
+/// degradation as the live-container population grows. Calibrated against
+/// the growth of the baseline's medians with intensity (Table III) and its
+/// 20-core collapse.
+pub const BASELINE_CHURN_PENALTY: f64 = 1.3;
+
+/// Duration-independent part of the baseline's per-call management hold,
+/// in seconds per node core: docker pause/unpause and activation
+/// bookkeeping cost roughly the same for a 10 ms call as for a 10 s one.
+pub const BASELINE_MGMT_FLOOR_PER_CORE: f64 = 0.10;
+
+/// Upper bound on the churn scale factor, *per core*: dockerd degradation
+/// saturates once the pool is fully thrashing, and larger nodes saturate
+/// later (more dockerd/containerd parallelism). The effective cap is
+/// `BASELINE_CHURN_CAP_PER_CORE · cores`.
+pub const BASELINE_CHURN_CAP_PER_CORE: f64 = 1.2;
+
+/// Delay before a consumed prewarm container is replaced by a fresh one
+/// (one replacement per promoted stemcell, in both regimes). A replacement
+/// that finds no free memory when it is due is dropped.
+pub const PREWARM_REPLACEMENT_DELAY: SimDuration = SimDuration::from_secs(1);
+
+/// Management (cleanup) time after a call with processing time
+/// `processing_secs` on a node with `cores` action cores, in seconds: a
+/// per-call floor plus a duration-proportional part, both scaling with the
+/// node's container population (~ cores).
+pub fn mgmt_secs(cores: u32, processing_secs: f64) -> f64 {
+    MGMT_FLOOR + MGMT_PER_CORE * cores as f64 * processing_secs
 }
 
-impl Calibration {
-    /// The calibration used for every reproduction run.
-    pub fn paper() -> Self {
-        Calibration {
-            hop_request: SimDuration::from_millis(5),
-            hop_response: SimDuration::from_millis(5),
-            coldstart_work: Distribution::Uniform { lo: 0.5, hi: 2.0 },
-            prewarm_init_fraction: 0.35,
-            mgmt_per_core: 0.27,
-            mgmt_floor: 0.35,
-            ctx_switch_penalty: 0.12,
-            ctx_switch_penalty_cap: 2.0,
-            baseline_mgmt_multiplier: 4.4,
-            baseline_churn_penalty: 1.3,
-            baseline_churn_exponent: 1.0,
-            baseline_mgmt_floor_per_core: 0.10,
-            baseline_churn_cap_per_core: 1.2,
-            prewarm_replacement_delay: SimDuration::from_secs(1),
-        }
-    }
-
-    /// Management (cleanup) time after a call with processing time
-    /// `processing_secs` on a node with `cores` action cores, in seconds:
-    /// a per-call floor plus a duration-proportional part, both scaling
-    /// with the node's container population (~ cores).
-    pub fn mgmt_secs(&self, cores: u32, processing_secs: f64) -> f64 {
-        self.mgmt_floor + self.mgmt_per_core * cores as f64 * processing_secs
-    }
-
-    /// Baseline-node management hold for one call, given the number of
-    /// currently leased containers (load-dependent churn).
-    ///
-    /// The duration-proportional part saturates at 10 cores: dockerd's
-    /// per-call cost stops growing with node size once its own parallelism
-    /// is exhausted (the paper's 20-core baseline is ~1.8x worse than its
-    /// FIFO at every intensity, not 3.6x).
-    pub fn baseline_mgmt_secs(&self, cores: u32, processing_secs: f64, leased: usize) -> f64 {
-        let oversub = leased as f64 / cores as f64;
-        let churn = (1.0
-            + self.baseline_churn_penalty * oversub.powf(self.baseline_churn_exponent))
-        .min(self.baseline_churn_cap_per_core * cores as f64);
-        let effective_cores = (cores as f64).min(10.0);
-        (self.baseline_mgmt_floor_per_core * cores as f64
-            + self.baseline_mgmt_multiplier
-                * (self.mgmt_per_core * effective_cores * processing_secs))
-            * churn
-    }
-}
-
-impl Default for Calibration {
-    fn default() -> Self {
-        Calibration::paper()
-    }
+/// Baseline-node management hold for one call, given the number of
+/// currently leased containers (load-dependent churn).
+///
+/// The duration-proportional part saturates at 10 cores: dockerd's
+/// per-call cost stops growing with node size once its own parallelism is
+/// exhausted (the paper's 20-core baseline is ~1.8x worse than its FIFO at
+/// every intensity, not 3.6x).
+pub fn baseline_mgmt_secs(cores: u32, processing_secs: f64, leased: usize) -> f64 {
+    let oversub = leased as f64 / cores as f64;
+    let churn =
+        (1.0 + BASELINE_CHURN_PENALTY * oversub).min(BASELINE_CHURN_CAP_PER_CORE * cores as f64);
+    let effective_cores = (cores as f64).min(10.0);
+    (BASELINE_MGMT_FLOOR_PER_CORE * cores as f64
+        + BASELINE_MGMT_MULTIPLIER * (MGMT_PER_CORE * effective_cores * processing_secs))
+        * churn
 }
 
 /// Static configuration of one worker node.
@@ -194,8 +164,12 @@ pub struct NodeConfig {
     /// scheduling on the baseline node's GPS bank and the
     /// bandwidth-pressure slowdown on the scheduled node.
     pub mem_bandwidth: f64,
-    /// Calibration constants.
-    pub calibration: Calibration,
+    /// One-way network latency between client and invoker (NGINX +
+    /// controller + Kafka), paid once on the request and once on the
+    /// response. Table I's caption attributes ~10 ms of round-trip
+    /// overhead to this path; the paper's node splits it evenly (5 ms).
+    /// The hop ablation sweeps it.
+    pub hop: SimDuration,
 }
 
 impl NodeConfig {
@@ -207,7 +181,7 @@ impl NodeConfig {
             prewarm_count: 2,
             busy_limit_factor: 1.0,
             mem_bandwidth: 0.0,
-            calibration: Calibration::paper(),
+            hop: SimDuration::from_millis(5),
         }
     }
 
@@ -293,17 +267,16 @@ mod tests {
 
     #[test]
     fn mgmt_scales_with_cores_and_duration() {
-        let c = Calibration::paper();
         // The paper's mean function (~1.042 s) costs ~3 s of management on a
         // 10-core node: management comparable to execution (SSV-B).
-        assert!((c.mgmt_secs(10, 1.042) - 3.16).abs() < 0.05);
+        assert!((mgmt_secs(10, 1.042) - 3.16).abs() < 0.05);
         // The proportional part doubles with the cores; the floor does not.
-        let prop10 = c.mgmt_secs(10, 1.0) - c.mgmt_floor;
-        let prop20 = c.mgmt_secs(20, 1.0) - c.mgmt_floor;
+        let prop10 = mgmt_secs(10, 1.0) - MGMT_FLOOR;
+        let prop20 = mgmt_secs(20, 1.0) - MGMT_FLOOR;
         assert!((prop20 - 2.0 * prop10).abs() < 1e-12);
         // Short calls pay the floor, not the proportional part.
-        assert!(c.mgmt_secs(10, 0.002) < 0.7);
-        assert!(c.mgmt_secs(20, 0.002) < 0.7);
+        assert!(mgmt_secs(10, 0.002) < 0.7);
+        assert!(mgmt_secs(20, 0.002) < 0.7);
     }
 
     #[test]
@@ -317,8 +290,7 @@ mod tests {
 
     #[test]
     fn hop_overhead_totals_ten_ms() {
-        let c = Calibration::paper();
-        let total = c.hop_request + c.hop_response;
-        assert_eq!(total, SimDuration::from_millis(10));
+        let hop = NodeConfig::paper(10).hop;
+        assert_eq!(hop + hop, SimDuration::from_millis(10));
     }
 }

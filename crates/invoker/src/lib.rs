@@ -35,7 +35,7 @@ pub mod pool;
 pub mod result;
 pub mod step;
 
-pub use config::{Calibration, NodeConfig, NodeMode};
+pub use config::{NodeConfig, NodeMode};
 pub use node::NodeSim;
 pub use pool::{ContainerPool, PoolStats};
 pub use result::{DroppedCall, FaultStats, NodeResult};

@@ -84,7 +84,9 @@
 //! call back it also spans every later call; its peak is reported as
 //! [`NodeResult::peak_live_calls`].
 
-use crate::config::{NodeConfig, NodeMode};
+use crate::config::{
+    NodeConfig, NodeMode, COLDSTART_WORK_SECS, PREWARM_INIT_FRACTION, PREWARM_REPLACEMENT_DELAY,
+};
 use crate::pool::{ContainerId, ContainerPool, PoolStats};
 use crate::result::{DroppedCall, FaultStats, NodeResult};
 use crate::step::{Handoff, NodeProgress};
@@ -475,7 +477,7 @@ impl<'a> NodeSim<'a> {
 
     /// Re-inject a call another node failed over: the attempt counter
     /// carries across, and the delivery is a fresh dispatch through the
-    /// controller — one `hop_request` after `deliver_at` (the backoff
+    /// controller — one request hop after `deliver_at` (the backoff
     /// expiry, barrier-aligned by the cluster engine).
     pub fn inject_handoff(&mut self, h: &Handoff, deliver_at: SimTime) {
         let sh = &mut self.sh;
@@ -561,14 +563,14 @@ impl<'a> NodeSim<'a> {
 
 impl Shell<'_> {
     /// Append the slots of a call that has begun `attempts` deliveries
-    /// and return the event of its next one, due `hop_request` after
+    /// and return the event of its next one, due one request hop after
     /// `sent`, for the caller to queue.
     fn push_call(&mut self, call: &Call, sent: SimTime, attempts: u32) -> (SimTime, Ev) {
         let idx = self.outcomes.len() as u32;
         self.runtime.push(CallRuntime::idle(attempts));
         self.outcomes
             .push(CallOutcome::pending(call, self.node_index));
-        (sent + self.cfg.calibration.hop_request, Ev::Arrive(idx))
+        (sent + self.cfg.hop, Ev::Arrive(idx))
     }
 
     /// Draw an intrinsic processing time for a call of `func`.
@@ -656,7 +658,7 @@ impl Shell<'_> {
     /// eviction.
     ///
     /// A promoted stemcell is backfilled once, in both regimes: one
-    /// [`Ev::PrewarmReady`] fires the calibrated replacement delay later,
+    /// [`Ev::PrewarmReady`] fires [`PREWARM_REPLACEMENT_DELAY`] later,
     /// and a refill that then finds no memory is dropped.
     pub fn lease(&mut self, i: u32) -> Option<f64> {
         let idx = i as usize;
@@ -667,19 +669,19 @@ impl Shell<'_> {
         rt.start_kind = placement.kind;
         rt.container = Some(placement.container);
         rt.phase = FaultPhase::Running;
-        let calib = &self.cfg.calibration;
+        let (lo, hi) = COLDSTART_WORK_SECS;
         Some(match placement.kind {
             ColdStartKind::Warm => 0.0,
             ColdStartKind::Prewarm => {
                 if self.pool.prewarm_deficit() > 0 {
                     self.events.schedule(
-                        self.events.now() + calib.prewarm_replacement_delay,
+                        self.events.now() + PREWARM_REPLACEMENT_DELAY,
                         Ev::PrewarmReady(self.incarnation),
                     );
                 }
-                calib.coldstart_work.sample(&mut self.rng_cold) * calib.prewarm_init_fraction
+                self.rng_cold.uniform_f64(lo, hi) * PREWARM_INIT_FRACTION
             }
-            ColdStartKind::Cold => calib.coldstart_work.sample(&mut self.rng_cold),
+            ColdStartKind::Cold => self.rng_cold.uniform_f64(lo, hi),
         })
     }
 
@@ -700,7 +702,7 @@ impl Shell<'_> {
             self.fail_attempt(now, i, DropReason::ExhaustedRetries);
             return;
         }
-        let completion = now + self.cfg.calibration.hop_response;
+        let completion = now + self.cfg.hop;
         // A hard assert (one branch per call, negligible next to the event
         // loop): together with the final filled-count check it guarantees
         // every slot is written exactly once, in release builds too.
@@ -1041,8 +1043,8 @@ mod tests {
             release: SimTime::ZERO,
             kind: CallKind::Measured,
         };
-        let leased_at = call.release + cfg.calibration.hop_request;
-        let refill_at = leased_at + cfg.calibration.prewarm_replacement_delay;
+        let leased_at = call.release + cfg.hop;
+        let refill_at = leased_at + PREWARM_REPLACEMENT_DELAY;
         for mode in &modes(Policy::Fifo) {
             let mut sim = NodeSim::new(&cat, mode, &cfg, &weights, &none, 1, 0, false);
             sim.inject(&[call]);

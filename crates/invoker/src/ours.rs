@@ -40,7 +40,7 @@
 //! * Re-delivered attempts go through [`SchedulerState::on_receive`] again
 //!   — the scheduler sees every delivery, like OpenWhisk's controller.
 
-use crate::config::NodeConfig;
+use crate::config::{mgmt_secs, NodeConfig};
 use crate::node::{Ev, FaultPhase, Regime, Shell};
 use crate::result::NodeResult;
 use faas_core::{PendingQueue, SchedulerConfig, SchedulerState};
@@ -167,9 +167,8 @@ impl Regime for Cores {
             self.served_mem_units +=
                 now.saturating_since(rt.exec_start).as_secs_f64() * mem_units(spec.memory_mb);
         }
-        let calib = sh.cfg.calibration;
         let processing = SimDuration::from_secs_f64(rt.p);
-        let mgmt = SimDuration::from_secs_f64(calib.mgmt_secs(sh.cfg.cores, rt.p));
+        let mgmt = SimDuration::from_secs_f64(mgmt_secs(sh.cfg.cores, rt.p));
         // The paper's invoker stores "the processing time" measured around
         // the whole container interaction (§IV-B); on a loaded node that
         // window includes the per-call container management, so the stored

@@ -44,7 +44,7 @@
 //! consumed so far and the instant its retry backoff expires. The cluster
 //! engine collects outboxes at each window barrier and re-injects every
 //! handoff on the least-loaded healthy node via `inject_handoff`, which
-//! charges one fresh dispatch hop (`hop_request`) like any arrival —
+//! charges one fresh dispatch hop (`NodeConfig::hop`) like any arrival —
 //! failover goes back through the controller, unlike a local retry. The
 //! call's attempt counter carries across nodes, so a policy of `n`
 //! attempts spends `n` attempts cluster-wide, wherever they ran.

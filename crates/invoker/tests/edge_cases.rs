@@ -102,7 +102,6 @@ fn prewarm_pool_replenishes_and_serves_again() {
     let cat = catalogue();
     let mut cfg = NodeConfig::paper(2);
     cfg.prewarm_count = 1;
-    cfg.calibration.prewarm_replacement_delay = SimDuration::from_millis(100);
     let f = cat.by_name("dynamic-html").unwrap();
     let g = cat.by_name("thumbnailer").unwrap();
     // Two different functions far apart in time: both should hit prewarm
@@ -324,7 +323,7 @@ fn a_crash_at_an_arrival_instant_fires_before_the_arrival() {
     let cfg = NodeConfig::paper(4);
     let weights = WeightTable::uniform(cat.len());
     let release = SimTime::from_secs(10);
-    let arrival = release + cfg.calibration.hop_request;
+    let arrival = release + cfg.hop;
     let restart_after = SimDuration::from_secs(5);
     let faults = FaultSpec {
         crashes: vec![CrashSpec {
@@ -386,7 +385,7 @@ fn a_gps_tick_re_armed_onto_an_occupied_instant_fires_after_its_events() {
     let d = call(0, 1, SimTime::ZERO);
     let a = call(1, 2, SimTime::from_secs(10));
     let c = call(2, 3, SimTime::from_secs(10) + SimDuration::from_millis(2));
-    let a_placed = a.release + cfg.calibration.hop_request + SimDuration::from_millis(1);
+    let a_placed = a.release + cfg.hop + SimDuration::from_millis(1);
     let run = |late: &[Call]| {
         let mut sim = NodeSim::new(
             &cat,
@@ -406,11 +405,7 @@ fn a_gps_tick_re_armed_onto_an_occupied_instant_fires_after_its_events() {
     };
     // The instant A's init ends (with C in the bank): where B must land.
     let t = run(&[c]).outcomes[1].exec_start;
-    let b = call(
-        3,
-        1,
-        SimTime::from_nanos(t.as_nanos() - cfg.calibration.hop_request.as_nanos()),
-    );
+    let b = call(3, 1, SimTime::from_nanos(t.as_nanos() - cfg.hop.as_nanos()));
     let r = run(&[c, b]);
     let [_, ra, _, rb] = [0, 1, 2, 3].map(|i| r.outcomes[i]);
     assert_eq!(rb.invoker_receive, t, "B arrives at the tick's instant");

@@ -1,7 +1,7 @@
 //! Plain-text table rendering for the experiment binaries.
 //!
 //! Produces aligned, pipe-separated tables — enough to eyeball every
-//! reproduced table next to the paper's and to paste into EXPERIMENTS.md.
+//! reproduced table next to the paper's.
 
 /// A simple text table builder with right-aligned numeric columns.
 #[derive(Debug, Clone, Default)]

@@ -1,4 +1,4 @@
-//! Service-time distributions.
+//! The service-time distribution.
 //!
 //! The paper characterises each SeBS function by the 5th percentile, median
 //! and 95th percentile of its idle-system response time (Table I). We model
@@ -13,44 +13,6 @@ use serde::{Deserialize, Serialize};
 /// z-score of the 95th percentile of the standard normal (and, negated, of
 /// the 5th percentile).
 pub const Z_95: f64 = 1.6448536269514722;
-
-/// The distribution kinds used across the workspace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum Distribution {
-    /// Always returns the same value.
-    Deterministic(f64),
-    /// Uniform on `[lo, hi)`.
-    Uniform { lo: f64, hi: f64 },
-    /// Exponential with the given mean.
-    Exponential { mean: f64 },
-    /// Log-normal with the given parameters of the underlying normal.
-    LogNormal(LogNormal),
-}
-
-impl Distribution {
-    /// Draw one sample.
-    pub fn sample(&self, rng: &mut Xoshiro256) -> f64 {
-        match *self {
-            Distribution::Deterministic(v) => v,
-            Distribution::Uniform { lo, hi } => rng.uniform_f64(lo, hi),
-            Distribution::Exponential { mean } => {
-                // Inverse CDF; 1 - u avoids ln(0).
-                -mean * (1.0 - rng.next_f64()).ln()
-            }
-            Distribution::LogNormal(ln) => ln.sample(rng),
-        }
-    }
-
-    /// The analytic mean of the distribution.
-    pub fn mean(&self) -> f64 {
-        match *self {
-            Distribution::Deterministic(v) => v,
-            Distribution::Uniform { lo, hi } => 0.5 * (lo + hi),
-            Distribution::Exponential { mean } => mean,
-            Distribution::LogNormal(ln) => ln.mean(),
-        }
-    }
-}
 
 /// Log-normal distribution parameterised by the mean (`mu`) and standard
 /// deviation (`sigma`) of the underlying normal.
@@ -187,39 +149,6 @@ mod tests {
     fn sample_quantile(samples: &mut [f64], q: f64) -> f64 {
         samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
         samples[((samples.len() as f64 - 1.0) * q) as usize]
-    }
-
-    #[test]
-    fn deterministic_is_constant() {
-        let mut rng = Xoshiro256::seed_from_u64(1);
-        let d = Distribution::Deterministic(4.2);
-        for _ in 0..10 {
-            assert_eq!(d.sample(&mut rng), 4.2);
-        }
-        assert_eq!(d.mean(), 4.2);
-    }
-
-    #[test]
-    fn uniform_bounds_and_mean() {
-        let mut rng = Xoshiro256::seed_from_u64(2);
-        let d = Distribution::Uniform { lo: 0.5, hi: 2.0 };
-        let n = 50_000;
-        let mut sum = 0.0;
-        for _ in 0..n {
-            let x = d.sample(&mut rng);
-            assert!((0.5..2.0).contains(&x));
-            sum += x;
-        }
-        assert!((sum / n as f64 - d.mean()).abs() < 0.01);
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let mut rng = Xoshiro256::seed_from_u64(3);
-        let d = Distribution::Exponential { mean: 3.0 };
-        let n = 200_000;
-        let mean: f64 = (0..n).map(|_| d.sample(&mut rng)).sum::<f64>() / n as f64;
-        assert!((mean - 3.0).abs() < 0.05, "mean {mean}");
     }
 
     #[test]

@@ -12,14 +12,13 @@
 //!   via SplitMix64. Every random draw in the workspace flows through this
 //!   generator, which makes every experiment bit-for-bit reproducible from a
 //!   single `u64` seed.
-//! * [`dist`] — the distributions used to model FaaS service times:
-//!   log-normal (fitted from the 5th/50th/95th percentiles published in the
-//!   paper's Table I), uniform, exponential and deterministic.
+//! * [`dist`] — the log-normal that models FaaS service times, fitted from
+//!   the 5th/50th/95th percentiles published in the paper's Table I.
 //! * [`events`] — a monotonic event queue ([`events::EventQueue`]) with a
 //!   stable FIFO tie-break: a `std` binary heap of events that always pop,
 //!   plus one re-armable timer (the baseline's GPS tick) that can be moved
 //!   or withdrawn, so queue memory is bounded by the live event count.
-//! * [`stats`] — percentile / box-plot / summary statistics used to aggregate
+//! * [`stats`] — percentile / box-plot / mean statistics used to aggregate
 //!   response times and stretch exactly the way the paper reports them.
 //!
 //! The kernel is intentionally free of threads: a single simulation run is a
@@ -33,8 +32,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use dist::{Distribution, LogNormal};
+pub use dist::LogNormal;
 pub use events::EventQueue;
 pub use rng::Xoshiro256;
-pub use stats::{Percentiles, Summary};
 pub use time::{SimDuration, SimTime};

@@ -13,8 +13,8 @@
 //! sorting: nested `select_nth_unstable` calls, each running inside the part
 //! of the slice the previous one left, in expected O(n) total, over integer
 //! keys in `f64::total_cmp` order (one integer comparison each). It consumes
-//! the buffer it is given: [`Summary`], [`BoxPlot`] and [`percentile`] give
-//! it one copy of their data, and a caller that has just built a buffer it
+//! the buffer it is given: [`BoxPlot`] and [`percentile`] give it one copy
+//! of their data, and a caller that has just built a buffer it
 //! no longer needs (the metrics crate's `MetricSummary`) gives it that
 //! buffer. Minimum and maximum are the ranks `0` and `n - 1` of the same
 //! selection. An order statistic is one value whatever order the input
@@ -190,69 +190,6 @@ pub fn compensated_sum(data: &[f64]) -> f64 {
 pub fn mean(data: &[f64]) -> f64 {
     assert!(!data.is_empty(), "mean of empty data");
     compensated_sum(data) / data.len() as f64
-}
-
-/// The percentile set the paper's tables report.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Percentiles {
-    /// 25th percentile (box-plot lower hinge).
-    pub p25: f64,
-    /// Median.
-    pub p50: f64,
-    /// 75th percentile (box-plot upper hinge).
-    pub p75: f64,
-    /// 95th percentile.
-    pub p95: f64,
-    /// 99th percentile.
-    pub p99: f64,
-}
-
-/// Full summary of one metric over one experiment configuration.
-///
-/// The percentiles are [`percentile_sorted`]'s estimator, found by
-/// selection in one copy of the data (expected O(n), see the module docs),
-/// so they equal the sorted path's bit for bit. Min and max are the order
-/// statistics at the ends (quantiles 0 and 1) of the same selection; the
-/// mean is the [`compensated_sum`] in input order.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Summary {
-    /// Number of observations.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Percentile set.
-    pub percentiles: Percentiles,
-    /// Smallest observation.
-    pub min: f64,
-    /// Largest observation.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Compute a summary from unsorted data. Panics on empty input or NaNs.
-    pub fn from_data(data: &[f64]) -> Summary {
-        assert!(!data.is_empty(), "summary of empty data");
-        let [min, p25, p50, p75, p95, p99, max] =
-            select_percentiles(data.to_vec(), [0.0, 0.25, 0.50, 0.75, 0.95, 0.99, 1.0]);
-        Summary {
-            count: data.len(),
-            mean: mean(data),
-            percentiles: Percentiles {
-                p25,
-                p50,
-                p75,
-                p95,
-                p99,
-            },
-            min,
-            max,
-        }
-    }
-
-    /// Median shorthand.
-    pub fn median(&self) -> f64 {
-        self.percentiles.p50
-    }
 }
 
 /// The five-number box-plot summary used by the paper's figures:
@@ -451,8 +388,8 @@ mod tests {
             ("percentile", |d| {
                 percentile(d, 0.5);
             }),
-            ("Summary", |d| {
-                Summary::from_data(d);
+            ("select_percentiles", |d| {
+                select_percentiles(d.to_vec(), [0.0, 0.5, 1.0]);
             }),
             ("BoxPlot", |d| {
                 BoxPlot::from_data(d);
@@ -479,24 +416,19 @@ mod tests {
     }
 
     #[test]
-    fn summary_basic() {
-        let s = Summary::from_data(&[4.0, 1.0, 3.0, 2.0, 5.0]);
-        assert_eq!(s.count, 5);
-        assert!((s.mean - 3.0).abs() < 1e-12);
-        assert_eq!(s.median(), 3.0);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 5.0);
-        assert_eq!(s.percentiles.p25, 2.0);
-        assert_eq!(s.percentiles.p75, 4.0);
+    fn selection_reads_the_end_ranks_and_the_quartiles() {
+        let data = [4.0, 1.0, 3.0, 2.0, 5.0];
+        assert!((mean(&data) - 3.0).abs() < 1e-12);
+        let [min, p25, p50, p75, max] =
+            select_percentiles(data.to_vec(), [0.0, 0.25, 0.50, 0.75, 1.0]);
+        assert_eq!([min, p25, p50, p75, max], [1.0, 2.0, 3.0, 4.0, 5.0]);
     }
 
     #[test]
-    fn summary_percentiles_monotone() {
+    fn selected_percentiles_are_monotone() {
         let data: Vec<f64> = (0..1000).map(|i| (i as f64).sqrt()).collect();
-        let s = Summary::from_data(&data);
-        let p = s.percentiles;
-        assert!(p.p25 <= p.p50 && p.p50 <= p.p75 && p.p75 <= p.p95 && p.p95 <= p.p99);
-        assert!(s.min <= p.p25 && p.p99 <= s.max);
+        let p = select_percentiles(data, [0.0, 0.25, 0.50, 0.75, 0.95, 0.99, 1.0]);
+        assert!(p.windows(2).all(|w| w[0] <= w[1]), "{p:?}");
     }
 
     #[test]
@@ -552,8 +484,7 @@ mod tests {
         // [-1e16, 1.0, 1e16] loses the 1.0 entirely (-1e16 + 1.0 == -1e16
         // in f64) and reports a mean of 0. Compensated summation recovers
         // the exact sum of 1.0.
-        let s = Summary::from_data(&[1e16, 1.0, -1e16]);
-        assert_eq!(s.mean, 1.0 / 3.0);
+        assert_eq!(mean(&[1e16, 1.0, -1e16]), 1.0 / 3.0);
         let b = BoxPlot::from_data(&[1e16, 1.0, -1e16]);
         assert_eq!(b.mean, 1.0 / 3.0);
     }
@@ -564,15 +495,9 @@ mod tests {
         // of rounding drift against ulp-of-100000-sized addend steps; the
         // compensated sum keeps the mean within one rounding of 0.1.
         let data = vec![0.1; 1_000_000];
-        let s = Summary::from_data(&data);
-        assert!(
-            (s.mean - 0.1).abs() < 1e-15,
-            "mean drifted to {:.17}",
-            s.mean
-        );
-        assert_eq!(s.count, 1_000_000);
-        assert_eq!(s.min, 0.1);
-        assert_eq!(s.max, 0.1);
+        let m = mean(&data);
+        assert!((m - 0.1).abs() < 1e-15, "mean drifted to {m:.17}");
+        assert_eq!(select_percentiles(data, [0.0, 1.0]), [0.1, 0.1]);
     }
 
     #[test]

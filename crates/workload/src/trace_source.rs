@@ -34,6 +34,7 @@ use faas_simcore::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 /// Indexable, memory-bounded access to a fixed, release-ordered call log.
 /// See the module docs for the purity and ordering contract.
@@ -78,10 +79,11 @@ const TRACE_FORMAT_VERSION: u32 = 1;
 /// The file format is JSONL — one header line, then one [`Call`] per line
 /// — so a file is read line by line with no streaming-JSON machinery.
 /// [`SimTime`] is integer nanoseconds, so save/load round-trips
-/// bit-exactly.
+/// bit-exactly. A clone shares the calls of the trace it was cloned from.
+#[derive(Debug, Clone)]
 pub struct RecordedTrace {
     start: SimTime,
-    calls: Vec<Call>,
+    calls: Arc<Vec<Call>>,
 }
 
 impl RecordedTrace {
@@ -93,7 +95,10 @@ impl RecordedTrace {
         for (i, c) in calls.iter_mut().enumerate() {
             c.id = CallId(i as u64);
         }
-        RecordedTrace { start, calls }
+        RecordedTrace {
+            start,
+            calls: Arc::new(calls),
+        }
     }
 
     /// Capture an existing [`WorkloadSpec`] into a trace: realize the
@@ -122,7 +127,7 @@ impl RecordedTrace {
         let header_line = serde_json::to_string(&header).map_err(io::Error::other)?;
         w.write_all(header_line.as_bytes())?;
         w.write_all(b"\n")?;
-        for call in &self.calls {
+        for call in self.calls.iter() {
             let line = serde_json::to_string(call).map_err(io::Error::other)?;
             w.write_all(line.as_bytes())?;
             w.write_all(b"\n")?;
@@ -182,34 +187,41 @@ impl TraceSource for RecordedTrace {
     }
 }
 
-/// Serializable description of a trace to replay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A trace to replay.
+#[derive(Debug, Clone)]
 pub enum TraceSpec {
     /// Synthesize an Azure-style trace on the fly (never materialized).
     Synthetic(SynthSpec),
-    /// Replay a recorded JSONL trace file.
+    /// Replay a recorded trace, loaded once ([`TraceSpec::load`]) and
+    /// shared by every run that opens it.
     Recorded {
-        /// Path to the trace file (a `String` so the spec stays
-        /// serializable with the vendored serde subset).
+        /// The file the trace was loaded from (for labels).
         path: String,
+        /// The loaded calls.
+        trace: RecordedTrace,
     },
 }
 
 impl TraceSpec {
+    /// Load a recorded JSONL trace file ([`RecordedTrace::load`]) once,
+    /// for every run of the spec to share.
+    pub fn load(path: &str) -> io::Result<TraceSpec> {
+        Ok(TraceSpec::Recorded {
+            path: path.to_string(),
+            trace: RecordedTrace::load(Path::new(path))?,
+        })
+    }
+
     /// Open the trace this spec describes. `start`/`seed` parameterize
-    /// synthetic traces; a recorded trace carries its own start time and
-    /// consumes no randomness.
-    pub fn open(
-        &self,
-        catalogue: &Catalogue,
-        start: SimTime,
-        seed: u64,
-    ) -> io::Result<Box<dyn TraceSource>> {
+    /// synthetic traces, which each open realizes afresh; a recorded trace
+    /// carries its own start time, consumes no randomness and is handed
+    /// out as a shared handle, never re-read.
+    pub fn open(&self, catalogue: &Catalogue, start: SimTime, seed: u64) -> Box<dyn TraceSource> {
         match self {
-            TraceSpec::Synthetic(spec) => Ok(Box::new(crate::synth::SyntheticTrace::new(
+            TraceSpec::Synthetic(spec) => Box::new(crate::synth::SyntheticTrace::new(
                 spec, catalogue, start, seed,
-            ))),
-            TraceSpec::Recorded { path } => Ok(Box::new(RecordedTrace::load(Path::new(path))?)),
+            )),
+            TraceSpec::Recorded { trace, .. } => Box::new(trace.clone()),
         }
     }
 
@@ -217,7 +229,7 @@ impl TraceSpec {
     pub fn label(&self) -> String {
         match self {
             TraceSpec::Synthetic(spec) => spec.label(),
-            TraceSpec::Recorded { path } => format!(
+            TraceSpec::Recorded { path, .. } => format!(
                 "replay({})",
                 Path::new(path)
                     .file_name()
@@ -230,7 +242,7 @@ impl TraceSpec {
 /// What drives a run: an analytic workload spec or a fixed trace. The
 /// experiment layers thread this through so every engine composes with
 /// both generation schemes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum WorkloadSource {
     /// Generate from an analytic spec (arrival × mix × weights × window).
     Spec(WorkloadSpec),
@@ -325,7 +337,7 @@ mod tests {
         let text = std::fs::read_to_string(&path).expect("read");
         let last_line = text.trim_end().rfind('\n').expect("header plus calls");
         std::fs::write(&path, &text[..=last_line]).expect("write");
-        let err = RecordedTrace::load(&path).err().expect("a call is missing");
+        let err = RecordedTrace::load(&path).expect_err("a call is missing");
         std::fs::remove_file(&path).ok();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
@@ -372,19 +384,22 @@ mod tests {
     fn trace_spec_open_and_labels() {
         let cat = catalogue();
         let synth = TraceSpec::Synthetic(SynthSpec::azure(5.0, SimDuration::from_secs(60)));
-        let t = synth.open(&cat, SimTime::ZERO, 23).expect("synthetic");
+        let t = synth.open(&cat, SimTime::ZERO, 23);
         assert!(!t.is_empty());
         assert!(synth.label().starts_with("synth("));
 
         let rec = RecordedTrace::record(&spec(), &cat, SimTime::ZERO, 29);
         let path = tmp("spec-open.jsonl");
         rec.save(&path).expect("save");
-        let replay = TraceSpec::Recorded {
-            path: path.to_string_lossy().into_owned(),
-        };
-        let r = replay.open(&cat, SimTime::ZERO, 0).expect("recorded");
+        let replay = TraceSpec::load(&path.to_string_lossy()).expect("recorded");
         std::fs::remove_file(&path).ok();
-        assert_eq!(r.len(), rec.len());
+        // Every open shares the one loaded copy: the file is gone.
+        for _ in 0..2 {
+            let r = replay.open(&cat, SimTime::ZERO, 0);
+            assert_eq!(r.len(), rec.len());
+            assert_eq!(r.call(0), rec.call(0));
+        }
+        assert!(TraceSpec::load(&path.to_string_lossy()).is_err());
         assert!(replay.label().starts_with("replay("));
         let src = WorkloadSource::Trace(synth);
         assert!(src.label().starts_with("synth("));

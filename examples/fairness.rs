@@ -11,10 +11,9 @@
 //! cargo run --release --example fairness
 //! ```
 
-use faas_scheduling::metrics::summary::stretches;
+use faas_scheduling::metrics::summary::{stretches, MetricSummary};
 use faas_scheduling::metrics::table::{fmt_secs, TextTable};
 use faas_scheduling::prelude::*;
-use faas_scheduling::simcore::stats::Summary;
 
 fn main() {
     let catalogue = Catalogue::sebs();
@@ -42,18 +41,18 @@ fn main() {
         let mode = NodeMode::Scheduled(SchedulerConfig::paper(policy));
         let result = simulate_scenario(&catalogue, &scenario, &mode, &node, seed);
         let outcomes: Vec<&CallOutcome> = result.measured().collect();
-        let per_func = |f: FuncId| -> Summary {
+        let per_func = |f: FuncId| -> MetricSummary {
             let filtered: Vec<&CallOutcome> =
                 outcomes.iter().copied().filter(|o| o.func == f).collect();
-            Summary::from_data(&stretches(&filtered, &catalogue))
+            MetricSummary::from_values(&stretches(&filtered, &catalogue))
         };
         let dna_s = per_func(dna);
         let bfs_s = per_func(bfs);
-        let all_s = Summary::from_data(&stretches(&outcomes, &catalogue));
+        let all_s = MetricSummary::from_values(&stretches(&outcomes, &catalogue));
         table.row([
             policy.name().to_string(),
             fmt_secs(dna_s.mean),
-            fmt_secs(dna_s.median()),
+            fmt_secs(dna_s.p50),
             fmt_secs(bfs_s.mean),
             fmt_secs(all_s.mean),
         ]);

@@ -64,9 +64,7 @@ pub use faas_workload as workload;
 pub mod prelude {
     pub use faas_cluster::{run_cluster, ClusterConfig, ClusterScenario, LoadBalancer};
     pub use faas_core::{Policy, SchedulerConfig, SchedulerState};
-    pub use faas_invoker::{
-        simulate_calls, simulate_scenario, Calibration, NodeConfig, NodeMode, NodeResult,
-    };
+    pub use faas_invoker::{simulate_calls, simulate_scenario, NodeConfig, NodeMode, NodeResult};
     pub use faas_metrics::summary::RunSummary;
     pub use faas_simcore::time::{SimDuration, SimTime};
     pub use faas_workload::scenario::{BurstScenario, FairnessScenario, Scenario};

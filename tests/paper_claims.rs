@@ -1,5 +1,6 @@
 //! Integration tests pinning the paper's headline claims, at reduced scale
-//! so the suite stays fast. EXPERIMENTS.md holds the full-scale numbers.
+//! so the suite stays fast. ROADMAP's measured-state table records the
+//! full-scale fidelity numbers.
 
 use faas_scheduling::prelude::*;
 

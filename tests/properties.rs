@@ -9,9 +9,7 @@ use faas_scheduling::cpu::{GpsCpu, GpsParams};
 use faas_scheduling::metrics::summary::{
     response_times, stretches, FaultCounts, MetricSummary, RobustnessSummary, RunSummary,
 };
-use faas_scheduling::simcore::stats::{
-    mean, percentile, percentile_sorted, sorted_copy, BoxPlot, Percentiles, Summary,
-};
+use faas_scheduling::simcore::stats::{mean, percentile, percentile_sorted, sorted_copy, BoxPlot};
 use faas_scheduling::simcore::time::{SimDuration, SimTime};
 use faas_scheduling::workload::scenario::BurstScenario;
 use faas_scheduling::workload::sebs::{Catalogue, FuncId};
@@ -24,26 +22,6 @@ use std::fmt::Debug;
 /// sign of zero). The data never holds NaN.
 fn assert_same_bits<T: Debug>(got: &T, want: &T, data: &[f64]) {
     assert_eq!(format!("{got:?}"), format!("{want:?}"), "data {data:?}");
-}
-
-/// The sorted path that [`Summary::from_data`] must reproduce: sort, read
-/// the estimator, take the mean in sorted order.
-fn reference_summary(data: &[f64]) -> Summary {
-    let sorted = sorted_copy(data);
-    let p = |q| percentile_sorted(&sorted, q);
-    Summary {
-        count: sorted.len(),
-        mean: mean(&sorted),
-        percentiles: Percentiles {
-            p25: p(0.25),
-            p50: p(0.50),
-            p75: p(0.75),
-            p95: p(0.95),
-            p99: p(0.99),
-        },
-        min: sorted[0],
-        max: sorted[sorted.len() - 1],
-    }
 }
 
 /// The sorted path that [`BoxPlot::from_data`] must reproduce: whiskers
@@ -82,23 +60,24 @@ fn reference_boxplot(data: &[f64]) -> BoxPlot {
     }
 }
 
+/// The sorted path that [`MetricSummary::from_values`] must reproduce:
+/// sort, read the estimator, take the mean in sorted order.
 fn reference_metric(values: &[f64]) -> MetricSummary {
-    let s = reference_summary(values);
-    let p = s.percentiles;
+    let sorted = sorted_copy(values);
+    let p = |q| percentile_sorted(&sorted, q);
     MetricSummary {
-        count: s.count,
-        mean: s.mean,
-        p50: p.p50,
-        p75: p.p75,
-        p95: p.p95,
-        p99: p.p99,
-        max: s.max,
+        count: sorted.len(),
+        mean: mean(&sorted),
+        p50: p(0.50),
+        p75: p(0.75),
+        p95: p(0.95),
+        p99: p(0.99),
+        max: sorted[sorted.len() - 1],
     }
 }
 
 /// Selection must equal the sorted path on `data` for every summary.
 fn assert_selection_matches_sorting(data: &[f64], q: f64) {
-    assert_same_bits(&Summary::from_data(data), &reference_summary(data), data);
     assert_same_bits(
         &MetricSummary::from_values(data),
         &reference_metric(data),
@@ -354,7 +333,7 @@ proptest! {
         prop_assert!(p_hi <= sorted[sorted.len() - 1] + 1e-9);
     }
 
-    /// Selection reproduces the sorted path bit for bit: `Summary`,
+    /// Selection reproduces the sorted path bit for bit: `MetricSummary`,
     /// `BoxPlot` and `percentile` against `sorted_copy` +
     /// `percentile_sorted` + the whisker rule, mean included.
     #[test]
@@ -423,9 +402,10 @@ proptest! {
         prop_assert!(b.p25 <= b.median + 1e-9);
         prop_assert!(b.median <= b.p75 + 1e-9);
         prop_assert!(b.p75 <= b.whisker_hi + 1e-9);
-        let s = Summary::from_data(&data);
-        prop_assert!(b.whisker_lo >= s.min - 1e-9);
-        prop_assert!(b.whisker_hi <= s.max + 1e-9);
+        let min = data.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = data.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        prop_assert!(b.whisker_lo >= min - 1e-9);
+        prop_assert!(b.whisker_hi <= max + 1e-9);
         prop_assert!(b.outliers < data.len());
     }
 
