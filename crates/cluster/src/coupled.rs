@@ -1,5 +1,6 @@
 //! The cluster engine: one conservative-window loop behind every entry
-//! point, with feedback load balancing and cross-node failover.
+//! point, with feedback load balancing and cross-node failover, streamed
+//! through persistent node workers when no window needs a barrier.
 //!
 //! # The conservative-window protocol
 //!
@@ -37,56 +38,84 @@
 //! the [`NodeProgress`] snapshots of the previous
 //! barrier plus the calls routed since — a stale-by-at-most-one-
 //! window view, exactly the staleness a real controller's health polling
-//! has. Step 3 is the only section that may run in parallel, and each
-//! node's simulator is self-contained, so the run is a pure function of
-//! `(seed, lookahead, chunk)`: bit-identical across reruns *and thread
-//! counts*. Narrower windows give the controller fresher queue signals;
-//! wider windows amortize barrier overhead. With
+//! has. Step 3 is the only section that may run in parallel (a streamed
+//! run, below, also overlaps step 1 with it), and each node's simulator is
+//! self-contained, so the run is a pure function of `(seed, lookahead,
+//! chunk)`: bit-identical across reruns *and thread counts*. Narrower
+//! windows give the controller fresher queue signals; wider windows
+//! amortize barrier overhead. With
 //! `lookahead = `[`SimDuration::MAX`] only the ingestion cap cuts windows —
 //! the paper's §VIII setting of static round-robin over independent
 //! workers.
 //!
 //! [`NodeProgress`]: faas_invoker::NodeProgress
 //! [`SimDuration::MAX`]: faas_simcore::time::SimDuration::MAX
+//! [`SimTime::MAX`]: faas_simcore::time::SimTime::MAX
 //! [`Lookahead::failover`]: crate::sim::Lookahead::failover
 //! [`ClusterConfig::coupled`]: crate::ClusterConfig::coupled
 //!
 //! # The ingestion cap
 //!
 //! A window routes at most `chunk` arrivals, so the controller never holds
-//! more than one chunk of routed calls whatever the stream's length: a
-//! trace at infinite lookahead is paged, never materialized. A window the
-//! cap cuts short ends one nanosecond before the next unrouted release, so
-//! the nodes stop before any work at that release, even with a zero
-//! dispatch hop. A late call's arrival event then queues behind events
-//! already scheduled for its instant, where injecting every call up front
-//! would put it first; only an exact nanosecond tie between an arrival and
-//! another event can tell the two apart. Service and cold-start times are
-//! continuous draws, so for a static policy the outcomes are the same for
-//! every `chunk` — the pinned digests and the configuration-space property
-//! hold it — and only `peak_events` sees the shorter event queues.
+//! more than one chunk of routed calls in the window loop, and at most two
+//! per node worker in a streamed run (see below), whatever the stream's
+//! length: a trace at infinite lookahead is paged, never materialized. A
+//! window the cap cuts short ends one nanosecond before the next unrouted
+//! release, so the nodes stop before any work at that release, even with
+//! a zero dispatch hop. A late call's arrival event then queues behind
+//! events already scheduled for its instant, where injecting every call up
+//! front would put it first; only an exact nanosecond tie between an
+//! arrival and another event can tell the two apart. Service and
+//! cold-start times are continuous draws, so for a static policy the
+//! outcomes are the same for every `chunk` — the pinned digests and the
+//! configuration-space property hold it — and only `peak_events` sees the
+//! shorter event queues.
 //!
 //! # Node workers
 //!
 //! The engine splits the nodes into as many contiguous chunks as the run
-//! has threads (at most one per node); the controller thread owns chunk 0.
-//! Each window the controller decides where the window runs, from counts
-//! alone: a window that delivers at least `FAN_OUT` routed calls and
-//! handoffs to the other chunks' nodes fans out, and any other window runs
-//! inline, the controller stepping every node itself. Fanning out spawns
-//! one scoped thread for each other chunk with work due, steps chunk 0 on
-//! the controller and joins the threads; a panic on any of them resumes
-//! on the caller's thread. The choice depends only on the routed work,
-//! never on wall time, and each node's simulator is self-contained, so it
-//! cannot change a result.
+//! has threads (at most one per node). How the chunks run depends on
+//! whether the run needs its barriers.
+//!
+//! **Streamed runs.** A static balancer at infinite lookahead (which rules
+//! out failover) routes without reading node state, and every horizon is
+//! either [`SimTime::MAX`] or just before the next unrouted release, so
+//! the windows are fixed by the arrivals alone: no node can affect another
+//! node or the routing, and nothing needs a barrier (Nicol, JACM 1993;
+//! Fujimoto, CACM 1990). On two or more threads such a run streams: one
+//! persistent worker per chunk owns its nodes for the whole run, and the
+//! controller routes ahead, sending each worker its nodes' batches and the
+//! window's horizon over a bounded channel. A worker steps every window
+//! in order through the same `NodeWork::step` as the loop, so each node
+//! sees the loop's inject/advance sequence and every result field,
+//! `peak_events` and `peak_live_calls` included, is the one-thread run's.
+//! The channel holds one window, so at most two of a worker's windows are
+//! routed and not yet stepped: one queued and one being routed. The
+//! controller only routes, so a streamed run has one thread more than its
+//! thread count; on a 2-vCPU host that beat letting the controller step
+//! chunk 0 between windows, whose routing then held up its own nodes. A
+//! panic on a worker resumes on the caller once every worker has stopped.
+//! The paper's §VIII runs (fig5, fig6) and azure-replay stream.
+//!
+//! **Coupled and feedback runs** keep the window loop, and the controller
+//! thread owns chunk 0. Each window the controller decides where the
+//! window runs, from counts alone: a window that delivers at least
+//! `FAN_OUT` routed calls and handoffs to the other chunks' nodes fans
+//! out, and any other window runs inline, the controller stepping every
+//! node itself. Fanning out spawns one scoped thread for each other chunk
+//! with work due, steps chunk 0 on the controller and joins the threads; a
+//! panic on any of them resumes on the caller's thread once every thread
+//! has joined. The choice depends only on the routed work, never on wall
+//! time, and each node's simulator is self-contained, so it cannot change
+//! a result. A one-thread run of any kind runs every window inline.
 //!
 //! A scoped spawn and join costs about 60 µs on a 2-vCPU host, so
 //! fanning out a sparse window can only lose (Nicol, JACM 1993); a dense
-//! one splits its node work over the cores.
-//! At 2 threads cluster-faults delivers at most 3 calls to the other chunk
-//! in any window and fans out none of its 8,575 windows; azure-replay fans
-//! out all 162 of its 8,192-call windows. `FAN_OUT` records how the
-//! threshold was chosen.
+//! one splits its node work over the cores. At 2 threads cluster-faults
+//! (coupled and dominant-share routed) delivers at most 3 calls to the
+//! other chunk in any window and fans out none of its 8,575 windows.
+//! `FAN_OUT` records how the threshold was chosen, on azure-replay's trace
+//! when it still ran through the window loop.
 //!
 //! # Cross-node failover
 //!
@@ -104,10 +133,13 @@
 use crate::lb::{NodeView, Router};
 use crate::trace_run::Run;
 use faas_invoker::{Handoff, NodeResult, NodeSim};
-use faas_simcore::time::SimTime;
+use faas_simcore::time::{SimDuration, SimTime};
 use faas_workload::trace::Call;
 use std::collections::VecDeque;
+use std::iter::Peekable;
 use std::panic::resume_unwind;
+use std::sync::mpsc::sync_channel;
+use std::thread::ScopedJoinHandle;
 
 /// Pick the failover target: least-loaded healthy node, lowest index on
 /// ties, preferring nodes other than the one the attempt failed on. With
@@ -197,16 +229,18 @@ impl NodeWork {
 /// to 192 (1.21 vs 1.23 at 128), and fanning out won every run from 256
 /// up (1.08 vs 1.38 at 256, 1.03 vs 1.52 at 4,096). 256 is the least
 /// count that won every run; windows with 96 to 255 deliveries tie either
-/// way. Every value from 4 to 8,192 splits the benchmark's runs the same
-/// way: cluster-faults fans out none of its windows, azure-replay all.
+/// way. Every value from 4 to 8,192 split the benchmark's window-loop
+/// runs the same way: cluster-faults fanned out none of its windows,
+/// azure-replay (which now streams) all.
 const FAN_OUT: usize = 256;
 
-/// How many windows a run stepped inline and how many it fanned out.
+/// How many windows a run stepped inline, fanned out or streamed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[cfg_attr(not(test), allow(dead_code))] // only the tests read the tally
 pub(crate) struct Windows {
     pub(crate) inline: u64,
     pub(crate) fanned_out: u64,
+    pub(crate) streamed: u64,
 }
 
 /// Advance each node through its own work to `horizon`.
@@ -216,24 +250,31 @@ fn step_all(nodes: &mut [NodeSim], work: &mut [NodeWork], horizon: SimTime) {
     }
 }
 
+/// Split `items` into the chunks `bounds[k]..bounds[k + 1]`.
+fn chunks<'a, T>(mut items: &'a mut [T], bounds: &[usize]) -> Vec<&'a mut [T]> {
+    let chunks = bounds.windows(2).map(|b| {
+        let (chunk, rest) = std::mem::take(&mut items).split_at_mut(b[1] - b[0]);
+        items = rest;
+        chunk
+    });
+    chunks.collect()
+}
+
+/// Join every worker, then resume the first one's panic, if any, on the
+/// caller.
+fn join_all(workers: Vec<ScopedJoinHandle<'_, ()>>) {
+    let panics: Vec<_> = workers.into_iter().filter_map(|w| w.join().err()).collect();
+    if let Some(panic) = panics.into_iter().next() {
+        resume_unwind(panic);
+    }
+}
+
 /// Advance the nodes to `horizon` in parallel. `nodes` and `work` split
 /// into the chunks `bounds[k]..bounds[k + 1]`; the calling thread steps
 /// chunk 0 and one scoped thread steps each other chunk with work due. A
 /// panic on a worker resumes on the caller once every worker has joined.
-fn fan_out(
-    mut nodes: &mut [NodeSim],
-    mut work: &mut [NodeWork],
-    bounds: &[usize],
-    horizon: SimTime,
-) {
-    let mut chunks = bounds.windows(2).map(|b| {
-        let len = b[1] - b[0];
-        let (n, rest) = std::mem::take(&mut nodes).split_at_mut(len);
-        nodes = rest;
-        let (w, rest) = std::mem::take(&mut work).split_at_mut(len);
-        work = rest;
-        (n, w)
-    });
+fn fan_out(nodes: &mut [NodeSim], work: &mut [NodeWork], bounds: &[usize], horizon: SimTime) {
+    let mut chunks = chunks(nodes, bounds).into_iter().zip(chunks(work, bounds));
     let (own_nodes, own_work) = chunks.next().expect("the controller owns chunk 0");
     std::thread::scope(|scope| {
         let workers: Vec<_> = chunks
@@ -241,11 +282,7 @@ fn fan_out(
             .map(|(n, w)| scope.spawn(move || step_all(n, w, horizon)))
             .collect();
         step_all(own_nodes, own_work, horizon);
-        for worker in workers {
-            if let Err(panic) = worker.join() {
-                resume_unwind(panic);
-            }
-        }
+        join_all(workers);
     });
 }
 
@@ -255,61 +292,146 @@ fn just_before(t: SimTime) -> SimTime {
     SimTime::from_nanos(t.as_nanos().saturating_sub(1))
 }
 
+/// The controller's routing state: the arrivals not yet routed, in
+/// `(release, id)` order, the balancer, and its view of the nodes.
+struct Controller<I: Iterator<Item = Call>> {
+    arrivals: Peekable<I>,
+    router: Router,
+    /// The most arrivals one window routes.
+    chunk: usize,
+    /// Each node's backlog at the last barrier plus the calls routed there
+    /// since (self-feedback within a window), and its last observed
+    /// liveness.
+    views: Vec<NodeView>,
+}
+
+impl<I: Iterator<Item = Call>> Controller<I> {
+    /// Step 1 of a window: route at most `chunk` of the arrivals released
+    /// by `horizon`, handing each to `deliver` with its node, in `(release,
+    /// id)` order. Returns the window's horizon: `horizon`, or just before
+    /// the next release if the cap left one at or before it.
+    fn route(&mut self, horizon: SimTime, mut deliver: impl FnMut(usize, Call)) -> SimTime {
+        for _ in 0..self.chunk {
+            let Some(call) = self.arrivals.next_if(|c| c.release <= horizon) else {
+                break;
+            };
+            let node = self.router.route(&call, &self.views) as usize;
+            self.views[node].backlog += 1;
+            deliver(node, call);
+        }
+        match self.arrivals.peek() {
+            Some(next) if next.release <= horizon => just_before(next.release),
+            _ => horizon,
+        }
+    }
+}
+
+/// Stream a run whose routing and horizons read no node state (see the
+/// module docs) through persistent workers: worker `k` owns the nodes
+/// `bounds[k]..bounds[k + 1]` for the whole run and steps every window
+/// through [`NodeWork::step`], while the calling thread routes ahead. Each
+/// worker's channel holds one window, so at most two of its windows are
+/// routed and not yet stepped: one queued, one being routed. A panic on a
+/// worker resumes on the caller once every worker has stopped. Returns
+/// the number of windows.
+fn stream<I: Iterator<Item = Call>>(
+    nodes: &mut [NodeSim],
+    bounds: &[usize],
+    controller: &mut Controller<I>,
+) -> u64 {
+    std::thread::scope(|scope| {
+        let (senders, workers): (Vec<_>, Vec<_>) = chunks(nodes, bounds)
+            .into_iter()
+            .map(|own| {
+                let (tx, rx) = sync_channel::<(Vec<Vec<Call>>, SimTime)>(1);
+                let worker = scope.spawn(move || {
+                    let mut work: Vec<NodeWork> = own.iter().map(NodeWork::new).collect();
+                    for (batches, horizon) in rx {
+                        for ((node, w), batch) in own.iter_mut().zip(&mut work).zip(batches) {
+                            w.batch = batch;
+                            w.step(node, horizon);
+                        }
+                    }
+                });
+                (tx, worker)
+            })
+            .unzip();
+        let mut batches: Vec<Vec<Call>> = vec![Vec::new(); bounds[bounds.len() - 1]];
+        let mut windows = 0;
+        // An infinite lookahead puts every horizon at `SimTime::MAX`
+        // unless the cap cuts it, so the window that routes the last
+        // arrival runs every node dry: the loop's windows exactly.
+        'windows: loop {
+            let horizon = controller.route(SimTime::MAX, |node, call| batches[node].push(call));
+            windows += 1;
+            for (tx, b) in senders.iter().zip(bounds.windows(2)) {
+                let window = batches[b[0]..b[1]].iter_mut().map(std::mem::take);
+                if tx.send((window.collect(), horizon)).is_err() {
+                    break 'windows; // the worker panicked
+                }
+            }
+            if horizon == SimTime::MAX {
+                break;
+            }
+        }
+        drop(senders);
+        join_all(workers);
+        windows
+    })
+}
+
 /// The one window loop behind every entry point: `run`'s nodes, routed
 /// by its balancer through windows of its lookahead. Arrivals must come in
 /// `(release, id)` order; a window routes at most `run.chunk` of them;
-/// `run.threads` is clamped to `[1, nodes]`. Returns each node's result
-/// and the run's window tally.
+/// `run.threads` is clamped to `[1, nodes]`. A run whose routing and
+/// horizons read no node state streams on two or more threads (see the
+/// module docs). Returns each node's result and the run's window tally.
 pub(crate) fn coupled_engine(
     mut nodes: Vec<NodeSim>,
     arrivals: impl Iterator<Item = Call>,
     run: &Run,
 ) -> (Vec<NodeResult>, Windows) {
-    let (lookahead, chunk) = (run.cfg.lookahead.width(), run.chunk);
-    let mut router = Router::new(run.cfg.lb);
-    let mut arrivals = arrivals.peekable();
-    let threads = run.threads.clamp(1, nodes.len());
-    // Chunk k holds nodes[bounds[k]..bounds[k + 1]]; chunk 0 is the
-    // controller's own.
-    let bounds: Vec<usize> = (0..=threads).map(|k| k * nodes.len() / threads).collect();
     let mut work: Vec<NodeWork> = nodes.iter().map(NodeWork::new).collect();
+    let mut controller = Controller {
+        arrivals: arrivals.peekable(),
+        router: Router::new(run.cfg.lb),
+        chunk: run.chunk,
+        views: work.iter().map(|w| w.view).collect(),
+    };
+    let lookahead = run.cfg.lookahead;
+    let threads = run.threads.clamp(1, nodes.len());
+    // Chunk k holds nodes[bounds[k]..bounds[k + 1]].
+    let bounds: Vec<usize> = (0..=threads).map(|k| k * nodes.len() / threads).collect();
     let mut tally = Windows::default();
-    // The controller's view: each node's backlog at the last barrier plus
-    // the calls routed there since (self-feedback within a window), and
-    // its last observed liveness.
-    let mut views: Vec<NodeView> = work.iter().map(|w| w.view).collect();
+    let independent =
+        !run.cfg.lb.is_feedback() && lookahead.width() == SimDuration::MAX && !lookahead.failover();
+    if independent && threads > 1 {
+        tally.streamed = stream(&mut nodes, &bounds, &mut controller);
+        return (nodes.into_iter().map(|n| n.finish()).collect(), tally);
+    }
     // Collected but not yet delivered handoffs, sorted by (due, id).
     let mut pending: VecDeque<Handoff> = VecDeque::new();
     let mut barrier = SimTime::ZERO;
     loop {
         // The earliest pending work anywhere bounds the next window.
         let t = work.iter().filter_map(|w| w.next_event);
-        let t = t.chain(arrivals.peek().map(|c| c.release));
+        let t = t.chain(controller.arrivals.peek().map(|c| c.release));
         let Some(t) = t.chain(pending.front().map(|h| h.due)).min() else {
             break;
         };
-        let mut horizon = t + lookahead; // saturates at SimTime::MAX
 
         // 1. Route this window's arrivals, at most `chunk`. Batches stay
-        // (release, id)-sorted because arrivals come in that order. A full
-        // window ends just before the next release.
-        for _ in 0..chunk {
-            let Some(call) = arrivals.next_if(|c| c.release <= horizon) else {
-                break;
-            };
-            let node = router.route(&call, &views) as usize;
-            views[node].backlog += 1;
+        // (release, id)-sorted because arrivals come in that order.
+        let horizon = controller.route(t + lookahead.width(), |node, call| {
             work[node].batch.push(call);
-        }
-        if let Some(next) = arrivals.peek().filter(|c| c.release <= horizon) {
-            horizon = just_before(next.release);
-        }
+        });
         // 2. Deliver due handoffs, never earlier than the barrier they
         // were collected at (the engine cannot deliver into a window that
         // already ran).
+        let views = &mut controller.views;
         while pending.front().is_some_and(|h| h.due <= horizon) {
             let h = pending.pop_front().expect("checked");
-            let target = failover_target(&views, h.from);
+            let target = failover_target(views, h.from);
             views[target].backlog += 1;
             work[target].handoffs.push((h, h.due.max(barrier)));
         }
@@ -620,6 +742,138 @@ mod tests {
         // The controller's own chunk panics while the worker steps node
         // 2; the scope joins the worker before the panic surfaces.
         late_call_in_a_fanned_out_window(0);
+    }
+
+    /// Each node's result and the run's window tally for a crash and
+    /// transient failures on four nodes behind `lb` at infinite lookahead,
+    /// on `threads` threads with windows of at most `chunk` arrivals:
+    /// Fair-Choice nodes on an Azure-style trace, or baseline nodes on a
+    /// spec's burst after the warm-up waves.
+    fn independent_run(
+        trace: bool,
+        lb: LoadBalancer,
+        threads: usize,
+        chunk: usize,
+    ) -> (Vec<NodeResult>, Windows) {
+        let cat = catalogue();
+        let cfg = ClusterConfig::independent(4, NodeConfig::paper(10), lb);
+        let seed = 29;
+        if trace {
+            let mut faults = FaultSpec::crash_restart(seed, SimTime::ZERO, SPAN);
+            faults.transient_failure = 0.05;
+            let mode = fair_choice();
+            let run = Run {
+                threads,
+                ..Run::new(&cat, &mode, &cfg, &faults, seed, chunk)
+            };
+            let source = TraceSpec::Synthetic(SynthSpec::azure(8.0, SPAN));
+            let trace = source.open(&cat, SimTime::ZERO, seed);
+            run.execute(Arrivals::Trace(trace.as_ref()))
+        } else {
+            let spec = WorkloadSpec {
+                arrival: ArrivalSpec::Poisson { rate: 8.0 },
+                mix: MixSpec::Zipf { s: 1.1 },
+                weights: WeightSpec::paper_tiers_mem(),
+                window: SPAN,
+            };
+            let (warmup_waves, start) = warmup_waves(&cat);
+            let mut faults = FaultSpec::crash_restart(seed, start, SPAN);
+            faults.transient_failure = 0.05;
+            let mut burst = ShardedGenerator::new(&spec, &cat, start, seed).generate_serial();
+            burst.sort_by_key(|c| (c.release, c.id));
+            let scenario = ClusterScenario {
+                burst,
+                burst_start: start,
+                burst_window: spec.window,
+                warmup_waves,
+            };
+            let (mode, weights) = (NodeMode::Baseline, spec.weights.table(&cat));
+            let run = Run {
+                threads,
+                ..Run::new(&cat, &mode, &cfg, &faults, seed, chunk)
+            };
+            run.execute(Arrivals::Burst(&scenario, &weights))
+        }
+    }
+
+    #[test]
+    fn streamed_runs_match_the_one_thread_window_loop() {
+        // Every field of every node's result, its debug form printing each
+        // float to the bit, equals the one-thread run's, and the streamed
+        // windows are the loop's windows. Three threads split four nodes
+        // unevenly; eight are clamped to four.
+        for (trace, lb) in [
+            (true, LoadBalancer::RoundRobin),
+            (false, LoadBalancer::FunctionHash),
+        ] {
+            for chunk in [1, 64] {
+                let (serial, one) = independent_run(trace, lb, 1, chunk);
+                assert_eq!((one.streamed, one.fanned_out), (0, 0));
+                let crashes: u64 = serial.iter().map(|r| r.fault_stats.crashes).sum();
+                assert_eq!(crashes, 1, "the crash fires");
+                let failures: u64 = serial
+                    .iter()
+                    .map(|r| r.fault_stats.transient_failures)
+                    .sum();
+                assert!(failures > 0, "transient failures fire");
+                for threads in [2, 3, 8] {
+                    let (streamed, tally) = independent_run(trace, lb, threads, chunk);
+                    let what = format!("trace {trace}, chunk {chunk}, {threads} threads");
+                    let windows = Windows {
+                        streamed: one.inline,
+                        ..Windows::default()
+                    };
+                    assert_eq!(tally, windows, "{what}");
+                    assert_eq!(format!("{streamed:?}"), format!("{serial:?}"), "{what}");
+                }
+            }
+        }
+    }
+
+    /// Stream three independent nodes on two threads, one window per
+    /// call, through a window that injects a call into `node` after its
+    /// clock has passed the call's release. Round-robin strides the ids:
+    /// ids `node` and `node + 3` land on `node`. The call at 10 s comes
+    /// first, the next window (a call at 20 s on another node) ends just
+    /// before 20 s, so `node`'s clock passes 10 s; the call released at
+    /// 1 s then reaches `node`, which panics there.
+    fn late_call_in_a_streamed_run(node: u64) {
+        use faas_workload::sebs::FuncId;
+        use faas_workload::trace::{CallId, CallKind};
+        let cat = catalogue();
+        let cfg = ClusterConfig::independent(3, NodeConfig::paper(10), LoadBalancer::RoundRobin);
+        let call = |id, secs| Call {
+            id: CallId(id),
+            func: FuncId(0),
+            release: SimTime::from_secs(secs),
+            kind: CallKind::Measured,
+        };
+        let other = (node + 1) % 3;
+        let burst = vec![call(node, 10), call(other, 20), call(node + 3, 1)];
+        let scenario = ClusterScenario {
+            burst,
+            burst_start: SimTime::ZERO,
+            burst_window: SimDuration::from_secs(20),
+            warmup_waves: Vec::new(),
+        };
+        let (mode, weights, faults) = (
+            NodeMode::Baseline,
+            WeightTable::uniform(cat.len()),
+            FaultSpec::none(),
+        );
+        let run = Run {
+            threads: 2,
+            ..Run::new(&cat, &mode, &cfg, &faults, 1, 1)
+        };
+        run.execute(Arrivals::Burst(&scenario, &weights));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past")]
+    fn a_streamed_worker_panic_resumes_on_the_caller() {
+        // The run must end with the worker's own panic, once the other
+        // worker has stopped too.
+        late_call_in_a_streamed_run(2);
     }
 
     /// Each node's result and the run's window tally for on-off bursts

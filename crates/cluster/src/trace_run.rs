@@ -25,7 +25,13 @@
 //! * **The ingest cursor.** The controller reads the trace through one
 //!   read-ahead cursor of at most `chunk` calls, and the engine routes at
 //!   most `chunk` arrivals per window, even at infinite lookahead. The
-//!   cursor's peak is [`NodeResult::peak_resident_calls`].
+//!   cursor's peak is [`NodeResult::peak_resident_calls`]. Routed calls
+//!   wait for their nodes in at most one window in the window loop; a
+//!   streamed run (a static balancer at infinite lookahead on two or more
+//!   threads) lets the controller route ahead, and each node worker's
+//!   one-window channel bounds its routed but unstepped calls at two
+//!   windows, one queued and one being routed, so at most two chunks in
+//!   all.
 //! * **Each node's runtime.** A node keeps a call's runtime only in its
 //!   live window, from its oldest unresolved call to its newest injected
 //!   one; the peak is [`NodeResult::peak_live_calls`]. On a stable load
@@ -127,7 +133,12 @@ pub(crate) struct Run<'a> {
     pub(crate) sim_seed: u64,
     /// The most arrivals one window routes.
     pub(crate) chunk: usize,
-    /// Node worker threads, clamped to `[1, nodes]` by the engine.
+    /// How many chunks the engine splits the nodes into, clamped to
+    /// `[1, nodes]`. The window loop steps chunk 0 on the calling thread
+    /// and fans each other chunk out to a scoped thread; a streamed run
+    /// (see `crate::coupled`) gives every chunk a persistent worker while
+    /// the calling thread routes, so it runs one thread more than this
+    /// count. At one chunk every window runs inline on the caller.
     pub(crate) threads: usize,
 }
 

@@ -5,33 +5,20 @@
 //! first; ties break in arrival order, which both keeps FIFO-as-a-policy
 //! exact and makes every policy deterministic.
 
+use faas_simcore::stats::total_order_bits;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Total-ordered wrapper over an `f64` priority plus an arrival sequence
-/// number.
-#[derive(Debug, Clone, Copy)]
-struct Key {
-    priority: f64,
-    seq: u64,
-}
+/// An `f64` priority and an arrival sequence number packed into one
+/// integer: the priority's [`total_order_bits`] above the sequence number,
+/// so one integer comparison orders by priority (`f64::total_cmp`), then
+/// arrival.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key(u128);
 
-impl PartialEq for Key {
-    fn eq(&self, other: &Self) -> bool {
-        self.priority.total_cmp(&other.priority) == Ordering::Equal && self.seq == other.seq
-    }
-}
-impl Eq for Key {}
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Key {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.priority
-            .total_cmp(&other.priority)
-            .then_with(|| self.seq.cmp(&other.seq))
+impl Key {
+    fn new(priority: f64, seq: u64) -> Key {
+        Key((u128::from(total_order_bits(priority)) << 64) | u128::from(seq))
     }
 }
 
@@ -100,10 +87,7 @@ impl<T> PendingQueue<T> {
     /// a NaN priority always means a bug in the estimate pipeline.
     pub fn push(&mut self, priority: f64, item: T) {
         assert!(!priority.is_nan(), "NaN priority");
-        let key = Key {
-            priority,
-            seq: self.next_seq,
-        };
+        let key = Key::new(priority, self.next_seq);
         self.next_seq += 1;
         self.heap.push(Entry { key, item });
         self.peak_len = self.peak_len.max(self.heap.len());
@@ -174,6 +158,42 @@ mod tests {
         assert_eq!(q.pop(), Some("neg"));
         assert_eq!(q.pop(), Some("zero"));
         assert_eq!(q.pop(), Some("inf"));
+    }
+
+    #[test]
+    fn packed_key_orders_as_the_total_cmp_seq_tuple() {
+        let priorities = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+            -0.0,
+            0.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            0.5,
+            1.0,
+            1.0 + f64::EPSILON,
+            1e300,
+            f64::INFINITY,
+        ];
+        let seqs = [0, 1, u64::MAX / 2, u64::MAX];
+        let keys: Vec<(f64, u64)> = priorities
+            .iter()
+            .flat_map(|&p| seqs.iter().map(move |&s| (p, s)))
+            .collect();
+        for &(pa, sa) in &keys {
+            for &(pb, sb) in &keys {
+                let tuple = pa.total_cmp(&pb).then(sa.cmp(&sb));
+                assert_eq!(
+                    Key::new(pa, sa).cmp(&Key::new(pb, sb)),
+                    tuple,
+                    "{pa} {sa} vs {pb} {sb}"
+                );
+            }
+        }
+        assert!(Key::new(-0.0, 1) < Key::new(0.0, 0), "-0.0 runs before 0.0");
     }
 
     #[test]

@@ -149,7 +149,7 @@
 //! [`GpsCpu::next_completion`] after every membership or capacity change,
 //! re-arming its one completion timer there.
 
-use faas_simcore::stats::CompensatedSum;
+use faas_simcore::stats::{total_order_bits, CompensatedSum};
 use faas_simcore::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -429,6 +429,14 @@ struct ClockKey {
     epoch: u64,
 }
 
+impl ClockKey {
+    /// `(key, slot)` packed into one integer with the same order, the key
+    /// in `f64::total_cmp` order.
+    fn order(&self) -> u128 {
+        (u128::from(total_order_bits(self.key)) << 32) | u128::from(self.slot)
+    }
+}
+
 impl PartialEq for ClockKey {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
@@ -443,10 +451,7 @@ impl PartialOrd for ClockKey {
 impl Ord for ClockKey {
     fn cmp(&self, other: &Self) -> Ordering {
         // Inverted for BinaryHeap: earliest (key, slot) on top.
-        other
-            .key
-            .total_cmp(&self.key)
-            .then_with(|| other.slot.cmp(&self.slot))
+        other.order().cmp(&self.order())
     }
 }
 
@@ -1225,6 +1230,40 @@ mod tests {
             cores,
             ctx_switch_penalty: kappa,
             penalty_cap: 100.0,
+        }
+    }
+
+    #[test]
+    fn clock_key_order_is_the_total_cmp_slot_tuple() {
+        let keys = [
+            f64::NEG_INFINITY,
+            -2.5,
+            -5e-324,
+            -0.0,
+            0.0,
+            5e-324,
+            1e-9,
+            1.0,
+            1e300,
+            f64::INFINITY,
+        ];
+        let slots = [0, 1, 7, u32::MAX];
+        let entries: Vec<ClockKey> = keys
+            .iter()
+            .flat_map(|&key| slots.iter().map(move |&slot| (key, slot)))
+            .map(|(key, slot)| ClockKey {
+                key,
+                finish: key,
+                slot,
+                epoch: 0,
+            })
+            .collect();
+        for a in &entries {
+            for b in &entries {
+                // `cmp` is inverted for the max-heap.
+                let tuple = b.key.total_cmp(&a.key).then(b.slot.cmp(&a.slot));
+                assert_eq!(a.cmp(b), tuple, "{a:?} vs {b:?}");
+            }
         }
     }
 

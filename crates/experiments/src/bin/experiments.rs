@@ -8,6 +8,7 @@
 //! thread a `WorkloadSource` (table1, fig5, fig6) with an Azure-style
 //! synthetic trace (`synth:RATE`, mean calls/sec over the 60 s window)
 //! or a recorded JSONL trace (`trace:PATH`), so they run trace-backed.
+//! Any other subcommand, `all` included, rejects it as a usage error.
 //!
 //! subcommands:
 //!   table1   Idle-system function latencies (paper Table I)
@@ -126,6 +127,10 @@ fn main() {
     }
     if let Some(n) = seeds {
         opts.effort.seeds = n;
+    }
+    if source.is_some() && !matches!(cmd.as_str(), "table1" | "fig5" | "fig6") {
+        eprintln!("experiments {cmd}: --source applies only to table1, fig5 and fig6");
+        usage();
     }
     opts.source = source.map(|spec| parse_source(&spec));
 

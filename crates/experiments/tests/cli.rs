@@ -89,6 +89,39 @@ fn unknown_and_removed_subcommands_exit_with_usage() {
 }
 
 #[test]
+fn source_is_a_usage_error_where_no_artefact_reads_it() {
+    for cmd in ["fig2", "table3", "ablations", "functions", "sweep", "all"] {
+        let out = experiments(&[cmd, "--quick", "--source", "synth:4"]);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{cmd} --source must exit with usage"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let named = format!("experiments {cmd}: --source");
+        assert!(stderr.starts_with(&named), "{cmd} printed {stderr:?}");
+        assert!(stderr.contains("usage:"), "{cmd} printed {stderr:?}");
+    }
+    let dir = out_dir("table1_source");
+    let out = experiments(&[
+        "table1",
+        "--quick",
+        "--source",
+        "synth:4",
+        "--out",
+        dir.to_str().unwrap(),
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "table1 --source runs: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(dir.join("table1.json").exists());
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
 fn empty_trace_source_fails_without_panicking() {
     let dir = out_dir("empty_source");
     let out = experiments(&[

@@ -25,27 +25,6 @@ pub struct LogNormal {
 }
 
 impl LogNormal {
-    /// Construct directly from the parameters of the underlying normal.
-    pub fn new(mu: f64, sigma: f64) -> Self {
-        assert!(sigma >= 0.0, "sigma must be non-negative, got {sigma}");
-        LogNormal { mu, sigma }
-    }
-
-    /// Fit a log-normal from the median and 95th percentile.
-    ///
-    /// `median` must be positive and `p95 >= median`. The median of a
-    /// log-normal is `exp(mu)`, and `p95 = exp(mu + Z_95 * sigma)`.
-    pub fn from_median_p95(median: f64, p95: f64) -> Self {
-        assert!(median > 0.0, "median must be positive, got {median}");
-        assert!(
-            p95 >= median,
-            "p95 ({p95}) must not be below the median ({median})"
-        );
-        let mu = median.ln();
-        let sigma = (p95.ln() - mu) / Z_95;
-        LogNormal { mu, sigma }
-    }
-
     /// Fit a log-normal from the (5th percentile, median, 95th percentile)
     /// triple published in the paper's Table I.
     ///
@@ -77,68 +56,9 @@ impl LogNormal {
         (self.mu + 0.5 * self.sigma * self.sigma).exp()
     }
 
-    /// The quantile function (inverse CDF) at probability `p` in `(0, 1)`.
-    pub fn quantile(&self, p: f64) -> f64 {
-        assert!((0.0..1.0).contains(&p) && p > 0.0, "p must be in (0,1)");
-        (self.mu + self.sigma * inverse_standard_normal_cdf(p)).exp()
-    }
-
     /// Draw one sample.
     pub fn sample(&self, rng: &mut Xoshiro256) -> f64 {
         (self.mu + self.sigma * rng.standard_normal()).exp()
-    }
-}
-
-/// Acklam's rational approximation to the inverse standard-normal CDF.
-///
-/// Max absolute error ~1.15e-9 over (0,1): far below anything the simulation
-/// can resolve.
-pub fn inverse_standard_normal_cdf(p: f64) -> f64 {
-    assert!(p > 0.0 && p < 1.0, "p must be in (0,1), got {p}");
-    const A: [f64; 6] = [
-        -3.969683028665376e+01,
-        2.209460984245205e+02,
-        -2.759285104469687e+02,
-        1.383_577_518_672_69e2,
-        -3.066479806614716e+01,
-        2.506628277459239e+00,
-    ];
-    const B: [f64; 5] = [
-        -5.447609879822406e+01,
-        1.615858368580409e+02,
-        -1.556989798598866e+02,
-        6.680131188771972e+01,
-        -1.328068155288572e+01,
-    ];
-    const C: [f64; 6] = [
-        -7.784894002430293e-03,
-        -3.223964580411365e-01,
-        -2.400758277161838e+00,
-        -2.549732539343734e+00,
-        4.374664141464968e+00,
-        2.938163982698783e+00,
-    ];
-    const D: [f64; 4] = [
-        7.784695709041462e-03,
-        3.224671290700398e-01,
-        2.445134137142996e+00,
-        3.754408661907416e+00,
-    ];
-    const P_LOW: f64 = 0.02425;
-
-    if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
     }
 }
 
@@ -151,12 +71,9 @@ mod tests {
         samples[((samples.len() as f64 - 1.0) * q) as usize]
     }
 
-    #[test]
-    fn lognormal_median_matches_fit() {
-        let ln = LogNormal::from_median_p95(0.120, 0.240);
-        assert!((ln.median() - 0.120).abs() < 1e-12);
-        // p95 should reproduce the input.
-        assert!((ln.quantile(0.95) - 0.240).abs() < 1e-9);
+    /// The analytic quantile at the standard-normal score `z`.
+    fn quantile_at(ln: &LogNormal, z: f64) -> f64 {
+        (ln.mu + ln.sigma * z).exp()
     }
 
     #[test]
@@ -166,15 +83,17 @@ mod tests {
         assert!((ln.median() - 0.192).abs() < 1e-12);
         // The averaged sigma must put the fitted tails between the implied
         // one-sided fits.
-        let p95 = ln.quantile(0.95);
+        let p95 = quantile_at(&ln, Z_95);
         assert!(p95 > 0.192 && p95 < 0.405 * 1.5, "p95 {p95}");
-        let p5 = ln.quantile(0.05);
+        let p5 = quantile_at(&ln, -Z_95);
         assert!(p5 < 0.192 && p5 > 0.05, "p5 {p5}");
     }
 
     #[test]
     fn lognormal_samples_match_quantiles() {
-        let ln = LogNormal::from_median_p95(1.0, 2.0);
+        // A symmetric triple fits both tails exactly.
+        let ln = LogNormal::from_quantile_triple(0.5, 1.0, 2.0);
+        assert!((quantile_at(&ln, Z_95) - 2.0).abs() < 1e-12);
         let mut rng = Xoshiro256::seed_from_u64(4);
         let mut samples: Vec<f64> = (0..100_000).map(|_| ln.sample(&mut rng)).collect();
         let med = sample_quantile(&mut samples, 0.5);
@@ -185,13 +104,16 @@ mod tests {
 
     #[test]
     fn lognormal_mean_formula() {
-        let ln = LogNormal::new(0.0, 0.5);
+        let ln = LogNormal {
+            mu: 0.0,
+            sigma: 0.5,
+        };
         assert!((ln.mean() - (0.125f64).exp()).abs() < 1e-12);
     }
 
     #[test]
     fn zero_sigma_lognormal_is_constant() {
-        let ln = LogNormal::from_median_p95(2.0, 2.0);
+        let ln = LogNormal::from_quantile_triple(2.0, 2.0, 2.0);
         let mut rng = Xoshiro256::seed_from_u64(5);
         for _ in 0..10 {
             assert!((ln.sample(&mut rng) - 2.0).abs() < 1e-12);
@@ -199,24 +121,14 @@ mod tests {
     }
 
     #[test]
-    fn inverse_cdf_known_points() {
-        assert!(inverse_standard_normal_cdf(0.5).abs() < 1e-9);
-        assert!((inverse_standard_normal_cdf(0.95) - Z_95).abs() < 1e-7);
-        assert!((inverse_standard_normal_cdf(0.05) + Z_95).abs() < 1e-7);
-        // Deep tail should be monotone and finite.
-        let q = inverse_standard_normal_cdf(1e-6);
-        assert!(q < -4.0 && q.is_finite());
-    }
-
-    #[test]
-    #[should_panic(expected = "median must be positive")]
+    #[should_panic(expected = "quantiles must be ordered and positive")]
     fn lognormal_rejects_zero_median() {
-        LogNormal::from_median_p95(0.0, 1.0);
+        LogNormal::from_quantile_triple(0.0, 0.0, 1.0);
     }
 
     #[test]
-    #[should_panic(expected = "must not be below")]
+    #[should_panic(expected = "quantiles must be ordered and positive")]
     fn lognormal_rejects_inverted_quantiles() {
-        LogNormal::from_median_p95(2.0, 1.0);
+        LogNormal::from_quantile_triple(0.5, 2.0, 1.0);
     }
 }

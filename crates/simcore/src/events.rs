@@ -46,8 +46,9 @@ struct Entry<E> {
 }
 
 impl<E> Entry<E> {
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
+    /// `(time, seq)` packed into one integer with the same order.
+    fn key(&self) -> u128 {
+        (u128::from(self.time.as_nanos()) << 64) | u128::from(self.seq)
     }
 }
 
@@ -242,6 +243,26 @@ mod tests {
 
     fn drain<E>(q: &mut EventQueue<E>) -> Vec<E> {
         std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect()
+    }
+
+    #[test]
+    fn packed_key_orders_as_the_time_seq_tuple() {
+        let values = [0, 1, 2, u64::MAX / 2, u64::MAX - 1, u64::MAX];
+        let entries: Vec<Entry<()>> = values
+            .iter()
+            .flat_map(|&t| values.iter().map(move |&seq| (t, seq)))
+            .map(|(t, seq)| Entry {
+                time: SimTime::from_nanos(t),
+                seq,
+                payload: (),
+            })
+            .collect();
+        for a in &entries {
+            for b in &entries {
+                let tuple = (a.time, a.seq).cmp(&(b.time, b.seq));
+                assert_eq!(a.key().cmp(&b.key()), tuple);
+            }
+        }
     }
 
     #[test]

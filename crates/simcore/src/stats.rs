@@ -78,6 +78,14 @@ fn flip_order(bits: u64) -> u64 {
     bits ^ (((bits as i64 >> 63) as u64) >> 1)
 }
 
+/// The bits of `x` as an unsigned integer whose order is
+/// `f64::total_cmp`'s order (so `-0.0` sorts below `0.0`): a heap key
+/// that packs an `f64` with a tie-break compares in one integer
+/// comparison.
+pub fn total_order_bits(x: f64) -> u64 {
+    flip_order(x.to_bits()) ^ (1 << 63)
+}
+
 /// Move the order statistic of every rank in `ranks` (ascending, distinct,
 /// relative to the whole slice; `v` starts at rank `offset`) to its index.
 /// `v` holds [`flip_order`]ed bits, so each comparison is one integer
@@ -285,67 +293,6 @@ impl BoxPlot {
     }
 }
 
-/// Incremental mean/variance accumulator (Welford's algorithm) for streaming
-/// contexts where storing all observations is wasteful.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct Welford {
-    count: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// Create an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold one observation in.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Current mean (zero when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance (zero when fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Merge another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let new_mean = self.mean + delta * other.count as f64 / total as f64;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.mean = new_mean;
-        self.count = total;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,59 +453,5 @@ mod tests {
         let naive: f64 = data.iter().sum();
         assert!((compensated_sum(&data) - naive).abs() < 1e-9);
         assert_eq!(compensated_sum(&[]), 0.0);
-    }
-
-    #[test]
-    fn welford_matches_direct_computation() {
-        let data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut w = Welford::new();
-        for &x in &data {
-            w.push(x);
-        }
-        assert_eq!(w.count(), 8);
-        assert!((w.mean() - 5.0).abs() < 1e-12);
-        assert!((w.variance() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn welford_merge_equals_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i * i) as f64 * 0.1).collect();
-        let mut whole = Welford::new();
-        for &x in &data {
-            whole.push(x);
-        }
-        let mut left = Welford::new();
-        let mut right = Welford::new();
-        for &x in &data[..37] {
-            left.push(x);
-        }
-        for &x in &data[37..] {
-            right.push(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.variance() - whole.variance()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn welford_merge_with_empty() {
-        let mut a = Welford::new();
-        a.push(1.0);
-        a.push(2.0);
-        let before = a;
-        a.merge(&Welford::new());
-        assert_eq!(a, before);
-        let mut empty = Welford::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
-    #[test]
-    fn welford_empty_defaults() {
-        let w = Welford::new();
-        assert_eq!(w.count(), 0);
-        assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.variance(), 0.0);
     }
 }

@@ -156,8 +156,18 @@ fn secs_to_nanos(secs: f64) -> u64 {
     if nanos >= u64::MAX as f64 {
         u64::MAX
     } else {
-        nanos.round() as u64
+        round_non_negative(nanos)
     }
+}
+
+/// `x.round() as u64` for `x` in `[0, 2^64)`, without `f64::round`'s libm
+/// call: `t` is `x` truncated, so `x - t` is exact (Sterbenz) and so is
+/// its comparison with one half. Halves round up, as `f64::round` rounds
+/// them away from zero. The comparison is added, not branched on: the
+/// fraction of a drawn time is a coin toss no branch predictor can learn.
+fn round_non_negative(x: f64) -> u64 {
+    let t = x as u64;
+    t + u64::from(x - t as f64 >= 0.5)
 }
 
 impl Add<SimDuration> for SimTime {
@@ -220,6 +230,65 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `secs_to_nanos` rounding through `f64::round`.
+    fn reference_secs_to_nanos(secs: f64) -> u64 {
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        if !(secs > 0.0) {
+            return 0;
+        }
+        let nanos = secs * NANOS_PER_SEC as f64;
+        if nanos >= u64::MAX as f64 {
+            u64::MAX
+        } else {
+            nanos.round() as u64
+        }
+    }
+
+    proptest! {
+        /// The libm-free rounding equals `f64::round` on any bit pattern
+        /// (NaNs, infinities, negatives and subnormals included), on exact
+        /// halves, on random fractions and on `[2^52, 2^53)`, where every
+        /// value is an integer.
+        #[test]
+        fn rounding_matches_f64_round(
+            bits in any::<u64>(),
+            k in 0u64..1 << 52,
+            fraction in 0.0f64..1.0,
+        ) {
+            let secs = f64::from_bits(bits);
+            prop_assert_eq!(secs_to_nanos(secs), reference_secs_to_nanos(secs));
+            let subnormal = f64::from_bits(k);
+            let exact_integer = (1u64 << 52) as f64 + k as f64;
+            for x in [k as f64 + 0.5, k as f64 + fraction, exact_integer, subnormal] {
+                prop_assert_eq!(round_non_negative(x), x.round() as u64, "{}", x);
+            }
+        }
+    }
+
+    #[test]
+    fn rounding_matches_f64_round_at_the_edges() {
+        // The largest f64 below 2^64, and the seconds around saturation.
+        let below = f64::from_bits((u64::MAX as f64).to_bits() - 1);
+        assert_eq!(round_non_negative(below), below.round() as u64);
+        let edge = u64::MAX as f64 / NANOS_PER_SEC as f64;
+        for step in 0..64 {
+            for secs in [edge.to_bits() - step, edge.to_bits() + step].map(f64::from_bits) {
+                assert_eq!(secs_to_nanos(secs), reference_secs_to_nanos(secs), "{secs}");
+            }
+        }
+        for x in [
+            0.0,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            (1u64 << 52) as f64 - 0.5,
+        ] {
+            assert_eq!(round_non_negative(x), x.round() as u64, "{x}");
+        }
+    }
 
     #[test]
     fn constructors_agree() {
