@@ -12,7 +12,7 @@
 //! call's release time*, and a failed attempt may resume on a different
 //! node.
 //!
-//! The engine keeps parallelism with the classic conservative lookahead
+//! The engine bounds that coupling with the classic conservative lookahead
 //! argument of parallel discrete-event simulation. Every controller→node
 //! delivery charges at least one network hop, so events on one node cannot
 //! affect another within less than the hop latency. The engine therefore
@@ -27,8 +27,8 @@
 //!        at most `chunk` of them; a full window ends
 //!        1 ns before the next unrouted release
 //!     2. deliver every handoff with due <= horizon        (sequential)
-//!     3. every node injects its deliveries and advances   (inline, or
-//!        to `horizon`                                      fanned out)
+//!     3. every node injects its deliveries and advances   (sequential)
+//!        to `horizon`
 //!     4. collect the nodes' failover outboxes             (sequential)
 //! }
 //! ```
@@ -38,8 +38,8 @@
 //! the [`NodeProgress`] snapshots of the previous
 //! barrier plus the calls routed since — a stale-by-at-most-one-
 //! window view, exactly the staleness a real controller's health polling
-//! has. Step 3 is the only section that may run in parallel (a streamed
-//! run, below, also overlaps step 1 with it), and each node's simulator is
+//! has. Only a streamed run (below) steps nodes in parallel, and then
+//! overlaps step 3 with step 1 of later windows. Each node's simulator is
 //! self-contained, so the run is a pure function of `(seed, lookahead,
 //! chunk)`: bit-identical across reruns *and thread counts*. Narrower
 //! windows give the controller fresher queue signals; wider windows
@@ -52,7 +52,6 @@
 //! [`SimDuration::MAX`]: faas_simcore::time::SimDuration::MAX
 //! [`SimTime::MAX`]: faas_simcore::time::SimTime::MAX
 //! [`Lookahead::failover`]: crate::sim::Lookahead::failover
-//! [`ClusterConfig::coupled`]: crate::ClusterConfig::coupled
 //!
 //! # The ingestion cap
 //!
@@ -73,9 +72,9 @@
 //!
 //! # Node workers
 //!
-//! The engine splits the nodes into as many contiguous chunks as the run
-//! has threads (at most one per node). How the chunks run depends on
-//! whether the run needs its barriers.
+//! A streamed run splits the nodes into as many contiguous chunks as the
+//! run has threads (at most one per node); every other run steps them all
+//! on the calling thread.
 //!
 //! **Streamed runs.** A static balancer at infinite lookahead (which rules
 //! out failover) routes without reading node state, and every horizon is
@@ -97,25 +96,9 @@
 //! panic on a worker resumes on the caller once every worker has stopped.
 //! The paper's §VIII runs (fig5, fig6) and azure-replay stream.
 //!
-//! **Coupled and feedback runs** keep the window loop, and the controller
-//! thread owns chunk 0. Each window the controller decides where the
-//! window runs, from counts alone: a window that delivers at least
-//! `FAN_OUT` routed calls and handoffs to the other chunks' nodes fans
-//! out, and any other window runs inline, the controller stepping every
-//! node itself. Fanning out spawns one scoped thread for each other chunk
-//! with work due, steps chunk 0 on the controller and joins the threads; a
-//! panic on any of them resumes on the caller's thread once every thread
-//! has joined. The choice depends only on the routed work, never on wall
-//! time, and each node's simulator is self-contained, so it cannot change
-//! a result. A one-thread run of any kind runs every window inline.
-//!
-//! A scoped spawn and join costs about 60 µs on a 2-vCPU host, so
-//! fanning out a sparse window can only lose (Nicol, JACM 1993); a dense
-//! one splits its node work over the cores. At 2 threads cluster-faults
-//! (coupled and dominant-share routed) delivers at most 3 calls to the
-//! other chunk in any window and fans out none of its 8,575 windows.
-//! `FAN_OUT` records how the threshold was chosen, on azure-replay's trace
-//! when it still ran through the window loop.
+//! **Coupled and feedback runs**, and every run on one thread, step each
+//! window inline: the calling thread advances every node in node order,
+//! whatever the run's thread count.
 //!
 //! # Cross-node failover
 //!
@@ -126,7 +109,8 @@
 //! preferring nodes other than the one that failed), no earlier than the
 //! barrier at which it was collected — failover cannot run ahead of the
 //! window protocol, which is why only a finite lookahead can carry it
-//! ([`ClusterConfig::coupled`] refuses anything else). The
+//! (every entry point rejects failover at [`SimDuration::MAX`] with
+//! [`std::io::ErrorKind::InvalidInput`]). The
 //! attempt counter carries across nodes: a policy of `n` attempts spends
 //! `n` attempts cluster-wide.
 
@@ -218,36 +202,13 @@ impl NodeWork {
     }
 }
 
-/// A window fans out only when it delivers at least this many routed
-/// calls and handoffs to nodes outside the controller's chunk; a smaller
-/// window runs inline on the controller (see the module docs).
-///
-/// Measured on a 2-vCPU host at 2 threads, on azure-replay's trace with
-/// the ingestion cap shrunk so that every window delivers `d` calls to the
-/// other chunk (medians of 7 alternating runs, µs per call, fanned out
-/// vs inline): 2.97 vs 1.08 at `d` = 16, 1.43 vs 1.17 at 64, ties from 96
-/// to 192 (1.21 vs 1.23 at 128), and fanning out won every run from 256
-/// up (1.08 vs 1.38 at 256, 1.03 vs 1.52 at 4,096). 256 is the least
-/// count that won every run; windows with 96 to 255 deliveries tie either
-/// way. Every value from 4 to 8,192 split the benchmark's window-loop
-/// runs the same way: cluster-faults fanned out none of its windows,
-/// azure-replay (which now streams) all.
-const FAN_OUT: usize = 256;
-
-/// How many windows a run stepped inline, fanned out or streamed.
+/// How many windows a run stepped inline on the calling thread or
+/// streamed through node workers; one of the two is zero.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[cfg_attr(not(test), allow(dead_code))] // only the tests read the tally
 pub(crate) struct Windows {
     pub(crate) inline: u64,
-    pub(crate) fanned_out: u64,
     pub(crate) streamed: u64,
-}
-
-/// Advance each node through its own work to `horizon`.
-fn step_all(nodes: &mut [NodeSim], work: &mut [NodeWork], horizon: SimTime) {
-    for (node, w) in nodes.iter_mut().zip(work) {
-        w.step(node, horizon);
-    }
 }
 
 /// Split `items` into the chunks `bounds[k]..bounds[k + 1]`.
@@ -267,23 +228,6 @@ fn join_all(workers: Vec<ScopedJoinHandle<'_, ()>>) {
     if let Some(panic) = panics.into_iter().next() {
         resume_unwind(panic);
     }
-}
-
-/// Advance the nodes to `horizon` in parallel. `nodes` and `work` split
-/// into the chunks `bounds[k]..bounds[k + 1]`; the calling thread steps
-/// chunk 0 and one scoped thread steps each other chunk with work due. A
-/// panic on a worker resumes on the caller once every worker has joined.
-fn fan_out(nodes: &mut [NodeSim], work: &mut [NodeWork], bounds: &[usize], horizon: SimTime) {
-    let mut chunks = chunks(nodes, bounds).into_iter().zip(chunks(work, bounds));
-    let (own_nodes, own_work) = chunks.next().expect("the controller owns chunk 0");
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = chunks
-            .filter(|(_, w)| w.iter().any(|w| !w.idle(horizon)))
-            .map(|(n, w)| scope.spawn(move || step_all(n, w, horizon)))
-            .collect();
-        step_all(own_nodes, own_work, horizon);
-        join_all(workers);
-    });
 }
 
 /// One nanosecond before `t` (clamped at zero): where a window the
@@ -382,10 +326,12 @@ fn stream<I: Iterator<Item = Call>>(
 
 /// The one window loop behind every entry point: `run`'s nodes, routed
 /// by its balancer through windows of its lookahead. Arrivals must come in
-/// `(release, id)` order; a window routes at most `run.chunk` of them;
-/// `run.threads` is clamped to `[1, nodes]`. A run whose routing and
-/// horizons read no node state streams on two or more threads (see the
-/// module docs). Returns each node's result and the run's window tally.
+/// `(release, id)` order; a window routes at most `run.chunk` of them. A
+/// run whose routing and horizons read no node state streams on
+/// `run.threads` node workers, clamped to `[1, nodes]`, when that is two
+/// or more; every other run steps each window inline on the calling thread
+/// (see the module docs). Returns each node's result and the run's window
+/// tally.
 pub(crate) fn coupled_engine(
     mut nodes: Vec<NodeSim>,
     arrivals: impl Iterator<Item = Call>,
@@ -400,12 +346,12 @@ pub(crate) fn coupled_engine(
     };
     let lookahead = run.cfg.lookahead;
     let threads = run.threads.clamp(1, nodes.len());
-    // Chunk k holds nodes[bounds[k]..bounds[k + 1]].
-    let bounds: Vec<usize> = (0..=threads).map(|k| k * nodes.len() / threads).collect();
     let mut tally = Windows::default();
     let independent =
         !run.cfg.lb.is_feedback() && lookahead.width() == SimDuration::MAX && !lookahead.failover();
     if independent && threads > 1 {
+        // Chunk k holds nodes[bounds[k]..bounds[k + 1]].
+        let bounds: Vec<usize> = (0..=threads).map(|k| k * nodes.len() / threads).collect();
         tally.streamed = stream(&mut nodes, &bounds, &mut controller);
         return (nodes.into_iter().map(|n| n.finish()).collect(), tally);
     }
@@ -436,20 +382,10 @@ pub(crate) fn coupled_engine(
             work[target].handoffs.push((h, h.due.max(barrier)));
         }
 
-        // 3. Advance every node to the horizon: inline on the controller
-        // unless the other chunks' nodes receive enough to pay for the
-        // spawn. Each simulator is self-contained, so the snapshots are
-        // the same wherever a node runs.
-        let deliveries: usize = work[bounds[1]..]
-            .iter()
-            .map(|w| w.batch.len() + w.handoffs.len())
-            .sum();
-        if deliveries < FAN_OUT {
-            tally.inline += 1;
-            step_all(&mut nodes, &mut work, horizon);
-        } else {
-            tally.fanned_out += 1;
-            fan_out(&mut nodes, &mut work, &bounds, horizon);
+        // 3. Advance every node to the horizon, in node order.
+        tally.inline += 1;
+        for (node, w) in nodes.iter_mut().zip(&mut work) {
+            w.step(node, horizon);
         }
 
         // 4. Collect failover outboxes in node order (deterministic), keep
@@ -688,62 +624,6 @@ mod tests {
         }
     }
 
-    /// Run three nodes on two threads, so the controller steps node 0
-    /// and one worker nodes 1 and 2, through a window that fans out and
-    /// injects an out-of-order call into `node` after its clock has passed
-    /// the call's release. Round-robin strides the ids: ids `node` and
-    /// `node + 3` land on `node`, ids 2, 5, 8, ... on node 2. A call at
-    /// 10 s moves `node`'s clock past 10 s. The window at 20 s delivers
-    /// `FAN_OUT` calls to node 2, so it fans out, and it also delivers a
-    /// call released at 1 s to `node`, which panics there.
-    fn late_call_in_a_fanned_out_window(node: u64) {
-        use faas_workload::sebs::FuncId;
-        use faas_workload::trace::{CallId, CallKind};
-        let cat = catalogue();
-        let cfg = ClusterConfig::independent(3, NodeConfig::paper(10), LoadBalancer::RoundRobin)
-            .coupled(SimDuration::from_millis(250), false);
-        let call = |id, secs| Call {
-            id: CallId(id),
-            func: FuncId(0),
-            release: SimTime::from_secs(secs),
-            kind: CallKind::Measured,
-        };
-        let mut burst = vec![call(node, 10)];
-        burst.extend((0..FAN_OUT as u64).map(|k| call(2 + 3 * k, 20)));
-        burst.push(call(node + 3, 1));
-        let scenario = ClusterScenario {
-            burst,
-            burst_start: SimTime::ZERO,
-            burst_window: SimDuration::from_secs(20),
-            warmup_waves: Vec::new(),
-        };
-        let (mode, weights, faults) = (
-            NodeMode::Baseline,
-            WeightTable::uniform(cat.len()),
-            FaultSpec::none(),
-        );
-        let run = Run {
-            threads: 2,
-            ..Run::new(&cat, &mode, &cfg, &faults, 1, usize::MAX)
-        };
-        run.execute(Arrivals::Burst(&scenario, &weights));
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot schedule into the past")]
-    fn a_worker_panic_resumes_on_the_caller() {
-        // The run must end with the worker's own panic.
-        late_call_in_a_fanned_out_window(1);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot schedule into the past")]
-    fn a_controller_panic_joins_the_workers_first() {
-        // The controller's own chunk panics while the worker steps node
-        // 2; the scope joins the worker before the panic surfaces.
-        late_call_in_a_fanned_out_window(0);
-    }
-
     /// Each node's result and the run's window tally for a crash and
     /// transient failures on four nodes behind `lb` at infinite lookahead,
     /// on `threads` threads with windows of at most `chunk` arrivals:
@@ -808,7 +688,7 @@ mod tests {
         ] {
             for chunk in [1, 64] {
                 let (serial, one) = independent_run(trace, lb, 1, chunk);
-                assert_eq!((one.streamed, one.fanned_out), (0, 0));
+                assert_eq!(one.streamed, 0);
                 let crashes: u64 = serial.iter().map(|r| r.fault_stats.crashes).sum();
                 assert_eq!(crashes, 1, "the crash fires");
                 let failures: u64 = serial
@@ -877,9 +757,8 @@ mod tests {
     }
 
     /// Each node's result and the run's window tally for on-off bursts
-    /// on `threads` threads: bursts dense enough to fan out between
-    /// sparse stretches that run inline, on four dominant-share-routed
-    /// nodes with failover through a crash.
+    /// on `threads` threads: dense bursts between sparse stretches, on
+    /// four dominant-share-routed nodes with failover through a crash.
     fn bursty_run(threads: usize) -> (Vec<NodeResult>, Windows) {
         let cat = catalogue();
         let spec = WorkloadSpec {
@@ -916,21 +795,22 @@ mod tests {
     }
 
     #[test]
-    fn mixed_inline_and_fanned_out_windows_are_thread_count_invariant() {
-        // One run steps some windows inline and fans others out; where a
-        // window ran must not show in any node's result.
+    fn coupled_runs_step_inline_at_every_thread_count() {
+        // A coupled run steps every window on the calling thread, so its
+        // window count and every field of every node's result, compared
+        // through the debug form, are the one-thread run's.
         let (serial, one) = bursty_run(1);
-        assert_eq!(one.fanned_out, 0, "one thread never fans out");
-        assert!(serial.iter().map(|r| r.fault_stats.failovers).sum::<u64>() > 0);
-        for threads in [2, 3, 4, 8] {
+        for threads in [1, 2, 3, 4, 8] {
             let (parallel, tally) = bursty_run(threads);
-            let what = format!("{threads} threads, {tally:?}");
-            assert!(tally.inline > 0 && tally.fanned_out > 0, "{what}");
-            assert_eq!(tally.inline + tally.fanned_out, one.inline, "{what}");
-            assert_eq!(parallel.len(), serial.len());
-            for (a, b) in parallel.iter().zip(&serial) {
-                same(a, b, &what);
-            }
+            let what = format!("{threads} threads");
+            let windows = Windows {
+                inline: one.inline,
+                streamed: 0,
+            };
+            assert_eq!(tally, windows, "{what}");
+            let failovers: u64 = parallel.iter().map(|r| r.fault_stats.failovers).sum();
+            assert!(failovers > 0, "{what}");
+            assert_eq!(format!("{parallel:?}"), format!("{serial:?}"), "{what}");
         }
     }
 
@@ -984,12 +864,5 @@ mod tests {
             .filter(|o| o.id.0 % 3 == 0 && o.node != 0)
             .count();
         assert!(moved > 0, "some node-0 calls must finish on other nodes");
-    }
-
-    #[test]
-    #[should_panic(expected = "failover needs a finite lookahead")]
-    fn failover_requires_a_finite_lookahead() {
-        let cfg = ClusterConfig::independent(2, NodeConfig::paper(10), LoadBalancer::RoundRobin);
-        let _ = cfg.coupled(SimDuration::MAX, true);
     }
 }

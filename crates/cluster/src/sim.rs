@@ -72,13 +72,11 @@ impl ClusterConfig {
     }
 
     /// The same cluster coupled through windows of `lookahead`, with
-    /// cross-node failover on or off. Panics on failover without a finite
-    /// `lookahead`: handoffs are delivered at window barriers.
+    /// cross-node failover on or off. Handoffs are delivered at window
+    /// barriers, so failover needs a finite `lookahead`: every entry point
+    /// rejects failover at [`SimDuration::MAX`] with
+    /// [`std::io::ErrorKind::InvalidInput`] before it generates a call.
     pub fn coupled(self, lookahead: SimDuration, failover: bool) -> ClusterConfig {
-        assert!(
-            !failover || lookahead < SimDuration::MAX,
-            "failover needs a finite lookahead"
-        );
         let lookahead = Lookahead(lookahead, failover);
         ClusterConfig { lookahead, ..self }
     }
@@ -147,7 +145,7 @@ impl ClusterScenario {
 /// weighted specs, traces and fault plans. Bit-identical across reruns and
 /// thread counts. Fails with [`std::io::ErrorKind::InvalidInput`], before
 /// any node is built, on a configuration the engine cannot run: zero
-/// nodes, or failover (which needs a fault plan).
+/// nodes, or failover (which needs a fault plan and a finite lookahead).
 pub fn run_cluster(
     catalogue: &Catalogue,
     scenario: &ClusterScenario,
@@ -317,6 +315,22 @@ mod tests {
         let cfg = ClusterConfig::independent(2, NodeConfig::paper(10), LoadBalancer::RoundRobin)
             .coupled(SimDuration::from_millis(500), true);
         assert_eq!(unrunnable(&cfg), io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn failover_at_an_infinite_lookahead_is_an_error() {
+        // Rejected whatever the fault plan: handoffs wait for a barrier
+        // that an infinite window never reaches.
+        let cfg = ClusterConfig::independent(2, NodeConfig::paper(10), LoadBalancer::RoundRobin)
+            .coupled(SimDuration::MAX, true);
+        assert_eq!(unrunnable(&cfg), io::ErrorKind::InvalidInput);
+        let cat = catalogue();
+        let (_, burst_start) = warmup_waves_for(&cat);
+        let faults = FaultSpec::crash_restart(1, burst_start, SimDuration::from_secs(60));
+        let run = Run::new(&cat, &NodeMode::Baseline, &cfg, &faults, 1, 64);
+        let err = run.check().expect_err("the run is rejected");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(err.to_string(), "failover needs a finite lookahead");
     }
 
     #[test]

@@ -57,7 +57,7 @@ use crate::coupled::{coupled_engine, Windows};
 use crate::sim::{ClusterConfig, ClusterScenario};
 use faas_invoker::{NodeMode, NodeResult, NodeSim};
 use faas_simcore::rng::Xoshiro256;
-use faas_simcore::time::SimTime;
+use faas_simcore::time::{SimDuration, SimTime};
 use faas_workload::faults::FaultSpec;
 use faas_workload::generate::ShardedGenerator;
 use faas_workload::scenario::{warmup_calls_for_waves, warmup_waves};
@@ -75,8 +75,9 @@ use std::io;
 /// `chunk`-call cursor. A window routes at most `chunk` arrivals either
 /// way. Fails with [`std::io::ErrorKind::InvalidInput`], before any call
 /// is generated, on a configuration the engine cannot run: zero nodes, a
-/// zero `chunk`, failover without a fault plan, or a malformed fault plan
-/// ([`FaultSpec::check`]). A recorded trace was read when its
+/// zero `chunk`, failover without a fault plan or at an infinite
+/// lookahead, or a malformed fault plan ([`FaultSpec::check`]). A
+/// recorded trace was read when its
 /// [`TraceSpec::load`](faas_workload::TraceSpec::load) ran, so running
 /// it reads no file.
 #[allow(clippy::too_many_arguments)] // perfbench calls this signature
@@ -133,12 +134,11 @@ pub(crate) struct Run<'a> {
     pub(crate) sim_seed: u64,
     /// The most arrivals one window routes.
     pub(crate) chunk: usize,
-    /// How many chunks the engine splits the nodes into, clamped to
-    /// `[1, nodes]`. The window loop steps chunk 0 on the calling thread
-    /// and fans each other chunk out to a scoped thread; a streamed run
-    /// (see `crate::coupled`) gives every chunk a persistent worker while
-    /// the calling thread routes, so it runs one thread more than this
-    /// count. At one chunk every window runs inline on the caller.
+    /// How many node workers a streamed run (see `crate::coupled`) splits
+    /// the nodes over, clamped to `[1, nodes]`; the calling thread routes,
+    /// so the run uses one thread more than this count. The window loop
+    /// ignores it: a coupled or feedback run, or any run at one thread,
+    /// steps every window inline on the calling thread.
     pub(crate) threads: usize,
 }
 
@@ -167,15 +167,22 @@ impl<'a> Run<'a> {
 
     /// Fail with [`io::ErrorKind::InvalidInput`] on a configuration the
     /// engine cannot run: zero nodes, a zero `chunk`, failover without a
-    /// fault plan, or a malformed fault plan ([`FaultSpec::check`]). Every
-    /// public entry point calls this before it generates a call.
+    /// fault plan or at [`SimDuration::MAX`] width (handoffs are delivered
+    /// at window barriers), or a malformed fault plan
+    /// ([`FaultSpec::check`]). Every public entry point calls this before
+    /// it generates a call.
     pub(crate) fn check(&self) -> io::Result<()> {
+        let lookahead = self.cfg.lookahead;
         let unrunnable = [
             (self.cfg.nodes == 0, "a cluster needs at least one node"),
             (self.chunk == 0, "a window must route at least one call"),
             (
-                self.cfg.lookahead.failover() && self.faults.is_none(),
+                lookahead.failover() && self.faults.is_none(),
                 "failover needs a fault plan",
+            ),
+            (
+                lookahead.failover() && lookahead.width() == SimDuration::MAX,
+                "failover needs a finite lookahead",
             ),
         ];
         let problem = unrunnable
@@ -307,7 +314,6 @@ mod tests {
     use crate::lb::{home_node, LoadBalancer};
     use faas_core::{Policy, SchedulerConfig};
     use faas_invoker::NodeConfig;
-    use faas_simcore::time::SimDuration;
     use faas_workload::arrival::ArrivalSpec;
     use faas_workload::generate::WorkloadSpec;
     use faas_workload::mix::MixSpec;
